@@ -1,110 +1,27 @@
 """Graphs with universal perfect state transfer: exact constructions,
-continuous-time quantum walk simulation, and certification."""
+continuous-time quantum walk simulation, and certification.
 
-from .cyclotomic import CycNum, cyc_from_exponent_vector, cyclotomic_polynomial, euler_phi, zeta
-from .graph import (
-    CirculantSpec,
-    HermitianGraph,
-    circulant_to_graph,
-    is_connected_circulant,
-    validate_hermitian,
-    with_diagonal_shift,
-)
-from .ratios import integer_multiples
-from .spectra import (
-    CanonicalForm,
-    EigenSystem,
-    EigenvalueForm,
-    canonicalize,
-    circulant_eigensystem,
-    eigensystem_for,
-    fourier_matrix,
-    is_type_ii,
-    numerical_eigensystem,
-    recognize_eigenvalue_form,
-    zero_sum_check,
-)
-from .constructors import (
-    NoncirculantParams,
-    circulant_from_c,
-    gk_example,
-    integer_spectrum_shift,
-    nondense_circulant,
-    noncirculant_graph,
-    theta,
-)
-from .walk import (
-    TransferReport,
-    analytic_pst_times,
-    analytic_return_period,
-    denseness_check,
-    monomial_check,
-    pst_at,
-    scan_min_times,
-    scan_pair_times,
-    spacing_test,
-    unitary_at,
-    verify_upst,
-)
-from .serialize import (
-    graph_from_json,
-    graph_to_json,
-    load_graph,
-    matrix_from_json,
-    matrix_to_json,
-    report_to_json,
-    save_graph,
-)
+The top level holds the quick-start names and the types they return; every
+other public function lives in its submodule (`upst.walk`, `upst.spectra`,
+`upst.serialize`, ...).
+"""
+
+from .graph import CirculantSpec, HermitianGraph, circulant_to_graph
+from .spectra import EigenSystem, circulant_eigensystem
+from .constructors import NoncirculantParams, nondense_circulant, noncirculant_graph
+from .walk import TransferReport, verify_upst
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalForm",
     "CirculantSpec",
-    "CycNum",
     "EigenSystem",
-    "EigenvalueForm",
     "HermitianGraph",
     "NoncirculantParams",
     "TransferReport",
-    "analytic_pst_times",
-    "analytic_return_period",
-    "canonicalize",
     "circulant_eigensystem",
-    "circulant_from_c",
     "circulant_to_graph",
-    "cyc_from_exponent_vector",
-    "cyclotomic_polynomial",
-    "denseness_check",
-    "eigensystem_for",
-    "euler_phi",
-    "fourier_matrix",
-    "gk_example",
-    "graph_from_json",
-    "graph_to_json",
-    "integer_multiples",
-    "integer_spectrum_shift",
-    "is_connected_circulant",
-    "is_type_ii",
-    "load_graph",
-    "matrix_from_json",
-    "matrix_to_json",
-    "monomial_check",
     "nondense_circulant",
     "noncirculant_graph",
-    "numerical_eigensystem",
-    "pst_at",
-    "recognize_eigenvalue_form",
-    "report_to_json",
-    "save_graph",
-    "scan_min_times",
-    "scan_pair_times",
-    "spacing_test",
-    "theta",
-    "unitary_at",
-    "validate_hermitian",
     "verify_upst",
-    "with_diagonal_shift",
-    "zero_sum_check",
-    "zeta",
 ]

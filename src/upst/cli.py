@@ -12,7 +12,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, TextIO
 
@@ -24,30 +23,13 @@ from .constructors import (
     nondense_circulant,
     noncirculant_graph,
 )
-from .graph import (
-    HermitianGraph,
-    circulant_to_graph,
-    is_connected_circulant,
-    validate_hermitian,
-    with_diagonal_shift,
-)
-from .serialize import (
-    graph_from_json,
-    graph_to_json,
-    matrix_from_json,
-    report_to_json,
-)
-from .spectra import (
-    EigenSystem,
-    circulant_eigensystem,
-    is_type_ii,
-    numerical_eigensystem,
-)
+from .graph import HermitianGraph, circulant_to_graph, is_connected_circulant, with_diagonal_shift
+from .serialize import graph_to_json, load_graph, report_to_json
+from .spectra import EigenSystem, circulant_eigensystem, is_type_ii
 from .walk import TransferReport, denseness_check, verify_upst
 
 CHECK_NAMES = ("upst", "spacing", "dense", "typeii", "connectivity")
 FAMILIES = ("circulant_c", "nondense", "noncirculant")
-MATRIX_MATCH_TOL = 1e-12
 FLOAT_FMT = "%.15g"
 
 
@@ -55,34 +37,21 @@ class InputError(ValueError):
     """Problems with descriptors, files, or flag values: exit code 2."""
 
 
-@dataclass(frozen=True)
-class JobSpec:
-    """One CLI job: where the graph comes from, what to do, where output goes."""
-
-    source: str
-    checks: tuple[str, ...] = ("upst",)
-    output_format: str = "json"
-    out: Optional[str] = None
-    shift: Optional[Fraction] = None
-    scan_steps: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if not self.checks:
-            raise InputError("at least one check must be requested")
-        for name in self.checks:
-            if name not in CHECK_NAMES:
-                raise InputError(
-                    "unknown check %r (choose from %s)" % (name, ", ".join(CHECK_NAMES))
-                )
-        if self.output_format not in ("json", "table", "csv"):
-            raise InputError("unknown output format %r" % (self.output_format,))
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError("not a rational number: %r" % (text,)) from exc
+
+
+def _parse_checks(text: str) -> tuple[str, ...]:
+    checks = tuple(name.strip() for name in text.split(","))
+    for name in checks:
+        if name not in CHECK_NAMES:
+            raise InputError(
+                "unknown check %r (choose from %s)" % (name, ", ".join(CHECK_NAMES))
+            )
+    return checks
 
 
 def _scan_steps_from_env() -> Optional[int]:
@@ -186,75 +155,19 @@ def build_from_descriptor(
     return graph, es, out_desc
 
 
-def load_input(path: str) -> tuple[HermitianGraph, EigenSystem, Optional[dict]]:
-    """Read a graph file and choose the best available eigensystem.
-
-    Accepts either a graph bundle or a bare matrix (nested [re, im] rows).
-    Bundles with circulant data are cross-checked: the stored matrix must
-    match the exact embedding to 1e-12.  A stored eigensystem must actually
-    diagonalize the matrix.  Matrix-only inputs get a dense numerical solve.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError("cannot read %r: %s" % (path, exc)) from exc
-    except json.JSONDecodeError as exc:
-        raise InputError("%r is not valid JSON: %s" % (path, exc)) from exc
-
-    try:
-        if isinstance(data, list):
-            matrix = matrix_from_json(data)
-            graph = validate_hermitian(matrix)
-            return graph, numerical_eigensystem(graph.adjacency), None
-        graph, stored_es, desc = graph_from_json(data)
-        validate_hermitian(graph.adjacency)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-    if graph.spec is not None:
-        rebuilt = circulant_to_graph(graph.spec)
-        deviation = float(np.max(np.abs(rebuilt.adjacency - graph.adjacency)))
-        if deviation > MATRIX_MATCH_TOL:
-            raise InputError(
-                "matrix does not match its circulant data (max deviation %.3e)" % deviation
-            )
-        return graph, circulant_eigensystem(graph.spec), desc
-    if stored_es is not None:
-        residual = float(
-            np.max(
-                np.abs(
-                    graph.adjacency @ stored_es.X - stored_es.X * stored_es.lambdas
-                )
-            )
-        )
-        scale = max(1.0, float(np.max(np.abs(stored_es.lambdas))))
-        if residual > 1e-8 * scale:
-            raise InputError(
-                "stored eigensystem does not diagonalize the matrix (residual %.3e)" % residual
-            )
-        return graph, stored_es, desc
-    return graph, numerical_eigensystem(graph.adjacency), desc
-
-
 def _run_checks(
     graph: HermitianGraph, es: EigenSystem, checks: Sequence[str], scan_steps: Optional[int]
-) -> tuple[dict, TransferReport]:
-    needs_report = any(name in ("upst", "spacing") for name in checks)
+) -> tuple[dict, Optional[TransferReport]]:
+    """Verdict per requested check; the report is None when no walk check
+    (upst, spacing) is requested."""
     for name in checks:
         if name in ("dense", "connectivity") and graph.spec is None:
             raise InputError(
                 "check %r needs exact circulant data, which this input lacks" % name
             )
-    report = (
-        verify_upst(graph, es, scan_steps=scan_steps)
-        if needs_report
-        else TransferReport(
-            n=graph.n,
-            min_times=np.full((graph.n, graph.n), np.nan),
-            phases=np.zeros((graph.n, graph.n), dtype=complex),
-        )
-    )
+    report = None
+    if any(name in ("upst", "spacing") for name in checks):
+        report = verify_upst(graph, es, scan_steps=scan_steps)
     results: dict = {}
     for name in checks:
         if name == "upst":
@@ -285,18 +198,18 @@ def _emit(path: Optional[str], text: str) -> None:
             fh.close()
 
 
-def cmd_generate(job: JobSpec) -> int:
-    desc = _parse_descriptor(job.source)
-    graph, es, out_desc = build_from_descriptor(desc, job.shift)
-    document = graph_to_json(graph, es, out_desc)
-    _emit(job.out, json.dumps(document, indent=2))
+def cmd_generate(descriptor: str, shift: Optional[Fraction], out: Optional[str]) -> int:
+    graph, es, out_desc = build_from_descriptor(_parse_descriptor(descriptor), shift)
+    _emit(out, json.dumps(graph_to_json(graph, es, out_desc), indent=2))
     return 0
 
 
-def _format_verdict_table(results: dict, report: TransferReport) -> str:
+def _format_verdict_table(results: dict, report: Optional[TransferReport]) -> str:
     lines = ["check         verdict", "-----         -------"]
     for name, ok in results.items():
         lines.append("%-13s %s" % (name, "pass" if ok else "FAIL"))
+    if report is None:
+        return "\n".join(lines)
     if report.reasons:
         lines.append("reasons: " + ", ".join(report.reasons))
     if report.analytic_times is not None:
@@ -307,26 +220,34 @@ def _format_verdict_table(results: dict, report: TransferReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_verify(job: JobSpec) -> int:
-    graph, es, _ = load_input(job.source)
-    results, report = _run_checks(graph, es, job.checks, job.scan_steps)
+def cmd_verify(
+    source: str,
+    checks: Sequence[str],
+    output_format: str,
+    out: Optional[str],
+    scan_steps: Optional[int],
+) -> int:
+    graph, es, _ = load_graph(source)
+    results, report = _run_checks(graph, es, checks, scan_steps)
     all_pass = all(results.values())
-    if job.output_format == "table":
-        _emit(job.out, _format_verdict_table(results, report))
+    if output_format == "table":
+        _emit(out, _format_verdict_table(results, report))
     else:
         document = {
-            "input": job.source,
+            "input": source,
             "checks": results,
             "pass": all_pass,
-            "report": report_to_json(report),
+            "report": None if report is None else report_to_json(report),
         }
-        _emit(job.out, json.dumps(document, indent=2))
+        _emit(out, json.dumps(document, indent=2))
     return 0 if all_pass else 1
 
 
-def cmd_times(job: JobSpec) -> int:
-    graph, es, _ = load_input(job.source)
-    report = verify_upst(graph, es, scan_steps=job.scan_steps)
+def cmd_times(
+    source: str, output_format: str, out: Optional[str], scan_steps: Optional[int]
+) -> int:
+    graph, es, _ = load_graph(source)
+    report = verify_upst(graph, es, scan_steps=scan_steps)
     if report.upst is not True:
         print(
             "input does not certify universal perfect state transfer: %s"
@@ -350,14 +271,14 @@ def cmd_times(job: JobSpec) -> int:
                 ]
             )
     header = ["u", "v", "t_uv", "phase_re", "phase_im", "analytic_t"]
-    if job.output_format == "table":
+    if output_format == "table":
         widths = [max(len(header[i]), max(len(r[i]) for r in rows)) for i in range(6)]
         lines = ["  ".join(header[i].ljust(widths[i]) for i in range(6))]
         for r in rows:
             lines.append("  ".join(r[i].ljust(widths[i]) for i in range(6)))
-        _emit(job.out, "\n".join(lines))
+        _emit(out, "\n".join(lines))
     else:
-        fh = _open_out(job.out)
+        fh = _open_out(out)
         try:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
@@ -409,38 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         scan_steps = _scan_steps_from_env()
         if args.command == "generate":
-            job = JobSpec(
-                source=args.descriptor,
-                out=args.out,
-                shift=None if args.shift is None else _parse_fraction(args.shift),
-                scan_steps=scan_steps,
-            )
-            return cmd_generate(job)
+            shift = None if args.shift is None else _parse_fraction(args.shift)
+            return cmd_generate(args.descriptor, shift, args.out)
         if args.command == "verify":
-            checks = tuple(s.strip() for s in args.checks.split(",") if s.strip())
-            job = JobSpec(
-                source=args.input,
-                checks=checks,
-                output_format=args.output_format,
-                out=args.out,
-                scan_steps=scan_steps,
-            )
-            return cmd_verify(job)
-        job = JobSpec(
-            source=args.input,
-            output_format=args.output_format,
-            out=args.out,
-            scan_steps=scan_steps,
-        )
-        return cmd_times(job)
-    except InputError as exc:
-        print("error: %s" % (exc,), file=sys.stderr)
-        return 2
+            checks = _parse_checks(args.checks)
+            return cmd_verify(args.input, checks, args.output_format, args.out, scan_steps)
+        return cmd_times(args.input, args.output_format, args.out, scan_steps)
     except (ValueError, ArithmeticError, OSError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2

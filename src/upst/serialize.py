@@ -4,6 +4,8 @@ Complex numbers are stored as [re, im] pairs; matrices as row-major nested
 lists of those pairs.  Graph files carry a format tag plus optional exact
 circulant data, the eigensystem used to build the graph, and the generator
 descriptor, so a verifier can cross-check the matrix against its recipe.
+`load_graph` is the one loader: it runs those cross-checks and picks the
+eigensystem the certifier works with.
 """
 
 from __future__ import annotations
@@ -15,11 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .graph import CirculantSpec, HermitianGraph
-from .spectra import EigenSystem
+from .graph import CirculantSpec, HermitianGraph, circulant_to_graph, validate_hermitian
+from .spectra import EigenSystem, eigensystem_for
 from .walk import TransferReport
 
 GRAPH_FORMAT = "upst-graph"
+MATRIX_MATCH_TOL = 1e-12
 
 
 def complex_to_pair(z: complex) -> list[float]:
@@ -106,20 +109,21 @@ def graph_from_json(data: dict) -> tuple[HermitianGraph, Optional[EigenSystem], 
     try:
         n = int(data["n"])
         matrix = matrix_from_json(data["matrix"])
+        if matrix.shape != (n, n):
+            raise ValueError("matrix shape %s does not match n = %d" % (matrix.shape, n))
+        spec_data = data.get("circulant")
+        spec = None if spec_data is None else CirculantSpec.from_json_dict(spec_data)
+        if spec is not None and spec.n != n:
+            raise ValueError("circulant order %d does not match n = %d" % (spec.n, n))
+        es_data = data.get("eigensystem")
+        es = None if es_data is None else eigensystem_from_json(es_data)
     except KeyError as exc:
         raise ValueError("graph file is missing field %s" % (exc,)) from exc
-    if matrix.shape != (n, n):
-        raise ValueError("matrix shape %s does not match n = %d" % (matrix.shape, n))
-    spec_data = data.get("circulant")
-    spec = None if spec_data is None else CirculantSpec.from_json_dict(spec_data)
-    if spec is not None and spec.n != n:
-        raise ValueError("circulant order %d does not match n = %d" % (spec.n, n))
-    graph = HermitianGraph(n=n, adjacency=matrix, spec=spec)
-    es_data = data.get("eigensystem")
-    es = None if es_data is None else eigensystem_from_json(es_data)
+    except (TypeError, IndexError) as exc:
+        raise ValueError("malformed graph file: %s" % (exc,)) from exc
     if es is not None and es.n != n:
         raise ValueError("eigensystem order %d does not match n = %d" % (es.n, n))
-    return graph, es, data.get("descriptor")
+    return HermitianGraph(n=n, adjacency=matrix, spec=spec), es, data.get("descriptor")
 
 
 def _float_or_none(x: float) -> Optional[float]:
@@ -145,21 +149,42 @@ def report_to_json(report: TransferReport) -> dict:
     }
 
 
-def save_graph(
-    path: str,
-    graph: HermitianGraph,
-    eigensystem: Optional[EigenSystem] = None,
-    descriptor: Optional[dict] = None,
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(graph, eigensystem, descriptor), fh, indent=2)
-        fh.write("\n")
+def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem, Optional[dict]]:
+    """Read a graph file and choose the eigensystem to certify it with.
 
+    Accepts a graph bundle or a bare matrix (nested [re, im] rows).  A bundle
+    with circulant data must match the exact embedding to MATRIX_MATCH_TOL and
+    is diagonalized exactly; a stored eigensystem must actually diagonalize
+    the matrix.  Anything else gets a dense numerical solve.
 
-def load_graph(path: str) -> tuple[HermitianGraph, Optional[EigenSystem], Optional[dict]]:
+    errors: OSError if the file cannot be read, ValueError on malformed
+    content or a failed cross-check.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ValueError("not valid JSON: %s" % (exc,)) from exc
-    return graph_from_json(data)
+            raise ValueError("%r is not valid JSON: %s" % (path, exc)) from exc
+    if isinstance(data, list):
+        graph = validate_hermitian(matrix_from_json(data))
+        return graph, eigensystem_for(graph), None
+    graph, stored_es, desc = graph_from_json(data)
+    validate_hermitian(graph.adjacency)
+    if graph.spec is not None:
+        rebuilt = circulant_to_graph(graph.spec)
+        deviation = float(np.max(np.abs(rebuilt.adjacency - graph.adjacency)))
+        if deviation > MATRIX_MATCH_TOL:
+            raise ValueError(
+                "matrix does not match its circulant data (max deviation %.3e)" % deviation
+            )
+    elif stored_es is not None:
+        residual = float(
+            np.max(np.abs(graph.adjacency @ stored_es.X - stored_es.X * stored_es.lambdas))
+        )
+        scale = max(1.0, float(np.max(np.abs(stored_es.lambdas))))
+        if residual > 1e-8 * scale:
+            raise ValueError(
+                "stored eigensystem does not diagonalize the matrix (residual %.3e)" % residual
+            )
+        return graph, stored_es, desc
+    return graph, eigensystem_for(graph), desc

@@ -118,11 +118,9 @@ def analytic_pst_times(es: EigenSystem, tol: float = TIME_AGREEMENT_TOL) -> Opti
     if abs(d[1]) <= DEGENERACY_TOL * scale:
         raise ValueError("degenerate spectrum: lambda_1 equals lambda_0")
     alpha = _canonical_angles(es)
-    structure = integer_multiples(list(d[1:]))
-    if structure is None:
+    period = analytic_return_period(es)
+    if period is None:
         return None
-    beta, _ = structure
-    period = TWO_PI / beta
     times = np.empty(n)
     for l in range(n):
         t = _solve_phase_congruences(d, alpha[l], period, tol)
@@ -215,21 +213,21 @@ def _cluster(indices: list[int]) -> list[list[int]]:
     return groups
 
 
-def _refined_hits(
+def _first_hit(
     pvec: np.ndarray,
     lam: np.ndarray,
     indices: list[int],
     step: float,
     tol: float,
     skip_zero_cluster: bool,
-    first_only: bool,
-) -> list[tuple[float, complex]]:
+) -> Optional[tuple[float, complex]]:
+    """Earliest candidate cluster whose refined peak reaches 1 - tol, as
+    (time, amplitude); None when no cluster does."""
     amp = _pair_amplitude(pvec, lam)
 
     def mag2(t: float) -> float:
         return abs(amp(t)) ** 2
 
-    hits: list[tuple[float, complex]] = []
     for group in _cluster(indices):
         if skip_zero_cluster and group[0] == 0:
             continue  # the t -> 0 shoulder of the identity, not a return
@@ -239,10 +237,8 @@ def _refined_hits(
         t_star, _ = _golden_max(mag2, lo, hi, REFINE_XTOL)
         t_star = _polish_peak(pvec, lam, t_star, lo, hi)
         if math.sqrt(mag2(t_star)) >= 1 - tol:
-            hits.append((t_star, amp(t_star)))
-            if first_only:
-                break
-    return hits
+            return t_star, amp(t_star)
+    return None
 
 
 def _fallback_period(lam: np.ndarray) -> float:
@@ -260,7 +256,8 @@ def scan_min_times(
     refinement of each candidate peak to REFINE_XTOL.
 
     Defaults: horizon = 1.25 x the return period (or a spacing-based window
-    when eigenvalue ratios admit no period), step = period / 10^4.  Pairs with
+    when eigenvalue ratios admit no period), step = period / 10^4; the period
+    is derived, and reported, only when one of them is left unset.  Pairs with
     no confirmed peak keep NaN and are flagged in reasons; a degenerate
     spectrum refuses the extraction outright (every t is a return time).
     """
@@ -273,12 +270,14 @@ def scan_min_times(
         return TransferReport(
             n=n, min_times=min_times, phases=phases, reasons=("degenerate-spectrum",)
         )
-    period = analytic_return_period(es)
-    base = period if period is not None else _fallback_period(lam)
-    if horizon is None:
-        horizon = 1.25 * base
-    if step is None:
-        step = base / DEFAULT_SCAN_STEPS
+    period = None
+    if horizon is None or step is None:
+        period = analytic_return_period(es)
+        base = period if period is not None else _fallback_period(lam)
+        if horizon is None:
+            horizon = 1.25 * base
+        if step is None:
+            step = base / DEFAULT_SCAN_STEPS
     nsteps = int(math.ceil(horizon / step))
     # P[v, u, k] = X[v,k] conj(X[u,k]); U(t)[v,u] = sum_k P[v,u,k] e^{-i lam_k t}
     p_tensor = es.X[:, np.newaxis, :] * es.X.conj()[np.newaxis, :, :]
@@ -295,45 +294,19 @@ def scan_min_times(
     missing = False
     for u in range(n):
         for v in range(n):
-            hits = _refined_hits(
-                p_tensor[v, u], lam, candidates[u][v], step, tol,
-                skip_zero_cluster=(u == v), first_only=True,
+            hit = _first_hit(
+                p_tensor[v, u], lam, candidates[u][v], step, tol, skip_zero_cluster=(u == v)
             )
-            if hits:
-                min_times[u, v], phases[u, v] = hits[0]
-            else:
+            if hit is None:
                 missing = True
+            else:
+                min_times[u, v], phases[u, v] = hit
     return TransferReport(
         n=n,
         min_times=min_times,
         phases=phases,
         reasons=("scan-missing-pairs",) if missing else (),
         return_period=period,
-    )
-
-
-def scan_pair_times(
-    es: EigenSystem,
-    source: int,
-    target: int,
-    horizon: float,
-    step: Optional[float] = None,
-    tol: float = PST_ENTRY_TOL,
-) -> list[tuple[float, complex]]:
-    """All perfect-transfer times for one ordered pair inside (0, horizon]."""
-    lam = es.lambdas
-    if step is None:
-        period = analytic_return_period(es)
-        step = (period if period is not None else _fallback_period(lam)) / DEFAULT_SCAN_STEPS
-    pvec = es.X[target, :] * es.X[source, :].conj()
-    nsteps = int(math.ceil(horizon / step))
-    ts = (np.arange(nsteps) + 1) * step
-    amp = np.exp(-1j * np.outer(ts, lam)) @ pvec
-    mag2 = amp.real**2 + amp.imag**2
-    indices = list(np.nonzero(mag2 >= DETECTION_THRESHOLD)[0])
-    return _refined_hits(
-        pvec, lam, [int(i) for i in indices], step, tol,
-        skip_zero_cluster=(source == target), first_only=False,
     )
 
 
@@ -453,7 +426,10 @@ def verify_upst(
     times = analytic_pst_times(es_c)
     if times is None:
         return failed("no-consistent-times")
-    period = analytic_return_period(es)
+    # Row 0 of the canonical X is flat, so t_{0,0} is the return period:
+    # |U(t)[0][0]| = 1 exactly when every (lambda_k - lambda_0) t is a multiple
+    # of 2 pi.  The confirmation below checks that entry like every other.
+    period = float(times[0])
 
     reasons: list[str] = []
     confirmed = True
@@ -463,9 +439,7 @@ def verify_upst(
             reasons.append("analytic-time-not-confirmed")
             break
 
-    step = (period if period is not None else _fallback_period(lam)) / (
-        scan_steps or DEFAULT_SCAN_STEPS
-    )
+    step = period / (scan_steps or DEFAULT_SCAN_STEPS)
     scanned = scan_min_times(es, horizon=1.25 * period, step=step, tol=tol)
     min_times = scanned.min_times
     complete = bool(np.all(np.isfinite(min_times)))

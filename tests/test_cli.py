@@ -4,9 +4,12 @@ import csv
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ import pytest
 from upst.cli import main
 
 SQ3 = math.sqrt(3)
+SRC = Path(__file__).resolve().parents[1] / "src"
+DROP = object()  # marks a bundle field to delete
 
 CIRC3_DESC = '{"family": "circulant_c", "n": 3, "c": [0, 1, 2]}'
 FLAT3_DESC = '{"family": "circulant_c", "n": 3, "c": [0, 0, 0]}'
@@ -211,6 +216,9 @@ def test_verify_rejects_unknown_check(tmp_path, capsys):
     code, _, err = run(["verify", path, "--checks", "upst,chromatic"], capsys)
     assert code == 2
     assert "unknown check" in err
+    code, _, err = run(["verify", path, "--checks", "upst,,typeii"], capsys)
+    assert code == 2
+    assert "unknown check ''" in err
 
 
 def test_verify_rejects_missing_input(capsys):
@@ -224,6 +232,49 @@ def test_verify_rejects_foreign_format_tag(tmp_path, capsys):
     code, _, err = run(["verify", str(path)], capsys)
     assert code == 2
     assert "format" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        (("eigensystem", "X"), DROP),
+        (("eigensystem", "exact_lambdas", 0), 5),
+        (("n",), [4]),
+        (("eigensystem",), [1]),
+        (("matrix", 1), 7),
+    ],
+    ids=["eigensystem-without-X", "exact-lambda-not-a-pair", "n-as-list",
+         "eigensystem-as-list", "matrix-row-not-a-list"],
+)
+def test_verify_rejects_malformed_bundles(tmp_path, capsys, field, value):
+    path = generate(tmp_path, capsys, CIRC3_DESC, "c3.json")
+    doc = json.loads(open(path).read())
+    *parents, last = field
+    node = doc
+    for key in parents:
+        node = node[key]
+    if value is DROP:
+        del node[last]
+    else:
+        node[last] = value
+    open(path, "w").write(json.dumps(doc))
+    code, _, err = run(["verify", path], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_verify_without_walk_checks_has_no_report(tmp_path, capsys):
+    path = generate(tmp_path, capsys, CIRC3_DESC, "c3.json")
+    argv = ["verify", path, "--checks", "typeii,connectivity"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["checks"] == {"typeii": True, "connectivity": True}
+    assert doc["report"] is None
+    code, out, _ = run(argv + ["--format", "table"], capsys)
+    assert code == 0
+    assert "typeii" in out and "connectivity" in out
+    assert "reasons:" not in out and "return period:" not in out
 
 
 def test_scan_density_env_override(tmp_path, capsys, monkeypatch):
@@ -307,6 +358,26 @@ def test_installed_entry_point(tmp_path):
         [exe, "verify", str(path), "--checks", "upst,typeii"],
         capture_output=True,
         text=True,
+    )
+    assert ver.returncode == 0, ver.stderr
+    assert json.loads(ver.stdout)["pass"] is True
+
+
+def test_module_entry_point(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    path = tmp_path / "c3.json"
+    gen = subprocess.run(
+        [sys.executable, "-m", "upst", "generate", CIRC3_DESC, "--out", str(path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert gen.returncode == 0, gen.stderr
+    ver = subprocess.run(
+        [sys.executable, "-m", "upst", "verify", str(path), "--checks", "upst,typeii"],
+        capture_output=True,
+        text=True,
+        env=env,
     )
     assert ver.returncode == 0, ver.stderr
     assert json.loads(ver.stdout)["pass"] is True

@@ -21,6 +21,7 @@ from upst.spectra import (
 from upst.constructors import (
     NoncirculantParams,
     circulant_from_c,
+    gk_example,
     nondense_circulant,
     noncirculant_graph,
     theta,
@@ -33,7 +34,6 @@ from upst.walk import (
     monomial_check,
     pst_at,
     scan_min_times,
-    scan_pair_times,
     spacing_test,
     unitary_at,
     verify_upst,
@@ -180,18 +180,6 @@ def test_scan_flags_pairs_beyond_horizon(circ3):
     assert np.isnan(report.min_times[0, 1])
 
 
-def test_pair_scan_shows_additive_hit_structure(circ3):
-    es = es3(circ3)
-    period = 3 * T01
-    hits = scan_pair_times(es, 0, 0, horizon=2.2 * period)
-    assert len(hits) == 2
-    assert abs(hits[1][0] - 2 * hits[0][0]) < 1e-8  # second return = twice the first
-    off = scan_pair_times(es, 0, 1, horizon=1.1 * period + T01)
-    assert len(off) == 2
-    assert abs(off[0][0] - T01) < 1e-9
-    assert abs(off[1][0] - (T01 + period)) < 1e-8
-
-
 # ------------------------------------------------------------ certification
 
 def test_certification_order3(circ3):
@@ -228,10 +216,14 @@ def test_certified_phases_have_unit_magnitude(circ3):
 
 
 def test_transfer_precedes_return_everywhere(circ3, nd6):
-    # for every vertex u, each transfer t_{u,v} lands before the return t_{u,u}
-    for spec in (circ3, nd6):
-        report = verify_upst(circulant_to_graph(spec), circulant_eigensystem(spec))
+    # for every vertex u, each transfer t_{u,v} lands before the return t_{u,u},
+    # and the reported period is the one the spectrum alone determines
+    inputs = [(circulant_to_graph(s), circulant_eigensystem(s)) for s in (circ3, nd6)]
+    inputs += [noncirculant_graph(NoncirculantParams(3, 2, 2)), gk_example(4)]
+    for graph, es in inputs:
+        report = verify_upst(graph, es)
         assert report.upst is True
+        assert abs(report.return_period - analytic_return_period(es)) < 1e-12
         n = report.n
         for u in range(n):
             for v in range(n):
