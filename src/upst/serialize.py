@@ -69,15 +69,21 @@ def eigensystem_to_json(es: EigenSystem) -> dict:
 
 
 def eigensystem_from_json(data: dict) -> EigenSystem:
+    """errors: ValueError unless X is n x n, lambdas (and exact_lambdas, if
+    present) have length n, and every entry is finite."""
     x = matrix_from_json(data["X"])
+    n = x.shape[0]
     lambdas = np.array([float(v) for v in data["lambdas"]], dtype=float)
     exact = data.get("exact_lambdas")
-    return EigenSystem(
-        n=x.shape[0],
-        X=x,
-        lambdas=lambdas,
-        exact_lambdas=None if exact is None else tuple(_fraction_from_json(v) for v in exact),
-    )
+    exact_lambdas = None if exact is None else tuple(_fraction_from_json(v) for v in exact)
+    if x.shape != (n, n):
+        raise ValueError("eigensystem X has shape %s, not n x n" % (x.shape,))
+    for name, values in (("lambdas", lambdas), ("exact_lambdas", exact_lambdas)):
+        if values is not None and len(values) != n:
+            raise ValueError("eigensystem has %d %s for n = %d" % (len(values), name, n))
+    if not (np.all(np.isfinite(x.view(float))) and np.all(np.isfinite(lambdas))):
+        raise ValueError("eigensystem contains non-finite entries")
+    return EigenSystem(n=n, X=x, lambdas=lambdas, exact_lambdas=exact_lambdas)
 
 
 def graph_to_json(
@@ -182,7 +188,7 @@ def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem, Optional[dict]]:
             np.max(np.abs(graph.adjacency @ stored_es.X - stored_es.X * stored_es.lambdas))
         )
         scale = max(1.0, float(np.max(np.abs(stored_es.lambdas))))
-        if residual > 1e-8 * scale:
+        if not residual <= 1e-8 * scale:
             raise ValueError(
                 "stored eigensystem does not diagonalize the matrix (residual %.3e)" % residual
             )

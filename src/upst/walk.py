@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -25,6 +25,8 @@ DEFAULT_SCAN_STEPS = 10_000
 DETECTION_THRESHOLD = 0.96  # on |U|^2; refinement applies the strict test
 DEGENERACY_TOL = 1e-12
 TIE_TOL = 1e-10
+GRID_BLOCK = 2**18  # pair x time elements per grid block
+REFINE_BLOCK = 2**16  # pair x eigenvalue elements per refinement batch
 
 TWO_PI = 2 * math.pi
 
@@ -150,95 +152,97 @@ def _solve_phase_congruences(
     return None
 
 
-def _pair_amplitude(pvec: np.ndarray, lam: np.ndarray) -> Callable[[float], complex]:
-    def amp(t: float) -> complex:
-        return complex(np.dot(pvec, np.exp(-1j * lam * t)))
+def _row_dots(rows: np.ndarray, waves: np.ndarray) -> np.ndarray:
+    """np.dot of each row of rows with the same row of waves, summed in the
+    order np.dot uses for one pair of vectors."""
+    return (rows[:, np.newaxis, :] @ waves[:, :, np.newaxis])[:, 0, 0]
 
-    return amp
+
+def _amplitudes(pvecs: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Row r of the result is sum_k pvecs[r, k] exp(-i lam_k t[r])."""
+    return _row_dots(pvecs, np.exp(-1j * np.multiply.outer(t, lam)))
 
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float, xtol: float) -> tuple[float, float]:
+def _golden_max(pvecs: np.ndarray, lam: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Golden-section search for the maximum of |amp|^2 on [lo[r], hi[r]],
+    every row in lockstep; a row stops once its bracket is REFINE_XTOL wide.
+    Returns the bracket midpoints."""
     invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
+    a, b = lo.copy(), hi.copy()
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    mid = (a + b) / 2
-    return mid, f(mid)
+    fc = np.abs(_amplitudes(pvecs, lam, c)) ** 2
+    fd = np.abs(_amplitudes(pvecs, lam, d)) ** 2
+    while True:
+        live = np.flatnonzero(b - a > REFINE_XTOL)
+        if not live.size:
+            return (a + b) / 2
+        left = fc[live] >= fd[live]
+        lt, rt = live[left], live[~left]
+        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
+        c[lt] = b[lt] - invphi * (b[lt] - a[lt])
+        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
+        d[rt] = a[rt] + invphi * (b[rt] - a[rt])
+        probe = np.where(left, c[live], d[live])
+        f = np.abs(_amplitudes(pvecs[live], lam, probe)) ** 2
+        fc[lt], fd[rt] = f[left], f[~left]
 
 
 def _polish_peak(
-    pvec: np.ndarray, lam: np.ndarray, t: float, lo: float, hi: float
-) -> float:
-    """Newton iterations on d|amp|^2/dt.  The squared magnitude is flat at a
-    peak, so a bracketing search alone resolves the argmax only to the square
-    root of the float noise; the analytic derivative restores full precision."""
-    dp = -1j * lam * pvec
-    ddp = -(lam**2) * pvec
+    pvecs: np.ndarray, lam: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Newton iterations on d|amp|^2/dt, row by row.  The squared magnitude is
+    flat at a peak, so a bracketing search alone resolves the argmax only to
+    the square root of the float noise; the analytic derivative restores full
+    precision.  A row stops at 12 steps, at non-negative curvature, at a step
+    leaving its bracket, or once the step is below 1e-15 relative."""
+    dp = -1j * lam * pvecs
+    ddp = -(lam**2) * pvecs
+    t = t.copy()
+    live = np.arange(t.size)
     for _ in range(12):
-        waves = np.exp(-1j * lam * t)
-        a = np.dot(pvec, waves)
-        a1 = np.dot(dp, waves)
-        a2 = np.dot(ddp, waves)
+        if not live.size:
+            break
+        waves = np.exp(-1j * np.multiply.outer(t[live], lam))
+        a = _row_dots(pvecs[live], waves)
+        a1 = _row_dots(dp[live], waves)
+        a2 = _row_dots(ddp[live], waves)
         slope = (a.conjugate() * a1).real
         curvature = (a1.conjugate() * a1 + a.conjugate() * a2).real
-        if curvature >= 0:
-            break
-        t_next = t - slope / curvature
-        if not lo <= t_next <= hi:
-            break
-        done = abs(t_next - t) <= 1e-15 * max(1.0, abs(t))
-        t = t_next
-        if done:
-            break
+        peaked = curvature < 0
+        live, slope, curvature = live[peaked], slope[peaked], curvature[peaked]
+        t_next = t[live] - slope / curvature
+        inside = (lo[live] <= t_next) & (t_next <= hi[live])
+        live, t_next = live[inside], t_next[inside]
+        done = np.abs(t_next - t[live]) <= 1e-15 * np.maximum(1.0, np.abs(t[live]))
+        t[live] = t_next
+        live = live[~done]
     return t
 
 
-def _cluster(indices: list[int]) -> list[list[int]]:
-    groups: list[list[int]] = []
-    for i in indices:
-        if groups and i == groups[-1][-1] + 1:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups
+def _candidate_clusters(
+    pair: np.ndarray, index: np.ndarray, mag2: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group grid hits into runs of consecutive grid indices per pair.
 
-
-def _first_hit(
-    pvec: np.ndarray,
-    lam: np.ndarray,
-    indices: list[int],
-    step: float,
-    tol: float,
-    skip_zero_cluster: bool,
-) -> Optional[tuple[float, complex]]:
-    """Earliest candidate cluster whose refined peak reaches 1 - tol, as
-    (time, amplitude); None when no cluster does."""
-    amp = _pair_amplitude(pvec, lam)
-
-    def mag2(t: float) -> float:
-        return abs(amp(t)) ** 2
-
-    for group in _cluster(indices):
-        if skip_zero_cluster and group[0] == 0:
-            continue  # the t -> 0 shoulder of the identity, not a return
-        best = max(group, key=lambda i: mag2((i + 1) * step))
-        lo = best * step
-        hi = (best + 2) * step
-        t_star, _ = _golden_max(mag2, lo, hi, REFINE_XTOL)
-        t_star = _polish_peak(pvec, lam, t_star, lo, hi)
-        if math.sqrt(mag2(t_star)) >= 1 - tol:
-            return t_star, amp(t_star)
-    return None
+    Returns, per cluster in (pair, time) order: the flat pair u*n + v, the
+    grid index of its largest stored |U|^2 (the earliest on a tie) and its
+    rank among the pair's clusters.  The t -> 0 cluster of each u == v pair
+    is the shoulder of the identity, not a return, and is dropped.
+    """
+    order = np.lexsort((index, pair))
+    pair, index, mag2 = pair[order], index[order], mag2[order]
+    opens = np.ones(pair.size, dtype=bool)
+    opens[1:] = (pair[1:] != pair[:-1]) | (index[1:] != index[:-1] + 1)
+    starts = np.flatnonzero(opens)
+    cluster = np.cumsum(opens) - 1
+    at_peak = np.flatnonzero(mag2 == np.maximum.reduceat(mag2, starts)[cluster])
+    best = index[at_peak[np.unique(cluster[at_peak], return_index=True)[1]]]
+    cl_pair = pair[starts]
+    keep = (cl_pair // n != cl_pair % n) | (index[starts] != 0)
+    cl_pair, best = cl_pair[keep], best[keep]
+    rank = np.arange(cl_pair.size) - np.searchsorted(cl_pair, cl_pair)
+    return cl_pair, best, rank
 
 
 def _fallback_period(lam: np.ndarray) -> float:
@@ -252,8 +256,15 @@ def scan_min_times(
     step: Optional[float] = None,
     tol: float = PST_ENTRY_TOL,
 ) -> TransferReport:
-    """Grid scan of |U(t)[v][u]| for every ordered pair with golden-section
-    refinement of each candidate peak to REFINE_XTOL.
+    """Grid scan of |U(t)[v][u]| for every ordered pair, then refinement of
+    the candidate peaks in lockstep rounds.
+
+    Grid points with |U|^2 >= DETECTION_THRESHOLD form clusters of
+    consecutive points per pair.  Round r refines the r-th cluster of every
+    pair still unresolved, all at once: golden section to REFINE_XTOL on the
+    bracket one step either side of the cluster's best grid point, Newton
+    polish, then the |U| >= 1 - tol test; a pair that passes takes that time
+    and amplitude, the rest wait for round r + 1.
 
     Defaults: horizon = 1.25 x the return period (or a spacing-based window
     when eigenvalue ratios admit no period), step = period / 10^4; the period
@@ -279,33 +290,49 @@ def scan_min_times(
         if step is None:
             step = base / DEFAULT_SCAN_STEPS
     nsteps = int(math.ceil(horizon / step))
-    # P[v, u, k] = X[v,k] conj(X[u,k]); U(t)[v,u] = sum_k P[v,u,k] e^{-i lam_k t}
-    p_tensor = es.X[:, np.newaxis, :] * es.X.conj()[np.newaxis, :, :]
-    candidates: list[list[list[int]]] = [[[] for _ in range(n)] for _ in range(n)]
-    chunk = max(1, 1_000_000 // (n * n))
+    # Row u*n + v of pvecs holds X[v,k] conj(X[u,k]) over k, so that
+    # U(t)[v,u] = sum_k pvecs[u*n + v, k] e^{-i lam_k t}.
+    pvecs = (es.X[np.newaxis, :, :] * es.X.conj()[:, np.newaxis, :]).reshape(n * n, n)
+    hit_pair = [np.empty(0, dtype=np.intp)]  # an empty grid (horizon <= 0) has no hits
+    hit_index = [np.empty(0, dtype=np.intp)]
+    hit_mag2 = [np.empty(0)]
+    chunk = max(1, GRID_BLOCK // (n * n))
     for start in range(0, nsteps, chunk):
-        idx = np.arange(start, min(start + chunk, nsteps))
-        ts = (idx + 1) * step
-        waves = np.exp(-1j * np.outer(lam, ts))
-        amp = np.tensordot(p_tensor, waves, axes=([2], [0]))
-        mag2 = amp.real**2 + amp.imag**2
-        for v, u, w in zip(*np.nonzero(mag2 >= DETECTION_THRESHOLD)):
-            candidates[u][v].append(start + int(w))
-    missing = False
-    for u in range(n):
-        for v in range(n):
-            hit = _first_hit(
-                p_tensor[v, u], lam, candidates[u][v], step, tol, skip_zero_cluster=(u == v)
-            )
-            if hit is None:
-                missing = True
-            else:
-                min_times[u, v], phases[u, v] = hit
+        ts = (np.arange(start, min(start + chunk, nsteps)) + 1) * step
+        amp = pvecs @ np.exp(-1j * np.outer(lam, ts))
+        mag2 = np.square(amp.real)
+        mag2 += np.square(amp.imag)
+        flat = np.flatnonzero(mag2 >= DETECTION_THRESHOLD)
+        pair, w = np.divmod(flat, ts.size)
+        hit_pair.append(pair)
+        hit_index.append(start + w)
+        hit_mag2.append(mag2.reshape(-1)[flat])
+    cl_pair, best, rank = _candidate_clusters(
+        np.concatenate(hit_pair), np.concatenate(hit_index), np.concatenate(hit_mag2), n
+    )
+    flat_times = min_times.reshape(-1)
+    flat_phases = phases.reshape(-1)
+    resolved = np.zeros(n * n, dtype=bool)
+    rows = max(1, REFINE_BLOCK // n)
+    for r in range(int(rank.max(initial=-1)) + 1):
+        todo = np.flatnonzero((rank == r) & ~resolved[cl_pair])
+        for first in range(0, todo.size, rows):
+            batch = todo[first:first + rows]
+            pair = cl_pair[batch]
+            pv = pvecs[pair]
+            lo = best[batch] * step
+            hi = (best[batch] + 2) * step
+            t_star = _polish_peak(pv, lam, _golden_max(pv, lam, lo, hi), lo, hi)
+            amp = _amplitudes(pv, lam, t_star)
+            ok = np.abs(amp) >= 1 - tol
+            flat_times[pair[ok]] = t_star[ok]
+            flat_phases[pair[ok]] = amp[ok]
+            resolved[pair[ok]] = True
     return TransferReport(
         n=n,
         min_times=min_times,
         phases=phases,
-        reasons=("scan-missing-pairs",) if missing else (),
+        reasons=() if resolved.all() else ("scan-missing-pairs",),
         return_period=period,
     )
 

@@ -235,19 +235,22 @@ def test_verify_rejects_foreign_format_tag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, value",
+    "desc, field, value, names",
     [
-        (("eigensystem", "X"), DROP),
-        (("eigensystem", "exact_lambdas", 0), 5),
-        (("n",), [4]),
-        (("eigensystem",), [1]),
-        (("matrix", 1), 7),
+        (CIRC3_DESC, ("eigensystem", "X"), DROP, "X"),
+        (CIRC3_DESC, ("eigensystem", "exact_lambdas", 0), 5, ""),
+        (CIRC3_DESC, ("n",), [4], ""),
+        (CIRC3_DESC, ("eigensystem",), [1], ""),
+        (CIRC3_DESC, ("matrix", 1), 7, ""),
+        (NC_DESC, ("eigensystem", "X", 0, 0), [float("nan"), 0.0], "eigensystem"),
+        (NC_DESC, ("eigensystem", "lambdas", 3), DROP, "eigensystem"),
     ],
     ids=["eigensystem-without-X", "exact-lambda-not-a-pair", "n-as-list",
-         "eigensystem-as-list", "matrix-row-not-a-list"],
+         "eigensystem-as-list", "matrix-row-not-a-list", "eigensystem-nan",
+         "eigensystem-short-lambdas"],
 )
-def test_verify_rejects_malformed_bundles(tmp_path, capsys, field, value):
-    path = generate(tmp_path, capsys, CIRC3_DESC, "c3.json")
+def test_verify_rejects_malformed_bundles(tmp_path, capsys, desc, field, value, names):
+    path = generate(tmp_path, capsys, desc, "bundle.json")
     doc = json.loads(open(path).read())
     *parents, last = field
     node = doc
@@ -261,6 +264,7 @@ def test_verify_rejects_malformed_bundles(tmp_path, capsys, field, value):
     code, _, err = run(["verify", path], capsys)
     assert code == 2
     assert err.startswith("error: ")
+    assert names in err
 
 
 def test_verify_without_walk_checks_has_no_report(tmp_path, capsys):

@@ -5,6 +5,7 @@ and a blind time-domain scan.  Tests pin both against closed-form values.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +28,7 @@ from upst.constructors import (
     theta,
 )
 from upst.walk import (
+    PST_ENTRY_TOL,
     TransferReport,
     analytic_pst_times,
     analytic_return_period,
@@ -178,6 +180,55 @@ def test_scan_flags_pairs_beyond_horizon(circ3):
     report = scan_min_times(es3(circ3), horizon=0.5 * T01)
     assert "scan-missing-pairs" in report.reasons
     assert np.isnan(report.min_times[0, 1])
+    empty = scan_min_times(es3(circ3), horizon=0.0)
+    assert empty.reasons == ("scan-missing-pairs",)
+    assert np.all(np.isnan(empty.min_times))
+
+
+def test_scan_refines_false_clusters_in_later_rounds():
+    # |U(2 pi)[u][u]|^2 ~ 0.9965 clears the detection threshold but is no peak
+    # of 1.  Each diagonal pair meets twelve such false candidates before its
+    # first true return at the period 100 pi; off-diagonal pairs meet only
+    # false ones, so refinement runs for many rounds
+    es = EigenSystem(n=3, X=fourier_matrix(3), lambdas=np.array([0.0, 1.0, 2.02]))
+    report = scan_min_times(es)
+    assert np.max(np.abs(np.diag(report.min_times) - 100 * math.pi)) < 1e-9
+    assert np.all(np.isnan(report.min_times[~np.eye(3, dtype=bool)]))
+    assert report.reasons == ("scan-missing-pairs",)
+    assert abs(report.return_period - 100 * math.pi) < 1e-9
+
+
+def relabelled_flat(a, b, beta, seed):
+    """noncirculant_graph's eigensystem with vertices permuted and random
+    eigenvector phases, neither of which changes the transfer times."""
+    _, es = noncirculant_graph(NoncirculantParams(a, b, beta))
+    rng = np.random.default_rng(seed)
+    x = es.X[rng.permutation(es.n), :] * np.exp(1j * rng.uniform(0, TWO_PI, size=es.n))
+    return EigenSystem(n=es.n, X=x, lambdas=es.lambdas, exact_lambdas=es.exact_lambdas)
+
+
+def test_scan_times_and_phases_match_walk_operator(nd6):
+    for es in (relabelled_flat(4, 4, 2, seed=5), circulant_eigensystem(nd6)):
+        report = scan_min_times(es)
+        assert report.reasons == ()
+        for u in range(es.n):
+            for v in range(es.n):
+                entry = unitary_at(es, report.min_times[u, v])[v, u]
+                assert abs(entry) >= 1 - PST_ENTRY_TOL
+                assert abs(report.phases[u, v] - entry) < 1e-12
+
+
+def test_scan_working_set_is_bounded():
+    # the grid is scanned in blocks and candidates refined in row batches, so
+    # the peak allocation stays far below the n^2 x grid-points array
+    _, es = noncirculant_graph(NoncirculantParams(6, 4, 2))
+    tracemalloc.start()
+    try:
+        scan_min_times(es)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 # ------------------------------------------------------------ certification
