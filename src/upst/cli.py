@@ -114,12 +114,7 @@ def build_from_descriptor(
             c_raw = desc.get("c")
             if not isinstance(c_raw, list) or len(c_raw) != n:
                 raise InputError("field 'c' must be a list of %d integers" % n)
-            c = []
-            for entry in c_raw:
-                if isinstance(entry, bool) or not isinstance(entry, int):
-                    raise InputError("entries of 'c' must be integers, got %r" % (entry,))
-                c.append(entry)
-            spec = circulant_from_c(n, c)
+            spec = circulant_from_c(n, c_raw)
         elif family == "nondense":
             spec = nondense_circulant(_require_int(desc, "p"), _require_int(desc, "q"))
         else:

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
-from .cyclotomic import CycNum, cyc_from_exponent_vector, zeta
+from .cyclotomic import CycNum, cyc_from_exponent_vector
 from .graph import CirculantSpec, HermitianGraph, is_connected_circulant
 from .spectra import EigenSystem, UNITARITY_TOL
 
@@ -113,8 +114,27 @@ def gk_example(k: int) -> tuple[HermitianGraph, EigenSystem]:
 
 @functools.lru_cache(maxsize=None)
 def _inv_zeta_power_minus_one(n: int, e: int) -> CycNum:
-    # 1 / (zeta_n^e - 1); requires e not divisible by n.
-    return (zeta(n, e) - CycNum.one(n)).invert()
+    """1 / (zeta_n^e - 1) for e not divisible by n, in closed form.
+
+    x = zeta_n^e has order m = n / gcd(n, e) > 1, so its m powers sum to 0 and
+    (x - 1) * sum_{k<m} k*x^k = (m - 1)*x^m - sum_{0<k<m} x^k = m.
+    """
+    m = n // math.gcd(n, e)
+    if m == 1:
+        raise ZeroDivisionError("zeta_%d^%d - 1 is zero" % (n, e))
+    v = [0] * n
+    for k in range(1, m):
+        v[(k * e) % n] += k
+    return cyc_from_exponent_vector(n, v) / m
+
+
+def _integer_entries(c: Sequence[int]) -> list[int]:
+    # The c-vector as Python ints; bool, float and other non-integers would
+    # silently build a different graph, so they are refused.
+    for v in c:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise ValueError("entries of c must be integers, got %r" % (v,))
+    return [int(v) for v in c]
 
 
 def circulant_from_c(n: int, c: Sequence[int]) -> CirculantSpec:
@@ -124,16 +144,17 @@ def circulant_from_c(n: int, c: Sequence[int]) -> CirculantSpec:
     j = 1..n-1.  In Fourier order the spectrum is l + c_l*n up to one common
     rational shift (see integer_spectrum_shift), i.e. lambda_l - lambda_0 =
     l + (c_l - c_0)*n exactly -- the integer progression that makes the walk
-    transfer perfectly between every vertex pair.
+    transfer perfectly between every vertex pair.  Entries of c must be
+    integers (bool and float are refused with ValueError).
     """
     if n < 2:
         raise ValueError("order must be at least 2, got %r" % (n,))
     if len(c) != n:
         raise ValueError("expected %d integers, got %d" % (n, len(c)))
-    c = [int(v) for v in c]
+    c = _integer_entries(c)
     coeffs = [CycNum.zero(n)]
     for j in range(1, n):
-        v = [Fraction(0)] * n
+        v = [0] * n
         for k, ck in enumerate(c):
             if ck:
                 v[(-j * k) % n] += ck
@@ -144,7 +165,7 @@ def circulant_from_c(n: int, c: Sequence[int]) -> CirculantSpec:
 
 def integer_spectrum_shift(n: int, c: Sequence[int]) -> Fraction:
     """The a_0 making circulant_from_c(n, c) have eigenvalues exactly l + c_l*n."""
-    return Fraction(n - 1, 2) + sum(int(v) for v in c)
+    return Fraction(n - 1, 2) + sum(_integer_entries(c))
 
 
 def _is_prime(n: int) -> bool:
@@ -170,15 +191,15 @@ def nondense_circulant(p: int, q: int) -> CirculantSpec:
     if p == q or not (_is_prime(p) and _is_prime(q)):
         raise ValueError("need distinct primes, got p=%r q=%r" % (p, q))
     n = p * q
-    u = (CycNum.one(n) - zeta(n, -1)).invert()
-    if any(coef.denominator != 1 for coef in u.coeffs):
+    u = -_inv_zeta_power_minus_one(n, n - 1)  # 1/(1 - zeta_n^(-1))
+    if u.den != 1:
         raise ArithmeticError(
             "internal error: 1/(1 - zeta_%d^(-1)) should be integral" % n
         )
     c = [0] * n
-    for m, coef in enumerate(u.coeffs):
-        c[(n - m) % n] += int(coef)
-    check = [Fraction(0)] * n
+    for m, coef in enumerate(u.num):
+        c[(n - m) % n] += coef
+    check = [0] * n
     for k, ck in enumerate(c):
         check[(n - k) % n] += ck
     if cyc_from_exponent_vector(n, check) != u:

@@ -1,11 +1,15 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_n).
 
-Elements are stored in the power basis 1, zeta, ..., zeta^(phi(n)-1) with
-rational coefficients, reduced modulo the n-th cyclotomic polynomial Phi_n.
-Phi_n is computed by the recursive quotient of x^n - 1 by the Phi_d of the
-proper divisors d | n, and inversion runs the extended Euclidean algorithm
-against Phi_n over Q.  Everything in this module is exact; floating point
-enters only through :meth:`CycNum.embed`.
+An element is stored in the power basis 1, zeta, ..., zeta^(phi(n)-1) as a
+vector of integer numerators over one shared positive denominator, kept in
+lowest terms (the gcd of the denominator and every numerator is 1), so equal
+values have equal representations.  Phi_n is monic with integer coefficients,
+so reduction modulo Phi_n, products, Galois maps and conductor promotion all
+run on Python ints; only the denominator bookkeeping of sums and quotients
+touches rationals.  Phi_n is computed by the recursive quotient of x^n - 1 by
+the Phi_d of the proper divisors d | n, and general inversion runs the
+extended Euclidean algorithm against Phi_n over Q.  Everything in this module
+is exact; floating point enters only through :meth:`CycNum.embed`.
 """
 
 from __future__ import annotations
@@ -13,9 +17,9 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+import numbers
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -71,21 +75,54 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _reduce_mod_phi(n: int, coeffs: Sequence[RationalLike]) -> tuple[Fraction, ...]:
-    """Reduce a coefficient vector in powers of zeta_n to the canonical basis."""
+@functools.lru_cache(maxsize=None)
+def _phi_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # phi(n) and the nonzero (power, coefficient) terms of Phi_n below its
+    # leading 1: x^phi(n) = -sum of those terms modulo Phi_n.
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
-    work = [Fraction(c) for c in coeffs]
-    for i in range(len(work) - 1, deg - 1, -1):
-        c = work[i]
-        if c == 0:
-            continue
-        work[i] = Fraction(0)
-        for j in range(deg):
-            work[i - deg + j] -= c * phi[j]
-    work = work[:deg]
-    work.extend([Fraction(0)] * (deg - len(work)))
-    return tuple(work)
+    return deg, tuple((j, c) for j, c in enumerate(phi[:deg]) if c)
+
+
+def _reduce_mod_phi(n: int, v: list[int]) -> list[int]:
+    """Reduce integer coefficients of powers of zeta_n to the power basis.
+
+    Works in place on v (any length) and returns it with length phi(n).
+    Powers from n upward first fold onto their residue, since zeta_n^n = 1.
+    """
+    deg, terms = _phi_terms(n)
+    if len(v) > n:
+        for i in range(n, len(v)):
+            v[i % n] += v[i]
+        del v[n:]
+    for i in range(len(v) - 1, deg - 1, -1):
+        c = v[i]
+        if c:
+            base = i - deg
+            for j, p in terms:
+                v[base + j] -= c * p
+    del v[deg:]
+    v.extend([0] * (deg - len(v)))
+    return v
+
+
+def _integer_vector(values: Iterable[RationalLike]) -> tuple[list[int], int]:
+    """Integer numerators over one common positive denominator.
+
+    Accepts ints and other exact rationals (Fraction, numpy integers); a float
+    is refused with TypeError because its binary value is rarely the intended
+    rational.
+    """
+    values = list(values)
+    if all(type(x) is int for x in values):
+        return values, 1
+    for x in values:
+        if isinstance(x, float) or not isinstance(x, numbers.Rational):
+            raise TypeError(
+                "cyclotomic coefficients must be int or Fraction, got %r" % (x,)
+            )
+    den = math.lcm(*(int(x.denominator) for x in values))
+    return [int(x.numerator) * (den // int(x.denominator)) for x in values], den
 
 
 def _trim(p: list[Fraction]) -> list[Fraction]:
@@ -144,25 +181,67 @@ def _xgcd_first(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], l
     return r0, s0
 
 
-@dataclass(frozen=True)
 class CycNum:
-    """An element of Q(zeta_n): `coeffs[k]` multiplies zeta_n^k, k < phi(n)."""
+    """An immutable element of Q(zeta_n): (sum_k num[k] * zeta_n^k) / den.
+
+    `num` has phi(n) integer entries and `den` is positive, with
+    gcd(den, *num) == 1, so equality and hashing compare values.  Build one
+    from int or Fraction coefficients with CycNum(n, coeffs) (a float raises
+    TypeError); `coeffs` gives them back as reduced Fractions.
+    """
+
+    __slots__ = ("n", "num", "den")
 
     n: int
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("conductor must be a positive integer, got %r" % (self.n,))
-        if len(self.coeffs) != euler_phi(self.n):
+    def __init__(self, n: int, coeffs: Sequence[RationalLike]) -> None:
+        if len(coeffs) != euler_phi(n):
             raise ValueError(
                 "coefficient vector of length %d does not match phi(%d) = %d"
-                % (len(self.coeffs), self.n, euler_phi(self.n))
+                % (len(coeffs), n, euler_phi(n))
             )
+        self._fill(n, *_integer_vector(coeffs))
+
+    def _fill(self, n: int, num: list[int], den: int) -> "CycNum":
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "num", tuple(num))
+        object.__setattr__(self, "den", den)
+        return self
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError("CycNum is immutable")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError("CycNum is immutable")
+
+    def __reduce__(self):
+        return (CycNum, (self.n, self.coeffs))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CycNum):
+            return NotImplemented
+        return self.n == other.n and self.den == other.den and self.num == other.num
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.num, self.den))
+
+    def __repr__(self) -> str:
+        return "CycNum(%d, %r)" % (self.n, self.coeffs)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Reduced rational coefficients of 1, zeta_n, ..., zeta_n^(phi(n)-1)."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @staticmethod
     def zero(n: int) -> "CycNum":
-        return CycNum(n, tuple([Fraction(0)] * euler_phi(n)))
+        return _make(n, [0] * euler_phi(n), 1)
 
     @staticmethod
     def one(n: int) -> "CycNum":
@@ -170,9 +249,8 @@ class CycNum:
 
     @staticmethod
     def from_rational(n: int, value: RationalLike) -> "CycNum":
-        coeffs = [Fraction(0)] * euler_phi(n)
-        coeffs[0] = Fraction(value)
-        return CycNum(n, tuple(coeffs))
+        (p,), q = _integer_vector((value,))
+        return _make(n, [p] + [0] * (euler_phi(n) - 1), q)
 
     def _coerce(self, other) -> "CycNum | None":
         if isinstance(other, CycNum):
@@ -185,41 +263,61 @@ class CycNum:
             return CycNum.from_rational(self.n, other)
         return None
 
+    def _combine(self, rhs: "CycNum", sign: int) -> "CycNum":
+        # self + sign * rhs over the lcm of the two denominators
+        if self.den == rhs.den:
+            return _make(self.n, [a + sign * b for a, b in zip(self.num, rhs.num)], self.den)
+        den = math.lcm(self.den, rhs.den)
+        sa, sb = den // self.den, sign * (den // rhs.den)
+        return _make(self.n, [a * sa + b * sb for a, b in zip(self.num, rhs.num)], den)
+
+    def _scale(self, p: int, q: int) -> "CycNum":
+        # self * p / q for integers p and q != 0
+        if q < 0:
+            p, q = -p, -q
+        return _make(self.n, [c * p for c in self.num], self.den * q)
+
     def __add__(self, other) -> "CycNum":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return CycNum(self.n, tuple(a + b for a, b in zip(self.coeffs, rhs.coeffs)))
+        return self._combine(rhs, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "CycNum":
-        return CycNum(self.n, tuple(-a for a in self.coeffs))
+        return self._scale(-1, 1)
 
     def __sub__(self, other) -> "CycNum":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return self._combine(rhs, -1)
 
     def __rsub__(self, other) -> "CycNum":
         return (-self) + other
 
     def __mul__(self, other) -> "CycNum":
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other.numerator, other.denominator)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        prod = [Fraction(0)] * (2 * len(self.coeffs) - 1 if self.coeffs else 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(rhs.coeffs):
-                prod[i + j] += a * b
-        return CycNum(self.n, _reduce_mod_phi(self.n, prod))
+        b = [(j, y) for j, y in enumerate(rhs.num) if y]
+        prod = [0] * (2 * len(self.num) - 1)
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in b:
+                    prod[i + j] += x * y
+        return _make(self.n, _reduce_mod_phi(self.n, prod), self.den * rhs.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "CycNum":
+        if isinstance(other, (int, Fraction)):
+            if other == 0:
+                raise ZeroDivisionError("division of an element of Q(zeta_%d) by 0" % self.n)
+            return self._scale(other.denominator, other.numerator)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -246,60 +344,69 @@ class CycNum:
         return out
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational: %s" % (self,))
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def invert(self) -> "CycNum":
         """Multiplicative inverse via the extended Euclidean algorithm mod Phi_n."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero in Q(zeta_%d)" % self.n)
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        g, u = _xgcd_first(list(self.coeffs), phi)
+        g, u = _xgcd_first([Fraction(c) for c in self.num], phi)
         # Phi_n is irreducible over Q, so the gcd is a nonzero constant.
         if len(g) != 1:
             raise ArithmeticError("gcd with Phi_%d is not constant" % self.n)
-        return CycNum(self.n, _reduce_mod_phi(self.n, [c / g[0] for c in u]))
+        # 1/(num/den) = den * u / g
+        num, den = _integer_vector([c * self.den / g[0] for c in u])
+        return _make(self.n, _reduce_mod_phi(self.n, num), den)
 
     def galois(self, l: int) -> "CycNum":
         """Apply the automorphism zeta_n -> zeta_n^l; l must be a unit mod n."""
         if math.gcd(l, self.n) != 1:
             raise ValueError("gcd(%d, %d) != 1: not a Galois automorphism" % (l, self.n))
-        v = [Fraction(0)] * self.n
-        for k, c in enumerate(self.coeffs):
-            v[(k * l) % self.n] += c
-        return CycNum(self.n, _reduce_mod_phi(self.n, v))
+        v = [0] * self.n
+        for k, c in enumerate(self.num):
+            if c:
+                v[(k * l) % self.n] += c
+        return _make(self.n, _reduce_mod_phi(self.n, v), self.den)
 
     def conjugate(self) -> "CycNum":
         """Complex conjugation, the automorphism zeta_n -> zeta_n^(n-1)."""
         return self.galois(self.n - 1) if self.n > 1 else self
 
     def is_real(self) -> bool:
-        return self.conjugate() == self
+        return self.is_rational() or self.conjugate() == self
 
     def embed(self) -> complex:
-        """Numerical value under zeta_n = exp(2*pi*i/n)."""
+        """Numerical value under zeta_n = exp(2*pi*i/n).
+
+        Each coefficient enters as the correctly rounded int / int quotient,
+        the same double as float() of the reduced Fraction.
+        """
         root = cmath.exp(2j * cmath.pi / self.n)
         total = 0j
-        for c in reversed(self.coeffs):
-            total = total * root + float(c)
+        for c in reversed(self.num):
+            total = total * root + c / self.den
         return total
 
     def promote(self, m: int) -> "CycNum":
         """Re-express the element in Q(zeta_m) for a conductor multiple m."""
         if m % self.n != 0:
             raise ValueError("cannot promote conductor %d to %d" % (self.n, m))
+        if m == self.n:
+            return self
         step = m // self.n
-        v = [Fraction(0)] * m
-        for k, c in enumerate(self.coeffs):
-            v[k * step] += c
-        return CycNum(m, _reduce_mod_phi(m, v))
+        v = [0] * m
+        for k, c in enumerate(self.num):
+            v[k * step] = c
+        return _make(m, _reduce_mod_phi(m, v), self.den)
 
     def to_json_dict(self) -> dict:
         return {
@@ -329,15 +436,21 @@ class CycNum:
         return " + ".join(terms) if terms else "0"
 
 
+def _make(n: int, num: list[int], den: int) -> CycNum:
+    # Internal constructor: num already has phi(n) entries and den > 0.
+    return CycNum.__new__(CycNum)._fill(n, num, den)
+
+
 def cyc_from_exponent_vector(n: int, v: Sequence[RationalLike]) -> CycNum:
     """Build sum_k v[k] * zeta_n^k from a length-n exponent vector."""
     if len(v) != n:
         raise ValueError("exponent vector has length %d, expected n = %d" % (len(v), n))
-    return CycNum(n, _reduce_mod_phi(n, v))
+    num, den = _integer_vector(v)
+    return _make(n, _reduce_mod_phi(n, num), den)
 
 
 def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity zeta_n^k; negative k is normalized mod n."""
-    v = [Fraction(0)] * n
-    v[k % n] = Fraction(1)
-    return CycNum(n, _reduce_mod_phi(n, v))
+    v = [0] * n
+    v[k % n] = 1
+    return _make(n, _reduce_mod_phi(n, v), 1)

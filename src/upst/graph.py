@@ -110,6 +110,9 @@ def is_connected_circulant(spec: CirculantSpec) -> bool:
 
 
 def with_diagonal_shift(spec: CirculantSpec, alpha: Union[int, Fraction]) -> CirculantSpec:
-    """Add alpha*I: shifts a_0, leaving the walk's transfer structure unchanged."""
-    a0 = spec.a[0] + CycNum.from_rational(spec.conductor, Fraction(alpha))
+    """Add alpha*I: shifts a_0, leaving the walk's transfer structure unchanged.
+
+    alpha must be exact (int or Fraction); a float raises TypeError.
+    """
+    a0 = spec.a[0] + CycNum.from_rational(spec.conductor, alpha)
     return CirculantSpec(spec.n, (a0,) + spec.a[1:])

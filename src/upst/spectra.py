@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycNum, _reduce_mod_phi
+from .cyclotomic import CycNum, cyc_from_exponent_vector
 from .graph import CirculantSpec, HermitianGraph
 from .ratios import MAX_DENOMINATOR, integer_multiples
 
@@ -73,15 +73,21 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
     lcond = math.lcm(spec.conductor, n)
     step = lcond // n
     promoted = [x.promote(lcond) for x in spec.a]
+    # a_j = num_j / den_j; sum the numerators over their common denominator
+    den = math.lcm(*(x.den for x in promoted))
+    terms = [
+        (step * j, [(idx, c * (den // x.den)) for idx, c in enumerate(x.num) if c])
+        for j, x in enumerate(promoted)
+        if not x.is_zero()
+    ]
     exact: list[CycNum] = []
     for k in range(n):
-        v = [Fraction(0)] * lcond
-        for j, aj in enumerate(promoted):
-            shift = (step * j * k) % lcond
-            for idx, coef in enumerate(aj.coeffs):
-                if coef:
-                    v[(idx + shift) % lcond] += coef
-        lam = CycNum(lcond, _reduce_mod_phi(lcond, v))
+        v = [0] * lcond
+        for sj, nonzero in terms:
+            shift = (sj * k) % lcond
+            for idx, c in nonzero:
+                v[(idx + shift) % lcond] += c
+        lam = cyc_from_exponent_vector(lcond, v) / den
         if not lam.is_real():
             raise ArithmeticError(
                 "internal consistency failure: eigenvalue %d of a Hermitian "

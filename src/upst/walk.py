@@ -158,9 +158,22 @@ def _row_dots(rows: np.ndarray, waves: np.ndarray) -> np.ndarray:
     return (rows[:, np.newaxis, :] @ waves[:, :, np.newaxis])[:, 0, 0]
 
 
+def _waves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """exp(-i * outer(a, b)) as cos + i sin of the negated angles, written
+    into the two halves of one complex array.  The complex np.exp of the
+    purely imaginary argument computes the same cos and sin, plus work on
+    the zero real part and two more temporaries."""
+    angle = np.multiply.outer(a, b)
+    np.negative(angle, out=angle)
+    out = np.empty(angle.shape, dtype=complex)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
+
+
 def _amplitudes(pvecs: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Row r of the result is sum_k pvecs[r, k] exp(-i lam_k t[r])."""
-    return _row_dots(pvecs, np.exp(-1j * np.multiply.outer(t, lam)))
+    return _row_dots(pvecs, _waves(t, lam))
 
 
 def _golden_max(pvecs: np.ndarray, lam: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -203,7 +216,7 @@ def _polish_peak(
     for _ in range(12):
         if not live.size:
             break
-        waves = np.exp(-1j * np.multiply.outer(t[live], lam))
+        waves = _waves(t[live], lam)
         a = _row_dots(pvecs[live], waves)
         a1 = _row_dots(dp[live], waves)
         a2 = _row_dots(ddp[live], waves)
@@ -299,7 +312,7 @@ def scan_min_times(
     chunk = max(1, GRID_BLOCK // (n * n))
     for start in range(0, nsteps, chunk):
         ts = (np.arange(start, min(start + chunk, nsteps)) + 1) * step
-        amp = pvecs @ np.exp(-1j * np.outer(lam, ts))
+        amp = pvecs @ _waves(lam, ts)
         mag2 = np.square(amp.real)
         mag2 += np.square(amp.imag)
         flat = np.flatnonzero(mag2 >= DETECTION_THRESHOLD)

@@ -88,6 +88,7 @@ def test_generate_rejects_descriptor_shape_problems(capsys):
     bad = [
         '{"family": "circulant_c", "n": 3, "c": [0, 1]}',
         '{"family": "circulant_c", "n": 3, "c": [0, 1, true]}',
+        '{"family": "circulant_c", "n": 3, "c": [0, 1, 1.5]}',
         '{"family": "nondense", "p": 4, "q": 3}',
         '{"family": "noncirculant", "a": 1, "b": 1, "beta": 2}',
         "[1, 2, 3]",

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from upst.cyclotomic import CycNum, zeta
-from upst.graph import circulant_to_graph, is_connected_circulant
+from upst.graph import circulant_to_graph, is_connected_circulant, with_diagonal_shift
 from upst.spectra import circulant_eigensystem, is_type_ii
 from upst.constructors import (
     NoncirculantParams,
+    _inv_zeta_power_minus_one,
     circulant_from_c,
     gk_example,
     integer_spectrum_shift,
@@ -176,6 +177,23 @@ def test_constant_c_offset_leaves_the_spec_unchanged():
     assert all(b - a == 15 for a, b in zip(normalized1, normalized2))
 
 
+def test_integer_vector_circulant_rejects_non_integral_entries():
+    # the CLI refuses these; the library used to truncate 1.7 to 1
+    for bad in ([0, 0, 1.7], [0, 0, 2.0], [0, True, 0], [0, Fraction(1, 2), 0], [0, "1", 0]):
+        with pytest.raises(ValueError):
+            circulant_from_c(3, bad)
+        with pytest.raises(ValueError):
+            integer_spectrum_shift(3, bad)
+    assert circulant_from_c(3, [0, 0, np.int64(1)]) == circulant_from_c(3, [0, 0, 1])
+
+
+def test_diagonal_shift_rejects_floats():
+    spec = circulant_from_c(3, [0, 0, 0])
+    with pytest.raises(TypeError):
+        with_diagonal_shift(spec, 0.1)
+    assert with_diagonal_shift(spec, Fraction(1, 10)).a[0].as_fraction() == Fraction(1, 10)
+
+
 def test_integer_vector_circulant_rejects_tiny_orders():
     with pytest.raises(ValueError):
         circulant_from_c(1, [0])
@@ -225,3 +243,52 @@ def test_nondense_rejects_bad_parameters():
 def test_nondense_embeds_hermitian(nd6):
     a = circulant_to_graph(nd6).adjacency
     assert np.max(np.abs(a - a.conj().T)) < 1e-15
+
+
+# ------------------------------------------- closed-form 1/(zeta^e - 1)
+
+def test_closed_form_inverse_matches_euclidean_inverse():
+    for n in range(2, 31):
+        for e in range(1, n):
+            assert _inv_zeta_power_minus_one(n, e) == (zeta(n, e) - 1).invert(), (n, e)
+
+
+def test_closed_form_inverse_times_its_argument_is_one():
+    for n in range(2, 65):
+        one = CycNum.one(n)
+        for e in range(1, n):
+            assert _inv_zeta_power_minus_one(n, e) * (zeta(n, e) - 1) == one, (n, e)
+    with pytest.raises(ZeroDivisionError):
+        _inv_zeta_power_minus_one(6, 12)
+
+
+def test_shifted_nondense_spec_json_is_pinned():
+    # frozen from the Fraction-per-coefficient implementation
+    z = [0, 1]
+    zero = [z] * 8
+
+    def cyc(*pairs):
+        return {"n": 15, "coeffs": [list(p) for p in pairs]}
+
+    expected = {
+        "n": 15,
+        "a": [
+            cyc([7, 3], *zero[1:]),
+            cyc(*zero),
+            cyc(*zero),
+            cyc([3, 5], z, [6, 5], [-3, 5], z, z, [-9, 5], [6, 5]),
+            cyc(*zero),
+            cyc([5, 3], z, z, z, z, [-5, 3], z, z),
+            cyc([9, 5], z, [3, 5], [6, 5], z, z, [3, 5], [3, 5]),
+            cyc(*zero),
+            cyc(*zero),
+            cyc([6, 5], z, [-3, 5], [-6, 5], z, z, [-3, 5], [-3, 5]),
+            cyc([10, 3], z, z, z, z, [5, 3], z, z),
+            cyc(*zero),
+            cyc([12, 5], z, [-6, 5], [3, 5], z, z, [9, 5], [-6, 5]),
+            cyc(*zero),
+            cyc(*zero),
+        ],
+    }
+    spec = with_diagonal_shift(nondense_circulant(3, 5), Fraction(7, 3))
+    assert spec.to_json_dict() == expected

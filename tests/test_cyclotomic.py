@@ -6,6 +6,7 @@ e^(2*pi*i/n): every exact identity must also hold numerically after embed().
 
 import cmath
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -97,6 +98,39 @@ def test_zeta_normalizes_exponent():
 def test_coefficient_vector_length_is_enforced():
     with pytest.raises(ValueError):
         CycNum(6, (Fraction(1),))  # needs phi(6) = 2 entries
+
+
+def test_float_coefficients_are_rejected():
+    # 0.5 happens to be exact, but 0.1 would silently store a binary fraction
+    with pytest.raises(TypeError):
+        CycNum(6, (0.5, 0))
+    with pytest.raises(TypeError):
+        CycNum.from_rational(6, 0.1)
+    with pytest.raises(TypeError):
+        cyc_from_exponent_vector(3, [0, 0.25, 0])
+
+
+def test_unreduced_fractions_give_equal_elements():
+    a = CycNum(6, (Fraction(2, 4), Fraction(-6, 9)))
+    b = CycNum(6, (Fraction(1, 2), Fraction(-2, 3)))
+    assert a == b and hash(a) == hash(b)
+    assert a.num == (3, -4) and a.den == 6
+    assert a.coeffs == (Fraction(1, 2), Fraction(-2, 3))
+    # the same value reached through different arithmetic
+    c = CycNum(6, (Fraction(3, 12), Fraction(1, 3))) * 2 + zeta(6) * Fraction(-4, 3)
+    assert c == a and hash(c) == hash(a)
+    assert CycNum(4, (Fraction(0, 7), Fraction(0, 3))) == CycNum.zero(4)
+    assert CycNum(4, (Fraction(0, 7), 0)).den == 1
+
+
+def test_elements_are_immutable_and_picklable():
+    x = zeta(12, 5) * Fraction(3, 4) - 1
+    with pytest.raises(AttributeError):
+        x.n = 6
+    with pytest.raises(AttributeError):
+        x.den = 2
+    y = pickle.loads(pickle.dumps(x))
+    assert y == x and hash(y) == hash(x)
 
 
 def test_high_zeta_powers_reduce():
@@ -279,17 +313,22 @@ def test_json_rejects_malformed_input():
 
 # ------------------------------------------------------- hypothesis: field
 
-def small_cyc(ns=(1, 2, 3, 4, 6, 8, 12)):
-    def build(n, numerators, denominator):
+def small_cyc(ns=(1, 2, 3, 4, 6, 8, 10, 12, 15)):
+    # a denominator per coefficient, so sums and products must find the
+    # shared denominator and bring it to lowest terms
+    def build(n, numerators, denominators):
         deg = euler_phi(n)
-        coeffs = tuple(Fraction(numerators[i % len(numerators)], denominator) for i in range(deg))
+        coeffs = tuple(
+            Fraction(numerators[i % len(numerators)], denominators[i % len(denominators)])
+            for i in range(deg)
+        )
         return CycNum(n, coeffs)
 
     return st.builds(
         build,
         st.sampled_from(ns),
         st.lists(st.integers(-5, 5), min_size=1, max_size=4),
-        st.integers(1, 4),
+        st.lists(st.integers(1, 6), min_size=1, max_size=3),
     )
 
 

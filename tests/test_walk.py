@@ -39,6 +39,7 @@ from upst.walk import (
     spacing_test,
     unitary_at,
     verify_upst,
+    _waves,
 )
 
 T01 = 2 * math.pi / (3 * math.sqrt(3))  # first transfer time of Circ(0,-i,i)
@@ -216,6 +217,15 @@ def test_scan_times_and_phases_match_walk_operator(nd6):
                 entry = unitary_at(es, report.min_times[u, v])[v, u]
                 assert abs(entry) >= 1 - PST_ENTRY_TOL
                 assert abs(report.phases[u, v] - entry) < 1e-12
+
+
+def test_scan_waves_match_complex_exp():
+    rng = np.random.default_rng(11)
+    t = rng.uniform(0, 1e3, size=257)
+    lam = np.concatenate([[0.0, -3.5], rng.uniform(-40, 40, size=30)])
+    waves = _waves(t, lam)
+    assert waves.shape == (257, 32) and waves.dtype == complex
+    assert np.max(np.abs(waves - np.exp(-1j * np.multiply.outer(t, lam)))) <= 1e-15
 
 
 def test_scan_working_set_is_bounded():
