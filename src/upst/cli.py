@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence, TextIO
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -118,6 +119,7 @@ def build_from_descriptor(
         elif family == "nondense":
             spec = nondense_circulant(_require_int(desc, "p"), _require_int(desc, "q"))
         else:
+            spec = None
             params = NoncirculantParams(
                 _require_int(desc, "a"), _require_int(desc, "b"), _require_int(desc, "beta")
             )
@@ -134,16 +136,13 @@ def build_from_descriptor(
                     if es.exact_lambdas is None
                     else tuple(v + shift for v in es.exact_lambdas),
                 )
-            out_desc = dict(desc)
-            if shift is not None:
-                out_desc["shift"] = str(shift)
-            return graph, es, out_desc
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if shift is not None:
-        spec = with_diagonal_shift(spec, shift)
-    graph = circulant_to_graph(spec)
-    es = circulant_eigensystem(spec)
+    if spec is not None:
+        if shift is not None:
+            spec = with_diagonal_shift(spec, shift)
+        graph = circulant_to_graph(spec)
+        es = circulant_eigensystem(spec)
     out_desc = dict(desc)
     if shift is not None:
         out_desc["shift"] = str(shift)
@@ -178,19 +177,15 @@ def _run_checks(
     return results, report
 
 
-def _open_out(path: Optional[str]) -> TextIO:
-    return open(path, "w", encoding="utf-8") if path else sys.stdout
-
-
 def _emit(path: Optional[str], text: str) -> None:
-    fh = _open_out(path)
-    try:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    """Write text, newline-terminated, to path or to stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_generate(descriptor: str, shift: Optional[Fraction], out: Optional[str]) -> int:
@@ -273,14 +268,11 @@ def cmd_times(
             lines.append("  ".join(r[i].ljust(widths[i]) for i in range(6)))
         _emit(out, "\n".join(lines))
     else:
-        fh = _open_out(out)
-        try:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-        finally:
-            if fh is not sys.stdout:
-                fh.close()
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        _emit(out, buf.getvalue())
     return 0
 
 

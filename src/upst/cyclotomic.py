@@ -7,9 +7,11 @@ values have equal representations.  Phi_n is monic with integer coefficients,
 so reduction modulo Phi_n, products, Galois maps and conductor promotion all
 run on Python ints; only the denominator bookkeeping of sums and quotients
 touches rationals.  Phi_n is computed by the recursive quotient of x^n - 1 by
-the Phi_d of the proper divisors d | n, and general inversion runs the
-extended Euclidean algorithm against Phi_n over Q.  Everything in this module
-is exact; floating point enters only through :meth:`CycNum.embed`.
+the Phi_d of the proper divisors d | n.  Inversion uses the field norm: the
+product of the other Galois conjugates of x, divided by the rational
+N(x) = x times that product, so it too runs on the integer path.  Everything
+in this module is exact; floating point enters only through
+:meth:`CycNum.embed`.
 """
 
 from __future__ import annotations
@@ -123,62 +125,6 @@ def _integer_vector(values: Iterable[RationalLike]) -> tuple[list[int], int]:
             )
     den = math.lcm(*(int(x.denominator) for x in values))
     return [int(x.numerator) * (den // int(x.denominator)) for x in values], den
-
-
-def _trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _trim(out)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    dn = len(den) - 1
-    lead = den[-1]
-    if len(num) - 1 < dn:
-        return [], _trim(num)
-    out = [Fraction(0)] * (len(num) - dn)
-    for i in range(len(num) - 1, dn - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        q = c / lead
-        out[i - dn] = q
-        for j in range(dn + 1):
-            num[i - dn + j] -= q * den[j]
-    return _trim(out), _trim(num)
-
-
-def _xgcd_first(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Return (g, u) with u*a = g (mod b), g the gcd of a and b."""
-    r0, r1 = _trim(list(a)), _trim(list(b))
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    return r0, s0
 
 
 class CycNum:
@@ -355,17 +301,16 @@ class CycNum:
         return Fraction(self.num[0], self.den)
 
     def invert(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm mod Phi_n."""
+        """Multiplicative inverse via the field norm: 1/x = prod_{sigma != 1}
+        sigma(x) / N(x), where N(x) = x * prod_{sigma != 1} sigma(x) is a
+        nonzero rational and sigma runs over the automorphisms zeta_n -> zeta_n^l."""
         if self.is_zero():
             raise ZeroDivisionError("inversion of zero in Q(zeta_%d)" % self.n)
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        g, u = _xgcd_first([Fraction(c) for c in self.num], phi)
-        # Phi_n is irreducible over Q, so the gcd is a nonzero constant.
-        if len(g) != 1:
-            raise ArithmeticError("gcd with Phi_%d is not constant" % self.n)
-        # 1/(num/den) = den * u / g
-        num, den = _integer_vector([c * self.den / g[0] for c in u])
-        return _make(self.n, _reduce_mod_phi(self.n, num), den)
+        rest = CycNum.one(self.n)
+        for l in range(2, self.n):
+            if math.gcd(l, self.n) == 1:
+                rest = rest * self.galois(l)
+        return rest / (self * rest).as_fraction()
 
     def galois(self, l: int) -> "CycNum":
         """Apply the automorphism zeta_n -> zeta_n^l; l must be a unit mod n."""
@@ -409,18 +354,16 @@ class CycNum:
         return _make(m, _reduce_mod_phi(m, v), self.den)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "coeffs": [[c.numerator, c.denominator] for c in self.coeffs],
-        }
+        return {"n": self.n, "coeffs": [rational_to_json(c) for c in self.coeffs]}
 
     @staticmethod
     def from_json_dict(data: dict) -> "CycNum":
         try:
-            n = int(data["n"])
-            pairs = data["coeffs"]
-            coeffs = tuple(Fraction(int(num), int(den)) for num, den in pairs)
-        except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            n = data["n"]
+            if type(n) is not int:
+                raise ValueError("n must be a JSON integer, got %r" % (n,))
+            coeffs = tuple(rational_from_json(pair) for pair in data["coeffs"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError("malformed cyclotomic number: %s" % (exc,)) from exc
         return CycNum(n, coeffs)
 
@@ -434,6 +377,30 @@ class CycNum:
             else:
                 terms.append("%s*z%d^%d" % (c, self.n, k))
         return " + ".join(terms) if terms else "0"
+
+
+def rational_to_json(q: RationalLike) -> list[int]:
+    """An exact rational as the JSON pair [numerator, denominator]."""
+    return [q.numerator, q.denominator]
+
+
+def rational_from_json(pair) -> Fraction:
+    """Read back a rational_to_json pair.  Both entries must be JSON integers:
+    a bool, float or string is refused, since int() would silently turn it
+    into a different number.
+
+    errors: ValueError on any other shape or a zero denominator.
+    """
+    if not (
+        isinstance(pair, (list, tuple))
+        and len(pair) == 2
+        and all(type(v) is int for v in pair)
+        and pair[1] != 0
+    ):
+        raise ValueError(
+            "malformed rational %r: expected [numerator, denominator] integers" % (pair,)
+        )
+    return Fraction(pair[0], pair[1])
 
 
 def _make(n: int, num: list[int], den: int) -> CycNum:

@@ -55,7 +55,9 @@ class CirculantSpec:
     @staticmethod
     def from_json_dict(data: dict) -> "CirculantSpec":
         try:
-            n = int(data["n"])
+            n = data["n"]
+            if type(n) is not int:
+                raise TypeError("n must be a JSON integer, got %r" % (n,))
             a = tuple(CycNum.from_json_dict(d) for d in data["a"])
         except (KeyError, TypeError) as exc:
             raise ValueError("malformed circulant spec: %s" % (exc,)) from exc
@@ -71,7 +73,7 @@ class HermitianGraph:
     spec: Optional[CirculantSpec] = None
 
 
-def validate_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianGraph:
+def validate_hermitian(matrix: np.ndarray) -> HermitianGraph:
     """Check Hermiticity entrywise and wrap the matrix; errors name the worst entry."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -80,10 +82,10 @@ def validate_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> Herm
         raise ValueError("adjacency contains non-finite entries")
     dev = np.abs(m - m.conj().T)
     j, k = np.unravel_index(np.argmax(dev), dev.shape)
-    if dev[j, k] > tol:
+    if dev[j, k] > HERMITICITY_TOL:
         raise ValueError(
             "matrix is not Hermitian: |A[%d,%d] - conj(A[%d,%d])| = %.3e exceeds %g"
-            % (j, k, k, j, dev[j, k], tol)
+            % (j, k, k, j, dev[j, k], HERMITICITY_TOL)
         )
     return HermitianGraph(n=m.shape[0], adjacency=m.copy())
 

@@ -14,16 +14,12 @@ MAX_DENOMINATOR = 10**6
 RATIO_REL_TOL = 1e-12
 
 
-def integer_multiples(
-    values: Sequence[float],
-    max_denominator: int = MAX_DENOMINATOR,
-    rel_tol: float = RATIO_REL_TOL,
-) -> Optional[tuple[float, tuple[int, ...]]]:
+def integer_multiples(values: Sequence[float]) -> Optional[tuple[float, tuple[int, ...]]]:
     """Express nonzero reals as beta * m with beta > 0 and coprime integers m.
 
     Returns (beta, m) with values[i] ~ beta * m[i], gcd(|m|) = 1, or None if
     some ratio values[i]/values[0] is not rational with denominator at most
-    max_denominator to relative tolerance rel_tol.
+    MAX_DENOMINATOR to relative tolerance RATIO_REL_TOL.
     """
     if len(values) == 0:
         raise ValueError("need at least one value")
@@ -33,8 +29,8 @@ def integer_multiples(
     fracs = []
     for v in values:
         r = float(v) / base
-        f = Fraction(r).limit_denominator(max_denominator)
-        if abs(float(f) - r) > rel_tol * max(1.0, abs(r)):
+        f = Fraction(r).limit_denominator(MAX_DENOMINATOR)
+        if abs(float(f) - r) > RATIO_REL_TOL * max(1.0, abs(r)):
             return None
         fracs.append(f)
     q_lcm = functools.reduce(math.lcm, (f.denominator for f in fracs), 1)

@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
+from .cyclotomic import rational_from_json, rational_to_json
 from .graph import CirculantSpec, HermitianGraph, circulant_to_graph, validate_hermitian
 from .spectra import EigenSystem, eigensystem_for
 from .walk import TransferReport
 
 GRAPH_FORMAT = "upst-graph"
 MATRIX_MATCH_TOL = 1e-12
+EIGEN_RESIDUAL_TOL = 1e-8  # relative to max(1, max |lambda|)
 
 
 def complex_to_pair(z: complex) -> list[float]:
@@ -50,32 +51,25 @@ def matrix_from_json(data) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def _fraction_to_json(f: Fraction) -> list[int]:
-    return [f.numerator, f.denominator]
-
-
-def _fraction_from_json(pair) -> Fraction:
-    return Fraction(int(pair[0]), int(pair[1]))
-
-
 def eigensystem_to_json(es: EigenSystem) -> dict:
     return {
         "X": matrix_to_json(es.X),
         "lambdas": [float(v) for v in es.lambdas],
         "exact_lambdas": None
         if es.exact_lambdas is None
-        else [_fraction_to_json(v) for v in es.exact_lambdas],
+        else [rational_to_json(v) for v in es.exact_lambdas],
     }
 
 
 def eigensystem_from_json(data: dict) -> EigenSystem:
     """errors: ValueError unless X is n x n, lambdas (and exact_lambdas, if
-    present) have length n, and every entry is finite."""
+    present) have length n, every entry is finite and every exact_lambdas
+    entry is a pair of JSON integers."""
     x = matrix_from_json(data["X"])
     n = x.shape[0]
     lambdas = np.array([float(v) for v in data["lambdas"]], dtype=float)
     exact = data.get("exact_lambdas")
-    exact_lambdas = None if exact is None else tuple(_fraction_from_json(v) for v in exact)
+    exact_lambdas = None if exact is None else tuple(rational_from_json(v) for v in exact)
     if x.shape != (n, n):
         raise ValueError("eigensystem X has shape %s, not n x n" % (x.shape,))
     for name, values in (("lambdas", lambdas), ("exact_lambdas", exact_lambdas)):
@@ -113,7 +107,9 @@ def graph_from_json(data: dict) -> tuple[HermitianGraph, Optional[EigenSystem], 
             "unrecognized graph format %r (expected %r)" % (data.get("format"), GRAPH_FORMAT)
         )
     try:
-        n = int(data["n"])
+        n = data["n"]
+        if type(n) is not int:
+            raise TypeError("n must be a JSON integer, got %r" % (n,))
         matrix = matrix_from_json(data["matrix"])
         if matrix.shape != (n, n):
             raise ValueError("matrix shape %s does not match n = %d" % (matrix.shape, n))
@@ -145,7 +141,6 @@ def report_to_json(report: TransferReport) -> dict:
         "dense": report.dense,
         "reasons": list(report.reasons),
         "return_period": _float_or_none(report.return_period),
-        "literal_phase_equality": report.literal_phase_equality,
         "spacing_order": None if report.spacing_order is None else list(report.spacing_order),
         "analytic_times": None
         if report.analytic_times is None
@@ -161,7 +156,8 @@ def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem, Optional[dict]]:
     Accepts a graph bundle or a bare matrix (nested [re, im] rows).  A bundle
     with circulant data must match the exact embedding to MATRIX_MATCH_TOL and
     is diagonalized exactly; a stored eigensystem must actually diagonalize
-    the matrix.  Anything else gets a dense numerical solve.
+    the matrix, to EIGEN_RESIDUAL_TOL.  Anything else gets a dense numerical
+    solve.
 
     errors: OSError if the file cannot be read, ValueError on malformed
     content or a failed cross-check.
@@ -188,7 +184,7 @@ def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem, Optional[dict]]:
             np.max(np.abs(graph.adjacency @ stored_es.X - stored_es.X * stored_es.lambdas))
         )
         scale = max(1.0, float(np.max(np.abs(stored_es.lambdas))))
-        if not residual <= 1e-8 * scale:
+        if not residual <= EIGEN_RESIDUAL_TOL * scale:
             raise ValueError(
                 "stored eigensystem does not diagonalize the matrix (residual %.3e)" % residual
             )

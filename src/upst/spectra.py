@@ -13,10 +13,9 @@ import numpy as np
 
 from .cyclotomic import CycNum, cyc_from_exponent_vector
 from .graph import CirculantSpec, HermitianGraph
-from .ratios import MAX_DENOMINATOR, integer_multiples
+from .ratios import integer_multiples
 
 UNITARITY_TOL = 1e-10
-EIGEN_RESIDUAL_TOL = 1e-9
 ZERO_SUM_TOL = 1e-9
 RECOGNIZER_TOL = 1e-9
 
@@ -119,24 +118,24 @@ def numerical_eigensystem(matrix: np.ndarray) -> EigenSystem:
     return EigenSystem(n=m.shape[0], X=x, lambdas=lambdas)
 
 
-def is_type_ii(matrix: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    """Flat (all |entries| = 1/sqrt(n)) and unitary, both within tol."""
+def is_type_ii(matrix: np.ndarray) -> bool:
+    """Flat (all |entries| = 1/sqrt(n)) and unitary, both within UNITARITY_TOL."""
     m = np.asarray(matrix, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     n = m.shape[0]
-    if np.max(np.abs(np.abs(m) - 1 / math.sqrt(n))) > tol:
+    if np.max(np.abs(np.abs(m) - 1 / math.sqrt(n))) > UNITARITY_TOL:
         return False
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(n))) <= tol)
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(n))) <= UNITARITY_TOL)
 
 
-def canonicalize(z: np.ndarray, tol: float = UNITARITY_TOL) -> CanonicalForm:
+def canonicalize(z: np.ndarray) -> CanonicalForm:
     """Scale a flat unitary to the canonical form with first row and column
     1/sqrt(n): X = S @ Z @ D, where D fixes the first row column-by-column and
     S then fixes the first column row-by-row.  S maps the adjacency it
     diagonalizes to the switching-equivalent S A S^(-1)."""
     z = np.asarray(z, dtype=complex)
-    if not is_type_ii(z, tol):
+    if not is_type_ii(z):
         raise ValueError("canonical form needs a flat unitary input")
     n = z.shape[0]
     root = 1 / math.sqrt(n)
@@ -147,19 +146,18 @@ def canonicalize(z: np.ndarray, tol: float = UNITARITY_TOL) -> CanonicalForm:
     return CanonicalForm(X=x, D=np.diag(d), S=np.diag(s))
 
 
-def zero_sum_check(x: np.ndarray, tol: float = ZERO_SUM_TOL) -> bool:
-    """All row and column sums beyond the first vanish (canonical flat unitary)."""
+def zero_sum_check(x: np.ndarray) -> bool:
+    """All row and column sums beyond the first vanish to ZERO_SUM_TOL
+    (canonical flat unitary)."""
     x = np.asarray(x, dtype=complex)
     row_sums = x.sum(axis=1)[1:]
     col_sums = x.sum(axis=0)[1:]
     if row_sums.size == 0:
         return True
-    return bool(max(np.max(np.abs(row_sums)), np.max(np.abs(col_sums))) <= tol)
+    return bool(max(np.max(np.abs(row_sums)), np.max(np.abs(col_sums))) <= ZERO_SUM_TOL)
 
 
-def recognize_eigenvalue_form(
-    lambdas: Sequence[float], n: int, tol: float = RECOGNIZER_TOL
-) -> Optional[EigenvalueForm]:
+def recognize_eigenvalue_form(lambdas: Sequence[float], n: int) -> Optional[EigenvalueForm]:
     """Decide whether lambda_k = alpha + beta*(q*k + c_k*n) for some beta > 0,
     unit q mod n, and integers c_k, reading k as the given index order.
 
@@ -178,7 +176,7 @@ def recognize_eigenvalue_form(
         c0 = math.floor(lam[0])
         return EigenvalueForm(alpha=lam[0] - c0, beta=1.0, q=1, c=(c0,))
     deltas = lam[1:] - lam[0]
-    structure = integer_multiples(list(deltas), max_denominator=MAX_DENOMINATOR)
+    structure = integer_multiples(list(deltas))
     if structure is None:
         return None
     beta, m = structure
@@ -196,6 +194,6 @@ def recognize_eigenvalue_form(
     alpha = lam[0] - bn * c0
     c = [c0] + [(m[k - 1] - q * k) // n + c0 for k in range(1, n)]
     for k in range(n):
-        if abs(alpha + beta * (q * k + c[k] * n) - lam[k]) > tol:
+        if abs(alpha + beta * (q * k + c[k] * n) - lam[k]) > RECOGNIZER_TOL:
             return None
     return EigenvalueForm(alpha=float(alpha), beta=float(beta), q=int(q), c=tuple(c))

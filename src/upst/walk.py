@@ -51,7 +51,6 @@ class TransferReport:
     dense: Optional[bool] = None
     reasons: tuple[str, ...] = ()
     return_period: Optional[float] = None
-    literal_phase_equality: Optional[bool] = None
     spacing_order: Optional[tuple[int, ...]] = None
 
 
@@ -59,13 +58,6 @@ def unitary_at(es: EigenSystem, t: float) -> np.ndarray:
     """The walk operator X diag(exp(-i lambda_k t)) X^dagger."""
     phases = np.exp(-1j * es.lambdas * t)
     return (es.X * phases) @ es.X.conj().T
-
-
-def pst_at(u_matrix: np.ndarray, source: int, target: int,
-           tol: float = PST_ENTRY_TOL) -> Optional[complex]:
-    """The transfer phase U[target][source] if its magnitude is >= 1 - tol."""
-    amp = complex(u_matrix[target, source])
-    return amp if abs(amp) >= 1 - tol else None
 
 
 def _canonical_angles(es: EigenSystem) -> np.ndarray:
@@ -102,14 +94,15 @@ def analytic_return_period(es: EigenSystem) -> Optional[float]:
     return TWO_PI / beta
 
 
-def analytic_pst_times(es: EigenSystem, tol: float = TIME_AGREEMENT_TOL) -> Optional[np.ndarray]:
+def analytic_pst_times(es: EigenSystem) -> Optional[np.ndarray]:
     """Solve the phase-matching conditions for the transfer times from vertex 0.
 
     For each target l, the smallest t > 0 with (lambda_k - lambda_0) t
-    congruent to alpha[l][k] mod 2 pi for every k.  Candidates come from the
-    k = 1 congruence and are checked against the rest within one return
-    period; returns None as soon as some l admits no solution.  Requires the
-    canonical form (first row/column of X equal to 1/sqrt(n)).
+    congruent to alpha[l][k] mod 2 pi for every k, to TIME_AGREEMENT_TOL.
+    Candidates come from the k = 1 congruence and are checked against the
+    rest within one return period; returns None as soon as some l admits no
+    solution.  Requires the canonical form (first row/column of X equal to
+    1/sqrt(n)).
     """
     n = es.n
     if n < 2:
@@ -125,7 +118,7 @@ def analytic_pst_times(es: EigenSystem, tol: float = TIME_AGREEMENT_TOL) -> Opti
         return None
     times = np.empty(n)
     for l in range(n):
-        t = _solve_phase_congruences(d, alpha[l], period, tol)
+        t = _solve_phase_congruences(d, alpha[l], period)
         if t is None:
             return None
         times[l] = t
@@ -133,7 +126,7 @@ def analytic_pst_times(es: EigenSystem, tol: float = TIME_AGREEMENT_TOL) -> Opti
 
 
 def _solve_phase_congruences(
-    d: np.ndarray, alpha_row: np.ndarray, period: float, tol: float
+    d: np.ndarray, alpha_row: np.ndarray, period: float
 ) -> Optional[float]:
     d1 = d[1]
     a1 = alpha_row[1]
@@ -147,7 +140,7 @@ def _solve_phase_congruences(
         if eps < t <= period + eps
     )
     for t in candidates:
-        if np.max(_angle_distance(d * t - alpha_row)) <= tol:
+        if np.max(_angle_distance(d * t - alpha_row)) <= TIME_AGREEMENT_TOL:
             return float(t)
     return None
 
@@ -258,32 +251,22 @@ def _candidate_clusters(
     return cl_pair, best, rank
 
 
-def _fallback_period(lam: np.ndarray) -> float:
-    d = np.abs(lam[1:] - lam[0])
-    return TWO_PI / float(np.min(d[d > 0])) if np.any(d > 0) else TWO_PI
-
-
-def scan_min_times(
-    es: EigenSystem,
-    horizon: Optional[float] = None,
-    step: Optional[float] = None,
-    tol: float = PST_ENTRY_TOL,
-) -> TransferReport:
-    """Grid scan of |U(t)[v][u]| for every ordered pair, then refinement of
-    the candidate peaks in lockstep rounds.
+def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferReport:
+    """Grid scan of |U(t)[v][u]| for every ordered pair at t = step, 2 step,
+    ... up to horizon, then refinement of the candidate peaks in lockstep
+    rounds.  The caller sizes the grid (verify_upst derives both from the
+    return period), so the report leaves return_period unset.
 
     Grid points with |U|^2 >= DETECTION_THRESHOLD form clusters of
     consecutive points per pair.  Round r refines the r-th cluster of every
     pair still unresolved, all at once: golden section to REFINE_XTOL on the
     bracket one step either side of the cluster's best grid point, Newton
-    polish, then the |U| >= 1 - tol test; a pair that passes takes that time
-    and amplitude, the rest wait for round r + 1.
+    polish, then the |U| >= 1 - PST_ENTRY_TOL test; a pair that passes takes
+    that time and amplitude, the rest wait for round r + 1.
 
-    Defaults: horizon = 1.25 x the return period (or a spacing-based window
-    when eigenvalue ratios admit no period), step = period / 10^4; the period
-    is derived, and reported, only when one of them is left unset.  Pairs with
-    no confirmed peak keep NaN and are flagged in reasons; a degenerate
-    spectrum refuses the extraction outright (every t is a return time).
+    Pairs with no confirmed peak keep NaN and are flagged in reasons; a
+    degenerate spectrum refuses the extraction outright (every t is a return
+    time).
     """
     n = es.n
     lam = es.lambdas
@@ -294,14 +277,6 @@ def scan_min_times(
         return TransferReport(
             n=n, min_times=min_times, phases=phases, reasons=("degenerate-spectrum",)
         )
-    period = None
-    if horizon is None or step is None:
-        period = analytic_return_period(es)
-        base = period if period is not None else _fallback_period(lam)
-        if horizon is None:
-            horizon = 1.25 * base
-        if step is None:
-            step = base / DEFAULT_SCAN_STEPS
     nsteps = int(math.ceil(horizon / step))
     # Row u*n + v of pvecs holds X[v,k] conj(X[u,k]) over k, so that
     # U(t)[v,u] = sum_k pvecs[u*n + v, k] e^{-i lam_k t}.
@@ -337,7 +312,7 @@ def scan_min_times(
             hi = (best[batch] + 2) * step
             t_star = _polish_peak(pv, lam, _golden_max(pv, lam, lo, hi), lo, hi)
             amp = _amplitudes(pv, lam, t_star)
-            ok = np.abs(amp) >= 1 - tol
+            ok = np.abs(amp) >= 1 - PST_ENTRY_TOL
             flat_times[pair[ok]] = t_star[ok]
             flat_phases[pair[ok]] = amp[ok]
             resolved[pair[ok]] = True
@@ -346,54 +321,47 @@ def scan_min_times(
         min_times=min_times,
         phases=phases,
         reasons=() if resolved.all() else ("scan-missing-pairs",),
-        return_period=period,
     )
 
 
-def _spacing_structure(
-    min_times: np.ndarray, time_tol: float, tie_tol: float
-) -> tuple[bool, tuple[int, ...], bool]:
+def _spacing_structure(min_times: np.ndarray) -> tuple[bool, tuple[int, ...], bool]:
     n = min_times.shape[0]
     t0 = min_times[0]
     order = [0] + sorted(range(1, n), key=lambda v: t0[v])
     sorted_times = [t0[v] for v in order[1:]]
     tie_ok = all(
-        sorted_times[i + 1] - sorted_times[i] > tie_tol for i in range(len(sorted_times) - 1)
+        sorted_times[i + 1] - sorted_times[i] > TIE_TOL for i in range(len(sorted_times) - 1)
     )
     ref = min_times[order[0], order[1]]
     deviation = max(
         abs(min_times[order[i], order[(i + 1) % n]] - ref) for i in range(n)
     )
-    return deviation <= time_tol, tuple(order), tie_ok
+    return deviation <= TIME_AGREEMENT_TOL, tuple(order), tie_ok
 
 
-def spacing_test(
-    report: TransferReport, time_tol: float = TIME_AGREEMENT_TOL, tie_tol: float = TIE_TOL
-) -> bool:
+def spacing_test(report: TransferReport) -> bool:
     """Timing signature of circulants: after ordering vertices by transfer time
     from vertex 0, every consecutive pair (including the wrap-around) transfers
-    in the same time t_{0, sigma(1)}.
+    in the same time t_{0, sigma(1)}, to TIME_AGREEMENT_TOL.
 
     True means the timing is consistent with a circulant relabeling; ties in
-    the ordering (closer than tie_tol) void the certification and return
+    the ordering (closer than TIE_TOL) void the certification and return
     False.  Requires a complete min_times matrix.
     """
     if not np.all(np.isfinite(report.min_times)):
         raise ValueError("transfer report is incomplete: scan missed some pairs")
     if report.n < 2:
         raise ValueError("spacing needs at least two vertices")
-    verdict, _, tie_ok = _spacing_structure(report.min_times, time_tol, tie_tol)
+    verdict, _, tie_ok = _spacing_structure(report.min_times)
     return bool(verdict and tie_ok)
 
 
-def monomial_check(
-    u_matrix: np.ndarray, tol: float = PST_ENTRY_TOL
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def monomial_check(u_matrix: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """Decompose U as permutation x diagonal phases if it is one.
 
     Returns (perm, phases) with U[perm[u]][u] = phases[u] of unit magnitude,
     or None unless every row and column has exactly one entry of magnitude
-    >= 1 - tol with all others <= tol.
+    >= 1 - PST_ENTRY_TOL with all others <= PST_ENTRY_TOL.
     """
     m = np.asarray(u_matrix, dtype=complex)
     n = m.shape[0]
@@ -403,7 +371,7 @@ def monomial_check(
     for u in range(n):
         v = int(np.argmax(absm[:, u]))
         column_rest = np.delete(absm[:, u], v)
-        if absm[v, u] < 1 - tol or (column_rest.size and np.max(column_rest) > tol):
+        if absm[v, u] < 1 - PST_ENTRY_TOL or np.max(column_rest, initial=0.0) > PST_ENTRY_TOL:
             return None
         perm[u] = v
         phases[u] = m[v, u]
@@ -412,7 +380,7 @@ def monomial_check(
     for v in range(n):
         u = int(np.argmax(absm[v, :]))
         row_rest = np.delete(absm[v, :], u)
-        if perm[u] != v or (row_rest.size and np.max(row_rest) > tol):
+        if perm[u] != v or np.max(row_rest, initial=0.0) > PST_ENTRY_TOL:
             return None
     return perm, phases
 
@@ -424,10 +392,7 @@ def denseness_check(spec: CirculantSpec) -> tuple[bool, tuple[int, ...]]:
 
 
 def verify_upst(
-    graph: HermitianGraph,
-    es: EigenSystem,
-    tol: float = PST_ENTRY_TOL,
-    scan_steps: Optional[int] = None,
+    graph: HermitianGraph, es: EigenSystem, scan_steps: Optional[int] = None
 ) -> TransferReport:
     """Certify universal perfect state transfer.
 
@@ -472,15 +437,14 @@ def verify_upst(
     period = float(times[0])
 
     reasons: list[str] = []
-    confirmed = True
-    for l in range(n):
-        if pst_at(unitary_at(es, times[l]), 0, l, tol) is None:
-            confirmed = False
-            reasons.append("analytic-time-not-confirmed")
-            break
+    confirmed = all(
+        abs(unitary_at(es, times[l])[l, 0]) >= 1 - PST_ENTRY_TOL for l in range(n)
+    )
+    if not confirmed:
+        reasons.append("analytic-time-not-confirmed")
 
     step = period / (scan_steps or DEFAULT_SCAN_STEPS)
-    scanned = scan_min_times(es, horizon=1.25 * period, step=step, tol=tol)
+    scanned = scan_min_times(es, horizon=1.25 * period, step=step)
     min_times = scanned.min_times
     complete = bool(np.all(np.isfinite(min_times)))
     if not complete:
@@ -493,25 +457,12 @@ def verify_upst(
     circulant_timing = None
     spacing_order = None
     if upst:
-        verdict, spacing_order, tie_ok = _spacing_structure(
-            min_times, TIME_AGREEMENT_TOL, TIE_TOL
-        )
+        verdict, spacing_order, tie_ok = _spacing_structure(min_times)
         circulant_timing = bool(verdict and tie_ok)
         if not tie_ok:
             reasons.append("tied-transfer-times")
 
     dense = denseness_check(graph.spec)[0] if graph.spec is not None else None
-    alpha = _canonical_angles(es_c)
-    d = lam - lam[0]
-    # Literal (unreduced) reading of the phase conditions: does some real t
-    # make (lambda_k - lambda_0) t equal alpha[l][k] exactly, not just mod
-    # 2 pi?  Row 0 is satisfied by t = 0; other rows pin t from k = 1.
-    literal = True
-    for l in range(1, n):
-        t_lit = alpha[l, 1] / d[1]
-        if float(np.max(np.abs(d * t_lit - alpha[l]))) > TIME_AGREEMENT_TOL:
-            literal = False
-            break
     return TransferReport(
         n=n,
         min_times=min_times,
@@ -522,6 +473,5 @@ def verify_upst(
         dense=dense,
         reasons=tuple(reasons),
         return_period=period,
-        literal_phase_equality=literal,
         spacing_order=spacing_order,
     )

@@ -189,7 +189,7 @@ def test_criterion_6_canonical_flatness(certified):
             float(np.max(np.abs(canon[:, 0] - root))),
         )
         assert border <= 1e-12
-        assert zero_sum_check(canon, tol=1e-9)
+        assert zero_sum_check(canon)
 
     for name, e in entries.items():
         check(e["es"].X)

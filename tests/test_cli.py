@@ -245,10 +245,22 @@ def test_verify_rejects_foreign_format_tag(tmp_path, capsys):
         (CIRC3_DESC, ("matrix", 1), 7, ""),
         (NC_DESC, ("eigensystem", "X", 0, 0), [float("nan"), 0.0], "eigensystem"),
         (NC_DESC, ("eigensystem", "lambdas", 3), DROP, "eigensystem"),
+        # bundle numbers must be JSON integers: int() would read 4.4 or "4"
+        # as 4 and load a graph the file does not describe
+        (ND6_DESC, ("circulant", "a", 2, "coeffs", 0), [4.4, 3], "malformed"),
+        (ND6_DESC, ("circulant", "a", 2, "coeffs", 0), ["4", 3], "malformed"),
+        (ND6_DESC, ("circulant", "a", 2, "coeffs", 0), [True, 1], "malformed"),
+        (ND6_DESC, ("eigensystem", "exact_lambdas", 0), [1.7, 1], "malformed"),
+        (ND6_DESC, ("eigensystem", "exact_lambdas", 0), [7, 2.0], "malformed"),
+        (ND6_DESC, ("circulant", "n"), 6.9, "malformed"),
+        (ND6_DESC, ("circulant", "a", 2, "n"), 6.0, "malformed"),
+        (ND6_DESC, ("n",), 6.0, "malformed"),
     ],
     ids=["eigensystem-without-X", "exact-lambda-not-a-pair", "n-as-list",
          "eigensystem-as-list", "matrix-row-not-a-list", "eigensystem-nan",
-         "eigensystem-short-lambdas"],
+         "eigensystem-short-lambdas", "coeff-float", "coeff-string", "coeff-bool",
+         "exact-lambda-float", "exact-lambda-float-denominator", "circulant-n-float",
+         "cyclotomic-n-float", "graph-n-float"],
 )
 def test_verify_rejects_malformed_bundles(tmp_path, capsys, desc, field, value, names):
     path = generate(tmp_path, capsys, desc, "bundle.json")

@@ -247,7 +247,7 @@ def test_nondense_embeds_hermitian(nd6):
 
 # ------------------------------------------- closed-form 1/(zeta^e - 1)
 
-def test_closed_form_inverse_matches_euclidean_inverse():
+def test_closed_form_inverse_matches_norm_inverse():
     for n in range(2, 31):
         for e in range(1, n):
             assert _inv_zeta_power_minus_one(n, e) == (zeta(n, e) - 1).invert(), (n, e)

@@ -18,6 +18,7 @@ from upst.cyclotomic import (
     cyc_from_exponent_vector,
     cyclotomic_polynomial,
     euler_phi,
+    rational_from_json,
     zeta,
 )
 
@@ -210,6 +211,36 @@ def test_unit_inverse_fails_integrality_at_prime_conductors():
         assert any(c.denominator != 1 for c in inv.coeffs), n
 
 
+def assert_inverse(x):
+    inv = x.invert()
+    assert x * inv == CycNum.one(x.n), x
+    assert x**-1 == inv, x
+
+
+def test_inverse_with_empty_galois_product():
+    # Q(zeta_1) = Q(zeta_2) = Q: the only automorphism is the identity, so
+    # the norm is the element itself
+    for n in (1, 2):
+        for value in (1, -2, Fraction(3, 7), Fraction(-5, 4)):
+            x = CycNum.from_rational(n, value)
+            assert_inverse(x)
+            assert x.invert().as_fraction() == 1 / Fraction(value)
+    assert zeta(2).invert() == zeta(2)
+
+
+def test_inverse_at_conductors_two_mod_four():
+    # n = 2m with m odd: Q(zeta_n) = Q(zeta_m), and zeta_n = -zeta_m^((m+1)/2)
+    for n in (6, 10, 30):
+        for x in (1 - zeta(n), 2 + zeta(n, 3), zeta(n, 5) - Fraction(1, 3) * zeta(n)):
+            assert_inverse(x)
+
+
+def test_inverse_at_every_conductor_from_16_to_40():
+    for n in range(16, 41):
+        for x in (1 - zeta(n), 2 + zeta(n, 3)):
+            assert_inverse(x)
+
+
 # ------------------------------------------------------------------ galois
 
 def test_galois_at_n_minus_1_is_conjugation():
@@ -309,6 +340,17 @@ def test_json_round_trip_is_exact():
 def test_json_rejects_malformed_input():
     with pytest.raises(ValueError):
         CycNum.from_json_dict({"n": 6})
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [[4.4, 3], [4.0, 3], ["4", 3], [True, 1], [1, False], [1, 0], [1], [1, 2, 3], 5, None],
+)
+def test_rational_json_accepts_integers_only(pair):
+    with pytest.raises(ValueError, match="malformed"):
+        rational_from_json(pair)
+    with pytest.raises(ValueError, match="malformed"):
+        CycNum.from_json_dict({"n": 1, "coeffs": [pair]})
 
 
 # ------------------------------------------------------- hypothesis: field

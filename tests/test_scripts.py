@@ -1,0 +1,33 @@
+"""The scripts under scripts/ run end to end on the current library API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+
+
+def test_certify_fixtures_certifies_every_fixture():
+    proc = run_script("certify_fixtures.py")
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[2:]
+    assert len(rows) == 11
+    for row in rows:
+        assert row.split()[2] == "yes", row
+
+
+def test_spacing_sweep_runs():
+    proc = run_script("spacing_sweep.py", "--max-a", "2", "--max-beta", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert "largest |measured - predicted|" in proc.stdout

@@ -28,13 +28,13 @@ from upst.constructors import (
     theta,
 )
 from upst.walk import (
+    DEFAULT_SCAN_STEPS,
     PST_ENTRY_TOL,
     TransferReport,
     analytic_pst_times,
     analytic_return_period,
     denseness_check,
     monomial_check,
-    pst_at,
     scan_min_times,
     spacing_test,
     unitary_at,
@@ -53,6 +53,13 @@ def es3(circ3):
 def scalar_spec(n=3, value=Fraction(3, 2)):
     a0 = CycNum.from_rational(1, value)
     return CirculantSpec(n, (a0,) + tuple(CycNum.zero(1) for _ in range(n - 1)))
+
+
+def scan(es):
+    """scan_min_times on verify_upst's grid: 1.25 return periods at
+    DEFAULT_SCAN_STEPS points per period."""
+    period = analytic_return_period(es)
+    return scan_min_times(es, horizon=1.25 * period, step=period / DEFAULT_SCAN_STEPS)
 
 
 def irrational_eigensystem():
@@ -87,16 +94,11 @@ def test_one_parameter_group_law(circ3, nd6):
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
-def test_transfer_phase_detection():
-    assert pst_at(np.eye(3), 0, 0) == 1
-    assert pst_at(np.eye(3), 0, 1) is None
-
-
 def test_theorem_family_transfer_at_pi_over_6():
     g, es = noncirculant_graph(NoncirculantParams(2, 2, 3))
-    phase = pst_at(unitary_at(es, math.pi / 6), 0, 1)
-    assert phase is not None
-    assert abs(abs(phase) - 1) < 1e-9
+    amp = abs(unitary_at(es, math.pi / 6)[1, 0])
+    assert amp >= 1 - PST_ENTRY_TOL
+    assert abs(amp - 1) < 1e-9
 
 
 # ----------------------------------------------------------- return period
@@ -161,7 +163,7 @@ def test_analytic_times_reject_degenerate_spectrum():
 # ------------------------------------------------------------------- scan
 
 def test_scan_locates_order3_transfer_times(circ3):
-    report = scan_min_times(es3(circ3))
+    report = scan(es3(circ3))
     assert abs(report.min_times[0, 1] - T01) < 1e-9
     assert abs(report.min_times[0, 0] - 3 * T01) < 1e-9
     assert report.reasons == ()
@@ -172,16 +174,19 @@ def test_scan_locates_order3_transfer_times(circ3):
 
 
 def test_scan_refuses_scalar_circulant():
-    report = scan_min_times(circulant_eigensystem(scalar_spec()))
+    # no return period exists; the grid size does not matter
+    es = circulant_eigensystem(scalar_spec())
+    report = scan_min_times(es, horizon=1.25 * TWO_PI, step=TWO_PI / DEFAULT_SCAN_STEPS)
     assert report.reasons == ("degenerate-spectrum",)
     assert np.all(np.isnan(report.min_times))
 
 
 def test_scan_flags_pairs_beyond_horizon(circ3):
-    report = scan_min_times(es3(circ3), horizon=0.5 * T01)
+    step = analytic_return_period(es3(circ3)) / DEFAULT_SCAN_STEPS
+    report = scan_min_times(es3(circ3), horizon=0.5 * T01, step=step)
     assert "scan-missing-pairs" in report.reasons
     assert np.isnan(report.min_times[0, 1])
-    empty = scan_min_times(es3(circ3), horizon=0.0)
+    empty = scan_min_times(es3(circ3), horizon=0.0, step=step)
     assert empty.reasons == ("scan-missing-pairs",)
     assert np.all(np.isnan(empty.min_times))
 
@@ -192,11 +197,11 @@ def test_scan_refines_false_clusters_in_later_rounds():
     # first true return at the period 100 pi; off-diagonal pairs meet only
     # false ones, so refinement runs for many rounds
     es = EigenSystem(n=3, X=fourier_matrix(3), lambdas=np.array([0.0, 1.0, 2.02]))
-    report = scan_min_times(es)
+    assert abs(analytic_return_period(es) - 100 * math.pi) < 1e-9
+    report = scan(es)
     assert np.max(np.abs(np.diag(report.min_times) - 100 * math.pi)) < 1e-9
     assert np.all(np.isnan(report.min_times[~np.eye(3, dtype=bool)]))
     assert report.reasons == ("scan-missing-pairs",)
-    assert abs(report.return_period - 100 * math.pi) < 1e-9
 
 
 def relabelled_flat(a, b, beta, seed):
@@ -210,7 +215,7 @@ def relabelled_flat(a, b, beta, seed):
 
 def test_scan_times_and_phases_match_walk_operator(nd6):
     for es in (relabelled_flat(4, 4, 2, seed=5), circulant_eigensystem(nd6)):
-        report = scan_min_times(es)
+        report = scan(es)
         assert report.reasons == ()
         for u in range(es.n):
             for v in range(es.n):
@@ -234,7 +239,7 @@ def test_scan_working_set_is_bounded():
     _, es = noncirculant_graph(NoncirculantParams(6, 4, 2))
     tracemalloc.start()
     try:
-        scan_min_times(es)
+        scan(es)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -278,8 +283,11 @@ def test_certified_phases_have_unit_magnitude(circ3):
 
 def test_transfer_precedes_return_everywhere(circ3, nd6):
     # for every vertex u, each transfer t_{u,v} lands before the return t_{u,u},
-    # and the reported period is the one the spectrum alone determines
-    inputs = [(circulant_to_graph(s), circulant_eigensystem(s)) for s in (circ3, nd6)]
+    # and the reported period is the one the spectrum alone determines; the
+    # order-2 rational circulant Circ(1/2, -1/2) is the smallest case
+    half = CycNum.from_rational(1, Fraction(1, 2))
+    specs = (CirculantSpec(2, (half, -half)), circ3, nd6)
+    inputs = [(circulant_to_graph(s), circulant_eigensystem(s)) for s in specs]
     inputs += [noncirculant_graph(NoncirculantParams(3, 2, 2)), gk_example(4)]
     for graph, es in inputs:
         report = verify_upst(graph, es)
@@ -315,18 +323,6 @@ def test_certification_rejects_repeated_eigenvalues():
     )
     assert report.upst is False
     assert report.reasons == ("degenerate-spectrum",)
-
-
-def test_literal_phase_reading_is_reported(circ3):
-    # order-2 rational circulant satisfies the unreduced phase equations;
-    # the order-3 one only the mod-2pi version
-    half = CycNum.from_rational(1, Fraction(1, 2))
-    spec2 = CirculantSpec(2, (half, -half))
-    report2 = verify_upst(circulant_to_graph(spec2), circulant_eigensystem(spec2))
-    assert report2.upst is True
-    assert report2.literal_phase_equality is True
-    report3 = verify_upst(circulant_to_graph(circ3), es3(circ3))
-    assert report3.literal_phase_equality is False
 
 
 # ---------------------------------------------------------------- spacing
@@ -404,8 +400,7 @@ def test_monomial_requires_bijection():
 
 def test_unit_entry_concentrates_row_and_column(circ3):
     u = unitary_at(es3(circ3), T01)
-    amp = pst_at(u, 0, 1)
-    assert amp is not None
+    assert abs(u[1, 0]) >= 1 - PST_ENTRY_TOL
     assert np.max(np.abs(np.delete(u[1, :], 0))) < 1e-9
     assert np.max(np.abs(np.delete(u[:, 0], 1))) < 1e-9
 
