@@ -403,6 +403,17 @@ def rational_from_json(pair) -> Fraction:
     return Fraction(pair[0], pair[1])
 
 
+def real_from_json(value) -> float:
+    """A JSON number (int or float) as a float.  A bool or string is refused,
+    since float() would silently read true as 1.0 and "3.5" as 3.5.
+
+    errors: ValueError on anything else.
+    """
+    if type(value) not in (int, float):
+        raise ValueError("malformed number %r: expected a JSON int or float" % (value,))
+    return float(value)
+
+
 def _make(n: int, num: list[int], den: int) -> CycNum:
     # Internal constructor: num already has phi(n) entries and den > 0.
     return CycNum.__new__(CycNum)._fill(n, num, den)

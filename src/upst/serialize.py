@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cyclotomic import rational_from_json, rational_to_json
+from .cyclotomic import rational_from_json, rational_to_json, real_from_json
 from .graph import CirculantSpec, HermitianGraph, circulant_to_graph, validate_hermitian
 from .spectra import EigenSystem, eigensystem_for
 from .walk import TransferReport
@@ -33,7 +33,7 @@ def complex_to_pair(z: complex) -> list[float]:
 def pair_to_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise ValueError("complex entries must be [re, im] pairs, got %r" % (pair,))
-    return complex(float(pair[0]), float(pair[1]))
+    return complex(real_from_json(pair[0]), real_from_json(pair[1]))
 
 
 def matrix_to_json(matrix: np.ndarray) -> list[list[list[float]]]:
@@ -63,11 +63,12 @@ def eigensystem_to_json(es: EigenSystem) -> dict:
 
 def eigensystem_from_json(data: dict) -> EigenSystem:
     """errors: ValueError unless X is n x n, lambdas (and exact_lambdas, if
-    present) have length n, every entry is finite and every exact_lambdas
-    entry is a pair of JSON integers."""
+    present) have length n, every entry is finite, every X and lambdas entry
+    is a JSON number and every exact_lambdas entry is a pair of JSON
+    integers."""
     x = matrix_from_json(data["X"])
     n = x.shape[0]
-    lambdas = np.array([float(v) for v in data["lambdas"]], dtype=float)
+    lambdas = np.array([real_from_json(v) for v in data["lambdas"]], dtype=float)
     exact = data.get("exact_lambdas")
     exact_lambdas = None if exact is None else tuple(rational_from_json(v) for v in exact)
     if x.shape != (n, n):
@@ -147,6 +148,7 @@ def report_to_json(report: TransferReport) -> dict:
         else [float(t) for t in report.analytic_times],
         "min_times": [[_float_or_none(t) for t in row] for row in report.min_times],
         "phases": matrix_to_json(report.phases),
+        "diagnostics": report.diagnostics,
     }
 
 

@@ -26,6 +26,7 @@ DETECTION_THRESHOLD = 0.96  # on |U|^2; refinement applies the strict test
 DEGENERACY_TOL = 1e-12
 TIE_TOL = 1e-10
 GRID_BLOCK = 2**18  # pair x time elements per grid block
+GRID_SLACK = 2.0**-12  # bound on the float32 grid's |U|^2 error, see scan_min_times
 REFINE_BLOCK = 2**16  # pair x eigenvalue elements per refinement batch
 
 TWO_PI = 2 * math.pi
@@ -39,7 +40,9 @@ class TransferReport:
     observed inside the scan window); phases holds the complex amplitude at
     that time.  analytic_times[l] is the phase-matrix solution for transfer
     0 -> l.  Verdicts are tri-state: None means not evaluated on this input.
-    reasons carries short codes explaining any False verdict.
+    reasons carries short codes explaining any False verdict.  diagnostics
+    holds the time scan's grid and work counters (see scan_min_times), or
+    None when no scan ran.
     """
 
     n: int
@@ -52,6 +55,7 @@ class TransferReport:
     reasons: tuple[str, ...] = ()
     return_period: Optional[float] = None
     spacing_order: Optional[tuple[int, ...]] = None
+    diagnostics: Optional[dict] = None
 
 
 def unitary_at(es: EigenSystem, t: float) -> np.ndarray:
@@ -196,15 +200,20 @@ def _golden_max(pvecs: np.ndarray, lam: np.ndarray, lo: np.ndarray, hi: np.ndarr
 
 def _polish_peak(
     pvecs: np.ndarray, lam: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Newton iterations on d|amp|^2/dt, row by row.  The squared magnitude is
     flat at a peak, so a bracketing search alone resolves the argmax only to
     the square root of the float noise; the analytic derivative restores full
     precision.  A row stops at 12 steps, at non-negative curvature, at a step
-    leaving its bracket, or once the step is below 1e-15 relative."""
+    leaving its bracket, or once the step is below 1e-15 relative.
+
+    Returns the times and a mask of the rows that converged, i.e. stopped on
+    the 1e-15 step; every other row keeps its last iterate inside the bracket.
+    """
     dp = -1j * lam * pvecs
     ddp = -(lam**2) * pvecs
     t = t.copy()
+    converged = np.zeros(t.size, dtype=bool)
     live = np.arange(t.size)
     for _ in range(12):
         if not live.size:
@@ -222,47 +231,131 @@ def _polish_peak(
         live, t_next = live[inside], t_next[inside]
         done = np.abs(t_next - t[live]) <= 1e-15 * np.maximum(1.0, np.abs(t[live]))
         t[live] = t_next
+        converged[live[done]] = True
         live = live[~done]
-    return t
+    return t, converged
+
+
+def _refine_peaks(
+    pvecs: np.ndarray, lam: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Peak of |amp|^2 in [lo[r], hi[r]] for every row, starting from the grid
+    time t[r].  Newton runs first; a row it does not converge (a step leaving
+    the bracket, curvature >= 0, the step cap) is searched again by golden
+    section to REFINE_XTOL and polished from there.  Returns the times and the
+    mask of rows that took that fallback."""
+    t, converged = _polish_peak(pvecs, lam, t, lo, hi)
+    slow = np.flatnonzero(~converged)
+    if slow.size:
+        pv, lo, hi = pvecs[slow], lo[slow], hi[slow]
+        t[slow] = _polish_peak(pv, lam, _golden_max(pv, lam, lo, hi), lo, hi)[0]
+    return t, ~converged
 
 
 def _candidate_clusters(
-    pair: np.ndarray, index: np.ndarray, mag2: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    pair: np.ndarray, index: np.ndarray, mag2: np.ndarray, n: int, open_at: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Group grid hits into runs of consecutive grid indices per pair.
 
-    Returns, per cluster in (pair, time) order: the flat pair u*n + v, the
-    grid index of its largest stored |U|^2 (the earliest on a tie) and its
-    rank among the pair's clusters.  The t -> 0 cluster of each u == v pair
-    is the shoulder of the identity, not a return, and is dropped.
+    Returns, per closed cluster in (pair, time) order: the flat pair u*n + v,
+    the grid index of its largest stored |U|^2 (the earliest on a tie) and its
+    rank among the pair's closed clusters; then the hits (pair, index, mag2)
+    of the clusters whose last hit is at grid index open_at (-1 for none),
+    which may go on past it and are left out of the rest.  The t -> 0 cluster of each u == v
+    pair is the shoulder of the identity, not a return, and is dropped.
     """
     order = np.lexsort((index, pair))
     pair, index, mag2 = pair[order], index[order], mag2[order]
     opens = np.ones(pair.size, dtype=bool)
     opens[1:] = (pair[1:] != pair[:-1]) | (index[1:] != index[:-1] + 1)
+    closes = np.ones(pair.size, dtype=bool)
+    closes[:-1] = opens[1:]
     starts = np.flatnonzero(opens)
     cluster = np.cumsum(opens) - 1
+    still_open = index[closes] == open_at
+    carry = still_open[cluster]
     at_peak = np.flatnonzero(mag2 == np.maximum.reduceat(mag2, starts)[cluster])
     best = index[at_peak[np.unique(cluster[at_peak], return_index=True)[1]]]
     cl_pair = pair[starts]
-    keep = (cl_pair // n != cl_pair % n) | (index[starts] != 0)
+    keep = ((cl_pair // n != cl_pair % n) | (index[starts] != 0)) & ~still_open
     cl_pair, best = cl_pair[keep], best[keep]
     rank = np.arange(cl_pair.size) - np.searchsorted(cl_pair, cl_pair)
-    return cl_pair, best, rank
+    return cl_pair, best, rank, (pair[carry], index[carry], mag2[carry])
+
+
+def _f32_mag2(pv32: np.ndarray, waves: np.ndarray) -> np.ndarray:
+    """|U|^2 of one grid block in single precision: pv32 @ waves^T with the
+    float64 waves rounded to complex64.  Row r, column j is the pair pv32[r]
+    at the time of waves[j]."""
+    amp = pv32 @ waves.astype(np.complex64).T
+    mag2 = np.square(amp.real)
+    mag2 += np.square(amp.imag)
+    return mag2
+
+
+def _block_hits(
+    pvecs: np.ndarray, pv32: np.ndarray, live: np.ndarray, waves: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Hits of one grid block.  pv32 holds the complex64 rows of the flat
+    pairs live, waves the block's float64 waves (one row per time point).
+    Every point the float32 grid puts within GRID_SLACK of the threshold is
+    recomputed in float64 from waves, by row dots in batches of REFINE_BLOCK
+    elements.  Returns the flat pair, the time index in the block and the
+    float64 |U|^2 of the points with |U|^2 >= DETECTION_THRESHOLD, and the
+    number of float32 prefilter survivors."""
+    row, w = np.divmod(
+        np.flatnonzero(_f32_mag2(pv32, waves) >= DETECTION_THRESHOLD - GRID_SLACK),
+        waves.shape[0],
+    )
+    pair = live[row]
+    amp = np.empty(pair.size, dtype=complex)
+    rows = max(1, REFINE_BLOCK // pvecs.shape[1])
+    for first in range(0, pair.size, rows):
+        part = slice(first, first + rows)
+        amp[part] = _row_dots(pvecs[pair[part]], waves[w[part]])
+    mag2 = np.square(amp.real)
+    mag2 += np.square(amp.imag)
+    hit = mag2 >= DETECTION_THRESHOLD
+    return pair[hit], w[hit], mag2[hit], pair.size
 
 
 def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferReport:
     """Grid scan of |U(t)[v][u]| for every ordered pair at t = step, 2 step,
-    ... up to horizon, then refinement of the candidate peaks in lockstep
-    rounds.  The caller sizes the grid (verify_upst derives both from the
-    return period), so the report leaves return_period unset.
+    ... up to horizon, in one pass in time order.  The caller sizes the grid
+    (verify_upst derives both from the return period), so the report leaves
+    return_period unset.
 
-    Grid points with |U|^2 >= DETECTION_THRESHOLD form clusters of
-    consecutive points per pair.  Round r refines the r-th cluster of every
-    pair still unresolved, all at once: golden section to REFINE_XTOL on the
-    bracket one step either side of the cluster's best grid point, Newton
-    polish, then the |U| >= 1 - PST_ENTRY_TOL test; a pair that passes takes
-    that time and amplitude, the rest wait for round r + 1.
+    The grid is walked in blocks of GRID_BLOCK // max(live pairs, n) time
+    points, so neither the pairs x time amplitudes nor the n x time waves of
+    a block outgrow GRID_BLOCK elements.  Each block is evaluated in
+    complex64 as a prefilter: every point with |U|^2 >= DETECTION_THRESHOLD -
+    GRID_SLACK is recomputed in float64 from the block's float64 waves, and
+    the points with |U|^2 >= DETECTION_THRESHOLD there are the hits, with
+    the float64 magnitudes a float64 grid would give.
+
+    GRID_SLACK bounds the float32 error.  The waves are formed in float64 and
+    rounded, so every factor carries a relative error of at most u = 2^-24,
+    and sum_k |X[v,k] X[u,k]| <= 1 by Cauchy-Schwarz.  A complex64 dot
+    product then errs by at most about (n + 4) u if it sums complex terms,
+    and by at most about 2 sqrt(2) (n + 1) u if it accumulates the 2n real
+    products of each component.  |U|^2 <= 1 moves by at most twice the dot's
+    error, plus about 3 u from squaring.  GRID_SLACK = 2^-12 covers the
+    larger bound for every n <= 700 (pvecs alone is 5.5 GB there).
+
+    Hits form clusters of consecutive grid points per pair.  After each
+    block, the clusters that ended inside it are refined in lockstep rounds:
+    round r takes the r-th cluster of every pair still unresolved, starts
+    Newton at the cluster's best grid point inside one step either side
+    (_refine_peaks; golden section to REFINE_XTOL only where Newton does not
+    converge), then applies the |U| >= 1 - PST_ENTRY_TOL test.  A pair that
+    passes takes that time and amplitude, which is its earliest confirmed
+    peak, and leaves the scan.  A cluster that reaches the block's last grid
+    point carries its hits into the next block.
+
+    diagnostics holds the grid step, horizon and number of grid points, and
+    integer counts of the pair x time products evaluated, the float32
+    prefilter hits, the float64-confirmed hits, the candidate clusters, and
+    the rows that Newton and the golden-section fallback refined.
 
     Pairs with no confirmed peak keep NaN and are flagged in reasons; a
     degenerate spectrum refuses the extraction outright (every t is a return
@@ -277,50 +370,72 @@ def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferRepo
         return TransferReport(
             n=n, min_times=min_times, phases=phases, reasons=("degenerate-spectrum",)
         )
-    nsteps = int(math.ceil(horizon / step))
+    nsteps = max(0, int(math.ceil(horizon / step)))
+    diagnostics = {
+        "grid_step": float(step),
+        "horizon": float(horizon),
+        "grid_points": nsteps,
+        "pair_time_products": 0,
+        "f32_hits": 0,
+        "f64_hits": 0,
+        "clusters": 0,
+        "newton_rows": 0,
+        "golden_rows": 0,
+    }
     # Row u*n + v of pvecs holds X[v,k] conj(X[u,k]) over k, so that
     # U(t)[v,u] = sum_k pvecs[u*n + v, k] e^{-i lam_k t}.
     pvecs = (es.X[np.newaxis, :, :] * es.X.conj()[:, np.newaxis, :]).reshape(n * n, n)
-    hit_pair = [np.empty(0, dtype=np.intp)]  # an empty grid (horizon <= 0) has no hits
-    hit_index = [np.empty(0, dtype=np.intp)]
-    hit_mag2 = [np.empty(0)]
-    chunk = max(1, GRID_BLOCK // (n * n))
-    for start in range(0, nsteps, chunk):
-        ts = (np.arange(start, min(start + chunk, nsteps)) + 1) * step
-        amp = pvecs @ _waves(lam, ts)
-        mag2 = np.square(amp.real)
-        mag2 += np.square(amp.imag)
-        flat = np.flatnonzero(mag2 >= DETECTION_THRESHOLD)
-        pair, w = np.divmod(flat, ts.size)
-        hit_pair.append(pair)
-        hit_index.append(start + w)
-        hit_mag2.append(mag2.reshape(-1)[flat])
-    cl_pair, best, rank = _candidate_clusters(
-        np.concatenate(hit_pair), np.concatenate(hit_index), np.concatenate(hit_mag2), n
-    )
+    live = np.arange(n * n)  # flat pairs still unresolved, rows of pv32
+    pv32 = pvecs.astype(np.complex64)
     flat_times = min_times.reshape(-1)
     flat_phases = phases.reshape(-1)
     resolved = np.zeros(n * n, dtype=bool)
+    carried = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
     rows = max(1, REFINE_BLOCK // n)
-    for r in range(int(rank.max(initial=-1)) + 1):
-        todo = np.flatnonzero((rank == r) & ~resolved[cl_pair])
-        for first in range(0, todo.size, rows):
-            batch = todo[first:first + rows]
-            pair = cl_pair[batch]
-            pv = pvecs[pair]
-            lo = best[batch] * step
-            hi = (best[batch] + 2) * step
-            t_star = _polish_peak(pv, lam, _golden_max(pv, lam, lo, hi), lo, hi)
-            amp = _amplitudes(pv, lam, t_star)
-            ok = np.abs(amp) >= 1 - PST_ENTRY_TOL
-            flat_times[pair[ok]] = t_star[ok]
-            flat_phases[pair[ok]] = amp[ok]
-            resolved[pair[ok]] = True
+    start = 0
+    while start < nsteps and live.size:
+        stop = min(nsteps, start + max(1, GRID_BLOCK // max(live.size, n)))
+        waves = _waves((np.arange(start, stop) + 1) * step, lam)
+        pair, w, mag2, survivors = _block_hits(pvecs, pv32, live, waves)
+        diagnostics["pair_time_products"] += live.size * (stop - start)
+        diagnostics["f32_hits"] += survivors
+        diagnostics["f64_hits"] += pair.size
+        cl_pair, best, rank, carried = _candidate_clusters(
+            np.concatenate((carried[0], pair)),
+            np.concatenate((carried[1], start + w)),
+            np.concatenate((carried[2], mag2)),
+            n,
+            stop - 1 if stop < nsteps else -1,
+        )
+        diagnostics["clusters"] += cl_pair.size
+        for r in range(int(rank.max(initial=-1)) + 1):
+            todo = np.flatnonzero((rank == r) & ~resolved[cl_pair])
+            for first in range(0, todo.size, rows):
+                batch = todo[first:first + rows]
+                peak_pair, peak = cl_pair[batch], best[batch]
+                pv = pvecs[peak_pair]
+                t_star, fallback = _refine_peaks(
+                    pv, lam, (peak + 1) * step, peak * step, (peak + 2) * step
+                )
+                amp = _amplitudes(pv, lam, t_star)
+                ok = np.abs(amp) >= 1 - PST_ENTRY_TOL
+                flat_times[peak_pair[ok]] = t_star[ok]
+                flat_phases[peak_pair[ok]] = amp[ok]
+                resolved[peak_pair[ok]] = True
+                diagnostics["newton_rows"] += batch.size
+                diagnostics["golden_rows"] += int(np.count_nonzero(fallback))
+        still = ~resolved[live]
+        if not still.all():
+            live, pv32 = live[still], pv32[still]
+            going = ~resolved[carried[0]]
+            carried = tuple(a[going] for a in carried)
+        start = stop
     return TransferReport(
         n=n,
         min_times=min_times,
         phases=phases,
         reasons=() if resolved.all() else ("scan-missing-pairs",),
+        diagnostics=diagnostics,
     )
 
 
@@ -474,4 +589,5 @@ def verify_upst(
         reasons=tuple(reasons),
         return_period=period,
         spacing_order=spacing_order,
+        diagnostics=scanned.diagnostics,
     )

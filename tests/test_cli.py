@@ -128,6 +128,9 @@ def test_verify_passes_every_check_on_dense_circulant(tmp_path, capsys):
     }
     assert doc["report"]["upst"] is True
     assert doc["report"]["reasons"] == []
+    diagnostics = doc["report"]["diagnostics"]
+    assert diagnostics["grid_points"] == 12500
+    assert diagnostics["newton_rows"] >= 9
 
 
 def test_verify_fails_denseness_of_sparse_family(tmp_path, capsys):
@@ -173,6 +176,18 @@ def test_verify_certifies_bare_matrix_inputs(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["checks"]["upst"] is False
     assert "diagonalizer-not-flat" in doc["report"]["reasons"]
+
+
+@pytest.mark.parametrize("entry", [["1", 0], [True, 0], [1, "0"]])
+def test_verify_rejects_non_numeric_bare_matrix_entries(tmp_path, capsys, entry):
+    # K3 with one off-diagonal pair written as a string or a boolean
+    k3 = [[[0, 0] if u == v else [1, 0] for v in range(3)] for u in range(3)]
+    k3[0][1] = k3[1][0] = entry
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(k3))
+    code, _, err = run(["verify", str(path), "--checks", "typeii"], capsys)
+    assert code == 2
+    assert "malformed" in err
 
 
 def test_verify_circulant_only_checks_need_exact_data(tmp_path, capsys):
@@ -255,12 +270,20 @@ def test_verify_rejects_foreign_format_tag(tmp_path, capsys):
         (ND6_DESC, ("circulant", "n"), 6.9, "malformed"),
         (ND6_DESC, ("circulant", "a", 2, "n"), 6.0, "malformed"),
         (ND6_DESC, ("n",), 6.0, "malformed"),
+        # matrix, X and lambdas entries are JSON numbers, never strings or
+        # booleans: float() would read "3.5" as 3.5 and true as 1.0
+        (NC_DESC, ("matrix", 0, 0), ["3.5", 0], "malformed"),
+        (NC_DESC, ("matrix", 0, 2), [-0.5, False], "malformed"),
+        (NC_DESC, ("eigensystem", "X", 0, 0), ["0.5", 0], "malformed"),
+        (NC_DESC, ("eigensystem", "lambdas", 1), "1", "malformed"),
+        (NC_DESC, ("eigensystem", "lambdas", 1), True, "malformed"),
     ],
     ids=["eigensystem-without-X", "exact-lambda-not-a-pair", "n-as-list",
          "eigensystem-as-list", "matrix-row-not-a-list", "eigensystem-nan",
          "eigensystem-short-lambdas", "coeff-float", "coeff-string", "coeff-bool",
          "exact-lambda-float", "exact-lambda-float-denominator", "circulant-n-float",
-         "cyclotomic-n-float", "graph-n-float"],
+         "cyclotomic-n-float", "graph-n-float", "matrix-string", "matrix-bool",
+         "x-string", "lambda-string", "lambda-bool"],
 )
 def test_verify_rejects_malformed_bundles(tmp_path, capsys, desc, field, value, names):
     path = generate(tmp_path, capsys, desc, "bundle.json")

@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from upst.cyclotomic import CycNum
 from upst.graph import CirculantSpec, HermitianGraph, circulant_to_graph
@@ -27,8 +29,11 @@ from upst.constructors import (
     noncirculant_graph,
     theta,
 )
+from upst import walk
 from upst.walk import (
     DEFAULT_SCAN_STEPS,
+    DETECTION_THRESHOLD,
+    GRID_SLACK,
     PST_ENTRY_TOL,
     TransferReport,
     analytic_pst_times,
@@ -39,6 +44,11 @@ from upst.walk import (
     spacing_test,
     unitary_at,
     verify_upst,
+    _block_hits,
+    _f32_mag2,
+    _golden_max,
+    _polish_peak,
+    _refine_peaks,
     _waves,
 )
 
@@ -60,6 +70,18 @@ def scan(es):
     DEFAULT_SCAN_STEPS points per period."""
     period = analytic_return_period(es)
     return scan_min_times(es, horizon=1.25 * period, step=period / DEFAULT_SCAN_STEPS)
+
+
+def false_cluster_eigensystem():
+    # |U(2 pi)[u][u]|^2 ~ 0.9965 clears the detection threshold but is no
+    # peak of 1; the first true return is at the period 100 pi
+    return EigenSystem(n=3, X=fourier_matrix(3), lambdas=np.array([0.0, 1.0, 2.02]))
+
+
+def pair_vectors(x):
+    """Row u*n + v holds X[v,k] conj(X[u,k]), as in scan_min_times."""
+    n = x.shape[0]
+    return (x[np.newaxis, :, :] * x.conj()[:, np.newaxis, :]).reshape(n * n, n)
 
 
 def irrational_eigensystem():
@@ -192,11 +214,10 @@ def test_scan_flags_pairs_beyond_horizon(circ3):
 
 
 def test_scan_refines_false_clusters_in_later_rounds():
-    # |U(2 pi)[u][u]|^2 ~ 0.9965 clears the detection threshold but is no peak
-    # of 1.  Each diagonal pair meets twelve such false candidates before its
-    # first true return at the period 100 pi; off-diagonal pairs meet only
-    # false ones, so refinement runs for many rounds
-    es = EigenSystem(n=3, X=fourier_matrix(3), lambdas=np.array([0.0, 1.0, 2.02]))
+    # Each diagonal pair meets twelve false candidates before its first true
+    # return at the period 100 pi; off-diagonal pairs meet only false ones,
+    # so refinement runs for many rounds
+    es = false_cluster_eigensystem()
     assert abs(analytic_return_period(es) - 100 * math.pi) < 1e-9
     report = scan(es)
     assert np.max(np.abs(np.diag(report.min_times) - 100 * math.pi)) < 1e-9
@@ -235,15 +256,116 @@ def test_scan_waves_match_complex_exp():
 
 def test_scan_working_set_is_bounded():
     # the grid is scanned in blocks and candidates refined in row batches, so
-    # the peak allocation stays far below the n^2 x grid-points array
+    # the peak allocation stays far below the n^2 x grid-points array.  At ten
+    # times the default density the horizon is 125 000 grid points; past the
+    # last off-diagonal transfer only the n = 24 diagonal pairs stay live, and
+    # the blocks grow to their largest, GRID_BLOCK // n time points
     _, es = noncirculant_graph(NoncirculantParams(6, 4, 2))
-    tracemalloc.start()
-    try:
-        scan(es)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    period = analytic_return_period(es)
+    for scan_it in (
+        lambda: scan(es),
+        lambda: scan_min_times(es, 1.25 * period, period / (10 * DEFAULT_SCAN_STEPS)),
+    ):
+        tracemalloc.start()
+        try:
+            report = scan_it()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.reasons == ()
+        assert peak <= 16 * 2**20
+
+
+def test_scan_is_independent_of_the_grid_block(monkeypatch, nd6):
+    # with a few time points per block, every cluster straddles blocks and
+    # carries its hits forward; the pass must not notice
+    cases = (relabelled_flat(4, 4, 2, seed=3), circulant_eigensystem(nd6),
+             false_cluster_eigensystem())
+    for es in cases:
+        default = scan(es)
+        monkeypatch.setattr(walk, "GRID_BLOCK", 3 * es.n**2)
+        small = scan(es)
+        monkeypatch.undo()
+        assert small.diagnostics["pair_time_products"] != default.diagnostics["pair_time_products"]
+        assert np.array_equal(small.min_times, default.min_times, equal_nan=True)
+        assert np.array_equal(small.phases, default.phases)
+        assert small.reasons == default.reasons
+
+
+def test_scan_diagnostics_count_the_work():
+    es = relabelled_flat(4, 4, 2, seed=5)
+    period = analytic_return_period(es)
+    d = scan(es).diagnostics
+    assert d["grid_step"] == period / DEFAULT_SCAN_STEPS
+    assert d["horizon"] == 1.25 * period
+    assert d["grid_points"] == math.ceil(1.25 * DEFAULT_SCAN_STEPS)
+    # every pair resolves by the period and leaves the grid
+    assert d["pair_time_products"] < es.n**2 * DEFAULT_SCAN_STEPS
+    assert d["f32_hits"] >= d["f64_hits"] > 0
+    assert d["clusters"] >= d["newton_rows"] >= es.n**2
+    assert d["golden_rows"] == 0
+    counters = {k: v for k, v in d.items() if k not in ("grid_step", "horizon")}
+    assert all(type(v) is int for v in counters.values())
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 8, 17, 64]))
+def test_float32_grid_stays_within_slack(seed, n):
+    # random unitaries, and Fourier matrices whose integer spectra make U(t)
+    # a permutation at the chosen times (|U|^2 exactly 0 or 1); both
+    # relabelled and rephased, with |lambda| t up to 1e6
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.5:
+        x = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        scale = 10.0 ** rng.uniform(0, 3)
+        lam = rng.uniform(-scale, scale, size=n)
+        t = rng.uniform(0, 1e6 / scale, size=40)
+    else:
+        x = fourier_matrix(n)
+        scale = 10.0 ** rng.uniform(0, 3)
+        lam = scale * np.arange(n)
+        t = TWO_PI / (n * scale) * rng.integers(0, int(1e6 / TWO_PI), size=40)
+    x = x[rng.permutation(n), :] * np.exp(1j * rng.uniform(0, TWO_PI, size=n))
+    pvecs = pair_vectors(x)
+    waves = _waves(t, lam)
+    exact = np.abs(pvecs @ waves.T) ** 2
+    rounded = _f32_mag2(pvecs.astype(np.complex64), waves)
+    assert np.max(np.abs(rounded - exact)) <= GRID_SLACK
+
+
+def test_float32_prefilter_keeps_the_float64_hit_set():
+    _, es = noncirculant_graph(NoncirculantParams(6, 4, 2))
+    pvecs = pair_vectors(es.X)
+    pairs = np.arange(es.n**2)
+    step = analytic_return_period(es) / DEFAULT_SCAN_STEPS
+    grid = (np.arange(int(1.25 * DEFAULT_SCAN_STEPS)) + 1) * step
+    for first in range(0, grid.size, 2500):
+        waves = _waves(grid[first:first + 2500], es.lambdas)
+        exact = np.abs(pvecs @ waves.T) ** 2
+        pair, w, mag2, survivors = _block_hits(pvecs, pvecs.astype(np.complex64), pairs, waves)
+        expected = np.flatnonzero(exact >= DETECTION_THRESHOLD)
+        assert np.array_equal(np.sort(pair * waves.shape[0] + w), expected)
+        assert np.max(np.abs(mag2 - exact[pair, w]), initial=0.0) <= 1e-14
+        assert survivors >= pair.size
+
+
+def test_newton_falls_back_to_golden_section():
+    # levels 0 and 1 with equal weights: |amp|^2 = (1 + cos t)/2 peaks at
+    # 2 pi.  Row 0 starts where the curvature is positive, row 1's first
+    # Newton step lands past its bracket, row 2 converges from its start
+    lam = np.array([0.0, 1.0])
+    pv = np.full((3, 2), 0.5 + 0j)
+    peak = TWO_PI
+    t0 = peak + np.array([-1.8, -1.2, 0.3])
+    lo = peak + np.array([-3.8, -2.5, -0.2])
+    hi = peak + np.array([0.2, 0.1, 0.8])
+    t, fallback = _refine_peaks(pv, lam, t0, lo, hi)
+    assert fallback.tolist() == [True, True, False]
+    slow = slice(0, 2)
+    golden = _golden_max(pv[slow], lam, lo[slow], hi[slow])
+    reference = _polish_peak(pv[slow], lam, golden, lo[slow], hi[slow])[0]
+    assert np.max(np.abs(t[slow] - reference)) <= 1e-12
+    assert np.max(np.abs(t - peak)) <= 1e-12
 
 
 # ------------------------------------------------------------ certification
