@@ -2,7 +2,7 @@
 
 Subcommands: generate | verify | times.  Exit codes: 0 all requested checks
 pass, 1 a check failed, 2 input error.  UPST_SCAN_STEPS overrides the default
-grid density of the time scan.
+grid density of the time scan; only the commands that scan read it.
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ def build_from_descriptor(
 
 
 def _run_checks(
-    graph: HermitianGraph, es: EigenSystem, checks: Sequence[str], scan_steps: Optional[int]
+    graph: HermitianGraph, es: EigenSystem, checks: Sequence[str]
 ) -> tuple[dict, Optional[TransferReport]]:
     """Verdict per requested check; the report is None when no walk check
     (upst, spacing) is requested."""
@@ -161,7 +161,7 @@ def _run_checks(
             )
     report = None
     if any(name in ("upst", "spacing") for name in checks):
-        report = verify_upst(graph, es, scan_steps=scan_steps)
+        report = verify_upst(graph, es, scan_steps=_scan_steps_from_env())
     results: dict = {}
     for name in checks:
         if name == "upst":
@@ -207,6 +207,12 @@ def _format_verdict_table(results: dict, report: Optional[TransferReport]) -> st
         lines.append("analytic transfer times from vertex 0: " + times)
     if report.return_period is not None:
         lines.append("return period: " + FLOAT_FMT % report.return_period)
+    if report.diagnostics is not None:
+        fields = (
+            "%s=%s" % (key, FLOAT_FMT % value if isinstance(value, float) else value)
+            for key, value in report.diagnostics.items()
+        )
+        lines.append("diagnostics: " + " ".join(fields))
     return "\n".join(lines)
 
 
@@ -215,10 +221,9 @@ def cmd_verify(
     checks: Sequence[str],
     output_format: str,
     out: Optional[str],
-    scan_steps: Optional[int],
 ) -> int:
     graph, es, _ = load_graph(source)
-    results, report = _run_checks(graph, es, checks, scan_steps)
+    results, report = _run_checks(graph, es, checks)
     all_pass = all(results.values())
     if output_format == "table":
         _emit(out, _format_verdict_table(results, report))
@@ -233,11 +238,9 @@ def cmd_verify(
     return 0 if all_pass else 1
 
 
-def cmd_times(
-    source: str, output_format: str, out: Optional[str], scan_steps: Optional[int]
-) -> int:
+def cmd_times(source: str, output_format: str, out: Optional[str]) -> int:
     graph, es, _ = load_graph(source)
-    report = verify_upst(graph, es, scan_steps=scan_steps)
+    report = verify_upst(graph, es, scan_steps=_scan_steps_from_env())
     if report.upst is not True:
         print(
             "input does not certify universal perfect state transfer: %s"
@@ -319,14 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scan_steps = _scan_steps_from_env()
         if args.command == "generate":
             shift = None if args.shift is None else _parse_fraction(args.shift)
             return cmd_generate(args.descriptor, shift, args.out)
         if args.command == "verify":
             checks = _parse_checks(args.checks)
-            return cmd_verify(args.input, checks, args.output_format, args.out, scan_steps)
-        return cmd_times(args.input, args.output_format, args.out, scan_steps)
+            return cmd_verify(args.input, checks, args.output_format, args.out)
+        return cmd_times(args.input, args.output_format, args.out)
     except (ValueError, ArithmeticError, OSError) as exc:
         print("error: %s" % (exc,), file=sys.stderr)
         return 2

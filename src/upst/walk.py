@@ -20,7 +20,6 @@ from .spectra import EigenSystem, canonicalize, is_type_ii
 
 PST_ENTRY_TOL = 1e-9
 TIME_AGREEMENT_TOL = 1e-8
-REFINE_XTOL = 1e-10
 DEFAULT_SCAN_STEPS = 10_000
 DETECTION_THRESHOLD = 0.96  # on |U|^2; refinement applies the strict test
 DEGENERACY_TOL = 1e-12
@@ -168,88 +167,54 @@ def _waves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _amplitudes(pvecs: np.ndarray, lam: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Row r of the result is sum_k pvecs[r, k] exp(-i lam_k t[r])."""
-    return _row_dots(pvecs, _waves(t, lam))
-
-
-def _golden_max(pvecs: np.ndarray, lam: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Golden-section search for the maximum of |amp|^2 on [lo[r], hi[r]],
-    every row in lockstep; a row stops once its bracket is REFINE_XTOL wide.
-    Returns the bracket midpoints."""
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo.copy(), hi.copy()
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = np.abs(_amplitudes(pvecs, lam, c)) ** 2
-    fd = np.abs(_amplitudes(pvecs, lam, d)) ** 2
-    while True:
-        live = np.flatnonzero(b - a > REFINE_XTOL)
-        if not live.size:
-            return (a + b) / 2
-        left = fc[live] >= fd[live]
-        lt, rt = live[left], live[~left]
-        b[lt], d[lt], fd[lt] = d[lt], c[lt], fc[lt]
-        c[lt] = b[lt] - invphi * (b[lt] - a[lt])
-        a[rt], c[rt], fc[rt] = c[rt], d[rt], fd[rt]
-        d[rt] = a[rt] + invphi * (b[rt] - a[rt])
-        probe = np.where(left, c[live], d[live])
-        f = np.abs(_amplitudes(pvecs[live], lam, probe)) ** 2
-        fc[lt], fd[rt] = f[left], f[~left]
-
-
-def _polish_peak(
+def _refine_peaks(
     pvecs: np.ndarray, lam: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Newton iterations on d|amp|^2/dt, row by row.  The squared magnitude is
-    flat at a peak, so a bracketing search alone resolves the argmax only to
-    the square root of the float noise; the analytic derivative restores full
-    precision.  A row stops at 12 steps, at non-negative curvature, at a step
-    leaving its bracket, or once the step is below 1e-15 relative.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Peak of |amp|^2 in [lo[r], hi[r]] for every row, starting from t[r]:
+    safeguarded Newton on d|amp|^2/dt, every row in lockstep.  The squared
+    magnitude is flat at a peak, so only the analytic derivative resolves the
+    argmax to full precision.
 
-    Returns the times and a mask of the rows that converged, i.e. stopped on
-    the 1e-15 step; every other row keeps its last iterate inside the bracket.
+    Each step evaluates amp, amp' and amp'' at t in one wave build and shrinks
+    the bracket to the uphill side of t.  It takes the Newton step when the
+    curvature is negative and the step lands inside the bracket, and bisects
+    otherwise.  A row stops once its step is at most 1e-15 max(1, |t|), or
+    after 64 steps.  The scan's bracket is two grid steps h around a grid time
+    t >= h, so even pure bisection reaches that stop in about 51 halvings.
+
+    Returns the last evaluated time of each row, the amplitude there, and the
+    mask of rows that bisected at least once.
     """
     dp = -1j * lam * pvecs
     ddp = -(lam**2) * pvecs
-    t = t.copy()
-    converged = np.zeros(t.size, dtype=bool)
+    t, lo, hi = t.copy(), lo.copy(), hi.copy()
+    t_out = np.empty(t.size)
+    amp = np.empty(t.size, dtype=complex)
+    bisected = np.zeros(t.size, dtype=bool)
     live = np.arange(t.size)
-    for _ in range(12):
+    for _ in range(64):
         if not live.size:
             break
-        waves = _waves(t[live], lam)
+        t_live = t[live]
+        waves = _waves(t_live, lam)
         a = _row_dots(pvecs[live], waves)
         a1 = _row_dots(dp[live], waves)
         a2 = _row_dots(ddp[live], waves)
+        t_out[live], amp[live] = t_live, a
         slope = (a.conjugate() * a1).real
         curvature = (a1.conjugate() * a1 + a.conjugate() * a2).real
-        peaked = curvature < 0
-        live, slope, curvature = live[peaked], slope[peaked], curvature[peaked]
-        t_next = t[live] - slope / curvature
-        inside = (lo[live] <= t_next) & (t_next <= hi[live])
-        live, t_next = live[inside], t_next[inside]
-        done = np.abs(t_next - t[live]) <= 1e-15 * np.maximum(1.0, np.abs(t[live]))
-        t[live] = t_next
-        converged[live[done]] = True
-        live = live[~done]
-    return t, converged
-
-
-def _refine_peaks(
-    pvecs: np.ndarray, lam: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Peak of |amp|^2 in [lo[r], hi[r]] for every row, starting from the grid
-    time t[r].  Newton runs first; a row it does not converge (a step leaving
-    the bracket, curvature >= 0, the step cap) is searched again by golden
-    section to REFINE_XTOL and polished from there.  Returns the times and the
-    mask of rows that took that fallback."""
-    t, converged = _polish_peak(pvecs, lam, t, lo, hi)
-    slow = np.flatnonzero(~converged)
-    if slow.size:
-        pv, lo, hi = pvecs[slow], lo[slow], hi[slow]
-        t[slow] = _polish_peak(pv, lam, _golden_max(pv, lam, lo, hi), lo, hi)[0]
-    return t, ~converged
+        uphill = slope > 0
+        lo[live[uphill]] = t_live[uphill]
+        hi[live[~uphill]] = t_live[~uphill]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_next = t_live - slope / curvature
+        newton = (curvature < 0) & (lo[live] <= t_next) & (t_next <= hi[live])
+        t_next[~newton] = (lo[live[~newton]] + hi[live[~newton]]) / 2
+        bisected[live[~newton]] = True
+        going = np.abs(t_next - t_live) > 1e-15 * np.maximum(1.0, np.abs(t_live))
+        live = live[going]
+        t[live] = t_next[going]
+    return t_out, amp, bisected
 
 
 def _candidate_clusters(
@@ -344,18 +309,18 @@ def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferRepo
 
     Hits form clusters of consecutive grid points per pair.  After each
     block, the clusters that ended inside it are refined in lockstep rounds:
-    round r takes the r-th cluster of every pair still unresolved, starts
-    Newton at the cluster's best grid point inside one step either side
-    (_refine_peaks; golden section to REFINE_XTOL only where Newton does not
-    converge), then applies the |U| >= 1 - PST_ENTRY_TOL test.  A pair that
-    passes takes that time and amplitude, which is its earliest confirmed
-    peak, and leaves the scan.  A cluster that reaches the block's last grid
-    point carries its hits into the next block.
+    round r takes the r-th cluster of every pair still unresolved, refines
+    it from the cluster's best grid point inside one step either side
+    (_refine_peaks), then applies the |U| >= 1 - PST_ENTRY_TOL test to the
+    amplitude at the refined time.  A pair that passes takes that time and
+    amplitude, which is its earliest confirmed peak, and leaves the scan.  A
+    cluster that reaches the block's last grid point carries its hits into
+    the next block.
 
     diagnostics holds the grid step, horizon and number of grid points, and
     integer counts of the pair x time products evaluated, the float32
-    prefilter hits, the float64-confirmed hits, the candidate clusters, and
-    the rows that Newton and the golden-section fallback refined.
+    prefilter hits, the float64-confirmed hits, the candidate clusters, the
+    rows refined, and the rows whose refinement bisected at least once.
 
     Pairs with no confirmed peak keep NaN and are flagged in reasons; a
     degenerate spectrum refuses the extraction outright (every t is a return
@@ -380,7 +345,7 @@ def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferRepo
         "f64_hits": 0,
         "clusters": 0,
         "newton_rows": 0,
-        "golden_rows": 0,
+        "bisect_rows": 0,
     }
     # Row u*n + v of pvecs holds X[v,k] conj(X[u,k]) over k, so that
     # U(t)[v,u] = sum_k pvecs[u*n + v, k] e^{-i lam_k t}.
@@ -414,16 +379,15 @@ def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferRepo
                 batch = todo[first:first + rows]
                 peak_pair, peak = cl_pair[batch], best[batch]
                 pv = pvecs[peak_pair]
-                t_star, fallback = _refine_peaks(
+                t_star, amp, bisected = _refine_peaks(
                     pv, lam, (peak + 1) * step, peak * step, (peak + 2) * step
                 )
-                amp = _amplitudes(pv, lam, t_star)
                 ok = np.abs(amp) >= 1 - PST_ENTRY_TOL
                 flat_times[peak_pair[ok]] = t_star[ok]
                 flat_phases[peak_pair[ok]] = amp[ok]
                 resolved[peak_pair[ok]] = True
                 diagnostics["newton_rows"] += batch.size
-                diagnostics["golden_rows"] += int(np.count_nonzero(fallback))
+                diagnostics["bisect_rows"] += int(np.count_nonzero(bisected))
         still = ~resolved[live]
         if not still.all():
             live, pv32 = live[still], pv32[still]
@@ -440,6 +404,11 @@ def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferRepo
 
 
 def _spacing_structure(min_times: np.ndarray) -> tuple[bool, tuple[int, ...], bool]:
+    """Timing signature of circulants on a complete min_times matrix: order
+    the vertices by transfer time from vertex 0; then every consecutive pair,
+    wrap-around included, transfers in t_{0, order[1]} to TIME_AGREEMENT_TOL.
+    Returns that verdict, the order, and whether the order is free of ties
+    (gaps above TIE_TOL); verify_upst's circulant_timing needs both."""
     n = min_times.shape[0]
     t0 = min_times[0]
     order = [0] + sorted(range(1, n), key=lambda v: t0[v])
@@ -452,23 +421,6 @@ def _spacing_structure(min_times: np.ndarray) -> tuple[bool, tuple[int, ...], bo
         abs(min_times[order[i], order[(i + 1) % n]] - ref) for i in range(n)
     )
     return deviation <= TIME_AGREEMENT_TOL, tuple(order), tie_ok
-
-
-def spacing_test(report: TransferReport) -> bool:
-    """Timing signature of circulants: after ordering vertices by transfer time
-    from vertex 0, every consecutive pair (including the wrap-around) transfers
-    in the same time t_{0, sigma(1)}, to TIME_AGREEMENT_TOL.
-
-    True means the timing is consistent with a circulant relabeling; ties in
-    the ordering (closer than TIE_TOL) void the certification and return
-    False.  Requires a complete min_times matrix.
-    """
-    if not np.all(np.isfinite(report.min_times)):
-        raise ValueError("transfer report is incomplete: scan missed some pairs")
-    if report.n < 2:
-        raise ValueError("spacing needs at least two vertices")
-    verdict, _, tie_ok = _spacing_structure(report.min_times)
-    return bool(verdict and tie_ok)
 
 
 def monomial_check(u_matrix: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -561,9 +513,8 @@ def verify_upst(
     step = period / (scan_steps or DEFAULT_SCAN_STEPS)
     scanned = scan_min_times(es, horizon=1.25 * period, step=step)
     min_times = scanned.min_times
-    complete = bool(np.all(np.isfinite(min_times)))
-    if not complete:
-        reasons.append("scan-missing-pairs")
+    reasons.extend(scanned.reasons)
+    complete = not scanned.reasons
     agree = complete and float(np.max(np.abs(min_times[0, :] - times))) <= TIME_AGREEMENT_TOL
     if complete and not agree:
         reasons.append("analytic-scan-disagreement")

@@ -36,7 +36,6 @@ from upst.walk import (
     denseness_check,
     monomial_check,
     scan_min_times,
-    spacing_test,
     unitary_at,
     verify_upst,
 )
@@ -145,12 +144,12 @@ def test_criterion_4_transfer_time_spacing(certified):
     entries, _ = certified
     for name, e in entries.items():
         if e["kind"] == "circulant":
-            assert spacing_test(e["report"]) is True, name
+            assert e["report"].circulant_timing is True, name
     for abb in THM_PARAMS:
         a, b, beta = abb
         e = entries["thm_%d_%d_%d" % abb]
         report = e["report"]
-        assert spacing_test(report) is False, abb
+        assert report.circulant_timing is False, abb
         bn = beta * a * b
         t1 = report.min_times[0, 1]
         assert abs(t1 - TWO_PI / bn) <= 1e-8, abb

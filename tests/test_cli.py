@@ -162,6 +162,30 @@ def test_verify_table_output(tmp_path, capsys):
     assert "return period:" in out
 
 
+def test_verify_table_prints_scan_diagnostics(tmp_path, capsys):
+    path = generate(tmp_path, capsys, ND6_DESC, "nd6.json")
+    code, out, _ = run(["verify", path], capsys)
+    expected = json.loads(out)["report"]["diagnostics"]
+    code, out, _ = run(["verify", path, "--format", "table"], capsys)
+    assert code == 0
+    lines = [line for line in out.splitlines() if line.startswith("diagnostics:")]
+    assert len(lines) == 1
+    fields = dict(item.split("=") for item in lines[0].split()[1:])
+    assert list(fields) == list(expected)
+    assert fields["grid_step"] == "%.15g" % expected["grid_step"]
+    assert fields["grid_points"] == "12500"
+    assert fields["newton_rows"] == str(expected["newton_rows"])
+    assert fields["bisect_rows"] == "0"
+    # no scan ran on a graph whose diagonalizer is not flat
+    p3 = [[[0, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [1, 0]], [[0, 0], [1, 0], [0, 0]]]
+    bare = tmp_path / "p3.json"
+    bare.write_text(json.dumps(p3))
+    code, out, _ = run(["verify", str(bare), "--format", "table"], capsys)
+    assert code == 1
+    assert "reasons: diagonalizer-not-flat" in out
+    assert "diagnostics:" not in out
+
+
 def test_verify_certifies_bare_matrix_inputs(tmp_path, capsys):
     # path graph on three vertices: eigenvector weights are not flat
     p3 = [
@@ -325,6 +349,17 @@ def test_scan_density_env_override(tmp_path, capsys, monkeypatch):
     assert run(["verify", path], capsys)[0] == 2
     monkeypatch.setenv("UPST_SCAN_STEPS", "4000")
     assert run(["verify", path], capsys)[0] == 0
+
+
+def test_scan_density_env_is_read_only_where_a_scan_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("UPST_SCAN_STEPS", "abc")
+    path = generate(tmp_path, capsys, ND6_DESC, "nd6.json")
+    for checks in ("typeii", "typeii,connectivity"):
+        assert run(["verify", path, "--checks", checks], capsys)[0] == 0
+    for argv in (["verify", path, "--checks", "typeii,spacing"], ["times", path]):
+        code, _, err = run(argv, capsys)
+        assert code == 2
+        assert "UPST_SCAN_STEPS" in err
 
 
 # -------------------------------------------------------------------- times

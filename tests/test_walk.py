@@ -35,20 +35,17 @@ from upst.walk import (
     DETECTION_THRESHOLD,
     GRID_SLACK,
     PST_ENTRY_TOL,
-    TransferReport,
     analytic_pst_times,
     analytic_return_period,
     denseness_check,
     monomial_check,
     scan_min_times,
-    spacing_test,
     unitary_at,
     verify_upst,
     _block_hits,
     _f32_mag2,
-    _golden_max,
-    _polish_peak,
     _refine_peaks,
+    _spacing_structure,
     _waves,
 )
 
@@ -303,7 +300,7 @@ def test_scan_diagnostics_count_the_work():
     assert d["pair_time_products"] < es.n**2 * DEFAULT_SCAN_STEPS
     assert d["f32_hits"] >= d["f64_hits"] > 0
     assert d["clusters"] >= d["newton_rows"] >= es.n**2
-    assert d["golden_rows"] == 0
+    assert d["bisect_rows"] == 0
     counters = {k: v for k, v in d.items() if k not in ("grid_step", "horizon")}
     assert all(type(v) is int for v in counters.values())
 
@@ -349,7 +346,7 @@ def test_float32_prefilter_keeps_the_float64_hit_set():
         assert survivors >= pair.size
 
 
-def test_newton_falls_back_to_golden_section():
+def test_refinement_bisects_where_newton_cannot_step():
     # levels 0 and 1 with equal weights: |amp|^2 = (1 + cos t)/2 peaks at
     # 2 pi.  Row 0 starts where the curvature is positive, row 1's first
     # Newton step lands past its bracket, row 2 converges from its start
@@ -359,13 +356,56 @@ def test_newton_falls_back_to_golden_section():
     t0 = peak + np.array([-1.8, -1.2, 0.3])
     lo = peak + np.array([-3.8, -2.5, -0.2])
     hi = peak + np.array([0.2, 0.1, 0.8])
-    t, fallback = _refine_peaks(pv, lam, t0, lo, hi)
-    assert fallback.tolist() == [True, True, False]
-    slow = slice(0, 2)
-    golden = _golden_max(pv[slow], lam, lo[slow], hi[slow])
-    reference = _polish_peak(pv[slow], lam, golden, lo[slow], hi[slow])[0]
-    assert np.max(np.abs(t[slow] - reference)) <= 1e-12
+    t, amp, bisected = _refine_peaks(pv, lam, t0, lo, hi)
+    assert bisected.tolist() == [True, True, False]
     assert np.max(np.abs(t - peak)) <= 1e-12
+    assert np.max(np.abs(np.abs(amp) - 1)) <= 1e-15
+
+
+def certified_eigensystem(kind, size, seed):
+    """A Fourier (integer spectrum, scaled) or flat-family eigensystem with its
+    vertices permuted and random eigenvector phases, and the transfer times
+    from the vertex that was 0 before relabelling: (es, source, times), with
+    times[v] the analytic time of the pair (source, v)."""
+    rng = np.random.default_rng(seed)
+    if kind == "fourier":
+        base = EigenSystem(
+            n=size, X=fourier_matrix(size), lambdas=10.0 ** rng.uniform(-1, 1) * np.arange(size)
+        )
+    else:
+        base = noncirculant_graph(NoncirculantParams(*size))[1]
+    n = base.n
+    perm = rng.permutation(n)
+    x = base.X[perm, :] * np.exp(1j * rng.uniform(0, TWO_PI, size=n))
+    es = EigenSystem(n=n, X=x, lambdas=base.lambdas)
+    source = int(np.flatnonzero(perm == 0)[0])
+    return es, source, analytic_pst_times(base)[perm]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.just("fourier"), st.sampled_from([2, 3, 5, 8])),
+        st.tuples(st.just("flat"), st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 2, 3), (4, 4, 2)])),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_refinement_finds_certified_peaks_from_anywhere_in_the_bracket(case, seed):
+    # the scan brackets a peak within one grid step h either side of a grid
+    # point; from any start in any bracket of width <= 2 h around the true
+    # time, refinement returns that time and the walk's amplitude there
+    es, u, times = certified_eigensystem(*case, seed)
+    n = es.n
+    h = analytic_return_period(es) / DEFAULT_SCAN_STEPS
+    rng = np.random.default_rng(seed)
+    lo = times - h * rng.uniform(0, 1, size=n)
+    hi = times + h * rng.uniform(0, 1, size=n)
+    t0 = lo + (hi - lo) * rng.uniform(0, 1, size=n)
+    pv = pair_vectors(es.X)[u * n + np.arange(n)]
+    t, amp, _ = _refine_peaks(pv, es.lambdas, t0, lo, hi)
+    assert np.max(np.abs(t - times)) <= 1e-12
+    for v in range(n):
+        assert abs(amp[v] - unitary_at(es, t[v])[v, u]) <= 1e-12
 
 
 # ------------------------------------------------------------ certification
@@ -452,29 +492,19 @@ def test_certification_rejects_repeated_eigenvalues():
 def test_spacing_signature_of_circulants(circ3, nd6):
     for spec in (circ3, nd6):
         report = verify_upst(circulant_to_graph(spec), circulant_eigensystem(spec))
-        assert spacing_test(report) is True
+        assert report.circulant_timing is True
 
 
 def test_spacing_breaks_for_flat_construction():
     g, es = noncirculant_graph(NoncirculantParams(2, 2, 3))
     report = verify_upst(g, es)
-    assert spacing_test(report) is False
+    assert report.circulant_timing is False
     # proof values: consecutive gaps 2 pi/(beta n) vs 2 pi((beta-1)a+1)/(beta n)
     a, beta, n = 2, 3, 4
     times = report.analytic_times
     assert abs(times[1] - TWO_PI / (beta * n)) < 1e-8
     gap_at_a = times[a] - times[a - 1]
     assert abs(gap_at_a - TWO_PI * ((beta - 1) * a + 1) / (beta * n)) < 1e-8
-
-
-def test_spacing_requires_complete_report():
-    incomplete = TransferReport(
-        n=2,
-        min_times=np.array([[np.nan, 1.0], [1.0, 2.0]]),
-        phases=np.zeros((2, 2), dtype=complex),
-    )
-    with pytest.raises(ValueError):
-        spacing_test(incomplete)
 
 
 def test_spacing_rejects_tied_orderings():
@@ -486,8 +516,9 @@ def test_spacing_rejects_tied_orderings():
             [t, t + 1e-12, 3.0],
         ]
     )
-    tied = TransferReport(n=3, min_times=min_times, phases=np.ones((3, 3), dtype=complex))
-    assert spacing_test(tied) is False
+    _, order, tie_ok = _spacing_structure(min_times)
+    assert tie_ok is False
+    assert order == (0, 1, 2)
 
 
 # ---------------------------------------------------------------- monomial
