@@ -26,6 +26,10 @@ DEGENERACY_TOL = 1e-12
 TIE_TOL = 1e-10
 GRID_BLOCK = 2**18  # pair x time elements per grid block
 GRID_SLACK = 2.0**-12  # bound on the float32 grid's |U|^2 error, see scan_min_times
+# Pair rows p_m, p_r with max_k |p_m,k - s p_r,k| <= CLASS_TOL for a unit s
+# share one scanned curve: |U_m(t) - s U_r(t)| <= n CLASS_TOL for all t.
+CLASS_TOL = 1e-12
+WAVE_CHUNK = 64  # grid points per head of the chunked grid waves
 REFINE_BLOCK = 2**16  # pair x eigenvalue elements per refinement batch
 
 TWO_PI = 2 * math.pi
@@ -103,7 +107,7 @@ def analytic_pst_times(es: EigenSystem) -> Optional[np.ndarray]:
     For each target l, the smallest t > 0 with (lambda_k - lambda_0) t
     congruent to alpha[l][k] mod 2 pi for every k, to TIME_AGREEMENT_TOL.
     Candidates come from the k = 1 congruence and are checked against the
-    rest within one return period; returns None as soon as some l admits no
+    rest within one return period; returns None when some l admits no
     solution.  Requires the canonical form (first row/column of X equal to
     1/sqrt(n)).
     """
@@ -119,32 +123,22 @@ def analytic_pst_times(es: EigenSystem) -> Optional[np.ndarray]:
     period = analytic_return_period(es)
     if period is None:
         return None
-    times = np.empty(n)
-    for l in range(n):
-        t = _solve_phase_congruences(d, alpha[l], period)
-        if t is None:
-            return None
-        times[l] = t
-    return times
-
-
-def _solve_phase_congruences(
-    d: np.ndarray, alpha_row: np.ndarray, period: float
-) -> Optional[float]:
-    d1 = d[1]
-    a1 = alpha_row[1]
-    bounds = sorted(((0.0 * d1 - a1) / TWO_PI, (period * d1 - a1) / TWO_PI))
-    lo = math.floor(bounds[0]) - 1
-    hi = math.ceil(bounds[1]) + 1
+    # the k = 1 candidates t = (alpha[l][1] + 2 pi j)/d_1 of every l at once,
+    # in increasing t, in batches of REFINE_BLOCK elements
+    a1 = alpha[:, 1:2]
+    ends = np.concatenate((-a1, period * d[1] - a1)) / TWO_PI
+    j = np.arange(math.floor(ends.min()) - 1, math.ceil(ends.max()) + 2, dtype=float)
+    j = j if d[1] > 0 else j[::-1]
     eps = 1e-12 * period
-    candidates = sorted(
-        t
-        for t in ((a1 + TWO_PI * j) / d1 for j in range(lo, hi + 1))
-        if eps < t <= period + eps
-    )
-    for t in candidates:
-        if np.max(_angle_distance(d * t - alpha_row)) <= TIME_AGREEMENT_TOL:
-            return float(t)
+    times = np.full(n, np.inf)
+    batch = max(1, REFINE_BLOCK // n**2)
+    for first in range(0, j.size, batch):
+        t = (a1 + TWO_PI * j[first:first + batch]) / d[1]
+        distance = _angle_distance(t[:, :, np.newaxis] * d - alpha[:, np.newaxis, :])
+        fits = (eps < t) & (t <= period + eps) & (distance.max(axis=2) <= TIME_AGREEMENT_TOL)
+        times = np.minimum(times, np.min(np.where(fits, t, np.inf), axis=1))
+        if np.all(times < np.inf):
+            return times
     return None
 
 
@@ -218,22 +212,22 @@ def _refine_peaks(
 
 
 def _candidate_clusters(
-    pair: np.ndarray, index: np.ndarray, mag2: np.ndarray, n: int, open_at: int
+    row: np.ndarray, index: np.ndarray, mag2: np.ndarray, diagonal: np.ndarray, open_at: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Group grid hits into runs of consecutive grid indices per pair.
+    """Group grid hits into runs of consecutive grid indices per scanned row.
 
-    Returns, per closed cluster in (pair, time) order: the flat pair u*n + v,
-    the grid index of its largest stored |U|^2 (the earliest on a tie) and its
-    rank among the pair's closed clusters; then the hits (pair, index, mag2)
-    of the clusters whose last hit is at grid index open_at (-1 for none),
-    which may go on past it and are left out of the rest.  The t -> 0 cluster of each u == v
-    pair is the shoulder of the identity, not a return, and is dropped.
+    Returns, per closed cluster in (row, time) order: the row, the grid index
+    of its largest stored |U|^2 (the earliest on a tie) and its rank among the
+    row's closed clusters; then the hits (row, index, mag2) of the clusters
+    whose last hit is at grid index open_at (-1 for none), which may go on
+    past it and are left out of the rest.  The t -> 0 cluster of a row marked
+    in diagonal (u == v) is the identity's shoulder, not a return: dropped.
     """
-    order = np.lexsort((index, pair))
-    pair, index, mag2 = pair[order], index[order], mag2[order]
-    opens = np.ones(pair.size, dtype=bool)
-    opens[1:] = (pair[1:] != pair[:-1]) | (index[1:] != index[:-1] + 1)
-    closes = np.ones(pair.size, dtype=bool)
+    order = np.lexsort((index, row))
+    row, index, mag2 = row[order], index[order], mag2[order]
+    opens = np.ones(row.size, dtype=bool)
+    opens[1:] = (row[1:] != row[:-1]) | (index[1:] != index[:-1] + 1)
+    closes = np.ones(row.size, dtype=bool)
     closes[:-1] = opens[1:]
     starts = np.flatnonzero(opens)
     cluster = np.cumsum(opens) - 1
@@ -241,16 +235,16 @@ def _candidate_clusters(
     carry = still_open[cluster]
     at_peak = np.flatnonzero(mag2 == np.maximum.reduceat(mag2, starts)[cluster])
     best = index[at_peak[np.unique(cluster[at_peak], return_index=True)[1]]]
-    cl_pair = pair[starts]
-    keep = ((cl_pair // n != cl_pair % n) | (index[starts] != 0)) & ~still_open
-    cl_pair, best = cl_pair[keep], best[keep]
-    rank = np.arange(cl_pair.size) - np.searchsorted(cl_pair, cl_pair)
-    return cl_pair, best, rank, (pair[carry], index[carry], mag2[carry])
+    cl_row = row[starts]
+    keep = (~diagonal[cl_row] | (index[starts] != 0)) & ~still_open
+    cl_row, best = cl_row[keep], best[keep]
+    rank = np.arange(cl_row.size) - np.searchsorted(cl_row, cl_row)
+    return cl_row, best, rank, (row[carry], index[carry], mag2[carry])
 
 
 def _f32_mag2(pv32: np.ndarray, waves: np.ndarray) -> np.ndarray:
     """|U|^2 of one grid block in single precision: pv32 @ waves^T with the
-    float64 waves rounded to complex64.  Row r, column j is the pair pv32[r]
+    float64 waves rounded to complex64.  Row r, column j is the curve pv32[r]
     at the time of waves[j]."""
     amp = pv32 @ waves.astype(np.complex64).T
     mag2 = np.square(amp.real)
@@ -261,68 +255,174 @@ def _f32_mag2(pv32: np.ndarray, waves: np.ndarray) -> np.ndarray:
 def _block_hits(
     pvecs: np.ndarray, pv32: np.ndarray, live: np.ndarray, waves: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Hits of one grid block.  pv32 holds the complex64 rows of the flat
-    pairs live, waves the block's float64 waves (one row per time point).
-    Every point the float32 grid puts within GRID_SLACK of the threshold is
-    recomputed in float64 from waves, by row dots in batches of REFINE_BLOCK
-    elements.  Returns the flat pair, the time index in the block and the
-    float64 |U|^2 of the points with |U|^2 >= DETECTION_THRESHOLD, and the
-    number of float32 prefilter survivors."""
+    """Hits of one grid block: pv32 holds complex64 copies of the rows live of
+    pvecs, waves the block's float64 waves, one row per time point.  Points
+    the float32 grid puts within GRID_SLACK of the threshold are redone in
+    float64, by row dots in batches of REFINE_BLOCK elements.  Returns the row
+    of pvecs, the block time index and the float64 |U|^2 of the points with
+    |U|^2 >= DETECTION_THRESHOLD, and the float32 survivor count."""
     row, w = np.divmod(
         np.flatnonzero(_f32_mag2(pv32, waves) >= DETECTION_THRESHOLD - GRID_SLACK),
         waves.shape[0],
     )
-    pair = live[row]
-    amp = np.empty(pair.size, dtype=complex)
+    row = live[row]
+    amp = np.empty(row.size, dtype=complex)
     rows = max(1, REFINE_BLOCK // pvecs.shape[1])
-    for first in range(0, pair.size, rows):
+    for first in range(0, row.size, rows):
         part = slice(first, first + rows)
-        amp[part] = _row_dots(pvecs[pair[part]], waves[w[part]])
+        amp[part] = _row_dots(pvecs[row[part]], waves[w[part]])
     mag2 = np.square(amp.real)
     mag2 += np.square(amp.imag)
     hit = mag2 >= DETECTION_THRESHOLD
-    return pair[hit], w[hit], mag2[hit], pair.size
+    return row[hit], w[hit], mag2[hit], row.size
+
+
+def _grid_waves(
+    base: np.ndarray, lam: np.ndarray, step: float, start: int, stop: int
+) -> np.ndarray:
+    """Waves of the grid indices start .. stop - 1, index j at time (j + 1) step:
+    head[j // WAVE_CHUNK] * base[j % WAVE_CHUNK], with head c the wave at time
+    c WAVE_CHUNK step and base the first WAVE_CHUNK grid waves.  A wave so
+    depends only on its index, never on the block that asks for it."""
+    head = start // WAVE_CHUNK
+    heads = _waves(np.arange(head, (stop - 1) // WAVE_CHUNK + 1) * WAVE_CHUNK * step, lam)
+    waves = (heads[:, np.newaxis, :] * base).reshape(-1, lam.size)
+    return waves[start - head * WAVE_CHUNK:stop - head * WAVE_CHUNK]
+
+
+def _pair_rows(x: np.ndarray, flat: np.ndarray) -> np.ndarray:
+    """Row X[v,k] conj(X[u,k]) over k of each flat pair u*n + v, so that
+    U(t)[v,u] = sum_k row[k] e^{-i lam_k t}."""
+    u, v = np.divmod(flat, x.shape[0])
+    return x[v] * x.conj()[u]
+
+
+def _pair_classes(x: np.ndarray) -> np.ndarray:
+    """rep_of[f]: the flat pair whose curve is scanned for flat pair f.
+
+    rep_of[r] == r for every scanned pair.  Pairs are keyed by u == v and by
+    the rounded |K[v,u]|, K = (X diag(r)) X^dagger, for two fixed complex
+    vectors r (real ones would give p_uv and p_vu = conj(p_uv) one key).  In
+    a run of equal keys, pair m joins the class of the run's first pair f
+    only if max_k |p_m,k - s p_f,k| <= CLASS_TOL, s = <p_f, p_m>/|<p_f, p_m>|,
+    and is scanned on its own otherwise: a rounding edge costs work, never
+    correctness.  Rows are built from X in batches of REFINE_BLOCK elements;
+    no n^3 array is formed.
+    """
+    n = x.shape[0]
+    flat = np.arange(n * n)
+    r = np.exp(1j * np.random.default_rng(0).uniform(0, TWO_PI, size=(2, 1, n)))
+    # |K| <= 1; keys of rows CLASS_TOL apart differ by <= n CLASS_TOL << 1e-9
+    keys = np.rint(np.abs((x * r) @ x.conj().T).transpose(0, 2, 1).reshape(2, -1) * 1e9)
+    keys = np.vstack((keys, flat // n == flat % n))
+    order = np.lexsort(keys)
+    opens = np.ones(n * n, dtype=bool)
+    opens[1:] = np.any(np.diff(keys[:, order], axis=1) != 0, axis=0)
+    member, first = order[~opens], order[opens][np.cumsum(opens) - 1][~opens]
+    rep_of = flat.copy()
+    rows = max(1, REFINE_BLOCK // n)
+    for lo in range(0, member.size, rows):
+        m, f = member[lo:lo + rows], first[lo:lo + rows]
+        pm, pf = _pair_rows(x, m), _pair_rows(x, f)
+        s = np.exp(1j * np.angle(_row_dots(pf.conj(), pm)))
+        joins = np.max(np.abs(pm - s[:, np.newaxis] * pf), axis=1) <= CLASS_TOL
+        rep_of[m[joins]] = f[joins]
+    return rep_of
+
+
+def _scan_pairs(
+    x: np.ndarray, pairs: np.ndarray, lam: np.ndarray, nsteps: int, step: float, diagnostics: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """One-pass grid scan of |U(t)[v][u]| for the given flat pairs at grid
+    index j < nsteps, time (j + 1) step: each pair's earliest confirmed peak
+    time (NaN for none) and amplitude (0 for none).  Adds to diagnostics.
+
+    After each block (waves from _grid_waves), round r refines the r-th
+    cluster of hits of every pair still unresolved from its best grid point,
+    within one step either side (_refine_peaks); a pair whose refined
+    |U| >= 1 - PST_ENTRY_TOL takes that time and leaves.  A cluster at the
+    block's last point carries over.
+    """
+    n = lam.size
+    pvecs = _pair_rows(x, pairs)
+    diagonal = pairs // n == pairs % n
+    times = np.full(pairs.size, np.nan)
+    amps = np.zeros(pairs.size, dtype=complex)
+    live = np.arange(pairs.size)  # rows of pvecs still unresolved, rows of pv32
+    pv32 = pvecs.astype(np.complex64)
+    carried = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
+    base = _waves((np.arange(WAVE_CHUNK) + 1) * step, lam)
+    rows = max(1, REFINE_BLOCK // n)
+    start = 0
+    while start < nsteps and live.size:
+        stop = min(nsteps, start + max(1, GRID_BLOCK // max(live.size, n)))
+        waves = _grid_waves(base, lam, step, start, stop)
+        row, w, mag2, survivors = _block_hits(pvecs, pv32, live, waves)
+        diagnostics["pair_time_products"] += live.size * (stop - start)
+        diagnostics["f32_hits"] += survivors
+        diagnostics["f64_hits"] += row.size
+        cl_row, best, rank, carried = _candidate_clusters(
+            np.concatenate((carried[0], row)),
+            np.concatenate((carried[1], start + w)),
+            np.concatenate((carried[2], mag2)),
+            diagonal,
+            stop - 1 if stop < nsteps else -1,
+        )
+        diagnostics["clusters"] += cl_row.size
+        for r in range(int(rank.max(initial=-1)) + 1):
+            todo = np.flatnonzero((rank == r) & np.isnan(times[cl_row]))
+            for first in range(0, todo.size, rows):
+                batch = todo[first:first + rows]
+                peak_row, peak = cl_row[batch], best[batch]
+                t_star, amp, bisected = _refine_peaks(
+                    pvecs[peak_row], lam, (peak + 1) * step, peak * step, (peak + 2) * step
+                )
+                ok = np.abs(amp) >= 1 - PST_ENTRY_TOL
+                times[peak_row[ok]] = t_star[ok]
+                amps[peak_row[ok]] = amp[ok]
+                diagnostics["newton_rows"] += batch.size
+                diagnostics["bisect_rows"] += int(np.count_nonzero(bisected))
+        still = np.isnan(times[live])
+        if not still.all():
+            live, pv32 = live[still], pv32[still]
+            going = np.isnan(times[carried[0]])
+            carried = tuple(a[going] for a in carried)
+        start = stop
+    return times, amps
 
 
 def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferReport:
     """Grid scan of |U(t)[v][u]| for every ordered pair at t = step, 2 step,
     ... up to horizon, in one pass in time order.  The caller sizes the grid
-    (verify_upst derives both from the return period), so the report leaves
-    return_period unset.
+    (verify_upst from the return period), so return_period stays unset.
 
-    The grid is walked in blocks of GRID_BLOCK // max(live pairs, n) time
-    points, so neither the pairs x time amplitudes nor the n x time waves of
-    a block outgrow GRID_BLOCK elements.  Each block is evaluated in
-    complex64 as a prefilter: every point with |U|^2 >= DETECTION_THRESHOLD -
-    GRID_SLACK is recomputed in float64 from the block's float64 waves, and
-    the points with |U|^2 >= DETECTION_THRESHOLD there are the hits, with
-    the float64 magnitudes a float64 grid would give.
+    Pairs whose rows p_uv,k = X[v,k] conj(X[u,k]) agree up to a unit scalar s
+    share one curve, and the grid scans one curve per class (_pair_classes,
+    _scan_pairs).  Each other member m of a class r takes the class's time;
+    its own amplitude there must pass the same |amp| >= 1 - PST_ENTRY_TOL
+    test, or m is scanned again as its own class.  |U_m(t) - s U_r(t)| <=
+    sum_k |p_m,k - s p_r,k| <= n CLASS_TOL for all t.
 
-    GRID_SLACK bounds the float32 error.  The waves are formed in float64 and
-    rounded, so every factor carries a relative error of at most u = 2^-24,
-    and sum_k |X[v,k] X[u,k]| <= 1 by Cauchy-Schwarz.  A complex64 dot
-    product then errs by at most about (n + 4) u if it sums complex terms,
-    and by at most about 2 sqrt(2) (n + 1) u if it accumulates the 2n real
-    products of each component.  |U|^2 <= 1 moves by at most twice the dot's
-    error, plus about 3 u from squaring.  GRID_SLACK = 2^-12 covers the
-    larger bound for every n <= 700 (pvecs alone is 5.5 GB there).
+    The grid is walked in blocks of GRID_BLOCK // max(live classes, n) time
+    points, so the classes x time amplitudes and the n x time waves (plus at
+    most two chunks) of a block stay within GRID_BLOCK elements.  A complex64
+    prefilter keeps each point with |U|^2 >= DETECTION_THRESHOLD - GRID_SLACK
+    for a float64 recheck, so clustering sees the hits of a float64 grid.
+    GRID_SLACK bounds the float32 error.  Each wave is formed in float64, as
+    a product of two unit complex numbers a few ulps off, and rounded, so
+    every factor errs by at most about u = 2^-24 relative; and sum_k
+    |X[v,k] X[u,k]| <= 1 by Cauchy-Schwarz.  A complex64 dot then errs by at
+    most about (n + 4) u summing complex terms, or 2 sqrt(2) (n + 1) u
+    accumulating the 2n real products of each component.  |U|^2 <= 1 moves
+    by at most twice that, plus about 3 u from squaring: below 2^-12 for
+    every n <= 700.
 
-    Hits form clusters of consecutive grid points per pair.  After each
-    block, the clusters that ended inside it are refined in lockstep rounds:
-    round r takes the r-th cluster of every pair still unresolved, refines
-    it from the cluster's best grid point inside one step either side
-    (_refine_peaks), then applies the |U| >= 1 - PST_ENTRY_TOL test to the
-    amplitude at the refined time.  A pair that passes takes that time and
-    amplitude, which is its earliest confirmed peak, and leaves the scan.  A
-    cluster that reaches the block's last grid point carries its hits into
-    the next block.
-
-    diagnostics holds the grid step, horizon and number of grid points, and
-    integer counts of the pair x time products evaluated, the float32
-    prefilter hits, the float64-confirmed hits, the candidate clusters, the
-    rows refined, and the rows whose refinement bisected at least once.
-
-    Pairs with no confirmed peak keep NaN and are flagged in reasons; a
+    diagnostics holds grid_step, horizon, grid_points and integer work
+    counts: classes (rescans included), members (pairs that took their
+    class's time), member_rescans, pair_time_products (class x time points),
+    f32_hits, f64_hits, clusters, newton_rows and bisect_rows; classes +
+    members is n^2 on a complete scan.  Pairs with no confirmed peak (all
+    pairs of a class that has none) keep NaN and are flagged in reasons; a
     degenerate spectrum refuses the extraction outright (every t is a return
     time).
     """
@@ -336,69 +436,41 @@ def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferRepo
             n=n, min_times=min_times, phases=phases, reasons=("degenerate-spectrum",)
         )
     nsteps = max(0, int(math.ceil(horizon / step)))
-    diagnostics = {
-        "grid_step": float(step),
-        "horizon": float(horizon),
-        "grid_points": nsteps,
-        "pair_time_products": 0,
-        "f32_hits": 0,
-        "f64_hits": 0,
-        "clusters": 0,
-        "newton_rows": 0,
-        "bisect_rows": 0,
-    }
-    # Row u*n + v of pvecs holds X[v,k] conj(X[u,k]) over k, so that
-    # U(t)[v,u] = sum_k pvecs[u*n + v, k] e^{-i lam_k t}.
-    pvecs = (es.X[np.newaxis, :, :] * es.X.conj()[:, np.newaxis, :]).reshape(n * n, n)
-    live = np.arange(n * n)  # flat pairs still unresolved, rows of pv32
-    pv32 = pvecs.astype(np.complex64)
-    flat_times = min_times.reshape(-1)
-    flat_phases = phases.reshape(-1)
-    resolved = np.zeros(n * n, dtype=bool)
-    carried = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
+    diagnostics = {"grid_step": float(step), "horizon": float(horizon), "grid_points": nsteps}
+    diagnostics.update(dict.fromkeys((
+        "classes", "members", "member_rescans", "pair_time_products", "f32_hits", "f64_hits",
+        "clusters", "newton_rows", "bisect_rows"), 0))
+    flat_times, flat_phases = min_times.reshape(-1), phases.reshape(-1)
+    flat = np.arange(n * n)
+    rep_of = _pair_classes(es.X)
+    reps = flat[rep_of == flat]
+    t_class = _scan_pairs(es.X, reps, lam, nsteps, step, diagnostics)[0]
+    found = ~np.isnan(t_class)
+    # each pair of a resolved class, its first too, is tested by its own row
+    cls = np.searchsorted(reps, rep_of)
+    pairs, cls = flat[found[cls]], cls[found[cls]]
+    class_waves = _waves(np.where(found, t_class, 0.0), lam)
+    amp = np.empty(pairs.size, dtype=complex)
     rows = max(1, REFINE_BLOCK // n)
-    start = 0
-    while start < nsteps and live.size:
-        stop = min(nsteps, start + max(1, GRID_BLOCK // max(live.size, n)))
-        waves = _waves((np.arange(start, stop) + 1) * step, lam)
-        pair, w, mag2, survivors = _block_hits(pvecs, pv32, live, waves)
-        diagnostics["pair_time_products"] += live.size * (stop - start)
-        diagnostics["f32_hits"] += survivors
-        diagnostics["f64_hits"] += pair.size
-        cl_pair, best, rank, carried = _candidate_clusters(
-            np.concatenate((carried[0], pair)),
-            np.concatenate((carried[1], start + w)),
-            np.concatenate((carried[2], mag2)),
-            n,
-            stop - 1 if stop < nsteps else -1,
+    for first in range(0, pairs.size, rows):
+        part = slice(first, first + rows)
+        amp[part] = _row_dots(_pair_rows(es.X, pairs[part]), class_waves[cls[part]])
+    ok = np.abs(amp) >= 1 - PST_ENTRY_TOL
+    flat_times[pairs[ok]] = t_class[cls[ok]]
+    flat_phases[pairs[ok]] = amp[ok]
+    rescan = pairs[~ok]
+    if rescan.size:
+        flat_times[rescan], flat_phases[rescan] = _scan_pairs(
+            es.X, rescan, lam, nsteps, step, diagnostics
         )
-        diagnostics["clusters"] += cl_pair.size
-        for r in range(int(rank.max(initial=-1)) + 1):
-            todo = np.flatnonzero((rank == r) & ~resolved[cl_pair])
-            for first in range(0, todo.size, rows):
-                batch = todo[first:first + rows]
-                peak_pair, peak = cl_pair[batch], best[batch]
-                pv = pvecs[peak_pair]
-                t_star, amp, bisected = _refine_peaks(
-                    pv, lam, (peak + 1) * step, peak * step, (peak + 2) * step
-                )
-                ok = np.abs(amp) >= 1 - PST_ENTRY_TOL
-                flat_times[peak_pair[ok]] = t_star[ok]
-                flat_phases[peak_pair[ok]] = amp[ok]
-                resolved[peak_pair[ok]] = True
-                diagnostics["newton_rows"] += batch.size
-                diagnostics["bisect_rows"] += int(np.count_nonzero(bisected))
-        still = ~resolved[live]
-        if not still.all():
-            live, pv32 = live[still], pv32[still]
-            going = ~resolved[carried[0]]
-            carried = tuple(a[going] for a in carried)
-        start = stop
+    diagnostics["classes"] = reps.size + rescan.size
+    diagnostics["members"] = pairs.size - rescan.size - int(np.count_nonzero(found))
+    diagnostics["member_rescans"] = rescan.size
     return TransferReport(
         n=n,
         min_times=min_times,
         phases=phases,
-        reasons=() if resolved.all() else ("scan-missing-pairs",),
+        reasons=("scan-missing-pairs",) if np.isnan(min_times).any() else (),
         diagnostics=diagnostics,
     )
 
@@ -467,8 +539,9 @@ def verify_upst(
     -> analytic transfer times -> numeric spot confirmation -> full scan.
     upst is True only when the analytic solution exists, every analytic time
     is confirmed by the walk operator, the scan finds a first-passage time for
-    every ordered pair, and analytic and scanned times for vertex 0 agree to
-    TIME_AGREEMENT_TOL.  Failures come back as False verdicts with reason
+    every ordered pair, analytic and scanned times for vertex 0 agree to
+    TIME_AGREEMENT_TOL, and so do t_uv + t_vu and the return period for every
+    u != v (time reversal).  Failures come back as False verdicts with reason
     codes, not exceptions.
     """
     n = es.n
@@ -519,6 +592,12 @@ def verify_upst(
     if complete and not agree:
         reasons.append("analytic-scan-disagreement")
     upst = bool(confirmed and complete and agree)
+    # time reversal: U(P - t) = e^{-i lambda_0 P} U(t)^dagger, so with a flat X
+    # t_vu = P - t_uv for u != v, a check on all n^2 scanned times
+    reversal = np.abs(min_times + min_times.T - period)[~np.eye(n, dtype=bool)]
+    if upst and float(np.max(reversal)) > TIME_AGREEMENT_TOL:
+        upst = False
+        reasons.append("time-reversal-violation")
 
     circulant_timing = None
     spacing_order = None

@@ -130,7 +130,10 @@ def test_verify_passes_every_check_on_dense_circulant(tmp_path, capsys):
     assert doc["report"]["reasons"] == []
     diagnostics = doc["report"]["diagnostics"]
     assert diagnostics["grid_points"] == 12500
-    assert diagnostics["newton_rows"] >= 9
+    # a circulant has one curve per difference v - u
+    assert diagnostics["classes"] == 3
+    assert diagnostics["classes"] + diagnostics["members"] == 9
+    assert diagnostics["newton_rows"] >= diagnostics["classes"]
 
 
 def test_verify_fails_denseness_of_sparse_family(tmp_path, capsys):

@@ -31,10 +31,13 @@ from upst.constructors import (
 )
 from upst import walk
 from upst.walk import (
+    CLASS_TOL,
     DEFAULT_SCAN_STEPS,
     DETECTION_THRESHOLD,
     GRID_SLACK,
     PST_ENTRY_TOL,
+    TIME_AGREEMENT_TOL,
+    WAVE_CHUNK,
     analytic_pst_times,
     analytic_return_period,
     denseness_check,
@@ -44,6 +47,8 @@ from upst.walk import (
     verify_upst,
     _block_hits,
     _f32_mag2,
+    _grid_waves,
+    _pair_classes,
     _refine_peaks,
     _spacing_structure,
     _waves,
@@ -251,17 +256,35 @@ def test_scan_waves_match_complex_exp():
     assert np.max(np.abs(waves - np.exp(-1j * np.multiply.outer(t, lam)))) <= 1e-15
 
 
+def test_grid_waves_are_chunk_products_whatever_the_block():
+    # head times base is exp(-i lam t) up to a few ulps and the rounding of
+    # the angle lam t itself, and a block's waves are the same rows as those
+    # of any other block covering the same grid indices
+    rng = np.random.default_rng(12)
+    lam = np.concatenate([[0.0, -3.5], rng.uniform(-40, 40, size=30)])
+    step = 0.0137
+    base = _waves((np.arange(WAVE_CHUNK) + 1) * step, lam)
+    full = _grid_waves(base, lam, step, 0, 1000)
+    angle = np.multiply.outer((np.arange(1000) + 1) * step, lam)
+    assert np.all(np.abs(full - np.exp(-1j * angle)) <= 1e-15 * (1 + np.abs(angle)))
+    for start, stop in ((0, 1), (5, 64), (63, 65), (64, 128), (100, 101), (130, 999)):
+        assert np.array_equal(_grid_waves(base, lam, step, start, stop), full[start:stop])
+
+
 def test_scan_working_set_is_bounded():
     # the grid is scanned in blocks and candidates refined in row batches, so
     # the peak allocation stays far below the n^2 x grid-points array.  At ten
     # times the default density the horizon is 125 000 grid points; past the
-    # last off-diagonal transfer only the n = 24 diagonal pairs stay live, and
-    # the blocks grow to their largest, GRID_BLOCK // n time points
+    # last off-diagonal transfer only the diagonal class stays live, and the
+    # blocks grow to their largest, GRID_BLOCK // n time points.  At n = 128
+    # an n^3 array of pair rows alone would take 32 MB
     _, es = noncirculant_graph(NoncirculantParams(6, 4, 2))
+    _, es128 = noncirculant_graph(NoncirculantParams(16, 8, 1))
     period = analytic_return_period(es)
     for scan_it in (
         lambda: scan(es),
         lambda: scan_min_times(es, 1.25 * period, period / (10 * DEFAULT_SCAN_STEPS)),
+        lambda: scan(es128),
     ):
         tracemalloc.start()
         try:
@@ -299,10 +322,72 @@ def test_scan_diagnostics_count_the_work():
     # every pair resolves by the period and leaves the grid
     assert d["pair_time_products"] < es.n**2 * DEFAULT_SCAN_STEPS
     assert d["f32_hits"] >= d["f64_hits"] > 0
-    assert d["clusters"] >= d["newton_rows"] >= es.n**2
+    # one scanned curve per class of equal pair rows; every other pair
+    # passes the strict test at its class's time
+    assert d["classes"] == 28
+    assert d["classes"] + d["members"] == es.n**2
+    assert d["member_rescans"] == 0
+    assert d["clusters"] >= d["newton_rows"] >= d["classes"]
     assert d["bisect_rows"] == 0
     counters = {k: v for k, v in d.items() if k not in ("grid_step", "horizon")}
     assert all(type(v) is int for v in counters.values())
+
+
+def class_count(x):
+    rep_of = _pair_classes(x)
+    return int(np.count_nonzero(rep_of == np.arange(rep_of.size)))
+
+
+def test_pair_classes_are_counted_per_distinct_curve():
+    for abb, expected in (((4, 4, 2), 28), ((6, 4, 2), 44), ((8, 8, 2), 120)):
+        graph, es = noncirculant_graph(NoncirculantParams(*abb))
+        assert class_count(es.X) == expected
+        # relabelling, eigenvector phases and the eigh route move no class
+        for seed in (1, 2):
+            assert class_count(relabelled_flat(*abb, seed=seed).X) == expected
+        assert class_count(numerical_eigensystem(graph.adjacency).X) == expected
+    spec = nondense_circulant(3, 5)
+    assert class_count(circulant_eigensystem(spec).X) == 15
+    rng = np.random.default_rng(4)
+    for n in range(3, 13):
+        spec = circulant_from_c(n, [int(c) for c in rng.integers(-9, 10, size=n)])
+        graph = circulant_to_graph(spec)
+        assert class_count(circulant_eigensystem(spec).X) == n
+        assert class_count(numerical_eigensystem(graph.adjacency).X) == n
+
+
+@pytest.mark.parametrize("scale, joins", [(1 + 1e-2, False), (1 - 1e-2, True)])
+def test_pair_classes_admit_rows_within_class_tol(scale, joins):
+    # rows p_01 = w and p_23 = w + e, with e one real entry of size
+    # CLASS_TOL * scale where w is 1, so the unit scalar between them is 1
+    w = np.exp(1j * np.array([0.0, 0.7, 1.9, 4.4]))
+    x = np.array([np.ones(4), w, np.ones(4), w + [CLASS_TOL * scale, 0, 0, 0]])
+    rep_of = _pair_classes(x)
+    assert rep_of[1] == 1
+    assert bool(rep_of[2 * 4 + 3] == 1) is joins
+
+
+def test_member_failing_at_its_class_time_is_rescanned(monkeypatch):
+    # put pair a into the class of a pair b that transfers earlier: a's own
+    # amplitude fails the strict test at t_b, so a is scanned again by itself
+    es = relabelled_flat(4, 4, 2, seed=5)
+    default = scan(es)
+    rep_of = _pair_classes(es.X)
+    times = default.min_times.reshape(-1)
+    members = np.flatnonzero(rep_of != np.arange(rep_of.size))
+    a = members[np.argmax(times[members])]
+    b = int(np.argmin(np.where(rep_of == rep_of[a], np.inf, times)))
+    assert times[b] < times[a]
+    planted = rep_of.copy()
+    planted[a] = rep_of[b]
+    monkeypatch.setattr(walk, "_pair_classes", lambda x: planted)
+    report = scan(es)
+    assert report.reasons == ()
+    assert abs(report.min_times.reshape(-1)[a] - times[a]) <= 1e-12
+    assert np.max(np.abs(report.min_times - default.min_times)) <= 1e-12
+    d = report.diagnostics
+    assert d["member_rescans"] >= 1
+    assert d["classes"] + d["members"] == es.n**2
 
 
 @settings(max_examples=30, deadline=None)
@@ -460,6 +545,49 @@ def test_transfer_precedes_return_everywhere(circ3, nd6):
             for v in range(n):
                 if v != u:
                     assert report.min_times[u, v] < report.min_times[u, u]
+
+
+LADDER = (
+    (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 3),
+    (4, 4, 2), (4, 4, 3), (4, 4, 4), (8, 2, 2), (8, 2, 3), (8, 2, 4),
+    (6, 4, 2), (6, 4, 3), (8, 3, 2), (12, 2, 3), (8, 8, 2),
+)
+
+
+def test_time_reversal_holds_on_the_ladder_and_the_fixtures(circ3):
+    # U(P - t) = e^{-i lambda_0 P} U(t)^dagger, so t_uv + t_vu = P off the
+    # diagonal; the flat (a, b, beta) fixtures are rungs of the ladder
+    inputs = [(None, relabelled_flat(*abb, seed=7)) for abb in LADDER]
+    inputs += [gk_example(k) for k in (2, 4, 6, 8)]
+    for spec in (circ3, nondense_circulant(2, 3), nondense_circulant(3, 5)):
+        inputs.append((circulant_to_graph(spec), circulant_eigensystem(spec)))
+    for graph, es in inputs:
+        if graph is None:
+            a = (es.X * es.lambdas) @ es.X.conj().T
+            graph = HermitianGraph(es.n, (a + a.conj().T) / 2)
+        report = verify_upst(graph, es)
+        assert report.upst is True, report.reasons
+        off = ~np.eye(es.n, dtype=bool)
+        sums = (report.min_times + report.min_times.T)[off]
+        assert np.max(np.abs(sums - report.return_period)) <= 1e-12
+
+
+def test_time_reversal_gate_catches_an_off_table_time(monkeypatch, circ3):
+    # a scan that reports t_12 off by 1e-6 still agrees with the analytic
+    # times from vertex 0; only the time-reversal gate sees it
+    honest = walk.scan_min_times
+
+    def planted(es, horizon, step):
+        report = honest(es, horizon, step)
+        report.min_times[1, 2] += 1e-6
+        return report
+
+    monkeypatch.setattr(walk, "scan_min_times", planted)
+    report = verify_upst(circulant_to_graph(circ3), es3(circ3))
+    assert report.upst is False
+    assert report.reasons == ("time-reversal-violation",)
+    assert report.circulant_timing is None
+    assert 1e-6 > TIME_AGREEMENT_TOL
 
 
 def test_certification_rejects_path_graph():
