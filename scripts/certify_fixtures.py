@@ -1,14 +1,13 @@
 """Certify every reference graph family and print a census table.
 
 Builds the order-3 imaginary circulant, the order-4 examples, the flat-spectrum
-family, and the two-prime sparse circulants, runs the full certification on
-each, and reports verdicts plus the analytic/scan agreement.
+family, the two-prime sparse circulants and two integer-vector circulants of
+wide eigenvalue spread, runs the full certification on each, and reports
+verdicts plus the analytic/scan agreement.
 
-usage: python3 scripts/certify_fixtures.py [--scan-steps N]
+usage: python3 scripts/certify_fixtures.py
 """
 
-import argparse
-import math
 import sys
 import time
 
@@ -19,6 +18,7 @@ from upst.graph import CirculantSpec, circulant_to_graph
 from upst.spectra import circulant_eigensystem
 from upst.constructors import (
     NoncirculantParams,
+    circulant_from_c,
     gk_example,
     nondense_circulant,
     noncirculant_graph,
@@ -38,14 +38,14 @@ def fixture_list():
     for pq in ((2, 3), (3, 5)):
         spec = nondense_circulant(*pq)
         yield "sparse(%d,%d)" % pq, circulant_to_graph(spec), circulant_eigensystem(spec)
+    for c in ([0, 0, 2000], [0, 0, 0, 0, 0, 5000]):
+        spec = circulant_from_c(len(c), c)
+        name = "c(%s)" % ",".join(map(str, c))
+        yield name, circulant_to_graph(spec), circulant_eigensystem(spec)
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scan-steps", type=int, default=None, help="time-scan grid density")
-    args = parser.parse_args()
-
-    header = "%-14s %3s  %-5s %-7s %-5s %12s %12s %10s  %6s" % (
+    header = "%-18s %3s  %-5s %-7s %-5s %12s %12s %10s  %6s" % (
         "fixture", "n", "upst", "spacing", "dense", "t_{0,1}", "period", "agree", "sec"
     )
     print(header)
@@ -53,13 +53,13 @@ def main() -> int:
     failures = 0
     for name, graph, es in fixture_list():
         start = time.monotonic()
-        report = verify_upst(graph, es, scan_steps=args.scan_steps)
+        report = verify_upst(graph, es)
         elapsed = time.monotonic() - start
         if report.upst:
             agree = float(np.max(np.abs(report.min_times[0] - report.analytic_times)))
             spacing = "yes" if report.circulant_timing else "no"
             print(
-                "%-14s %3d  %-5s %-7s %-5s %12.6f %12.6f %10.1e  %6.2f"
+                "%-18s %3d  %-5s %-7s %-5s %12.6f %12.6f %10.1e  %6.2f"
                 % (
                     name,
                     report.n,
@@ -75,7 +75,7 @@ def main() -> int:
         else:
             failures += 1
             print(
-                "%-14s %3d  %-5s %s" % (name, report.n, "NO", ", ".join(report.reasons))
+                "%-18s %3d  %-5s %s" % (name, report.n, "NO", ", ".join(report.reasons))
             )
     if failures:
         print("\n%d fixture(s) failed certification" % failures, file=sys.stderr)

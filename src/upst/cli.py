@@ -1,8 +1,7 @@
 """Batch front-end: construct fixture graphs, certify transfer, dump timing.
 
 Subcommands: generate | verify | times.  Exit codes: 0 all requested checks
-pass, 1 a check failed, 2 input error.  UPST_SCAN_STEPS overrides the default
-grid density of the time scan; only the commands that scan read it.
+pass, 1 a check failed, 2 input error.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -53,19 +51,6 @@ def _parse_checks(text: str) -> tuple[str, ...]:
                 "unknown check %r (choose from %s)" % (name, ", ".join(CHECK_NAMES))
             )
     return checks
-
-
-def _scan_steps_from_env() -> Optional[int]:
-    raw = os.environ.get("UPST_SCAN_STEPS")
-    if raw is None:
-        return None
-    try:
-        steps = int(raw)
-    except ValueError as exc:
-        raise InputError("UPST_SCAN_STEPS must be an integer, got %r" % (raw,)) from exc
-    if steps < 10:
-        raise InputError("UPST_SCAN_STEPS must be at least 10, got %d" % steps)
-    return steps
 
 
 def _parse_descriptor(source: str) -> dict:
@@ -161,7 +146,7 @@ def _run_checks(
             )
     report = None
     if any(name in ("upst", "spacing") for name in checks):
-        report = verify_upst(graph, es, scan_steps=_scan_steps_from_env())
+        report = verify_upst(graph, es)
     results: dict = {}
     for name in checks:
         if name == "upst":
@@ -240,7 +225,7 @@ def cmd_verify(
 
 def cmd_times(source: str, output_format: str, out: Optional[str]) -> int:
     graph, es, _ = load_graph(source)
-    report = verify_upst(graph, es, scan_steps=_scan_steps_from_env())
+    report = verify_upst(graph, es)
     if report.upst is not True:
         print(
             "input does not certify universal perfect state transfer: %s"

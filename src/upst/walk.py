@@ -20,11 +20,12 @@ from .spectra import EigenSystem, canonicalize, is_type_ii
 
 PST_ENTRY_TOL = 1e-9
 TIME_AGREEMENT_TOL = 1e-8
-DEFAULT_SCAN_STEPS = 10_000
 DETECTION_THRESHOLD = 0.96  # on |U|^2; refinement applies the strict test
 DEGENERACY_TOL = 1e-12
 TIE_TOL = 1e-10
-GRID_BLOCK = 2**18  # pair x time elements per grid block
+STEP_MARGIN = 2.0**-16  # relative shrink of the derived grid step, see grid_step
+MAX_GRID_POINTS = 2**22  # largest grid verify_upst scans
+GRID_BLOCK = 2**16  # pair x time elements per grid block
 GRID_SLACK = 2.0**-12  # bound on the float32 grid's |U|^2 error, see scan_min_times
 # Pair rows p_m, p_r with max_k |p_m,k - s p_r,k| <= CLASS_TOL for a unit s
 # share one scanned curve: |U_m(t) - s U_r(t)| <= n CLASS_TOL for all t.
@@ -173,11 +174,9 @@ def _refine_peaks(
     the bracket to the uphill side of t.  It takes the Newton step when the
     curvature is negative and the step lands inside the bracket, and bisects
     otherwise.  A row stops once its step is at most 1e-15 max(1, |t|), or
-    after 64 steps.  The scan's bracket is two grid steps h around a grid time
-    t >= h, so even pure bisection reaches that stop in about 51 halvings.
-
-    Returns the last evaluated time of each row, the amplitude there, and the
-    mask of rows that bisected at least once.
+    after 64 steps; from the scan's bracket of two grid steps, even pure
+    bisection stops in about 51 halvings.  Returns the last evaluated time
+    of each row, the amplitude there, and the rows that ever bisected.
     """
     dp = -1j * lam * pvecs
     ddp = -(lam**2) * pvecs
@@ -211,35 +210,31 @@ def _refine_peaks(
     return t_out, amp, bisected
 
 
-def _candidate_clusters(
+def _candidate_peaks(
     row: np.ndarray, index: np.ndarray, mag2: np.ndarray, diagonal: np.ndarray, open_at: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Group grid hits into runs of consecutive grid indices per scanned row.
-
-    Returns, per closed cluster in (row, time) order: the row, the grid index
-    of its largest stored |U|^2 (the earliest on a tie) and its rank among the
-    row's closed clusters; then the hits (row, index, mag2) of the clusters
-    whose last hit is at grid index open_at (-1 for none), which may go on
-    past it and are left out of the rest.  The t -> 0 cluster of a row marked
-    in diagonal (u == v) is the identity's shoulder, not a return: dropped.
-    """
+) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Row and grid index, in (row, time) order, of every hit of a closed
+    cluster (a run of consecutive grid indices of one row) whose |U|^2 is >=
+    both grid neighbours' (a neighbour that is no hit counts as lower); the
+    number of closed clusters; and the hits (row, index, mag2) of the
+    clusters whose last hit is at grid index open_at (-1 for none), left out
+    of the rest.  The t -> 0 cluster of a row marked in diagonal (u == v) is
+    the identity's shoulder, not a return: dropped."""
     order = np.lexsort((index, row))
     row, index, mag2 = row[order], index[order], mag2[order]
     opens = np.ones(row.size, dtype=bool)
     opens[1:] = (row[1:] != row[:-1]) | (index[1:] != index[:-1] + 1)
     closes = np.ones(row.size, dtype=bool)
     closes[:-1] = opens[1:]
-    starts = np.flatnonzero(opens)
     cluster = np.cumsum(opens) - 1
     still_open = index[closes] == open_at
     carry = still_open[cluster]
-    at_peak = np.flatnonzero(mag2 == np.maximum.reduceat(mag2, starts)[cluster])
-    best = index[at_peak[np.unique(cluster[at_peak], return_index=True)[1]]]
-    cl_row = row[starts]
-    keep = (~diagonal[cl_row] | (index[starts] != 0)) & ~still_open
-    cl_row, best = cl_row[keep], best[keep]
-    rank = np.arange(cl_row.size) - np.searchsorted(cl_row, cl_row)
-    return cl_row, best, rank, (row[carry], index[carry], mag2[carry])
+    keep = ~(diagonal[row[opens]] & (index[opens] == 0)) & ~still_open
+    peak = opens.copy()
+    peak[1:] |= mag2[1:] >= mag2[:-1]
+    peak[:-1] &= closes[:-1] | (mag2[:-1] >= mag2[1:])
+    peak &= keep[cluster]
+    return row[peak], index[peak], int(np.count_nonzero(keep)), (row[carry], index[carry], mag2[carry])
 
 
 def _f32_mag2(pv32: np.ndarray, waves: np.ndarray) -> np.ndarray:
@@ -337,11 +332,12 @@ def _scan_pairs(
     index j < nsteps, time (j + 1) step: each pair's earliest confirmed peak
     time (NaN for none) and amplitude (0 for none).  Adds to diagnostics.
 
-    After each block (waves from _grid_waves), round r refines the r-th
-    cluster of hits of every pair still unresolved from its best grid point,
-    within one step either side (_refine_peaks); a pair whose refined
-    |U| >= 1 - PST_ENTRY_TOL takes that time and leaves.  A cluster at the
-    block's last point carries over.
+    After each block (waves from _grid_waves), every candidate peak of the
+    pairs still unresolved (_candidate_peaks) is refined from its grid point,
+    within one step either side (_refine_peaks), in batches of
+    REFINE_BLOCK // n rows; a pair takes its earliest candidate whose refined
+    |U| >= 1 - PST_ENTRY_TOL and leaves.  A cluster at the block's last
+    point carries over.
     """
     n = lam.size
     pvecs = _pair_rows(x, pairs)
@@ -361,27 +357,27 @@ def _scan_pairs(
         diagnostics["pair_time_products"] += live.size * (stop - start)
         diagnostics["f32_hits"] += survivors
         diagnostics["f64_hits"] += row.size
-        cl_row, best, rank, carried = _candidate_clusters(
+        cand_row, peak, clusters, carried = _candidate_peaks(
             np.concatenate((carried[0], row)),
             np.concatenate((carried[1], start + w)),
             np.concatenate((carried[2], mag2)),
             diagonal,
             stop - 1 if stop < nsteps else -1,
         )
-        diagnostics["clusters"] += cl_row.size
-        for r in range(int(rank.max(initial=-1)) + 1):
-            todo = np.flatnonzero((rank == r) & np.isnan(times[cl_row]))
-            for first in range(0, todo.size, rows):
-                batch = todo[first:first + rows]
-                peak_row, peak = cl_row[batch], best[batch]
-                t_star, amp, bisected = _refine_peaks(
-                    pvecs[peak_row], lam, (peak + 1) * step, peak * step, (peak + 2) * step
-                )
-                ok = np.abs(amp) >= 1 - PST_ENTRY_TOL
-                times[peak_row[ok]] = t_star[ok]
-                amps[peak_row[ok]] = amp[ok]
-                diagnostics["newton_rows"] += batch.size
-                diagnostics["bisect_rows"] += int(np.count_nonzero(bisected))
+        diagnostics["clusters"] += clusters
+        diagnostics["newton_rows"] += cand_row.size
+        t_star, amp = np.empty(cand_row.size), np.empty(cand_row.size, dtype=complex)
+        for first in range(0, cand_row.size, rows):
+            part = slice(first, first + rows)
+            g = peak[part]
+            t_star[part], amp[part], bisected = _refine_peaks(
+                pvecs[cand_row[part]], lam, (g + 1) * step, g * step, (g + 2) * step
+            )
+            diagnostics["bisect_rows"] += int(np.count_nonzero(bisected))
+        ok = np.flatnonzero(np.abs(amp) >= 1 - PST_ENTRY_TOL)
+        done, earliest = np.unique(cand_row[ok], return_index=True)
+        times[done] = t_star[ok[earliest]]
+        amps[done] = amp[ok[earliest]]
         still = np.isnan(times[live])
         if not still.all():
             live, pv32 = live[still], pv32[still]
@@ -391,10 +387,30 @@ def _scan_pairs(
     return times, amps
 
 
+def grid_step(es: EigenSystem) -> float:
+    """The largest scan step h that provably puts a grid hit next to every
+    peak |U(t*)[v][u]| = 1 (see scan_min_times for the refinement bracket).
+
+    e^{imt} U(t), m the median eigenvalue, has the magnitudes of U(t), so
+    |d/dt |U(t)[v][u]|| <= D, the largest entry of |X| diag(|lambda - m|) |X|^T.
+    The grid point nearest t* is within h/2 of it, where |U| >= 1 - D h/2 >=
+    sqrt(DETECTION_THRESHOLD) for h <= 2 (1 - sqrt(DETECTION_THRESHOLD))/D.
+    STEP_MARGIN shrinks that bound so the point clears the threshold by about
+    6e-7 in |U|^2, above the float64 rounding of a grid amplitude (about
+    2^-52 max|lambda| t) for max|lambda| t up to 10^9.  Also h <= 2 pi/(3 R),
+    R = lambda_max - lambda_min."""
+    lam = es.lambdas
+    mag = np.abs(es.X)
+    d = float(np.max((mag * np.abs(lam - np.median(lam))) @ mag.T))
+    bound = 2 * (1 - math.sqrt(DETECTION_THRESHOLD)) / d * (1 - STEP_MARGIN)
+    return min(bound, TWO_PI / (3 * float(np.ptp(lam))))
+
+
 def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferReport:
     """Grid scan of |U(t)[v][u]| for every ordered pair at t = step, 2 step,
     ... up to horizon, in one pass in time order.  The caller sizes the grid
-    (verify_upst from the return period), so return_period stays unset.
+    (verify_upst from the return period and grid_step), so return_period
+    stays unset.
 
     Pairs whose rows p_uv,k = X[v,k] conj(X[u,k]) agree up to a unit scalar s
     share one curve, and the grid scans one curve per class (_pair_classes,
@@ -404,27 +420,34 @@ def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferRepo
     sum_k |p_m,k - s p_r,k| <= n CLASS_TOL for all t.
 
     The grid is walked in blocks of GRID_BLOCK // max(live classes, n) time
-    points, so the classes x time amplitudes and the n x time waves (plus at
-    most two chunks) of a block stay within GRID_BLOCK elements.  A complex64
+    points, so a block's classes x time amplitudes and n x time waves (plus
+    at most two chunks) stay within GRID_BLOCK elements.  A complex64
     prefilter keeps each point with |U|^2 >= DETECTION_THRESHOLD - GRID_SLACK
-    for a float64 recheck, so clustering sees the hits of a float64 grid.
-    GRID_SLACK bounds the float32 error.  Each wave is formed in float64, as
-    a product of two unit complex numbers a few ulps off, and rounded, so
-    every factor errs by at most about u = 2^-24 relative; and sum_k
-    |X[v,k] X[u,k]| <= 1 by Cauchy-Schwarz.  A complex64 dot then errs by at
-    most about (n + 4) u summing complex terms, or 2 sqrt(2) (n + 1) u
-    accumulating the 2n real products of each component.  |U|^2 <= 1 moves
-    by at most twice that, plus about 3 u from squaring: below 2^-12 for
-    every n <= 700.
+    for a float64 recheck, so the candidates come from the hits of a float64
+    grid.  GRID_SLACK bounds the float32 error: each wave, a float64 product
+    of two unit complex numbers a few ulps off, rounds to within about u =
+    2^-24 relative, and sum_k |X[v,k] X[u,k]| <= 1 (Cauchy-Schwarz); a
+    complex64 dot then errs by at most about 2 sqrt(2) (n + 1) u, so |U|^2
+    <= 1 moves by at most twice that plus 3 u: below 2^-12 for n <= 700.
 
-    diagnostics holds grid_step, horizon, grid_points and integer work
-    counts: classes (rescans included), members (pairs that took their
-    class's time), member_rescans, pair_time_products (class x time points),
-    f32_hits, f64_hits, clusters, newton_rows and bisect_rows; classes +
-    members is n^2 on a complete scan.  Pairs with no confirmed peak (all
-    pairs of a class that has none) keep NaN and are flagged in reasons; a
-    degenerate spectrum refuses the extraction outright (every t is a return
-    time).
+    Every hit >= both grid neighbours is a candidate, refined from its grid
+    point g within [g - step, g + step]; with step <= grid_step(es) no peak
+    is missed.  At a peak t* every term of U is aligned and sum_k |p_k| = 1,
+    so |U(t* + s)|^2 = sum_{k,l} |p_k| |p_l| cos((lambda_k - lambda_l) s),
+    which does not increase with |s| while |s| <= pi/R.  The grid point g*
+    nearest t* is a hit, and its neighbours and bracket ends lie within
+    3 step/2 <= pi/R of t*: g* is a candidate, and the curve is unimodal on
+    its bracket, where _refine_peaks converges to t*.  (A float64 tie of g*
+    with a neighbour puts both within about step/2 of t*; either brackets it.)
+
+    diagnostics holds grid_step, horizon, grid_points and integer counts:
+    classes (rescans included), members (pairs that took their class's
+    time), member_rescans, pair_time_products (class x time points),
+    f32_hits, f64_hits, clusters (closed runs of hits), newton_rows
+    (candidates refined) and bisect_rows; classes + members is n^2 on a
+    complete scan.  Pairs with no confirmed peak keep NaN and are flagged in
+    reasons; a degenerate spectrum refuses the extraction (every t is a
+    return time).
     """
     n = es.n
     lam = es.lambdas
@@ -503,25 +526,12 @@ def monomial_check(u_matrix: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarra
     >= 1 - PST_ENTRY_TOL with all others <= PST_ENTRY_TOL.
     """
     m = np.asarray(u_matrix, dtype=complex)
-    n = m.shape[0]
-    absm = np.abs(m)
-    perm = np.empty(n, dtype=int)
-    phases = np.empty(n, dtype=complex)
-    for u in range(n):
-        v = int(np.argmax(absm[:, u]))
-        column_rest = np.delete(absm[:, u], v)
-        if absm[v, u] < 1 - PST_ENTRY_TOL or np.max(column_rest, initial=0.0) > PST_ENTRY_TOL:
-            return None
-        perm[u] = v
-        phases[u] = m[v, u]
-    if len(set(perm.tolist())) != n:
+    big = np.abs(m) >= 1 - PST_ENTRY_TOL
+    if not (np.all(big | (np.abs(m) <= PST_ENTRY_TOL))
+            and np.all(big.sum(axis=0) == 1) and np.all(big.sum(axis=1) == 1)):
         return None
-    for v in range(n):
-        u = int(np.argmax(absm[v, :]))
-        row_rest = np.delete(absm[v, :], u)
-        if perm[u] != v or np.max(row_rest, initial=0.0) > PST_ENTRY_TOL:
-            return None
-    return perm, phases
+    perm = np.argmax(big, axis=0)
+    return perm, m[perm, np.arange(m.shape[0])]
 
 
 def denseness_check(spec: CirculantSpec) -> tuple[bool, tuple[int, ...]]:
@@ -530,9 +540,7 @@ def denseness_check(spec: CirculantSpec) -> tuple[bool, tuple[int, ...]]:
     return len(zeros) == 0, zeros
 
 
-def verify_upst(
-    graph: HermitianGraph, es: EigenSystem, scan_steps: Optional[int] = None
-) -> TransferReport:
+def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     """Certify universal perfect state transfer.
 
     Pipeline: eigenvalue distinctness -> flat diagonalizer -> canonical form
@@ -543,9 +551,14 @@ def verify_upst(
     TIME_AGREEMENT_TOL, and so do t_uv + t_vu and the return period for every
     u != v (time reversal).  Failures come back as False verdicts with reason
     codes, not exceptions.
+
+    The scan runs to P + 2h in steps of P / ceil(P/h), P the return period
+    and h = grid_step(es): with a flat X each pair transfers once per period.
+    A grid past MAX_GRID_POINTS is not scanned: scan-grid-too-large.
     """
     n = es.n
     lam = es.lambdas
+    dense = denseness_check(graph.spec)[0] if graph.spec is not None else None
 
     def failed(reason: str) -> TransferReport:
         return TransferReport(
@@ -554,7 +567,7 @@ def verify_upst(
             phases=np.zeros((n, n), dtype=complex),
             upst=False,
             reasons=(reason,),
-            dense=denseness_check(graph.spec)[0] if graph.spec is not None else None,
+            dense=dense,
         )
 
     if n < 2:
@@ -575,16 +588,19 @@ def verify_upst(
     # |U(t)[0][0]| = 1 exactly when every (lambda_k - lambda_0) t is a multiple
     # of 2 pi.  The confirmation below checks that entry like every other.
     period = float(times[0])
+    h = grid_step(es)
+    step = period / math.ceil(period / h)
+    if math.ceil((period + 2 * h) / step) > MAX_GRID_POINTS:
+        return failed("scan-grid-too-large")
 
     reasons: list[str] = []
-    confirmed = all(
-        abs(unitary_at(es, times[l])[l, 0]) >= 1 - PST_ENTRY_TOL for l in range(n)
-    )
+    # U(t_l)[l, 0] of every target in one n-term dot each, not n walk operators
+    amp = _row_dots(_pair_rows(es.X, np.arange(n)), _waves(times, lam))
+    confirmed = bool(np.min(np.abs(amp)) >= 1 - PST_ENTRY_TOL)
     if not confirmed:
         reasons.append("analytic-time-not-confirmed")
 
-    step = period / (scan_steps or DEFAULT_SCAN_STEPS)
-    scanned = scan_min_times(es, horizon=1.25 * period, step=step)
+    scanned = scan_min_times(es, horizon=period + 2 * h, step=step)
     min_times = scanned.min_times
     reasons.extend(scanned.reasons)
     complete = not scanned.reasons
@@ -607,7 +623,6 @@ def verify_upst(
         if not tie_ok:
             reasons.append("tied-transfer-times")
 
-    dense = denseness_check(graph.spec)[0] if graph.spec is not None else None
     return TransferReport(
         n=n,
         min_times=min_times,

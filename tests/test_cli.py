@@ -129,7 +129,8 @@ def test_verify_passes_every_check_on_dense_circulant(tmp_path, capsys):
     assert doc["report"]["upst"] is True
     assert doc["report"]["reasons"] == []
     diagnostics = doc["report"]["diagnostics"]
-    assert diagnostics["grid_points"] == 12500
+    # P = pi/2 and h = grid_step: ceil(P/h) = 104 points, plus the 2 h past P
+    assert diagnostics["grid_points"] == 107
     # a circulant has one curve per difference v - u
     assert diagnostics["classes"] == 3
     assert diagnostics["classes"] + diagnostics["members"] == 9
@@ -176,7 +177,7 @@ def test_verify_table_prints_scan_diagnostics(tmp_path, capsys):
     fields = dict(item.split("=") for item in lines[0].split()[1:])
     assert list(fields) == list(expected)
     assert fields["grid_step"] == "%.15g" % expected["grid_step"]
-    assert fields["grid_points"] == "12500"
+    assert fields["grid_points"] == "289"
     assert fields["newton_rows"] == str(expected["newton_rows"])
     assert fields["bisect_rows"] == "0"
     # no scan ran on a graph whose diagonalizer is not flat
@@ -342,27 +343,6 @@ def test_verify_without_walk_checks_has_no_report(tmp_path, capsys):
     assert code == 0
     assert "typeii" in out and "connectivity" in out
     assert "reasons:" not in out and "return period:" not in out
-
-
-def test_scan_density_env_override(tmp_path, capsys, monkeypatch):
-    path = generate(tmp_path, capsys, CIRC3_DESC, "c3.json")
-    monkeypatch.setenv("UPST_SCAN_STEPS", "not-a-number")
-    assert run(["verify", path], capsys)[0] == 2
-    monkeypatch.setenv("UPST_SCAN_STEPS", "5")
-    assert run(["verify", path], capsys)[0] == 2
-    monkeypatch.setenv("UPST_SCAN_STEPS", "4000")
-    assert run(["verify", path], capsys)[0] == 0
-
-
-def test_scan_density_env_is_read_only_where_a_scan_runs(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("UPST_SCAN_STEPS", "abc")
-    path = generate(tmp_path, capsys, ND6_DESC, "nd6.json")
-    for checks in ("typeii", "typeii,connectivity"):
-        assert run(["verify", path, "--checks", checks], capsys)[0] == 0
-    for argv in (["verify", path, "--checks", "typeii,spacing"], ["times", path]):
-        code, _, err = run(argv, capsys)
-        assert code == 2
-        assert "UPST_SCAN_STEPS" in err
 
 
 # -------------------------------------------------------------------- times

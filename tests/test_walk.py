@@ -5,6 +5,7 @@ and a blind time-domain scan.  Tests pin both against closed-form values.
 """
 
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -32,15 +33,16 @@ from upst.constructors import (
 from upst import walk
 from upst.walk import (
     CLASS_TOL,
-    DEFAULT_SCAN_STEPS,
     DETECTION_THRESHOLD,
     GRID_SLACK,
+    MAX_GRID_POINTS,
     PST_ENTRY_TOL,
     TIME_AGREEMENT_TOL,
     WAVE_CHUNK,
     analytic_pst_times,
     analytic_return_period,
     denseness_check,
+    grid_step,
     monomial_check,
     scan_min_times,
     unitary_at,
@@ -67,11 +69,18 @@ def scalar_spec(n=3, value=Fraction(3, 2)):
     return CirculantSpec(n, (a0,) + tuple(CycNum.zero(1) for _ in range(n - 1)))
 
 
-def scan(es):
-    """scan_min_times on verify_upst's grid: 1.25 return periods at
-    DEFAULT_SCAN_STEPS points per period."""
+def scan_grid(es, density=1):
+    """verify_upst's grid, or one density times as fine: (horizon, step),
+    step = P / ceil(density P / h) for the return period P and h =
+    grid_step(es), horizon P + 2 h."""
     period = analytic_return_period(es)
-    return scan_min_times(es, horizon=1.25 * period, step=period / DEFAULT_SCAN_STEPS)
+    h = grid_step(es)
+    return period + 2 * h, period / math.ceil(density * period / h)
+
+
+def scan(es):
+    """scan_min_times on verify_upst's grid."""
+    return scan_min_times(es, *scan_grid(es))
 
 
 def false_cluster_eigensystem():
@@ -200,13 +209,13 @@ def test_scan_locates_order3_transfer_times(circ3):
 def test_scan_refuses_scalar_circulant():
     # no return period exists; the grid size does not matter
     es = circulant_eigensystem(scalar_spec())
-    report = scan_min_times(es, horizon=1.25 * TWO_PI, step=TWO_PI / DEFAULT_SCAN_STEPS)
+    report = scan_min_times(es, horizon=1.25 * TWO_PI, step=TWO_PI / 1000)
     assert report.reasons == ("degenerate-spectrum",)
     assert np.all(np.isnan(report.min_times))
 
 
 def test_scan_flags_pairs_beyond_horizon(circ3):
-    step = analytic_return_period(es3(circ3)) / DEFAULT_SCAN_STEPS
+    step = scan_grid(es3(circ3))[1]
     report = scan_min_times(es3(circ3), horizon=0.5 * T01, step=step)
     assert "scan-missing-pairs" in report.reasons
     assert np.isnan(report.min_times[0, 1])
@@ -216,15 +225,77 @@ def test_scan_flags_pairs_beyond_horizon(circ3):
 
 
 def test_scan_refines_false_clusters_in_later_rounds():
-    # Each diagonal pair meets twelve false candidates before its first true
-    # return at the period 100 pi; off-diagonal pairs meet only false ones,
-    # so refinement runs for many rounds
+    # Each diagonal pair meets false candidates before its first true return
+    # at the period 100 pi; off-diagonal pairs meet only false ones.  Every
+    # candidate is refined, and a pair takes its earliest that passes
     es = false_cluster_eigensystem()
     assert abs(analytic_return_period(es) - 100 * math.pi) < 1e-9
     report = scan(es)
     assert np.max(np.abs(np.diag(report.min_times) - 100 * math.pi)) < 1e-9
     assert np.all(np.isnan(report.min_times[~np.eye(3, dtype=bool)]))
     assert report.reasons == ("scan-missing-pairs",)
+
+
+WIDE_SPREAD = ([0, 0, 2000], [0, 0, 0, 0, 0, 5000])
+
+
+@pytest.mark.parametrize("c, route", [
+    (WIDE_SPREAD[0], "exact"),
+    (WIDE_SPREAD[0], "eigh"),
+    (WIDE_SPREAD[1], "exact"),
+    pytest.param(WIDE_SPREAD[1], "eigh", marks=pytest.mark.xfail(
+        strict=True,
+        reason="no-consistent-times: eigh's eigenvalue errors grow with max|lambda| = 3e4 "
+               "and put the gap ratios past RATIO_REL_TOL, which ignores that scale",
+    )),
+])
+def test_wide_spread_circulants_certify(c, route):
+    # eigenvalue ranges 6 002 and 30 005 at a return period of 2 pi: a fixed
+    # 10 000 grid points per period missed their peaks (scan-missing-pairs);
+    # the derived grid has about 311 000 and 778 000
+    n = len(c)
+    spec = circulant_from_c(n, c)
+    graph = circulant_to_graph(spec)
+    es = circulant_eigensystem(spec) if route == "exact" else numerical_eigensystem(graph.adjacency)
+    report = verify_upst(graph, es)
+    assert report.upst is True, report.reasons
+    expected = TWO_PI / n * np.array([n] + list(range(1, n)))
+    assert np.max(np.abs(report.min_times[0] - expected)) <= TIME_AGREEMENT_TOL
+    assert np.max(np.abs(report.analytic_times - expected)) <= TIME_AGREEMENT_TOL
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+def test_scan_finds_every_analytic_time_at_wide_spread(n, seed):
+    # relabelled, rephased circulant_c with c up to 1e3 in size: eigenvalue
+    # ranges up to about 1e4, grids up to about 1e6 points
+    rng = np.random.default_rng(seed)
+    base = circulant_eigensystem(circulant_from_c(n, [int(v) for v in rng.integers(-1000, 1001, size=n)]))
+    times = analytic_pst_times(base)
+    perm = rng.permutation(n)
+    x = base.X[perm, :] * np.exp(1j * rng.uniform(0, TWO_PI, size=n))
+    report = scan(EigenSystem(n=n, X=x, lambdas=base.lambdas))
+    assert report.reasons == ()
+    # relabelled vertex i is vertex perm[i], and a circulant transfers a -> b
+    # when 0 -> b - a does
+    expected = times[(perm[np.newaxis, :] - perm[:, np.newaxis]) % n]
+    assert np.max(np.abs(report.min_times - expected)) <= TIME_AGREEMENT_TOL
+
+
+def test_grid_past_the_cap_is_refused_without_a_scan(monkeypatch):
+    spec = circulant_from_c(3, [0, 0, 10**6])
+    es = circulant_eigensystem(spec)
+    assert analytic_return_period(es) / grid_step(es) > MAX_GRID_POINTS
+
+    def no_scan(*args):
+        raise AssertionError("scanned a grid past MAX_GRID_POINTS")
+
+    monkeypatch.setattr(walk, "scan_min_times", no_scan)
+    start = time.monotonic()
+    report = verify_upst(circulant_to_graph(spec), es)
+    assert time.monotonic() - start < 5.0
+    assert report.upst is False
+    assert report.reasons == ("scan-grid-too-large",)
 
 
 def relabelled_flat(a, b, beta, seed):
@@ -274,17 +345,19 @@ def test_grid_waves_are_chunk_products_whatever_the_block():
 def test_scan_working_set_is_bounded():
     # the grid is scanned in blocks and candidates refined in row batches, so
     # the peak allocation stays far below the n^2 x grid-points array.  At ten
-    # times the default density the horizon is 125 000 grid points; past the
-    # last off-diagonal transfer only the diagonal class stays live, and the
-    # blocks grow to their largest, GRID_BLOCK // n time points.  At n = 128
-    # an n^3 array of pair rows alone would take 32 MB
+    # times the derived density the horizon is about 19 000 grid points; past
+    # the last off-diagonal transfer only the diagonal class stays live, and
+    # the blocks grow to their largest, GRID_BLOCK // n time points.  At
+    # n = 128 an n^3 array of pair rows alone would take 32 MB.  The wide
+    # spread circulant's derived grid has about 311 000 points
     _, es = noncirculant_graph(NoncirculantParams(6, 4, 2))
     _, es128 = noncirculant_graph(NoncirculantParams(16, 8, 1))
-    period = analytic_return_period(es)
+    wide = circulant_eigensystem(circulant_from_c(3, [0, 0, 2000]))
     for scan_it in (
         lambda: scan(es),
-        lambda: scan_min_times(es, 1.25 * period, period / (10 * DEFAULT_SCAN_STEPS)),
+        lambda: scan_min_times(es, *scan_grid(es, density=10)),
         lambda: scan(es128),
+        lambda: scan(wide),
     ):
         tracemalloc.start()
         try:
@@ -301,12 +374,22 @@ def test_scan_is_independent_of_the_grid_block(monkeypatch, nd6):
     # carries its hits forward; the pass must not notice
     cases = (relabelled_flat(4, 4, 2, seed=3), circulant_eigensystem(nd6),
              false_cluster_eigensystem())
+    real = walk._grid_waves
+    blocks = []
+
+    def counted(*args):
+        blocks[-1] += 1
+        return real(*args)
+
     for es in cases:
+        monkeypatch.setattr(walk, "_grid_waves", counted)
+        blocks.append(0)
         default = scan(es)
         monkeypatch.setattr(walk, "GRID_BLOCK", 3 * es.n**2)
+        blocks.append(0)
         small = scan(es)
         monkeypatch.undo()
-        assert small.diagnostics["pair_time_products"] != default.diagnostics["pair_time_products"]
+        assert blocks[-1] > blocks[-2]
         assert np.array_equal(small.min_times, default.min_times, equal_nan=True)
         assert np.array_equal(small.phases, default.phases)
         assert small.reasons == default.reasons
@@ -315,19 +398,22 @@ def test_scan_is_independent_of_the_grid_block(monkeypatch, nd6):
 def test_scan_diagnostics_count_the_work():
     es = relabelled_flat(4, 4, 2, seed=5)
     period = analytic_return_period(es)
+    h = grid_step(es)
     d = scan(es).diagnostics
-    assert d["grid_step"] == period / DEFAULT_SCAN_STEPS
-    assert d["horizon"] == 1.25 * period
-    assert d["grid_points"] == math.ceil(1.25 * DEFAULT_SCAN_STEPS)
+    points = math.ceil(period / h)
+    assert d["grid_step"] == period / points
+    assert d["horizon"] == period + 2 * h
+    assert points + 2 <= d["grid_points"] == math.ceil((period + 2 * h) / (period / points))
     # every pair resolves by the period and leaves the grid
-    assert d["pair_time_products"] < es.n**2 * DEFAULT_SCAN_STEPS
+    assert d["pair_time_products"] < es.n**2 * points
     assert d["f32_hits"] >= d["f64_hits"] > 0
     # one scanned curve per class of equal pair rows; every other pair
     # passes the strict test at its class's time
     assert d["classes"] == 28
     assert d["classes"] + d["members"] == es.n**2
     assert d["member_rescans"] == 0
-    assert d["clusters"] >= d["newton_rows"] >= d["classes"]
+    # every closed cluster holds at least one candidate
+    assert d["newton_rows"] >= d["clusters"] >= d["classes"]
     assert d["bisect_rows"] == 0
     counters = {k: v for k, v in d.items() if k not in ("grid_step", "horizon")}
     assert all(type(v) is int for v in counters.values())
@@ -419,8 +505,8 @@ def test_float32_prefilter_keeps_the_float64_hit_set():
     _, es = noncirculant_graph(NoncirculantParams(6, 4, 2))
     pvecs = pair_vectors(es.X)
     pairs = np.arange(es.n**2)
-    step = analytic_return_period(es) / DEFAULT_SCAN_STEPS
-    grid = (np.arange(int(1.25 * DEFAULT_SCAN_STEPS)) + 1) * step
+    horizon, step = scan_grid(es, density=4)
+    grid = (np.arange(math.ceil(horizon / step)) + 1) * step
     for first in range(0, grid.size, 2500):
         waves = _waves(grid[first:first + 2500], es.lambdas)
         exact = np.abs(pvecs @ waves.T) ** 2
@@ -481,7 +567,7 @@ def test_refinement_finds_certified_peaks_from_anywhere_in_the_bracket(case, see
     # time, refinement returns that time and the walk's amplitude there
     es, u, times = certified_eigensystem(*case, seed)
     n = es.n
-    h = analytic_return_period(es) / DEFAULT_SCAN_STEPS
+    h = grid_step(es)
     rng = np.random.default_rng(seed)
     lo = times - h * rng.uniform(0, 1, size=n)
     hi = times + h * rng.uniform(0, 1, size=n)
@@ -552,6 +638,25 @@ LADDER = (
     (4, 4, 2), (4, 4, 3), (4, 4, 4), (8, 2, 2), (8, 2, 3), (8, 2, 4),
     (6, 4, 2), (6, 4, 3), (8, 3, 2), (12, 2, 3), (8, 8, 2),
 )
+
+
+def test_grid_step_meets_both_bounds_on_the_ladder():
+    # h <= 2 (1 - sqrt(threshold))/D and h <= 2 pi/(3 R), the first binding
+    # on every rung; the grid point nearest each transfer time is a hit
+    for abb in LADDER:
+        es, u, times = certified_eigensystem("flat", abb, seed=3)
+        lam = es.lambdas
+        d = np.max(np.abs(pair_vectors(es.X)) @ np.abs(lam - np.median(lam)))
+        slope_bound = 2 * (1 - math.sqrt(DETECTION_THRESHOLD)) / d
+        h = grid_step(es)
+        assert h <= slope_bound
+        assert h <= TWO_PI / (3 * (lam.max() - lam.min()))
+        assert h >= (1 - 1e-4) * slope_bound
+        period = analytic_return_period(es)
+        step = period / math.ceil(period / h)
+        for v, t in enumerate(times):
+            nearest = round(t / step) * step
+            assert abs(unitary_at(es, nearest)[v, u]) ** 2 >= DETECTION_THRESHOLD
 
 
 def test_time_reversal_holds_on_the_ladder_and_the_fixtures(circ3):
