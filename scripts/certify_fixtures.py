@@ -3,15 +3,13 @@
 Builds the order-3 imaginary circulant, the order-4 examples, the flat-spectrum
 family, the two-prime sparse circulants and two integer-vector circulants of
 wide eigenvalue spread, runs the full certification on each, and reports
-verdicts plus the analytic/scan agreement.
+verdicts plus the analytic/scan agreement and the number of scan grid points.
 
 usage: python3 scripts/certify_fixtures.py
 """
 
 import sys
 import time
-
-import numpy as np
 
 from upst.cyclotomic import CycNum, zeta
 from upst.graph import CirculantSpec, circulant_to_graph
@@ -45,8 +43,8 @@ def fixture_list():
 
 
 def main() -> int:
-    header = "%-18s %3s  %-5s %-7s %-5s %12s %12s %10s  %6s" % (
-        "fixture", "n", "upst", "spacing", "dense", "t_{0,1}", "period", "agree", "sec"
+    header = "%-18s %3s  %-5s %-7s %-5s %12s %12s %10s  %6s %7s" % (
+        "fixture", "n", "upst", "spacing", "dense", "t_{0,1}", "period", "agree", "sec", "points"
     )
     print(header)
     print("-" * len(header))
@@ -56,10 +54,10 @@ def main() -> int:
         report = verify_upst(graph, es)
         elapsed = time.monotonic() - start
         if report.upst:
-            agree = float(np.max(np.abs(report.min_times[0] - report.analytic_times)))
+            agree = report.diagnostics["agreement_max"]
             spacing = "yes" if report.circulant_timing else "no"
             print(
-                "%-18s %3d  %-5s %-7s %-5s %12.6f %12.6f %10.1e  %6.2f"
+                "%-18s %3d  %-5s %-7s %-5s %12.6f %12.6f %10.1e  %6.2f %7d"
                 % (
                     name,
                     report.n,
@@ -70,6 +68,7 @@ def main() -> int:
                     report.return_period,
                     agree,
                     elapsed,
+                    report.diagnostics["grid_points"],
                 )
             )
         else:

@@ -27,9 +27,7 @@ STEP_MARGIN = 2.0**-16  # relative shrink of the derived grid step, see grid_ste
 MAX_GRID_POINTS = 2**22  # largest grid verify_upst scans
 GRID_BLOCK = 2**16  # pair x time elements per grid block
 GRID_SLACK = 2.0**-12  # bound on the float32 grid's |U|^2 error, see scan_min_times
-# Pair rows p_m, p_r with max_k |p_m,k - s p_r,k| <= CLASS_TOL for a unit s
-# share one scanned curve: |U_m(t) - s U_r(t)| <= n CLASS_TOL for all t.
-CLASS_TOL = 1e-12
+CLASS_TOL = 1e-12  # pair rows this close up to a unit scalar share a curve, see _class_rows
 WAVE_CHUNK = 64  # grid points per head of the chunked grid waves
 REFINE_BLOCK = 2**16  # pair x eigenvalue elements per refinement batch
 
@@ -292,37 +290,45 @@ def _pair_rows(x: np.ndarray, flat: np.ndarray) -> np.ndarray:
     return x[v] * x.conj()[u]
 
 
-def _pair_classes(x: np.ndarray) -> np.ndarray:
-    """rep_of[f]: the flat pair whose curve is scanned for flat pair f.
-
-    rep_of[r] == r for every scanned pair.  Pairs are keyed by u == v and by
-    the rounded |K[v,u]|, K = (X diag(r)) X^dagger, for two fixed complex
-    vectors r (real ones would give p_uv and p_vu = conj(p_uv) one key).  In
-    a run of equal keys, pair m joins the class of the run's first pair f
-    only if max_k |p_m,k - s p_f,k| <= CLASS_TOL, s = <p_f, p_m>/|<p_f, p_m>|,
-    and is scanned on its own otherwise: a rounding edge costs work, never
-    correctness.  Rows are built from X in batches of REFINE_BLOCK elements;
-    no n^3 array is formed.
-    """
+def _pair_classes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, run): the flat pair opening each run of equal keys, and the run
+    of every flat pair u*n + v.  Keys are u == v and the rounded |K[v,u]|, K =
+    (X diag(r)) X^dagger, for two fixed complex r (real ones would give p_uv
+    and p_vu = conj(p_uv) one key).  A rounding edge splits a class into two
+    runs, which costs work; _class_rows turns away a pair of another curve."""
     n = x.shape[0]
-    flat = np.arange(n * n)
     r = np.exp(1j * np.random.default_rng(0).uniform(0, TWO_PI, size=(2, 1, n)))
     # |K| <= 1; keys of rows CLASS_TOL apart differ by <= n CLASS_TOL << 1e-9
     keys = np.rint(np.abs((x * r) @ x.conj().T).transpose(0, 2, 1).reshape(2, -1) * 1e9)
-    keys = np.vstack((keys, flat // n == flat % n))
+    keys = np.vstack((keys, np.eye(n).reshape(1, -1)))  # u == v
     order = np.lexsort(keys)
     opens = np.ones(n * n, dtype=bool)
     opens[1:] = np.any(np.diff(keys[:, order], axis=1) != 0, axis=0)
-    member, first = order[~opens], order[opens][np.cumsum(opens) - 1][~opens]
-    rep_of = flat.copy()
-    rows = max(1, REFINE_BLOCK // n)
-    for lo in range(0, member.size, rows):
-        m, f = member[lo:lo + rows], first[lo:lo + rows]
-        pm, pf = _pair_rows(x, m), _pair_rows(x, f)
-        s = np.exp(1j * np.angle(_row_dots(pf.conj(), pm)))
-        joins = np.max(np.abs(pm - s[:, np.newaxis] * pf), axis=1) <= CLASS_TOL
-        rep_of[m[joins]] = f[joins]
-    return rep_of
+    run = np.empty(n * n, dtype=np.intp)
+    run[order] = np.cumsum(opens) - 1
+    return order[opens], run
+
+
+def _class_rows(
+    x: np.ndarray, first: np.ndarray, run: np.ndarray, waves: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """For every flat pair f, from its row p_f: whether it joins its run's
+    class, max_k |p_f,k - s p_r,k| <= CLASS_TOL for the first row p_r and s =
+    <p_r, p_f>/|<p_r, p_f>|, and its amplitude p_f . waves[run[f]].  Rows are
+    broadcast from X for a block of u at a time, within REFINE_BLOCK elements."""
+    n = x.shape[0]
+    heads = _pair_rows(x, first)
+    conj_heads = heads.conj()
+    joins, amp = np.empty(n * n, dtype=bool), np.empty(n * n, dtype=complex)
+    us = max(1, REFINE_BLOCK // n**2)
+    for u in range(0, n, us):
+        part = slice(u * n, min(n, u + us) * n)
+        rows = (x[np.newaxis] * x.conj()[u:u + us, np.newaxis]).reshape(-1, n)
+        amp[part] = _row_dots(rows, waves[run[part]])
+        diff = heads[run[part]]  # a copy: s p_r, then p_f - s p_r in place
+        diff *= np.exp(1j * np.angle(_row_dots(conj_heads[run[part]], rows)))[:, np.newaxis]
+        joins[part] = np.max(np.abs(np.subtract(rows, diff, out=diff)), axis=1) <= CLASS_TOL
+    return joins, amp
 
 
 def _scan_pairs(
@@ -388,22 +394,24 @@ def _scan_pairs(
 
 
 def grid_step(es: EigenSystem) -> float:
-    """The largest scan step h that provably puts a grid hit next to every
-    peak |U(t*)[v][u]| = 1 (see scan_min_times for the refinement bracket).
+    """The largest scan step h that provably puts a grid hit next to every t*
+    with |U(t*)[v][u]| = 1 - delta >= 1 - PST_ENTRY_TOL.
 
-    e^{imt} U(t), m the median eigenvalue, has the magnitudes of U(t), so
-    |d/dt |U(t)[v][u]|| <= D, the largest entry of |X| diag(|lambda - m|) |X|^T.
-    The grid point nearest t* is within h/2 of it, where |U| >= 1 - D h/2 >=
-    sqrt(DETECTION_THRESHOLD) for h <= 2 (1 - sqrt(DETECTION_THRESHOLD))/D.
-    STEP_MARGIN shrinks that bound so the point clears the threshold by about
-    6e-7 in |U|^2, above the float64 rounding of a grid amplitude (about
-    2^-52 max|lambda| t) for max|lambda| t up to 10^9.  Also h <= 2 pi/(3 R),
-    R = lambda_max - lambda_min."""
+    Up to a unit factor U(t* + s)[v][u] = sum_k a_k e^{-i mu_k s}, mu = lambda
+    - mean(lambda), sum_k a_k = 1 - delta, sum_k |a_k| <= 1.  Its real part is
+    >= 1 - delta - V s^2/2 - |s| sqrt(2 V delta) = 1 - (|s| sqrt(V/2) +
+    sqrt(delta))^2, V the largest entry of |X| diag(mu^2) |X|^T, by Cauchy-
+    Schwarz with (Im a_k)^2 <= 2 |a_k| (|a_k| - Re a_k).  So |U| >= sqrt(
+    DETECTION_THRESHOLD) within h/2 of t* for h <= sqrt(8/V) (sqrt(1 - sqrt(
+    DETECTION_THRESHOLD)) - sqrt(PST_ENTRY_TOL)), here shrunk by STEP_MARGIN:
+    the nearest grid point clears the threshold by about 1.2e-6 in |U|^2, above
+    float64 rounding (about 2^-52 max|lambda| t) for max|lambda| t up to 10^9.
+    Also h <= 2 pi/(3 R), R = lambda_max - lambda_min (see scan_min_times)."""
     lam = es.lambdas
     mag = np.abs(es.X)
-    d = float(np.max((mag * np.abs(lam - np.median(lam))) @ mag.T))
-    bound = 2 * (1 - math.sqrt(DETECTION_THRESHOLD)) / d * (1 - STEP_MARGIN)
-    return min(bound, TWO_PI / (3 * float(np.ptp(lam))))
+    v = float(np.max((mag * np.square(lam - np.mean(lam))) @ mag.T))
+    root = math.sqrt(1 - math.sqrt(DETECTION_THRESHOLD)) - math.sqrt(PST_ENTRY_TOL)
+    return min(math.sqrt(8 / v) * root * (1 - STEP_MARGIN), TWO_PI / (3 * float(np.ptp(lam))))
 
 
 def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferReport:
@@ -413,11 +421,11 @@ def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferRepo
     stays unset.
 
     Pairs whose rows p_uv,k = X[v,k] conj(X[u,k]) agree up to a unit scalar s
-    share one curve, and the grid scans one curve per class (_pair_classes,
-    _scan_pairs).  Each other member m of a class r takes the class's time;
-    its own amplitude there must pass the same |amp| >= 1 - PST_ENTRY_TOL
-    test, or m is scanned again as its own class.  |U_m(t) - s U_r(t)| <=
-    sum_k |p_m,k - s p_r,k| <= n CLASS_TOL for all t.
+    share one curve; the grid scans the first pair of each run of equal class
+    keys (_pair_classes, _scan_pairs).  One pass over the rows (_class_rows)
+    tests every pair m of run r: p_m within CLASS_TOL of s p_r, so |U_m(t) -
+    s U_r(t)| <= n CLASS_TOL for all t, and |amp| >= 1 - PST_ENTRY_TOL for its
+    own amplitude at r's time.  If either fails, m is scanned by itself.
 
     The grid is walked in blocks of GRID_BLOCK // max(live classes, n) time
     points, so a block's classes x time amplitudes and n x time waves (plus
@@ -444,10 +452,10 @@ def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferRepo
     classes (rescans included), members (pairs that took their class's
     time), member_rescans, pair_time_products (class x time points),
     f32_hits, f64_hits, clusters (closed runs of hits), newton_rows
-    (candidates refined) and bisect_rows; classes + members is n^2 on a
-    complete scan.  Pairs with no confirmed peak keep NaN and are flagged in
-    reasons; a degenerate spectrum refuses the extraction (every t is a
-    return time).
+    (candidates refined) and bisect_rows, classes + members being n^2 on a
+    complete scan; and margin_min, the least 1 - |U(t_uv)| found (1 for none).
+    Pairs with no confirmed peak keep NaN and are flagged in reasons; a
+    degenerate spectrum refuses the extraction (every t is a return time).
     """
     n = es.n
     lam = es.lambdas
@@ -464,31 +472,20 @@ def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferRepo
         "classes", "members", "member_rescans", "pair_time_products", "f32_hits", "f64_hits",
         "clusters", "newton_rows", "bisect_rows"), 0))
     flat_times, flat_phases = min_times.reshape(-1), phases.reshape(-1)
-    flat = np.arange(n * n)
-    rep_of = _pair_classes(es.X)
-    reps = flat[rep_of == flat]
-    t_class = _scan_pairs(es.X, reps, lam, nsteps, step, diagnostics)[0]
+    first, run = _pair_classes(es.X)
+    t_class = _scan_pairs(es.X, first, lam, nsteps, step, diagnostics)[0]
     found = ~np.isnan(t_class)
-    # each pair of a resolved class, its first too, is tested by its own row
-    cls = np.searchsorted(reps, rep_of)
-    pairs, cls = flat[found[cls]], cls[found[cls]]
-    class_waves = _waves(np.where(found, t_class, 0.0), lam)
-    amp = np.empty(pairs.size, dtype=complex)
-    rows = max(1, REFINE_BLOCK // n)
-    for first in range(0, pairs.size, rows):
-        part = slice(first, first + rows)
-        amp[part] = _row_dots(_pair_rows(es.X, pairs[part]), class_waves[cls[part]])
-    ok = np.abs(amp) >= 1 - PST_ENTRY_TOL
-    flat_times[pairs[ok]] = t_class[cls[ok]]
-    flat_phases[pairs[ok]] = amp[ok]
-    rescan = pairs[~ok]
+    joins, amp = _class_rows(es.X, first, run, _waves(np.where(found, t_class, 0.0), lam))
+    ok = joins & found[run] & (np.abs(amp) >= 1 - PST_ENTRY_TOL)
+    flat_times[ok], flat_phases[ok] = t_class[run[ok]], amp[ok]
+    rescan = np.flatnonzero(~joins | (found[run] & ~ok))
     if rescan.size:
         flat_times[rescan], flat_phases[rescan] = _scan_pairs(
             es.X, rescan, lam, nsteps, step, diagnostics
         )
-    diagnostics["classes"] = reps.size + rescan.size
-    diagnostics["members"] = pairs.size - rescan.size - int(np.count_nonzero(found))
-    diagnostics["member_rescans"] = rescan.size
+    diagnostics.update(classes=first.size + rescan.size, member_rescans=rescan.size,
+                       members=int(np.count_nonzero(ok)) - int(np.count_nonzero(found)))
+    diagnostics["margin_min"] = float(np.min(1 - np.abs(phases[~np.isnan(min_times)]), initial=1))
     return TransferReport(
         n=n,
         min_times=min_times,
@@ -554,7 +551,8 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
 
     The scan runs to P + 2h in steps of P / ceil(P/h), P the return period
     and h = grid_step(es): with a flat X each pair transfers once per period.
-    A grid past MAX_GRID_POINTS is not scanned: scan-grid-too-large.
+    A grid past MAX_GRID_POINTS is not scanned: scan-grid-too-large.  The
+    diagnostics add agreement_max, max |analytic - scanned| from vertex 0.
     """
     n = es.n
     lam = es.lambdas
@@ -604,7 +602,9 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     min_times = scanned.min_times
     reasons.extend(scanned.reasons)
     complete = not scanned.reasons
-    agree = complete and float(np.max(np.abs(min_times[0, :] - times))) <= TIME_AGREEMENT_TOL
+    agreement = float(np.max(np.abs(min_times[0, :] - times)))
+    scanned.diagnostics["agreement_max"] = None if math.isnan(agreement) else agreement
+    agree = complete and agreement <= TIME_AGREEMENT_TOL
     if complete and not agree:
         reasons.append("analytic-scan-disagreement")
     upst = bool(confirmed and complete and agree)

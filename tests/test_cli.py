@@ -129,12 +129,15 @@ def test_verify_passes_every_check_on_dense_circulant(tmp_path, capsys):
     assert doc["report"]["upst"] is True
     assert doc["report"]["reasons"] == []
     diagnostics = doc["report"]["diagnostics"]
-    # P = pi/2 and h = grid_step: ceil(P/h) = 104 points, plus the 2 h past P
-    assert diagnostics["grid_points"] == 107
+    # P = pi/2 and h = grid_step: ceil(P/h) = 13 points, plus the 2 h past P
+    assert diagnostics["grid_points"] == 16
     # a circulant has one curve per difference v - u
     assert diagnostics["classes"] == 3
     assert diagnostics["classes"] + diagnostics["members"] == 9
     assert diagnostics["newton_rows"] >= diagnostics["classes"]
+    # the least 1 - |U(t_uv)| and the largest |analytic - scanned| on row 0
+    assert -1e-15 <= diagnostics["margin_min"] <= 1e-9
+    assert 0 <= diagnostics["agreement_max"] <= 1e-8
 
 
 def test_verify_fails_denseness_of_sparse_family(tmp_path, capsys):
@@ -177,7 +180,9 @@ def test_verify_table_prints_scan_diagnostics(tmp_path, capsys):
     fields = dict(item.split("=") for item in lines[0].split()[1:])
     assert list(fields) == list(expected)
     assert fields["grid_step"] == "%.15g" % expected["grid_step"]
-    assert fields["grid_points"] == "289"
+    assert fields["grid_points"] == "38"
+    for key in ("margin_min", "agreement_max"):
+        assert fields[key] == "%.15g" % expected[key]
     assert fields["newton_rows"] == str(expected["newton_rows"])
     assert fields["bisect_rows"] == "0"
     # no scan ran on a graph whose diagonalizer is not flat

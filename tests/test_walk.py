@@ -37,6 +37,7 @@ from upst.walk import (
     GRID_SLACK,
     MAX_GRID_POINTS,
     PST_ENTRY_TOL,
+    STEP_MARGIN,
     TIME_AGREEMENT_TOL,
     WAVE_CHUNK,
     analytic_pst_times,
@@ -48,6 +49,7 @@ from upst.walk import (
     unitary_at,
     verify_upst,
     _block_hits,
+    _class_rows,
     _f32_mag2,
     _grid_waves,
     _pair_classes,
@@ -298,13 +300,17 @@ def test_grid_past_the_cap_is_refused_without_a_scan(monkeypatch):
     assert report.reasons == ("scan-grid-too-large",)
 
 
-def relabelled_flat(a, b, beta, seed):
-    """noncirculant_graph's eigensystem with vertices permuted and random
-    eigenvector phases, neither of which changes the transfer times."""
-    _, es = noncirculant_graph(NoncirculantParams(a, b, beta))
+def relabelled(es, seed):
+    """es with vertices permuted and random eigenvector phases, neither of
+    which changes the set of transfer times."""
     rng = np.random.default_rng(seed)
     x = es.X[rng.permutation(es.n), :] * np.exp(1j * rng.uniform(0, TWO_PI, size=es.n))
     return EigenSystem(n=es.n, X=x, lambdas=es.lambdas, exact_lambdas=es.exact_lambdas)
+
+
+def relabelled_flat(a, b, beta, seed):
+    """noncirculant_graph's eigensystem, relabelled and rephased."""
+    return relabelled(noncirculant_graph(NoncirculantParams(a, b, beta))[1], seed)
 
 
 def test_scan_times_and_phases_match_walk_operator(nd6):
@@ -344,18 +350,18 @@ def test_grid_waves_are_chunk_products_whatever_the_block():
 
 def test_scan_working_set_is_bounded():
     # the grid is scanned in blocks and candidates refined in row batches, so
-    # the peak allocation stays far below the n^2 x grid-points array.  At ten
-    # times the derived density the horizon is about 19 000 grid points; past
-    # the last off-diagonal transfer only the diagonal class stays live, and
-    # the blocks grow to their largest, GRID_BLOCK // n time points.  At
-    # n = 128 an n^3 array of pair rows alone would take 32 MB.  The wide
-    # spread circulant's derived grid has about 311 000 points
+    # the peak allocation stays far below the n^2 x grid-points array.  At a
+    # hundred times the derived density the horizon is about 21 000 grid
+    # points; past the last off-diagonal transfer only the diagonal class
+    # stays live, and the blocks grow to their largest, GRID_BLOCK // n time
+    # points.  At n = 128 an n^3 array of pair rows alone would take 32 MB.
+    # The wide spread circulant's derived grid has about 44 000 points
     _, es = noncirculant_graph(NoncirculantParams(6, 4, 2))
     _, es128 = noncirculant_graph(NoncirculantParams(16, 8, 1))
     wide = circulant_eigensystem(circulant_from_c(3, [0, 0, 2000]))
     for scan_it in (
         lambda: scan(es),
-        lambda: scan_min_times(es, *scan_grid(es, density=10)),
+        lambda: scan_min_times(es, *scan_grid(es, density=100)),
         lambda: scan(es128),
         lambda: scan(wide),
     ):
@@ -415,13 +421,25 @@ def test_scan_diagnostics_count_the_work():
     # every closed cluster holds at least one candidate
     assert d["newton_rows"] >= d["clusters"] >= d["classes"]
     assert d["bisect_rows"] == 0
-    counters = {k: v for k, v in d.items() if k not in ("grid_step", "horizon")}
+    # every pair was confirmed at |U| >= 1 - PST_ENTRY_TOL, up to rounding
+    assert -1e-15 <= d["margin_min"] <= PST_ENTRY_TOL
+    counters = {k: v for k, v in d.items() if k not in ("grid_step", "horizon", "margin_min")}
     assert all(type(v) is int for v in counters.values())
 
 
+def class_joins(x, run=None):
+    """_pair_classes of x, with run replaced when given, and whether each
+    pair joins its run's class."""
+    first, own = _pair_classes(x)
+    run = own if run is None else run
+    return first, run, _class_rows(x, first, run, np.zeros((first.size, x.shape[0])))[0]
+
+
 def class_count(x):
-    rep_of = _pair_classes(x)
-    return int(np.count_nonzero(rep_of == np.arange(rep_of.size)))
+    """Curves scanned before any member test: one per key run, plus one per
+    pair its run's class turns away."""
+    first, _, joins = class_joins(x)
+    return first.size + int(np.count_nonzero(~joins))
 
 
 def test_pair_classes_are_counted_per_distinct_curve():
@@ -448,25 +466,38 @@ def test_pair_classes_admit_rows_within_class_tol(scale, joins):
     # CLASS_TOL * scale where w is 1, so the unit scalar between them is 1
     w = np.exp(1j * np.array([0.0, 0.7, 1.9, 4.4]))
     x = np.array([np.ones(4), w, np.ones(4), w + [CLASS_TOL * scale, 0, 0, 0]])
-    rep_of = _pair_classes(x)
-    assert rep_of[1] == 1
-    assert bool(rep_of[2 * 4 + 3] == 1) is joins
+    first, run, joined = class_joins(x)
+    # both rows share a key run, opened by p_01
+    assert first[run[1]] == 1 and run[2 * 4 + 3] == run[1]
+    assert joined[1]
+    assert bool(joined[2 * 4 + 3]) is joins
+
+
+def planted_run(es):
+    """A member a of a key run, not the run's first, and a copy of the run
+    array with a moved into the run of the pair b of another run that
+    transfers first; a transfers after b."""
+    times = scan(es).min_times.reshape(-1)
+    first, run = _pair_classes(es.X)
+    members = np.flatnonzero(first[run] != np.arange(run.size))
+    a = members[np.argmax(times[members])]
+    b = int(np.argmin(np.where(run == run[a], np.inf, times)))
+    assert times[b] < times[a]
+    planted = run.copy()
+    planted[a] = run[b]
+    return a, first, planted
 
 
 def test_member_failing_at_its_class_time_is_rescanned(monkeypatch):
-    # put pair a into the class of a pair b that transfers earlier: a's own
-    # amplitude fails the strict test at t_b, so a is scanned again by itself
+    # put pair a into the class of a pair b that transfers earlier, and admit
+    # every row: a's own amplitude fails the strict test at t_b, so a is
+    # scanned again by itself
     es = relabelled_flat(4, 4, 2, seed=5)
     default = scan(es)
-    rep_of = _pair_classes(es.X)
+    a, first, planted = planted_run(es)
     times = default.min_times.reshape(-1)
-    members = np.flatnonzero(rep_of != np.arange(rep_of.size))
-    a = members[np.argmax(times[members])]
-    b = int(np.argmin(np.where(rep_of == rep_of[a], np.inf, times)))
-    assert times[b] < times[a]
-    planted = rep_of.copy()
-    planted[a] = rep_of[b]
-    monkeypatch.setattr(walk, "_pair_classes", lambda x: planted)
+    monkeypatch.setattr(walk, "_pair_classes", lambda x: (first, planted))
+    monkeypatch.setattr(walk, "CLASS_TOL", np.inf)
     report = scan(es)
     assert report.reasons == ()
     assert abs(report.min_times.reshape(-1)[a] - times[a]) <= 1e-12
@@ -474,6 +505,26 @@ def test_member_failing_at_its_class_time_is_rescanned(monkeypatch):
     d = report.diagnostics
     assert d["member_rescans"] >= 1
     assert d["classes"] + d["members"] == es.n**2
+
+
+def test_key_collision_stranger_is_rescanned(monkeypatch):
+    # a key run that holds two curves: the stranger a fails admission to the
+    # run's class, is scanned by itself and gets its own time; no other
+    # number of the report moves
+    es = relabelled_flat(4, 4, 2, seed=5)
+    default = scan(es)
+    a, first, planted = planted_run(es)
+    assert not class_joins(es.X, planted)[2][a]
+    monkeypatch.setattr(walk, "_pair_classes", lambda x: (first, planted))
+    report = scan(es)
+    assert report.reasons == ()
+    others = np.arange(es.n**2) != a
+    for got, want in ((report.min_times, default.min_times), (report.phases, default.phases)):
+        assert abs(got.reshape(-1)[a] - want.reshape(-1)[a]) <= 1e-12
+        assert np.array_equal(got.reshape(-1)[others], want.reshape(-1)[others])
+    d, d0 = report.diagnostics, default.diagnostics
+    assert d["member_rescans"] == 1 and d0["member_rescans"] == 0
+    assert (d["classes"], d["members"]) == (d0["classes"] + 1, d0["members"] - 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -640,23 +691,64 @@ LADDER = (
 )
 
 
+def step_bounds(es):
+    """grid_step's two bounds from the pair rows p: sqrt(8/V) (sqrt(1 -
+    sqrt(threshold)) - sqrt(PST_ENTRY_TOL)), V the largest sum_k |p_k|
+    (lambda_k - mean)^2, and 2 pi/(3 R)."""
+    lam = es.lambdas
+    v = np.max(np.abs(pair_vectors(es.X)) @ (lam - lam.mean()) ** 2)
+    root = math.sqrt(1 - math.sqrt(DETECTION_THRESHOLD)) - math.sqrt(PST_ENTRY_TOL)
+    return math.sqrt(8 / v) * root, TWO_PI / (3 * (lam.max() - lam.min()))
+
+
 def test_grid_step_meets_both_bounds_on_the_ladder():
-    # h <= 2 (1 - sqrt(threshold))/D and h <= 2 pi/(3 R), the first binding
-    # on every rung; the grid point nearest each transfer time is a hit
+    # h is at most both bounds and within 1e-4 of the smaller; the grid point
+    # nearest each transfer time is a hit
     for abb in LADDER:
         es, u, times = certified_eigensystem("flat", abb, seed=3)
-        lam = es.lambdas
-        d = np.max(np.abs(pair_vectors(es.X)) @ np.abs(lam - np.median(lam)))
-        slope_bound = 2 * (1 - math.sqrt(DETECTION_THRESHOLD)) / d
+        curvature_bound, unimodal_bound = step_bounds(es)
         h = grid_step(es)
-        assert h <= slope_bound
-        assert h <= TWO_PI / (3 * (lam.max() - lam.min()))
-        assert h >= (1 - 1e-4) * slope_bound
+        assert h <= curvature_bound
+        assert h <= unimodal_bound
+        assert h >= (1 - 1e-4) * min(curvature_bound, unimodal_bound)
         period = analytic_return_period(es)
         step = period / math.ceil(period / h)
         for v, t in enumerate(times):
             nearest = round(t / step) * step
             assert abs(unitary_at(es, nearest)[v, u]) ** 2 >= DETECTION_THRESHOLD
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.just("flat"), st.sampled_from(LADDER[:9])),
+        st.tuples(st.just("circulant_c"), st.integers(2, 5)),
+        st.tuples(st.just("nondense"), st.sampled_from([(2, 3), (2, 5), (3, 5)])),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_scanned_times_stay_hits_within_half_a_step(case, seed):
+    # grid_step's curvature bound: from every scanned t_uv, where |U| >= 1 -
+    # PST_ENTRY_TOL, |U(t_uv + s)[v][u]|^2 >= DETECTION_THRESHOLD for all
+    # |s| <= h/2, so the grid point nearest a peak is a hit
+    kind, size = case
+    rng = np.random.default_rng(seed)
+    if kind == "flat":
+        base = noncirculant_graph(NoncirculantParams(*size))[1]
+    elif kind == "circulant_c":
+        c = [int(v) for v in rng.integers(-1000, 1001, size=size)]
+        base = circulant_eigensystem(circulant_from_c(size, c))
+    else:
+        base = circulant_eigensystem(nondense_circulant(*size))
+    es = relabelled(base, seed)
+    h = grid_step(es)
+    assert h == pytest.approx(min(step_bounds(es)[0] * (1 - STEP_MARGIN), step_bounds(es)[1]),
+                              rel=1e-12, abs=0)
+    report = scan(es)
+    assert report.reasons == ()
+    t = report.min_times.reshape(-1, 1, 1) + h / 2 * np.linspace(-1, 1, 33)[:, np.newaxis]
+    amp = np.einsum("pk,psk->ps", pair_vectors(es.X), np.exp(-1j * t * es.lambdas))
+    assert np.min(np.abs(amp) ** 2) >= DETECTION_THRESHOLD
 
 
 def test_time_reversal_holds_on_the_ladder_and_the_fixtures(circ3):
