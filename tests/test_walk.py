@@ -741,9 +741,10 @@ def test_scanned_times_stay_hits_within_half_a_step(case, seed):
     else:
         base = circulant_eigensystem(nondense_circulant(*size))
     es = relabelled(base, seed)
+    curvature_bound, unimodal_bound = step_bounds(es)
     h = grid_step(es)
-    assert h == pytest.approx(min(step_bounds(es)[0] * (1 - STEP_MARGIN), step_bounds(es)[1]),
-                              rel=1e-12, abs=0)
+    stated = min(curvature_bound * (1 - STEP_MARGIN), unimodal_bound)
+    assert h == pytest.approx(stated, rel=1e-12, abs=0)
     report = scan(es)
     assert report.reasons == ()
     t = report.min_times.reshape(-1, 1, 1) + h / 2 * np.linspace(-1, 1, 33)[:, np.newaxis]
