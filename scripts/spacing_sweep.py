@@ -3,7 +3,9 @@
 For each (a, b, beta) the first transfer time should be 2*pi/(beta*n) and the
 gap between the (a-1)-th and a-th transfer should stretch to
 2*pi*((beta-1)*a + 1)/(beta*n); beta = 1 collapses both to the circulant
-uniform spacing, which is what the spacing verdict tracks.
+uniform spacing, which is what the spacing verdict tracks.  Exits 1 when a
+graph fails to certify or its uniform column (circulant_timing) disagrees
+with beta == 1.
 
 usage: python3 scripts/spacing_sweep.py [--max-a 4] [--max-beta 4]
 """
@@ -30,6 +32,7 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     worst = 0.0
+    mismatched = []
     for a in range(2, args.max_a + 1):
         for b in range(2, a + 1):
             for beta in range(1, args.max_beta + 1):
@@ -45,6 +48,8 @@ def main() -> int:
                 gap = report.min_times[0, a] - report.min_times[0, a - 1]
                 gap_pred = TWO_PI * ((beta - 1) * a + 1) / (beta * n)
                 worst = max(worst, abs(t1 - t1_pred), abs(gap - gap_pred))
+                if report.circulant_timing is not (beta == 1):
+                    mismatched.append("(%d,%d,%d)" % (a, b, beta))
                 print(
                     "%-12s %3d  %-5s %-7s %11.6f %11.6f %11.6f %11.6f"
                     % (
@@ -59,6 +64,9 @@ def main() -> int:
                     )
                 )
     print("\nlargest |measured - predicted|: %.3e" % worst)
+    if mismatched:
+        print("uniform spacing disagrees with beta == 1: " + ", ".join(mismatched))
+        return 1
     return 0
 
 

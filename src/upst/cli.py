@@ -25,7 +25,7 @@ from .constructors import (
 from .graph import HermitianGraph, circulant_to_graph, is_connected_circulant, with_diagonal_shift
 from .serialize import graph_to_json, load_graph, report_to_json
 from .spectra import EigenSystem, circulant_eigensystem, is_type_ii
-from .walk import TransferReport, denseness_check, verify_upst
+from .walk import TransferReport, denseness_check, transfer_table, verify_upst
 
 CHECK_NAMES = ("upst", "spacing", "dense", "typeii", "connectivity")
 FAMILIES = ("circulant_c", "nondense", "noncirculant")
@@ -233,21 +233,13 @@ def cmd_times(source: str, output_format: str, out: Optional[str]) -> int:
             file=sys.stderr,
         )
         return 1
-    n = report.n
+    table = transfer_table(report.analytic_times)
     rows = []
-    for u in range(n):
-        for v in range(n):
+    for u in range(report.n):
+        for v in range(report.n):
             phase = report.phases[u, v]
-            rows.append(
-                [
-                    str(u),
-                    str(v),
-                    FLOAT_FMT % report.min_times[u, v],
-                    FLOAT_FMT % phase.real,
-                    FLOAT_FMT % phase.imag,
-                    FLOAT_FMT % report.analytic_times[v] if u == 0 else "",
-                ]
-            )
+            values = (report.min_times[u, v], phase.real, phase.imag, table[u, v])
+            rows.append([str(u), str(v)] + [FLOAT_FMT % x for x in values])
     header = ["u", "v", "t_uv", "phase_re", "phase_im", "analytic_t"]
     if output_format == "table":
         widths = [max(len(header[i]), max(len(r[i]) for r in rows)) for i in range(6)]

@@ -36,15 +36,6 @@ class EigenSystem:
 
 
 @dataclass(frozen=True)
-class CanonicalForm:
-    """X = S @ Z @ D with unit-modulus diagonal scalings S (rows), D (columns)."""
-
-    X: np.ndarray
-    D: np.ndarray
-    S: np.ndarray
-
-
-@dataclass(frozen=True)
 class EigenvalueForm:
     """Witness lambda_k = alpha + beta*(q*k + c[k]*n) with gcd(q, n) = 1."""
 
@@ -129,11 +120,12 @@ def is_type_ii(matrix: np.ndarray) -> bool:
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(n))) <= UNITARITY_TOL)
 
 
-def canonicalize(z: np.ndarray) -> CanonicalForm:
-    """Scale a flat unitary to the canonical form with first row and column
-    1/sqrt(n): X = S @ Z @ D, where D fixes the first row column-by-column and
-    S then fixes the first column row-by-row.  S maps the adjacency it
-    diagonalizes to the switching-equivalent S A S^(-1)."""
+def canonicalize(z: np.ndarray) -> np.ndarray:
+    """Scale a flat unitary to the canonical form X with first row and column
+    1/sqrt(n): X = S @ Z @ D for unit-modulus diagonal D, which fixes the
+    first row column-by-column, and S, which then fixes the first column
+    row-by-row.  S maps the adjacency Z diagonalizes to the
+    switching-equivalent S A S^(-1)."""
     z = np.asarray(z, dtype=complex)
     if not is_type_ii(z):
         raise ValueError("canonical form needs a flat unitary input")
@@ -142,8 +134,7 @@ def canonicalize(z: np.ndarray) -> CanonicalForm:
     d = root / z[0, :]
     z2 = z * d[np.newaxis, :]
     s = root / z2[:, 0]
-    x = z2 * s[:, np.newaxis]
-    return CanonicalForm(X=x, D=np.diag(d), S=np.diag(s))
+    return z2 * s[:, np.newaxis]
 
 
 def zero_sum_check(x: np.ndarray) -> bool:

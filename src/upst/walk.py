@@ -22,7 +22,6 @@ PST_ENTRY_TOL = 1e-9
 TIME_AGREEMENT_TOL = 1e-8
 DETECTION_THRESHOLD = 0.96  # on |U|^2; refinement applies the strict test
 DEGENERACY_TOL = 1e-12
-TIE_TOL = 1e-10
 STEP_MARGIN = 2.0**-16  # relative shrink of the derived grid step, see grid_step
 MAX_GRID_POINTS = 2**22  # largest grid verify_upst scans
 GRID_BLOCK = 2**16  # pair x time elements per grid block
@@ -41,10 +40,11 @@ class TransferReport:
     min_times[u][v] is the first time |U(t)[v][u]| reaches 1 (NaN if never
     observed inside the scan window); phases holds the complex amplitude at
     that time.  analytic_times[l] is the phase-matrix solution for transfer
-    0 -> l.  Verdicts are tri-state: None means not evaluated on this input.
-    reasons carries short codes explaining any False verdict.  diagnostics
-    holds the time scan's grid and work counters (see scan_min_times), or
-    None when no scan ran.
+    0 -> l (transfer_table extends it to every pair).  Verdicts are
+    tri-state: None means not evaluated on this input.  reasons carries short
+    codes explaining any False verdict.  spacing_order is the circulant
+    witness (see verify_upst).  diagnostics holds the time scan's grid and
+    work counters (see scan_min_times), or None when no scan ran.
     """
 
     n: int
@@ -139,6 +139,18 @@ def analytic_pst_times(es: EigenSystem) -> Optional[np.ndarray]:
         if np.all(times < np.inf):
             return times
     return None
+
+
+def transfer_table(analytic_times: np.ndarray) -> np.ndarray:
+    """All n^2 first transfer times from vertex 0's: T[u][v] = (t_v - t_u)
+    mod P off the diagonal, P = analytic_times[0] on it.  With the canonical
+    X[w][k] = e^{2 pi i rho_wk}/sqrt(n) and lambda_k - lambda_0 = 2 pi D_k/P,
+    integers D_k of gcd 1, |U(sP)[v][u]| = 1 iff rho_v - rho_u = s D mod 1,
+    which fixes s mod 1; row 0 is zero, so rho_w = (t_w/P) D mod 1."""
+    period = analytic_times[0]
+    table = (analytic_times[np.newaxis, :] - analytic_times[:, np.newaxis]) % period
+    np.fill_diagonal(table, period)
+    return table
 
 
 def _row_dots(rows: np.ndarray, waves: np.ndarray) -> np.ndarray:
@@ -453,7 +465,8 @@ def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferRepo
     time), member_rescans, pair_time_products (class x time points),
     f32_hits, f64_hits, clusters (closed runs of hits), newton_rows
     (candidates refined) and bisect_rows, classes + members being n^2 on a
-    complete scan; and margin_min, the least 1 - |U(t_uv)| found (1 for none).
+    complete scan; and margin_min, the least 1 - |U(t_uv)| found (1 for none),
+    clamped at 0 where rounding puts a certified |U| a few ulps above 1.
     Pairs with no confirmed peak keep NaN and are flagged in reasons; a
     degenerate spectrum refuses the extraction (every t is a return time).
     """
@@ -485,7 +498,8 @@ def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferRepo
         )
     diagnostics.update(classes=first.size + rescan.size, member_rescans=rescan.size,
                        members=int(np.count_nonzero(ok)) - int(np.count_nonzero(found)))
-    diagnostics["margin_min"] = float(np.min(1 - np.abs(phases[~np.isnan(min_times)]), initial=1))
+    margin = np.min(1 - np.abs(phases[~np.isnan(min_times)]), initial=1)
+    diagnostics["margin_min"] = max(0.0, float(margin))
     return TransferReport(
         n=n,
         min_times=min_times,
@@ -493,26 +507,6 @@ def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferRepo
         reasons=("scan-missing-pairs",) if np.isnan(min_times).any() else (),
         diagnostics=diagnostics,
     )
-
-
-def _spacing_structure(min_times: np.ndarray) -> tuple[bool, tuple[int, ...], bool]:
-    """Timing signature of circulants on a complete min_times matrix: order
-    the vertices by transfer time from vertex 0; then every consecutive pair,
-    wrap-around included, transfers in t_{0, order[1]} to TIME_AGREEMENT_TOL.
-    Returns that verdict, the order, and whether the order is free of ties
-    (gaps above TIE_TOL); verify_upst's circulant_timing needs both."""
-    n = min_times.shape[0]
-    t0 = min_times[0]
-    order = [0] + sorted(range(1, n), key=lambda v: t0[v])
-    sorted_times = [t0[v] for v in order[1:]]
-    tie_ok = all(
-        sorted_times[i + 1] - sorted_times[i] > TIE_TOL for i in range(len(sorted_times) - 1)
-    )
-    ref = min_times[order[0], order[1]]
-    deviation = max(
-        abs(min_times[order[i], order[(i + 1) % n]] - ref) for i in range(n)
-    )
-    return deviation <= TIME_AGREEMENT_TOL, tuple(order), tie_ok
 
 
 def monomial_check(u_matrix: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -544,15 +538,19 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     -> analytic transfer times -> numeric spot confirmation -> full scan.
     upst is True only when the analytic solution exists, every analytic time
     is confirmed by the walk operator, the scan finds a first-passage time for
-    every ordered pair, analytic and scanned times for vertex 0 agree to
-    TIME_AGREEMENT_TOL, and so do t_uv + t_vu and the return period for every
-    u != v (time reversal).  Failures come back as False verdicts with reason
-    codes, not exceptions.
+    every ordered pair, the scanned times agree with transfer_table on all n^2
+    pairs to TIME_AGREEMENT_TOL, and so do t_uv + t_vu and the return period
+    for every u != v (time reversal).  Failures come back as False verdicts
+    with reason codes, not exceptions.  When upst, circulant_timing is True
+    iff the t_0w lie within TIME_AGREEMENT_TOL of distinct multiples of P/n:
+    spacing_order, the vertices by t_0w mod P, then relabels the table into
+    a circulant.
 
     The scan runs to P + 2h in steps of P / ceil(P/h), P the return period
     and h = grid_step(es): with a flat X each pair transfers once per period.
     A grid past MAX_GRID_POINTS is not scanned: scan-grid-too-large.  The
-    diagnostics add agreement_max, max |analytic - scanned| from vertex 0.
+    diagnostics add agreement_max, max |transfer_table - scanned| over all
+    n^2 pairs.
     """
     n = es.n
     lam = es.lambdas
@@ -577,8 +575,7 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
         return failed("degenerate-spectrum")
     if not is_type_ii(es.X):
         return failed("diagonalizer-not-flat")
-    form = canonicalize(es.X)
-    es_c = EigenSystem(n=n, X=form.X, lambdas=lam, exact_lambdas=es.exact_lambdas)
+    es_c = EigenSystem(n=n, X=canonicalize(es.X), lambdas=lam, exact_lambdas=es.exact_lambdas)
     times = analytic_pst_times(es_c)
     if times is None:
         return failed("no-consistent-times")
@@ -602,7 +599,7 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     min_times = scanned.min_times
     reasons.extend(scanned.reasons)
     complete = not scanned.reasons
-    agreement = float(np.max(np.abs(min_times[0, :] - times)))
+    agreement = float(np.max(np.abs(min_times - transfer_table(times))))
     scanned.diagnostics["agreement_max"] = None if math.isnan(agreement) else agreement
     agree = complete and agreement <= TIME_AGREEMENT_TOL
     if complete and not agree:
@@ -615,13 +612,13 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
         upst = False
         reasons.append("time-reversal-violation")
 
-    circulant_timing = None
-    spacing_order = None
+    circulant_timing = spacing_order = None
     if upst:
-        verdict, spacing_order, tie_ok = _spacing_structure(min_times)
-        circulant_timing = bool(verdict and tie_ok)
-        if not tie_ok:
-            reasons.append("tied-transfer-times")
+        residues = times % period
+        order = np.argsort(residues, kind="stable")
+        spacing_order = tuple(order.tolist())
+        spread = np.max(np.abs(residues[order] - np.arange(n) * period / n))
+        circulant_timing = bool(spread <= TIME_AGREEMENT_TOL)
 
     return TransferReport(
         n=n,

@@ -181,7 +181,7 @@ def test_criterion_6_canonical_flatness(certified):
 
     def check(matrix):
         n = matrix.shape[0]
-        canon = canonicalize(matrix).X
+        canon = canonicalize(matrix)
         root = 1 / math.sqrt(n)
         border = max(
             float(np.max(np.abs(canon[0, :] - root))),

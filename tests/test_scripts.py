@@ -28,6 +28,12 @@ def test_certify_fixtures_certifies_every_fixture():
 
 
 def test_spacing_sweep_runs():
-    proc = run_script("spacing_sweep.py", "--max-a", "2", "--max-beta", "2")
-    assert proc.returncode == 0, proc.stderr
+    # the sweep exits 1 unless the circulant decision is uniform iff beta == 1
+    proc = run_script("spacing_sweep.py", "--max-a", "3", "--max-beta", "2")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "largest |measured - predicted|" in proc.stdout
+    rows = [line.split() for line in proc.stdout.splitlines()[2:] if line.startswith("(")]
+    assert len(rows) == 6
+    for row in rows:
+        beta = int(row[0].strip("()").split(",")[2])
+        assert row[3] == ("yes" if beta == 1 else "no"), row

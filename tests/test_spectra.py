@@ -112,20 +112,27 @@ def test_construction_diagonalizer_is_type_ii():
 
 # ------------------------------------------------------------- canonical
 
+def assert_rescaling(x, z):
+    """x = S z D for unit-modulus diagonal S and D: x / z is a rank-one
+    matrix with unit-modulus entries."""
+    ratio = x / z
+    assert np.max(np.abs(np.abs(ratio) - 1)) < 1e-12
+    outer = np.outer(ratio[:, 0], ratio[0, :]) / ratio[0, 0]
+    assert np.max(np.abs(ratio - outer)) < 1e-12
+
+
 def test_fourier_is_already_canonical():
     f = fourier_matrix(5)
-    form = canonicalize(f)
-    assert np.max(np.abs(form.X - f)) < 1e-12
-    assert np.max(np.abs(form.D - np.eye(5))) < 1e-12
-    assert np.max(np.abs(form.S - np.eye(5))) < 1e-12
+    x = canonicalize(f)
+    assert np.max(np.abs(x - f)) < 1e-12
+    assert_rescaling(x, f)
 
 
 def test_column_phase_perturbation_is_undone():
     f = fourier_matrix(3)
     z = f.copy()
     z[:, 1] *= np.exp(1j * np.pi / 7)
-    form = canonicalize(z)
-    assert np.max(np.abs(form.X - f)) < 1e-12
+    assert np.max(np.abs(canonicalize(z) - f)) < 1e-12
 
 
 def test_canonicalize_factorization_and_idempotence():
@@ -135,13 +142,12 @@ def test_canonicalize_factorization_and_idempotence():
             row = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
             col = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
             z = row[:, None] * fourier_matrix(n) * col[None, :]
-            form = canonicalize(z)
+            x = canonicalize(z)
             root = 1 / math.sqrt(n)
-            assert np.max(np.abs(form.X[0, :] - root)) < 1e-12
-            assert np.max(np.abs(form.X[:, 0] - root)) < 1e-12
-            assert np.max(np.abs(form.S @ z @ form.D - form.X)) < 1e-12
-            again = canonicalize(form.X)
-            assert np.max(np.abs(again.X - form.X)) < 1e-12
+            assert np.max(np.abs(x[0, :] - root)) < 1e-12
+            assert np.max(np.abs(x[:, 0] - root)) < 1e-12
+            assert_rescaling(x, z)
+            assert np.max(np.abs(canonicalize(x) - x)) < 1e-12
 
 
 def test_construction_diagonalizer_is_already_canonical():
@@ -149,8 +155,7 @@ def test_construction_diagonalizer_is_already_canonical():
     from upst.constructors import NoncirculantParams, noncirculant_graph
 
     _, es = noncirculant_graph(NoncirculantParams(2, 2, 2))
-    form = canonicalize(es.X)
-    assert np.max(np.abs(form.X - es.X)) < 1e-12
+    assert np.max(np.abs(canonicalize(es.X) - es.X)) < 1e-12
 
 
 def test_canonicalize_rejects_non_flat_input():
@@ -168,7 +173,7 @@ def test_zero_sums_for_canonical_construction_diagonalizer():
     from upst.constructors import NoncirculantParams, noncirculant_graph
 
     _, es = noncirculant_graph(NoncirculantParams(2, 2, 3))
-    assert zero_sum_check(canonicalize(es.X).X)
+    assert zero_sum_check(canonicalize(es.X))
 
 
 def test_flat_non_unitary_fails_zero_sums():

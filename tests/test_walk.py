@@ -46,6 +46,7 @@ from upst.walk import (
     grid_step,
     monomial_check,
     scan_min_times,
+    transfer_table,
     unitary_at,
     verify_upst,
     _block_hits,
@@ -54,7 +55,6 @@ from upst.walk import (
     _grid_waves,
     _pair_classes,
     _refine_peaks,
-    _spacing_structure,
     _waves,
 )
 
@@ -421,8 +421,9 @@ def test_scan_diagnostics_count_the_work():
     # every closed cluster holds at least one candidate
     assert d["newton_rows"] >= d["clusters"] >= d["classes"]
     assert d["bisect_rows"] == 0
-    # every pair was confirmed at |U| >= 1 - PST_ENTRY_TOL, up to rounding
-    assert -1e-15 <= d["margin_min"] <= PST_ENTRY_TOL
+    # every pair was confirmed at |U| >= 1 - PST_ENTRY_TOL; rounding above
+    # |U| = 1 is clamped
+    assert 0 <= d["margin_min"] <= PST_ENTRY_TOL
     counters = {k: v for k, v in d.items() if k not in ("grid_step", "horizon", "margin_min")}
     assert all(type(v) is int for v in counters.values())
 
@@ -770,22 +771,40 @@ def test_time_reversal_holds_on_the_ladder_and_the_fixtures(circ3):
         assert np.max(np.abs(sums - report.return_period)) <= 1e-12
 
 
-def test_time_reversal_gate_catches_an_off_table_time(monkeypatch, circ3):
-    # a scan that reports t_12 off by 1e-6 still agrees with the analytic
-    # times from vertex 0; only the time-reversal gate sees it
+def plant_scan(monkeypatch, offset, pairs):
+    """Make verify_upst's scan report min_times[u, v] + offset at each (u, v)
+    of pairs."""
     honest = walk.scan_min_times
 
     def planted(es, horizon, step):
         report = honest(es, horizon, step)
-        report.min_times[1, 2] += 1e-6
+        for u, v in pairs:
+            report.min_times[u, v] += offset
         return report
 
     monkeypatch.setattr(walk, "scan_min_times", planted)
+
+
+def test_transfer_table_catches_an_off_table_time(monkeypatch, circ3):
+    # a scan that reports t_12 off by 1e-6 agrees with the analytic times
+    # from vertex 0, but not with the table of all n^2 pairs
+    plant_scan(monkeypatch, 1e-6, [(1, 2)])
+    report = verify_upst(circulant_to_graph(circ3), es3(circ3))
+    assert report.upst is False
+    assert report.reasons == ("analytic-scan-disagreement",)
+    assert report.circulant_timing is None
+    assert report.diagnostics["agreement_max"] == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_time_reversal_gate_catches_times_inside_the_agreement_tolerance(monkeypatch, circ3):
+    # t_12 and t_21 each 0.9 TIME_AGREEMENT_TOL late pass the comparison with
+    # the table, but t_12 + t_21 misses the return period by 1.8 of it
+    plant_scan(monkeypatch, 0.9 * TIME_AGREEMENT_TOL, [(1, 2), (2, 1)])
     report = verify_upst(circulant_to_graph(circ3), es3(circ3))
     assert report.upst is False
     assert report.reasons == ("time-reversal-violation",)
     assert report.circulant_timing is None
-    assert 1e-6 > TIME_AGREEMENT_TOL
+    assert report.diagnostics["agreement_max"] <= TIME_AGREEMENT_TOL
 
 
 def test_certification_rejects_path_graph():
@@ -833,18 +852,59 @@ def test_spacing_breaks_for_flat_construction():
     assert abs(gap_at_a - TWO_PI * ((beta - 1) * a + 1) / (beta * n)) < 1e-8
 
 
-def test_spacing_rejects_tied_orderings():
-    t = 1.0
-    min_times = np.array(
-        [
-            [3.0, t, t + 1e-12],
-            [t + 1e-12, 3.0, t],
-            [t, t + 1e-12, 3.0],
-        ]
-    )
-    _, order, tie_ok = _spacing_structure(min_times)
-    assert tie_ok is False
-    assert order == (0, 1, 2)
+def test_transfer_table_of_order3(circ3):
+    # Circ(0, -i, i) shifts 0 -> 1 -> 2 -> 0 every T01
+    table = transfer_table(analytic_pst_times(es3(circ3)))
+    expected = T01 * np.array([[3, 1, 2], [2, 3, 1], [1, 2, 3]])
+    assert np.max(np.abs(table - expected)) < 1e-12
+
+
+def is_circulant_after(table, order):
+    """table relabelled by order depends only on (j - i) mod n, to
+    TIME_AGREEMENT_TOL."""
+    n = len(order)
+    t = table[np.ix_(order, order)]
+    shift = (np.arange(n)[np.newaxis, :] - np.arange(n)[:, np.newaxis]) % n
+    return bool(np.max(np.abs(t - t[0, shift])) <= TIME_AGREEMENT_TOL)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.just("flat"), st.sampled_from(((2, 2, 1), (3, 2, 1), (4, 2, 1)) + LADDER[:9])),
+        st.tuples(st.sampled_from(["exact", "eigh"]), st.integers(2, 8)),
+        st.tuples(st.just("nondense"), st.sampled_from([(2, 3), (2, 5), (3, 5)])),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spacing_order_witnesses_circulant_timing(case, seed):
+    # relabelled and rephased inputs: the scan agrees with transfer_table on
+    # all n^2 pairs, circulant_timing is that of the input as given, and
+    # spacing_order turns the table into a circulant exactly when it is True
+    kind, size = case
+    if kind == "flat":
+        graph, base = noncirculant_graph(NoncirculantParams(*size))
+    else:
+        if kind == "nondense":
+            spec = nondense_circulant(*size)
+        else:
+            c = np.random.default_rng(seed).integers(-20, 21, size=size)
+            spec = circulant_from_c(size, [int(v) for v in c])
+        graph = circulant_to_graph(spec)
+        if kind == "eigh":
+            base = numerical_eigensystem(graph.adjacency)
+        else:
+            base = circulant_eigensystem(spec)
+    es = relabelled(base, seed)
+    a = (es.X * es.lambdas) @ es.X.conj().T
+    report = verify_upst(HermitianGraph(es.n, (a + a.conj().T) / 2), es)
+    assert report.upst is True, report.reasons
+    assert report.diagnostics["agreement_max"] <= TIME_AGREEMENT_TOL
+    assert report.circulant_timing is verify_upst(graph, base).circulant_timing
+    assert report.circulant_timing is (kind != "flat" or size[2] == 1)
+    assert report.spacing_order[0] == 0
+    table = transfer_table(report.analytic_times)
+    assert is_circulant_after(table, report.spacing_order) is report.circulant_timing
 
 
 # ---------------------------------------------------------------- monomial
