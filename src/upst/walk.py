@@ -26,7 +26,7 @@ STEP_MARGIN = 2.0**-16  # relative shrink of the derived grid step, see grid_ste
 MAX_GRID_POINTS = 2**22  # largest grid verify_upst scans
 GRID_BLOCK = 2**16  # pair x time elements per grid block
 GRID_SLACK = 2.0**-12  # bound on the float32 grid's |U|^2 error, see scan_min_times
-CLASS_TOL = 1e-12  # pair rows this close up to a unit scalar share a curve, see _class_rows
+ADMISSION_TOL = 1e-10  # largest B_m for a pair to take its class's time, see scan_min_times
 WAVE_CHUNK = 64  # grid points per head of the chunked grid waves
 REFINE_BLOCK = 2**16  # pair x eigenvalue elements per refinement batch
 
@@ -178,21 +178,18 @@ def _refine_peaks(
     """Peak of |amp|^2 in [lo[r], hi[r]] for every row, starting from t[r]:
     safeguarded Newton on d|amp|^2/dt, every row in lockstep.  The squared
     magnitude is flat at a peak, so only the analytic derivative resolves the
-    argmax to full precision.
-
-    Each step evaluates amp, amp' and amp'' at t in one wave build and shrinks
-    the bracket to the uphill side of t.  It takes the Newton step when the
-    curvature is negative and the step lands inside the bracket, and bisects
-    otherwise.  A row stops once its step is at most 1e-15 max(1, |t|), or
-    after 64 steps; from the scan's bracket of two grid steps, even pure
-    bisection stops in about 51 halvings.  Returns the last evaluated time
-    of each row, the amplitude there, and the rows that ever bisected.
-    """
+    argmax to full precision.  Each step evaluates amp, amp' and amp'' at t
+    in one wave build and shrinks the bracket to the uphill side of t.  It
+    takes the Newton step when the curvature is negative and the step lands
+    inside the bracket, and bisects otherwise.  A row stops once its step is
+    at most 1e-15 max(1, |t|), or after 64 steps; from the scan's bracket of
+    two grid steps, even pure bisection stops in about 51 halvings.  Returns
+    the last evaluated time of each row, the amplitude there, and the rows
+    that ever bisected."""
     dp = -1j * lam * pvecs
     ddp = -(lam**2) * pvecs
     t, lo, hi = t.copy(), lo.copy(), hi.copy()
-    t_out = np.empty(t.size)
-    amp = np.empty(t.size, dtype=complex)
+    t_out, amp = np.empty(t.size), np.empty(t.size, dtype=complex)
     bisected = np.zeros(t.size, dtype=bool)
     live = np.arange(t.size)
     for _ in range(64):
@@ -295,60 +292,13 @@ def _grid_waves(
     return waves[start - head * WAVE_CHUNK:stop - head * WAVE_CHUNK]
 
 
-def _pair_rows(x: np.ndarray, flat: np.ndarray) -> np.ndarray:
-    """Row X[v,k] conj(X[u,k]) over k of each flat pair u*n + v, so that
-    U(t)[v,u] = sum_k row[k] e^{-i lam_k t}."""
-    u, v = np.divmod(flat, x.shape[0])
-    return x[v] * x.conj()[u]
-
-
-def _pair_classes(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, run): the flat pair opening each run of equal keys, and the run
-    of every flat pair u*n + v.  Keys are u == v and the rounded |K[v,u]|, K =
-    (X diag(r)) X^dagger, for two fixed complex r (real ones would give p_uv
-    and p_vu = conj(p_uv) one key).  A rounding edge splits a class into two
-    runs, which costs work; _class_rows turns away a pair of another curve."""
-    n = x.shape[0]
-    r = np.exp(1j * np.random.default_rng(0).uniform(0, TWO_PI, size=(2, 1, n)))
-    # |K| <= 1; keys of rows CLASS_TOL apart differ by <= n CLASS_TOL << 1e-9
-    keys = np.rint(np.abs((x * r) @ x.conj().T).transpose(0, 2, 1).reshape(2, -1) * 1e9)
-    keys = np.vstack((keys, np.eye(n).reshape(1, -1)))  # u == v
-    order = np.lexsort(keys)
-    opens = np.ones(n * n, dtype=bool)
-    opens[1:] = np.any(np.diff(keys[:, order], axis=1) != 0, axis=0)
-    run = np.empty(n * n, dtype=np.intp)
-    run[order] = np.cumsum(opens) - 1
-    return order[opens], run
-
-
-def _class_rows(
-    x: np.ndarray, first: np.ndarray, run: np.ndarray, waves: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """For every flat pair f, from its row p_f: whether it joins its run's
-    class, max_k |p_f,k - s p_r,k| <= CLASS_TOL for the first row p_r and s =
-    <p_r, p_f>/|<p_r, p_f>|, and its amplitude p_f . waves[run[f]].  Rows are
-    broadcast from X for a block of u at a time, within REFINE_BLOCK elements."""
-    n = x.shape[0]
-    heads = _pair_rows(x, first)
-    conj_heads = heads.conj()
-    joins, amp = np.empty(n * n, dtype=bool), np.empty(n * n, dtype=complex)
-    us = max(1, REFINE_BLOCK // n**2)
-    for u in range(0, n, us):
-        part = slice(u * n, min(n, u + us) * n)
-        rows = (x[np.newaxis] * x.conj()[u:u + us, np.newaxis]).reshape(-1, n)
-        amp[part] = _row_dots(rows, waves[run[part]])
-        diff = heads[run[part]]  # a copy: s p_r, then p_f - s p_r in place
-        diff *= np.exp(1j * np.angle(_row_dots(conj_heads[run[part]], rows)))[:, np.newaxis]
-        joins[part] = np.max(np.abs(np.subtract(rows, diff, out=diff)), axis=1) <= CLASS_TOL
-    return joins, amp
-
-
 def _scan_pairs(
-    x: np.ndarray, pairs: np.ndarray, lam: np.ndarray, nsteps: int, step: float, diagnostics: dict
+    x: np.ndarray, pairs: np.ndarray, d: np.ndarray, nsteps: int, step: float, diagnostics: dict
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One-pass grid scan of |U(t)[v][u]| for the given flat pairs at grid
-    index j < nsteps, time (j + 1) step: each pair's earliest confirmed peak
-    time (NaN for none) and amplitude (0 for none).  Adds to diagnostics.
+    """One-pass grid scan of |U(t)[v][u]| for the given flat pairs u*n + v at
+    grid index j < nsteps, time (j + 1) step: each pair's earliest confirmed
+    peak time (NaN for none) and amplitude sum_k X[v,k] conj(X[u,k]) e^{-i
+    d_k t} there (0 for none), d = lambda - lambda_0.  Adds to diagnostics.
 
     After each block (waves from _grid_waves), every candidate peak of the
     pairs still unresolved (_candidate_peaks) is refined from its grid point,
@@ -357,20 +307,20 @@ def _scan_pairs(
     |U| >= 1 - PST_ENTRY_TOL and leaves.  A cluster at the block's last
     point carries over.
     """
-    n = lam.size
-    pvecs = _pair_rows(x, pairs)
-    diagonal = pairs // n == pairs % n
-    times = np.full(pairs.size, np.nan)
-    amps = np.zeros(pairs.size, dtype=complex)
+    n = d.size
+    u, v = np.divmod(pairs, n)
+    pvecs = x[v] * x.conj()[u]
+    diagonal = u == v
+    times, amps = np.full(pairs.size, np.nan), np.zeros(pairs.size, dtype=complex)
     live = np.arange(pairs.size)  # rows of pvecs still unresolved, rows of pv32
     pv32 = pvecs.astype(np.complex64)
     carried = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
-    base = _waves((np.arange(WAVE_CHUNK) + 1) * step, lam)
+    base = _waves((np.arange(WAVE_CHUNK) + 1) * step, d)
     rows = max(1, REFINE_BLOCK // n)
     start = 0
     while start < nsteps and live.size:
         stop = min(nsteps, start + max(1, GRID_BLOCK // max(live.size, n)))
-        waves = _grid_waves(base, lam, step, start, stop)
+        waves = _grid_waves(base, d, step, start, stop)
         row, w, mag2, survivors = _block_hits(pvecs, pv32, live, waves)
         diagnostics["pair_time_products"] += live.size * (stop - start)
         diagnostics["f32_hits"] += survivors
@@ -389,7 +339,7 @@ def _scan_pairs(
             part = slice(first, first + rows)
             g = peak[part]
             t_star[part], amp[part], bisected = _refine_peaks(
-                pvecs[cand_row[part]], lam, (g + 1) * step, g * step, (g + 2) * step
+                pvecs[cand_row[part]], d, (g + 1) * step, g * step, (g + 2) * step
             )
             diagnostics["bisect_rows"] += int(np.count_nonzero(bisected))
         ok = np.flatnonzero(np.abs(amp) >= 1 - PST_ENTRY_TOL)
@@ -426,18 +376,76 @@ def grid_step(es: EigenSystem) -> float:
     return min(math.sqrt(8 / v) * root * (1 - STEP_MARGIN), TWO_PI / (3 * float(np.ptp(lam))))
 
 
-def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferReport:
+def _row_classes(
+    x: np.ndarray, d: np.ndarray, row_times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(first, run, bound, omega): the flat pair opening each class, each flat
+    pair's class and B_m (see scan_min_times), and omega[w, k] = e^{-i d_k
+    row_times[w]}, the angle's rounding put back from an extended product."""
+    n = x.shape[0]
+    z = x * np.exp(-1j * np.angle(x[0]))
+    z *= np.exp(-1j * np.angle(z[:, :1])) * math.sqrt(n)
+    omega = _waves(row_times, d)
+    omega *= 1 - 1j * (np.multiply.outer(row_times.astype(np.longdouble), d)
+                       - np.multiply.outer(row_times, d)).astype(float)
+    dev = z * omega
+    phase = np.angle(dev)
+    t = row_times + phase @ d / (d @ d)
+    shift, size = t - row_times, np.abs(d)  # the shift is exact
+    # |rho e^{i phi} - 1| <= |rho - 1| + |phi| for the angle phi left by t;
+    # row 0's z is real, so its phi is the wrap of d_k t_0
+    phase = np.abs(phase - np.multiply.outer(shift, d))
+    dev = np.abs(np.abs(dev) - 1) + phase
+    err = 2.0**-53 * size.max() * np.abs(shift)
+    e_mean, e_max = dev.sum(axis=1) / n + err, dev.max(axis=1) + err
+    spread, wrap = size.sum() / n, phase[0].sum() / n + err[0] + 2.0**-50
+    table = transfer_table(t).reshape(-1)
+    order = np.argsort(table)
+    opens = np.concatenate(([True], np.diff(table[order]) * spread > ADMISSION_TOL))
+    run = np.empty(n * n, dtype=np.intp)
+    run[order] = np.cumsum(opens) - 1
+    first = order[opens]
+    rep = first[run]
+    laps = np.rint((table - (t[np.newaxis, :] - t[:, np.newaxis]).reshape(-1)) / t[0])
+    eta = (e_mean[:, np.newaxis] + e_mean + np.multiply.outer(e_max, e_max)).reshape(-1)
+    eps = 2.0**-51 + 2 * float(np.finfo(np.longdouble).eps)
+    bound = (spread * np.abs(table - table[rep]) + np.abs(laps - laps[rep]) * wrap
+             + eta + eta[rep] + eps * spread * np.abs(t).max() + 2.0**-47)
+    return first, run, bound, omega
+
+
+def scan_min_times(
+    es: EigenSystem, horizon: float, step: float, row_times: np.ndarray
+) -> TransferReport:
     """Grid scan of |U(t)[v][u]| for every ordered pair at t = step, 2 step,
     ... up to horizon, in one pass in time order.  The caller sizes the grid
     (verify_upst from the return period and grid_step), so return_period
-    stays unset.
+    stays unset.  row_times are verify_upst's analytic times (P = row_times[0],
+    t_w for 0 -> w); they only sort pairs into classes, so a wrong vector
+    costs rescans, never a wrong time.
 
-    Pairs whose rows p_uv,k = X[v,k] conj(X[u,k]) agree up to a unit scalar s
-    share one curve; the grid scans the first pair of each run of equal class
-    keys (_pair_classes, _scan_pairs).  One pass over the rows (_class_rows)
-    tests every pair m of run r: p_m within CLASS_TOL of s p_r, so |U_m(t) -
-    s U_r(t)| <= n CLASS_TOL for all t, and |amp| >= 1 - PST_ENTRY_TOL for its
-    own amplitude at r's time.  If either fails, m is scanned by itself.
+    Classes.  With d = lambda - lambda_0, pair m = (u, v) has U_m(t) = e^{-i
+    lambda_0 t} sum_k p_m,k e^{-i d_k t}, p_m,k = X[v,k] conj(X[u,k]).  It is
+    keyed by T_m = (t_v - t_u) mod P = t_v - t_u + j_m P (transfer_table, so
+    every diagonal pair at P); the n^2 keys are sorted once, a class opens
+    where a key passes the one before by more than ADMISSION_TOL / mean|d|,
+    and the grid scans each class's first pair r.  Let a_wk >= |Z[w,k] - 1|,
+    Z = sqrt(n) X o e^{-i d t_w} scaled by unit row and column phases to a
+    real first row and column, and e_w, f_w the mean and max of a_w over k.
+    Then n p_m,k is a unit times e^{i d_k (t_v - t_u)} within a_vk + a_uk +
+    a_vk a_uk, so for a unit s and all t, |U_m(t) - s U_r(t)| <= B_m =
+    mean|d| |T_m - T_r| + |j_m - j_r| mean_k |e^{-i d_k P} - 1| + e_u + e_v +
+    f_u f_v + e_u' + e_v' + f_u' f_v' + (2^-51 + 2 eps) mean|d| max|t_w| +
+    2^-47, r = (u', v'); the last two terms bound the float rounding of the
+    keys, of the angles d_k t_w (computed to eps, the extended precision) and
+    of the unit-scale arithmetic.  Any t_w make a valid bound; _row_classes
+    moves each by one least-squares step on its angle residuals first.  A
+    member with B_m <= ADMISSION_TOL takes r's time if its own table amplitude
+    passes |U| >= 1 - PST_ENTRY_TOL; otherwise it is scanned by itself.  One GEMM gives every
+    table amplitude: with Y = X o e^{-i d t_w}, (Y Y^dagger)[v, u] = sum_k
+    p_m,k e^{-i d_k (t_v - t_u)}, and the diagonal's at P is |X|^2 e^{-i d P}.
+    A member's phase is its amplitude turned to its time t to first order: by
+    e^{-i mean(d) s}, s = t - T_m, and by e^{-i j_m mean_k (d_k P mod 2 pi)}.
 
     The grid is walked in blocks of GRID_BLOCK // max(live classes, n) time
     points, so a block's classes x time amplitudes and n x time waves (plus
@@ -460,15 +468,16 @@ def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferRepo
     its bracket, where _refine_peaks converges to t*.  (A float64 tie of g*
     with a neighbour puts both within about step/2 of t*; either brackets it.)
 
-    diagnostics holds grid_step, horizon, grid_points and integer counts:
-    classes (rescans included), members (pairs that took their class's
-    time), member_rescans, pair_time_products (class x time points),
-    f32_hits, f64_hits, clusters (closed runs of hits), newton_rows
-    (candidates refined) and bisect_rows, classes + members being n^2 on a
-    complete scan; and margin_min, the least 1 - |U(t_uv)| found (1 for none),
-    clamped at 0 where rounding puts a certified |U| a few ulps above 1.
-    Pairs with no confirmed peak keep NaN and are flagged in reasons; a
-    degenerate spectrum refuses the extraction (every t is a return time).
+    diagnostics holds grid_step, horizon, grid_points, the integer counts
+    classes (rescans included), members (pairs that took their class's time),
+    member_rescans, pair_time_products (class x time points), f32_hits,
+    f64_hits, clusters (closed runs of hits), newton_rows (candidates refined)
+    and bisect_rows, classes + members being n^2 on a complete scan; and
+    margin_min, the least 1 - |U(t_uv)| found (1 for none), admission_max,
+    the largest admitted B_m (0 for none), and confirm_margin, the largest 1 -
+    |U(T_m)| of all n^2 table amplitudes; margins are clamped at 0.  Pairs with
+    no confirmed peak keep NaN and are flagged in reasons; a degenerate
+    spectrum refuses the extraction (every t is a return time).
     """
     n = es.n
     lam = es.lambdas
@@ -476,37 +485,46 @@ def scan_min_times(es: EigenSystem, horizon: float, step: float) -> TransferRepo
     min_times = np.full((n, n), np.nan)
     phases = np.zeros((n, n), dtype=complex)
     if n < 2 or float(np.max(lam) - np.min(lam)) <= DEGENERACY_TOL * scale:
-        return TransferReport(
-            n=n, min_times=min_times, phases=phases, reasons=("degenerate-spectrum",)
-        )
+        return TransferReport(n, min_times, phases, reasons=("degenerate-spectrum",))
     nsteps = max(0, int(math.ceil(horizon / step)))
     diagnostics = {"grid_step": float(step), "horizon": float(horizon), "grid_points": nsteps}
     diagnostics.update(dict.fromkeys((
         "classes", "members", "member_rescans", "pair_time_products", "f32_hits", "f64_hits",
         "clusters", "newton_rows", "bisect_rows"), 0))
+    x, d = es.X, lam - lam[0]
+    row_times = np.asarray(row_times, dtype=float)
+    first, run, bound, omega = _row_classes(x, d, row_times)
+    y = x * omega
+    amp = (y.conj() @ y.T).reshape(-1)  # amp[u*n + v] at t_v - t_u
+    amp[::n + 1] = np.square(np.abs(x)) @ omega[0]
+    at = (row_times[np.newaxis, :] - row_times[:, np.newaxis]).reshape(-1)
+    at[::n + 1] = row_times[0]
+
     flat_times, flat_phases = min_times.reshape(-1), phases.reshape(-1)
-    first, run = _pair_classes(es.X)
-    t_class = _scan_pairs(es.X, first, lam, nsteps, step, diagnostics)[0]
+    t_class, amp_class = _scan_pairs(x, first, d, nsteps, step, diagnostics)
     found = ~np.isnan(t_class)
-    joins, amp = _class_rows(es.X, first, run, _waves(np.where(found, t_class, 0.0), lam))
-    ok = joins & found[run] & (np.abs(amp) >= 1 - PST_ENTRY_TOL)
-    flat_times[ok], flat_phases[ok] = t_class[run[ok]], amp[ok]
-    rescan = np.flatnonzero(~joins | (found[run] & ~ok))
+    member = first[run] != np.arange(n * n)
+    admitted = member & (bound <= ADMISSION_TOL)
+    strict = np.abs(amp) >= 1 - PST_ENTRY_TOL
+    ok = admitted & found[run] & strict
+    flat_times[first], flat_phases[first] = t_class, amp_class
+    t_ok = flat_times[ok] = t_class[run[ok]]
+    lap = np.rint((t_ok - at[ok]) / row_times[0])
+    turn = lap * np.angle(omega[0]).sum() - d.sum() * (t_ok - at[ok] - lap * row_times[0])
+    flat_phases[ok] = amp[ok] * np.exp(1j / n * turn)
+    rescan = np.flatnonzero(member & (~admitted | (found[run] & ~strict)))
     if rescan.size:
         flat_times[rescan], flat_phases[rescan] = _scan_pairs(
-            es.X, rescan, lam, nsteps, step, diagnostics
-        )
+            x, rescan, d, nsteps, step, diagnostics)
+    seen = ~np.isnan(min_times)
+    phases[seen] *= np.exp(-1j * lam[0] * min_times[seen])
     diagnostics.update(classes=first.size + rescan.size, member_rescans=rescan.size,
-                       members=int(np.count_nonzero(ok)) - int(np.count_nonzero(found)))
-    margin = np.min(1 - np.abs(phases[~np.isnan(min_times)]), initial=1)
-    diagnostics["margin_min"] = max(0.0, float(margin))
-    return TransferReport(
-        n=n,
-        min_times=min_times,
-        phases=phases,
-        reasons=("scan-missing-pairs",) if np.isnan(min_times).any() else (),
-        diagnostics=diagnostics,
-    )
+                       members=int(np.count_nonzero(ok)))
+    diagnostics["margin_min"] = max(0.0, float(np.min(1 - np.abs(phases[seen]), initial=1)))
+    diagnostics["admission_max"] = float(np.max(bound[admitted], initial=0.0))
+    diagnostics["confirm_margin"] = max(0.0, float(1 - np.min(np.abs(amp))))
+    return TransferReport(n, min_times, phases, diagnostics=diagnostics,
+                          reasons=("scan-missing-pairs",) if not seen.all() else ())
 
 
 def monomial_check(u_matrix: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -535,9 +553,11 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     """Certify universal perfect state transfer.
 
     Pipeline: eigenvalue distinctness -> flat diagonalizer -> canonical form
-    -> analytic transfer times -> numeric spot confirmation -> full scan.
-    upst is True only when the analytic solution exists, every analytic time
-    is confirmed by the walk operator, the scan finds a first-passage time for
+    -> analytic transfer times -> full scan, which also confirms the table.
+    upst is True only when the analytic solution exists, the walk operator
+    confirms all n^2 times of transfer_table (confirm_margin <= PST_ENTRY_TOL:
+    one GEMM off the diagonal, U(P)[w][w] on it; see scan_min_times), the
+    scan, given the analytic times as row_times, finds a first-passage time for
     every ordered pair, the scanned times agree with transfer_table on all n^2
     pairs to TIME_AGREEMENT_TOL, and so do t_uv + t_vu and the return period
     for every u != v (time reversal).  Failures come back as False verdicts
@@ -557,14 +577,8 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     dense = denseness_check(graph.spec)[0] if graph.spec is not None else None
 
     def failed(reason: str) -> TransferReport:
-        return TransferReport(
-            n=n,
-            min_times=np.full((n, n), np.nan),
-            phases=np.zeros((n, n), dtype=complex),
-            upst=False,
-            reasons=(reason,),
-            dense=dense,
-        )
+        return TransferReport(n, np.full((n, n), np.nan), np.zeros((n, n), dtype=complex),
+                              upst=False, reasons=(reason,), dense=dense)
 
     if n < 2:
         return failed("degenerate-spectrum")
@@ -581,23 +595,17 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
         return failed("no-consistent-times")
     # Row 0 of the canonical X is flat, so t_{0,0} is the return period:
     # |U(t)[0][0]| = 1 exactly when every (lambda_k - lambda_0) t is a multiple
-    # of 2 pi.  The confirmation below checks that entry like every other.
+    # of 2 pi.  The scan's table amplitudes confirm it like every other entry.
     period = float(times[0])
     h = grid_step(es)
     step = period / math.ceil(period / h)
     if math.ceil((period + 2 * h) / step) > MAX_GRID_POINTS:
         return failed("scan-grid-too-large")
 
-    reasons: list[str] = []
-    # U(t_l)[l, 0] of every target in one n-term dot each, not n walk operators
-    amp = _row_dots(_pair_rows(es.X, np.arange(n)), _waves(times, lam))
-    confirmed = bool(np.min(np.abs(amp)) >= 1 - PST_ENTRY_TOL)
-    if not confirmed:
-        reasons.append("analytic-time-not-confirmed")
-
-    scanned = scan_min_times(es, horizon=period + 2 * h, step=step)
+    scanned = scan_min_times(es, horizon=period + 2 * h, step=step, row_times=times)
+    confirmed = scanned.diagnostics["confirm_margin"] <= PST_ENTRY_TOL
+    reasons = ([] if confirmed else ["analytic-time-not-confirmed"]) + list(scanned.reasons)
     min_times = scanned.min_times
-    reasons.extend(scanned.reasons)
     complete = not scanned.reasons
     agreement = float(np.max(np.abs(min_times - transfer_table(times))))
     scanned.diagnostics["agreement_max"] = None if math.isnan(agreement) else agreement
@@ -621,15 +629,7 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
         circulant_timing = bool(spread <= TIME_AGREEMENT_TOL)
 
     return TransferReport(
-        n=n,
-        min_times=min_times,
-        phases=scanned.phases,
-        analytic_times=times,
-        upst=upst,
-        circulant_timing=circulant_timing,
-        dense=dense,
-        reasons=tuple(reasons),
-        return_period=period,
-        spacing_order=spacing_order,
-        diagnostics=scanned.diagnostics,
+        n=n, min_times=min_times, phases=scanned.phases, analytic_times=times, upst=upst,
+        circulant_timing=circulant_timing, dense=dense, reasons=tuple(reasons),
+        return_period=period, spacing_order=spacing_order, diagnostics=scanned.diagnostics,
     )

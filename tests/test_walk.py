@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upst.cyclotomic import CycNum
-from upst.graph import CirculantSpec, HermitianGraph, circulant_to_graph
+from upst.graph import CirculantSpec, HermitianGraph, circulant_to_graph, with_diagonal_shift
 from upst.spectra import (
     EigenSystem,
+    canonicalize,
     circulant_eigensystem,
     fourier_matrix,
     numerical_eigensystem,
@@ -32,7 +33,7 @@ from upst.constructors import (
 )
 from upst import walk
 from upst.walk import (
-    CLASS_TOL,
+    ADMISSION_TOL,
     DETECTION_THRESHOLD,
     GRID_SLACK,
     MAX_GRID_POINTS,
@@ -50,11 +51,10 @@ from upst.walk import (
     unitary_at,
     verify_upst,
     _block_hits,
-    _class_rows,
     _f32_mag2,
     _grid_waves,
-    _pair_classes,
     _refine_peaks,
+    _row_classes,
     _waves,
 )
 
@@ -80,9 +80,18 @@ def scan_grid(es, density=1):
     return period + 2 * h, period / math.ceil(density * period / h)
 
 
-def scan(es):
-    """scan_min_times on verify_upst's grid."""
-    return scan_min_times(es, *scan_grid(es))
+def row_times(es):
+    """verify_upst's row times: the analytic times of the canonical X, or the
+    return period on every row where there are none."""
+    canonical = EigenSystem(n=es.n, X=canonicalize(es.X), lambdas=es.lambdas)
+    times = analytic_pst_times(canonical)
+    return np.full(es.n, analytic_return_period(es)) if times is None else times
+
+
+def scan(es, times=None):
+    """scan_min_times on verify_upst's grid, with row_times(es) unless times
+    are given."""
+    return scan_min_times(es, *scan_grid(es), row_times(es) if times is None else times)
 
 
 def false_cluster_eigensystem():
@@ -211,17 +220,18 @@ def test_scan_locates_order3_transfer_times(circ3):
 def test_scan_refuses_scalar_circulant():
     # no return period exists; the grid size does not matter
     es = circulant_eigensystem(scalar_spec())
-    report = scan_min_times(es, horizon=1.25 * TWO_PI, step=TWO_PI / 1000)
+    report = scan_min_times(es, horizon=1.25 * TWO_PI, step=TWO_PI / 1000, row_times=np.ones(3))
     assert report.reasons == ("degenerate-spectrum",)
     assert np.all(np.isnan(report.min_times))
 
 
 def test_scan_flags_pairs_beyond_horizon(circ3):
     step = scan_grid(es3(circ3))[1]
-    report = scan_min_times(es3(circ3), horizon=0.5 * T01, step=step)
+    times = row_times(es3(circ3))
+    report = scan_min_times(es3(circ3), horizon=0.5 * T01, step=step, row_times=times)
     assert "scan-missing-pairs" in report.reasons
     assert np.isnan(report.min_times[0, 1])
-    empty = scan_min_times(es3(circ3), horizon=0.0, step=step)
+    empty = scan_min_times(es3(circ3), horizon=0.0, step=step, row_times=times)
     assert empty.reasons == ("scan-missing-pairs",)
     assert np.all(np.isnan(empty.min_times))
 
@@ -261,6 +271,12 @@ def test_wide_spread_circulants_certify(c, route):
     es = circulant_eigensystem(spec) if route == "exact" else numerical_eigensystem(graph.adjacency)
     report = verify_upst(graph, es)
     assert report.upst is True, report.reasons
+    assert report.diagnostics["member_rescans"] == 0
+    # members' phases are their table amplitudes turned to the scanned times
+    for u in range(n):
+        for v in range(n):
+            entry = unitary_at(es, report.min_times[u, v])[v, u]
+            assert abs(report.phases[u, v] - entry) <= 1e-10
     expected = TWO_PI / n * np.array([n] + list(range(1, n)))
     assert np.max(np.abs(report.min_times[0] - expected)) <= TIME_AGREEMENT_TOL
     assert np.max(np.abs(report.analytic_times - expected)) <= TIME_AGREEMENT_TOL
@@ -361,7 +377,7 @@ def test_scan_working_set_is_bounded():
     wide = circulant_eigensystem(circulant_from_c(3, [0, 0, 2000]))
     for scan_it in (
         lambda: scan(es),
-        lambda: scan_min_times(es, *scan_grid(es, density=100)),
+        lambda: scan_min_times(es, *scan_grid(es, density=100), row_times(es)),
         lambda: scan(es128),
         lambda: scan(wide),
     ):
@@ -413,119 +429,185 @@ def test_scan_diagnostics_count_the_work():
     # every pair resolves by the period and leaves the grid
     assert d["pair_time_products"] < es.n**2 * points
     assert d["f32_hits"] >= d["f64_hits"] > 0
-    # one scanned curve per class of equal pair rows; every other pair
-    # passes the strict test at its class's time
+    # one scanned curve per class of equal row-time differences; every other
+    # pair is admitted by its bound and passes the strict test at its table
+    # time
     assert d["classes"] == 28
     assert d["classes"] + d["members"] == es.n**2
     assert d["member_rescans"] == 0
+    assert 0 < d["admission_max"] <= 1e-13
+    assert 0 <= d["confirm_margin"] <= PST_ENTRY_TOL
     # every closed cluster holds at least one candidate
     assert d["newton_rows"] >= d["clusters"] >= d["classes"]
     assert d["bisect_rows"] == 0
     # every pair was confirmed at |U| >= 1 - PST_ENTRY_TOL; rounding above
     # |U| = 1 is clamped
     assert 0 <= d["margin_min"] <= PST_ENTRY_TOL
-    counters = {k: v for k, v in d.items() if k not in ("grid_step", "horizon", "margin_min")}
+    floats = ("grid_step", "horizon", "margin_min", "admission_max", "confirm_margin")
+    counters = {k: v for k, v in d.items() if k not in floats}
     assert all(type(v) is int for v in counters.values())
 
 
-def class_joins(x, run=None):
-    """_pair_classes of x, with run replaced when given, and whether each
-    pair joins its run's class."""
-    first, own = _pair_classes(x)
-    run = own if run is None else run
-    return first, run, _class_rows(x, first, run, np.zeros((first.size, x.shape[0])))[0]
-
-
-def class_count(x):
-    """Curves scanned before any member test: one per key run, plus one per
-    pair its run's class turns away."""
-    first, _, joins = class_joins(x)
-    return first.size + int(np.count_nonzero(~joins))
+def class_count(es):
+    """Curves the scan of es scans; no member may be rescanned."""
+    d = scan(es).diagnostics
+    assert d["member_rescans"] == 0
+    return d["classes"]
 
 
 def test_pair_classes_are_counted_per_distinct_curve():
     for abb, expected in (((4, 4, 2), 28), ((6, 4, 2), 44), ((8, 8, 2), 120)):
         graph, es = noncirculant_graph(NoncirculantParams(*abb))
-        assert class_count(es.X) == expected
+        assert class_count(es) == expected
         # relabelling, eigenvector phases and the eigh route move no class
         for seed in (1, 2):
-            assert class_count(relabelled_flat(*abb, seed=seed).X) == expected
-        assert class_count(numerical_eigensystem(graph.adjacency).X) == expected
+            assert class_count(relabelled_flat(*abb, seed=seed)) == expected
+        assert class_count(numerical_eigensystem(graph.adjacency)) == expected
     spec = nondense_circulant(3, 5)
-    assert class_count(circulant_eigensystem(spec).X) == 15
+    assert class_count(circulant_eigensystem(spec)) == 15
     rng = np.random.default_rng(4)
     for n in range(3, 13):
         spec = circulant_from_c(n, [int(c) for c in rng.integers(-9, 10, size=n)])
         graph = circulant_to_graph(spec)
-        assert class_count(circulant_eigensystem(spec).X) == n
-        assert class_count(numerical_eigensystem(graph.adjacency).X) == n
+        assert class_count(circulant_eigensystem(spec)) == n
+        assert class_count(numerical_eigensystem(graph.adjacency)) == n
 
 
-@pytest.mark.parametrize("scale, joins", [(1 + 1e-2, False), (1 - 1e-2, True)])
-def test_pair_classes_admit_rows_within_class_tol(scale, joins):
-    # rows p_01 = w and p_23 = w + e, with e one real entry of size
-    # CLASS_TOL * scale where w is 1, so the unit scalar between them is 1
-    w = np.exp(1j * np.array([0.0, 0.7, 1.9, 4.4]))
-    x = np.array([np.ones(4), w, np.ones(4), w + [CLASS_TOL * scale, 0, 0, 0]])
-    first, run, joined = class_joins(x)
-    # both rows share a key run, opened by p_01
-    assert first[run[1]] == 1 and run[2 * 4 + 3] == run[1]
-    assert joined[1]
-    assert bool(joined[2 * 4 + 3]) is joins
+def members_and_bounds(x, lambdas, times):
+    """_row_classes of x: whether each flat pair is a member (not its class's
+    first pair), its class's first pair, and its bound B_m."""
+    first, run, bound, _ = _row_classes(x, lambdas - lambdas[0], times)
+    member = np.ones(run.size, dtype=bool)
+    member[first] = False
+    return member, first[run], bound
 
 
-def planted_run(es):
-    """A member a of a key run, not the run's first, and a copy of the run
-    array with a moved into the run of the pair b of another run that
-    transfers first; a transfers after b."""
-    times = scan(es).min_times.reshape(-1)
-    first, run = _pair_classes(es.X)
-    members = np.flatnonzero(first[run] != np.arange(run.size))
-    a = members[np.argmax(times[members])]
-    b = int(np.argmin(np.where(run == run[a], np.inf, times)))
-    assert times[b] < times[a]
-    planted = run.copy()
-    planted[a] = run[b]
-    return a, first, planted
-
-
-def test_member_failing_at_its_class_time_is_rescanned(monkeypatch):
-    # put pair a into the class of a pair b that transfers earlier, and admit
-    # every row: a's own amplitude fails the strict test at t_b, so a is
-    # scanned again by itself
+@pytest.mark.parametrize("noise, admitted", [(1e-13, True), (1e-9, False)])
+def test_class_admission_follows_admission_tol(noise, admitted):
+    # a phase error of +-noise on every entry of one row puts that row's pair
+    # rows about 2 noise off their classes': inside ADMISSION_TOL they take
+    # their class's time, past it they are scanned by themselves, and the
+    # times stay those of the clean input
     es = relabelled_flat(4, 4, 2, seed=5)
-    default = scan(es)
-    a, first, planted = planted_run(es)
-    times = default.min_times.reshape(-1)
-    monkeypatch.setattr(walk, "_pair_classes", lambda x: (first, planted))
-    monkeypatch.setattr(walk, "CLASS_TOL", np.inf)
-    report = scan(es)
-    assert report.reasons == ()
-    assert abs(report.min_times.reshape(-1)[a] - times[a]) <= 1e-12
-    assert np.max(np.abs(report.min_times - default.min_times)) <= 1e-12
+    times = row_times(es)
+    x = es.X.copy()
+    x[3] *= np.exp(1j * noise * np.random.default_rng(6).choice([-1.0, 1.0], size=es.n))
+    member, _, bound = members_and_bounds(x, es.lambdas, times)
+    touched = member & np.isin(np.divmod(np.arange(es.n**2), es.n), 3).any(axis=0)
+    assert bool(np.max(bound[touched]) <= ADMISSION_TOL) is admitted
+    report = scan(EigenSystem(n=es.n, X=x, lambdas=es.lambdas), times)
     d = report.diagnostics
-    assert d["member_rescans"] >= 1
-    assert d["classes"] + d["members"] == es.n**2
-
-
-def test_key_collision_stranger_is_rescanned(monkeypatch):
-    # a key run that holds two curves: the stranger a fails admission to the
-    # run's class, is scanned by itself and gets its own time; no other
-    # number of the report moves
-    es = relabelled_flat(4, 4, 2, seed=5)
-    default = scan(es)
-    a, first, planted = planted_run(es)
-    assert not class_joins(es.X, planted)[2][a]
-    monkeypatch.setattr(walk, "_pair_classes", lambda x: (first, planted))
-    report = scan(es)
     assert report.reasons == ()
-    others = np.arange(es.n**2) != a
-    for got, want in ((report.min_times, default.min_times), (report.phases, default.phases)):
-        assert abs(got.reshape(-1)[a] - want.reshape(-1)[a]) <= 1e-12
-        assert np.array_equal(got.reshape(-1)[others], want.reshape(-1)[others])
-    d, d0 = report.diagnostics, default.diagnostics
-    assert d["member_rescans"] == 1 and d0["member_rescans"] == 0
-    assert (d["classes"], d["members"]) == (d0["classes"] + 1, d0["members"] - 1)
+    assert d["member_rescans"] == np.count_nonzero(member & (bound > ADMISSION_TOL))
+    assert (d["member_rescans"] == 0) is admitted
+    assert d["admission_max"] <= ADMISSION_TOL
+    assert np.max(np.abs(report.min_times - scan(es).min_times)) <= 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.just("flat"), st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 2, 3), (4, 4, 2)])),
+        st.tuples(st.just("circulant_c"), st.integers(2, 5)),
+        st.tuples(st.just("nondense"), st.sampled_from([(2, 3), (2, 5)])),
+    ),
+    noise=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 0.3]),
+    permuted=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_admission_bound_holds_between_class_curves(case, noise, permuted, seed):
+    # B_m bounds |U_m(t) - s U_r(t)| for every t, so ||U_m(t)| - |U_r(t)|| <=
+    # B_m on any grid, whatever the row times: here X is off by noise in
+    # magnitude and phase, and the row times by noise, or permuted
+    kind, size = case
+    rng = np.random.default_rng(seed)
+    if kind == "flat":
+        base = noncirculant_graph(NoncirculantParams(*size))[1]
+    elif kind == "circulant_c":
+        c = [int(v) for v in rng.integers(-1000, 1001, size=size)]
+        base = circulant_eigensystem(circulant_from_c(size, c))
+    else:
+        base = circulant_eigensystem(nondense_circulant(*size))
+    es = relabelled(base, seed)
+    n = es.n
+    times = row_times(es) + noise * rng.normal(size=n)
+    if permuted:
+        times = times[rng.permutation(n)]
+    x = es.X * (1 + noise * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
+    _, rep, bound = members_and_bounds(x, es.lambdas, times)
+    t = np.linspace(0, analytic_return_period(es), 301)
+    mags = np.abs(pair_vectors(x) @ np.exp(-1j * np.multiply.outer(es.lambdas, t)))
+    gap = np.max(np.abs(mags - mags[rep]), axis=1)
+    # a NaN bound admits nothing: row times far off can move the period to 0
+    assert np.all((gap <= bound) | np.isnan(bound))
+    assert permuted or noise > 1e-6 or not np.isnan(bound).any()
+
+
+def test_moved_row_time_costs_rescans_never_times():
+    # one row time 1e-3 P off: the table amplitudes of that row's pairs miss
+    # the strict test, so those pairs are scanned by themselves, and times and
+    # phases are those of the honest scan
+    es = relabelled_flat(4, 4, 2, seed=5)
+    honest = scan(es)
+    times = row_times(es)
+    times[2] += 1e-3 * times[0]
+    report = scan(es, times)
+    d = report.diagnostics
+    assert report.reasons == ()
+    assert d["member_rescans"] > 0
+    assert d["classes"] + d["members"] == es.n**2
+    assert d["confirm_margin"] > PST_ENTRY_TOL
+    assert np.max(np.abs(report.min_times - honest.min_times)) <= 1e-12
+    assert np.max(np.abs(report.phases - honest.phases)) <= 1e-11
+
+
+def test_table_confirmation_checks_the_period_on_the_diagonal():
+    # every row time and the period moved by the same 1e-3 P: the off-diagonal
+    # amplitudes, at t_v - t_u, all pass, but P is no period, so U(P)[w][w]
+    # and with it every wrapped table time fails
+    es = relabelled_flat(4, 4, 2, seed=5)
+    honest = scan(es)
+    times = row_times(es)
+    report = scan(es, times + 1e-3 * times[0])
+    d = report.diagnostics
+    assert d["confirm_margin"] > PST_ENTRY_TOL
+    assert report.reasons == ()
+    assert np.max(np.abs(report.min_times - honest.min_times)) <= 1e-12
+
+
+def test_permuted_row_times_cost_rescans_never_times():
+    # every key is wrong; the bounds turn the strangers in each class away
+    es = relabelled_flat(4, 4, 2, seed=5)
+    honest = scan(es)
+    report = scan(es, row_times(es)[np.random.default_rng(8).permutation(es.n)])
+    d = report.diagnostics
+    assert report.reasons == ()
+    assert d["member_rescans"] > 0
+    assert d["classes"] + d["members"] == es.n**2
+    assert np.max(np.abs(report.min_times - honest.min_times)) <= 1e-12
+    assert np.max(np.abs(report.phases - honest.phases)) <= 1e-11
+
+
+def test_verify_peak_memory_stays_far_below_an_n_cubed_array():
+    # n = 256: one n^3 complex array would take 256 MB
+    graph, es = noncirculant_graph(NoncirculantParams(16, 16, 2))
+    tracemalloc.start()
+    try:
+        report = verify_upst(graph, es)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.upst is True
+    assert peak <= 16 * 2**20
+
+
+def test_scan_of_eigenvalue_differences_certifies_a_shift_of_1e9():
+    # |U| does not see lambda_0, so scanning lambda - lambda_0 keeps the time
+    # error at the scale of the spread (it was 5e-8 scanning lambda itself)
+    spec = with_diagonal_shift(nondense_circulant(2, 3), Fraction(10**9))
+    report = verify_upst(circulant_to_graph(spec), circulant_eigensystem(spec))
+    assert report.upst is True, report.reasons
+    assert report.diagnostics["agreement_max"] <= 1e-14
 
 
 @settings(max_examples=30, deadline=None)
@@ -776,8 +858,8 @@ def plant_scan(monkeypatch, offset, pairs):
     of pairs."""
     honest = walk.scan_min_times
 
-    def planted(es, horizon, step):
-        report = honest(es, horizon, step)
+    def planted(es, horizon, step, row_times):
+        report = honest(es, horizon, step, row_times)
         for u, v in pairs:
             report.min_times[u, v] += offset
         return report
