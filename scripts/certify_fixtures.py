@@ -1,8 +1,10 @@
 """Certify every reference graph family and print a census table.
 
 Builds the order-3 imaginary circulant, the order-4 examples, the flat-spectrum
-family, the two-prime sparse circulants and two integer-vector circulants of
-wide eigenvalue spread, runs the full certification on each, and reports
+family, the two-prime sparse circulants, two integer-vector circulants of
+wide eigenvalue spread and, as bare matrices on the numerical eigensolve, the
+smaller sparse circulant shifted by 10^5 and 10^8; runs the full
+certification on each, and reports
 verdicts plus the analytic/scan agreement and the number of scan grid points.
 
 usage: python3 scripts/certify_fixtures.py
@@ -10,10 +12,11 @@ usage: python3 scripts/certify_fixtures.py
 
 import sys
 import time
+from fractions import Fraction
 
 from upst.cyclotomic import CycNum, zeta
-from upst.graph import CirculantSpec, circulant_to_graph
-from upst.spectra import circulant_eigensystem
+from upst.graph import CirculantSpec, HermitianGraph, circulant_to_graph, with_diagonal_shift
+from upst.spectra import circulant_eigensystem, numerical_eigensystem
 from upst.constructors import (
     NoncirculantParams,
     circulant_from_c,
@@ -40,10 +43,15 @@ def fixture_list():
         spec = circulant_from_c(len(c), c)
         name = "c(%s)" % ",".join(map(str, c))
         yield name, circulant_to_graph(spec), circulant_eigensystem(spec)
+    for exponent in (5, 8):
+        shifted = with_diagonal_shift(nondense_circulant(2, 3), Fraction(10**exponent))
+        matrix = circulant_to_graph(shifted).adjacency
+        yield ("sparse(2,3)+1e%d,eigh" % exponent, HermitianGraph(6, matrix),
+               numerical_eigensystem(matrix))
 
 
 def main() -> int:
-    header = "%-18s %3s  %-5s %-7s %-5s %12s %12s %10s  %6s %7s" % (
+    header = "%-20s %3s  %-5s %-7s %-5s %12s %12s %10s  %6s %7s" % (
         "fixture", "n", "upst", "spacing", "dense", "t_{0,1}", "period", "agree", "sec", "points"
     )
     print(header)
@@ -57,7 +65,7 @@ def main() -> int:
             agree = report.diagnostics["agreement_max"]
             spacing = "yes" if report.circulant_timing else "no"
             print(
-                "%-18s %3d  %-5s %-7s %-5s %12.6f %12.6f %10.1e  %6.2f %7d"
+                "%-20s %3d  %-5s %-7s %-5s %12.6f %12.6f %10.1e  %6.2f %7d"
                 % (
                     name,
                     report.n,
@@ -74,7 +82,7 @@ def main() -> int:
         else:
             failures += 1
             print(
-                "%-18s %3d  %-5s %s" % (name, report.n, "NO", ", ".join(report.reasons))
+                "%-20s %3d  %-5s %s" % (name, report.n, "NO", ", ".join(report.reasons))
             )
     if failures:
         print("\n%d fixture(s) failed certification" % failures, file=sys.stderr)

@@ -102,11 +102,14 @@ def numerical_eigensystem(matrix: np.ndarray) -> EigenSystem:
     """Dense Hermitian eigensolve (ascending eigenvalues).
 
     Plumbing for matrix-only inputs and for cross-checking the exact route;
-    circulants should go through circulant_eigensystem instead.
+    circulants should go through circulant_eigensystem instead.  eigh runs on
+    A - mean(diag A) I, whose eigenvalue errors scale with the spread rather
+    than a large diagonal shift; the mean is added back to the eigenvalues.
     """
     m = np.asarray(matrix, dtype=complex)
-    lambdas, x = np.linalg.eigh(m)
-    return EigenSystem(n=m.shape[0], X=x, lambdas=lambdas)
+    shift = float(np.mean(m.diagonal().real))
+    lambdas, x = np.linalg.eigh(m - shift * np.eye(m.shape[0]))
+    return EigenSystem(n=m.shape[0], X=x, lambdas=lambdas + shift)
 
 
 def is_type_ii(matrix: np.ndarray) -> bool:

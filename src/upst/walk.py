@@ -1,9 +1,9 @@
 """Continuous-time quantum walk U(t) = exp(-i A t) and UPST certification.
 
 Certification runs two independent routes and requires both: analytic
-transfer times solved from the canonical diagonalizer's phase matrix, and a
-time-domain scan that locates first-passage peaks of |U(t)[v][u]| without
-assuming where they are.  Reports never hide a failed route behind the other.
+transfer times solved row by row from the diagonalizer's phase congruences,
+and a time-domain scan that locates first-passage peaks of |U(t)[v][u]|
+without assuming where they are.  Reports never hide a failed route behind the other.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .graph import CirculantSpec, HermitianGraph
 from .ratios import integer_multiples
-from .spectra import EigenSystem, canonicalize, is_type_ii
+from .spectra import EigenSystem, is_type_ii
 
 PST_ENTRY_TOL = 1e-9
 TIME_AGREEMENT_TOL = 1e-8
@@ -44,7 +44,7 @@ class TransferReport:
     tri-state: None means not evaluated on this input.  reasons carries short
     codes explaining any False verdict.  spacing_order is the circulant
     witness (see verify_upst).  diagnostics holds the time scan's grid and
-    work counters (see scan_min_times), or None when no scan ran.
+    work counters (see scan_min_times) and verify_upst's entries, or None.
     """
 
     n: int
@@ -66,23 +66,6 @@ def unitary_at(es: EigenSystem, t: float) -> np.ndarray:
     return (es.X * phases) @ es.X.conj().T
 
 
-def _canonical_angles(es: EigenSystem) -> np.ndarray:
-    """Phase matrix alpha with X[l][k] = exp(i alpha[l][k])/sqrt(n), alpha in
-    [0, 2 pi), zero along the first row and column (canonical form required)."""
-    n = es.n
-    root = 1 / math.sqrt(n)
-    border = max(np.max(np.abs(es.X[0, :] - root)), np.max(np.abs(es.X[:, 0] - root)))
-    if border > 1e-9:
-        raise ValueError("eigensystem is not in canonical form (first row/column off by %.2e)" % border)
-    alpha = np.angle(es.X * math.sqrt(n)) % TWO_PI
-    alpha[alpha > TWO_PI - 1e-9] = 0.0
-    return alpha
-
-
-def _angle_distance(x: np.ndarray) -> np.ndarray:
-    return np.abs((x + math.pi) % TWO_PI - math.pi)
-
-
 def analytic_return_period(es: EigenSystem) -> Optional[float]:
     """Smallest T > 0 with (lambda_k - lambda_0) T all multiples of 2 pi.
 
@@ -100,53 +83,62 @@ def analytic_return_period(es: EigenSystem) -> Optional[float]:
     return TWO_PI / beta
 
 
-def analytic_pst_times(es: EigenSystem) -> Optional[np.ndarray]:
-    """Solve the phase-matching conditions for the transfer times from vertex 0.
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """sqrt(n) X times the unit column, then row, phases that make its first
+    row and column real; they change no |U| entry."""
+    z = x * np.exp(-1j * np.angle(x[0]))
+    z *= np.exp(-1j * np.angle(z[:, :1])) * math.sqrt(x.shape[0])
+    return z
 
-    For each target l, the smallest t > 0 with (lambda_k - lambda_0) t
-    congruent to alpha[l][k] mod 2 pi for every k, to TIME_AGREEMENT_TOL.
-    Candidates come from the k = 1 congruence and are checked against the
-    rest within one return period; returns None when some l admits no
-    solution.  Requires the canonical form (first row/column of X equal to
-    1/sqrt(n)).
-    """
-    n = es.n
-    if n < 2:
-        raise ValueError("transfer needs at least two vertices")
-    lam = es.lambdas
-    d = lam - lam[0]
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if abs(d[1]) <= DEGENERACY_TOL * scale:
-        raise ValueError("degenerate spectrum: lambda_1 equals lambda_0")
-    alpha = _canonical_angles(es)
-    period = analytic_return_period(es)
-    if period is None:
-        return None
-    # the k = 1 candidates t = (alpha[l][1] + 2 pi j)/d_1 of every l at once,
-    # in increasing t, in batches of REFINE_BLOCK elements
-    a1 = alpha[:, 1:2]
-    ends = np.concatenate((-a1, period * d[1] - a1)) / TWO_PI
-    j = np.arange(math.floor(ends.min()) - 1, math.ceil(ends.max()) + 2, dtype=float)
-    j = j if d[1] > 0 else j[::-1]
-    eps = 1e-12 * period
-    times = np.full(n, np.inf)
-    batch = max(1, REFINE_BLOCK // n**2)
-    for first in range(0, j.size, batch):
-        t = (a1 + TWO_PI * j[first:first + batch]) / d[1]
-        distance = _angle_distance(t[:, :, np.newaxis] * d - alpha[:, np.newaxis, :])
-        fits = (eps < t) & (t <= period + eps) & (distance.max(axis=2) <= TIME_AGREEMENT_TOL)
-        times = np.minimum(times, np.min(np.where(fits, t, np.inf), axis=1))
-        if np.all(times < np.inf):
-            return times
-    return None
+
+def _row_solve(es: EigenSystem) -> tuple[Optional[np.ndarray], Optional[float]]:
+    """analytic_pst_times(es) and the worst row's least residual: the largest
+    over rows w >= 1 of the least over w's candidates s of max_k |s D_k -
+    rho_wk| in angle (mod 2 pi), None when the ratios are irrational."""
+    n, lam = es.n, es.lambdas
+    if n < 2 or abs(lam[1] - lam[0]) <= DEGENERACY_TOL * max(1.0, float(np.max(np.abs(lam)))):
+        raise ValueError("degenerate spectrum: under two vertices, or lambda_1 equals lambda_0")
+    structure = integer_multiples(list(lam[1:] - lam[0]))
+    if structure is None:
+        return None, None
+    beta, multiples = structure
+    big_d = np.array(multiples, dtype=float)
+    rho = np.angle(_unit_scaled(es.X)[1:, 1:]) / TWO_PI
+    # at k = argmin |D_k|, row w's q = |D_k| candidates s = (start_w + j)/q,
+    # j < q, increase in [0, 1]; row 0 is s = 1
+    k = int(np.argmin(np.abs(big_d)))
+    q, start = abs(multiples[k]), np.sign(big_d[k]) * rho[:, k] % 1
+    s, least, live, j = np.full(n - 1, np.nan), np.full(n - 1, np.inf), np.arange(n - 1), 0
+    while j < q and live.size:
+        width = max(1, REFINE_BLOCK // (live.size * n))
+        cand = (start[live, np.newaxis] + np.arange(j, min(q, j + width))) / q
+        miss = cand[:, :, np.newaxis] * big_d - rho[live, np.newaxis, :]
+        miss = TWO_PI * np.abs(miss - np.rint(miss)).max(axis=2)
+        least[live] = np.minimum(least[live], miss.min(axis=1))
+        fits = miss <= TIME_AGREEMENT_TOL
+        hit = fits.any(axis=1)
+        s[live[hit]] = cand[hit, np.argmax(fits[hit], axis=1)]
+        live, j = live[~hit], j + width
+    times = None if live.size else TWO_PI / beta * np.concatenate(([1.0], s))
+    return times, float(least.max())
+
+
+def analytic_pst_times(es: EigenSystem) -> Optional[np.ndarray]:
+    """The transfer times t_w = s_w P from vertex 0 (see transfer_table):
+    each row of rho, the phases of _unit_scaled(X), solved at k = argmin
+    |D_k|, whose |D_k| candidates s are checked on every k to
+    TIME_AGREEMENT_TOL in angle, in batches of REFINE_BLOCK elements; t_0 =
+    P.  None when the ratios are irrational or some row has no solution."""
+    return _row_solve(es)[0]
 
 
 def transfer_table(analytic_times: np.ndarray) -> np.ndarray:
     """All n^2 first transfer times from vertex 0's: T[u][v] = (t_v - t_u)
-    mod P off the diagonal, P = analytic_times[0] on it.  With the canonical
-    X[w][k] = e^{2 pi i rho_wk}/sqrt(n) and lambda_k - lambda_0 = 2 pi D_k/P,
-    integers D_k of gcd 1, |U(sP)[v][u]| = 1 iff rho_v - rho_u = s D mod 1,
-    which fixes s mod 1; row 0 is zero, so rho_w = (t_w/P) D mod 1."""
+    mod P off the diagonal, P = analytic_times[0] on it.  With X scaled by
+    unit row and column phases to X[w][k] = e^{2 pi i rho_wk}/sqrt(n) and
+    lambda_k - lambda_0 = 2 pi D_k/P, integers D_k of gcd 1, |U(sP)[v][u]| =
+    1 iff rho_v - rho_u = s D mod 1, which fixes s mod 1; row 0 is zero, so
+    rho_w = (t_w/P) D mod 1."""
     period = analytic_times[0]
     table = (analytic_times[np.newaxis, :] - analytic_times[:, np.newaxis]) % period
     np.fill_diagonal(table, period)
@@ -383,8 +375,7 @@ def _row_classes(
     pair's class and B_m (see scan_min_times), and omega[w, k] = e^{-i d_k
     row_times[w]}, the angle's rounding put back from an extended product."""
     n = x.shape[0]
-    z = x * np.exp(-1j * np.angle(x[0]))
-    z *= np.exp(-1j * np.angle(z[:, :1])) * math.sqrt(n)
+    z = _unit_scaled(x)
     omega = _waves(row_times, d)
     omega *= 1 - 1j * (np.multiply.outer(row_times.astype(np.longdouble), d)
                        - np.multiply.outer(row_times, d)).astype(float)
@@ -552,8 +543,8 @@ def denseness_check(spec: CirculantSpec) -> tuple[bool, tuple[int, ...]]:
 def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     """Certify universal perfect state transfer.
 
-    Pipeline: eigenvalue distinctness -> flat diagonalizer -> canonical form
-    -> analytic transfer times -> full scan, which also confirms the table.
+    Pipeline: eigenvalue distinctness -> flat diagonalizer -> analytic
+    transfer times -> full scan, which also confirms the table.
     upst is True only when the analytic solution exists, the walk operator
     confirms all n^2 times of transfer_table (confirm_margin <= PST_ENTRY_TOL:
     one GEMM off the diagonal, U(P)[w][w] on it; see scan_min_times), the
@@ -570,15 +561,17 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     and h = grid_step(es): with a flat X each pair transfers once per period.
     A grid past MAX_GRID_POINTS is not scanned: scan-grid-too-large.  The
     diagnostics add agreement_max, max |transfer_table - scanned| over all
-    n^2 pairs.
+    n^2 pairs, and every report past the flatness test row_residual_max,
+    the worst row's least residual of the analytic solve (see _row_solve).
     """
     n = es.n
     lam = es.lambdas
     dense = denseness_check(graph.spec)[0] if graph.spec is not None else None
 
-    def failed(reason: str) -> TransferReport:
+    def failed(reason: str, diagnostics: Optional[dict] = None) -> TransferReport:
         return TransferReport(n, np.full((n, n), np.nan), np.zeros((n, n), dtype=complex),
-                              upst=False, reasons=(reason,), dense=dense)
+                              upst=False, reasons=(reason,), dense=dense,
+                              diagnostics=diagnostics)
 
     if n < 2:
         return failed("degenerate-spectrum")
@@ -589,18 +582,18 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
         return failed("degenerate-spectrum")
     if not is_type_ii(es.X):
         return failed("diagonalizer-not-flat")
-    es_c = EigenSystem(n=n, X=canonicalize(es.X), lambdas=lam, exact_lambdas=es.exact_lambdas)
-    times = analytic_pst_times(es_c)
+    times, residual = _row_solve(es)
+    solve = {"row_residual_max": residual}
     if times is None:
-        return failed("no-consistent-times")
-    # Row 0 of the canonical X is flat, so t_{0,0} is the return period:
-    # |U(t)[0][0]| = 1 exactly when every (lambda_k - lambda_0) t is a multiple
-    # of 2 pi.  The scan's table amplitudes confirm it like every other entry.
+        return failed("no-consistent-times", solve)
+    # t_{0,0} is the return period: with a flat X, |U(t)[0][0]| = 1 exactly
+    # when every (lambda_k - lambda_0) t is a multiple of 2 pi.  The scan's
+    # table amplitudes confirm it like every other entry.
     period = float(times[0])
     h = grid_step(es)
     step = period / math.ceil(period / h)
     if math.ceil((period + 2 * h) / step) > MAX_GRID_POINTS:
-        return failed("scan-grid-too-large")
+        return failed("scan-grid-too-large", solve)
 
     scanned = scan_min_times(es, horizon=period + 2 * h, step=step, row_times=times)
     confirmed = scanned.diagnostics["confirm_margin"] <= PST_ENTRY_TOL
@@ -609,6 +602,7 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     complete = not scanned.reasons
     agreement = float(np.max(np.abs(min_times - transfer_table(times))))
     scanned.diagnostics["agreement_max"] = None if math.isnan(agreement) else agreement
+    scanned.diagnostics.update(solve)
     agree = complete and agreement <= TIME_AGREEMENT_TOL
     if complete and not agree:
         reasons.append("analytic-scan-disagreement")

@@ -195,6 +195,24 @@ def test_verify_table_prints_scan_diagnostics(tmp_path, capsys):
     assert "diagnostics:" not in out
 
 
+def test_verify_reports_the_row_residual_of_inconsistent_times(tmp_path, capsys):
+    # F_4 diag(0, 1, 3, 2) F_4^dagger: flat, integer gaps, no consistent
+    # times; the worst row misses its congruences by pi
+    f = np.exp(2j * np.pi * np.outer(range(4), range(4)) / 4) / 2
+    a = (f * np.array([0.0, 1.0, 3.0, 2.0])) @ f.conj().T
+    path = tmp_path / "f4.json"
+    path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in a]))
+    code, out, _ = run(["verify", str(path)], capsys)
+    assert code == 1
+    report = json.loads(out)["report"]
+    assert report["reasons"] == ["no-consistent-times"]
+    assert report["diagnostics"]["row_residual_max"] == pytest.approx(math.pi, abs=1e-9)
+    code, out, _ = run(["verify", str(path), "--format", "table"], capsys)
+    assert code == 1
+    line = next(line for line in out.splitlines() if line.startswith("diagnostics:"))
+    assert line == "diagnostics: row_residual_max=%.15g" % report["diagnostics"]["row_residual_max"]
+
+
 def test_verify_certifies_bare_matrix_inputs(tmp_path, capsys):
     # path graph on three vertices: eigenvector weights are not flat
     p3 = [

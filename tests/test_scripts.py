@@ -22,7 +22,7 @@ def test_certify_fixtures_certifies_every_fixture():
     proc = run_script("certify_fixtures.py")
     assert proc.returncode == 0, proc.stderr
     rows = proc.stdout.splitlines()[2:]
-    assert len(rows) == 13
+    assert len(rows) == 15
     for row in rows:
         assert row.split()[2] == "yes", row
 

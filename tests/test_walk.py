@@ -18,7 +18,6 @@ from upst.cyclotomic import CycNum
 from upst.graph import CirculantSpec, HermitianGraph, circulant_to_graph, with_diagonal_shift
 from upst.spectra import (
     EigenSystem,
-    canonicalize,
     circulant_eigensystem,
     fourier_matrix,
     numerical_eigensystem,
@@ -31,7 +30,7 @@ from upst.constructors import (
     noncirculant_graph,
     theta,
 )
-from upst import walk
+from upst import ratios, spectra, walk
 from upst.walk import (
     ADMISSION_TOL,
     DETECTION_THRESHOLD,
@@ -61,6 +60,12 @@ from upst.walk import (
 T01 = 2 * math.pi / (3 * math.sqrt(3))  # first transfer time of Circ(0,-i,i)
 TWO_PI = 2 * math.pi
 
+LADDER = (
+    (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 3),
+    (4, 4, 2), (4, 4, 3), (4, 4, 4), (8, 2, 2), (8, 2, 3), (8, 2, 4),
+    (6, 4, 2), (6, 4, 3), (8, 3, 2), (12, 2, 3), (8, 8, 2),
+)
+
 
 def es3(circ3):
     return circulant_eigensystem(circ3)
@@ -81,10 +86,9 @@ def scan_grid(es, density=1):
 
 
 def row_times(es):
-    """verify_upst's row times: the analytic times of the canonical X, or the
-    return period on every row where there are none."""
-    canonical = EigenSystem(n=es.n, X=canonicalize(es.X), lambdas=es.lambdas)
-    times = analytic_pst_times(canonical)
+    """verify_upst's row times: the analytic times, or the return period on
+    every row where there are none."""
+    times = analytic_pst_times(es)
     return np.full(es.n, analytic_return_period(es)) if times is None else times
 
 
@@ -191,11 +195,59 @@ def test_analytic_times_absent_for_incommensurable_gaps():
     assert analytic_pst_times(irrational_eigensystem()) is None
 
 
-def test_analytic_times_need_canonical_form(circ3):
-    es = es3(circ3)
-    skewed = EigenSystem(n=3, X=es.X * np.exp(0.4j), lambdas=es.lambdas)
-    with pytest.raises(ValueError):
-        analytic_pst_times(skewed)
+@settings(max_examples=30, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.just("flat"), st.sampled_from(((2, 2, 1),) + LADDER[:9])),
+        st.tuples(st.sampled_from(["exact", "eigh"]), st.integers(2, 8)),
+        st.tuples(st.just("nondense"), st.sampled_from([(2, 3), (2, 5), (3, 5)])),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_analytic_times_of_any_flat_x_follow_the_table(case, seed):
+    # unit phases on the rows and columns of a relabelled X change no |U|
+    # entry, so vertex 0 of the relabelled input transfers as vertex perm[0]
+    # of the base does
+    kind, size = case
+    rng = np.random.default_rng(seed)
+    if kind == "flat":
+        base = noncirculant_graph(NoncirculantParams(*size))[1]
+    elif kind == "nondense":
+        base = circulant_eigensystem(nondense_circulant(*size))
+    else:
+        spec = circulant_from_c(size, [int(v) for v in rng.integers(-20, 21, size=size)])
+        adjacency = circulant_to_graph(spec).adjacency
+        base = circulant_eigensystem(spec) if kind == "exact" else numerical_eigensystem(adjacency)
+    n = base.n
+    perm = rng.permutation(n)
+    x = base.X[perm, :] * np.exp(1j * rng.uniform(0, TWO_PI, size=n))
+    x *= np.exp(1j * rng.uniform(0, TWO_PI, size=(n, 1)))
+    times = analytic_pst_times(EigenSystem(n=n, X=x, lambdas=base.lambdas))
+    expected = transfer_table(analytic_pst_times(base))[perm[0]][perm]
+    assert np.max(np.abs(times - expected)) <= TIME_AGREEMENT_TOL
+
+
+@pytest.mark.parametrize("c", [
+    np.r_[0, np.full(63, 50)],
+    np.r_[0, 10**4, np.zeros(62)],
+], ids=["c_k=50", "c_1=1e4"])
+def test_analytic_times_solve_rows_at_the_least_multiple(c):
+    # F_64 with lambda_k = k + 64 c_k: t_w = 2 pi w/64, t_0 = 2 pi, for any
+    # integers c_k.  With c_k = 50 for k > 0 the least |D_k| is 3201, the
+    # candidates of every row; with only c_1 large it is D_2 = 2, far below
+    # D_1 = 640 001.  The candidates go in blocks, so the peak stays far
+    # below the 63 x 3201 x 64 array of all of them (about 100 MB)
+    n = 64
+    es = EigenSystem(n=n, X=fourier_matrix(n), lambdas=np.arange(n) + n * c)
+    tracemalloc.start()
+    try:
+        times = analytic_pst_times(es)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = TWO_PI / n * np.array([n] + list(range(1, n)))
+    assert np.max(np.abs(times - expected)) <= 1e-12
+    assert peak <= 16 * 2**20
 
 
 def test_analytic_times_reject_degenerate_spectrum():
@@ -601,6 +653,18 @@ def test_verify_peak_memory_stays_far_below_an_n_cubed_array():
     assert peak <= 16 * 2**20
 
 
+@pytest.mark.parametrize("shift", [10**5, 10**8, 10**9])
+def test_eigh_route_certifies_a_large_diagonal_shift(shift):
+    # eigh of A itself errs by about 2^-52 max|lambda| per eigenvalue, which
+    # put the gap ratios past RATIO_REL_TOL (no-consistent-times) or X off
+    # flat (diagonalizer-not-flat); eigh of A - mean(diag A) I does not
+    spec = with_diagonal_shift(nondense_circulant(2, 3), Fraction(shift))
+    graph = circulant_to_graph(spec)
+    report = verify_upst(graph, numerical_eigensystem(graph.adjacency))
+    assert report.upst is True, report.reasons
+    assert report.diagnostics["agreement_max"] <= TIME_AGREEMENT_TOL
+
+
 def test_scan_of_eigenvalue_differences_certifies_a_shift_of_1e9():
     # |U| does not see lambda_0, so scanning lambda - lambda_0 keeps the time
     # error at the scale of the spread (it was 5e-8 scanning lambda itself)
@@ -724,6 +788,7 @@ def test_certification_order3(circ3):
     assert report.dense is True
     assert abs(report.return_period - 3 * T01) < 1e-12
     assert np.max(np.abs(report.min_times[0, :] - report.analytic_times)) < 1e-8
+    assert report.diagnostics["row_residual_max"] <= 1e-14
 
 
 def test_certification_nondense6(nd6):
@@ -765,13 +830,6 @@ def test_transfer_precedes_return_everywhere(circ3, nd6):
             for v in range(n):
                 if v != u:
                     assert report.min_times[u, v] < report.min_times[u, u]
-
-
-LADDER = (
-    (2, 2, 2), (2, 2, 3), (3, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 3),
-    (4, 4, 2), (4, 4, 3), (4, 4, 4), (8, 2, 2), (8, 2, 3), (8, 2, 4),
-    (6, 4, 2), (6, 4, 3), (8, 3, 2), (12, 2, 3), (8, 8, 2),
-)
 
 
 def step_bounds(es):
@@ -903,6 +961,39 @@ def test_certification_rejects_incommensurable_spectrum():
     report = verify_upst(HermitianGraph(3, a), es)
     assert report.upst is False
     assert report.reasons == ("no-consistent-times",)
+    assert report.diagnostics == {"row_residual_max": None}
+
+
+def test_inconsistent_rows_report_their_residual():
+    # F_4 with lambda = (0, 1, 3, 2) is flat with integer gaps D = (1, 3, 2),
+    # but no row w >= 1 solves rho_w = s D mod 1: the one candidate s = w/4
+    # of k = 1 misses k = 2 and 3 by pi/2 on rows 1 and 3 and by pi on row 2
+    es = EigenSystem(n=4, X=fourier_matrix(4), lambdas=np.array([0.0, 1.0, 3.0, 2.0]))
+    a = (es.X * es.lambdas) @ es.X.conj().T
+    report = verify_upst(HermitianGraph(4, (a + a.conj().T) / 2), es)
+    assert report.upst is False
+    assert report.reasons == ("no-consistent-times",)
+    assert report.diagnostics["row_residual_max"] == pytest.approx(math.pi, abs=1e-12)
+
+
+def test_verify_tests_flatness_and_recovers_the_ratios_once(monkeypatch, circ3):
+    # one flatness test and one rational reconstruction per verify_upst,
+    # wherever the functions are bound
+    calls = []
+    for module, name in ((walk, "is_type_ii"), (spectra, "is_type_ii"),
+                         (walk, "integer_multiples"), (spectra, "integer_multiples"),
+                         (ratios, "integer_multiples")):
+        def counted(*args, real=getattr(module, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    graph, es = noncirculant_graph(NoncirculantParams(4, 4, 2))
+    nd6 = circulant_to_graph(nondense_circulant(2, 3))
+    for graph, es in ((circulant_to_graph(circ3), es3(circ3)), (graph, es),
+                      (nd6, numerical_eigensystem(nd6.adjacency))):
+        calls.clear()
+        assert verify_upst(graph, es).upst is True
+        assert sorted(calls) == ["integer_multiples", "is_type_ii"]
 
 
 def test_certification_rejects_repeated_eigenvalues():
@@ -982,6 +1073,7 @@ def test_spacing_order_witnesses_circulant_timing(case, seed):
     report = verify_upst(HermitianGraph(es.n, (a + a.conj().T) / 2), es)
     assert report.upst is True, report.reasons
     assert report.diagnostics["agreement_max"] <= TIME_AGREEMENT_TOL
+    assert report.diagnostics["row_residual_max"] <= TIME_AGREEMENT_TOL
     assert report.circulant_timing is verify_upst(graph, base).circulant_timing
     assert report.circulant_timing is (kind != "flat" or size[2] == 1)
     assert report.spacing_order[0] == 0
