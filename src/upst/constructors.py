@@ -19,7 +19,7 @@ import numpy as np
 
 from .cyclotomic import CycNum, cyc_from_exponent_vector
 from .graph import CirculantSpec, HermitianGraph, is_connected_circulant
-from .spectra import EigenSystem, UNITARITY_TOL
+from .spectra import EigenSystem, is_type_ii
 
 __all__ = [
     "NoncirculantParams",
@@ -73,8 +73,8 @@ def _flat_assembly(
     rows = np.array([theta(params.a, params.beta, j) for j in range(n)])
     cols = np.array([theta(params.b, params.beta, k) for k in range(n)])
     x = np.exp(2j * np.pi * np.outer(rows, cols) / bn) / math.sqrt(n)
-    if np.max(np.abs(x.conj().T @ x - np.eye(n))) > UNITARITY_TOL:
-        raise ArithmeticError("construction produced a non-unitary diagonalizer")
+    if not is_type_ii(x):
+        raise ArithmeticError("construction produced a diagonalizer that is not a flat unitary")
     lambdas = np.array(eigens, dtype=float)
     adj = (x * lambdas) @ x.conj().T
     adj = (adj + adj.conj().T) / 2

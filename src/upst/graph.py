@@ -93,11 +93,9 @@ def validate_hermitian(matrix: np.ndarray) -> HermitianGraph:
 def circulant_to_graph(spec: CirculantSpec) -> HermitianGraph:
     """Embed the exact coefficients into the dense adjacency matrix."""
     n = spec.n
-    emb = [x.embed() for x in spec.a]
-    a = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            a[j, k] = emb[(k - j) % n]
+    emb = np.array([x.embed() for x in spec.a], dtype=complex)
+    k = np.arange(n)
+    a = emb[(k - k[:, np.newaxis]) % n]  # a[j, k] = emb[(k - j) % n]
     a = (a + a.conj().T) / 2  # kill rounding asymmetry from embed()
     return HermitianGraph(n=n, adjacency=a, spec=spec)
 

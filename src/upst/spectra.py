@@ -1,5 +1,5 @@
-"""Eigenstructure tools: Fourier diagonalization of circulants, type-II and
-canonical-form machinery for flat unitaries, and recognition of the
+"""Eigenstructure tools: Fourier diagonalization of circulants, the type-II
+test and canonical form of flat unitaries, and recognition of the
 integer-progression eigenvalue form that characterizes circulant UPST."""
 
 from __future__ import annotations
@@ -124,20 +124,16 @@ def is_type_ii(matrix: np.ndarray) -> bool:
 
 
 def canonicalize(z: np.ndarray) -> np.ndarray:
-    """Scale a flat unitary to the canonical form X with first row and column
-    1/sqrt(n): X = S @ Z @ D for unit-modulus diagonal D, which fixes the
-    first row column-by-column, and S, which then fixes the first column
-    row-by-row.  S maps the adjacency Z diagonalizes to the
-    switching-equivalent S A S^(-1)."""
+    """X = S @ Z @ D for unit-modulus diagonal D, which makes the first row
+    real and nonnegative column by column, and S, which then does the same
+    for the first column row by row; |X| = |Z|.  For a flat unitary Z
+    (is_type_ii) this is the canonical form, first row and column 1/sqrt(n),
+    and S maps the adjacency Z diagonalizes to the switching-equivalent
+    S A S^(-1).  No phase changes any |U(t)| entry."""
     z = np.asarray(z, dtype=complex)
-    if not is_type_ii(z):
-        raise ValueError("canonical form needs a flat unitary input")
-    n = z.shape[0]
-    root = 1 / math.sqrt(n)
-    d = root / z[0, :]
-    z2 = z * d[np.newaxis, :]
-    s = root / z2[:, 0]
-    return z2 * s[:, np.newaxis]
+    x = z * np.exp(-1j * np.angle(z[0]))
+    x *= np.exp(-1j * np.angle(x[:, :1]))
+    return x
 
 
 def zero_sum_check(x: np.ndarray) -> bool:

@@ -16,12 +16,12 @@ import numpy as np
 
 from .graph import CirculantSpec, HermitianGraph
 from .ratios import integer_multiples
-from .spectra import EigenSystem, is_type_ii
+from .spectra import EigenSystem, canonicalize, is_type_ii
 
 PST_ENTRY_TOL = 1e-9
 TIME_AGREEMENT_TOL = 1e-8
 DETECTION_THRESHOLD = 0.96  # on |U|^2; refinement applies the strict test
-DEGENERACY_TOL = 1e-12
+DEGENERACY_TOL = 1e-10  # least eigenvalue gap over max(1, max|lambda|), see verify_upst
 STEP_MARGIN = 2.0**-16  # relative shrink of the derived grid step, see grid_step
 MAX_GRID_POINTS = 2**22  # largest grid verify_upst scans
 GRID_BLOCK = 2**16  # pair x time elements per grid block
@@ -66,44 +66,23 @@ def unitary_at(es: EigenSystem, t: float) -> np.ndarray:
     return (es.X * phases) @ es.X.conj().T
 
 
-def analytic_return_period(es: EigenSystem) -> Optional[float]:
-    """Smallest T > 0 with (lambda_k - lambda_0) T all multiples of 2 pi.
-
-    None when the eigenvalue differences have irrational ratios; no finite
-    period exists then, which already rules out UPST (return times of a
-    perfect-transfer walk form a discrete subgroup of the reals).
-    """
-    d = es.lambdas - es.lambdas[0]
-    if es.n < 2:
-        return None
-    structure = integer_multiples(list(d[1:]))
-    if structure is None:
-        return None
-    beta, _ = structure
-    return TWO_PI / beta
-
-
-def _unit_scaled(x: np.ndarray) -> np.ndarray:
-    """sqrt(n) X times the unit column, then row, phases that make its first
-    row and column real; they change no |U| entry."""
-    z = x * np.exp(-1j * np.angle(x[0]))
-    z *= np.exp(-1j * np.angle(z[:, :1])) * math.sqrt(x.shape[0])
-    return z
-
-
-def _row_solve(es: EigenSystem) -> tuple[Optional[np.ndarray], Optional[float]]:
-    """analytic_pst_times(es) and the worst row's least residual: the largest
-    over rows w >= 1 of the least over w's candidates s of max_k |s D_k -
-    rho_wk| in angle (mod 2 pi), None when the ratios are irrational."""
+def analytic_pst_times(es: EigenSystem) -> tuple[Optional[np.ndarray], Optional[float]]:
+    """(times, row_residual): the transfer times t_w = s_w P from vertex 0
+    (see transfer_table), t_0 = P, and the worst row's least residual, the
+    largest over rows w >= 1 of the least over w's candidates s of max_k
+    |s D_k - rho_wk| in angle (mod 2 pi).  rho holds the phases of
+    canonicalize(X); each row is solved at k = argmin |D_k|, whose |D_k|
+    candidates s are checked on every k to TIME_AGREEMENT_TOL, in batches of
+    REFINE_BLOCK elements.  times is None when some row has no solution, and
+    both are None when the ratios are irrational.  integer_multiples raises
+    ValueError on a tie lambda_k = lambda_0 or fewer than two vertices."""
     n, lam = es.n, es.lambdas
-    if n < 2 or abs(lam[1] - lam[0]) <= DEGENERACY_TOL * max(1.0, float(np.max(np.abs(lam)))):
-        raise ValueError("degenerate spectrum: under two vertices, or lambda_1 equals lambda_0")
     structure = integer_multiples(list(lam[1:] - lam[0]))
     if structure is None:
         return None, None
     beta, multiples = structure
     big_d = np.array(multiples, dtype=float)
-    rho = np.angle(_unit_scaled(es.X)[1:, 1:]) / TWO_PI
+    rho = np.angle(canonicalize(es.X)[1:, 1:]) / TWO_PI
     # at k = argmin |D_k|, row w's q = |D_k| candidates s = (start_w + j)/q,
     # j < q, increase in [0, 1]; row 0 is s = 1
     k = int(np.argmin(np.abs(big_d)))
@@ -121,15 +100,6 @@ def _row_solve(es: EigenSystem) -> tuple[Optional[np.ndarray], Optional[float]]:
         live, j = live[~hit], j + width
     times = None if live.size else TWO_PI / beta * np.concatenate(([1.0], s))
     return times, float(least.max())
-
-
-def analytic_pst_times(es: EigenSystem) -> Optional[np.ndarray]:
-    """The transfer times t_w = s_w P from vertex 0 (see transfer_table):
-    each row of rho, the phases of _unit_scaled(X), solved at k = argmin
-    |D_k|, whose |D_k| candidates s are checked on every k to
-    TIME_AGREEMENT_TOL in angle, in batches of REFINE_BLOCK elements; t_0 =
-    P.  None when the ratios are irrational or some row has no solution."""
-    return _row_solve(es)[0]
 
 
 def transfer_table(analytic_times: np.ndarray) -> np.ndarray:
@@ -375,7 +345,7 @@ def _row_classes(
     pair's class and B_m (see scan_min_times), and omega[w, k] = e^{-i d_k
     row_times[w]}, the angle's rounding put back from an extended product."""
     n = x.shape[0]
-    z = _unit_scaled(x)
+    z = math.sqrt(n) * canonicalize(x)
     omega = _waves(row_times, d)
     omega *= 1 - 1j * (np.multiply.outer(row_times.astype(np.longdouble), d)
                        - np.multiply.outer(row_times, d)).astype(float)
@@ -562,7 +532,8 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     A grid past MAX_GRID_POINTS is not scanned: scan-grid-too-large.  The
     diagnostics add agreement_max, max |transfer_table - scanned| over all
     n^2 pairs, and every report past the flatness test row_residual_max,
-    the worst row's least residual of the analytic solve (see _row_solve).
+    the worst row's least residual of the analytic solve (see
+    analytic_pst_times).
     """
     n = es.n
     lam = es.lambdas
@@ -573,16 +544,11 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
                               upst=False, reasons=(reason,), dense=dense,
                               diagnostics=diagnostics)
 
-    if n < 2:
-        return failed("degenerate-spectrum")
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    gaps = np.abs(lam[:, np.newaxis] - lam[np.newaxis, :]).astype(float)
-    np.fill_diagonal(gaps, np.inf)
-    if float(gaps.min()) <= 1e-10 * scale:
+    if n < 2 or np.min(np.diff(np.sort(lam))) <= DEGENERACY_TOL * max(1.0, np.max(np.abs(lam))):
         return failed("degenerate-spectrum")
     if not is_type_ii(es.X):
         return failed("diagonalizer-not-flat")
-    times, residual = _row_solve(es)
+    times, residual = analytic_pst_times(es)
     solve = {"row_residual_max": residual}
     if times is None:
         return failed("no-consistent-times", solve)

@@ -158,9 +158,21 @@ def test_construction_diagonalizer_is_already_canonical():
     assert np.max(np.abs(canonicalize(es.X) - es.X)) < 1e-12
 
 
-def test_canonicalize_rejects_non_flat_input():
-    with pytest.raises(ValueError):
-        canonicalize(np.eye(4))
+def test_canonicalize_changes_phases_only():
+    # first-row magnitudes 1e-11 off keep Z flat within UNITARITY_TOL; the
+    # canonical form keeps every |Z| entry to a few ulps and forgets unit row
+    # and column phases
+    rng = np.random.default_rng(9)
+    for n in (2, 3, 6, 16):
+        z = fourier_matrix(n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        z[0] *= 1 + 1e-11 * rng.choice([-1.0, 1.0], size=n)
+        assert is_type_ii(z)
+        x = canonicalize(z)
+        assert np.max(np.abs(np.abs(x) / np.abs(z) - 1)) <= 4 * np.finfo(float).eps
+        for _ in range(10):
+            row = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+            col = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+            assert np.max(np.abs(canonicalize(row[:, None] * z * col[None, :]) - x)) <= 1e-15
 
 
 # ------------------------------------------------------------- zero sums

@@ -41,7 +41,6 @@ from upst.walk import (
     TIME_AGREEMENT_TOL,
     WAVE_CHUNK,
     analytic_pst_times,
-    analytic_return_period,
     denseness_check,
     grid_step,
     monomial_check,
@@ -76,11 +75,19 @@ def scalar_spec(n=3, value=Fraction(3, 2)):
     return CirculantSpec(n, (a0,) + tuple(CycNum.zero(1) for _ in range(n - 1)))
 
 
+def return_period(es):
+    """The least P > 0 with every (lambda_k - lambda_0) P a multiple of 2 pi,
+    from one rational reconstruction of the gaps; analytic_pst_times(es)
+    gives it as t_0 when every row has a time."""
+    beta, _ = ratios.integer_multiples(list(es.lambdas[1:] - es.lambdas[0]))
+    return TWO_PI / beta
+
+
 def scan_grid(es, density=1):
     """verify_upst's grid, or one density times as fine: (horizon, step),
     step = P / ceil(density P / h) for the return period P and h =
     grid_step(es), horizon P + 2 h."""
-    period = analytic_return_period(es)
+    period = return_period(es)
     h = grid_step(es)
     return period + 2 * h, period / math.ceil(density * period / h)
 
@@ -88,8 +95,8 @@ def scan_grid(es, density=1):
 def row_times(es):
     """verify_upst's row times: the analytic times, or the return period on
     every row where there are none."""
-    times = analytic_pst_times(es)
-    return np.full(es.n, analytic_return_period(es)) if times is None else times
+    times = analytic_pst_times(es)[0]
+    return np.full(es.n, return_period(es)) if times is None else times
 
 
 def scan(es, times=None):
@@ -149,33 +156,22 @@ def test_theorem_family_transfer_at_pi_over_6():
     assert abs(amp - 1) < 1e-9
 
 
-# ----------------------------------------------------------- return period
-
-def test_return_period_order3(circ3):
-    period = analytic_return_period(es3(circ3))
-    assert abs(period - 3 * T01) < 1e-12
-
-
-def test_return_period_integer_spectrum(nd6):
-    assert abs(analytic_return_period(circulant_eigensystem(nd6)) - TWO_PI) < 1e-12
-
-
-def test_return_period_missing_for_incommensurable_gaps():
-    assert analytic_return_period(irrational_eigensystem()) is None
-
-
 # ----------------------------------------------------------- analytic times
 
 def test_analytic_times_order3(circ3):
-    times = analytic_pst_times(es3(circ3))
+    # t_0 is the return period 3 T01
+    times, residual = analytic_pst_times(es3(circ3))
     expected = np.array([3 * T01, T01, 2 * T01])
     assert np.max(np.abs(times - expected)) < 1e-12
+    assert residual <= TIME_AGREEMENT_TOL
 
 
 def test_analytic_times_nondense6(nd6):
-    times = analytic_pst_times(circulant_eigensystem(nd6))
+    # an integer spectrum of gcd 1 returns at t_0 = 2 pi
+    times, residual = analytic_pst_times(circulant_eigensystem(nd6))
     expected = np.array([TWO_PI] + [2 * math.pi * l / 6 for l in range(1, 6)])
     assert np.max(np.abs(times - expected)) < 1e-12
+    assert residual <= TIME_AGREEMENT_TOL
 
 
 def test_analytic_times_follow_theta_progression():
@@ -183,7 +179,7 @@ def test_analytic_times_follow_theta_progression():
     for a, b, beta in ((2, 2, 2), (3, 2, 2), (2, 2, 3)):
         params = NoncirculantParams(a, b, beta)
         _, es = noncirculant_graph(params)
-        times = analytic_pst_times(es)
+        times = analytic_pst_times(es)[0]
         n = params.n
         base = TWO_PI / (beta * n)
         expected = [base * theta(a, beta, j) for j in range(n)]
@@ -192,7 +188,8 @@ def test_analytic_times_follow_theta_progression():
 
 
 def test_analytic_times_absent_for_incommensurable_gaps():
-    assert analytic_pst_times(irrational_eigensystem()) is None
+    # no return period, so neither times nor a row residual
+    assert analytic_pst_times(irrational_eigensystem()) == (None, None)
 
 
 @settings(max_examples=30, deadline=None)
@@ -222,8 +219,8 @@ def test_analytic_times_of_any_flat_x_follow_the_table(case, seed):
     perm = rng.permutation(n)
     x = base.X[perm, :] * np.exp(1j * rng.uniform(0, TWO_PI, size=n))
     x *= np.exp(1j * rng.uniform(0, TWO_PI, size=(n, 1)))
-    times = analytic_pst_times(EigenSystem(n=n, X=x, lambdas=base.lambdas))
-    expected = transfer_table(analytic_pst_times(base))[perm[0]][perm]
+    times = analytic_pst_times(EigenSystem(n=n, X=x, lambdas=base.lambdas))[0]
+    expected = transfer_table(analytic_pst_times(base)[0])[perm[0]][perm]
     assert np.max(np.abs(times - expected)) <= TIME_AGREEMENT_TOL
 
 
@@ -241,7 +238,7 @@ def test_analytic_times_solve_rows_at_the_least_multiple(c):
     es = EigenSystem(n=n, X=fourier_matrix(n), lambdas=np.arange(n) + n * c)
     tracemalloc.start()
     try:
-        times = analytic_pst_times(es)
+        times = analytic_pst_times(es)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -293,7 +290,7 @@ def test_scan_refines_false_clusters_in_later_rounds():
     # at the period 100 pi; off-diagonal pairs meet only false ones.  Every
     # candidate is refined, and a pair takes its earliest that passes
     es = false_cluster_eigensystem()
-    assert abs(analytic_return_period(es) - 100 * math.pi) < 1e-9
+    assert abs(return_period(es) - 100 * math.pi) < 1e-9
     report = scan(es)
     assert np.max(np.abs(np.diag(report.min_times) - 100 * math.pi)) < 1e-9
     assert np.all(np.isnan(report.min_times[~np.eye(3, dtype=bool)]))
@@ -341,7 +338,7 @@ def test_scan_finds_every_analytic_time_at_wide_spread(n, seed):
     # ranges up to about 1e4, grids up to about 1e6 points
     rng = np.random.default_rng(seed)
     base = circulant_eigensystem(circulant_from_c(n, [int(v) for v in rng.integers(-1000, 1001, size=n)]))
-    times = analytic_pst_times(base)
+    times = analytic_pst_times(base)[0]
     perm = rng.permutation(n)
     x = base.X[perm, :] * np.exp(1j * rng.uniform(0, TWO_PI, size=n))
     report = scan(EigenSystem(n=n, X=x, lambdas=base.lambdas))
@@ -355,7 +352,7 @@ def test_scan_finds_every_analytic_time_at_wide_spread(n, seed):
 def test_grid_past_the_cap_is_refused_without_a_scan(monkeypatch):
     spec = circulant_from_c(3, [0, 0, 10**6])
     es = circulant_eigensystem(spec)
-    assert analytic_return_period(es) / grid_step(es) > MAX_GRID_POINTS
+    assert analytic_pst_times(es)[0][0] / grid_step(es) > MAX_GRID_POINTS
 
     def no_scan(*args):
         raise AssertionError("scanned a grid past MAX_GRID_POINTS")
@@ -471,7 +468,7 @@ def test_scan_is_independent_of_the_grid_block(monkeypatch, nd6):
 
 def test_scan_diagnostics_count_the_work():
     es = relabelled_flat(4, 4, 2, seed=5)
-    period = analytic_return_period(es)
+    period = return_period(es)
     h = grid_step(es)
     d = scan(es).diagnostics
     points = math.ceil(period / h)
@@ -587,7 +584,7 @@ def test_admission_bound_holds_between_class_curves(case, noise, permuted, seed)
         times = times[rng.permutation(n)]
     x = es.X * (1 + noise * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
     _, rep, bound = members_and_bounds(x, es.lambdas, times)
-    t = np.linspace(0, analytic_return_period(es), 301)
+    t = np.linspace(0, return_period(es), 301)
     mags = np.abs(pair_vectors(x) @ np.exp(-1j * np.multiply.outer(es.lambdas, t)))
     gap = np.max(np.abs(mags - mags[rep]), axis=1)
     # a NaN bound admits nothing: row times far off can move the period to 0
@@ -748,7 +745,7 @@ def certified_eigensystem(kind, size, seed):
     x = base.X[perm, :] * np.exp(1j * rng.uniform(0, TWO_PI, size=n))
     es = EigenSystem(n=n, X=x, lambdas=base.lambdas)
     source = int(np.flatnonzero(perm == 0)[0])
-    return es, source, analytic_pst_times(base)[perm]
+    return es, source, analytic_pst_times(base)[0][perm]
 
 
 @settings(max_examples=40, deadline=None)
@@ -824,7 +821,7 @@ def test_transfer_precedes_return_everywhere(circ3, nd6):
     for graph, es in inputs:
         report = verify_upst(graph, es)
         assert report.upst is True
-        assert abs(report.return_period - analytic_return_period(es)) < 1e-12
+        assert abs(report.return_period - return_period(es)) < 1e-12
         n = report.n
         for u in range(n):
             for v in range(n):
@@ -852,7 +849,7 @@ def test_grid_step_meets_both_bounds_on_the_ladder():
         assert h <= curvature_bound
         assert h <= unimodal_bound
         assert h >= (1 - 1e-4) * min(curvature_bound, unimodal_bound)
-        period = analytic_return_period(es)
+        period = return_period(es)
         step = period / math.ceil(period / h)
         for v, t in enumerate(times):
             nearest = round(t / step) * step
@@ -977,10 +974,11 @@ def test_inconsistent_rows_report_their_residual():
 
 
 def test_verify_tests_flatness_and_recovers_the_ratios_once(monkeypatch, circ3):
-    # one flatness test and one rational reconstruction per verify_upst,
-    # wherever the functions are bound
+    # one flatness test, one analytic solve and one rational reconstruction
+    # per verify_upst, wherever the functions are bound
     calls = []
     for module, name in ((walk, "is_type_ii"), (spectra, "is_type_ii"),
+                         (walk, "analytic_pst_times"),
                          (walk, "integer_multiples"), (spectra, "integer_multiples"),
                          (ratios, "integer_multiples")):
         def counted(*args, real=getattr(module, name), name=name):
@@ -993,7 +991,7 @@ def test_verify_tests_flatness_and_recovers_the_ratios_once(monkeypatch, circ3):
                       (nd6, numerical_eigensystem(nd6.adjacency))):
         calls.clear()
         assert verify_upst(graph, es).upst is True
-        assert sorted(calls) == ["integer_multiples", "is_type_ii"]
+        assert sorted(calls) == ["analytic_pst_times", "integer_multiples", "is_type_ii"]
 
 
 def test_certification_rejects_repeated_eigenvalues():
@@ -1027,7 +1025,7 @@ def test_spacing_breaks_for_flat_construction():
 
 def test_transfer_table_of_order3(circ3):
     # Circ(0, -i, i) shifts 0 -> 1 -> 2 -> 0 every T01
-    table = transfer_table(analytic_pst_times(es3(circ3)))
+    table = transfer_table(analytic_pst_times(es3(circ3))[0])
     expected = T01 * np.array([[3, 1, 2], [2, 3, 1], [1, 2, 3]])
     assert np.max(np.abs(table - expected)) < 1e-12
 
