@@ -156,10 +156,27 @@ def test_theorem_family_transfer_at_pi_over_6():
     assert abs(amp - 1) < 1e-9
 
 
+# ---------------------------------------------------------- return period
+
+def test_return_period_order3(circ3):
+    # the return period P is the row-0 time t_0
+    period = analytic_pst_times(es3(circ3))[0][0]
+    assert abs(period - 3 * T01) < 1e-12
+
+
+def test_return_period_integer_spectrum(nd6):
+    period = analytic_pst_times(circulant_eigensystem(nd6))[0][0]
+    assert abs(period - TWO_PI) < 1e-12
+
+
+def test_return_period_missing_for_incommensurable_gaps():
+    times, _ = analytic_pst_times(irrational_eigensystem())
+    assert times is None
+
+
 # ----------------------------------------------------------- analytic times
 
 def test_analytic_times_order3(circ3):
-    # t_0 is the return period 3 T01
     times, residual = analytic_pst_times(es3(circ3))
     expected = np.array([3 * T01, T01, 2 * T01])
     assert np.max(np.abs(times - expected)) < 1e-12
@@ -167,7 +184,6 @@ def test_analytic_times_order3(circ3):
 
 
 def test_analytic_times_nondense6(nd6):
-    # an integer spectrum of gcd 1 returns at t_0 = 2 pi
     times, residual = analytic_pst_times(circulant_eigensystem(nd6))
     expected = np.array([TWO_PI] + [2 * math.pi * l / 6 for l in range(1, 6)])
     assert np.max(np.abs(times - expected)) < 1e-12
