@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -110,17 +111,9 @@ def build_from_descriptor(
             )
             graph, es = noncirculant_graph(params)
             if shift is not None:
-                value = float(shift)
-                adjacency = graph.adjacency + value * np.eye(params.n)
-                graph = HermitianGraph(n=params.n, adjacency=adjacency)
-                es = EigenSystem(
-                    n=params.n,
-                    X=es.X,
-                    lambdas=es.lambdas + value,
-                    exact_lambdas=None
-                    if es.exact_lambdas is None
-                    else tuple(v + shift for v in es.exact_lambdas),
-                )
+                graph = HermitianGraph(params.n, graph.adjacency + float(shift) * np.eye(params.n))
+                es = dataclasses.replace(es, lambdas=es.lambdas + float(shift),
+                                         exact_lambdas=tuple(v + shift for v in es.exact_lambdas))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if spec is not None:

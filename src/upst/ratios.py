@@ -8,9 +8,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 MAX_DENOMINATOR = 10**6
-# Tighter than the witness tolerance on purpose: at denominator bound 1e6 the
-# best convergents of quadratic irrationals sit ~2e-12 away, so a looser gate
-# would let them masquerade as rationals.
+# Tighter than the witness tolerance, yet most irrational ratios pass: their
+# convergent p/q with q near MAX_DENOMINATOR errs by about 1/q^2, so the golden
+# ratio is accepted as 1346269/832040 (ROADMAP.md, item 15).
 RATIO_REL_TOL = 1e-12
 
 

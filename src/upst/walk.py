@@ -8,15 +8,16 @@ without assuming where they are.  Reports never hide a failed route behind the o
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .graph import CirculantSpec, HermitianGraph
 from .ratios import integer_multiples
-from .spectra import EigenSystem, canonicalize, is_type_ii
+from .spectra import UNITARITY_TOL, EigenSystem, canonicalize, is_type_ii
 
 PST_ENTRY_TOL = 1e-9
 TIME_AGREEMENT_TOL = 1e-8
@@ -66,40 +67,47 @@ def unitary_at(es: EigenSystem, t: float) -> np.ndarray:
     return (es.X * phases) @ es.X.conj().T
 
 
+def _bezout_mod(d: Sequence[int], q: int) -> list[int]:
+    """Integers c in [0, q) with sum_k c_k d_k = gcd(d) > 0 (mod q), d nonzero:
+    fold h = gcd(g, d_k) = x_k g + y_k d_k, then c_k = y_k x_{k+1} ... x_last."""
+    g, xs, ys = 0, [], []
+    for dk in d:
+        h = math.gcd(g, dk)
+        xs.append(pow(g // h, -1, abs(dk) // h))
+        ys.append((h - xs[-1] * g) // dk)
+        g = h
+    tails = itertools.accumulate(reversed(xs[1:]), lambda a, x: a * x % q, initial=1)
+    return [y * t % q for y, t in zip(ys, reversed(list(tails)))]
+
+
 def analytic_pst_times(es: EigenSystem) -> tuple[Optional[np.ndarray], Optional[float]]:
     """(times, row_residual): the transfer times t_w = s_w P from vertex 0
-    (see transfer_table), t_0 = P, and the worst row's least residual, the
-    largest over rows w >= 1 of the least over w's candidates s of max_k
-    |s D_k - rho_wk| in angle (mod 2 pi).  rho holds the phases of
-    canonicalize(X); each row is solved at k = argmin |D_k|, whose |D_k|
-    candidates s are checked on every k to TIME_AGREEMENT_TOL, in batches of
-    REFINE_BLOCK elements.  times is None when some row has no solution, and
-    both are None when the ratios are irrational.  integer_multiples raises
-    ValueError on a tie lambda_k = lambda_0 or fewer than two vertices."""
-    n, lam = es.n, es.lambdas
-    structure = integer_multiples(list(lam[1:] - lam[0]))
+    (see transfer_table), t_0 = P, and the largest over rows w >= 1 of max_k
+    |s_w D_k - rho_wk| in angle (mod 2 pi), rho the phases of canonicalize(X).
+    At q = min|D_k| = |D_k*|, s_w = (start_w + j_w)/q, start_w = sign(D_k*)
+    rho_wk* mod 1, and j_w = sum_k c_k r_wk mod q, c = _bezout_mod(D, q), is
+    the one j with j D_k = r_wk = q rho_wk - start_w D_k (mod q) on every k;
+    s_w is checked on every k to TIME_AGREEMENT_TOL, and r_wk rounds exactly
+    on a passing row while q TIME_AGREEMENT_TOL < pi and q max|D| < 2^53.
+    Outside that range, as for irrational ratios, both are None; times is None
+    when a row fails.  Raises ValueError on a tie with lambda_0 or on n < 2."""
+    structure = integer_multiples(list(es.lambdas[1:] - es.lambdas[0]))
     if structure is None:
         return None, None
     beta, multiples = structure
+    q = min(map(abs, multiples))
+    if q * max(map(abs, multiples)) >= 2**53 or q * TIME_AGREEMENT_TOL >= math.pi:
+        return None, None
     big_d = np.array(multiples, dtype=float)
     rho = np.angle(canonicalize(es.X)[1:, 1:]) / TWO_PI
-    # at k = argmin |D_k|, row w's q = |D_k| candidates s = (start_w + j)/q,
-    # j < q, increase in [0, 1]; row 0 is s = 1
     k = int(np.argmin(np.abs(big_d)))
-    q, start = abs(multiples[k]), np.sign(big_d[k]) * rho[:, k] % 1
-    s, least, live, j = np.full(n - 1, np.nan), np.full(n - 1, np.inf), np.arange(n - 1), 0
-    while j < q and live.size:
-        width = max(1, REFINE_BLOCK // (live.size * n))
-        cand = (start[live, np.newaxis] + np.arange(j, min(q, j + width))) / q
-        miss = cand[:, :, np.newaxis] * big_d - rho[live, np.newaxis, :]
-        miss = TWO_PI * np.abs(miss - np.rint(miss)).max(axis=2)
-        least[live] = np.minimum(least[live], miss.min(axis=1))
-        fits = miss <= TIME_AGREEMENT_TOL
-        hit = fits.any(axis=1)
-        s[live[hit]] = cand[hit, np.argmax(fits[hit], axis=1)]
-        live, j = live[~hit], j + width
-    times = None if live.size else TWO_PI / beta * np.concatenate(([1.0], s))
-    return times, float(least.max())
+    start = np.sign(big_d[k]) * rho[:, k] % 1
+    r = (np.rint(q * rho - start[:, np.newaxis] * big_d) % q).astype(np.int64)
+    s = (start + (r * _bezout_mod(multiples, q) % q).sum(axis=1) % q) / q
+    miss = s[:, np.newaxis] * big_d - rho
+    miss = TWO_PI * np.abs(miss - np.rint(miss)).max(axis=1)
+    times = TWO_PI / beta * np.concatenate(([1.0], s))
+    return (times if np.all(miss <= TIME_AGREEMENT_TOL) else None), float(miss.max())
 
 
 def transfer_table(analytic_times: np.ndarray) -> np.ndarray:
@@ -221,13 +229,13 @@ def _block_hits(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Hits of one grid block: pv32 holds complex64 copies of the rows live of
     pvecs, waves the block's float64 waves, one row per time point.  Points
-    the float32 grid puts within GRID_SLACK of the threshold are redone in
-    float64, by row dots in batches of REFINE_BLOCK elements.  Returns the row
-    of pvecs, the block time index and the float64 |U|^2 of the points with
-    |U|^2 >= DETECTION_THRESHOLD, and the float32 survivor count."""
+    the float32 grid puts within its error bound of the threshold (see
+    scan_min_times) are redone in float64, by row dots in batches of
+    REFINE_BLOCK elements.  Returns the row of pvecs, the block time index and
+    the float64 |U|^2 of the hits, and the float32 survivor count."""
+    slack = max(GRID_SLACK, (4 * math.sqrt(2) * (pvecs.shape[1] + 1) + 3) * 2.0**-24)
     row, w = np.divmod(
-        np.flatnonzero(_f32_mag2(pv32, waves) >= DETECTION_THRESHOLD - GRID_SLACK),
-        waves.shape[0],
+        np.flatnonzero(_f32_mag2(pv32, waves) >= DETECTION_THRESHOLD - slack), waves.shape[0]
     )
     row = live[row]
     amp = np.empty(row.size, dtype=complex)
@@ -324,16 +332,17 @@ def grid_step(es: EigenSystem) -> float:
     Up to a unit factor U(t* + s)[v][u] = sum_k a_k e^{-i mu_k s}, mu = lambda
     - mean(lambda), sum_k a_k = 1 - delta, sum_k |a_k| <= 1.  Its real part is
     >= 1 - delta - V s^2/2 - |s| sqrt(2 V delta) = 1 - (|s| sqrt(V/2) +
-    sqrt(delta))^2, V the largest entry of |X| diag(mu^2) |X|^T, by Cauchy-
-    Schwarz with (Im a_k)^2 <= 2 |a_k| (|a_k| - Re a_k).  So |U| >= sqrt(
-    DETECTION_THRESHOLD) within h/2 of t* for h <= sqrt(8/V) (sqrt(1 - sqrt(
-    DETECTION_THRESHOLD)) - sqrt(PST_ENTRY_TOL)), here shrunk by STEP_MARGIN:
-    the nearest grid point clears the threshold by about 1.2e-6 in |U|^2, above
-    float64 rounding (about 2^-52 max|lambda| t) for max|lambda| t up to 10^9.
-    Also h <= 2 pi/(3 R), R = lambda_max - lambda_min (see scan_min_times)."""
+    sqrt(delta))^2 for V >= sum_k |a_k| mu_k^2, by Cauchy-Schwarz with (Im
+    a_k)^2 <= 2 |a_k| (|a_k| - Re a_k); X passed is_type_ii, so every |a_k| <=
+    (1/sqrt(n) + UNITARITY_TOL)^2 and V is that times sum_k mu_k^2.  So |U| >=
+    sqrt(DETECTION_THRESHOLD) within h/2 of t* for h <= sqrt(8/V) (sqrt(1 -
+    sqrt(DETECTION_THRESHOLD)) - sqrt(PST_ENTRY_TOL)), here shrunk by
+    STEP_MARGIN: the nearest grid point clears the threshold by about 1.2e-6
+    in |U|^2, above float64 rounding (about 2^-52 max|lambda| t) for
+    max|lambda| t up to 10^9.  Also h <= 2 pi/(3 R), R = lambda_max -
+    lambda_min (see scan_min_times)."""
     lam = es.lambdas
-    mag = np.abs(es.X)
-    v = float(np.max((mag * np.square(lam - np.mean(lam))) @ mag.T))
+    v = (1 / math.sqrt(es.n) + UNITARITY_TOL) ** 2 * float(np.sum(np.square(lam - np.mean(lam))))
     root = math.sqrt(1 - math.sqrt(DETECTION_THRESHOLD)) - math.sqrt(PST_ENTRY_TOL)
     return min(math.sqrt(8 / v) * root * (1 - STEP_MARGIN), TWO_PI / (3 * float(np.ptp(lam))))
 
@@ -417,7 +426,8 @@ def scan_min_times(
     of two unit complex numbers a few ulps off, rounds to within about u =
     2^-24 relative, and sum_k |X[v,k] X[u,k]| <= 1 (Cauchy-Schwarz); a
     complex64 dot then errs by at most about 2 sqrt(2) (n + 1) u, so |U|^2
-    <= 1 moves by at most twice that plus 3 u: below 2^-12 for n <= 700.
+    <= 1 moves by at most twice that plus 3 u (below 2^-12 for n <= 700; any
+    larger n's bound takes GRID_SLACK's place).
 
     Every hit >= both grid neighbours is a candidate, refined from its grid
     point g within [g - step, g + step]; with step <= grid_step(es) no peak
@@ -437,16 +447,11 @@ def scan_min_times(
     margin_min, the least 1 - |U(t_uv)| found (1 for none), admission_max,
     the largest admitted B_m (0 for none), and confirm_margin, the largest 1 -
     |U(T_m)| of all n^2 table amplitudes; margins are clamped at 0.  Pairs with
-    no confirmed peak keep NaN and are flagged in reasons; a degenerate
-    spectrum refuses the extraction (every t is a return time).
+    no confirmed peak keep NaN and are flagged in reasons.  The spectrum is
+    one verify_upst has gated: n >= 2 distinct eigenvalues.
     """
     n = es.n
     lam = es.lambdas
-    scale = max(1.0, float(np.max(np.abs(lam)))) if n else 1.0
-    min_times = np.full((n, n), np.nan)
-    phases = np.zeros((n, n), dtype=complex)
-    if n < 2 or float(np.max(lam) - np.min(lam)) <= DEGENERACY_TOL * scale:
-        return TransferReport(n, min_times, phases, reasons=("degenerate-spectrum",))
     nsteps = max(0, int(math.ceil(horizon / step)))
     diagnostics = {"grid_step": float(step), "horizon": float(horizon), "grid_points": nsteps}
     diagnostics.update(dict.fromkeys((
@@ -461,7 +466,7 @@ def scan_min_times(
     at = (row_times[np.newaxis, :] - row_times[:, np.newaxis]).reshape(-1)
     at[::n + 1] = row_times[0]
 
-    flat_times, flat_phases = min_times.reshape(-1), phases.reshape(-1)
+    flat_times, flat_phases = np.full(n * n, np.nan), np.zeros(n * n, dtype=complex)
     t_class, amp_class = _scan_pairs(x, first, d, nsteps, step, diagnostics)
     found = ~np.isnan(t_class)
     member = first[run] != np.arange(n * n)
@@ -477,6 +482,7 @@ def scan_min_times(
     if rescan.size:
         flat_times[rescan], flat_phases[rescan] = _scan_pairs(
             x, rescan, d, nsteps, step, diagnostics)
+    min_times, phases = flat_times.reshape(n, n), flat_phases.reshape(n, n)
     seen = ~np.isnan(min_times)
     phases[seen] *= np.exp(-1j * lam[0] * min_times[seen])
     diagnostics.update(classes=first.size + rescan.size, member_rescans=rescan.size,
@@ -513,8 +519,9 @@ def denseness_check(spec: CirculantSpec) -> tuple[bool, tuple[int, ...]]:
 def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     """Certify universal perfect state transfer.
 
-    Pipeline: eigenvalue distinctness -> flat diagonalizer -> analytic
-    transfer times -> full scan, which also confirms the table.
+    Pipeline: eigenvalue distinctness (exact_lambdas decide where the float
+    gap gate refuses) -> flat diagonalizer -> analytic transfer times -> full
+    scan, which also confirms the table.
     upst is True only when the analytic solution exists, the walk operator
     confirms all n^2 times of transfer_table (confirm_margin <= PST_ENTRY_TOL:
     one GEMM off the diagonal, U(P)[w][w] on it; see scan_min_times), the
@@ -532,11 +539,9 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     A grid past MAX_GRID_POINTS is not scanned: scan-grid-too-large.  The
     diagnostics add agreement_max, max |transfer_table - scanned| over all
     n^2 pairs, and every report past the flatness test row_residual_max,
-    the worst row's least residual of the analytic solve (see
-    analytic_pst_times).
+    the worst row's residual at its solved time (see analytic_pst_times).
     """
     n = es.n
-    lam = es.lambdas
     dense = denseness_check(graph.spec)[0] if graph.spec is not None else None
 
     def failed(reason: str, diagnostics: Optional[dict] = None) -> TransferReport:
@@ -544,7 +549,9 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
                               upst=False, reasons=(reason,), dense=dense,
                               diagnostics=diagnostics)
 
-    if n < 2 or np.min(np.diff(np.sort(lam))) <= DEGENERACY_TOL * max(1.0, np.max(np.abs(lam))):
+    gap = float(np.min(np.diff(np.sort(es.lambdas)))) if n > 1 else 0.0
+    if gap == 0 or (gap <= DEGENERACY_TOL * max(1.0, np.max(np.abs(es.lambdas)))
+                    and (es.exact_lambdas is None or len(set(es.exact_lambdas)) < n)):
         return failed("degenerate-spectrum")
     if not is_type_ii(es.X):
         return failed("diagonalizer-not-flat")

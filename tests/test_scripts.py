@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end on the current library API."""
 
+import json
 import os
 import subprocess
 import sys
@@ -37,3 +38,12 @@ def test_spacing_sweep_runs():
     for row in rows:
         beta = int(row[0].strip("()").split(",")[2])
         assert row[3] == ("yes" if beta == 1 else "no"), row
+
+
+def test_parity_corpus_prints_one_line_per_run():
+    proc = run_script("parity_corpus.py")
+    assert proc.returncode == 0, proc.stderr
+    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(runs) == 155
+    assert len({(run["input"], run["route"]) for run in runs}) == 155
+    assert sum(run["upst"] is True for run in runs) == 142

@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from upst.cyclotomic import CycNum
 from upst.graph import CirculantSpec, HermitianGraph, circulant_to_graph, with_diagonal_shift
 from upst.spectra import (
+    UNITARITY_TOL,
     EigenSystem,
     circulant_eigensystem,
     fourier_matrix,
@@ -242,25 +243,104 @@ def test_analytic_times_of_any_flat_x_follow_the_table(case, seed):
 
 @pytest.mark.parametrize("c", [
     np.r_[0, np.full(63, 50)],
+    np.r_[0, np.full(63, 10**4)],
     np.r_[0, 10**4, np.zeros(62)],
-], ids=["c_k=50", "c_1=1e4"])
+], ids=["c_k=50", "c_k=1e4", "c_1=1e4"])
 def test_analytic_times_solve_rows_at_the_least_multiple(c):
     # F_64 with lambda_k = k + 64 c_k: t_w = 2 pi w/64, t_0 = 2 pi, for any
-    # integers c_k.  With c_k = 50 for k > 0 the least |D_k| is 3201, the
-    # candidates of every row; with only c_1 large it is D_2 = 2, far below
-    # D_1 = 640 001.  The candidates go in blocks, so the peak stays far
-    # below the 63 x 3201 x 64 array of all of them (about 100 MB)
+    # integers c_k.  With c_k = 50 or 1e4 for k > 0 the least |D_k| is q =
+    # 3201 or 640 001, the number of s that meet k* alone; with only c_1
+    # large it is D_2 = 2, far below D_1 = 640 001.  Each row is solved in
+    # closed form, so neither time nor memory grows with q (trying all
+    # 640 001 candidates of every row took about 20 s)
     n = 64
     es = EigenSystem(n=n, X=fourier_matrix(n), lambdas=np.arange(n) + n * c)
     tracemalloc.start()
+    start = time.perf_counter()
     try:
         times = analytic_pst_times(es)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
     expected = TWO_PI / n * np.array([n] + list(range(1, n)))
     assert np.max(np.abs(times - expected)) <= 1e-12
     assert peak <= 16 * 2**20
+
+
+def candidate_times(es):
+    """The row solve by trying all q values of s that meet k* = argmin |D_k|
+    on every k, each row taking its first that passes: (times, the largest
+    over rows of the least residual)."""
+    beta, multiples = ratios.integer_multiples(list(es.lambdas[1:] - es.lambdas[0]))
+    big_d = np.array(multiples, dtype=float)
+    rho = np.angle(spectra.canonicalize(es.X)[1:, 1:]) / TWO_PI
+    k = int(np.argmin(np.abs(big_d)))
+    q = abs(multiples[k])
+    cand = (np.sign(big_d[k]) * rho[:, k, np.newaxis] % 1 + np.arange(q)) / q
+    miss = cand[:, :, np.newaxis] * big_d - rho[:, np.newaxis, :]
+    miss = TWO_PI * np.abs(miss - np.rint(miss)).max(axis=2)
+    fits = miss <= TIME_AGREEMENT_TOL
+    s = cand[np.arange(es.n - 1), np.argmax(fits, axis=1)]
+    times = TWO_PI / beta * np.concatenate(([1.0], s)) if fits.any(axis=1).all() else None
+    return times, float(miss.min(axis=1).max())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_row_solve_matches_trying_every_candidate(n, seed):
+    # circulant_c spectra solve every row; distinct random integers mostly do
+    # not.  Where the rows solve, times and residual are bit-identical to the
+    # first passing candidate's; where one does not, neither route has times
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.5:
+        c = [int(v) for v in rng.integers(-20, 21, size=n)]
+        base = circulant_eigensystem(circulant_from_c(n, c))
+    else:
+        lam = rng.choice(np.arange(-40, 41), size=n, replace=False).astype(float)
+        base = EigenSystem(n, fourier_matrix(n), lam)
+    es = relabelled(base, seed)
+    times, residual = analytic_pst_times(es)
+    expected, least = candidate_times(es)
+    if expected is None:
+        assert times is None
+    else:
+        assert np.array_equal(times, expected)
+        assert residual == least
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.lists(st.integers(-10**12, 10**12).filter(bool), min_size=1, max_size=8),
+    q=st.integers(1, 10**9),
+)
+@example(d=[-6, 10, 15], q=1)
+@example(d=[-640001, 640002, 640063], q=640001)
+def test_bezout_coefficients_give_the_gcd_mod_q(d, q):
+    c = walk._bezout_mod(d, q)
+    assert len(c) == len(d)
+    assert all(0 <= ck < q for ck in c)
+    assert sum(ck * dk for ck, dk in zip(c, d)) % q == math.gcd(*d) % q
+
+
+@pytest.mark.parametrize("kind", ["F_4", "5-cycle"])
+def test_irrational_gaps_fail_fast_whatever_their_reconstruction(kind):
+    # integer_multiples takes these ratios for rationals with denominators
+    # near 10^6: F_4's least |D_k| is about 2e11, past the closed form's
+    # range, and no row of the 5-cycle solves at its least |D_k| = 832 040;
+    # trying each of those values of s took 0.3 s, and never ended on F_4
+    if kind == "F_4":  # lambda = (0, 1, sqrt 3, sqrt 5)
+        es = EigenSystem(4, fourier_matrix(4), np.array([0, 1, math.sqrt(3), math.sqrt(5)]))
+        graph = HermitianGraph(4, (es.X * es.lambdas) @ es.X.conj().T)
+    else:  # i on every edge u -> u + 1, a bare matrix
+        shift = np.roll(np.eye(5), 1, axis=1)
+        graph = HermitianGraph(5, 1j * (shift - shift.T))
+        es = numerical_eigensystem(graph.adjacency)
+    start = time.perf_counter()
+    report = verify_upst(graph, es)
+    assert time.perf_counter() - start < 1.0
+    assert report.upst is False
+    assert report.reasons == ("no-consistent-times",)
 
 
 def test_analytic_times_reject_degenerate_spectrum():
@@ -280,14 +360,6 @@ def test_scan_locates_order3_transfer_times(circ3):
     for u in range(3):
         for v in range(3):
             assert abs(report.min_times[u, v] - report.min_times[0, (v - u) % 3]) < 1e-9
-
-
-def test_scan_refuses_scalar_circulant():
-    # no return period exists; the grid size does not matter
-    es = circulant_eigensystem(scalar_spec())
-    report = scan_min_times(es, horizon=1.25 * TWO_PI, step=TWO_PI / 1000, row_times=np.ones(3))
-    assert report.reasons == ("degenerate-spectrum",)
-    assert np.all(np.isnan(report.min_times))
 
 
 def test_scan_flags_pairs_beyond_horizon(circ3):
@@ -687,6 +759,25 @@ def test_scan_of_eigenvalue_differences_certifies_a_shift_of_1e9():
     assert report.diagnostics["agreement_max"] <= 1e-14
 
 
+@pytest.mark.parametrize("shift", [10**10, 10**12])
+def test_exact_eigenvalues_decide_distinctness_where_the_float_gate_refuses(shift):
+    # from 1e10 on, the least gap 1 is at most DEGENERACY_TOL max|lambda|:
+    # the exact route's distinct exact_lambdas pass the gate and certify,
+    # while eigh, which has none, stays refused
+    spec = with_diagonal_shift(nondense_circulant(2, 3), Fraction(shift))
+    graph = circulant_to_graph(spec)
+    report = verify_upst(graph, circulant_eigensystem(spec))
+    assert report.upst is True, report.reasons
+    assert report.diagnostics["agreement_max"] <= TIME_AGREEMENT_TOL
+    eigh = verify_upst(graph, numerical_eigensystem(graph.adjacency))
+    assert eigh.reasons == ("degenerate-spectrum",)
+    # an exact tie is degenerate whatever the floats say
+    tied = EigenSystem(3, fourier_matrix(3), np.array([0.0, 1.0, 1 + 1e-12]),
+                       exact_lambdas=(Fraction(0), Fraction(1), Fraction(1)))
+    tied_graph = HermitianGraph(3, (tied.X * tied.lambdas) @ tied.X.conj().T)
+    assert verify_upst(tied_graph, tied).reasons == ("degenerate-spectrum",)
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 8, 17, 64]))
 def test_float32_grid_stays_within_slack(seed, n):
@@ -710,6 +801,23 @@ def test_float32_grid_stays_within_slack(seed, n):
     exact = np.abs(pvecs @ waves.T) ** 2
     rounded = _f32_mag2(pvecs.astype(np.complex64), waves)
     assert np.max(np.abs(rounded - exact)) <= GRID_SLACK
+
+
+@pytest.mark.parametrize("n", [700, 1024])
+def test_float32_prefilter_slack_covers_the_stated_error_bound(monkeypatch, n):
+    # the float32 |U|^2 error bound (4 sqrt(2) (n + 1) + 3) 2^-24 passes
+    # GRID_SLACK = 2^-12 above n = 700: a float32 value just inside the bound
+    # below a float64 hit must still reach the recheck, and one just past
+    # the larger of the two must not
+    bound = (4 * math.sqrt(2) * (n + 1) + 3) * 2.0**-24
+    assert (bound <= GRID_SLACK) == (n <= 700)
+    pvecs = np.full((1, n), math.sqrt(DETECTION_THRESHOLD) * (1 + 1e-12) / n, dtype=complex)
+    waves = np.ones((1, n), dtype=complex)
+    for offset, kept in ((0.999 * bound, 1), (1.001 * max(bound, GRID_SLACK), 0)):
+        monkeypatch.setattr(walk, "_f32_mag2", lambda pv32, waves, offset=offset: np.full(
+            (pv32.shape[0], waves.shape[0]), DETECTION_THRESHOLD - offset))
+        row, _, _, survivors = _block_hits(pvecs, pvecs.astype(np.complex64), np.arange(1), waves)
+        assert survivors == row.size == kept
 
 
 def test_float32_prefilter_keeps_the_float64_hit_set():
@@ -897,8 +1005,14 @@ def test_scanned_times_stay_hits_within_half_a_step(case, seed):
     es = relabelled(base, seed)
     curvature_bound, unimodal_bound = step_bounds(es)
     h = grid_step(es)
-    stated = min(curvature_bound * (1 - STEP_MARGIN), unimodal_bound)
+    # grid_step takes V from the flatness gate, (1/sqrt(n) + UNITARITY_TOL)^2
+    # sum_k mu_k^2, at least every pair's V
+    lam = es.lambdas
+    v = (1 / math.sqrt(es.n) + UNITARITY_TOL) ** 2 * np.sum((lam - lam.mean()) ** 2)
+    root = math.sqrt(1 - math.sqrt(DETECTION_THRESHOLD)) - math.sqrt(PST_ENTRY_TOL)
+    stated = min(math.sqrt(8 / v) * root * (1 - STEP_MARGIN), unimodal_bound)
     assert h == pytest.approx(stated, rel=1e-12, abs=0)
+    assert h <= curvature_bound
     report = scan(es)
     assert report.reasons == ()
     t = report.min_times.reshape(-1, 1, 1) + h / 2 * np.linspace(-1, 1, 33)[:, np.newaxis]
