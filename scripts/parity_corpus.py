@@ -1,13 +1,16 @@
-"""Print verify_upst's full report on a fixed corpus, one JSON line per run.
+"""Print verify_upst's full report on a fixed corpus, one JSON line per run,
+and the exact circulant layer of every circulant input, one line each.
 
 Two checkouts give the same verdicts and numbers when their outputs match:
 
     PYTHONPATH=<checkout>/src python scripts/parity_corpus.py > <out>
 
-for each checkout, then diff the two files.  Each line holds the input's name
-and route, the verdict fields, the class and grid counts, row_residual_max,
-and the time and phase tables with every float written by float.hex, so equal
-lines mean bit-identical reports.
+for each checkout, then diff the two files.  Each verdict line holds the
+input's name and route, the verdict fields, the class and grid counts,
+row_residual_max, and the time and phase tables with every float written by
+float.hex, so equal lines mean bit-identical reports.  Each exact line (route
+"exact") holds the sha256 of the spec's JSON, the exact eigenvalues as "p/q"
+strings (null when one is irrational) and the float eigenvalues in float.hex.
 
 The corpus: the flat ladder's 17 rungs and flat(16,16,2), each as built and
 relabelled and rephased with seeds 1 and 2; two seeded circulant_c for each
@@ -17,11 +20,15 @@ and the edge inputs (an irrational spectrum, the 2.02 near miss, F_4 with
 lambda = (0, 1, 3, 2), a repeated spectrum, nondense(2,3) with one eigenvalue
 moved by 1e-9 sqrt(2), and the oriented 5-cycle).  Each runs on the route it
 comes with (route "given") and, unless that is already the numerical
-eigensolve, again on it (route "eigh").
+eigensolve, again on it (route "eigh").  The exact layer also runs alone on
+the census orders 4..64 with two seeded c-vectors each, all nine two-prime
+pairs up to (5,17), a spec of conductor 3 promoted to 12, and circulant_c(8)
+with entries near 2^61, whose numerators pass the int64 bound.
 
 usage: python3 scripts/parity_corpus.py
 """
 
+import hashlib
 import json
 import math
 import os
@@ -120,6 +127,25 @@ def corpus():
     yield "oriented-5-cycle", HermitianGraph(5, cycle), numerical_eigensystem(cycle), False
 
 
+CENSUS_ORDERS = (4, 6, 8, 10, 12, 16, 24, 32, 48, 64)
+NONDENSE_PAIRS = ((2, 3), (2, 5), (3, 5), (2, 7), (3, 7), (2, 11), (2, 13), (2, 17), (5, 17))
+
+
+def exact_corpus():
+    """(name, spec) for the inputs that run through the exact layer alone."""
+    for n in CENSUS_ORDERS:
+        for seed in (1, 2):
+            c = [int(v) for v in np.random.default_rng(1000 * n + seed).integers(-9, 10, size=n)]
+            yield "census(%d,seed%d)" % (n, seed), circulant_from_c(n, c)
+    for pq in NONDENSE_PAIRS:
+        yield "nondense(%d,%d)" % pq, nondense_circulant(*pq)
+    x = CycNum(3, (Fraction(1, 3), Fraction(-2, 5)))
+    a0 = CycNum.from_rational(3, Fraction(7, 2))
+    yield "promoted(3->12)", CirculantSpec(4, (a0, x, x + x.conjugate(), x.conjugate()))
+    c = [2**61 - 1, -(2**61), 2**61 - 3, 5, -(2**61) + 7, 0, 2**60, -1]
+    yield "circulant_c(8,past-int64)", circulant_from_c(8, c)
+
+
 def hex_table(values):
     return [float.hex(float(v)) for v in np.asarray(values, dtype=float).reshape(-1)]
 
@@ -148,13 +174,33 @@ def record(name, route, report):
     }
 
 
+def exact_record(name, spec):
+    es = circulant_eigensystem(spec)
+    blob = json.dumps(spec.to_json_dict(), sort_keys=True).encode()
+    return {
+        "input": name,
+        "route": "exact",
+        "spec_sha256": hashlib.sha256(blob).hexdigest(),
+        "exact_lambdas": None if es.exact_lambdas is None
+        else ["%d/%d" % (q.numerator, q.denominator) for q in es.exact_lambdas],
+        "lambdas": hex_table(es.lambdas),
+    }
+
+
 def main() -> int:
+    seen = set()
     for name, graph, es, with_eigh in corpus():
         routes = [("given", es)]
         if with_eigh:
             routes.append(("eigh", numerical_eigensystem(graph.adjacency)))
         for route, system in routes:
             print(json.dumps(record(name, route, verify_upst(graph, system))))
+        if graph.spec is not None:
+            seen.add(name)
+            print(json.dumps(exact_record(name, graph.spec)))
+    for name, spec in exact_corpus():
+        if name not in seen:
+            print(json.dumps(exact_record(name, spec)))
     return 0
 
 

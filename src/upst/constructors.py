@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cyclotomic import CycNum, cyc_from_exponent_vector
+from .cyclotomic import CycNum, cyc_from_exponent_rows, cyc_from_exponent_vector, exact_int_dtype
 from .graph import CirculantSpec, HermitianGraph, is_connected_circulant
 from .spectra import EigenSystem, is_type_ii
 
@@ -112,20 +112,31 @@ def gk_example(k: int) -> tuple[HermitianGraph, EigenSystem]:
     return _flat_assembly(params, cols[::-1])
 
 
-@functools.lru_cache(maxsize=None)
-def _inv_zeta_power_minus_one(n: int, e: int) -> CycNum:
-    """1 / (zeta_n^e - 1) for e not divisible by n, in closed form.
-
-    x = zeta_n^e has order m = n / gcd(n, e) > 1, so its m powers sum to 0 and
-    (x - 1) * sum_{k<m} k*x^k = (m - 1)*x^m - sum_{0<k<m} x^k = m.
+def _coefficient_rows(n: int, c: Sequence[int]) -> list[CycNum]:
+    """a_j = 1/(zeta_n^(-j) - 1) + sum_k c_k zeta_n^(-jk) for j = 1..n-1, in one
+    reduction.  x = zeta_n^(-j) has order m = n / gcd(n, j) > 1, so its m powers
+    sum to 0 and (x - 1) * sum_{k<m} k*x^k = (m - 1)*x^m - sum_{0<k<m} x^k = m:
+    row j is sum_k (k*[k < m] + m*c_k) x^k over m, entries below n*(n + sum|c_k|).
     """
-    m = n // math.gcd(n, e)
-    if m == 1:
+    j = np.arange(1, n)[:, np.newaxis]
+    k = np.arange(n)
+    m = n // np.gcd(j, n)
+    dtype = exact_int_dtype(n * (n + sum(map(abs, c))))
+    v = np.zeros((n - 1, n), dtype=dtype)
+    np.add.at(v, (j - 1, -j * k % n), np.where(k < m, k, 0) + m * np.array(c, dtype=dtype))
+    return cyc_from_exponent_rows(n, v, m.ravel().tolist())
+
+
+@functools.lru_cache(maxsize=None)
+def _inverse_rows(n: int) -> tuple[CycNum, ...]:
+    return tuple(_coefficient_rows(n, [0] * n))
+
+
+def _inv_zeta_power_minus_one(n: int, e: int) -> CycNum:
+    """1 / (zeta_n^e - 1), e not divisible by n: row -e mod n of _coefficient_rows."""
+    if e % n == 0:
         raise ZeroDivisionError("zeta_%d^%d - 1 is zero" % (n, e))
-    v = [0] * n
-    for k in range(1, m):
-        v[(k * e) % n] += k
-    return cyc_from_exponent_vector(n, v) / m
+    return _inverse_rows(n)[-e % n - 1]
 
 
 def _integer_entries(c: Sequence[int]) -> list[int]:
@@ -152,15 +163,7 @@ def circulant_from_c(n: int, c: Sequence[int]) -> CirculantSpec:
     if len(c) != n:
         raise ValueError("expected %d integers, got %d" % (n, len(c)))
     c = _integer_entries(c)
-    coeffs = [CycNum.zero(n)]
-    for j in range(1, n):
-        v = [0] * n
-        for k, ck in enumerate(c):
-            if ck:
-                v[(-j * k) % n] += ck
-        aj = _inv_zeta_power_minus_one(n, (n - j) % n) + cyc_from_exponent_vector(n, v)
-        coeffs.append(aj)
-    return CirculantSpec(n, tuple(coeffs))
+    return CirculantSpec(n, (CycNum.zero(n), *_coefficient_rows(n, c)))
 
 
 def integer_spectrum_shift(n: int, c: Sequence[int]) -> Fraction:
@@ -199,10 +202,7 @@ def nondense_circulant(p: int, q: int) -> CirculantSpec:
     c = [0] * n
     for m, coef in enumerate(u.num):
         c[(n - m) % n] += coef
-    check = [0] * n
-    for k, ck in enumerate(c):
-        check[(n - k) % n] += ck
-    if cyc_from_exponent_vector(n, check) != u:
+    if cyc_from_exponent_vector(n, c[:1] + c[:0:-1]) != u:  # c_k at zeta^(-k)
         raise ArithmeticError("internal error: c-vector does not reproduce the unit")
     spec = circulant_from_c(n, c)
     if not (spec.a[1].is_zero() and spec.a[n - 1].is_zero()):

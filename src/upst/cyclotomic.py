@@ -9,8 +9,11 @@ run on Python ints; only the denominator bookkeeping of sums and quotients
 touches rationals.  Phi_n is computed by the recursive quotient of x^n - 1 by
 the Phi_d of the proper divisors d | n.  Inversion uses the field norm: the
 product of the other Galois conjugates of x, divided by the rational
-N(x) = x times that product, so it too runs on the integer path.  Everything
-in this module is exact; floating point enters only through
+N(x) = x times that product, so it too runs on the integer path.  Reduction
+is linear, so cyc_from_exponent_rows reduces many exponent rows V at once by
+one product V @ R_n, where row m of R_n is zeta_n^m: on int64 while max|V|
+times the largest column sum of |R_n| is below 2^63, else on Python ints.
+Everything in this module is exact; floating point enters only through
 :meth:`CycNum.embed`.
 """
 
@@ -22,6 +25,8 @@ import math
 import numbers
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 RationalLike = Union[int, Fraction]
 
@@ -106,6 +111,21 @@ def _reduce_mod_phi(n: int, v: list[int]) -> list[int]:
     del v[deg:]
     v.extend([0] * (deg - len(v)))
     return v
+
+
+def exact_int_dtype(bound: int):
+    """np.int64 for integers bounded in absolute value by bound < 2^63, else object."""
+    return np.int64 if bound < 2**63 else object
+
+
+@functools.lru_cache(maxsize=None)
+def _reduction_matrix(n: int) -> tuple[np.ndarray, int]:
+    # R_n (row m is zeta_n^m; read-only, as callers share it), largest column sum of |R_n|
+    rows = [zeta(n, m).num for m in range(n)]
+    growth = max(sum(map(abs, col)) for col in zip(*rows))
+    r = np.array(rows, dtype=exact_int_dtype(growth))
+    r.flags.writeable = False
+    return r, growth
 
 
 def _integer_vector(values: Iterable[RationalLike]) -> tuple[list[int], int]:
@@ -427,8 +447,15 @@ def cyc_from_exponent_vector(n: int, v: Sequence[RationalLike]) -> CycNum:
     return _make(n, _reduce_mod_phi(n, num), den)
 
 
+def cyc_from_exponent_rows(n: int, v: np.ndarray, dens: Sequence[int]) -> list[CycNum]:
+    """Row i of the integer matrix v (k x n, int64 or object) as
+    sum_m v[i, m] * zeta_n^m / dens[i], reduced by one product v @ R_n."""
+    r, growth = _reduction_matrix(n)
+    if exact_int_dtype(int(np.max(np.abs(v), initial=0)) * growth) is object:
+        v, r = v.astype(object), r.astype(object)
+    return [_make(n, row, den) for row, den in zip((v @ r).tolist(), dens)]
+
+
 def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity zeta_n^k; negative k is normalized mod n."""
-    v = [0] * n
-    v[k % n] = 1
-    return _make(n, _reduce_mod_phi(n, v), 1)
+    return _make(n, _reduce_mod_phi(n, [0] * (k % n) + [1]), 1)

@@ -10,8 +10,9 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .cyclotomic import CycNum, cyc_from_exponent_vector
+from .cyclotomic import cyc_from_exponent_rows, exact_int_dtype
 from .graph import CirculantSpec, HermitianGraph
 from .ratios import integer_multiples
 
@@ -57,37 +58,34 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
     """Diagonalize a circulant exactly: lambda_k = sum_j a_j zeta_n^(jk).
 
     The sums are carried out in Q(zeta_L) for L = lcm(conductor, n) and must
-    come out real; a non-real value means the spec data is corrupt.
+    come out real; a non-real value means the spec data is corrupt.  Row j of
+    A holds a_j's numerators over their common denominator at its zeta_L exponents;
+    V[k, m] = sum_j A[j, (m - (L/n)*j*k) mod L] is gathered from windows of [A A]
+    in blocks of <= 2^16 entries (bounded memory); cyc_from_exponent_rows reduces it.
     """
     n = spec.n
     lcond = math.lcm(spec.conductor, n)
-    step = lcond // n
-    promoted = [x.promote(lcond) for x in spec.a]
-    # a_j = num_j / den_j; sum the numerators over their common denominator
-    den = math.lcm(*(x.den for x in promoted))
-    terms = [
-        (step * j, [(idx, c * (den // x.den)) for idx, c in enumerate(x.num) if c])
-        for j, x in enumerate(promoted)
-        if not x.is_zero()
-    ]
-    exact: list[CycNum] = []
-    for k in range(n):
-        v = [0] * lcond
-        for sj, nonzero in terms:
-            shift = (sj * k) % lcond
-            for idx, c in nonzero:
-                v[(idx + shift) % lcond] += c
-        lam = cyc_from_exponent_vector(lcond, v) / den
+    den = math.lcm(*(x.den for x in spec.a))
+    scaled = [[c * (den // x.den) for c in x.num] for x in spec.a]
+    # |V| <= sum_j max|A[j]| bounds every partial sum of the gather
+    a = np.zeros((n, lcond), dtype=exact_int_dtype(sum(max(map(abs, r)) for r in scaled)))
+    a[:, :: lcond // spec.conductor][:, : len(scaled[0])] = scaled
+    a = np.hstack([a, a])
+    windows = as_strided(a, (n, lcond + 1, lcond), a.strides + a.strides[1:], writeable=False)
+    j = np.arange(n)[:, np.newaxis]
+    start = lcond - (lcond // n) * (j * j.T % n)
+    b = max(1, 2**16 // (n * lcond))
+    v = sum(windows[j[i : i + b], start[i : i + b]].sum(axis=0) for i in range(0, n, b))
+    exact = cyc_from_exponent_rows(lcond, v, [den] * n)
+    for k, lam in enumerate(exact):
         if not lam.is_real():
             raise ArithmeticError(
                 "internal consistency failure: eigenvalue %d of a Hermitian "
                 "circulant came out non-real (imag %.3e)" % (k, lam.embed().imag)
             )
-        exact.append(lam)
     lambdas = np.array([x.embed().real for x in exact])
-    exact_lambdas = None
-    if all(x.is_rational() for x in exact):
-        exact_lambdas = tuple(x.as_fraction() for x in exact)
+    rational = all(x.is_rational() for x in exact)
+    exact_lambdas = tuple(x.as_fraction() for x in exact) if rational else None
     return EigenSystem(n=n, X=fourier_matrix(n), lambdas=lambdas, exact_lambdas=exact_lambdas)
 
 

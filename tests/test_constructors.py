@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from upst import constructors
 from upst.cyclotomic import CycNum, zeta
 from upst.graph import circulant_to_graph, is_connected_circulant, with_diagonal_shift
 from upst.spectra import circulant_eigensystem, is_type_ii
@@ -260,6 +261,62 @@ def test_closed_form_inverse_times_its_argument_is_one():
             assert _inv_zeta_power_minus_one(n, e) * (zeta(n, e) - 1) == one, (n, e)
     with pytest.raises(ZeroDivisionError):
         _inv_zeta_power_minus_one(6, 12)
+
+
+def plain_coefficient(n, c, j):
+    # 1/(zeta_n^(-j) - 1) by the field-norm inverse, plus sum_k c_k zeta_n^(-jk)
+    total = (zeta(n, -j) - 1).invert()
+    for k, ck in enumerate(c):
+        total = total + ck * zeta(n, -j * k)
+    return total
+
+
+def test_batched_rows_match_the_field_norm_inverse():
+    rng = np.random.default_rng(31)
+    for n in range(2, 25):
+        c = [int(v) for v in rng.integers(-9, 10, size=n)]
+        spec = circulant_from_c(n, c)
+        assert spec.a[0].is_zero()
+        for j in range(1, n):
+            assert spec.a[j] == plain_coefficient(n, c, j), (n, j)
+
+
+NONDENSE_PAIRS = ((2, 3), (2, 5), (3, 5), (2, 7), (3, 7), (2, 11), (2, 13), (2, 17), (5, 17))
+
+
+@pytest.mark.parametrize("p,q", NONDENSE_PAIRS)
+def test_nondense_c_is_the_field_norm_unit(p, q):
+    # c_k are the coordinates of 1/(1 - zeta_n^(-1)) in powers zeta_n^(-k)
+    n = p * q
+    u = (1 - zeta(n, -1)).invert()
+    assert u.den == 1
+    c = [0] * n
+    for m, coef in enumerate(u.num):
+        c[-m % n] = coef
+    assert nondense_circulant(p, q) == circulant_from_c(n, c)
+
+
+def test_entries_past_the_int64_bound_run_on_python_ints(monkeypatch):
+    seen = []
+    rows = constructors.cyc_from_exponent_rows
+
+    def spy(n, v, dens):
+        seen.append(v.dtype)
+        return rows(n, v, dens)
+
+    monkeypatch.setattr(constructors, "cyc_from_exponent_rows", spy)
+    # the second vector fits int64 until row 1 scales it by m = 8 to 2^63
+    for c in ([2**61 - 1, -(2**61), 2**61 - 3, 5, -(2**61) + 7, 0, 2**60, -1], [2**60] + [0] * 7):
+        spec = circulant_from_c(8, c)
+        assert seen.pop() == np.dtype(object)
+        for j in range(1, 8):
+            assert spec.a[j] == plain_coefficient(8, c, j), j
+        es = circulant_eigensystem(spec)
+        oracle = [sum((x * zeta(8, j * k) for j, x in enumerate(spec.a)), CycNum.zero(8))
+                  for k in range(8)]
+        assert es.exact_lambdas == tuple(lam.as_fraction() for lam in oracle)
+        shift = integer_spectrum_shift(8, c)
+        assert [lam + shift for lam in es.exact_lambdas] == [l + ck * 8 for l, ck in enumerate(c)]
 
 
 def test_shifted_nondense_spec_json_is_pinned():

@@ -9,15 +9,18 @@ import math
 import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upst.cyclotomic import (
     CycNum,
+    cyc_from_exponent_rows,
     cyc_from_exponent_vector,
     cyclotomic_polynomial,
     euler_phi,
+    exact_int_dtype,
     rational_from_json,
     zeta,
 )
@@ -148,6 +151,47 @@ def test_exponent_vector_builder_matches_powers():
     assert cyc_from_exponent_vector(12, v) == zeta(12, 3) - 2 * zeta(12, 7)
     with pytest.raises(ValueError):
         cyc_from_exponent_vector(12, [0] * 5)
+
+
+
+def test_exponent_rows_match_the_single_vector_builder():
+    rng = np.random.default_rng(5)
+    dens = [1, 2, 3, 7]
+    for n in (1, 2, 6, 12, 15, 30, 64):
+        v = rng.integers(-50, 51, size=(len(dens), n))
+        expected = [
+            cyc_from_exponent_vector(n, [Fraction(int(x), d) for x in row])
+            for row, d in zip(v, dens)
+        ]
+        got = cyc_from_exponent_rows(n, v, dens)
+        assert got == expected, n
+        assert all(type(c) is int for x in got for c in x.num + (x.den,))
+
+
+def test_exponent_rows_past_the_int64_bound_run_on_python_ints():
+    # zeta_12^4 = zeta^2 - 1 and zeta_12^6 = -1: the constant term of this row
+    # is -3*2^62, outside int64, so an int64 product would have wrapped
+    v = np.zeros((2, 12), dtype=np.int64)
+    v[0, 4] = v[0, 6] = 3 * 2**61
+    v[1, 1] = -(2**62)
+    got = cyc_from_exponent_rows(12, v, [1, 5])
+    expected = [
+        cyc_from_exponent_vector(12, [int(x) for x in v[0]]),
+        cyc_from_exponent_vector(12, [Fraction(int(x), 5) for x in v[1]]),
+    ]
+    assert got == expected
+    assert got[0].num[0] == -3 * 2**62
+    # R_2 = [[1], [-1]] grows sums by 2: 2^62 - (-2^62) = 2^63 is one past int64
+    edge = np.array([[2**62, -(2**62)], [2**62 - 1, -(2**62)]], dtype=np.int64)
+    assert cyc_from_exponent_rows(2, edge, [1, 1]) == [
+        CycNum.from_rational(2, 2**63),
+        CycNum.from_rational(2, 2**63 - 1),
+    ]
+    assert exact_int_dtype(2**63 - 1) is np.int64
+    assert exact_int_dtype(2**63) is object
+    big = np.array([[2**70, 0, -(2**65)]], dtype=object)
+    expected = cyc_from_exponent_vector(3, [2**70, 0, -(2**65)])
+    assert cyc_from_exponent_rows(3, big, [1]) == [expected]
 
 
 # ------------------------------------------------------------- arithmetic

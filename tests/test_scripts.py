@@ -43,7 +43,12 @@ def test_spacing_sweep_runs():
 def test_parity_corpus_prints_one_line_per_run():
     proc = run_script("parity_corpus.py")
     assert proc.returncode == 0, proc.stderr
-    runs = [json.loads(line) for line in proc.stdout.splitlines()]
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(lines) == 215
+    assert len({(line["input"], line["route"]) for line in lines}) == 215
+    runs = [line for line in lines if line["route"] != "exact"]
     assert len(runs) == 155
-    assert len({(run["input"], run["route"]) for run in runs}) == 155
     assert sum(run["upst"] is True for run in runs) == 142
+    exact = [line for line in lines if line["route"] == "exact"]
+    assert len(exact) == 60
+    assert sum(line["exact_lambdas"] is None for line in exact) == 1

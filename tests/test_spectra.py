@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from upst.cyclotomic import CycNum
+from upst import spectra
+from upst.cyclotomic import CycNum, euler_phi, zeta
 from upst.graph import CirculantSpec, circulant_to_graph, with_diagonal_shift
 from upst.ratios import integer_multiples
 from upst.spectra import (
@@ -63,6 +66,94 @@ def test_scalar_circulant_spectrum():
     es = circulant_eigensystem(spec)
     assert es.exact_lambdas == (Fraction(7, 2),) * 4
     assert np.max(np.abs(es.lambdas - 3.5)) < 1e-15
+
+
+def fourier_oracle(spec):
+    """lambda_k = sum_j a_j zeta_L^((L/n)*j*k) by CycNum multiply and add."""
+    n = spec.n
+    lcond = math.lcm(spec.conductor, n)
+    lams = []
+    for k in range(n):
+        lam = CycNum.zero(lcond)
+        for j, x in enumerate(spec.a):
+            lam = lam + x.promote(lcond) * zeta(lcond, (lcond // n) * j * k)
+        lams.append(lam)
+    return lams
+
+
+def assert_matches_oracle(spec):
+    es = circulant_eigensystem(spec)
+    lams = fourier_oracle(spec)
+    assert all(lam.is_real() for lam in lams)
+    assert es.lambdas.tobytes() == np.array([lam.embed().real for lam in lams]).tobytes()
+    rational = all(lam.is_rational() for lam in lams)
+    assert es.exact_lambdas == (tuple(lam.as_fraction() for lam in lams) if rational else None)
+    return es
+
+
+@st.composite
+def hermitian_specs(draw):
+    # conductor 1 or n // 2 promotes to a larger L; 2n keeps L = 2n, step 2
+    n = draw(st.integers(1, 16))
+    cond = draw(st.sampled_from(sorted({1, max(1, n // 2), n, 2 * n})))
+    phi = euler_phi(cond)
+    fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+
+    def coefficient():
+        return CycNum(cond, draw(st.lists(fractions, min_size=phi, max_size=phi)))
+
+    a0 = draw(st.builds(Fraction, st.integers(-9, 9), st.integers(2, 6)))  # den != 1
+    a = [CycNum.from_rational(cond, a0)] + [None] * (n - 1)
+    for j in range(1, n // 2 + 1):
+        x = coefficient()
+        if 2 * j == n:
+            x = x + x.conjugate()
+        a[j], a[n - j] = x, x.conjugate()
+    return CirculantSpec(n, tuple(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hermitian_specs())
+def test_exact_spectrum_matches_the_cyclotomic_oracle(spec):
+    assert_matches_oracle(spec)
+
+
+def test_oracle_cases_include_irrational_and_promoted_spectra():
+    # n = 5, conductor 5: lambda_k = 2 cos(2 pi k / 5) + 1/2 is irrational
+    a0, a1, zero = CycNum.from_rational(5, Fraction(1, 2)), zeta(5), CycNum.zero(5)
+    spec = CirculantSpec(5, (a0, a1, zero, zero, a1.conjugate()))
+    assert assert_matches_oracle(spec).exact_lambdas is None
+    # conductor 3 promoted to L = 12 for n = 4; a_2 real
+    a0, x = CycNum.from_rational(3, Fraction(7, 2)), CycNum(3, (Fraction(1, 3), Fraction(-2, 5)))
+    spec = CirculantSpec(4, (a0, x, x + x.conjugate(), x.conjugate()))
+    assert_matches_oracle(spec)
+
+
+def test_non_real_eigenvalue_of_a_corrupt_spec_raises():
+    spec = CirculantSpec(3, (CycNum.zero(3), zeta(3), zeta(3, 2)))
+    object.__setattr__(spec, "a", (CycNum.zero(3), zeta(3), zeta(3)))  # lambda_0 = 2 zeta_3
+    with pytest.raises(ArithmeticError, match="non-real"):
+        circulant_eigensystem(spec)
+
+
+def test_eigensolve_past_the_int64_bound_runs_on_python_ints(monkeypatch):
+    # the numerators over the common denominator 105 pass 2^63; in the order-2
+    # spec each numerator fits int64 and only lambda_0 = 2^62 + 2^62 does not
+    seen = []
+    rows = spectra.cyc_from_exponent_rows
+
+    def spy(n, v, dens):
+        seen.append(v.dtype)
+        return rows(n, v, dens)
+
+    monkeypatch.setattr(spectra, "cyc_from_exponent_rows", spy)
+    big = CycNum(6, (Fraction(2**62 + 1, 5), Fraction(-(2**61), 7)))
+    a0 = CycNum.from_rational(6, Fraction(2**63 + 5, 3))
+    spec = CirculantSpec(4, (a0, big, big + big.conjugate(), big.conjugate()))
+    assert_matches_oracle(spec)
+    half = CycNum.from_rational(1, 2**62)
+    assert assert_matches_oracle(CirculantSpec(2, (half, half))).exact_lambdas == (2**63, 0)
+    assert seen == [np.dtype(object)] * 2
 
 
 def test_eigensystem_diagonalizes_the_embedding(circ3, nd6):
