@@ -7,9 +7,8 @@ pass, 1 a check failed, 2 input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -168,7 +167,7 @@ def _emit(path: Optional[str], text: str) -> None:
 
 def cmd_generate(descriptor: str, shift: Optional[Fraction], out: Optional[str]) -> int:
     graph, es, out_desc = build_from_descriptor(_parse_descriptor(descriptor), shift)
-    _emit(out, json.dumps(graph_to_json(graph, es, out_desc), indent=2))
+    _emit(out, json.dumps(graph_to_json(graph, es, out_desc)))
     return 0
 
 
@@ -212,7 +211,7 @@ def cmd_verify(
             "pass": all_pass,
             "report": None if report is None else report_to_json(report),
         }
-        _emit(out, json.dumps(document, indent=2))
+        _emit(out, json.dumps(document))
     return 0 if all_pass else 1
 
 
@@ -226,30 +225,25 @@ def cmd_times(source: str, output_format: str, out: Optional[str]) -> int:
             file=sys.stderr,
         )
         return 1
-    table = transfer_table(report.analytic_times)
-    rows = []
-    for u in range(report.n):
-        for v in range(report.n):
-            phase = report.phases[u, v]
-            values = (report.min_times[u, v], phase.real, phase.imag, table[u, v])
-            rows.append([str(u), str(v)] + [FLOAT_FMT % x for x in values])
-    header = ["u", "v", "t_uv", "phase_re", "phase_im", "analytic_t"]
+    n, phases = report.n, report.phases.ravel()
+    columns = (*np.divmod(np.arange(n * n), n), report.min_times.ravel(),
+               phases.real, phases.imag, transfer_table(report.analytic_times).ravel())
+    row_fmt = ",".join(["%d", "%d"] + [FLOAT_FMT] * 4)
+    lines = ["u,v,t_uv,phase_re,phase_im,analytic_t"]
+    lines += [row_fmt % row for row in zip(*(c.tolist() for c in columns))]
     if output_format == "table":
-        widths = [max(len(header[i]), max(len(r[i]) for r in rows)) for i in range(6)]
-        lines = ["  ".join(header[i].ljust(widths[i]) for i in range(6))]
-        for r in rows:
-            lines.append("  ".join(r[i].ljust(widths[i]) for i in range(6)))
-        _emit(out, "\n".join(lines))
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        _emit(out, buf.getvalue())
+        cells = [line.split(",") for line in lines]
+        widths = [max(map(len, column)) for column in zip(*cells)]
+        lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)) for row in cells]
+    _emit(out, "\n".join(lines))
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: argparse keeps no state between
+    parse_args calls, so building it once is safe.  Only a process that calls
+    `main` more than once gains; the console script calls it once."""
     parser = argparse.ArgumentParser(
         prog="upst",
         description="Construct graphs with universal perfect state transfer and certify them.",

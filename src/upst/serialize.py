@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -26,29 +27,26 @@ MATRIX_MATCH_TOL = 1e-12
 EIGEN_RESIDUAL_TOL = 1e-8  # relative to max(1, max |lambda|)
 
 
-def complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
-def pair_to_complex(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError("complex entries must be [re, im] pairs, got %r" % (pair,))
-    return complex(real_from_json(pair[0]), real_from_json(pair[1]))
-
-
 def matrix_to_json(matrix: np.ndarray) -> list[list[list[float]]]:
     m = np.asarray(matrix, dtype=complex)
-    return [[complex_to_pair(z) for z in row] for row in m]
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def matrix_from_json(data) -> np.ndarray:
-    if not isinstance(data, list) or not data:
+    """errors: ValueError unless data is a non-empty list of equal-length,
+    non-empty list rows of [re, im] pairs of JSON numbers (int or float)."""
+    if type(data) is not list or not data or not set(map(type, data)) <= {list}:
         raise ValueError("matrix must be a non-empty list of rows")
-    rows = [[pair_to_complex(z) for z in row] for row in data]
-    width = len(rows[0])
-    if any(len(row) != width for row in rows):
-        raise ValueError("matrix rows have inconsistent lengths")
-    return np.array(rows, dtype=complex)
+    if len(set(map(len, data))) != 1 or not data[0]:
+        raise ValueError("matrix rows have inconsistent lengths or are empty")
+    entries = list(chain.from_iterable(data))
+    if not set(map(type, entries)) <= {list} or set(map(len, entries)) != {2}:
+        raise ValueError("complex entries must be [re, im] pairs")
+    bad = set(map(type, chain.from_iterable(entries))) - {int, float}
+    if bad:
+        raise ValueError("malformed matrix entry: expected JSON numbers, found %s"
+                         % ", ".join(sorted(t.__name__ for t in bad)))
+    return np.array(data, dtype=float).view(complex)[..., 0]
 
 
 def eigensystem_to_json(es: EigenSystem) -> dict:
@@ -146,7 +144,7 @@ def report_to_json(report: TransferReport) -> dict:
         "analytic_times": None
         if report.analytic_times is None
         else [float(t) for t in report.analytic_times],
-        "min_times": [[_float_or_none(t) for t in row] for row in report.min_times],
+        "min_times": np.where(np.isfinite(report.min_times), report.min_times, None).tolist(),
         "phases": matrix_to_json(report.phases),
         "diagnostics": report.diagnostics,
     }

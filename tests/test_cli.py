@@ -14,7 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from upst.cli import main
+from upst import cli
+from upst.cli import FLOAT_FMT, build_from_descriptor, main
+from upst.serialize import graph_to_json, load_graph, report_to_json
+from upst.walk import transfer_table, verify_upst
 
 SQ3 = math.sqrt(3)
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -241,6 +244,18 @@ def test_verify_rejects_non_numeric_bare_matrix_entries(tmp_path, capsys, entry)
     assert "malformed" in err
 
 
+@pytest.mark.parametrize(
+    "rows", [[[[0, 0]], 7], [[[0, 0]], None], [[[0, 0], [1, 0]], [[1, 0]]], [[]]],
+    ids=["int-row", "null-row", "ragged", "empty-row"],
+)
+def test_verify_rejects_malformed_bare_matrix_rows(tmp_path, capsys, rows):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(rows))
+    code, out, err = run(["verify", str(path)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error: matrix")
+
+
 def test_verify_circulant_only_checks_need_exact_data(tmp_path, capsys):
     p3 = [
         [[0, 0], [1, 0], [0, 0]],
@@ -419,6 +434,86 @@ def test_times_refuses_graphs_without_transfer(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "does not certify" in err
+
+
+# ---------------------------------------------------------- output contract
+
+def times_reference(path):
+    """The times CSV and table, written row by row with csv.writer."""
+    graph, es, _ = load_graph(path)
+    report = verify_upst(graph, es)
+    table = transfer_table(report.analytic_times)
+    header = ["u", "v", "t_uv", "phase_re", "phase_im", "analytic_t"]
+    rows = []
+    for u in range(report.n):
+        for v in range(report.n):
+            phase = report.phases[u, v]
+            values = (report.min_times[u, v], phase.real, phase.imag, table[u, v])
+            rows.append([str(u), str(v)] + [FLOAT_FMT % x for x in values])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    widths = [max(len(header[i]), max(len(r[i]) for r in rows)) for i in range(6)]
+    lines = ["  ".join(r[i].ljust(widths[i]) for i in range(6)) for r in [header] + rows]
+    return buf.getvalue(), "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("shift", [None, "7/3"])
+def test_times_output_matches_a_row_by_row_csv_writer(tmp_path, capsys, shift):
+    path = generate(tmp_path, capsys, ND6_DESC, "nd6.json", shift=shift)
+    csv_text, table_text = times_reference(path)
+    assert len(csv_text.splitlines()) == 37
+    code, out, _ = run(["times", path], capsys)
+    assert code == 0 and out == csv_text
+    code, out, _ = run(["times", path, "--format", "table"], capsys)
+    assert code == 0 and out == table_text
+
+
+def test_json_output_is_one_line_with_the_indented_values(tmp_path, capsys):
+    code, out, _ = run(["generate", ND6_DESC, "--shift", "5/2"], capsys)
+    assert code == 0 and out.endswith("}\n") and out.count("\n") == 1
+    graph, es, desc = build_from_descriptor(json.loads(ND6_DESC), Fraction(5, 2))
+    indented = json.dumps(graph_to_json(graph, es, desc), indent=2)
+    assert json.loads(out) == json.loads(indented)
+
+    path = tmp_path / "nd6.json"
+    path.write_text(out)
+    checks = ("upst", "spacing", "dense", "typeii", "connectivity")
+    code, out, _ = run(["verify", str(path), "--checks", ",".join(checks)], capsys)
+    assert code == 1 and out.count("\n") == 1  # nondense: the dense check fails
+    graph, es, _ = load_graph(str(path))
+    results, report = cli._run_checks(graph, es, checks)
+    document = {"input": str(path), "checks": results, "pass": False,
+                "report": report_to_json(report)}
+    assert json.loads(out) == json.loads(json.dumps(document, indent=2))
+
+
+def test_cached_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    bundle = generate(tmp_path, capsys, CIRC3_DESC, "c3.json")
+    sequences = (
+        (["generate", ND6_DESC, "--shift", "5/2"], ["generate", ND6_DESC]),
+        (["verify", bundle, "--format", "table"], ["verify", bundle]),
+    )
+    outputs = []
+    for sequence in sequences:
+        cached = [run(argv, capsys) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            fresh.append(run(argv, capsys))
+        assert cached == fresh
+        outputs += [out for _, out, _ in cached]
+    assert json.loads(outputs[0])["descriptor"]["shift"] == "5/2"
+    assert "shift" not in json.loads(outputs[1])["descriptor"]
+    assert outputs[2].startswith("check ") and json.loads(outputs[3])["checks"]
+    parser = cli.build_parser()
+    assert parser.parse_args(["generate", ND6_DESC, "--shift", "1"]).shift == "1"
+    assert parser.parse_args(["generate", ND6_DESC]).shift is None
+    assert parser.parse_args(["verify", bundle, "--format", "table"]).output_format == "table"
+    assert parser.parse_args(["verify", bundle]).output_format == "json"
 
 
 # ----------------------------------------------------------- console script
