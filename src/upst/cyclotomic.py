@@ -378,14 +378,19 @@ class CycNum:
 
     @staticmethod
     def from_json_dict(data: dict) -> "CycNum":
+        """Read back to_json_dict: each pair is checked as rational_from_json
+        checks it, and the pairs go over their lcm denominator as integers."""
         try:
             n = data["n"]
             if type(n) is not int:
                 raise ValueError("n must be a JSON integer, got %r" % (n,))
-            coeffs = tuple(rational_from_json(pair) for pair in data["coeffs"])
+            pairs = [_json_rational_pair(pair) for pair in data["coeffs"]]
+            if len(pairs) != euler_phi(n):
+                raise ValueError("%d coefficients do not match phi(%d)" % (len(pairs), n))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError("malformed cyclotomic number: %s" % (exc,)) from exc
-        return CycNum(n, coeffs)
+        den = math.lcm(*(abs(q) for _, q in pairs))
+        return _make(n, [p * (den // q) for p, q in pairs], den)
 
     def __str__(self) -> str:
         terms = []
@@ -404,13 +409,8 @@ def rational_to_json(q: RationalLike) -> list[int]:
     return [q.numerator, q.denominator]
 
 
-def rational_from_json(pair) -> Fraction:
-    """Read back a rational_to_json pair.  Both entries must be JSON integers:
-    a bool, float or string is refused, since int() would silently turn it
-    into a different number.
-
-    errors: ValueError on any other shape or a zero denominator.
-    """
+def _json_rational_pair(pair):
+    """pair, if it is two JSON integers with a nonzero second; see rational_from_json."""
     if not (
         isinstance(pair, (list, tuple))
         and len(pair) == 2
@@ -420,7 +420,17 @@ def rational_from_json(pair) -> Fraction:
         raise ValueError(
             "malformed rational %r: expected [numerator, denominator] integers" % (pair,)
         )
-    return Fraction(pair[0], pair[1])
+    return pair
+
+
+def rational_from_json(pair) -> Fraction:
+    """Read back a rational_to_json pair.  Both entries must be JSON integers:
+    a bool, float or string is refused, since int() would silently turn it
+    into a different number.
+
+    errors: ValueError on any other shape or a zero denominator.
+    """
+    return Fraction(*_json_rational_pair(pair))
 
 
 def real_from_json(value) -> float:

@@ -155,9 +155,9 @@ def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem, Optional[dict]]:
 
     Accepts a graph bundle or a bare matrix (nested [re, im] rows).  A bundle
     with circulant data must match the exact embedding to MATRIX_MATCH_TOL and
-    is diagonalized exactly; a stored eigensystem must actually diagonalize
-    the matrix, to EIGEN_RESIDUAL_TOL.  Anything else gets a dense numerical
-    solve.
+    is diagonalized exactly.  A stored eigensystem must actually diagonalize
+    the matrix, to EIGEN_RESIDUAL_TOL; without circulant data it is the one
+    certified.  Anything else gets a dense numerical solve.
 
     errors: OSError if the file cannot be read, ValueError on malformed
     content or a failed cross-check.
@@ -179,7 +179,7 @@ def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem, Optional[dict]]:
             raise ValueError(
                 "matrix does not match its circulant data (max deviation %.3e)" % deviation
             )
-    elif stored_es is not None:
+    if stored_es is not None:
         residual = float(
             np.max(np.abs(graph.adjacency @ stored_es.X - stored_es.X * stored_es.lambdas))
         )
@@ -188,5 +188,6 @@ def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem, Optional[dict]]:
             raise ValueError(
                 "stored eigensystem does not diagonalize the matrix (residual %.3e)" % residual
             )
-        return graph, stored_es, desc
+        if graph.spec is None:
+            return graph, stored_es, desc
     return graph, eigensystem_for(graph), desc

@@ -26,7 +26,6 @@ DEGENERACY_TOL = 1e-10  # least eigenvalue gap over max(1, max|lambda|), see ver
 STEP_MARGIN = 2.0**-16  # relative shrink of the derived grid step, see grid_step
 MAX_GRID_POINTS = 2**22  # largest grid verify_upst scans
 GRID_BLOCK = 2**16  # pair x time elements per grid block
-GRID_SLACK = 2.0**-12  # bound on the float32 grid's |U|^2 error, see scan_min_times
 ADMISSION_TOL = 1e-10  # largest B_m for a pair to take its class's time, see scan_min_times
 WAVE_CHUNK = 64  # grid points per head of the chunked grid waves
 REFINE_BLOCK = 2**16  # pair x eigenvalue elements per refinement batch
@@ -214,39 +213,18 @@ def _candidate_peaks(
     return row[peak], index[peak], int(np.count_nonzero(keep)), (row[carry], index[carry], mag2[carry])
 
 
-def _f32_mag2(pv32: np.ndarray, waves: np.ndarray) -> np.ndarray:
-    """|U|^2 of one grid block in single precision: pv32 @ waves^T with the
-    float64 waves rounded to complex64.  Row r, column j is the curve pv32[r]
-    at the time of waves[j]."""
-    amp = pv32 @ waves.astype(np.complex64).T
-    mag2 = np.square(amp.real)
-    mag2 += np.square(amp.imag)
-    return mag2
-
-
 def _block_hits(
-    pvecs: np.ndarray, pv32: np.ndarray, live: np.ndarray, waves: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Hits of one grid block: pv32 holds complex64 copies of the rows live of
-    pvecs, waves the block's float64 waves, one row per time point.  Points
-    the float32 grid puts within its error bound of the threshold (see
-    scan_min_times) are redone in float64, by row dots in batches of
-    REFINE_BLOCK elements.  Returns the row of pvecs, the block time index and
-    the float64 |U|^2 of the hits, and the float32 survivor count."""
-    slack = max(GRID_SLACK, (4 * math.sqrt(2) * (pvecs.shape[1] + 1) + 3) * 2.0**-24)
-    row, w = np.divmod(
-        np.flatnonzero(_f32_mag2(pv32, waves) >= DETECTION_THRESHOLD - slack), waves.shape[0]
-    )
-    row = live[row]
-    amp = np.empty(row.size, dtype=complex)
-    rows = max(1, REFINE_BLOCK // pvecs.shape[1])
-    for first in range(0, row.size, rows):
-        part = slice(first, first + rows)
-        amp[part] = _row_dots(pvecs[row[part]], waves[w[part]])
-    mag2 = np.square(amp.real)
-    mag2 += np.square(amp.imag)
-    hit = mag2 >= DETECTION_THRESHOLD
-    return row[hit], w[hit], mag2[hit], row.size
+    pvecs: np.ndarray, waves: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hits of one grid block: row r, column j of pvecs @ waves^T is the curve
+    pvecs[r] at the time of waves[j].  Returns the row, the block time index
+    and the |U|^2 of every point with |U|^2 >= DETECTION_THRESHOLD.  |U|^2 is
+    squared into amp's own storage, so a block holds no other array its size."""
+    amp = pvecs @ waves.T
+    mag2 = np.square(amp.real, out=amp.real)
+    mag2 += np.square(amp.imag, out=amp.imag)
+    row, w = np.divmod(np.flatnonzero(mag2 >= DETECTION_THRESHOLD), waves.shape[0])
+    return row, w, mag2[row, w]
 
 
 def _grid_waves(
@@ -282,8 +260,7 @@ def _scan_pairs(
     pvecs = x[v] * x.conj()[u]
     diagonal = u == v
     times, amps = np.full(pairs.size, np.nan), np.zeros(pairs.size, dtype=complex)
-    live = np.arange(pairs.size)  # rows of pvecs still unresolved, rows of pv32
-    pv32 = pvecs.astype(np.complex64)
+    live = np.arange(pairs.size)  # rows of pvecs still unresolved
     carried = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
     base = _waves((np.arange(WAVE_CHUNK) + 1) * step, d)
     rows = max(1, REFINE_BLOCK // n)
@@ -291,9 +268,9 @@ def _scan_pairs(
     while start < nsteps and live.size:
         stop = min(nsteps, start + max(1, GRID_BLOCK // max(live.size, n)))
         waves = _grid_waves(base, d, step, start, stop)
-        row, w, mag2, survivors = _block_hits(pvecs, pv32, live, waves)
+        row, w, mag2 = _block_hits(pvecs[live], waves)
+        row = live[row]
         diagnostics["pair_time_products"] += live.size * (stop - start)
-        diagnostics["f32_hits"] += survivors
         diagnostics["f64_hits"] += row.size
         cand_row, peak, clusters, carried = _candidate_peaks(
             np.concatenate((carried[0], row)),
@@ -318,7 +295,7 @@ def _scan_pairs(
         amps[done] = amp[ok[earliest]]
         still = np.isnan(times[live])
         if not still.all():
-            live, pv32 = live[still], pv32[still]
+            live = live[still]
             going = np.isnan(times[carried[0]])
             carried = tuple(a[going] for a in carried)
         start = stop
@@ -419,15 +396,12 @@ def scan_min_times(
 
     The grid is walked in blocks of GRID_BLOCK // max(live classes, n) time
     points, so a block's classes x time amplitudes and n x time waves (plus
-    at most two chunks) stay within GRID_BLOCK elements.  A complex64
-    prefilter keeps each point with |U|^2 >= DETECTION_THRESHOLD - GRID_SLACK
-    for a float64 recheck, so the candidates come from the hits of a float64
-    grid.  GRID_SLACK bounds the float32 error: each wave, a float64 product
-    of two unit complex numbers a few ulps off, rounds to within about u =
-    2^-24 relative, and sum_k |X[v,k] X[u,k]| <= 1 (Cauchy-Schwarz); a
-    complex64 dot then errs by at most about 2 sqrt(2) (n + 1) u, so |U|^2
-    <= 1 moves by at most twice that plus 3 u (below 2^-12 for n <= 700; any
-    larger n's bound takes GRID_SLACK's place).
+    at most two chunks) stay within GRID_BLOCK elements.  Each block's |U|^2
+    is one float64 GEMM, and its hits are the points with |U|^2 >=
+    DETECTION_THRESHOLD.  Each wave is a product of two unit complex numbers
+    a few ulps off, and sum_k |X[v,k] X[u,k]| <= 1 (Cauchy-Schwarz), so the
+    GEMM errs by about n 2^-52, far below the 1.2e-6 by which grid_step puts
+    the nearest grid point above the threshold.
 
     Every hit >= both grid neighbours is a candidate, refined from its grid
     point g within [g - step, g + step]; with step <= grid_step(es) no peak
@@ -441,8 +415,8 @@ def scan_min_times(
 
     diagnostics holds grid_step, horizon, grid_points, the integer counts
     classes (rescans included), members (pairs that took their class's time),
-    member_rescans, pair_time_products (class x time points), f32_hits,
-    f64_hits, clusters (closed runs of hits), newton_rows (candidates refined)
+    member_rescans, pair_time_products (class x time points), f64_hits (grid
+    hits), clusters (closed runs of hits), newton_rows (candidates refined)
     and bisect_rows, classes + members being n^2 on a complete scan; and
     margin_min, the least 1 - |U(t_uv)| found (1 for none), admission_max,
     the largest admitted B_m (0 for none), and confirm_margin, the largest 1 -
@@ -455,7 +429,7 @@ def scan_min_times(
     nsteps = max(0, int(math.ceil(horizon / step)))
     diagnostics = {"grid_step": float(step), "horizon": float(horizon), "grid_points": nsteps}
     diagnostics.update(dict.fromkeys((
-        "classes", "members", "member_rescans", "pair_time_products", "f32_hits", "f64_hits",
+        "classes", "members", "member_rescans", "pair_time_products", "f64_hits",
         "clusters", "newton_rows", "bisect_rows"), 0))
     x, d = es.X, lam - lam[0]
     row_times = np.asarray(row_times, dtype=float)

@@ -293,6 +293,31 @@ def test_verify_detects_stale_eigensystem(tmp_path, capsys):
     assert "diagonalize" in err
 
 
+def test_verify_detects_a_circulant_bundles_stale_eigensystem(tmp_path, capsys):
+    # the exact route certifies a circulant bundle, but its stored
+    # eigensystem is checked all the same
+    desc = '{"family": "circulant_c", "n": 12, "c": [0, 3, -1, 0, 2, 5, 0, 1, 0, 0, 4, 7]}'
+    path = generate(tmp_path, capsys, desc, "c12.json")
+    doc = json.loads(open(path).read())
+    doc["eigensystem"]["X"] = [[[float(j == k), 0.0] for k in range(12)] for j in range(12)]
+    doc["eigensystem"]["lambdas"] = [v + 1000 for v in doc["eigensystem"]["lambdas"]]
+    open(path, "w").write(json.dumps(doc))
+    code, _, err = run(["verify", path, "--checks", "upst,typeii"], capsys)
+    assert code == 2
+    assert "diagonalize" in err
+
+
+@pytest.mark.parametrize("desc", [
+    CIRC3_DESC, FLAT3_DESC, ND6_DESC, NC_DESC,
+    '{"family": "circulant_c", "n": 6, "c": [0, 0, 0, 0, 0, 5000]}',
+    '{"family": "circulant_c", "n": 12, "c": [0, 3, -1, 0, 2, 5, 0, 1, 0, 0, 4, 7]}',
+])
+@pytest.mark.parametrize("shift", [None, "1000000000"])
+def test_every_generated_bundle_loads_past_the_eigensystem_check(tmp_path, capsys, desc, shift):
+    graph, es, _ = load_graph(generate(tmp_path, capsys, desc, "bundle.json", shift=shift))
+    assert es.n == graph.n and es.exact_lambdas is not None
+
+
 def test_verify_rejects_unknown_check(tmp_path, capsys):
     path = generate(tmp_path, capsys, CIRC3_DESC, "c3.json")
     code, _, err = run(["verify", path, "--checks", "upst,chromatic"], capsys)

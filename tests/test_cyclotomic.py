@@ -384,6 +384,22 @@ def test_json_round_trip_is_exact():
 def test_json_rejects_malformed_input():
     with pytest.raises(ValueError):
         CycNum.from_json_dict({"n": 6})
+    for data in ({"n": 6, "coeffs": [[1, 1]]}, {"n": 0, "coeffs": []},
+                 {"n": 3, "coeffs": 5}, {"n": 3, "coeffs": [[1, 2], [3]]}):
+        with pytest.raises(ValueError, match="malformed"):
+            CycNum.from_json_dict(data)
+
+
+@pytest.mark.parametrize("pairs", [
+    [[3, -4]], [[2, 4]], [[-3, -4], [2, 4]], [[3, -4], [0, 5], [2, 4], [-7, 6]],
+    [[0, -9], [0, 1]], [[2**70, 3], [-(2**65), -(2**66)]],
+])
+def test_json_coefficients_read_as_integers_equal_the_fraction_route(pairs):
+    n = {1: 1, 2: 3, 4: 5}[len(pairs)]
+    x = CycNum.from_json_dict({"n": n, "coeffs": pairs})
+    y = CycNum(n, [rational_from_json(pair) for pair in pairs])
+    assert (x.num, x.den) == (y.num, y.den)
+    assert x == y and hash(x) == hash(y)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run end to end on the current library API."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -52,3 +53,59 @@ def test_parity_corpus_prints_one_line_per_run():
     exact = [line for line in lines if line["route"] == "exact"]
     assert len(exact) == 60
     assert sum(line["exact_lambdas"] is None for line in exact) == 1
+
+
+def parity_lines():
+    """A verdict line and an exact line in parity_corpus.py's format."""
+    run = {"input": "flat(2,2,2)", "route": "given", "upst": True, "reasons": [],
+           "circulant_timing": False, "dense": None, "spacing_order": [0, 2, 1, 3],
+           "classes": 4, "members": 12, "member_rescans": 0, "grid_points": 35,
+           "row_residual_max": float.hex(1e-16),
+           "analytic_times": [float.hex(6.0), float.hex(1.5)],
+           "min_times": [float.hex(6.0), float.hex(1.5), "nan"],
+           "phases_re": [float.hex(0.5)], "phases_im": [float.hex(-0.5)]}
+    exact = {"input": "nondense(2,3)", "route": "exact", "spec_sha256": "ab12",
+             "exact_lambdas": ["1/2", "3/1"], "lambdas": [float.hex(0.5), float.hex(3.0)]}
+    return [run, exact]
+
+
+def compare(tmp_path, old, new):
+    paths = []
+    for name, lines in (("a", old), ("b", new)):
+        paths.append(tmp_path / name)
+        paths[-1].write_text("".join(json.dumps(line) + "\n" for line in lines))
+    proc = run_script("parity_compare.py", *map(str, paths))
+    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[2:]}
+    return proc.returncode, rows
+
+
+def test_parity_compare_passes_a_file_against_itself(tmp_path):
+    code, rows = compare(tmp_path, parity_lines(), parity_lines())
+    assert code == 0
+    assert rows["min_times"] == ["0", "0"]
+    assert all(row[0] == "0" for row in rows.values())
+
+
+def test_parity_compare_passes_and_measures_a_last_bit_change(tmp_path):
+    new = parity_lines()
+    new[0]["min_times"][1] = float.hex(math.nextafter(1.5, 2))
+    code, rows = compare(tmp_path, parity_lines(), new)
+    assert code == 0
+    assert rows["min_times"] == ["1", "%.3g" % 2.0**-52]
+    assert rows["upst"] == ["0", "0"]
+
+
+def test_parity_compare_fails_on_a_flipped_verdict_or_any_exact_change(tmp_path):
+    new = parity_lines()
+    new[0]["upst"] = False
+    code, rows = compare(tmp_path, parity_lines(), new)
+    assert code == 1
+    assert rows["upst"] == ["1", "-"]
+    new = parity_lines()
+    new[1]["lambdas"][0] = float.hex(math.nextafter(0.5, 1))
+    assert compare(tmp_path, parity_lines(), new)[0] == 1
+    new = parity_lines()
+    new[0]["min_times"][2] = float.hex(1.0)
+    code, rows = compare(tmp_path, parity_lines(), new)
+    assert code == 0
+    assert rows["min_times"] == ["1", "inf"]

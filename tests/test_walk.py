@@ -35,7 +35,6 @@ from upst import ratios, spectra, walk
 from upst.walk import (
     ADMISSION_TOL,
     DETECTION_THRESHOLD,
-    GRID_SLACK,
     MAX_GRID_POINTS,
     PST_ENTRY_TOL,
     STEP_MARGIN,
@@ -50,7 +49,6 @@ from upst.walk import (
     unitary_at,
     verify_upst,
     _block_hits,
-    _f32_mag2,
     _grid_waves,
     _refine_peaks,
     _row_classes,
@@ -565,7 +563,7 @@ def test_scan_diagnostics_count_the_work():
     assert points + 2 <= d["grid_points"] == math.ceil((period + 2 * h) / (period / points))
     # every pair resolves by the period and leaves the grid
     assert d["pair_time_products"] < es.n**2 * points
-    assert d["f32_hits"] >= d["f64_hits"] > 0
+    assert d["f64_hits"] > 0
     # one scanned curve per class of equal row-time differences; every other
     # pair is admitted by its bound and passes the strict test at its table
     # time
@@ -778,62 +776,32 @@ def test_exact_eigenvalues_decide_distinctness_where_the_float_gate_refuses(shif
     assert verify_upst(tied_graph, tied).reasons == ("degenerate-spectrum",)
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 8, 17, 64]))
-def test_float32_grid_stays_within_slack(seed, n):
-    # random unitaries, and Fourier matrices whose integer spectra make U(t)
-    # a permutation at the chosen times (|U|^2 exactly 0 or 1); both
-    # relabelled and rephased, with |lambda| t up to 1e6
-    rng = np.random.default_rng(seed)
-    if rng.random() < 0.5:
-        x = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
-        scale = 10.0 ** rng.uniform(0, 3)
-        lam = rng.uniform(-scale, scale, size=n)
-        t = rng.uniform(0, 1e6 / scale, size=40)
-    else:
-        x = fourier_matrix(n)
-        scale = 10.0 ** rng.uniform(0, 3)
-        lam = scale * np.arange(n)
-        t = TWO_PI / (n * scale) * rng.integers(0, int(1e6 / TWO_PI), size=40)
-    x = x[rng.permutation(n), :] * np.exp(1j * rng.uniform(0, TWO_PI, size=n))
-    pvecs = pair_vectors(x)
-    waves = _waves(t, lam)
-    exact = np.abs(pvecs @ waves.T) ** 2
-    rounded = _f32_mag2(pvecs.astype(np.complex64), waves)
-    assert np.max(np.abs(rounded - exact)) <= GRID_SLACK
-
-
-@pytest.mark.parametrize("n", [700, 1024])
-def test_float32_prefilter_slack_covers_the_stated_error_bound(monkeypatch, n):
-    # the float32 |U|^2 error bound (4 sqrt(2) (n + 1) + 3) 2^-24 passes
-    # GRID_SLACK = 2^-12 above n = 700: a float32 value just inside the bound
-    # below a float64 hit must still reach the recheck, and one just past
-    # the larger of the two must not
-    bound = (4 * math.sqrt(2) * (n + 1) + 3) * 2.0**-24
-    assert (bound <= GRID_SLACK) == (n <= 700)
-    pvecs = np.full((1, n), math.sqrt(DETECTION_THRESHOLD) * (1 + 1e-12) / n, dtype=complex)
-    waves = np.ones((1, n), dtype=complex)
-    for offset, kept in ((0.999 * bound, 1), (1.001 * max(bound, GRID_SLACK), 0)):
-        monkeypatch.setattr(walk, "_f32_mag2", lambda pv32, waves, offset=offset: np.full(
-            (pv32.shape[0], waves.shape[0]), DETECTION_THRESHOLD - offset))
-        row, _, _, survivors = _block_hits(pvecs, pvecs.astype(np.complex64), np.arange(1), waves)
-        assert survivors == row.size == kept
-
-
-def test_float32_prefilter_keeps_the_float64_hit_set():
+def test_grid_hit_set_is_the_float64_threshold_set():
+    # every grid point whose |U(t)[v][u]|^2, read off the walk operator, is at
+    # least DETECTION_THRESHOLD is a hit, in (pair, time) order
     _, es = noncirculant_graph(NoncirculantParams(6, 4, 2))
     pvecs = pair_vectors(es.X)
-    pairs = np.arange(es.n**2)
     horizon, step = scan_grid(es, density=4)
     grid = (np.arange(math.ceil(horizon / step)) + 1) * step
-    for first in range(0, grid.size, 2500):
-        waves = _waves(grid[first:first + 2500], es.lambdas)
-        exact = np.abs(pvecs @ waves.T) ** 2
-        pair, w, mag2, survivors = _block_hits(pvecs, pvecs.astype(np.complex64), pairs, waves)
+    for first in range(0, grid.size, 500):
+        times = grid[first:first + 500]
+        exact = np.stack([np.abs(unitary_at(es, t).T.reshape(-1)) ** 2 for t in times], axis=1)
+        pair, w, mag2 = _block_hits(pvecs, _waves(times, es.lambdas))
         expected = np.flatnonzero(exact >= DETECTION_THRESHOLD)
-        assert np.array_equal(np.sort(pair * waves.shape[0] + w), expected)
+        assert np.array_equal(pair * times.size + w, expected)
         assert np.max(np.abs(mag2 - exact[pair, w]), initial=0.0) <= 1e-14
-        assert survivors >= pair.size
+
+
+def test_scan_certifies_every_pair_at_n_512():
+    # at n = 512 the float64 grid still finds all n^2 times, each within
+    # TIME_AGREEMENT_TOL of the table
+    graph, es = noncirculant_graph(NoncirculantParams(32, 16, 1))
+    report = verify_upst(graph, es)
+    assert report.upst is True, report.reasons
+    assert not np.isnan(report.min_times).any()
+    d = report.diagnostics
+    assert d["classes"] + d["members"] == es.n**2
+    assert d["agreement_max"] <= TIME_AGREEMENT_TOL
 
 
 def test_refinement_bisects_where_newton_cannot_step():
