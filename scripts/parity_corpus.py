@@ -10,7 +10,10 @@ input's name and route, the verdict fields, the class and grid counts,
 row_residual_max, and the time and phase tables with every float written by
 float.hex, so equal lines mean bit-identical reports.  Each exact line (route
 "exact") holds the sha256 of the spec's JSON, the exact eigenvalues as "p/q"
-strings (null when one is irrational) and the float eigenvalues in float.hex.
+strings (null when one is irrational), the float eigenvalues in float.hex and
+the recognizer's witness on them: recognize_eigenvalue_form's alpha and beta in
+float.hex with q and c, null when it finds none, or its error message when it
+refuses the input (a repeated spectrum).
 
 The corpus: the flat ladder's 17 rungs and flat(16,16,2), each as built and
 relabelled and rephased with seeds 1 and 2; two seeded circulant_c for each
@@ -61,6 +64,7 @@ from upst.spectra import (  # noqa: E402
     circulant_eigensystem,
     fourier_matrix,
     numerical_eigensystem,
+    recognize_eigenvalue_form,
 )
 from upst.walk import verify_upst  # noqa: E402
 
@@ -174,6 +178,18 @@ def record(name, route, report):
     }
 
 
+def form_record(lambdas, n):
+    """recognize_eigenvalue_form's witness on lambdas, as exact_record stores it."""
+    try:
+        form = recognize_eigenvalue_form(lambdas, n)
+    except ValueError as exc:
+        return str(exc)
+    if form is None:
+        return None
+    return {"alpha": float.hex(form.alpha), "beta": float.hex(form.beta),
+            "q": form.q, "c": list(form.c)}
+
+
 def exact_record(name, spec):
     es = circulant_eigensystem(spec)
     blob = json.dumps(spec.to_json_dict(), sort_keys=True).encode()
@@ -184,6 +200,7 @@ def exact_record(name, spec):
         "exact_lambdas": None if es.exact_lambdas is None
         else ["%d/%d" % (q.numerator, q.denominator) for q in es.exact_lambdas],
         "lambdas": hex_table(es.lambdas),
+        "form": form_record(es.lambdas, spec.n),
     }
 
 

@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cyclotomic import CycNum
+from .cyclotomic import CycNum, cyc_from_exponent_rows, exact_int_dtype
 
 HERMITICITY_TOL = 1e-12
 
@@ -35,14 +35,19 @@ class CirculantSpec:
         conductors = {x.n for x in self.a}
         if len(conductors) != 1:
             raise ValueError("coefficients mix conductors %s" % sorted(conductors))
-        if not self.a[0].is_real():
-            raise ValueError("a_0 = %s is not real" % (self.a[0],))
-        for j in range(1, self.n // 2 + 1):
-            expected = self.a[j].conjugate()
-            if self.a[(self.n - j) % self.n] != expected:
+        # conj(a_j), j = 0..n//2, in one reduction: coordinate k goes to zeta_L^-k
+        half = self.a[: self.n // 2 + 1]
+        lcond, phi = self.conductor, len(self.a[0].num)
+        dtype = exact_int_dtype(max(max(map(abs, x.num)) for x in half))
+        v = np.zeros((len(half), lcond), dtype=dtype)
+        v[:, -np.arange(phi) % lcond] = np.array([x.num for x in half], dtype=dtype)
+        for j, conj in enumerate(cyc_from_exponent_rows(lcond, v, [x.den for x in half])):
+            if self.a[-j] != conj:
+                if j == 0:
+                    raise ValueError("a_0 = %s is not real" % (self.a[0],))
                 raise ValueError(
                     "a_%d != conjugate(a_%d): coefficients are not Hermitian"
-                    % ((self.n - j) % self.n, j)
+                    % (self.n - j, j)
                 )
 
     @property

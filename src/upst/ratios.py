@@ -1,10 +1,15 @@
-"""Recovering integer structure from vectors of floating-point reals."""
+"""Recovering integer structure from vectors of floating-point reals.
+
+Each ratio is read as the closest rational with denominator at most
+MAX_DENOMINATOR by Fraction.limit_denominator's algorithm, on plain ints, with
+the same results: walk the continued-fraction convergents of the float's exact
+value, then take the last convergent or the last semiconvergent, whichever is
+closer (ties to the convergent).
+"""
 
 from __future__ import annotations
 
-import functools
 import math
-from fractions import Fraction
 from typing import Optional, Sequence
 
 MAX_DENOMINATOR = 10**6
@@ -12,6 +17,23 @@ MAX_DENOMINATOR = 10**6
 # convergent p/q with q near MAX_DENOMINATOR errs by about 1/q^2, so the golden
 # ratio is accepted as 1346269/832040 (ROADMAP.md, item 15).
 RATIO_REL_TOL = 1e-12
+
+
+def _nearest_rational(r: float) -> tuple[int, int]:
+    """p/q in lowest terms, q <= MAX_DENOMINATOR, closest to the float r."""
+    num, den = r.as_integer_ratio()
+    if den <= MAX_DENOMINATOR:
+        return num, den
+    p0, q0, p1, q1, n, d = 0, 1, 1, 0, num, den
+    while (q2 := q0 + (a := n // d) * q1) <= MAX_DENOMINATOR:
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (MAX_DENOMINATOR - q0) // q1
+    ps, qs = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - num/den| <= |ps/qs - num/den|, both sides times q1 * qs * den
+    if abs(p1 * den - q1 * num) * qs <= abs(ps * den - qs * num) * q1:
+        return p1, q1
+    return ps, qs
 
 
 def integer_multiples(values: Sequence[float]) -> Optional[tuple[float, tuple[int, ...]]]:
@@ -29,15 +51,13 @@ def integer_multiples(values: Sequence[float]) -> Optional[tuple[float, tuple[in
     fracs = []
     for v in values:
         r = float(v) / base
-        f = Fraction(r).limit_denominator(MAX_DENOMINATOR)
-        if abs(float(f) - r) > RATIO_REL_TOL * max(1.0, abs(r)):
+        p, q = _nearest_rational(r)
+        if abs(p / q - r) > RATIO_REL_TOL * max(1.0, abs(r)):
             return None
-        fracs.append(f)
-    q_lcm = functools.reduce(math.lcm, (f.denominator for f in fracs), 1)
-    m = [int(f * q_lcm) for f in fracs]
-    g = functools.reduce(math.gcd, m)
+        fracs.append((p, q))
+    q_lcm = math.lcm(*(q for _, q in fracs))
+    m = [p * (q_lcm // q) for p, q in fracs]
+    g = math.gcd(*m)
     m = [x // g for x in m]
     beta = abs(base) * g / q_lcm
-    if base < 0:
-        m = [-x for x in m]
-    return beta, tuple(m)
+    return beta, tuple(m) if base > 0 else tuple(-x for x in m)

@@ -1,11 +1,13 @@
 """Hermitian graphs and exact circulant specifications."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from upst.constructors import circulant_from_c
 from upst.cyclotomic import CycNum, zeta
 from upst.graph import (
     CirculantSpec,
@@ -33,6 +35,69 @@ def test_spec_requires_conjugate_symmetry():
     i = zeta(4)
     with pytest.raises(ValueError):
         CirculantSpec(3, (CycNum.zero(4), i, i))  # a_2 must equal conj(a_1) = -i
+
+
+def test_spec_refuses_a_non_real_middle_coefficient():
+    # even n: a_(n/2) is its own mirror, so it must be real
+    with pytest.raises(ValueError, match=r"a_2 != conjugate\(a_2\)"):
+        CirculantSpec(4, (CycNum.zero(4), CycNum.zero(4), zeta(4), CycNum.zero(4)))
+
+
+def test_spec_names_the_first_pair_that_is_not_conjugate():
+    z = zeta(8)
+    a = [CycNum.zero(8), z, z**2, z**3, CycNum.one(8), z**5, z**2, z**7]
+    a[7], a[5] = z.conjugate(), (z**3).conjugate()  # j = 1 and 3 are conjugate pairs
+    with pytest.raises(ValueError, match=r"^a_6 != conjugate\(a_2\)"):
+        CirculantSpec(8, tuple(a))  # a_6 = i, but conj(a_2) = -i
+    a[6] = (z**2).conjugate()
+    CirculantSpec(8, tuple(a))
+
+
+def test_spec_accepts_a_low_conductor_spec_and_its_promotion():
+    x = CycNum(3, (Fraction(1, 3), Fraction(-2, 5)))
+    a = (CycNum.from_rational(3, Fraction(7, 2)), x, x + x.conjugate(), x.conjugate())
+    CirculantSpec(4, a)
+    CirculantSpec(4, tuple(y.promote(12) for y in a))
+    with pytest.raises(ValueError, match=r"a_3 != conjugate\(a_1\)"):
+        CirculantSpec(4, a[:3] + (x,))
+
+
+def test_spec_checks_numerators_past_int64_exactly():
+    c = [2**61 - 1, -(2**61), 2**61 - 3, 5, -(2**61) + 7, 0, 2**60, -1]
+    spec = circulant_from_c(8, c)
+    assert max(abs(v) for x in spec.a for v in x.num) >= 2**63
+    CirculantSpec(8, spec.a)
+    a = list(spec.a)
+    a[5] = a[5] + zeta(8)  # off by one unit in a single coordinate
+    with pytest.raises(ValueError, match=r"a_5 != conjugate\(a_3\)"):
+        CirculantSpec(8, tuple(a))
+
+
+def test_spec_check_agrees_with_conjugating_each_coefficient():
+    rng = np.random.default_rng(7)
+    for trial in range(60):
+        lcond = int(rng.choice([1, 2, 3, 4, 5, 8, 12]))
+        n = int(rng.integers(1, 9))
+        k = len(CycNum.zero(lcond).num)
+        a = [CycNum(lcond, [int(v) for v in rng.integers(-3, 4, size=k)]) for _ in range(n)]
+        if rng.random() < 0.9:
+            a[0] = a[0] + a[0].conjugate()
+        for j in range(1, n // 2 + 1):
+            if rng.random() < 0.8:
+                a[n - j] = a[j].conjugate()
+        expected = None
+        if not a[0].is_real():
+            expected = "a_0 = "
+        else:
+            for j in range(1, n // 2 + 1):
+                if a[n - j] != a[j].conjugate():
+                    expected = "a_%d != conjugate(a_%d)" % (n - j, j)
+                    break
+        if expected is None:
+            CirculantSpec(n, tuple(a))
+        else:
+            with pytest.raises(ValueError, match="^" + re.escape(expected)):
+                CirculantSpec(n, tuple(a))
 
 
 def test_spec_requires_single_conductor():

@@ -53,6 +53,9 @@ def test_parity_corpus_prints_one_line_per_run():
     exact = [line for line in lines if line["route"] == "exact"]
     assert len(exact) == 60
     assert sum(line["exact_lambdas"] is None for line in exact) == 1
+    forms = [line["form"] for line in exact]
+    assert sum(isinstance(form, dict) for form in forms) == 57
+    assert forms.count("eigenvalues must be distinct") == 2
 
 
 def parity_lines():
