@@ -7,7 +7,8 @@ every field the script prints how many lines differ and the largest
 difference, reading float.hex strings (and lists of them) as numbers.  A NaN
 against a number, or two tables of different lengths, counts as inf; a
 difference that is not between numbers (a verdict, a list of reasons, None
-against a table) prints as "-".  It exits 1 if any verdict or count field differs (VERDICT_FIELDS) or if
+against a table) prints as "-".  The input of every differing exact line is
+listed by name.  It exits 1 if any verdict or count field differs (VERDICT_FIELDS) or if
 any exact line (route "exact") differs at all, and 0 otherwise, so last-bit
 changes in times and phases pass and are shown.
 """
@@ -58,9 +59,10 @@ def main(argv) -> int:
         print("the files hold different runs")
         return 1
     counts, largest = {}, {}
-    exact_differs = 0
+    exact_differs = []
     for a, b in zip(old, new):
-        exact_differs += a["route"] == "exact" and a != b
+        if a["route"] == "exact" and a != b:
+            exact_differs.append(a["input"])
         for field in dict.fromkeys(f for f in [*a, *b] if f not in ("input", "route")):
             counts.setdefault(field, 0)
             if a.get(field) == b.get(field):
@@ -71,7 +73,9 @@ def main(argv) -> int:
                 largest[field] = max(largest.get(field, 0.0), diff)
     runs = sum(route != "exact" for _, route in keys[0])
     print("%d runs, %d exact lines; %d exact lines differ"
-          % (runs, len(old) - runs, exact_differs))
+          % (runs, len(old) - runs, len(exact_differs)))
+    for name in exact_differs:
+        print("exact line differs: %s" % name)
     print("%-18s %6s  %s" % ("field", "lines", "largest"))
     for field, count in counts.items():
         print("%-18s %6d  %s" % (field, count, "%.3g" % largest[field] if field in largest

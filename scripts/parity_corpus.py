@@ -11,9 +11,10 @@ row_residual_max, and the time and phase tables with every float written by
 float.hex, so equal lines mean bit-identical reports.  Each exact line (route
 "exact") holds the sha256 of the spec's JSON, the exact eigenvalues as "p/q"
 strings (null when one is irrational), the float eigenvalues in float.hex and
-the recognizer's witness on them: recognize_eigenvalue_form's alpha and beta in
-float.hex with q and c, null when it finds none, or its error message when it
-refuses the input (a repeated spectrum).
+the recognizer's witness on the exact eigenvalues, or on the float ones when
+there are none: recognize_eigenvalue_form's alpha and beta in float.hex with q
+and c, null when it finds none, or its error message when it refuses the input
+(a repeated spectrum).
 
 The corpus: the flat ladder's 17 rungs and flat(16,16,2), each as built and
 relabelled and rephased with seeds 1 and 2; two seeded circulant_c for each
@@ -186,7 +187,7 @@ def form_record(lambdas, n):
         return str(exc)
     if form is None:
         return None
-    return {"alpha": float.hex(form.alpha), "beta": float.hex(form.beta),
+    return {"alpha": float.hex(float(form.alpha)), "beta": float.hex(float(form.beta)),
             "q": form.q, "c": list(form.c)}
 
 
@@ -200,7 +201,7 @@ def exact_record(name, spec):
         "exact_lambdas": None if es.exact_lambdas is None
         else ["%d/%d" % (q.numerator, q.denominator) for q in es.exact_lambdas],
         "lambdas": hex_table(es.lambdas),
-        "form": form_record(es.lambdas, spec.n),
+        "form": form_record(es.exact_lambdas or es.lambdas, spec.n),
     }
 
 

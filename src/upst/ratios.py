@@ -13,7 +13,7 @@ import math
 from typing import Optional, Sequence
 
 MAX_DENOMINATOR = 10**6
-# Tighter than the witness tolerance, yet most irrational ratios pass: their
+# A relative bound on each ratio; most irrational ratios still pass: their
 # convergent p/q with q near MAX_DENOMINATOR errs by about 1/q^2, so the golden
 # ratio is accepted as 1346269/832040 (ROADMAP.md, item 15).
 RATIO_REL_TOL = 1e-12

@@ -18,7 +18,6 @@ from .ratios import integer_multiples
 
 UNITARITY_TOL = 1e-10
 ZERO_SUM_TOL = 1e-9
-RECOGNIZER_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,10 +37,10 @@ class EigenSystem:
 
 @dataclass(frozen=True)
 class EigenvalueForm:
-    """Witness lambda_k = alpha + beta*(q*k + c[k]*n) with gcd(q, n) = 1."""
+    """Witness lambda_k = alpha + beta*(q*k + c[k]*n), gcd(q, n) = 1 (Fractions if exact)."""
 
-    alpha: float
-    beta: float
+    alpha: float | Fraction
+    beta: float | Fraction
     q: int
     c: tuple[int, ...]
 
@@ -145,43 +144,45 @@ def zero_sum_check(x: np.ndarray) -> bool:
     return bool(max(np.max(np.abs(row_sums)), np.max(np.abs(col_sums))) <= ZERO_SUM_TOL)
 
 
-def recognize_eigenvalue_form(lambdas: Sequence[float], n: int) -> Optional[EigenvalueForm]:
+def eigenvalue_steps(lambdas: Sequence) -> Optional[tuple[float | Fraction, tuple[int, ...]]]:
+    """(beta, D) with lambda_k - lambda_0 = beta*D_k, beta > 0 and integers D_k
+    of gcd 1.  Int and Fraction entries (exact_lambdas) give them exactly, beta
+    a Fraction, by a gcd over one common denominator; floats by one
+    integer_multiples call, None where it reads no rational ratios.  Raises
+    ValueError unless there are two or more eigenvalues, all distinct."""
+    exact = all(isinstance(x, (int, Fraction)) for x in lambdas)
+    if exact:
+        den = math.lcm(*(x.denominator for x in lambdas))
+        lam = [x.numerator * (den // x.denominator) for x in lambdas]
+    else:
+        lam = np.asarray(lambdas, dtype=float).tolist()
+    if len(lam) < 2 or len(set(lam)) < len(lam):
+        raise ValueError("eigenvalues must be distinct")
+    steps = [x - lam[0] for x in lam[1:]]
+    if not exact:
+        return integer_multiples(steps)
+    g = math.gcd(*steps)
+    return Fraction(g, den), tuple(x // g for x in steps)
+
+
+def recognize_eigenvalue_form(lambdas: Sequence, n: int) -> Optional[EigenvalueForm]:
     """Decide whether lambda_k = alpha + beta*(q*k + c_k*n) for some beta > 0,
     unit q mod n, and integers c_k, reading k as the given index order.
 
-    The differences delta_k = lambda_k - lambda_0 must be integer multiples of
-    a common positive beta (rational-ratio reconstruction, denominators up to
-    10^6), with multiples congruent to q*k mod n.  alpha is normalized into
-    [0, beta*n) by absorbing whole periods into c_0; q is the smallest
-    positive representative.  Returns None when no such witness exists.
+    beta and D_k = (lambda_k - lambda_0)/beta come from eigenvalue_steps, and
+    D_k must be congruent to q*k mod n.  alpha is normalized into [0, beta*n)
+    by absorbing whole periods into c_0; q is the smallest positive
+    representative.  None when no such witness exists.
     """
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.shape != (n,):
-        raise ValueError("expected %d eigenvalues, got shape %s" % (n, lam.shape))
-    if len(set(lam.tolist())) != n:
-        raise ValueError("eigenvalues must be distinct")
-    if n == 1:
-        c0 = math.floor(lam[0])
-        return EigenvalueForm(alpha=lam[0] - c0, beta=1.0, q=1, c=(c0,))
-    deltas = lam[1:] - lam[0]
-    structure = integer_multiples(list(deltas))
+    if len(lambdas) != n:
+        raise ValueError("expected %d eigenvalues, got %d" % (n, len(lambdas)))
+    structure = eigenvalue_steps(lambdas) if n > 1 else (1, ())
     if structure is None:
         return None
     beta, m = structure
-    q = m[0] % n
-    if q == 0 or math.gcd(q, n) != 1:
+    q = m[0] % n if m else 1
+    if math.gcd(q, n) != 1 or any((d - q * k) % n for k, d in enumerate(m, 1)):
         return None
-    for k in range(1, n):
-        if (m[k - 1] - q * k) % n != 0:
-            return None
-    bn = beta * n
-    ratio = lam[0] / bn
-    c0 = math.floor(ratio)
-    if ratio - c0 > 1 - 1e-9:
-        c0 += 1
-    alpha = lam[0] - bn * c0
-    c = [c0] + [(m[k - 1] - q * k) // n + c0 for k in range(1, n)]
-    for k in range(n):
-        if abs(alpha + beta * (q * k + c[k] * n) - lam[k]) > RECOGNIZER_TOL:
-            return None
-    return EigenvalueForm(alpha=float(alpha), beta=float(beta), q=int(q), c=tuple(c))
+    c0, alpha = divmod(lambdas[0], beta * n)
+    c = [int(c0)] + [int(c0) + (d - q * k) // n for k, d in enumerate(m, 1)]
+    return EigenvalueForm(alpha=alpha, beta=beta, q=q, c=tuple(c))

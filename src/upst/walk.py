@@ -16,8 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import CirculantSpec, HermitianGraph
-from .ratios import integer_multiples
-from .spectra import UNITARITY_TOL, EigenSystem, canonicalize, is_type_ii
+from .spectra import UNITARITY_TOL, EigenSystem, canonicalize, eigenvalue_steps, is_type_ii
 
 PST_ENTRY_TOL = 1e-9
 TIME_AGREEMENT_TOL = 1e-8
@@ -89,8 +88,8 @@ def analytic_pst_times(es: EigenSystem) -> tuple[Optional[np.ndarray], Optional[
     s_w is checked on every k to TIME_AGREEMENT_TOL, and r_wk rounds exactly
     on a passing row while q TIME_AGREEMENT_TOL < pi and q max|D| < 2^53.
     Outside that range, as for irrational ratios, both are None; times is None
-    when a row fails.  Raises ValueError on a tie with lambda_0 or on n < 2."""
-    structure = integer_multiples(list(es.lambdas[1:] - es.lambdas[0]))
+    when a row fails.  Raises ValueError on any repeated eigenvalue or n < 2."""
+    structure = eigenvalue_steps(es.exact_lambdas or es.lambdas)
     if structure is None:
         return None, None
     beta, multiples = structure
@@ -105,7 +104,7 @@ def analytic_pst_times(es: EigenSystem) -> tuple[Optional[np.ndarray], Optional[
     s = (start + (r * _bezout_mod(multiples, q) % q).sum(axis=1) % q) / q
     miss = s[:, np.newaxis] * big_d - rho
     miss = TWO_PI * np.abs(miss - np.rint(miss)).max(axis=1)
-    times = TWO_PI / beta * np.concatenate(([1.0], s))
+    times = TWO_PI / float(beta) * np.concatenate(([1.0], s))
     return (times if np.all(miss <= TIME_AGREEMENT_TOL) else None), float(miss.max())
 
 

@@ -54,8 +54,8 @@ def test_parity_corpus_prints_one_line_per_run():
     assert len(exact) == 60
     assert sum(line["exact_lambdas"] is None for line in exact) == 1
     forms = [line["form"] for line in exact]
-    assert sum(isinstance(form, dict) for form in forms) == 57
-    assert forms.count("eigenvalues must be distinct") == 2
+    assert sum(isinstance(form, dict) for form in forms) == 58
+    assert forms.count("eigenvalues must be distinct") == 1
 
 
 def parity_lines():
@@ -78,13 +78,16 @@ def compare(tmp_path, old, new):
         paths.append(tmp_path / name)
         paths[-1].write_text("".join(json.dumps(line) + "\n" for line in lines))
     proc = run_script("parity_compare.py", *map(str, paths))
-    rows = {line.split()[0]: line.split()[1:] for line in proc.stdout.splitlines()[2:]}
-    return proc.returncode, rows
+    lines = proc.stdout.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith("field"))
+    rows = {line.split()[0]: line.split()[1:] for line in lines[header + 1:]}
+    return proc.returncode, rows, [line.split(": ", 1)[1] for line in lines[1:header]]
 
 
 def test_parity_compare_passes_a_file_against_itself(tmp_path):
-    code, rows = compare(tmp_path, parity_lines(), parity_lines())
+    code, rows, names = compare(tmp_path, parity_lines(), parity_lines())
     assert code == 0
+    assert names == []
     assert rows["min_times"] == ["0", "0"]
     assert all(row[0] == "0" for row in rows.values())
 
@@ -92,7 +95,7 @@ def test_parity_compare_passes_a_file_against_itself(tmp_path):
 def test_parity_compare_passes_and_measures_a_last_bit_change(tmp_path):
     new = parity_lines()
     new[0]["min_times"][1] = float.hex(math.nextafter(1.5, 2))
-    code, rows = compare(tmp_path, parity_lines(), new)
+    code, rows, _ = compare(tmp_path, parity_lines(), new)
     assert code == 0
     assert rows["min_times"] == ["1", "%.3g" % 2.0**-52]
     assert rows["upst"] == ["0", "0"]
@@ -101,7 +104,7 @@ def test_parity_compare_passes_and_measures_a_last_bit_change(tmp_path):
 def test_parity_compare_fails_on_a_flipped_verdict_or_any_exact_change(tmp_path):
     new = parity_lines()
     new[0]["upst"] = False
-    code, rows = compare(tmp_path, parity_lines(), new)
+    code, rows, _ = compare(tmp_path, parity_lines(), new)
     assert code == 1
     assert rows["upst"] == ["1", "-"]
     new = parity_lines()
@@ -109,6 +112,17 @@ def test_parity_compare_fails_on_a_flipped_verdict_or_any_exact_change(tmp_path)
     assert compare(tmp_path, parity_lines(), new)[0] == 1
     new = parity_lines()
     new[0]["min_times"][2] = float.hex(1.0)
-    code, rows = compare(tmp_path, parity_lines(), new)
+    code, rows, _ = compare(tmp_path, parity_lines(), new)
     assert code == 0
     assert rows["min_times"] == ["1", "inf"]
+
+
+def test_parity_compare_names_every_differing_exact_line(tmp_path):
+    old = parity_lines() + [dict(parity_lines()[1], input="circulant_c(8,past-int64)")]
+    new = [dict(line) for line in old]
+    new[1]["form"] = "eigenvalues must be distinct"
+    new[2]["form"] = {"q": 1}
+    code, rows, names = compare(tmp_path, old, new)
+    assert code == 1
+    assert names == ["nondense(2,3)", "circulant_c(8,past-int64)"]
+    assert rows["form"] == ["2", "-"]

@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from upst import spectra
+from upst.constructors import circulant_from_c
 from upst.cyclotomic import CycNum, euler_phi, zeta
 from upst.graph import CirculantSpec, circulant_to_graph, with_diagonal_shift
-from upst.ratios import integer_multiples
+from upst.ratios import RATIO_REL_TOL, integer_multiples
 from upst.spectra import (
     canonicalize,
     circulant_eigensystem,
     eigensystem_for,
+    eigenvalue_steps,
     fourier_matrix,
     is_type_ii,
     numerical_eigensystem,
@@ -25,6 +27,16 @@ from upst.spectra import (
 )
 
 ROOT3 = math.sqrt(3)
+CENSUS_ORDERS = (4, 6, 8, 10, 12, 16, 24, 32, 48, 64)
+
+
+def census():
+    """(n, exact eigensystem) of two seeded circulant_from_c per census order,
+    entries of c in [-9, 9]."""
+    rng = np.random.default_rng(7)
+    for n in CENSUS_ORDERS * 2:
+        c = [int(v) for v in rng.integers(-9, 10, size=n)]
+        yield n, circulant_eigensystem(circulant_from_c(n, c))
 
 
 # ---------------------------------------------------------------- fourier
@@ -324,6 +336,50 @@ def test_integer_multiples_single_value():
     assert abs(beta - 5.0) < 1e-12 and m == (1,)
 
 
+# ------------------------------------------------------- eigenvalue steps
+
+def test_eigenvalue_steps_exact_and_float_agree_on_the_census():
+    for n, es in census():
+        beta, d = eigenvalue_steps(es.exact_lambdas)
+        float_beta, float_d = eigenvalue_steps(es.lambdas)
+        assert isinstance(beta, Fraction)
+        assert d == float_d, n
+        assert abs(float(beta) - float_beta) <= RATIO_REL_TOL * float_beta
+
+
+def test_eigenvalue_steps_past_int64_is_exact():
+    # the float eigenvalues (about 2^64) round onto each other; the exact
+    # ones are distinct and their steps come out exactly
+    c = [2**61 - 1, -(2**61), 2**61 - 3, 5, -(2**61) + 7, 0, 2**60, -1]
+    es = circulant_eigensystem(circulant_from_c(8, c))
+    beta, d = eigenvalue_steps(es.exact_lambdas)
+    lam = es.exact_lambdas
+    assert [beta * dk for dk in d] == [x - lam[0] for x in lam[1:]]
+    with pytest.raises(ValueError, match="distinct"):
+        eigenvalue_steps(es.lambdas)
+
+
+@pytest.mark.parametrize("lambdas", [[0.0, 1.0, 1.0], (0, 1, 1), (Fraction(1, 2),), [3.0], ()])
+def test_eigenvalue_steps_needs_two_distinct_eigenvalues(lambdas):
+    # a tie away from lambda_0 is refused as well, on both branches
+    with pytest.raises(ValueError, match="eigenvalues must be distinct"):
+        eigenvalue_steps(lambdas)
+
+
+bounded_fractions = st.fractions(max_denominator=10**4).filter(lambda x: abs(x) <= 10**4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(bounded_fractions, min_size=2, max_size=12, unique=True),
+       scale=bounded_fractions.filter(lambda x: x > 0))
+def test_eigenvalue_steps_recovers_coprime_signed_steps(values, scale):
+    lam = tuple(scale * x for x in values)
+    beta, d = eigenvalue_steps(lam)
+    assert beta > 0 and math.gcd(*d) == 1
+    assert [beta * dk for dk in d] == [x - lam[0] for x in lam[1:]]
+    assert [dk > 0 for dk in d] == [x > values[0] for x in values[1:]]
+
+
 # ------------------------------------------------------------- recognizer
 
 def test_recognizer_accepts_integer_progression_with_wraparound():
@@ -384,3 +440,24 @@ def test_recognizer_verdict_invariant_under_affine_rescaling():
         )
         assert np.max(np.abs(reproduced - (offset + scale * accepted))) < 1e-6
         assert recognize_eigenvalue_form(offset + scale * rejected, 3) is None
+
+
+def test_recognizer_reads_eigh_eigenvalues_of_a_wide_circulant():
+    # eigh's lambda of Circ(c = (0, 0, 2000)) carry beta = 1 + 2.3e-13, which
+    # the recognizer takes from eigenvalue_steps like the analytic times do
+    graph = circulant_to_graph(circulant_from_c(3, [0, 0, 2000]))
+    form = recognize_eigenvalue_form(numerical_eigensystem(graph.adjacency).lambdas, 3)
+    assert form is not None
+    assert form.q == 1
+    assert form.c == (-667, -667, 1333)
+
+
+def test_recognizer_witness_is_exact_on_exact_eigenvalues():
+    for n, es in census():
+        form = recognize_eigenvalue_form(es.exact_lambdas, n)
+        assert form is not None, n
+        assert 0 <= form.alpha < form.beta * n
+        assert all(form.alpha + form.beta * (form.q * k + form.c[k] * n) == lam
+                   for k, lam in enumerate(es.exact_lambdas))
+        float_form = recognize_eigenvalue_form(es.lambdas, n)
+        assert (float_form.q, float_form.c) == (form.q, form.c), n

@@ -75,11 +75,11 @@ def scalar_spec(n=3, value=Fraction(3, 2)):
 
 
 def return_period(es):
-    """The least P > 0 with every (lambda_k - lambda_0) P a multiple of 2 pi,
-    from one rational reconstruction of the gaps; analytic_pst_times(es)
-    gives it as t_0 when every row has a time."""
-    beta, _ = ratios.integer_multiples(list(es.lambdas[1:] - es.lambdas[0]))
-    return TWO_PI / beta
+    """The least P > 0 with every (lambda_k - lambda_0) P a multiple of 2 pi:
+    2 pi / beta from eigenvalue_steps on the eigenvalues analytic_pst_times(es)
+    reads, which gives P as t_0 when every row has a time."""
+    beta, _ = spectra.eigenvalue_steps(es.exact_lambdas or es.lambdas)
+    return TWO_PI / float(beta)
 
 
 def scan_grid(es, density=1):
@@ -171,6 +171,15 @@ def test_return_period_integer_spectrum(nd6):
 def test_return_period_missing_for_incommensurable_gaps():
     times, _ = analytic_pst_times(irrational_eigensystem())
     assert times is None
+
+
+def test_eigenvalue_steps_exact_and_float_agree_on_the_ladder():
+    for rung in LADDER:
+        es = noncirculant_graph(NoncirculantParams(*rung))[1]
+        beta, d = spectra.eigenvalue_steps(es.exact_lambdas)
+        float_beta, float_d = spectra.eigenvalue_steps(es.lambdas)
+        assert d == float_d, rung
+        assert abs(float(beta) - float_beta) <= ratios.RATIO_REL_TOL * float_beta
 
 
 # ----------------------------------------------------------- analytic times
@@ -1072,24 +1081,29 @@ def test_inconsistent_rows_report_their_residual():
 
 
 def test_verify_tests_flatness_and_recovers_the_ratios_once(monkeypatch, circ3):
-    # one flatness test, one analytic solve and one rational reconstruction
-    # per verify_upst, wherever the functions are bound
+    # one flatness test, one analytic solve and one eigenvalue_steps per
+    # verify_upst, wherever the functions are bound; the float reconstruction
+    # runs only without exact_lambdas: circ3's eigenvalues 0, +-sqrt(3) are
+    # irrational, and eigh gives none
     calls = []
     for module, name in ((walk, "is_type_ii"), (spectra, "is_type_ii"),
                          (walk, "analytic_pst_times"),
-                         (walk, "integer_multiples"), (spectra, "integer_multiples"),
-                         (ratios, "integer_multiples")):
+                         (walk, "eigenvalue_steps"), (spectra, "eigenvalue_steps"),
+                         (spectra, "integer_multiples"), (ratios, "integer_multiples")):
         def counted(*args, real=getattr(module, name), name=name):
             calls.append(name)
             return real(*args)
         monkeypatch.setattr(module, name, counted)
     graph, es = noncirculant_graph(NoncirculantParams(4, 4, 2))
     nd6 = circulant_to_graph(nondense_circulant(2, 3))
-    for graph, es in ((circulant_to_graph(circ3), es3(circ3)), (graph, es),
-                      (nd6, numerical_eigensystem(nd6.adjacency))):
+    exact = ["analytic_pst_times", "eigenvalue_steps", "is_type_ii"]
+    floats = sorted(exact + ["integer_multiples"])
+    for graph, es, expected in ((graph, es, exact), (nd6, circulant_eigensystem(nd6.spec), exact),
+                                (circulant_to_graph(circ3), es3(circ3), floats),
+                                (nd6, numerical_eigensystem(nd6.adjacency), floats)):
         calls.clear()
         assert verify_upst(graph, es).upst is True
-        assert sorted(calls) == ["analytic_pst_times", "integer_multiples", "is_type_ii"]
+        assert sorted(calls) == expected
 
 
 def test_certification_rejects_repeated_eigenvalues():
