@@ -10,7 +10,8 @@ input's name and route, the verdict fields, the class and grid counts,
 row_residual_max, and the time and phase tables with every float written by
 float.hex, so equal lines mean bit-identical reports.  Each exact line (route
 "exact") holds the sha256 of the spec's JSON, the exact eigenvalues as "p/q"
-strings (null when one is irrational), the float eigenvalues in float.hex and
+strings (null when one is irrational), the offset tr(A)/n as "p/q" where it is
+not 0, the centred float eigenvalues (eigenvalue minus offset) in float.hex and
 the recognizer's witness on the exact eigenvalues, or on the float ones when
 there are none: recognize_eigenvalue_form's alpha and beta in float.hex with q
 and c, null when it finds none, or its error message when it refuses the input
@@ -19,7 +20,8 @@ and c, null when it finds none, or its error message when it refuses the input
 The corpus: the flat ladder's 17 rungs and flat(16,16,2), each as built and
 relabelled and rephased with seeds 1 and 2; two seeded circulant_c for each
 n = 3..12; nondense (2,3), (2,5), (3,5) and (2,7); the two wide-spread
-circulants; G_2, G_4, G_6 and G_8; nondense(2,3) shifted by 10^5 .. 10^10;
+circulants; G_2, G_4, G_6 and G_8; nondense(2,3) shifted by 10^5 .. 10^10 and by
+2^33 + 1/3;
 and the edge inputs (an irrational spectrum, the 2.02 near miss, F_4 with
 lambda = (0, 1, 3, 2), a repeated spectrum, nondense(2,3) with one eigenvalue
 moved by 1e-9 sqrt(2), and the oriented 5-cycle).  Each runs on the route it
@@ -78,7 +80,7 @@ LADDER = (
 
 def from_eigensystem(es):
     """The graph X diag(lambda) X^dagger of a hand-made eigensystem."""
-    a = (es.X * es.lambdas) @ es.X.conj().T
+    a = (es.X * es.eigenvalues) @ es.X.conj().T
     return HermitianGraph(es.n, (a + a.conj().T) / 2)
 
 
@@ -86,7 +88,8 @@ def relabelled(es, seed):
     """es with vertices permuted and random eigenvector phases."""
     rng = np.random.default_rng(seed)
     x = es.X[rng.permutation(es.n), :] * np.exp(1j * rng.uniform(0, 2 * math.pi, size=es.n))
-    return EigenSystem(n=es.n, X=x, lambdas=es.lambdas, exact_lambdas=es.exact_lambdas)
+    return EigenSystem(n=es.n, X=x, lambdas=es.lambdas, exact_lambdas=es.exact_lambdas,
+                       offset=es.offset)
 
 
 def circulant(spec):
@@ -115,6 +118,8 @@ def corpus():
     for exponent in range(5, 11):
         spec = with_diagonal_shift(nondense_circulant(2, 3), Fraction(10**exponent))
         yield "nondense(2,3)+1e%d" % exponent, *circulant(spec), True
+    spec = with_diagonal_shift(nondense_circulant(2, 3), 2**33 + Fraction(1, 3))
+    yield "nondense(2,3)+2^33+1/3", *circulant(spec), True
     f3 = fourier_matrix(3)
     for name, es in (
         ("irrational", EigenSystem(3, f3, np.array([0.0, 1.0, math.sqrt(2)]))),
@@ -194,7 +199,7 @@ def form_record(lambdas, n):
 def exact_record(name, spec):
     es = circulant_eigensystem(spec)
     blob = json.dumps(spec.to_json_dict(), sort_keys=True).encode()
-    return {
+    line = {
         "input": name,
         "route": "exact",
         "spec_sha256": hashlib.sha256(blob).hexdigest(),
@@ -203,6 +208,9 @@ def exact_record(name, spec):
         "lambdas": hex_table(es.lambdas),
         "form": form_record(es.exact_lambdas or es.lambdas, spec.n),
     }
+    if es.offset:
+        line["offset"] = "%d/%d" % (es.offset.numerator, es.offset.denominator)
+    return line
 
 
 def main() -> int:

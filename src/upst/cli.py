@@ -87,7 +87,7 @@ def build_from_descriptor(
 
     Returns (graph, eigensystem, descriptor-with-shift-recorded).  Circulant
     shifts stay exact in the spec; the non-circulant family shifts the float
-    matrix and the exact eigenvalue list.
+    matrix, the offset and the exact eigenvalue list.
     """
     family = desc.get("family")
     if family not in FAMILIES:
@@ -111,7 +111,7 @@ def build_from_descriptor(
             graph, es = noncirculant_graph(params)
             if shift is not None:
                 graph = HermitianGraph(params.n, graph.adjacency + float(shift) * np.eye(params.n))
-                es = dataclasses.replace(es, lambdas=es.lambdas + float(shift),
+                es = dataclasses.replace(es, offset=es.offset + shift,
                                          exact_lambdas=tuple(v + shift for v in es.exact_lambdas))
     except ValueError as exc:
         raise InputError(str(exc)) from exc

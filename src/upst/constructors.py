@@ -79,10 +79,8 @@ def _flat_assembly(
     adj = (x * lambdas) @ x.conj().T
     adj = (adj + adj.conj().T) / 2
     graph = HermitianGraph(n=n, adjacency=adj)
-    es = EigenSystem(
-        n=n, X=x, lambdas=lambdas, exact_lambdas=tuple(Fraction(v) for v in eigens)
-    )
-    return graph, es
+    offset = Fraction(sum(eigens), n)
+    return graph, EigenSystem(n, x, lambdas - float(offset), tuple(map(Fraction, eigens)), offset)
 
 
 def noncirculant_graph(params: NoncirculantParams) -> tuple[HermitianGraph, EigenSystem]:

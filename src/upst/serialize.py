@@ -52,7 +52,7 @@ def matrix_from_json(data) -> np.ndarray:
 def eigensystem_to_json(es: EigenSystem) -> dict:
     return {
         "X": matrix_to_json(es.X),
-        "lambdas": [float(v) for v in es.lambdas],
+        "lambdas": es.eigenvalues.tolist(),
         "exact_lambdas": None
         if es.exact_lambdas is None
         else [rational_to_json(v) for v in es.exact_lambdas],
@@ -63,7 +63,7 @@ def eigensystem_from_json(data: dict) -> EigenSystem:
     """errors: ValueError unless X is n x n, lambdas (and exact_lambdas, if
     present) have length n, every entry is finite, every X and lambdas entry
     is a JSON number and every exact_lambdas entry is a pair of JSON
-    integers."""
+    integers.  The stored lambdas are centred by their mean, the offset."""
     x = matrix_from_json(data["X"])
     n = x.shape[0]
     lambdas = np.array([real_from_json(v) for v in data["lambdas"]], dtype=float)
@@ -76,7 +76,8 @@ def eigensystem_from_json(data: dict) -> EigenSystem:
             raise ValueError("eigensystem has %d %s for n = %d" % (len(values), name, n))
     if not (np.all(np.isfinite(x.view(float))) and np.all(np.isfinite(lambdas))):
         raise ValueError("eigensystem contains non-finite entries")
-    return EigenSystem(n=n, X=x, lambdas=lambdas, exact_lambdas=exact_lambdas)
+    offset = float(np.mean(lambdas))
+    return EigenSystem(n, x, lambdas - offset, exact_lambdas, offset)
 
 
 def graph_to_json(
@@ -180,10 +181,9 @@ def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem, Optional[dict]]:
                 "matrix does not match its circulant data (max deviation %.3e)" % deviation
             )
     if stored_es is not None:
-        residual = float(
-            np.max(np.abs(graph.adjacency @ stored_es.X - stored_es.X * stored_es.lambdas))
-        )
-        scale = max(1.0, float(np.max(np.abs(stored_es.lambdas))))
+        lam = stored_es.eigenvalues
+        residual = float(np.max(np.abs(graph.adjacency @ stored_es.X - stored_es.X * lam)))
+        scale = max(1.0, float(np.max(np.abs(lam))))
         if not residual <= EIGEN_RESIDUAL_TOL * scale:
             raise ValueError(
                 "stored eigensystem does not diagonalize the matrix (residual %.3e)" % residual

@@ -22,17 +22,22 @@ ZERO_SUM_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Unitary diagonalizer X with eigenvalue k attached to column k.
+    """Unitary diagonalizer X with eigenvalue k = offset + lambdas[k] on column k.
 
-    For circulants X is the Fourier matrix and the ordering is the Fourier
-    index; eigenvalues are never sorted.  exact_lambdas is present when every
-    eigenvalue is rational.
-    """
+    Eigensolves set offset = tr(A)/n, exact where the data are (0 for an
+    irrational a_0), and centre lambdas.  For circulants X is the Fourier
+    matrix, in Fourier order; eigenvalues are never sorted.  exact_lambdas
+    (absolute) is present when every eigenvalue is rational."""
 
     n: int
     X: np.ndarray
     lambdas: np.ndarray
     exact_lambdas: Optional[tuple[Fraction, ...]] = None
+    offset: float | Fraction = 0
+
+    @property
+    def eigenvalues(self) -> np.ndarray:  # absolute, as floats
+        return float(self.offset) + self.lambdas
 
 
 @dataclass(frozen=True)
@@ -63,12 +68,16 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
     in blocks of <= 2^16 entries (bounded memory); cyc_from_exponent_rows reduces it.
     """
     n = spec.n
+    a0 = spec.a[0]
+    offset = 0 if a0.is_zero() or not a0.is_rational() else a0.as_fraction()
     lcond = math.lcm(spec.conductor, n)
     den = math.lcm(*(x.den for x in spec.a))
     scaled = [[c * (den // x.den) for c in x.num] for x in spec.a]
     # |V| <= sum_j max|A[j]| bounds every partial sum of the gather
     a = np.zeros((n, lcond), dtype=exact_int_dtype(sum(max(map(abs, r)) for r in scaled)))
     a[:, :: lcond // spec.conductor][:, : len(scaled[0])] = scaled
+    if offset:  # a rational a_0 is the offset: V holds lambda_k - a_0
+        a[0] = 0
     a = np.hstack([a, a])
     windows = as_strided(a, (n, lcond + 1, lcond), a.strides + a.strides[1:], writeable=False)
     j = np.arange(n)[:, np.newaxis]
@@ -84,8 +93,9 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
             )
     lambdas = np.array([x.embed().real for x in exact])
     rational = all(x.is_rational() for x in exact)
-    exact_lambdas = tuple(x.as_fraction() for x in exact) if rational else None
-    return EigenSystem(n=n, X=fourier_matrix(n), lambdas=lambdas, exact_lambdas=exact_lambdas)
+    exact_lambdas = tuple(x.as_fraction() + offset if offset else x.as_fraction()
+                          for x in exact) if rational else None
+    return EigenSystem(n, fourier_matrix(n), lambdas, exact_lambdas, offset)
 
 
 def eigensystem_for(graph: HermitianGraph) -> EigenSystem:
@@ -96,17 +106,14 @@ def eigensystem_for(graph: HermitianGraph) -> EigenSystem:
 
 
 def numerical_eigensystem(matrix: np.ndarray) -> EigenSystem:
-    """Dense Hermitian eigensolve (ascending eigenvalues).
-
-    Plumbing for matrix-only inputs and for cross-checking the exact route;
-    circulants should go through circulant_eigensystem instead.  eigh runs on
-    A - mean(diag A) I, whose eigenvalue errors scale with the spread rather
-    than a large diagonal shift; the mean is added back to the eigenvalues.
-    """
+    """Dense Hermitian eigensolve (ascending eigenvalues) of A - mean(diag A) I,
+    whose eigenvalue errors scale with the spread rather than a large diagonal
+    shift; the mean is the offset.  Plumbing for matrix-only inputs and for
+    cross-checking the exact route; circulants go through circulant_eigensystem."""
     m = np.asarray(matrix, dtype=complex)
     shift = float(np.mean(m.diagonal().real))
     lambdas, x = np.linalg.eigh(m - shift * np.eye(m.shape[0]))
-    return EigenSystem(n=m.shape[0], X=x, lambdas=lambdas + shift)
+    return EigenSystem(n=m.shape[0], X=x, lambdas=lambdas, offset=shift)
 
 
 def is_type_ii(matrix: np.ndarray) -> bool:

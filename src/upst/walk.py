@@ -61,7 +61,7 @@ class TransferReport:
 
 def unitary_at(es: EigenSystem, t: float) -> np.ndarray:
     """The walk operator X diag(exp(-i lambda_k t)) X^dagger."""
-    phases = np.exp(-1j * es.lambdas * t)
+    phases = np.exp(-1j * es.eigenvalues * t)
     return (es.X * phases) @ es.X.conj().T
 
 
@@ -78,7 +78,9 @@ def _bezout_mod(d: Sequence[int], q: int) -> list[int]:
     return [y * t % q for y, t in zip(ys, reversed(list(tails)))]
 
 
-def analytic_pst_times(es: EigenSystem) -> tuple[Optional[np.ndarray], Optional[float]]:
+def analytic_pst_times(
+    es: EigenSystem, structure: Optional[tuple]
+) -> tuple[Optional[np.ndarray], Optional[float]]:
     """(times, row_residual): the transfer times t_w = s_w P from vertex 0
     (see transfer_table), t_0 = P, and the largest over rows w >= 1 of max_k
     |s_w D_k - rho_wk| in angle (mod 2 pi), rho the phases of canonicalize(X).
@@ -87,9 +89,8 @@ def analytic_pst_times(es: EigenSystem) -> tuple[Optional[np.ndarray], Optional[
     the one j with j D_k = r_wk = q rho_wk - start_w D_k (mod q) on every k;
     s_w is checked on every k to TIME_AGREEMENT_TOL, and r_wk rounds exactly
     on a passing row while q TIME_AGREEMENT_TOL < pi and q max|D| < 2^53.
-    Outside that range, as for irrational ratios, both are None; times is None
-    when a row fails.  Raises ValueError on any repeated eigenvalue or n < 2."""
-    structure = eigenvalue_steps(es.exact_lambdas or es.lambdas)
+    structure is es's eigenvalue_steps (beta, D), P = 2 pi/beta; for None, as
+    outside that range, both are None; times is None when a row fails."""
     if structure is None:
         return None, None
     beta, multiples = structure
@@ -424,13 +425,12 @@ def scan_min_times(
     one verify_upst has gated: n >= 2 distinct eigenvalues.
     """
     n = es.n
-    lam = es.lambdas
     nsteps = max(0, int(math.ceil(horizon / step)))
     diagnostics = {"grid_step": float(step), "horizon": float(horizon), "grid_points": nsteps}
     diagnostics.update(dict.fromkeys((
         "classes", "members", "member_rescans", "pair_time_products", "f64_hits",
         "clusters", "newton_rows", "bisect_rows"), 0))
-    x, d = es.X, lam - lam[0]
+    x, d = es.X, es.lambdas - es.lambdas[0]
     row_times = np.asarray(row_times, dtype=float)
     first, run, bound, omega = _row_classes(x, d, row_times)
     y = x * omega
@@ -457,7 +457,7 @@ def scan_min_times(
             x, rescan, d, nsteps, step, diagnostics)
     min_times, phases = flat_times.reshape(n, n), flat_phases.reshape(n, n)
     seen = ~np.isnan(min_times)
-    phases[seen] *= np.exp(-1j * lam[0] * min_times[seen])
+    phases[seen] *= np.exp(-1j * es.eigenvalues[0] * min_times[seen])
     diagnostics.update(classes=first.size + rescan.size, member_rescans=rescan.size,
                        members=int(np.count_nonzero(ok)))
     diagnostics["margin_min"] = max(0.0, float(np.min(1 - np.abs(phases[seen]), initial=1)))
@@ -492,9 +492,9 @@ def denseness_check(spec: CirculantSpec) -> tuple[bool, tuple[int, ...]]:
 def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     """Certify universal perfect state transfer.
 
-    Pipeline: eigenvalue distinctness (exact_lambdas decide where the float
-    gap gate refuses) -> flat diagonalizer -> analytic transfer times -> full
-    scan, which also confirms the table.
+    Pipeline: distinct eigenvalues (one eigenvalue_steps gives (beta, D); floats
+    alone must also pass the gap gate) -> flat diagonalizer -> analytic
+    transfer times -> full scan, which also confirms the table.
     upst is True only when the analytic solution exists, the walk operator
     confirms all n^2 times of transfer_table (confirm_margin <= PST_ENTRY_TOL:
     one GEMM off the diagonal, U(P)[w][w] on it; see scan_min_times), the
@@ -522,13 +522,16 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
                               upst=False, reasons=(reason,), dense=dense,
                               diagnostics=diagnostics)
 
-    gap = float(np.min(np.diff(np.sort(es.lambdas)))) if n > 1 else 0.0
-    if gap == 0 or (gap <= DEGENERACY_TOL * max(1.0, np.max(np.abs(es.lambdas)))
-                    and (es.exact_lambdas is None or len(set(es.exact_lambdas)) < n)):
+    try:
+        structure = eigenvalue_steps(es.exact_lambdas or es.lambdas)
+    except ValueError:
+        return failed("degenerate-spectrum")
+    gap = float(np.min(np.diff(np.sort(es.lambdas))))
+    if es.exact_lambdas is None and gap <= DEGENERACY_TOL * max(1.0, np.max(np.abs(es.lambdas))):
         return failed("degenerate-spectrum")
     if not is_type_ii(es.X):
         return failed("diagonalizer-not-flat")
-    times, residual = analytic_pst_times(es)
+    times, residual = analytic_pst_times(es, structure)
     solve = {"row_residual_max": residual}
     if times is None:
         return failed("no-consistent-times", solve)

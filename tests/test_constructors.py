@@ -64,7 +64,7 @@ def test_flat_family_2_2_2():
     assert g.n == 4
     assert es.exact_lambdas == (0, 1, 4, 5)
     assert is_type_ii(es.X)
-    residual = g.adjacency @ es.X - es.X * es.lambdas
+    residual = g.adjacency @ es.X - es.X * es.eigenvalues
     assert np.max(np.abs(residual)) < 1e-9
 
 

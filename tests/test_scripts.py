@@ -45,16 +45,19 @@ def test_parity_corpus_prints_one_line_per_run():
     proc = run_script("parity_corpus.py")
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(lines) == 215
-    assert len({(line["input"], line["route"]) for line in lines}) == 215
+    assert len(lines) == 218
+    assert len({(line["input"], line["route"]) for line in lines}) == 218
     runs = [line for line in lines if line["route"] != "exact"]
-    assert len(runs) == 155
-    assert sum(run["upst"] is True for run in runs) == 142
+    assert len(runs) == 157
+    assert sum(run["upst"] is True for run in runs) == 145
     exact = [line for line in lines if line["route"] == "exact"]
-    assert len(exact) == 60
+    assert len(exact) == 61
     assert sum(line["exact_lambdas"] is None for line in exact) == 1
+    # the offset is recorded where it is not 0: the shifted nondense(2,3),
+    # the scalar spectrum and the promoted spec
+    assert sum("offset" in line for line in exact) == 9
     forms = [line["form"] for line in exact]
-    assert sum(isinstance(form, dict) for form in forms) == 58
+    assert sum(isinstance(form, dict) for form in forms) == 59
     assert forms.count("eigenvalues must be distinct") == 1
 
 

@@ -76,10 +76,16 @@ def scalar_spec(n=3, value=Fraction(3, 2)):
 
 def return_period(es):
     """The least P > 0 with every (lambda_k - lambda_0) P a multiple of 2 pi:
-    2 pi / beta from eigenvalue_steps on the eigenvalues analytic_pst_times(es)
+    2 pi / beta from eigenvalue_steps on the eigenvalues analytic(es)
     reads, which gives P as t_0 when every row has a time."""
     beta, _ = spectra.eigenvalue_steps(es.exact_lambdas or es.lambdas)
     return TWO_PI / float(beta)
+
+
+def analytic(es):
+    """analytic_pst_times on the structure verify_upst hands it: one
+    eigenvalue_steps on exact_lambdas, else on the floats."""
+    return analytic_pst_times(es, spectra.eigenvalue_steps(es.exact_lambdas or es.lambdas))
 
 
 def scan_grid(es, density=1):
@@ -94,7 +100,7 @@ def scan_grid(es, density=1):
 def row_times(es):
     """verify_upst's row times: the analytic times, or the return period on
     every row where there are none."""
-    times = analytic_pst_times(es)[0]
+    times = analytic(es)[0]
     return np.full(es.n, return_period(es)) if times is None else times
 
 
@@ -159,17 +165,17 @@ def test_theorem_family_transfer_at_pi_over_6():
 
 def test_return_period_order3(circ3):
     # the return period P is the row-0 time t_0
-    period = analytic_pst_times(es3(circ3))[0][0]
+    period = analytic(es3(circ3))[0][0]
     assert abs(period - 3 * T01) < 1e-12
 
 
 def test_return_period_integer_spectrum(nd6):
-    period = analytic_pst_times(circulant_eigensystem(nd6))[0][0]
+    period = analytic(circulant_eigensystem(nd6))[0][0]
     assert abs(period - TWO_PI) < 1e-12
 
 
 def test_return_period_missing_for_incommensurable_gaps():
-    times, _ = analytic_pst_times(irrational_eigensystem())
+    times, _ = analytic(irrational_eigensystem())
     assert times is None
 
 
@@ -185,14 +191,14 @@ def test_eigenvalue_steps_exact_and_float_agree_on_the_ladder():
 # ----------------------------------------------------------- analytic times
 
 def test_analytic_times_order3(circ3):
-    times, residual = analytic_pst_times(es3(circ3))
+    times, residual = analytic(es3(circ3))
     expected = np.array([3 * T01, T01, 2 * T01])
     assert np.max(np.abs(times - expected)) < 1e-12
     assert residual <= TIME_AGREEMENT_TOL
 
 
 def test_analytic_times_nondense6(nd6):
-    times, residual = analytic_pst_times(circulant_eigensystem(nd6))
+    times, residual = analytic(circulant_eigensystem(nd6))
     expected = np.array([TWO_PI] + [2 * math.pi * l / 6 for l in range(1, 6)])
     assert np.max(np.abs(times - expected)) < 1e-12
     assert residual <= TIME_AGREEMENT_TOL
@@ -203,7 +209,7 @@ def test_analytic_times_follow_theta_progression():
     for a, b, beta in ((2, 2, 2), (3, 2, 2), (2, 2, 3)):
         params = NoncirculantParams(a, b, beta)
         _, es = noncirculant_graph(params)
-        times = analytic_pst_times(es)[0]
+        times = analytic(es)[0]
         n = params.n
         base = TWO_PI / (beta * n)
         expected = [base * theta(a, beta, j) for j in range(n)]
@@ -213,7 +219,7 @@ def test_analytic_times_follow_theta_progression():
 
 def test_analytic_times_absent_for_incommensurable_gaps():
     # no return period, so neither times nor a row residual
-    assert analytic_pst_times(irrational_eigensystem()) == (None, None)
+    assert analytic(irrational_eigensystem()) == (None, None)
 
 
 @settings(max_examples=30, deadline=None)
@@ -243,8 +249,8 @@ def test_analytic_times_of_any_flat_x_follow_the_table(case, seed):
     perm = rng.permutation(n)
     x = base.X[perm, :] * np.exp(1j * rng.uniform(0, TWO_PI, size=n))
     x *= np.exp(1j * rng.uniform(0, TWO_PI, size=(n, 1)))
-    times = analytic_pst_times(EigenSystem(n=n, X=x, lambdas=base.lambdas))[0]
-    expected = transfer_table(analytic_pst_times(base)[0])[perm[0]][perm]
+    times = analytic(EigenSystem(n=n, X=x, lambdas=base.lambdas))[0]
+    expected = transfer_table(analytic(base)[0])[perm[0]][perm]
     assert np.max(np.abs(times - expected)) <= TIME_AGREEMENT_TOL
 
 
@@ -265,7 +271,7 @@ def test_analytic_times_solve_rows_at_the_least_multiple(c):
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        times = analytic_pst_times(es)[0]
+        times = analytic(es)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -307,7 +313,7 @@ def test_closed_form_row_solve_matches_trying_every_candidate(n, seed):
         lam = rng.choice(np.arange(-40, 41), size=n, replace=False).astype(float)
         base = EigenSystem(n, fourier_matrix(n), lam)
     es = relabelled(base, seed)
-    times, residual = analytic_pst_times(es)
+    times, residual = analytic(es)
     expected, least = candidate_times(es)
     if expected is None:
         assert times is None
@@ -353,7 +359,7 @@ def test_irrational_gaps_fail_fast_whatever_their_reconstruction(kind):
 def test_analytic_times_reject_degenerate_spectrum():
     es = EigenSystem(n=2, X=fourier_matrix(2), lambdas=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        analytic_pst_times(es)
+        analytic(es)
 
 
 # ------------------------------------------------------------------- scan
@@ -433,7 +439,7 @@ def test_scan_finds_every_analytic_time_at_wide_spread(n, seed):
     # ranges up to about 1e4, grids up to about 1e6 points
     rng = np.random.default_rng(seed)
     base = circulant_eigensystem(circulant_from_c(n, [int(v) for v in rng.integers(-1000, 1001, size=n)]))
-    times = analytic_pst_times(base)[0]
+    times = analytic(base)[0]
     perm = rng.permutation(n)
     x = base.X[perm, :] * np.exp(1j * rng.uniform(0, TWO_PI, size=n))
     report = scan(EigenSystem(n=n, X=x, lambdas=base.lambdas))
@@ -447,7 +453,7 @@ def test_scan_finds_every_analytic_time_at_wide_spread(n, seed):
 def test_grid_past_the_cap_is_refused_without_a_scan(monkeypatch):
     spec = circulant_from_c(3, [0, 0, 10**6])
     es = circulant_eigensystem(spec)
-    assert analytic_pst_times(es)[0][0] / grid_step(es) > MAX_GRID_POINTS
+    assert analytic(es)[0][0] / grid_step(es) > MAX_GRID_POINTS
 
     def no_scan(*args):
         raise AssertionError("scanned a grid past MAX_GRID_POINTS")
@@ -757,6 +763,67 @@ def test_eigh_route_certifies_a_large_diagonal_shift(shift):
     assert report.diagnostics["agreement_max"] <= TIME_AGREEMENT_TOL
 
 
+def bare_matrix(name):
+    if name == "nondense(2,3)":
+        return circulant_to_graph(nondense_circulant(2, 3)).adjacency
+    return noncirculant_graph(NoncirculantParams(4, 2, 3))[0].adjacency
+
+
+@pytest.mark.parametrize("name", ["nondense(2,3)", "flat(4,2,3)"])
+@pytest.mark.parametrize("divisor, shift", [(3, 10**4 + 1 / 3), (3, 10**6 + 1 / 3),
+                                            (1, 1e10), (1, 1e12)])
+def test_bare_matrices_certify_under_scale_and_diagonal_shift(name, divisor, shift):
+    # eigh runs on A - mean(diag A) I and keeps the mean as the offset, so the
+    # centred eigenvalues, which the gap gate, the ratios and the scan read,
+    # do not see the shift; A / divisor multiplies every time by divisor
+    a = bare_matrix(name)
+    n = a.shape[0]
+    base = verify_upst(HermitianGraph(n, a), numerical_eigensystem(a))
+    assert base.upst is True, base.reasons
+    moved = a / divisor + shift * np.eye(n)
+    report = verify_upst(HermitianGraph(n, moved), numerical_eigensystem(moved))
+    assert report.upst is True, report.reasons
+    assert np.max(np.abs(report.min_times - divisor * base.min_times)) <= TIME_AGREEMENT_TOL
+
+
+@pytest.mark.parametrize("name", ["nondense(2,3)", "circulant_c(5)"])
+@pytest.mark.parametrize("exponent", [30, 33, 40])
+def test_exact_route_certifies_under_rational_shifts_past_2_to_the_30(name, exponent):
+    # the floats are the exact lambda_k - a_0, so no embedded eigenvalue
+    # straddles a power of two near the shift and d = lambda - lambda_0 keeps
+    # the errors of the unshifted spectrum
+    if name == "nondense(2,3)":
+        spec = nondense_circulant(2, 3)
+    else:
+        spec = circulant_from_c(5, [1, -2, 3, 0, 4])
+    base = verify_upst(circulant_to_graph(spec), circulant_eigensystem(spec))
+    assert base.upst is True, base.reasons
+    moved = with_diagonal_shift(spec, 2**exponent + Fraction(1, 3))
+    report = verify_upst(circulant_to_graph(moved), circulant_eigensystem(moved))
+    assert report.upst is True, report.reasons
+    assert np.max(np.abs(report.min_times - base.min_times)) <= TIME_AGREEMENT_TOL
+
+
+@pytest.mark.parametrize("route", ["eigh", "exact"])
+def test_phases_and_walk_operator_carry_the_offset(route):
+    # report.phases and unitary_at are absolute: both match U(t) from an
+    # independent eigh of the shifted matrix, so a dropped offset, a factor
+    # e^{-i 7/3 t}, shows
+    spec = with_diagonal_shift(nondense_circulant(2, 3), Fraction(7, 3))
+    if route == "eigh":
+        a = bare_matrix("nondense(2,3)") + 7 / 3 * np.eye(6)
+        graph, es = HermitianGraph(6, a), numerical_eigensystem(a)
+    else:
+        graph, es = circulant_to_graph(spec), circulant_eigensystem(spec)
+    report = verify_upst(graph, es)
+    assert report.upst is True, report.reasons
+    w, v = np.linalg.eigh(graph.adjacency)
+    for (x, y), t in np.ndenumerate(report.min_times):
+        expected = ((v * np.exp(-1j * w * t)) @ v.conj().T)[y][x]
+        assert abs(report.phases[x][y] - expected) <= 1e-12
+        assert abs(unitary_at(es, t)[y][x] - expected) <= 1e-12
+
+
 def test_scan_of_eigenvalue_differences_certifies_a_shift_of_1e9():
     # |U| does not see lambda_0, so scanning lambda - lambda_0 keeps the time
     # error at the scale of the spread (it was 5e-8 scanning lambda itself)
@@ -768,16 +835,16 @@ def test_scan_of_eigenvalue_differences_certifies_a_shift_of_1e9():
 
 @pytest.mark.parametrize("shift", [10**10, 10**12])
 def test_exact_eigenvalues_decide_distinctness_where_the_float_gate_refuses(shift):
-    # from 1e10 on, the least gap 1 is at most DEGENERACY_TOL max|lambda|:
-    # the exact route's distinct exact_lambdas pass the gate and certify,
-    # while eigh, which has none, stays refused
+    # from 1e10 on, the least gap 1 is at most DEGENERACY_TOL times the
+    # absolute max|lambda|: the exact route's distinct exact_lambdas decide
+    # alone, and eigh's centred eigenvalues, whose max|lambda| is the spread,
+    # pass the float gate; both certify
     spec = with_diagonal_shift(nondense_circulant(2, 3), Fraction(shift))
     graph = circulant_to_graph(spec)
-    report = verify_upst(graph, circulant_eigensystem(spec))
-    assert report.upst is True, report.reasons
-    assert report.diagnostics["agreement_max"] <= TIME_AGREEMENT_TOL
-    eigh = verify_upst(graph, numerical_eigensystem(graph.adjacency))
-    assert eigh.reasons == ("degenerate-spectrum",)
+    for es in (circulant_eigensystem(spec), numerical_eigensystem(graph.adjacency)):
+        report = verify_upst(graph, es)
+        assert report.upst is True, report.reasons
+        assert report.diagnostics["agreement_max"] <= TIME_AGREEMENT_TOL
     # an exact tie is degenerate whatever the floats say
     tied = EigenSystem(3, fourier_matrix(3), np.array([0.0, 1.0, 1 + 1e-12]),
                        exact_lambdas=(Fraction(0), Fraction(1), Fraction(1)))
@@ -846,7 +913,7 @@ def certified_eigensystem(kind, size, seed):
     x = base.X[perm, :] * np.exp(1j * rng.uniform(0, TWO_PI, size=n))
     es = EigenSystem(n=n, X=x, lambdas=base.lambdas)
     source = int(np.flatnonzero(perm == 0)[0])
-    return es, source, analytic_pst_times(base)[0][perm]
+    return es, source, analytic(base)[0][perm]
 
 
 @settings(max_examples=40, deadline=None)
@@ -1084,7 +1151,8 @@ def test_verify_tests_flatness_and_recovers_the_ratios_once(monkeypatch, circ3):
     # one flatness test, one analytic solve and one eigenvalue_steps per
     # verify_upst, wherever the functions are bound; the float reconstruction
     # runs only without exact_lambdas: circ3's eigenvalues 0, +-sqrt(3) are
-    # irrational, and eigh gives none
+    # irrational, and eigh gives none, also on nondense(2,3) + 10^10; an exact
+    # tie is refused by eigenvalue_steps alone, before any flatness test
     calls = []
     for module, name in ((walk, "is_type_ii"), (spectra, "is_type_ii"),
                          (walk, "analytic_pst_times"),
@@ -1098,12 +1166,20 @@ def test_verify_tests_flatness_and_recovers_the_ratios_once(monkeypatch, circ3):
     nd6 = circulant_to_graph(nondense_circulant(2, 3))
     exact = ["analytic_pst_times", "eigenvalue_steps", "is_type_ii"]
     floats = sorted(exact + ["integer_multiples"])
+    far = circulant_to_graph(with_diagonal_shift(nondense_circulant(2, 3), Fraction(10**10)))
     for graph, es, expected in ((graph, es, exact), (nd6, circulant_eigensystem(nd6.spec), exact),
                                 (circulant_to_graph(circ3), es3(circ3), floats),
-                                (nd6, numerical_eigensystem(nd6.adjacency), floats)):
+                                (nd6, numerical_eigensystem(nd6.adjacency), floats),
+                                (far, numerical_eigensystem(far.adjacency), floats)):
         calls.clear()
         assert verify_upst(graph, es).upst is True
         assert sorted(calls) == expected
+    tied = EigenSystem(3, fourier_matrix(3), np.array([0.0, 1.0, 1 + 1e-12]),
+                       exact_lambdas=(Fraction(0), Fraction(1), Fraction(1)))
+    calls.clear()
+    report = verify_upst(HermitianGraph(3, (tied.X * tied.lambdas) @ tied.X.conj().T), tied)
+    assert report.reasons == ("degenerate-spectrum",)
+    assert calls == ["eigenvalue_steps"]
 
 
 def test_certification_rejects_repeated_eigenvalues():
@@ -1137,7 +1213,7 @@ def test_spacing_breaks_for_flat_construction():
 
 def test_transfer_table_of_order3(circ3):
     # Circ(0, -i, i) shifts 0 -> 1 -> 2 -> 0 every T01
-    table = transfer_table(analytic_pst_times(es3(circ3))[0])
+    table = transfer_table(analytic(es3(circ3))[0])
     expected = T01 * np.array([[3, 1, 2], [2, 3, 1], [1, 2, 3]])
     assert np.max(np.abs(table - expected)) < 1e-12
 
