@@ -61,7 +61,7 @@ def fourier_matrix(n: int) -> np.ndarray:
 def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
     """Diagonalize a circulant exactly: lambda_k = sum_j a_j zeta_n^(jk).
 
-    The sums are carried out in Q(zeta_L) for L = lcm(conductor, n) and must
+    The sums are computed in Q(zeta_L) for L = lcm(conductor, n) and must
     come out real; a non-real value means the spec data is corrupt.  Row j of
     A holds a_j's numerators over their common denominator at its zeta_L exponents;
     V[k, m] = sum_j A[j, (m - (L/n)*j*k) mod L] is gathered from windows of [A A]

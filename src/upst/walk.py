@@ -186,54 +186,32 @@ def _refine_peaks(
     return t_out, amp, bisected
 
 
-def _candidate_peaks(
-    row: np.ndarray, index: np.ndarray, mag2: np.ndarray, diagonal: np.ndarray, open_at: int
-) -> tuple[np.ndarray, np.ndarray, int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Row and grid index, in (row, time) order, of every hit of a closed
-    cluster (a run of consecutive grid indices of one row) whose |U|^2 is >=
-    both grid neighbours' (a neighbour that is no hit counts as lower); the
-    number of closed clusters; and the hits (row, index, mag2) of the
-    clusters whose last hit is at grid index open_at (-1 for none), left out
-    of the rest.  The t -> 0 cluster of a row marked in diagonal (u == v) is
-    the identity's shoulder, not a return: dropped."""
-    order = np.lexsort((index, row))
-    row, index, mag2 = row[order], index[order], mag2[order]
-    opens = np.ones(row.size, dtype=bool)
-    opens[1:] = (row[1:] != row[:-1]) | (index[1:] != index[:-1] + 1)
-    closes = np.ones(row.size, dtype=bool)
-    closes[:-1] = opens[1:]
-    cluster = np.cumsum(opens) - 1
-    still_open = index[closes] == open_at
-    carry = still_open[cluster]
-    keep = ~(diagonal[row[opens]] & (index[opens] == 0)) & ~still_open
-    peak = opens.copy()
-    peak[1:] |= mag2[1:] >= mag2[:-1]
-    peak[:-1] &= closes[:-1] | (mag2[:-1] >= mag2[1:])
-    peak &= keep[cluster]
-    return row[peak], index[peak], int(np.count_nonzero(keep)), (row[carry], index[carry], mag2[carry])
-
-
-def _block_hits(
+def _block_peaks(
     pvecs: np.ndarray, waves: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hits of one grid block: row r, column j of pvecs @ waves^T is the curve
-    pvecs[r] at the time of waves[j].  Returns the row, the block time index
-    and the |U|^2 of every point with |U|^2 >= DETECTION_THRESHOLD.  |U|^2 is
-    squared into amp's own storage, so a block holds no other array its size."""
+) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """Hits and candidates of one grid block: row r, column j of pvecs @ waves^T
+    is curve r at the time of waves[j], the first and last columns being the
+    halo, one grid point past each edge.  A hit is an inner point with |U|^2
+    >= DETECTION_THRESHOLD, a candidate a hit >= both neighbours.  Returns the
+    hit count, the count of runs of hits opening in the block (left neighbour
+    no hit), and each candidate's row and inner column in (row, time) order.
+    |U|^2 is squared into amp's own storage: no other array of the block's size."""
     amp = pvecs @ waves.T
     mag2 = np.square(amp.real, out=amp.real)
     mag2 += np.square(amp.imag, out=amp.imag)
-    row, w = np.divmod(np.flatnonzero(mag2 >= DETECTION_THRESHOLD), waves.shape[0])
-    return row, w, mag2[row, w]
+    row, w = np.divmod(np.flatnonzero(mag2[:, 1:-1] >= DETECTION_THRESHOLD), waves.shape[0] - 2)
+    here, left, right = mag2[row, w + 1], mag2[row, w], mag2[row, w + 2]
+    peak = (here >= left) & (here >= right)
+    return row.size, int(np.count_nonzero(left < DETECTION_THRESHOLD)), row[peak], w[peak]
 
 
 def _grid_waves(
     base: np.ndarray, lam: np.ndarray, step: float, start: int, stop: int
 ) -> np.ndarray:
-    """Waves of the grid indices start .. stop - 1, index j at time (j + 1) step:
-    head[j // WAVE_CHUNK] * base[j % WAVE_CHUNK], with head c the wave at time
-    c WAVE_CHUNK step and base the first WAVE_CHUNK grid waves.  A wave so
-    depends only on its index, never on the block that asks for it."""
+    """Waves of the grid indices start .. stop - 1, index j at time (j + 1) step
+    (-1 at t = 0): head[j // WAVE_CHUNK] * base[j % WAVE_CHUNK], with head c
+    the wave at time c WAVE_CHUNK step and base the first WAVE_CHUNK grid
+    waves.  A wave so depends only on its index, never on the block asking."""
     head = start // WAVE_CHUNK
     heads = _waves(np.arange(head, (stop - 1) // WAVE_CHUNK + 1) * WAVE_CHUNK * step, lam)
     waves = (heads[:, np.newaxis, :] * base).reshape(-1, lam.size)
@@ -248,37 +226,27 @@ def _scan_pairs(
     peak time (NaN for none) and amplitude sum_k X[v,k] conj(X[u,k]) e^{-i
     d_k t} there (0 for none), d = lambda - lambda_0.  Adds to diagnostics.
 
-    After each block (waves from _grid_waves), every candidate peak of the
-    pairs still unresolved (_candidate_peaks) is refined from its grid point,
-    within one step either side (_refine_peaks), in batches of
-    REFINE_BLOCK // n rows; a pair takes its earliest candidate whose refined
-    |U| >= 1 - PST_ENTRY_TOL and leaves.  A cluster at the block's last
-    point carries over.
+    Each block's waves (_grid_waves) reach one grid point past each edge, so
+    _block_peaks decides the candidates of the pairs still unresolved inside
+    the block.  Each is refined from its grid point, within one step either
+    side (_refine_peaks), in batches of REFINE_BLOCK // n rows; a pair takes
+    its earliest candidate whose refined |U| >= 1 - PST_ENTRY_TOL and leaves.
     """
     n = d.size
     u, v = np.divmod(pairs, n)
     pvecs = x[v] * x.conj()[u]
-    diagonal = u == v
     times, amps = np.full(pairs.size, np.nan), np.zeros(pairs.size, dtype=complex)
     live = np.arange(pairs.size)  # rows of pvecs still unresolved
-    carried = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
     base = _waves((np.arange(WAVE_CHUNK) + 1) * step, d)
     rows = max(1, REFINE_BLOCK // n)
     start = 0
     while start < nsteps and live.size:
         stop = min(nsteps, start + max(1, GRID_BLOCK // max(live.size, n)))
-        waves = _grid_waves(base, d, step, start, stop)
-        row, w, mag2 = _block_hits(pvecs[live], waves)
-        row = live[row]
+        hits, clusters, row, w = _block_peaks(
+            pvecs[live], _grid_waves(base, d, step, start - 1, stop + 1))
+        cand_row, peak = live[row], start + w
         diagnostics["pair_time_products"] += live.size * (stop - start)
-        diagnostics["f64_hits"] += row.size
-        cand_row, peak, clusters, carried = _candidate_peaks(
-            np.concatenate((carried[0], row)),
-            np.concatenate((carried[1], start + w)),
-            np.concatenate((carried[2], mag2)),
-            diagonal,
-            stop - 1 if stop < nsteps else -1,
-        )
+        diagnostics["f64_hits"] += hits
         diagnostics["clusters"] += clusters
         diagnostics["newton_rows"] += cand_row.size
         t_star, amp = np.empty(cand_row.size), np.empty(cand_row.size, dtype=complex)
@@ -293,11 +261,7 @@ def _scan_pairs(
         done, earliest = np.unique(cand_row[ok], return_index=True)
         times[done] = t_star[ok[earliest]]
         amps[done] = amp[ok[earliest]]
-        still = np.isnan(times[live])
-        if not still.all():
-            live = live[still]
-            going = np.isnan(times[carried[0]])
-            carried = tuple(a[going] for a in carried)
+        live = live[np.isnan(times[live])]
         start = stop
     return times, amps
 
@@ -388,16 +352,18 @@ def scan_min_times(
     of the unit-scale arithmetic.  Any t_w make a valid bound; _row_classes
     moves each by one least-squares step on its angle residuals first.  A
     member with B_m <= ADMISSION_TOL takes r's time if its own table amplitude
-    passes |U| >= 1 - PST_ENTRY_TOL; otherwise it is scanned by itself.  One GEMM gives every
-    table amplitude: with Y = X o e^{-i d t_w}, (Y Y^dagger)[v, u] = sum_k
-    p_m,k e^{-i d_k (t_v - t_u)}, and the diagonal's at P is |X|^2 e^{-i d P}.
+    passes |U| >= 1 - PST_ENTRY_TOL; otherwise it is scanned by itself, in the
+    classes' grid pass, as both tests precede the scan.  One GEMM gives every
+    table amplitude: with Y = X o e^{-i d t_w}, (Y Y^dagger)[v, u] = sum_k p_m,k
+    e^{-i d_k (t_v - t_u)}, and the diagonal's at P is |X|^2 e^{-i d P}.
     A member's phase is its amplitude turned to its time t to first order: by
     e^{-i mean(d) s}, s = t - T_m, and by e^{-i j_m mean_k (d_k P mod 2 pi)}.
 
-    The grid is walked in blocks of GRID_BLOCK // max(live classes, n) time
-    points, so a block's classes x time amplitudes and n x time waves (plus
-    at most two chunks) stay within GRID_BLOCK elements.  Each block's |U|^2
-    is one float64 GEMM, and its hits are the points with |U|^2 >=
+    The grid is walked in blocks of GRID_BLOCK // max(live curves, n) time
+    points, each read with one grid point beyond either edge, so a block's
+    curves x time amplitudes and n x time waves (plus at most two points and
+    two chunks) stay within GRID_BLOCK elements.  Each block's |U|^2 is one
+    float64 GEMM, and its hits are the points with |U|^2 >=
     DETECTION_THRESHOLD.  Each wave is a product of two unit complex numbers
     a few ulps off, and sum_k |X[v,k] X[u,k]| <= 1 (Cauchy-Schwarz), so the
     GEMM errs by about n 2^-52, far below the 1.2e-6 by which grid_step puts
@@ -412,17 +378,22 @@ def scan_min_times(
     3 step/2 <= pi/R of t*: g* is a candidate, and the curve is unimodal on
     its bracket, where _refine_peaks converges to t*.  (A float64 tie of g*
     with a neighbour puts both within about step/2 of t*; either brackets it.)
+    At a block's edge the neighbour is read too: t = 0, where |U[u][u]| = 1
+    keeps the identity's shoulder from being a candidate, and past the last
+    point, which can drop a hit there only beyond P, every first passage.
 
     diagnostics holds grid_step, horizon, grid_points, the integer counts
-    classes (rescans included), members (pairs that took their class's time),
-    member_rescans, pair_time_products (class x time points), f64_hits (grid
-    hits), clusters (closed runs of hits), newton_rows (candidates refined)
-    and bisect_rows, classes + members being n^2 on a complete scan; and
-    margin_min, the least 1 - |U(t_uv)| found (1 for none), admission_max,
-    the largest admitted B_m (0 for none), and confirm_margin, the largest 1 -
-    |U(T_m)| of all n^2 table amplitudes; margins are clamped at 0.  Pairs with
-    no confirmed peak keep NaN and are flagged in reasons.  The spectrum is
-    one verify_upst has gated: n >= 2 distinct eigenvalues.
+    classes (curves scanned, members scanned by themselves included), members
+    (pairs that took their class's time), member_rescans (members scanned by
+    themselves), pair_time_products (curve x time points), f64_hits (grid
+    hits), clusters (runs of hits that open on the grid: left neighbour no
+    hit), newton_rows (candidates refined) and bisect_rows, classes + members
+    being n^2 on a complete scan; and margin_min, the least 1 - |U(t_uv)|
+    found (1 for none), admission_max, the largest admitted B_m (0 for none),
+    and confirm_margin, the largest 1 - |U(T_m)| of all n^2 table amplitudes;
+    margins are clamped at 0.  Pairs with no confirmed peak keep NaN and are
+    flagged in reasons.  The spectrum is one verify_upst has gated: n >= 2
+    distinct eigenvalues.
     """
     n = es.n
     nsteps = max(0, int(math.ceil(horizon / step)))
@@ -440,25 +411,22 @@ def scan_min_times(
     at[::n + 1] = row_times[0]
 
     flat_times, flat_phases = np.full(n * n, np.nan), np.zeros(n * n, dtype=complex)
-    t_class, amp_class = _scan_pairs(x, first, d, nsteps, step, diagnostics)
-    found = ~np.isnan(t_class)
     member = first[run] != np.arange(n * n)
     admitted = member & (bound <= ADMISSION_TOL)
     strict = np.abs(amp) >= 1 - PST_ENTRY_TOL
-    ok = admitted & found[run] & strict
-    flat_times[first], flat_phases[first] = t_class, amp_class
-    t_ok = flat_times[ok] = t_class[run[ok]]
+    alone = np.flatnonzero(member & ~(admitted & strict))
+    scanned = np.concatenate((first, alone))
+    flat_times[scanned], flat_phases[scanned] = _scan_pairs(
+        x, scanned, d, nsteps, step, diagnostics)
+    ok = admitted & strict & ~np.isnan(flat_times[first[run]])
+    t_ok = flat_times[ok] = flat_times[first[run[ok]]]
     lap = np.rint((t_ok - at[ok]) / row_times[0])
     turn = lap * np.angle(omega[0]).sum() - d.sum() * (t_ok - at[ok] - lap * row_times[0])
     flat_phases[ok] = amp[ok] * np.exp(1j / n * turn)
-    rescan = np.flatnonzero(member & (~admitted | (found[run] & ~strict)))
-    if rescan.size:
-        flat_times[rescan], flat_phases[rescan] = _scan_pairs(
-            x, rescan, d, nsteps, step, diagnostics)
     min_times, phases = flat_times.reshape(n, n), flat_phases.reshape(n, n)
     seen = ~np.isnan(min_times)
     phases[seen] *= np.exp(-1j * es.eigenvalues[0] * min_times[seen])
-    diagnostics.update(classes=first.size + rescan.size, member_rescans=rescan.size,
+    diagnostics.update(classes=scanned.size, member_rescans=alone.size,
                        members=int(np.count_nonzero(ok)))
     diagnostics["margin_min"] = max(0.0, float(np.min(1 - np.abs(phases[seen]), initial=1)))
     diagnostics["admission_max"] = float(np.max(bound[admitted], initial=0.0))
@@ -500,12 +468,13 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     one GEMM off the diagonal, U(P)[w][w] on it; see scan_min_times), the
     scan, given the analytic times as row_times, finds a first-passage time for
     every ordered pair, the scanned times agree with transfer_table on all n^2
-    pairs to TIME_AGREEMENT_TOL, and so do t_uv + t_vu and the return period
-    for every u != v (time reversal).  Failures come back as False verdicts
-    with reason codes, not exceptions.  When upst, circulant_timing is True
-    iff the t_0w lie within TIME_AGREEMENT_TOL of distinct multiples of P/n:
-    spacing_order, the vertices by t_0w mod P, then relabels the table into
-    a circulant.
+    pairs to TIME_AGREEMENT_TOL max(1, P), and so do t_uv + t_vu and the
+    return period P for every u != v (time reversal); float times err in
+    proportion to P, so the bound scales with it.  Failures come back as False
+    verdicts with reason codes, not exceptions.  When upst, circulant_timing
+    is True iff the t_0w lie within the same bound of distinct multiples of
+    P/n: spacing_order, the vertices by t_0w mod P, then relabels the table
+    into a circulant.
 
     The scan runs to P + 2h in steps of P / ceil(P/h), P the return period
     and h = grid_step(es): with a flat X each pair transfers once per period.
@@ -539,6 +508,7 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     # when every (lambda_k - lambda_0) t is a multiple of 2 pi.  The scan's
     # table amplitudes confirm it like every other entry.
     period = float(times[0])
+    tol = TIME_AGREEMENT_TOL * max(1.0, period)
     h = grid_step(es)
     step = period / math.ceil(period / h)
     if math.ceil((period + 2 * h) / step) > MAX_GRID_POINTS:
@@ -552,14 +522,14 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     agreement = float(np.max(np.abs(min_times - transfer_table(times))))
     scanned.diagnostics["agreement_max"] = None if math.isnan(agreement) else agreement
     scanned.diagnostics.update(solve)
-    agree = complete and agreement <= TIME_AGREEMENT_TOL
+    agree = complete and agreement <= tol
     if complete and not agree:
         reasons.append("analytic-scan-disagreement")
     upst = bool(confirmed and complete and agree)
     # time reversal: U(P - t) = e^{-i lambda_0 P} U(t)^dagger, so with a flat X
     # t_vu = P - t_uv for u != v, a check on all n^2 scanned times
     reversal = np.abs(min_times + min_times.T - period)[~np.eye(n, dtype=bool)]
-    if upst and float(np.max(reversal)) > TIME_AGREEMENT_TOL:
+    if upst and float(np.max(reversal)) > tol:
         upst = False
         reasons.append("time-reversal-violation")
 
@@ -569,7 +539,7 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
         order = np.argsort(residues, kind="stable")
         spacing_order = tuple(order.tolist())
         spread = np.max(np.abs(residues[order] - np.arange(n) * period / n))
-        circulant_timing = bool(spread <= TIME_AGREEMENT_TOL)
+        circulant_timing = bool(spread <= tol)
 
     return TransferReport(
         n=n, min_times=min_times, phases=scanned.phases, analytic_times=times, upst=upst,

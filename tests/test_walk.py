@@ -4,6 +4,7 @@ Two independent routes back every certified number: the phase-matrix solution
 and a blind time-domain scan.  Tests pin both against closed-form values.
 """
 
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -48,7 +49,7 @@ from upst.walk import (
     transfer_table,
     unitary_at,
     verify_upst,
-    _block_hits,
+    _block_peaks,
     _grid_waves,
     _refine_peaks,
     _row_classes,
@@ -468,10 +469,14 @@ def test_grid_past_the_cap_is_refused_without_a_scan(monkeypatch):
 
 def relabelled(es, seed):
     """es with vertices permuted and random eigenvector phases, neither of
-    which changes the set of transfer times."""
+    which changes the set of transfer times; offset and exact_lambdas stay."""
     rng = np.random.default_rng(seed)
     x = es.X[rng.permutation(es.n), :] * np.exp(1j * rng.uniform(0, TWO_PI, size=es.n))
-    return EigenSystem(n=es.n, X=x, lambdas=es.lambdas, exact_lambdas=es.exact_lambdas)
+    moved = dataclasses.replace(es, X=x)
+    if es.exact_lambdas is not None:
+        exact = np.array([float(q) for q in es.exact_lambdas])
+        assert np.max(np.abs(moved.eigenvalues - exact)) <= 1e-12 * max(1.0, np.max(np.abs(exact)))
+    return moved
 
 
 def relabelled_flat(a, b, beta, seed):
@@ -512,6 +517,16 @@ def test_grid_waves_are_chunk_products_whatever_the_block():
     assert np.all(np.abs(full - np.exp(-1j * angle)) <= 1e-15 * (1 + np.abs(angle)))
     for start, stop in ((0, 1), (5, 64), (63, 65), (64, 128), (100, 101), (130, 999)):
         assert np.array_equal(_grid_waves(base, lam, step, start, stop), full[start:stop])
+    # index -1, the halo of a block at the grid's start, is the t = 0 wave:
+    # head -1 times the last base wave, all ones to rounding, and the same
+    # row whatever the block
+    zero = _grid_waves(base, lam, step, -1, 0)
+    assert zero.shape == (1, lam.size)
+    assert np.max(np.abs(zero - 1)) <= 1e-15
+    for stop in (1, 63, 64, 65, 1000):
+        block = _grid_waves(base, lam, step, -1, stop)
+        assert np.array_equal(block[0], zero[0])
+        assert np.array_equal(block[1:], full[:stop])
 
 
 def test_scan_working_set_is_bounded():
@@ -542,8 +557,9 @@ def test_scan_working_set_is_bounded():
 
 
 def test_scan_is_independent_of_the_grid_block(monkeypatch, nd6):
-    # with a few time points per block, every cluster straddles blocks and
-    # carries its hits forward; the pass must not notice
+    # with a few time points per block, most clusters straddle blocks, and
+    # with one every point sits at both edges of its block; each block reads
+    # one grid point beyond each edge, so the pass must not notice
     cases = (relabelled_flat(4, 4, 2, seed=3), circulant_eigensystem(nd6),
              false_cluster_eigensystem())
     real = walk._grid_waves
@@ -557,14 +573,15 @@ def test_scan_is_independent_of_the_grid_block(monkeypatch, nd6):
         monkeypatch.setattr(walk, "_grid_waves", counted)
         blocks.append(0)
         default = scan(es)
-        monkeypatch.setattr(walk, "GRID_BLOCK", 3 * es.n**2)
-        blocks.append(0)
-        small = scan(es)
+        for grid_block in (3 * es.n**2, 1):
+            monkeypatch.setattr(walk, "GRID_BLOCK", grid_block)
+            blocks.append(0)
+            small = scan(es)
+            assert blocks[-1] > blocks[-2]
+            assert np.array_equal(small.min_times, default.min_times, equal_nan=True)
+            assert np.array_equal(small.phases, default.phases)
+            assert small.reasons == default.reasons
         monkeypatch.undo()
-        assert blocks[-1] > blocks[-2]
-        assert np.array_equal(small.min_times, default.min_times, equal_nan=True)
-        assert np.array_equal(small.phases, default.phases)
-        assert small.reasons == default.reasons
 
 
 def test_scan_diagnostics_count_the_work():
@@ -587,7 +604,7 @@ def test_scan_diagnostics_count_the_work():
     assert d["member_rescans"] == 0
     assert 0 < d["admission_max"] <= 1e-13
     assert 0 <= d["confirm_margin"] <= PST_ENTRY_TOL
-    # every closed cluster holds at least one candidate
+    # every run of hits that opens on the grid holds at least one candidate
     assert d["newton_rows"] >= d["clusters"] >= d["classes"]
     assert d["bisect_rows"] == 0
     # every pair was confirmed at |U| >= 1 - PST_ENTRY_TOL; rounding above
@@ -764,18 +781,25 @@ def test_eigh_route_certifies_a_large_diagonal_shift(shift):
 
 
 def bare_matrix(name):
-    if name == "nondense(2,3)":
-        return circulant_to_graph(nondense_circulant(2, 3)).adjacency
-    return noncirculant_graph(NoncirculantParams(4, 2, 3))[0].adjacency
+    """The adjacency matrix of "nondense(p,q)" or "flat(a,b,beta)"."""
+    kind, args = name[:-1].split("(")
+    params = tuple(int(v) for v in args.split(","))
+    if kind == "nondense":
+        return circulant_to_graph(nondense_circulant(*params)).adjacency
+    return noncirculant_graph(NoncirculantParams(*params))[0].adjacency
 
 
-@pytest.mark.parametrize("name", ["nondense(2,3)", "flat(4,2,3)"])
+@pytest.mark.parametrize("name", ["nondense(2,3)", "flat(4,2,3)", "nondense(3,5)", "flat(4,4,2)"])
 @pytest.mark.parametrize("divisor, shift", [(3, 10**4 + 1 / 3), (3, 10**6 + 1 / 3),
-                                            (1, 1e10), (1, 1e12)])
+                                            (1, 1e10), (1, 1e12), (1e9, 0), (1e6, 0),
+                                            (1e6, 10**4 + 1 / 3)])
 def test_bare_matrices_certify_under_scale_and_diagonal_shift(name, divisor, shift):
     # eigh runs on A - mean(diag A) I and keeps the mean as the offset, so the
     # centred eigenvalues, which the gap gate, the ratios and the scan read,
-    # do not see the shift; A / divisor multiplies every time by divisor
+    # do not see the shift; A / divisor multiplies every time, and the period
+    # P, by divisor, and float times err in proportion to P, so they agree to
+    # TIME_AGREEMENT_TOL max(1, P): an absolute bound refused A / 1e9 (P about
+    # 6e9) as analytic-scan-disagreement
     a = bare_matrix(name)
     n = a.shape[0]
     base = verify_upst(HermitianGraph(n, a), numerical_eigensystem(a))
@@ -783,7 +807,8 @@ def test_bare_matrices_certify_under_scale_and_diagonal_shift(name, divisor, shi
     moved = a / divisor + shift * np.eye(n)
     report = verify_upst(HermitianGraph(n, moved), numerical_eigensystem(moved))
     assert report.upst is True, report.reasons
-    assert np.max(np.abs(report.min_times - divisor * base.min_times)) <= TIME_AGREEMENT_TOL
+    tol = TIME_AGREEMENT_TOL * max(1.0, report.return_period)
+    assert np.max(np.abs(report.min_times - divisor * base.min_times)) <= tol
 
 
 @pytest.mark.parametrize("name", ["nondense(2,3)", "circulant_c(5)"])
@@ -854,18 +879,31 @@ def test_exact_eigenvalues_decide_distinctness_where_the_float_gate_refuses(shif
 
 def test_grid_hit_set_is_the_float64_threshold_set():
     # every grid point whose |U(t)[v][u]|^2, read off the walk operator, is at
-    # least DETECTION_THRESHOLD is a hit, in (pair, time) order
+    # least DETECTION_THRESHOLD is a hit, and every hit >= both neighbours,
+    # the halo points t = 0 and past the horizon included, is a candidate,
+    # in (pair, time) order.  On this grid many peaks fall midway between two
+    # grid points, whose |U|^2 then tie to rounding: a tie within 1e-14 may
+    # go either way
     _, es = noncirculant_graph(NoncirculantParams(6, 4, 2))
     pvecs = pair_vectors(es.X)
     horizon, step = scan_grid(es, density=4)
-    grid = (np.arange(math.ceil(horizon / step)) + 1) * step
-    for first in range(0, grid.size, 500):
-        times = grid[first:first + 500]
+    nsteps = math.ceil(horizon / step)
+    for first in range(0, nsteps, 500):
+        stop = min(nsteps, first + 500)
+        times = (np.arange(first - 1, stop + 1) + 1) * step
         exact = np.stack([np.abs(unitary_at(es, t).T.reshape(-1)) ** 2 for t in times], axis=1)
-        pair, w, mag2 = _block_hits(pvecs, _waves(times, es.lambdas))
-        expected = np.flatnonzero(exact >= DETECTION_THRESHOLD)
-        assert np.array_equal(pair * times.size + w, expected)
-        assert np.max(np.abs(mag2 - exact[pair, w]), initial=0.0) <= 1e-14
+        hits, clusters, pair, w = _block_peaks(pvecs, _waves(times, es.lambdas))
+        inner = exact[:, 1:-1]
+        hit = inner >= DETECTION_THRESHOLD
+        assert hits == np.count_nonzero(hit)
+        assert clusters == np.count_nonzero(hit & (exact[:, :-2] < DETECTION_THRESHOLD))
+        flat = pair * (stop - first) + w
+        assert np.all(np.diff(flat) > 0)
+        peak = np.zeros(inner.shape, dtype=bool)
+        peak[pair, w] = True
+        rise = np.minimum(inner - exact[:, :-2], inner - exact[:, 2:])
+        assert np.all(hit[peak] & (rise[peak] >= -1e-14))
+        assert np.all(peak[hit & (rise > 1e-14)])
 
 
 def test_scan_certifies_every_pair_at_n_512():
@@ -1108,14 +1146,16 @@ def test_transfer_table_catches_an_off_table_time(monkeypatch, circ3):
 
 
 def test_time_reversal_gate_catches_times_inside_the_agreement_tolerance(monkeypatch, circ3):
-    # t_12 and t_21 each 0.9 TIME_AGREEMENT_TOL late pass the comparison with
-    # the table, but t_12 + t_21 misses the return period by 1.8 of it
-    plant_scan(monkeypatch, 0.9 * TIME_AGREEMENT_TOL, [(1, 2), (2, 1)])
+    # t_12 and t_21 each 0.9 TIME_AGREEMENT_TOL P late pass the comparison
+    # with the table, but t_12 + t_21 misses the return period by 1.8 of it
+    period = 3 * T01
+    plant_scan(monkeypatch, 0.9 * TIME_AGREEMENT_TOL * period, [(1, 2), (2, 1)])
     report = verify_upst(circulant_to_graph(circ3), es3(circ3))
+    assert report.return_period == pytest.approx(period, rel=1e-12)
     assert report.upst is False
     assert report.reasons == ("time-reversal-violation",)
     assert report.circulant_timing is None
-    assert report.diagnostics["agreement_max"] <= TIME_AGREEMENT_TOL
+    assert report.diagnostics["agreement_max"] <= TIME_AGREEMENT_TOL * period
 
 
 def test_certification_rejects_path_graph():
