@@ -28,8 +28,10 @@ moved by 1e-9 sqrt(2), and the oriented 5-cycle).  Each runs on the route it
 comes with (route "given") and, unless that is already the numerical
 eigensolve, again on it (route "eigh").  The exact layer also runs alone on
 the census orders 4..64 with two seeded c-vectors each, all nine two-prime
-pairs up to (5,17), a spec of conductor 3 promoted to 12, and circulant_c(8)
-with entries near 2^61, whose numerators pass the int64 bound.
+pairs up to (5,17), the order-3 Circ(0, -i, i) (eigenvalues 0 and +-sqrt(3)),
+an order-4 spec of conductor 3 promoted to 12 and the same spec stored at
+conductor 12 (both with irrational eigenvalues), and circulant_c(8) with entries
+near 2^61, whose numerators pass the int64 bound.
 
 usage: python3 scripts/parity_corpus.py
 """
@@ -55,7 +57,7 @@ from upst.constructors import (  # noqa: E402
     nondense_circulant,
     noncirculant_graph,
 )
-from upst.cyclotomic import CycNum  # noqa: E402
+from upst.cyclotomic import CycNum, zeta  # noqa: E402
 from upst.graph import (  # noqa: E402
     CirculantSpec,
     HermitianGraph,
@@ -149,9 +151,13 @@ def exact_corpus():
             yield "census(%d,seed%d)" % (n, seed), circulant_from_c(n, c)
     for pq in NONDENSE_PAIRS:
         yield "nondense(%d,%d)" % pq, nondense_circulant(*pq)
+    i = zeta(4)
+    yield "Circ(0,-i,i)", CirculantSpec(3, (CycNum.zero(4), -i, i))
     x = CycNum(3, (Fraction(1, 3), Fraction(-2, 5)))
     a0 = CycNum.from_rational(3, Fraction(7, 2))
-    yield "promoted(3->12)", CirculantSpec(4, (a0, x, x + x.conjugate(), x.conjugate()))
+    spec = CirculantSpec(4, (a0, x, x + x.conjugate(), x.conjugate()))
+    yield "promoted(3->12)", spec
+    yield "promoted(3->12)/stored-at-12", CirculantSpec(4, tuple(y.promote(12) for y in spec.a))
     c = [2**61 - 1, -(2**61), 2**61 - 3, 5, -(2**61) + 7, 0, 2**60, -1]
     yield "circulant_c(8,past-int64)", circulant_from_c(8, c)
 

@@ -141,7 +141,7 @@ def _integer_entries(c: Sequence[int]) -> list[int]:
     # The c-vector as Python ints; bool, float and other non-integers would
     # silently build a different graph, so they are refused.
     for v in c:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        if type(v) is not int and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
             raise ValueError("entries of c must be integers, got %r" % (v,))
     return [int(v) for v in c]
 

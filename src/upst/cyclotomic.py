@@ -10,7 +10,7 @@ touches rationals.  Phi_n is computed by the recursive quotient of x^n - 1 by
 the Phi_d of the proper divisors d | n.  Inversion uses the field norm: the
 product of the other Galois conjugates of x, divided by the rational
 N(x) = x times that product, so it too runs on the integer path.  Reduction
-is linear, so cyc_from_exponent_rows reduces many exponent rows V at once by
+is linear, so reduce_exponent_rows reduces many exponent rows V at once by
 one product V @ R_n, where row m of R_n is zeta_n^m: on int64 while max|V|
 times the largest column sum of |R_n| is below 2^63, else on Python ints.
 Everything in this module is exact; floating point enters only through
@@ -457,13 +457,19 @@ def cyc_from_exponent_vector(n: int, v: Sequence[RationalLike]) -> CycNum:
     return _make(n, _reduce_mod_phi(n, num), den)
 
 
-def cyc_from_exponent_rows(n: int, v: np.ndarray, dens: Sequence[int]) -> list[CycNum]:
-    """Row i of the integer matrix v (k x n, int64 or object) as
-    sum_m v[i, m] * zeta_n^m / dens[i], reduced by one product v @ R_n."""
+def reduce_exponent_rows(n: int, v: np.ndarray) -> np.ndarray:
+    """W = v @ R_n for the integer matrix v (k x n, int64 or object): row i of W
+    holds the power-basis numerators of sum_m v[i, m] * zeta_n^m, on object
+    (Python ints) when int64 could overflow."""
     r, growth = _reduction_matrix(n)
     if exact_int_dtype(int(np.max(np.abs(v), initial=0)) * growth) is object:
         v, r = v.astype(object), r.astype(object)
-    return [_make(n, row, den) for row, den in zip((v @ r).tolist(), dens)]
+    return v @ r
+
+
+def cyc_from_exponent_rows(n: int, v: np.ndarray, dens: Sequence[int]) -> list[CycNum]:
+    """Row i of v as sum_m v[i, m] * zeta_n^m / dens[i] (see reduce_exponent_rows)."""
+    return [_make(n, row, den) for row, den in zip(reduce_exponent_rows(n, v).tolist(), dens)]
 
 
 def zeta(n: int, k: int = 1) -> CycNum:

@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .cyclotomic import cyc_from_exponent_rows, exact_int_dtype
+from .cyclotomic import CycNum, exact_int_dtype, reduce_exponent_rows
 from .graph import CirculantSpec, HermitianGraph
 from .ratios import integer_multiples
 
@@ -65,17 +65,21 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
     come out real; a non-real value means the spec data is corrupt.  Row j of
     A holds a_j's numerators over their common denominator at its zeta_L exponents;
     V[k, m] = sum_j A[j, (m - (L/n)*j*k) mod L] is gathered from windows of [A A]
-    in blocks of <= 2^16 entries (bounded memory); cyc_from_exponent_rows reduces it.
+    in blocks of <= 2^16 entries (bounded memory); reduce_exponent_rows reduces it
+    to W.  When every row of W is rational (W[:, 1:] = 0), lambda_k is read off
+    W[k, 0] / den with no CycNum built.
     """
     n = spec.n
     a0 = spec.a[0]
     offset = 0 if a0.is_zero() or not a0.is_rational() else a0.as_fraction()
     lcond = math.lcm(spec.conductor, n)
     den = math.lcm(*(x.den for x in spec.a))
-    scaled = [[c * (den // x.den) for c in x.num] for x in spec.a]
+    scale = [den // x.den for x in spec.a]
     # |V| <= sum_j max|A[j]| bounds every partial sum of the gather
-    a = np.zeros((n, lcond), dtype=exact_int_dtype(sum(max(map(abs, r)) for r in scaled)))
-    a[:, :: lcond // spec.conductor][:, : len(scaled[0])] = scaled
+    dtype = exact_int_dtype(sum(max(map(abs, x.num)) * m for x, m in zip(spec.a, scale)))
+    a = np.zeros((n, lcond), dtype=dtype)
+    a[:, :: lcond // spec.conductor][:, : len(a0.num)] = (
+        np.array([x.num for x in spec.a], dtype=dtype) * np.array(scale, dtype=dtype)[:, np.newaxis])
     if offset:  # a rational a_0 is the offset: V holds lambda_k - a_0
         a[0] = 0
     a = np.hstack([a, a])
@@ -84,7 +88,14 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
     start = lcond - (lcond // n) * (j * j.T % n)
     b = max(1, 2**16 // (n * lcond))
     v = sum(windows[j[i : i + b], start[i : i + b]].sum(axis=0) for i in range(0, n, b))
-    exact = cyc_from_exponent_rows(lcond, v, [den] * n)
+    w = reduce_exponent_rows(lcond, v)
+    if not w[:, 1:].any():  # int / int rounds correctly: the double CycNum.embed gives
+        col = w[:, 0].tolist()
+        p, q = offset.numerator, offset.denominator  # 0/1 for offset 0
+        exact_lambdas = tuple(Fraction(c * q + p * den, den * q) for c in col)
+        return EigenSystem(n, fourier_matrix(n), np.array([c / den for c in col]),
+                           exact_lambdas, offset)
+    exact = [CycNum(lcond, row) / den for row in w.tolist()]
     for k, lam in enumerate(exact):
         if not lam.is_real():
             raise ArithmeticError(
@@ -92,10 +103,7 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
                 "circulant came out non-real (imag %.3e)" % (k, lam.embed().imag)
             )
     lambdas = np.array([x.embed().real for x in exact])
-    rational = all(x.is_rational() for x in exact)
-    exact_lambdas = tuple(x.as_fraction() + offset if offset else x.as_fraction()
-                          for x in exact) if rational else None
-    return EigenSystem(n, fourier_matrix(n), lambdas, exact_lambdas, offset)
+    return EigenSystem(n, fourier_matrix(n), lambdas, None, offset)
 
 
 def eigensystem_for(graph: HermitianGraph) -> EigenSystem:

@@ -1,0 +1,125 @@
+"""circulant_eigensystem against the per-eigenvalue CycNum body it replaces:
+the same float eigenvalues bit for bit, the same exact eigenvalues and offset,
+the same error on a corrupt spec."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from numpy.lib.stride_tricks import as_strided
+
+from upst import cyclotomic
+from upst.constructors import circulant_from_c, nondense_circulant
+from upst.cyclotomic import CycNum, cyc_from_exponent_rows, exact_int_dtype, zeta
+from upst.graph import CirculantSpec, with_diagonal_shift
+from upst.spectra import circulant_eigensystem
+
+NONDENSE_PAIRS = ((2, 3), (2, 5), (3, 5), (2, 7), (3, 7), (2, 11), (2, 13), (2, 17), (5, 17))
+
+
+def reference_circulant_eigensystem(spec):
+    """(lambdas, exact_lambdas, offset) as circulant_eigensystem computed them
+    with one CycNum, is_real test and embed per eigenvalue."""
+    n = spec.n
+    a0 = spec.a[0]
+    offset = 0 if a0.is_zero() or not a0.is_rational() else a0.as_fraction()
+    lcond = math.lcm(spec.conductor, n)
+    den = math.lcm(*(x.den for x in spec.a))
+    scaled = [[c * (den // x.den) for c in x.num] for x in spec.a]
+    a = np.zeros((n, lcond), dtype=exact_int_dtype(sum(max(map(abs, r)) for r in scaled)))
+    a[:, :: lcond // spec.conductor][:, : len(scaled[0])] = scaled
+    if offset:
+        a[0] = 0
+    a = np.hstack([a, a])
+    windows = as_strided(a, (n, lcond + 1, lcond), a.strides + a.strides[1:], writeable=False)
+    j = np.arange(n)[:, np.newaxis]
+    start = lcond - (lcond // n) * (j * j.T % n)
+    b = max(1, 2**16 // (n * lcond))
+    v = sum(windows[j[i : i + b], start[i : i + b]].sum(axis=0) for i in range(0, n, b))
+    exact = cyc_from_exponent_rows(lcond, v, [den] * n)
+    for k, lam in enumerate(exact):
+        if not lam.is_real():
+            raise ArithmeticError(
+                "internal consistency failure: eigenvalue %d of a Hermitian "
+                "circulant came out non-real (imag %.3e)" % (k, lam.embed().imag)
+            )
+    lambdas = np.array([x.embed().real for x in exact])
+    rational = all(x.is_rational() for x in exact)
+    exact_lambdas = tuple(x.as_fraction() + offset if offset else x.as_fraction()
+                          for x in exact) if rational else None
+    return lambdas, exact_lambdas, offset
+
+
+def assert_same_as_reference(spec):
+    es = circulant_eigensystem(spec)
+    lambdas, exact_lambdas, offset = reference_circulant_eigensystem(spec)
+    assert list(map(float.hex, es.lambdas.tolist())) == list(map(float.hex, lambdas.tolist()))
+    assert es.exact_lambdas == exact_lambdas
+    assert es.offset == offset
+    return es
+
+
+def conductor3_spec():
+    """Order 4 over Q(zeta_3), promoted to L = 12; lambda_1 and lambda_3 irrational."""
+    x = CycNum(3, (Fraction(1, 3), Fraction(-2, 5)))
+    return CirculantSpec(4, (CycNum.from_rational(3, Fraction(7, 2)), x, x + x.conjugate(),
+                             x.conjugate()))
+
+
+def test_seeded_integer_vector_circulants_match_the_reference():
+    rng = np.random.default_rng(30)
+    for n in [2, 64] + [int(v) for v in rng.integers(3, 64, size=38)]:
+        c = [int(v) for v in rng.integers(-9, 10, size=n)]
+        assert assert_same_as_reference(circulant_from_c(n, c)).exact_lambdas is not None
+
+
+def test_two_prime_circulants_match_the_reference():
+    for pq in NONDENSE_PAIRS:
+        assert_same_as_reference(nondense_circulant(*pq))
+
+
+def test_irrational_and_promoted_spectra_match_the_reference(circ3):
+    assert assert_same_as_reference(circ3).exact_lambdas is None
+    spec = conductor3_spec()
+    assert assert_same_as_reference(spec).exact_lambdas is None
+    promoted = CirculantSpec(4, tuple(x.promote(12) for x in spec.a))
+    assert assert_same_as_reference(promoted).offset == Fraction(7, 2)
+
+
+def test_large_offset_and_past_int64_spectra_match_the_reference():
+    spec = with_diagonal_shift(nondense_circulant(2, 3), 2**33 + Fraction(1, 3))
+    assert assert_same_as_reference(spec).offset == 2**33 + Fraction(1, 3)
+    c = [2**61 - 1, -(2**61), 2**61 - 3, 5, -(2**61) + 7, 0, 2**60, -1]
+    assert assert_same_as_reference(circulant_from_c(8, c)).exact_lambdas is not None
+
+
+def test_non_real_eigenvalue_raises_the_reference_error():
+    # a_3 should be conjugate(a_1) = -i: lambda_0 = 0 is real, lambda_1 = -3 + i is not
+    i = zeta(4)
+    spec = object.__new__(CirculantSpec)  # skips the Hermitian check of __post_init__
+    object.__setattr__(spec, "n", 4)
+    object.__setattr__(spec, "a", (CycNum.zero(4), i, CycNum.one(4), -CycNum.one(4) - i))
+    with pytest.raises(ArithmeticError) as expected:
+        reference_circulant_eigensystem(spec)
+    assert "eigenvalue 1 " in str(expected.value)
+    with pytest.raises(ArithmeticError) as raised:
+        circulant_eigensystem(spec)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_rational_spectrum_builds_no_cyclotomic_number(monkeypatch):
+    c = [int(v) for v in np.random.default_rng(64).integers(-9, 10, size=64)]
+    spec = circulant_from_c(64, c)
+    made = []
+    make = cyclotomic._make
+
+    def counting(*args):
+        made.append(args[0])
+        return make(*args)
+
+    monkeypatch.setattr(cyclotomic, "_make", counting)
+    circulant_eigensystem(spec)
+    assert made == []
+    reference_circulant_eigensystem(spec)  # one CycNum per eigenvalue
+    assert len(made) == 64

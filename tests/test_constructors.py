@@ -188,6 +188,20 @@ def test_integer_vector_circulant_rejects_non_integral_entries():
     assert circulant_from_c(3, [0, 0, np.int64(1)]) == circulant_from_c(3, [0, 0, 1])
 
 
+def test_integer_entries_accept_numpy_ints_and_refuse_look_alikes():
+    spec = circulant_from_c(4, [np.int64(2), np.int32(-1), 0, 5])
+    assert spec == circulant_from_c(4, [2, -1, 0, 5])
+    assert integer_spectrum_shift(4, [np.int64(2), 0, 0, 0]) == Fraction(7, 2)
+    for bad in (True, 1.0, Fraction(1)):
+        message = "entries of c must be integers, got %r" % (bad,)
+        with pytest.raises(ValueError) as raised:
+            circulant_from_c(3, [0, bad, 0])
+        assert str(raised.value) == message
+        with pytest.raises(ValueError) as raised:
+            integer_spectrum_shift(3, [bad, 0, 0])
+        assert str(raised.value) == message
+
+
 def test_diagonal_shift_rejects_floats():
     spec = circulant_from_c(3, [0, 0, 0])
     with pytest.raises(TypeError):

@@ -45,19 +45,20 @@ def test_parity_corpus_prints_one_line_per_run():
     proc = run_script("parity_corpus.py")
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
-    assert len(lines) == 218
-    assert len({(line["input"], line["route"]) for line in lines}) == 218
+    assert len(lines) == 220
+    assert len({(line["input"], line["route"]) for line in lines}) == 220
     runs = [line for line in lines if line["route"] != "exact"]
     assert len(runs) == 157
     assert sum(run["upst"] is True for run in runs) == 145
     exact = [line for line in lines if line["route"] == "exact"]
-    assert len(exact) == 61
-    assert sum(line["exact_lambdas"] is None for line in exact) == 1
+    assert len(exact) == 63
+    # irrational: Circ(0, -i, i) and the conductor-3 spec at L = 12, twice
+    assert sum(line["exact_lambdas"] is None for line in exact) == 3
     # the offset is recorded where it is not 0: the shifted nondense(2,3),
-    # the scalar spectrum and the promoted spec
-    assert sum("offset" in line for line in exact) == 9
+    # the scalar spectrum and the two conductor-3 specs
+    assert sum("offset" in line for line in exact) == 10
     forms = [line["form"] for line in exact]
-    assert sum(isinstance(form, dict) for form in forms) == 59
+    assert sum(isinstance(form, dict) for form in forms) == 60
     assert forms.count("eigenvalues must be distinct") == 1
 
 

@@ -156,20 +156,21 @@ def test_eigensolve_past_the_int64_bound_runs_on_python_ints(monkeypatch):
     # the numerators over the common denominator 105 pass 2^63; in the order-2
     # spec each numerator fits int64 and only lambda_0 = 2^62 + 2^62 does not
     seen = []
-    rows = spectra.cyc_from_exponent_rows
+    reduce = spectra.reduce_exponent_rows
 
-    def spy(n, v, dens):
-        seen.append(v.dtype)
-        return rows(n, v, dens)
+    def spy(n, v):
+        w = reduce(n, v)
+        seen.append((v.dtype, w.dtype))
+        return w
 
-    monkeypatch.setattr(spectra, "cyc_from_exponent_rows", spy)
+    monkeypatch.setattr(spectra, "reduce_exponent_rows", spy)
     big = CycNum(6, (Fraction(2**62 + 1, 5), Fraction(-(2**61), 7)))
     a0 = CycNum.from_rational(6, Fraction(2**63 + 5, 3))
     spec = CirculantSpec(4, (a0, big, big + big.conjugate(), big.conjugate()))
     assert_matches_oracle(spec)
     half = CycNum.from_rational(1, 2**62)
     assert assert_matches_oracle(CirculantSpec(2, (half, half))).exact_lambdas == (2**63, 0)
-    assert seen == [np.dtype(object)] * 2
+    assert seen == [(np.dtype(object), np.dtype(object))] * 2
 
 
 def test_eigensystem_diagonalizes_the_embedding(circ3, nd6):
