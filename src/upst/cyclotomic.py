@@ -5,15 +5,13 @@ vector of integer numerators over one shared positive denominator, kept in
 lowest terms (the gcd of the denominator and every numerator is 1), so equal
 values have equal representations.  Phi_n is monic with integer coefficients,
 so reduction modulo Phi_n, products, Galois maps and conductor promotion all
-run on Python ints; only the denominator bookkeeping of sums and quotients
-touches rationals.  Phi_n is computed by the recursive quotient of x^n - 1 by
-the Phi_d of the proper divisors d | n.  Inversion uses the field norm: the
-product of the other Galois conjugates of x, divided by the rational
-N(x) = x times that product, so it too runs on the integer path.  Reduction
-is linear, so reduce_exponent_rows reduces many exponent rows V at once by
-one product V @ R_n, where row m of R_n is zeta_n^m: on int64 while max|V|
-times the largest column sum of |R_n| is below 2^63, else on Python ints.
-Everything in this module is exact; floating point enters only through
+run on Python ints; only the denominator bookkeeping of sums and rational
+scalings touches rationals.  Phi_n is computed by the recursive quotient of
+x^n - 1 by the Phi_d of the proper divisors d | n.  Reduction is linear, so
+reduce_exponent_rows reduces many exponent rows V at once by one product
+V @ R_n, where row m of R_n is zeta_n^m: on int64 while max|V| times the
+largest column sum of |R_n| is below 2^63, else on Python ints.  Everything
+in this module is exact; floating point enters only through
 :meth:`CycNum.embed`.
 """
 
@@ -237,12 +235,6 @@ class CycNum:
         sa, sb = den // self.den, sign * (den // rhs.den)
         return _make(self.n, [a * sa + b * sb for a, b in zip(self.num, rhs.num)], den)
 
-    def _scale(self, p: int, q: int) -> "CycNum":
-        # self * p / q for integers p and q != 0
-        if q < 0:
-            p, q = -p, -q
-        return _make(self.n, [c * p for c in self.num], self.den * q)
-
     def __add__(self, other) -> "CycNum":
         rhs = self._coerce(other)
         if rhs is None:
@@ -252,7 +244,7 @@ class CycNum:
     __radd__ = __add__
 
     def __neg__(self) -> "CycNum":
-        return self._scale(-1, 1)
+        return _make(self.n, [-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "CycNum":
         rhs = self._coerce(other)
@@ -265,7 +257,8 @@ class CycNum:
 
     def __mul__(self, other) -> "CycNum":
         if isinstance(other, (int, Fraction)):
-            return self._scale(other.numerator, other.denominator)
+            return _make(self.n, [c * other.numerator for c in self.num],
+                         self.den * other.denominator)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -279,36 +272,6 @@ class CycNum:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "CycNum":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division of an element of Q(zeta_%d) by 0" % self.n)
-            return self._scale(other.denominator, other.numerator)
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self * rhs.invert()
-
-    def __rtruediv__(self, other) -> "CycNum":
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs * self.invert()
-
-    def __pow__(self, k: int) -> "CycNum":
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            return self.invert() ** (-k)
-        out = CycNum.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def is_zero(self) -> bool:
         return not any(self.num)
 
@@ -319,18 +282,6 @@ class CycNum:
         if not self.is_rational():
             raise ValueError("element is not rational: %s" % (self,))
         return Fraction(self.num[0], self.den)
-
-    def invert(self) -> "CycNum":
-        """Multiplicative inverse via the field norm: 1/x = prod_{sigma != 1}
-        sigma(x) / N(x), where N(x) = x * prod_{sigma != 1} sigma(x) is a
-        nonzero rational and sigma runs over the automorphisms zeta_n -> zeta_n^l."""
-        if self.is_zero():
-            raise ZeroDivisionError("inversion of zero in Q(zeta_%d)" % self.n)
-        rest = CycNum.one(self.n)
-        for l in range(2, self.n):
-            if math.gcd(l, self.n) == 1:
-                rest = rest * self.galois(l)
-        return rest / (self * rest).as_fraction()
 
     def galois(self, l: int) -> "CycNum":
         """Apply the automorphism zeta_n -> zeta_n^l; l must be a unit mod n."""
@@ -345,9 +296,6 @@ class CycNum:
     def conjugate(self) -> "CycNum":
         """Complex conjugation, the automorphism zeta_n -> zeta_n^(n-1)."""
         return self.galois(self.n - 1) if self.n > 1 else self
-
-    def is_real(self) -> bool:
-        return self.is_rational() or self.conjugate() == self
 
     def embed(self) -> complex:
         """Numerical value under zeta_n = exp(2*pi*i/n).
@@ -465,6 +413,13 @@ def reduce_exponent_rows(n: int, v: np.ndarray) -> np.ndarray:
     if exact_int_dtype(int(np.max(np.abs(v), initial=0)) * growth) is object:
         v, r = v.astype(object), r.astype(object)
     return v @ r
+
+
+def conjugate_rows(n: int, rows: np.ndarray) -> np.ndarray:
+    """Complex conjugates of power-basis rows: coordinate m goes to zeta_n^-m."""
+    v = np.zeros((rows.shape[0], n), dtype=rows.dtype)
+    v[:, -np.arange(rows.shape[1]) % n] = rows
+    return reduce_exponent_rows(n, v)
 
 
 def cyc_from_exponent_rows(n: int, v: np.ndarray, dens: Sequence[int]) -> list[CycNum]:

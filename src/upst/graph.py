@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cyclotomic import CycNum, cyc_from_exponent_rows, exact_int_dtype
+from .cyclotomic import CycNum, conjugate_rows, exact_int_dtype
 
 HERMITICITY_TOL = 1e-12
 
@@ -35,20 +35,16 @@ class CirculantSpec:
         conductors = {x.n for x in self.a}
         if len(conductors) != 1:
             raise ValueError("coefficients mix conductors %s" % sorted(conductors))
-        # conj(a_j), j = 0..n//2, in one reduction: coordinate k goes to zeta_L^-k
+        # conj(a_j), j = 0..n//2, in one reduction; conjugation keeps lowest terms
         half = self.a[: self.n // 2 + 1]
-        lcond, phi = self.conductor, len(self.a[0].num)
         dtype = exact_int_dtype(max(max(map(abs, x.num)) for x in half))
-        v = np.zeros((len(half), lcond), dtype=dtype)
-        v[:, -np.arange(phi) % lcond] = np.array([x.num for x in half], dtype=dtype)
-        for j, conj in enumerate(cyc_from_exponent_rows(lcond, v, [x.den for x in half])):
-            if self.a[-j] != conj:
+        conj = conjugate_rows(self.conductor, np.array([x.num for x in half], dtype=dtype))
+        for j, (x, row) in enumerate(zip(half, conj.tolist())):
+            if self.a[-j].num != tuple(row) or self.a[-j].den != x.den:
                 if j == 0:
                     raise ValueError("a_0 = %s is not real" % (self.a[0],))
-                raise ValueError(
-                    "a_%d != conjugate(a_%d): coefficients are not Hermitian"
-                    % (self.n - j, j)
-                )
+                raise ValueError("a_%d != conjugate(a_%d): coefficients are not Hermitian"
+                                 % (self.n - j, j))
 
     @property
     def conductor(self) -> int:

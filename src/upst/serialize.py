@@ -24,7 +24,7 @@ from .walk import TransferReport
 
 GRAPH_FORMAT = "upst-graph"
 MATRIX_MATCH_TOL = 1e-12
-EIGEN_RESIDUAL_TOL = 1e-8  # relative to max(1, max |lambda|)
+EIGEN_RESIDUAL_TOL = 1e-8  # relative to max(max|A|, max|lambda|), no floor
 
 
 def matrix_to_json(matrix: np.ndarray) -> list[list[list[float]]]:
@@ -183,7 +183,7 @@ def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem, Optional[dict]]:
     if stored_es is not None:
         lam = stored_es.eigenvalues
         residual = float(np.max(np.abs(graph.adjacency @ stored_es.X - stored_es.X * lam)))
-        scale = max(1.0, float(np.max(np.abs(lam))))
+        scale = max(float(np.max(np.abs(graph.adjacency))), float(np.max(np.abs(lam))))
         if not residual <= EIGEN_RESIDUAL_TOL * scale:
             raise ValueError(
                 "stored eigensystem does not diagonalize the matrix (residual %.3e)" % residual

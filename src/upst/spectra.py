@@ -7,17 +7,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .cyclotomic import CycNum, exact_int_dtype, reduce_exponent_rows
+from .cyclotomic import conjugate_rows, exact_int_dtype, reduce_exponent_rows
 from .graph import CirculantSpec, HermitianGraph
 from .ratios import integer_multiples
 
 UNITARITY_TOL = 1e-10
 ZERO_SUM_TOL = 1e-9
+
+
+class CoordinateRows(NamedTuple):
+    """Value k is sum_m w[k][m] zeta_L^m / den in Q(zeta_L), L the conductor."""
+    conductor: int
+    w: tuple[tuple[int, ...], ...]
+    den: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -27,13 +34,15 @@ class EigenSystem:
     Eigensolves set offset = tr(A)/n, exact where the data are (0 for an
     irrational a_0), and centre lambdas.  For circulants X is the Fourier
     matrix, in Fourier order; eigenvalues are never sorted.  exact_lambdas
-    (absolute) is present when every eigenvalue is rational."""
+    (absolute) is present when every eigenvalue is rational, else exact_rows
+    (lambda_k - offset in Q(zeta_L)) on the exact route."""
 
     n: int
     X: np.ndarray
     lambdas: np.ndarray
     exact_lambdas: Optional[tuple[Fraction, ...]] = None
     offset: float | Fraction = 0
+    exact_rows: Optional[CoordinateRows] = None
 
     @property
     def eigenvalues(self) -> np.ndarray:  # absolute, as floats
@@ -61,13 +70,13 @@ def fourier_matrix(n: int) -> np.ndarray:
 def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
     """Diagonalize a circulant exactly: lambda_k = sum_j a_j zeta_n^(jk).
 
-    The sums are computed in Q(zeta_L) for L = lcm(conductor, n) and must
-    come out real; a non-real value means the spec data is corrupt.  Row j of
-    A holds a_j's numerators over their common denominator at its zeta_L exponents;
-    V[k, m] = sum_j A[j, (m - (L/n)*j*k) mod L] is gathered from windows of [A A]
-    in blocks of <= 2^16 entries (bounded memory); reduce_exponent_rows reduces it
-    to W.  When every row of W is rational (W[:, 1:] = 0), lambda_k is read off
-    W[k, 0] / den with no CycNum built.
+    The sums are computed in Q(zeta_L) for L = lcm(conductor, n).  Row j of A
+    holds a_j's numerators over their common denominator at its zeta_L
+    exponents; V[k, m] = sum_j A[j, (m - (L/n)*j*k) mod L] is gathered from
+    windows of [A A] in blocks of <= 2^16 entries (bounded memory);
+    reduce_exponent_rows reduces it to W, row k lambda_k - offset over den.
+    A rational W (W[:, 1:] = 0) gives exact_lambdas; any other W must equal
+    its conjugate (else the spec data is corrupt) and is kept as exact_rows.
     """
     n = spec.n
     a0 = spec.a[0]
@@ -95,15 +104,14 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
         exact_lambdas = tuple(Fraction(c * q + p * den, den * q) for c in col)
         return EigenSystem(n, fourier_matrix(n), np.array([c / den for c in col]),
                            exact_lambdas, offset)
-    exact = [CycNum(lcond, row) / den for row in w.tolist()]
-    for k, lam in enumerate(exact):
-        if not lam.is_real():
-            raise ArithmeticError(
-                "internal consistency failure: eigenvalue %d of a Hermitian "
-                "circulant came out non-real (imag %.3e)" % (k, lam.embed().imag)
-            )
-    lambdas = np.array([x.embed().real for x in exact])
-    return EigenSystem(n, fourier_matrix(n), lambdas, None, offset)
+    values = w.astype(float) @ np.exp(2j * np.pi * np.arange(w.shape[1]) / lcond) / den
+    real = (conjugate_rows(lcond, w) == w).all(axis=1)
+    if not real.all():
+        k = int(np.argmin(real))
+        raise ArithmeticError("internal consistency failure: eigenvalue %d of a Hermitian "
+                              "circulant came out non-real (imag %.3e)" % (k, values[k].imag))
+    rows = CoordinateRows(lcond, tuple(map(tuple, w.tolist())), den)
+    return EigenSystem(n, fourier_matrix(n), values.real, None, offset, rows)
 
 
 def eigensystem_for(graph: HermitianGraph) -> EigenSystem:
@@ -161,23 +169,34 @@ def zero_sum_check(x: np.ndarray) -> bool:
 
 def eigenvalue_steps(lambdas: Sequence) -> Optional[tuple[float | Fraction, tuple[int, ...]]]:
     """(beta, D) with lambda_k - lambda_0 = beta*D_k, beta > 0 and integers D_k
-    of gcd 1.  Int and Fraction entries (exact_lambdas) give them exactly, beta
-    a Fraction, by a gcd over one common denominator; floats by one
-    integer_multiples call, None where it reads no rational ratios.  Raises
-    ValueError unless there are two or more eigenvalues, all distinct."""
-    exact = all(isinstance(x, (int, Fraction)) for x in lambdas)
-    if exact:
+    of gcd 1, or None.  Exact input (CoordinateRows, or ints and Fractions as
+    one-column rows, L = 1) has them iff the integer steps w_k - w_0 are
+    collinear, every 2x2 minor 0: D_k are coordinates along the line, beta a
+    Fraction on the rational axis, else a float.  Floats take one
+    integer_multiples call.  ValueError unless all >= 2 eigenvalues differ."""
+    if isinstance(lambdas, CoordinateRows):
+        lcond, cols, den = lambdas.conductor, list(zip(*lambdas.w)), lambdas.den
+    elif all(isinstance(x, (int, Fraction)) for x in lambdas):
         den = math.lcm(*(x.denominator for x in lambdas))
-        lam = [x.numerator * (den // x.denominator) for x in lambdas]
+        lcond, cols = 1, [[x.numerator * (den // x.denominator) for x in lambdas]]
     else:
-        lam = np.asarray(lambdas, dtype=float).tolist()
-    if len(lam) < 2 or len(set(lam)) < len(lam):
+        lcond, cols = None, [np.asarray(lambdas, dtype=float).tolist()]
+    if len(cols[0]) < 2 or len(set(zip(*cols))) < len(cols[0]):
         raise ValueError("eigenvalues must be distinct")
-    steps = [x - lam[0] for x in lam[1:]]
-    if not exact:
-        return integer_multiples(steps)
-    g = math.gcd(*steps)
-    return Fraction(g, den), tuple(x // g for x in steps)
+    steps = [[x - c[0] for x in c[1:]] for c in cols]  # column m of the w_k - w_0
+    if lcond is None:
+        return integer_multiples(steps[0])
+    head = next(c for c in steps if c[0])  # a column whose first step is not 0
+    if any(x * head[0] != y * c[0] for c in steps if c is not head for x, y in zip(c, head)):
+        return None
+    g = math.gcd(*head)
+    d = tuple(x // g for x in head)
+    first = [c[0] for c in steps]  # w_1 - w_0, whose multiple by g / head[0] is beta
+    if not any(first[1:]):
+        return Fraction(g, den), d
+    cosines = np.cos(2 * np.pi * np.arange(len(first)) / lcond)
+    beta = g * float(cosines @ np.array(first, dtype=float)) / (head[0] * den)
+    return (beta, d) if beta > 0 else (-beta, tuple(-x for x in d))
 
 
 def recognize_eigenvalue_form(lambdas: Sequence, n: int) -> Optional[EigenvalueForm]:

@@ -21,7 +21,7 @@ from .spectra import UNITARITY_TOL, EigenSystem, canonicalize, eigenvalue_steps,
 PST_ENTRY_TOL = 1e-9
 TIME_AGREEMENT_TOL = 1e-8
 DETECTION_THRESHOLD = 0.96  # on |U|^2; refinement applies the strict test
-DEGENERACY_TOL = 1e-10  # least eigenvalue gap over max(1, max|lambda|), see verify_upst
+DEGENERACY_TOL = 1e-10  # least eigenvalue gap over max|lambda|, see verify_upst
 STEP_MARGIN = 2.0**-16  # relative shrink of the derived grid step, see grid_step
 MAX_GRID_POINTS = 2**22  # largest grid verify_upst scans
 GRID_BLOCK = 2**16  # pair x time elements per grid block
@@ -491,12 +491,13 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
                               upst=False, reasons=(reason,), dense=dense,
                               diagnostics=diagnostics)
 
+    exact = es.exact_rows or es.exact_lambdas
     try:
-        structure = eigenvalue_steps(es.exact_lambdas or es.lambdas)
+        structure = eigenvalue_steps(exact or es.lambdas)
     except ValueError:
         return failed("degenerate-spectrum")
     gap = float(np.min(np.diff(np.sort(es.lambdas))))
-    if es.exact_lambdas is None and gap <= DEGENERACY_TOL * max(1.0, np.max(np.abs(es.lambdas))):
+    if exact is None and gap <= DEGENERACY_TOL * np.max(np.abs(es.lambdas)):
         return failed("degenerate-spectrum")
     if not is_type_ii(es.X):
         return failed("diagonalizer-not-flat")

@@ -1,6 +1,7 @@
 """circulant_eigensystem against the per-eigenvalue CycNum body it replaces:
-the same float eigenvalues bit for bit, the same exact eigenvalues and offset,
-the same error on a corrupt spec."""
+the same exact eigenvalues and offset, rational or as rows of Q(zeta_L), the
+same float eigenvalues (bit for bit on rational spectra), the same error on a
+corrupt spec."""
 
 import math
 from fractions import Fraction
@@ -19,8 +20,9 @@ NONDENSE_PAIRS = ((2, 3), (2, 5), (3, 5), (2, 7), (3, 7), (2, 11), (2, 13), (2, 
 
 
 def reference_circulant_eigensystem(spec):
-    """(lambdas, exact_lambdas, offset) as circulant_eigensystem computed them
-    with one CycNum, is_real test and embed per eigenvalue."""
+    """(lambdas, exact_lambdas, offset, exact) as circulant_eigensystem
+    computed them with one CycNum, realness test and embed per eigenvalue;
+    exact holds those CycNums."""
     n = spec.n
     a0 = spec.a[0]
     offset = 0 if a0.is_zero() or not a0.is_rational() else a0.as_fraction()
@@ -39,7 +41,7 @@ def reference_circulant_eigensystem(spec):
     v = sum(windows[j[i : i + b], start[i : i + b]].sum(axis=0) for i in range(0, n, b))
     exact = cyc_from_exponent_rows(lcond, v, [den] * n)
     for k, lam in enumerate(exact):
-        if not lam.is_real():
+        if not (lam.is_rational() or lam.conjugate() == lam):
             raise ArithmeticError(
                 "internal consistency failure: eigenvalue %d of a Hermitian "
                 "circulant came out non-real (imag %.3e)" % (k, lam.embed().imag)
@@ -48,15 +50,23 @@ def reference_circulant_eigensystem(spec):
     rational = all(x.is_rational() for x in exact)
     exact_lambdas = tuple(x.as_fraction() + offset if offset else x.as_fraction()
                           for x in exact) if rational else None
-    return lambdas, exact_lambdas, offset
+    return lambdas, exact_lambdas, offset, exact
 
 
 def assert_same_as_reference(spec):
     es = circulant_eigensystem(spec)
-    lambdas, exact_lambdas, offset = reference_circulant_eigensystem(spec)
-    assert list(map(float.hex, es.lambdas.tolist())) == list(map(float.hex, lambdas.tolist()))
+    lambdas, exact_lambdas, offset, exact = reference_circulant_eigensystem(spec)
     assert es.exact_lambdas == exact_lambdas
     assert es.offset == offset
+    if exact_lambdas is not None:
+        assert es.exact_rows is None
+        assert list(map(float.hex, es.lambdas.tolist())) == list(map(float.hex, lambdas.tolist()))
+        return es
+    # the rows embed by one product with the powers of zeta_L, not Horner's rule
+    lcond, rows, den = es.exact_rows
+    assert [CycNum(lcond, [Fraction(c, den) for c in row]) for row in rows] == exact
+    size = np.abs(np.array(rows, dtype=float)).sum(axis=1) / den
+    assert np.all(np.abs(es.lambdas - lambdas) <= 1e-14 * size)
     return es
 
 

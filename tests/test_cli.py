@@ -16,7 +16,10 @@ import pytest
 
 from upst import cli
 from upst.cli import FLOAT_FMT, build_from_descriptor, main
+from upst.constructors import nondense_circulant
+from upst.graph import HermitianGraph
 from upst.serialize import graph_to_json, load_graph, report_to_json
+from upst.spectra import EigenSystem, circulant_eigensystem
 from upst.walk import transfer_table, verify_upst
 
 SQ3 = math.sqrt(3)
@@ -305,6 +308,22 @@ def test_verify_detects_a_circulant_bundles_stale_eigensystem(tmp_path, capsys):
     code, _, err = run(["verify", path, "--checks", "upst,typeii"], capsys)
     assert code == 2
     assert "diagonalize" in err
+
+
+def test_verify_refuses_a_tiny_bundle_whose_eigensystem_is_another_matrixs(tmp_path, capsys):
+    # 1e-9 P_6 (the path, real symmetric: no UPST) stored with the eigensystem
+    # of 1e-9 nondense(2,3): the residual 1.8e-9 passed a gate floored at
+    # EIGEN_RESIDUAL_TOL = 1e-8, and verify printed "upst pass"; the gate now
+    # scales with max(max|A|, max|lambda|), about 6e-9
+    path_matrix = 1e-9 * (np.eye(6, k=1) + np.eye(6, k=-1))
+    es = circulant_eigensystem(nondense_circulant(2, 3))
+    stored = EigenSystem(6, es.X, 1e-9 * es.eigenvalues)
+    path = tmp_path / "p6.json"
+    path.write_text(json.dumps(graph_to_json(HermitianGraph(6, path_matrix), stored)))
+    code, out, err = run(["verify", str(path), "--format", "table"], capsys)
+    assert code == 2
+    assert "does not diagonalize the matrix (residual 1.837e-09)" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("desc", [

@@ -262,12 +262,6 @@ def test_nondense_embeds_hermitian(nd6):
 
 # ------------------------------------------- closed-form 1/(zeta^e - 1)
 
-def test_closed_form_inverse_matches_norm_inverse():
-    for n in range(2, 31):
-        for e in range(1, n):
-            assert _inv_zeta_power_minus_one(n, e) == (zeta(n, e) - 1).invert(), (n, e)
-
-
 def test_closed_form_inverse_times_its_argument_is_one():
     for n in range(2, 65):
         one = CycNum.one(n)
@@ -277,22 +271,23 @@ def test_closed_form_inverse_times_its_argument_is_one():
         _inv_zeta_power_minus_one(6, 12)
 
 
-def plain_coefficient(n, c, j):
-    # 1/(zeta_n^(-j) - 1) by the field-norm inverse, plus sum_k c_k zeta_n^(-jk)
-    total = (zeta(n, -j) - 1).invert()
+def is_plain_coefficient(x, n, c, j):
+    # x = 1/(zeta_n^(-j) - 1) + sum_k c_k zeta_n^(-jk): what is left after
+    # the sum, times zeta_n^(-j) - 1, is 1
+    rest = x
     for k, ck in enumerate(c):
-        total = total + ck * zeta(n, -j * k)
-    return total
+        rest = rest - ck * zeta(n, -j * k)
+    return rest * (zeta(n, -j) - 1) == CycNum.one(n)
 
 
-def test_batched_rows_match_the_field_norm_inverse():
+def test_batched_rows_are_the_inverse_plus_the_sum():
     rng = np.random.default_rng(31)
     for n in range(2, 25):
         c = [int(v) for v in rng.integers(-9, 10, size=n)]
         spec = circulant_from_c(n, c)
         assert spec.a[0].is_zero()
         for j in range(1, n):
-            assert spec.a[j] == plain_coefficient(n, c, j), (n, j)
+            assert is_plain_coefficient(spec.a[j], n, c, j), (n, j)
 
 
 NONDENSE_PAIRS = ((2, 3), (2, 5), (3, 5), (2, 7), (3, 7), (2, 11), (2, 13), (2, 17), (5, 17))
@@ -300,9 +295,16 @@ NONDENSE_PAIRS = ((2, 3), (2, 5), (3, 5), (2, 7), (3, 7), (2, 11), (2, 13), (2, 
 
 @pytest.mark.parametrize("p,q", NONDENSE_PAIRS)
 def test_nondense_c_is_the_field_norm_unit(p, q):
-    # c_k are the coordinates of 1/(1 - zeta_n^(-1)) in powers zeta_n^(-k)
+    # c_k are the coordinates of 1/(1 - zeta_n^(-1)) in powers zeta_n^(-k).
+    # x times its other Galois images is the field norm N(x) = Phi_n(1) = 1 at
+    # two primes, so their product u is 1/x, with integer coordinates
     n = p * q
-    u = (1 - zeta(n, -1)).invert()
+    x = 1 - zeta(n, -1)
+    u = CycNum.one(n)
+    for l in range(2, n):
+        if math.gcd(l, n) == 1:
+            u = u * x.galois(l)
+    assert x * u == CycNum.one(n)
     assert u.den == 1
     c = [0] * n
     for m, coef in enumerate(u.num):
@@ -324,7 +326,7 @@ def test_entries_past_the_int64_bound_run_on_python_ints(monkeypatch):
         spec = circulant_from_c(8, c)
         assert seen.pop() == np.dtype(object)
         for j in range(1, 8):
-            assert spec.a[j] == plain_coefficient(8, c, j), j
+            assert is_plain_coefficient(spec.a[j], 8, c, j), j
         es = circulant_eigensystem(spec)
         oracle = [sum((x * zeta(8, j * k) for j, x in enumerate(spec.a)), CycNum.zero(8))
                   for k in range(8)]

@@ -96,14 +96,24 @@ def fourier_oracle(spec):
 def assert_matches_oracle(spec):
     es = circulant_eigensystem(spec)
     lams = fourier_oracle(spec)
-    assert all(lam.is_real() for lam in lams)
+    assert all(lam.conjugate() == lam for lam in lams)
     # the floats are the oracle's lambda_k - offset, the offset a_0 where it is rational
     offset = spec.a[0].as_fraction() if spec.a[0].is_rational() else 0
     assert es.offset == offset
-    centred = [(lam - offset).embed().real for lam in lams]
-    assert es.lambdas.tobytes() == np.array(centred).tobytes()
+    centred = [lam - offset for lam in lams]
     rational = all(lam.is_rational() for lam in lams)
     assert es.exact_lambdas == (tuple(lam.as_fraction() for lam in lams) if rational else None)
+    floats = np.array([lam.embed().real for lam in centred])
+    if rational:
+        assert es.exact_rows is None
+        assert es.lambdas.tobytes() == floats.tobytes()
+        return es
+    # irrational: the rows are the centred lambda_k exactly; their floats come
+    # from one product with the powers of zeta_L, within rounding of Horner's
+    lcond, rows, den = es.exact_rows
+    assert [CycNum(lcond, [Fraction(c, den) for c in row]) for row in rows] == centred
+    size = np.abs(np.array(rows, dtype=float)).sum(axis=1) / den
+    assert np.all(np.abs(es.lambdas - floats) <= 1e-14 * size)
     return es
 
 

@@ -9,13 +9,14 @@ import math
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from upst.cyclotomic import CycNum
+from upst.cyclotomic import CycNum, euler_phi, zeta
 from upst.graph import CirculantSpec, HermitianGraph, circulant_to_graph, with_diagonal_shift
 from upst.spectra import (
     UNITARITY_TOL,
@@ -792,14 +793,17 @@ def bare_matrix(name):
 @pytest.mark.parametrize("name", ["nondense(2,3)", "flat(4,2,3)", "nondense(3,5)", "flat(4,4,2)"])
 @pytest.mark.parametrize("divisor, shift", [(3, 10**4 + 1 / 3), (3, 10**6 + 1 / 3),
                                             (1, 1e10), (1, 1e12), (1e9, 0), (1e6, 0),
-                                            (1e6, 10**4 + 1 / 3)])
+                                            (1e6, 10**4 + 1 / 3), (1e10, 0), (1e12, 0),
+                                            (1e14, 0)])
 def test_bare_matrices_certify_under_scale_and_diagonal_shift(name, divisor, shift):
     # eigh runs on A - mean(diag A) I and keeps the mean as the offset, so the
     # centred eigenvalues, which the gap gate, the ratios and the scan read,
     # do not see the shift; A / divisor multiplies every time, and the period
     # P, by divisor, and float times err in proportion to P, so they agree to
     # TIME_AGREEMENT_TOL max(1, P): an absolute bound refused A / 1e9 (P about
-    # 6e9) as analytic-scan-disagreement
+    # 6e9) as analytic-scan-disagreement; the gap gate is relative to
+    # max|lambda| with no floor, which refused A / 1e10 .. A / 1e14 as
+    # degenerate-spectrum
     a = bare_matrix(name)
     n = a.shape[0]
     base = verify_upst(HermitianGraph(n, a), numerical_eigensystem(a))
@@ -1190,9 +1194,10 @@ def test_inconsistent_rows_report_their_residual():
 def test_verify_tests_flatness_and_recovers_the_ratios_once(monkeypatch, circ3):
     # one flatness test, one analytic solve and one eigenvalue_steps per
     # verify_upst, wherever the functions are bound; the float reconstruction
-    # runs only without exact_lambdas: circ3's eigenvalues 0, +-sqrt(3) are
-    # irrational, and eigh gives none, also on nondense(2,3) + 10^10; an exact
-    # tie is refused by eigenvalue_steps alone, before any flatness test
+    # runs only without exact data: circ3's eigenvalues 0, +-sqrt(3) are
+    # irrational but come as exact rows, and eigh gives none, also on
+    # nondense(2,3) + 10^10; an exact tie is refused by eigenvalue_steps
+    # alone, before any flatness test
     calls = []
     for module, name in ((walk, "is_type_ii"), (spectra, "is_type_ii"),
                          (walk, "analytic_pst_times"),
@@ -1208,7 +1213,7 @@ def test_verify_tests_flatness_and_recovers_the_ratios_once(monkeypatch, circ3):
     floats = sorted(exact + ["integer_multiples"])
     far = circulant_to_graph(with_diagonal_shift(nondense_circulant(2, 3), Fraction(10**10)))
     for graph, es, expected in ((graph, es, exact), (nd6, circulant_eigensystem(nd6.spec), exact),
-                                (circulant_to_graph(circ3), es3(circ3), floats),
+                                (circulant_to_graph(circ3), es3(circ3), exact),
                                 (nd6, numerical_eigensystem(nd6.adjacency), floats),
                                 (far, numerical_eigensystem(far.adjacency), floats)):
         calls.clear()
@@ -1220,6 +1225,109 @@ def test_verify_tests_flatness_and_recovers_the_ratios_once(monkeypatch, circ3):
     report = verify_upst(HermitianGraph(3, (tied.X * tied.lambdas) @ tied.X.conj().T), tied)
     assert report.reasons == ("degenerate-spectrum",)
     assert calls == ["eigenvalue_steps"]
+
+
+def counted_integer_multiples(monkeypatch):
+    """A list that gets one entry per integer_multiples call, wherever bound."""
+    calls = []
+    for module in (spectra, ratios):
+        def counted(*args, real=module.integer_multiples):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(module, "integer_multiples", counted)
+    return calls
+
+
+def test_every_corpus_circulant_takes_its_steps_from_exact_data(monkeypatch):
+    # rational spectra as one-column rows, irrational ones as rows of
+    # Q(zeta_L): no circulant of the parity corpus reads ratios off floats
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "scripts"))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # the script pins these on import; undone after
+    import parity_corpus
+
+    calls = counted_integer_multiples(monkeypatch)
+    specs = [graph.spec for _, graph, _, _ in parity_corpus.corpus() if graph.spec is not None]
+    specs += [spec for _, spec in parity_corpus.exact_corpus()]
+    assert len(specs) == 67
+    for spec in specs:
+        verify_upst(circulant_to_graph(spec), circulant_eigensystem(spec))
+    assert calls == []
+
+
+def test_circ3_steps_are_exact_from_its_rows(monkeypatch, circ3):
+    # lambda = 0, sqrt(3), -sqrt(3): at L = 12, sqrt(3) = 2 zeta - zeta^3
+    es = circulant_eigensystem(circ3)
+    assert es.exact_lambdas is None
+    assert es.exact_rows == (12, ((0, 0, 0, 0), (0, 2, 0, -1), (0, -2, 0, 1)), 1)
+    calls = counted_integer_multiples(monkeypatch)
+    beta, d = spectra.eigenvalue_steps(es.exact_rows)
+    assert d == (1, -1)
+    assert abs(beta - math.sqrt(3)) <= math.ulp(math.sqrt(3))
+    report = verify_upst(circulant_to_graph(circ3), es)
+    assert report.upst is True, report.reasons
+    assert calls == []
+
+
+def spec_with_spectrum(lambdas, lcond):
+    """The order-n circulant with a_j = (1/n) sum_k lambda_k zeta_n^(-jk), the
+    lambda_k elements of Q(zeta_L) for n | L."""
+    n = len(lambdas)
+    return CirculantSpec(n, tuple(
+        Fraction(1, n) * sum((lam * zeta(lcond, -(lcond // n) * j * k)
+                              for k, lam in enumerate(lambdas)), CycNum.zero(lcond))
+        for j in range(n)))
+
+
+def test_incommensurable_rows_give_no_steps_without_floats(monkeypatch):
+    # lambda = (0, 1, sqrt(2), 3), sqrt(2) = zeta_8 - zeta_8^3: the rows
+    # (4, 0, 0, 0) and (0, 4, 0, -4) over 4 of lambda_1 and lambda_2 are not
+    # collinear
+    one = CycNum.one(8)
+    spec = spec_with_spectrum([CycNum.zero(8), one, zeta(8) - zeta(8, 3), 3 * one], 8)
+    es = circulant_eigensystem(spec)
+    assert np.allclose(es.eigenvalues, [0, 1, math.sqrt(2), 3], rtol=0, atol=1e-15)
+    assert es.exact_rows == (8, ((0, 0, 0, 0), (4, 0, 0, 0), (0, 4, 0, -4), (12, 0, 0, 0)), 4)
+    calls = counted_integer_multiples(monkeypatch)
+    assert spectra.eigenvalue_steps(es.exact_rows) is None
+    report = verify_upst(circulant_to_graph(spec), es)
+    assert report.reasons == ("no-consistent-times",)
+    assert calls == []
+
+
+def test_rational_steps_of_an_irrational_spectrum_are_fractions():
+    # lambda_k = sqrt(2) + k/3: rows off the rational axis, steps on it
+    spec = spec_with_spectrum([zeta(8) - zeta(8, 3) + Fraction(k, 3) for k in range(4)], 8)
+    es = circulant_eigensystem(spec)
+    assert es.exact_lambdas is None and es.exact_rows is not None
+    assert spectra.eigenvalue_steps(es.exact_rows) == (Fraction(1, 3), (1, 2, 3))
+    assert verify_upst(circulant_to_graph(spec), es).upst is True
+
+
+@settings(max_examples=80, deadline=None)
+@given(lcond=st.sampled_from([5, 8, 9, 12]), data=st.data())
+def test_rows_on_a_line_give_its_steps_and_off_it_none(lcond, data):
+    # w_k = w_0 + D_k b for a real irrational b of Q(zeta_L): (beta, D) is
+    # (g b / den, D / g), g = gcd(D), signed so beta > 0; moving one row off
+    # the line gives None
+    coords = st.lists(st.integers(-9, 9), min_size=euler_phi(lcond), max_size=euler_phi(lcond))
+    x = CycNum(lcond, data.draw(coords))
+    real = x + x.conjugate()
+    assume(not real.is_rational())
+    b, w0 = real.num, data.draw(coords)
+    d = data.draw(st.lists(st.integers(-20, 20).filter(bool), min_size=2, max_size=6,
+                           unique=True))
+    den = data.draw(st.integers(1, 7))
+    rows = tuple(tuple(x + dk * y for x, y in zip(w0, b)) for dk in [0] + d)
+    beta, steps = spectra.eigenvalue_steps(spectra.CoordinateRows(lcond, rows, den))
+    g = math.gcd(*d)
+    value = real.embed().real * g / den
+    assert steps == tuple((x if value > 0 else -x) // g for x in d)
+    assert beta == pytest.approx(abs(value), rel=1e-12)
+    # e_m is off the line through b: m = 0 when b_0 = 0, else m > 0 with b_m != 0
+    m = next(i for i, y in enumerate(b) if i and y) if b[0] else 0
+    moved = rows[:-1] + (tuple(x + (i == m) for i, x in enumerate(rows[-1])),)
+    assert spectra.eigenvalue_steps(spectra.CoordinateRows(lcond, moved, den)) is None
 
 
 def test_certification_rejects_repeated_eigenvalues():
