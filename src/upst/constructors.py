@@ -80,7 +80,7 @@ def _flat_assembly(
     adj = (adj + adj.conj().T) / 2
     graph = HermitianGraph(n=n, adjacency=adj)
     offset = Fraction(sum(eigens), n)
-    return graph, EigenSystem(n, x, lambdas - float(offset), tuple(map(Fraction, eigens)), offset)
+    return graph, EigenSystem(n, x, lambdas - float(offset), tuple(eigens), offset)
 
 
 def noncirculant_graph(params: NoncirculantParams) -> tuple[HermitianGraph, EigenSystem]:

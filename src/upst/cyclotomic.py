@@ -9,10 +9,10 @@ run on Python ints; only the denominator bookkeeping of sums and rational
 scalings touches rationals.  Phi_n is computed by the recursive quotient of
 x^n - 1 by the Phi_d of the proper divisors d | n.  Reduction is linear, so
 reduce_exponent_rows reduces many exponent rows V at once by one product
-V @ R_n, where row m of R_n is zeta_n^m: on int64 while max|V| times the
-largest column sum of |R_n| is below 2^63, else on Python ints.  Everything
-in this module is exact; floating point enters only through
-:meth:`CycNum.embed`.
+V @ R_n, where row m of R_n is zeta_n^m: one float64 GEMM while max|V| times
+the largest column sum of |R_n| is below 2^53, which bounds every partial sum
+so that the GEMM is exact, else on Python ints.  Everything in this module is
+exact; floating point approximates only in :meth:`CycNum.embed`.
 """
 
 from __future__ import annotations
@@ -118,8 +118,15 @@ def exact_int_dtype(bound: int):
 
 @functools.lru_cache(maxsize=None)
 def _reduction_matrix(n: int) -> tuple[np.ndarray, int]:
-    # R_n (row m is zeta_n^m; read-only, as callers share it), largest column sum of |R_n|
-    rows = [zeta(n, m).num for m in range(n)]
+    # R_n (row m is zeta_n^m; read-only, as callers share it), largest column sum of |R_n|;
+    # row m is zeta * row m-1, a shift whose top coefficient folds by x^deg = -sum(terms)
+    deg, terms = _phi_terms(n)
+    rows = [[1] + [0] * (deg - 1)]
+    for _ in range(1, n):
+        top, row = rows[-1][-1], [0] + rows[-1][:-1]
+        for j, c in terms:
+            row[j] -= top * c
+        rows.append(row)
     growth = max(sum(map(abs, col)) for col in zip(*rows))
     r = np.array(rows, dtype=exact_int_dtype(growth))
     r.flags.writeable = False
@@ -407,12 +414,15 @@ def cyc_from_exponent_vector(n: int, v: Sequence[RationalLike]) -> CycNum:
 
 def reduce_exponent_rows(n: int, v: np.ndarray) -> np.ndarray:
     """W = v @ R_n for the integer matrix v (k x n, int64 or object): row i of W
-    holds the power-basis numerators of sum_m v[i, m] * zeta_n^m, on object
-    (Python ints) when int64 could overflow."""
+    holds the power-basis numerators of sum_m v[i, m] * zeta_n^m.  Each product
+    and partial sum of sum_m v[i, m] R_n[m, j] is an integer of size at most
+    max|v| * growth (the largest column sum of |R_n|).  Below 2^53 float64 holds
+    each exactly, so one float64 GEMM gives W exactly in any summation order,
+    with or without FMA, returned as int64; else W is object, on Python ints."""
     r, growth = _reduction_matrix(n)
-    if exact_int_dtype(int(np.max(np.abs(v), initial=0)) * growth) is object:
-        v, r = v.astype(object), r.astype(object)
-    return v @ r
+    if int(np.max(np.abs(v), initial=0)) * growth < 2**53:
+        return (v.astype(float) @ r.astype(float)).astype(np.int64)
+    return v.astype(object) @ r.astype(object)
 
 
 def conjugate_rows(n: int, rows: np.ndarray) -> np.ndarray:

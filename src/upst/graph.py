@@ -17,7 +17,7 @@ import numpy as np
 
 from .cyclotomic import CycNum, conjugate_rows, exact_int_dtype
 
-HERMITICITY_TOL = 1e-12
+HERMITICITY_TOL = 1e-12  # relative to max|A|, no floor
 
 
 @dataclass(frozen=True)
@@ -83,10 +83,11 @@ def validate_hermitian(matrix: np.ndarray) -> HermitianGraph:
         raise ValueError("adjacency contains non-finite entries")
     dev = np.abs(m - m.conj().T)
     j, k = np.unravel_index(np.argmax(dev), dev.shape)
-    if dev[j, k] > HERMITICITY_TOL:
+    bound = HERMITICITY_TOL * float(np.max(np.abs(m)))
+    if dev[j, k] > bound:
         raise ValueError(
-            "matrix is not Hermitian: |A[%d,%d] - conj(A[%d,%d])| = %.3e exceeds %g"
-            % (j, k, k, j, dev[j, k], HERMITICITY_TOL)
+            "matrix is not Hermitian: |A[%d,%d] - conj(A[%d,%d])| = %.3e exceeds %.3e"
+            % (j, k, k, j, dev[j, k], bound)
         )
     return HermitianGraph(n=m.shape[0], adjacency=m.copy())
 

@@ -23,7 +23,7 @@ from .spectra import EigenSystem, eigensystem_for
 from .walk import TransferReport
 
 GRAPH_FORMAT = "upst-graph"
-MATRIX_MATCH_TOL = 1e-12
+MATRIX_MATCH_TOL = 1e-12  # relative to max|A| of the exact embedding, no floor
 EIGEN_RESIDUAL_TOL = 1e-8  # relative to max(max|A|, max|lambda|), no floor
 
 
@@ -155,9 +155,9 @@ def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem, Optional[dict]]:
     """Read a graph file and choose the eigensystem to certify it with.
 
     Accepts a graph bundle or a bare matrix (nested [re, im] rows).  A bundle
-    with circulant data must match the exact embedding to MATRIX_MATCH_TOL and
-    is diagonalized exactly.  A stored eigensystem must actually diagonalize
-    the matrix, to EIGEN_RESIDUAL_TOL; without circulant data it is the one
+    with circulant data must match the exact embedding to MATRIX_MATCH_TOL max|A|
+    and is diagonalized exactly.  A stored eigensystem must diagonalize the
+    matrix, to EIGEN_RESIDUAL_TOL; without circulant data it is the one
     certified.  Anything else gets a dense numerical solve.
 
     errors: OSError if the file cannot be read, ValueError on malformed
@@ -176,7 +176,7 @@ def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem, Optional[dict]]:
     if graph.spec is not None:
         rebuilt = circulant_to_graph(graph.spec)
         deviation = float(np.max(np.abs(rebuilt.adjacency - graph.adjacency)))
-        if deviation > MATRIX_MATCH_TOL:
+        if deviation > MATRIX_MATCH_TOL * float(np.max(np.abs(rebuilt.adjacency))):
             raise ValueError(
                 "matrix does not match its circulant data (max deviation %.3e)" % deviation
             )

@@ -4,6 +4,7 @@ integer-progression eigenvalue form that characterizes circulant UPST."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,15 +33,15 @@ class EigenSystem:
     """Unitary diagonalizer X with eigenvalue k = offset + lambdas[k] on column k.
 
     Eigensolves set offset = tr(A)/n, exact where the data are (0 for an
-    irrational a_0), and centre lambdas.  For circulants X is the Fourier
-    matrix, in Fourier order; eigenvalues are never sorted.  exact_lambdas
-    (absolute) is present when every eigenvalue is rational, else exact_rows
-    (lambda_k - offset in Q(zeta_L)) on the exact route."""
+    irrational a_0), and centre lambdas.  For circulants X is the shared
+    read-only Fourier matrix, in Fourier order; eigenvalues are never sorted.
+    exact_lambdas (absolute) is present when every eigenvalue is rational,
+    else exact_rows (lambda_k - offset in Q(zeta_L)) on the exact route."""
 
     n: int
     X: np.ndarray
     lambdas: np.ndarray
-    exact_lambdas: Optional[tuple[Fraction, ...]] = None
+    exact_lambdas: Optional[tuple[int | Fraction, ...]] = None
     offset: float | Fraction = 0
     exact_rows: Optional[CoordinateRows] = None
 
@@ -59,12 +60,15 @@ class EigenvalueForm:
     c: tuple[int, ...]
 
 
+@functools.lru_cache(maxsize=None)
 def fourier_matrix(n: int) -> np.ndarray:
-    """The unitary F with entries zeta_n^(jk) / sqrt(n)."""
+    """The unitary F, entries zeta_n^(jk) / sqrt(n): one read-only array per order, shared."""
     if n < 1:
         raise ValueError("order must be positive, got %r" % (n,))
     j = np.arange(n)
-    return np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
+    f = np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
+    f.flags.writeable = False
+    return f
 
 
 def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:

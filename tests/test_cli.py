@@ -1,6 +1,7 @@
 """Command-line front-end: generate | verify | times, exit codes, file formats."""
 
 import csv
+import functools
 import io
 import json
 import math
@@ -16,10 +17,11 @@ import pytest
 
 from upst import cli
 from upst.cli import FLOAT_FMT, build_from_descriptor, main
-from upst.constructors import nondense_circulant
-from upst.graph import HermitianGraph
-from upst.serialize import graph_to_json, load_graph, report_to_json
-from upst.spectra import EigenSystem, circulant_eigensystem
+from upst.constructors import circulant_from_c, nondense_circulant
+from upst.cyclotomic import CycNum
+from upst.graph import CirculantSpec, HermitianGraph, circulant_to_graph
+from upst.serialize import graph_to_json, load_graph, matrix_to_json, report_to_json
+from upst.spectra import EigenSystem, circulant_eigensystem, eigenvalue_steps
 from upst.walk import transfer_table, verify_upst
 
 SQ3 = math.sqrt(3)
@@ -73,6 +75,17 @@ def test_generate_shifted_nondense_matches_exact_entries(tmp_path, capsys):
     exact = [Fraction(num, den) for num, den in doc["eigensystem"]["exact_lambdas"]]
     assert exact == [6, 1, 2, 3, 4, -1]
     assert doc["descriptor"]["shift"] == "5/2"
+
+
+@pytest.mark.parametrize("shift", [None, "5/2"])
+def test_flat_bundle_keeps_its_exact_eigenvalues_through_json(tmp_path, capsys, shift):
+    # noncirculant_graph stores plain ints; the bundle holds [p, q] pairs,
+    # which read back as Fractions of the same values, plus --shift
+    _, es, _ = build_from_descriptor(json.loads(NC_DESC))
+    added = Fraction(shift or 0)
+    _, loaded, _ = load_graph(generate(tmp_path, capsys, NC_DESC, "nc.json", shift=shift))
+    assert loaded.exact_lambdas == tuple(v + added for v in es.exact_lambdas)
+    assert eigenvalue_steps(loaded.exact_lambdas) == eigenvalue_steps(es.exact_lambdas)
 
 
 def test_generate_reads_descriptor_files(tmp_path, capsys):
@@ -235,6 +248,31 @@ def test_verify_certifies_bare_matrix_inputs(tmp_path, capsys):
     assert "diagonalizer-not-flat" in doc["report"]["reasons"]
 
 
+@functools.cache
+def switched_wide_spread_circulants() -> dict[int, np.ndarray]:
+    # circulant_c(n, c) for n = 3..12, c drawn in turn with entries in
+    # [-3000, 3000], each switched by a random diagonal unitary D: D A D^-1
+    rng = np.random.default_rng(1)
+    out = {}
+    for n in range(3, 13):
+        c = [int(v) for v in rng.integers(-3000, 3001, n)]
+        d = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        out[n] = d[:, None] * circulant_to_graph(circulant_from_c(n, c)).adjacency * d.conj()
+    return out
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_verify_certifies_switched_wide_spread_circulants(tmp_path, capsys, n):
+    # switching rounds each entry to a few ulps of max|A| (4.8e3 .. 9.5e3), so
+    # |A - A^dagger| reaches 2e-12; an absolute HERMITICITY_TOL refused
+    # n = 4, 6, 7, 9, 10, 11 and 12 at load as not Hermitian
+    path = tmp_path / "switched.json"
+    path.write_text(json.dumps(matrix_to_json(switched_wide_spread_circulants()[n])))
+    code, out, err = run(["verify", str(path), "--checks", "upst"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["checks"]["upst"] is True
+
+
 @pytest.mark.parametrize("entry", [["1", 0], [True, 0], [1, "0"]])
 def test_verify_rejects_non_numeric_bare_matrix_entries(tmp_path, capsys, entry):
     # K3 with one off-diagonal pair written as a string or a boolean
@@ -283,6 +321,28 @@ def test_verify_detects_matrix_tampering(tmp_path, capsys):
     code, _, err = run(["verify", path], capsys)
     assert code == 2
     assert "does not match" in err
+
+
+def test_circulant_bundles_match_their_data_relative_to_the_largest_entry(tmp_path):
+    # MATRIX_MATCH_TOL is relative to max|A| with no floor.  circulant_c(12)
+    # with entries up to 7.4e3, assembled as X diag(lambda) X^dagger from its
+    # own exact eigensystem, is 3.4e-11 off the embedding and an absolute
+    # 1e-12 refused it; entries of 1e-13 doubled got past that bound
+    c = [int(v) for v in np.random.default_rng(1).integers(-3000, 3001, 12)]
+    spec = circulant_from_c(12, c)
+    es = circulant_eigensystem(spec)
+    assembled = (es.X * es.eigenvalues) @ es.X.conj().T
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(graph_to_json(
+        HermitianGraph(12, (assembled + assembled.conj().T) / 2, spec))))
+    assert load_graph(str(wide))[1].exact_lambdas is not None
+    tiny = CycNum.from_rational(1, Fraction(1, 10**13))
+    small = CirculantSpec(3, (CycNum.zero(1), tiny, tiny))
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(graph_to_json(
+        HermitianGraph(3, 2 * circulant_to_graph(small).adjacency, small))))
+    with pytest.raises(ValueError, match="does not match its circulant data"):
+        load_graph(str(tampered))
 
 
 def test_verify_detects_stale_eigensystem(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from upst import constructors
 from upst.cyclotomic import CycNum, zeta
 from upst.graph import circulant_to_graph, is_connected_circulant, with_diagonal_shift
-from upst.spectra import circulant_eigensystem, is_type_ii
+from upst.spectra import circulant_eigensystem, eigenvalue_steps, is_type_ii
 from upst.constructors import (
     NoncirculantParams,
     _inv_zeta_power_minus_one,
@@ -73,6 +73,23 @@ def test_flat_family_3_2_2():
     assert g.n == 6
     assert es.exact_lambdas == (0, 1, 4, 5, 8, 9)
     assert is_type_ii(es.X)
+
+
+@pytest.mark.parametrize("build, steps", [
+    (lambda: noncirculant_graph(NoncirculantParams(2, 2, 2)), (1, (1, 4, 5))),
+    (lambda: noncirculant_graph(NoncirculantParams(3, 2, 2)), (1, (1, 4, 5, 8, 9))),
+    (lambda: noncirculant_graph(NoncirculantParams(2, 2, 3)), (1, (1, 6, 7))),
+    (lambda: gk_example(2), (1, (-1, -2, -3))),
+    (lambda: gk_example(6), (1, (-1, -6, -7))),
+], ids=["flat(2,2,2)", "flat(3,2,2)", "flat(2,2,3)", "gk(2)", "gk(6)"])
+def test_flat_constructors_store_plain_int_eigenvalues(build, steps):
+    # eigenvalue_steps reads ints as one-column rows over denominator 1, so
+    # (beta, D) is the one the Fraction eigenvalues gave: beta a Fraction
+    _, es = build()
+    assert all(type(v) is int for v in es.exact_lambdas)
+    beta, d = eigenvalue_steps(es.exact_lambdas)
+    assert (beta, d) == steps == eigenvalue_steps(tuple(map(Fraction, es.exact_lambdas)))
+    assert type(beta) is Fraction
 
 
 def test_flat_family_diagonalizer_entries():

@@ -16,12 +16,14 @@ from hypothesis import strategies as st
 
 from upst.cyclotomic import (
     CycNum,
+    _reduction_matrix,
     cyc_from_exponent_rows,
     cyc_from_exponent_vector,
     cyclotomic_polynomial,
     euler_phi,
     exact_int_dtype,
     rational_from_json,
+    reduce_exponent_rows,
     zeta,
 )
 
@@ -192,6 +194,39 @@ def test_exponent_rows_past_the_int64_bound_run_on_python_ints():
     big = np.array([[2**70, 0, -(2**65)]], dtype=object)
     expected = cyc_from_exponent_vector(3, [2**70, 0, -(2**65)])
     assert cyc_from_exponent_rows(3, big, [1]) == [expected]
+
+
+def test_reduction_matrix_rows_are_the_powers_of_zeta():
+    # R_n is built by zeta^m = zeta * zeta^(m-1), one fold by Phi_n per row;
+    # each row must be zeta_n^m reduced on its own by zeta()
+    for n in range(1, 201):
+        r, growth = _reduction_matrix(n)
+        rows = [zeta(n, m).num for m in range(n)]
+        assert r.tolist() == [list(row) for row in rows], n
+        assert growth == max(sum(map(abs, col)) for col in zip(*rows)), n
+        assert r.dtype == np.int64 and not r.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 64, 85, 105])
+def test_reduce_exponent_rows_is_the_exact_integer_product(n):
+    # One float64 GEMM while max|v| growth < 2^53, Python ints from there on.
+    # Row 0 of v meets the bound: it is max|v| times the signs of the column
+    # j of R_n whose |entries| sum to growth, so W[0, j] = max|v| growth, with
+    # one unit taken off where R_n[j, j] = 1 to make it odd.  Just below 2^53
+    # every double on the way is exact; from 2^53 up an odd W[0, j] is not a
+    # double, so a float product there cannot be right.  Phi_105 has the
+    # coefficient -2.
+    r, growth = _reduction_matrix(n)
+    j = int(np.argmax(np.abs(r).sum(axis=0)))
+    rng = np.random.default_rng(n)
+    for top, dtype in (((2**53 - 1) // growth, np.int64), (2**53 // growth + 1, object)):
+        v = rng.integers(-top, top + 1, size=(6, n))
+        v[0] = top * np.where(r[:, j] < 0, -1, 1)
+        v[0, j] -= 1 - top * growth % 2
+        w = reduce_exponent_rows(n, v)
+        assert w.dtype == dtype
+        assert w.tolist() == (v.astype(object) @ r.astype(object)).tolist()
+        assert abs(w[0, j]) % 2 == 1 and (abs(w[0, j]) >= 2**53) == (dtype is object)
 
 
 # ------------------------------------------------------------- arithmetic

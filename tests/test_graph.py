@@ -190,8 +190,13 @@ def test_validate_accepts_identity():
     assert g.n == 4
 
 
-def test_validate_rejects_skew_entries():
-    bad = np.array([[0, 1j], [1j, 0]])
+@pytest.mark.parametrize("bad", [
+    np.array([[0, 1j], [1j, 0]]),
+    # as skew as [[0, 1], [3, 0]]: HERMITICITY_TOL is relative to max|A| with
+    # no floor, where an absolute 1e-12 accepted it
+    np.array([[0, 1e-13], [3e-13, 0]]),
+], ids=["unit", "tiny"])
+def test_validate_rejects_skew_entries(bad):
     with pytest.raises(ValueError) as err:
         validate_hermitian(bad)
     assert "0" in str(err.value) and "1" in str(err.value)  # names the entry

@@ -1,8 +1,10 @@
 """The scripts under scripts/ run end to end on the current library API."""
 
+import importlib.util
 import json
 import math
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -130,3 +132,60 @@ def test_parity_compare_names_every_differing_exact_line(tmp_path):
     assert code == 1
     assert names == ["nondense(2,3)", "circulant_c(8,past-int64)"]
     assert rows["form"] == ["2", "-"]
+
+
+def bench_pairs():
+    """scripts/bench_pairs.py as a module, for its summary code."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# per end-to-end metric of BENCHMARK.json: parent and change values of four
+# seeded pairs, the change's wins and the verdict
+CANNED = {
+    "graphs_per_s": ([100, 102, 98, 101], [110, 102, 97, 111], 2, "within bound"),
+    "graph_s_p50": ([1.0, 1.02, 0.98, 1.01], [0.5, 0.6, 0.55, 0.52], 4, "better"),
+    "graph_s_tail": ([1.0, 1.0, 1.0, 1.0], [1.3, 1.3, 1.3, 1.0], 0, "worse than bound"),
+    "setup_s": ([1.0, 2.0, 1.0, 2.0], [1.5, 1.5, 1.5, 1.5], 2, "unresolved"),
+    "peak_rss_mb": ([40.0, 40.0, 40.0, 40.0], [40.0, 40.0, 40.0, 40.0], 0, "within bound"),
+}
+
+
+def canned_runs(change_failed=0):
+    runs = []
+    for i in range(4):
+        for side in ("parent", "change"):
+            values = {name: {"value": v[side == "change"][i], "unit": "-"}
+                      for name, v in CANNED.items()}
+            failed = change_failed if side == "change" else 0
+            runs.append({"workload": "w", "seed": i + 1, "side": side,
+                         "result": {"attempted": 10, "failed": failed, "metrics": values}})
+    return runs
+
+
+def test_bench_pairs_summary_takes_directions_from_the_benchmark_and_ties_for_neither():
+    # graphs_per_s is higher-better and ties on seed 2; the times are
+    # lower-better, and peak_rss_mb ties on every seed: no side wins a tie
+    module = bench_pairs()
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert sorted(m["name"] for m in metrics) == sorted(CANNED)
+    assert module.parse_seeds("1-10,101") == list(range(1, 11)) + [101]
+    summary = module.summarize(canned_runs(), ("parent", "change"), metrics)["w"]
+    assert summary["pairs"] == 4 and summary["change_failed"] == "0/40"
+    for name, (parent, change, wins, verdict) in CANNED.items():
+        entry = summary[name]
+        assert entry["change_better_pairs"] == wins, name
+        assert entry["verdict"] == verdict, name
+        assert entry["parent_median"] == statistics.median(parent)
+        assert entry["change_median"] == statistics.median(change)
+    result = module.judge_claim({"w": summary}, canned_runs(), "w:graph_s_p50", 4, metrics)
+    assert result.startswith("not met: w graph_s_tail worse than bound; w setup_s unresolved; ")
+    p50 = [m for m in metrics if m["name"] == "graph_s_p50"]
+    alone = module.summarize(canned_runs(), ("parent", "change"), p50)
+    assert module.judge_claim(alone, canned_runs(), "w:graph_s_p50", 4, p50).startswith(
+        "met: w graph_s_p50 1.005 -> 0.535 (0.532x), change ahead in 4 of 4 pairs")
+    failing = module.summarize(canned_runs(change_failed=1), ("parent", "change"), p50)
+    assert module.judge_claim(failing, canned_runs(), "w:graph_s_p50", None, p50).startswith(
+        "not met: w: more failed graphs than the parent; ")

@@ -57,6 +57,22 @@ def test_fourier_rejects_nonpositive_order():
         fourier_matrix(0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 6, 64, 85])
+def test_fourier_matrix_is_one_shared_read_only_array_per_order(n):
+    # cached per order; the entries are the np.exp expression bit for bit, so
+    # every scan and time reads the same doubles as an uncached matrix
+    f = fourier_matrix(n)
+    assert fourier_matrix(n) is f
+    assert not f.flags.writeable
+    j = np.arange(n)
+    expected = np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
+    assert f.dtype == expected.dtype and f.tobytes() == expected.tobytes()
+    x = circulant_eigensystem(CirculantSpec(n, (CycNum.zero(1),) * n)).X
+    assert x is f
+    with pytest.raises(ValueError):
+        x[0, 0] = 0
+
+
 # ------------------------------------------------------ circulant spectra
 
 def test_order3_spectrum_in_fourier_order(circ3):
