@@ -64,6 +64,7 @@ from upst.graph import (  # noqa: E402
     circulant_to_graph,
     with_diagonal_shift,
 )
+from upst.serialize import spec_to_json  # noqa: E402
 from upst.spectra import (  # noqa: E402
     EigenSystem,
     circulant_eigensystem,
@@ -204,7 +205,7 @@ def form_record(lambdas, n):
 
 def exact_record(name, spec):
     es = circulant_eigensystem(spec)
-    blob = json.dumps(spec.to_json_dict(), sort_keys=True).encode()
+    blob = json.dumps(spec_to_json(spec), sort_keys=True).encode()
     line = {
         "input": name,
         "route": "exact",

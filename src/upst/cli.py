@@ -199,7 +199,7 @@ def cmd_verify(
     output_format: str,
     out: Optional[str],
 ) -> int:
-    graph, es, _ = load_graph(source)
+    graph, es = load_graph(source)
     results, report = _run_checks(graph, es, checks)
     all_pass = all(results.values())
     if output_format == "table":
@@ -216,7 +216,7 @@ def cmd_verify(
 
 
 def cmd_times(source: str, output_format: str, out: Optional[str]) -> int:
-    graph, es, _ = load_graph(source)
+    graph, es = load_graph(source)
     report = verify_upst(graph, es)
     if report.upst is not True:
         print(

@@ -264,8 +264,8 @@ class CycNum:
 
     def __mul__(self, other) -> "CycNum":
         if isinstance(other, (int, Fraction)):
-            return _make(self.n, [c * other.numerator for c in self.num],
-                         self.den * other.denominator)
+            p = other.numerator
+            return _make(self.n, [c * p for c in self.num], self.den * other.denominator)
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -328,25 +328,6 @@ class CycNum:
             v[k * step] = c
         return _make(m, _reduce_mod_phi(m, v), self.den)
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "coeffs": [rational_to_json(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "CycNum":
-        """Read back to_json_dict: each pair is checked as rational_from_json
-        checks it, and the pairs go over their lcm denominator as integers."""
-        try:
-            n = data["n"]
-            if type(n) is not int:
-                raise ValueError("n must be a JSON integer, got %r" % (n,))
-            pairs = [_json_rational_pair(pair) for pair in data["coeffs"]]
-            if len(pairs) != euler_phi(n):
-                raise ValueError("%d coefficients do not match phi(%d)" % (len(pairs), n))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError("malformed cyclotomic number: %s" % (exc,)) from exc
-        den = math.lcm(*(abs(q) for _, q in pairs))
-        return _make(n, [p * (den // q) for p, q in pairs], den)
-
     def __str__(self) -> str:
         terms = []
         for k, c in enumerate(self.coeffs):
@@ -357,46 +338,6 @@ class CycNum:
             else:
                 terms.append("%s*z%d^%d" % (c, self.n, k))
         return " + ".join(terms) if terms else "0"
-
-
-def rational_to_json(q: RationalLike) -> list[int]:
-    """An exact rational as the JSON pair [numerator, denominator]."""
-    return [q.numerator, q.denominator]
-
-
-def _json_rational_pair(pair):
-    """pair, if it is two JSON integers with a nonzero second; see rational_from_json."""
-    if not (
-        isinstance(pair, (list, tuple))
-        and len(pair) == 2
-        and all(type(v) is int for v in pair)
-        and pair[1] != 0
-    ):
-        raise ValueError(
-            "malformed rational %r: expected [numerator, denominator] integers" % (pair,)
-        )
-    return pair
-
-
-def rational_from_json(pair) -> Fraction:
-    """Read back a rational_to_json pair.  Both entries must be JSON integers:
-    a bool, float or string is refused, since int() would silently turn it
-    into a different number.
-
-    errors: ValueError on any other shape or a zero denominator.
-    """
-    return Fraction(*_json_rational_pair(pair))
-
-
-def real_from_json(value) -> float:
-    """A JSON number (int or float) as a float.  A bool or string is refused,
-    since float() would silently read true as 1.0 and "3.5" as 3.5.
-
-    errors: ValueError on anything else.
-    """
-    if type(value) not in (int, float):
-        raise ValueError("malformed number %r: expected a JSON int or float" % (value,))
-    return float(value)
 
 
 def _make(n: int, num: list[int], den: int) -> CycNum:

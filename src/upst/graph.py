@@ -50,20 +50,6 @@ class CirculantSpec:
     def conductor(self) -> int:
         return self.a[0].n
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "a": [x.to_json_dict() for x in self.a]}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "CirculantSpec":
-        try:
-            n = data["n"]
-            if type(n) is not int:
-                raise TypeError("n must be a JSON integer, got %r" % (n,))
-            a = tuple(CycNum.from_json_dict(d) for d in data["a"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError("malformed circulant spec: %s" % (exc,)) from exc
-        return CirculantSpec(n, a)
-
 
 @dataclass(frozen=True, eq=False)
 class HermitianGraph:

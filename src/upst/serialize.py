@@ -1,23 +1,24 @@
-"""JSON persistence for graphs, eigensystems, and certification reports.
+"""JSON persistence for graphs, eigensystems, and certification reports: the
+one module that reads and writes the bundle format.
 
-Complex numbers are stored as [re, im] pairs; matrices as row-major nested
-lists of those pairs.  Graph files carry a format tag plus optional exact
-circulant data, the eigensystem used to build the graph, and the generator
-descriptor, so a verifier can cross-check the matrix against its recipe.
-`load_graph` is the one loader: it runs those cross-checks and picks the
-eigensystem the certifier works with.
+Complex numbers are [re, im] pairs, matrices row-major nested lists of them,
+and exact rationals [numerator, denominator] pairs of JSON integers.  Graph
+files carry a format tag plus optional exact circulant data, the eigensystem
+used to build the graph, and the generator descriptor.  `load_graph` is the
+one loader: it runs the cross-checks and picks the eigensystem to certify.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from itertools import chain
 from typing import Optional
 
 import numpy as np
 
-from .cyclotomic import rational_from_json, rational_to_json, real_from_json
+from .cyclotomic import CycNum
 from .graph import CirculantSpec, HermitianGraph, circulant_to_graph, validate_hermitian
 from .spectra import EigenSystem, eigensystem_for
 from .walk import TransferReport
@@ -25,6 +26,31 @@ from .walk import TransferReport
 GRAPH_FORMAT = "upst-graph"
 MATRIX_MATCH_TOL = 1e-12  # relative to max|A| of the exact embedding, no floor
 EIGEN_RESIDUAL_TOL = 1e-8  # relative to max(max|A|, max|lambda|), no floor
+
+
+def _json_int(value, name: str) -> int:
+    """value, if it is a JSON integer: int() would read 4.4, "4" or true as a
+    number the file does not hold."""
+    if type(value) is not int:
+        raise ValueError("%s must be a JSON integer, got %r" % (name, value))
+    return value
+
+
+def _rational_pair(pair) -> tuple[int, int]:
+    """A [numerator, denominator] pair of JSON integers, the second nonzero."""
+    if type(pair) is not list or len(pair) != 2 or not _json_int(pair[1], "rational denominator"):
+        raise ValueError("rational %r is not [numerator, nonzero denominator]" % (pair,))
+    return _json_int(pair[0], "rational numerator"), pair[1]
+
+
+def _json_numbers(values, name: str):
+    """values, if each is a JSON number (int or float): float() would read
+    "3.5" as 3.5 and true as 1.0."""
+    bad = set(map(type, values)) - {int, float}
+    if bad:
+        raise ValueError("malformed %s: expected JSON numbers, found %s"
+                         % (name, ", ".join(sorted(t.__name__ for t in bad))))
+    return values
 
 
 def matrix_to_json(matrix: np.ndarray) -> list[list[list[float]]]:
@@ -42,33 +68,54 @@ def matrix_from_json(data) -> np.ndarray:
     entries = list(chain.from_iterable(data))
     if not set(map(type, entries)) <= {list} or set(map(len, entries)) != {2}:
         raise ValueError("complex entries must be [re, im] pairs")
-    bad = set(map(type, chain.from_iterable(entries))) - {int, float}
-    if bad:
-        raise ValueError("malformed matrix entry: expected JSON numbers, found %s"
-                         % ", ".join(sorted(t.__name__ for t in bad)))
+    _json_numbers(chain.from_iterable(entries), "matrix entry")
     return np.array(data, dtype=float).view(complex)[..., 0]
+
+
+def _cyc_to_json(x: CycNum) -> dict:
+    # coefficient num[k] / den as the reduced pair [num[k] // g, den // g]
+    return {"n": x.n, "coeffs": [[c // (g := math.gcd(c, x.den)), x.den // g] for c in x.num]}
+
+
+def _cyc_from_json(data: dict) -> CycNum:
+    # the pairs as integers over their lcm denominator: no Fraction per pair
+    n = _json_int(data["n"], "conductor")
+    pairs = [_rational_pair(pair) for pair in data["coeffs"]]
+    den = math.lcm(*(abs(q) for _, q in pairs))
+    return CycNum(n, [p * (den // q) for p, q in pairs]) * Fraction(1, den)
+
+
+def spec_to_json(spec: CirculantSpec) -> dict:
+    return {"n": spec.n, "a": [_cyc_to_json(x) for x in spec.a]}
+
+
+def spec_from_json(data: dict) -> CirculantSpec:
+    """errors: ValueError on a malformed number or a spec CirculantSpec refuses;
+    KeyError or TypeError on a missing or mistyped field (see graph_from_json)."""
+    return CirculantSpec(_json_int(data["n"], "circulant order"),
+                         tuple(map(_cyc_from_json, data["a"])))
 
 
 def eigensystem_to_json(es: EigenSystem) -> dict:
     return {
         "X": matrix_to_json(es.X),
         "lambdas": es.eigenvalues.tolist(),
-        "exact_lambdas": None
-        if es.exact_lambdas is None
-        else [rational_to_json(v) for v in es.exact_lambdas],
+        "exact_lambdas": None if es.exact_lambdas is None
+        else [[v.numerator, v.denominator] for v in es.exact_lambdas],
     }
 
 
 def eigensystem_from_json(data: dict) -> EigenSystem:
     """errors: ValueError unless X is n x n, lambdas (and exact_lambdas, if
     present) have length n, every entry is finite, every X and lambdas entry
-    is a JSON number and every exact_lambdas entry is a pair of JSON
-    integers.  The stored lambdas are centred by their mean, the offset."""
+    is a JSON number and every exact_lambdas entry a rational pair; KeyError or
+    TypeError on a missing or mistyped field.  The lambdas are centred by their
+    mean, the offset."""
     x = matrix_from_json(data["X"])
     n = x.shape[0]
-    lambdas = np.array([real_from_json(v) for v in data["lambdas"]], dtype=float)
+    lambdas = np.array(_json_numbers(data["lambdas"], "lambdas"), dtype=float)
     exact = data.get("exact_lambdas")
-    exact_lambdas = None if exact is None else tuple(rational_from_json(v) for v in exact)
+    exact_lambdas = None if exact is None else tuple(Fraction(*_rational_pair(v)) for v in exact)
     if x.shape != (n, n):
         raise ValueError("eigensystem X has shape %s, not n x n" % (x.shape,))
     for name, values in (("lambdas", lambdas), ("exact_lambdas", exact_lambdas)):
@@ -89,14 +136,14 @@ def graph_to_json(
         "format": GRAPH_FORMAT,
         "n": graph.n,
         "matrix": matrix_to_json(graph.adjacency),
-        "circulant": None if graph.spec is None else graph.spec.to_json_dict(),
+        "circulant": None if graph.spec is None else spec_to_json(graph.spec),
         "eigensystem": None if eigensystem is None else eigensystem_to_json(eigensystem),
         "descriptor": descriptor,
     }
 
 
-def graph_from_json(data: dict) -> tuple[HermitianGraph, Optional[EigenSystem], Optional[dict]]:
-    """Rebuild (graph, eigensystem, descriptor) from a graph dict.
+def graph_from_json(data: dict) -> tuple[HermitianGraph, Optional[EigenSystem]]:
+    """Rebuild (graph, eigensystem) from a graph dict; the descriptor is not read.
 
     errors: ValueError on a missing/foreign format tag or malformed fields.
     """
@@ -107,25 +154,23 @@ def graph_from_json(data: dict) -> tuple[HermitianGraph, Optional[EigenSystem], 
             "unrecognized graph format %r (expected %r)" % (data.get("format"), GRAPH_FORMAT)
         )
     try:
-        n = data["n"]
-        if type(n) is not int:
-            raise TypeError("n must be a JSON integer, got %r" % (n,))
+        n = _json_int(data["n"], "n")
         matrix = matrix_from_json(data["matrix"])
         if matrix.shape != (n, n):
             raise ValueError("matrix shape %s does not match n = %d" % (matrix.shape, n))
         spec_data = data.get("circulant")
-        spec = None if spec_data is None else CirculantSpec.from_json_dict(spec_data)
+        spec = None if spec_data is None else spec_from_json(spec_data)
         if spec is not None and spec.n != n:
             raise ValueError("circulant order %d does not match n = %d" % (spec.n, n))
         es_data = data.get("eigensystem")
         es = None if es_data is None else eigensystem_from_json(es_data)
     except KeyError as exc:
         raise ValueError("graph file is missing field %s" % (exc,)) from exc
-    except (TypeError, IndexError) as exc:
+    except (TypeError, IndexError, ValueError) as exc:
         raise ValueError("malformed graph file: %s" % (exc,)) from exc
     if es is not None and es.n != n:
         raise ValueError("eigensystem order %d does not match n = %d" % (es.n, n))
-    return HermitianGraph(n=n, adjacency=matrix, spec=spec), es, data.get("descriptor")
+    return HermitianGraph(n=n, adjacency=matrix, spec=spec), es
 
 
 def _float_or_none(x: float) -> Optional[float]:
@@ -151,7 +196,7 @@ def report_to_json(report: TransferReport) -> dict:
     }
 
 
-def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem, Optional[dict]]:
+def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem]:
     """Read a graph file and choose the eigensystem to certify it with.
 
     Accepts a graph bundle or a bare matrix (nested [re, im] rows).  A bundle
@@ -170,8 +215,8 @@ def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem, Optional[dict]]:
             raise ValueError("%r is not valid JSON: %s" % (path, exc)) from exc
     if isinstance(data, list):
         graph = validate_hermitian(matrix_from_json(data))
-        return graph, eigensystem_for(graph), None
-    graph, stored_es, desc = graph_from_json(data)
+        return graph, eigensystem_for(graph)
+    graph, stored_es = graph_from_json(data)
     validate_hermitian(graph.adjacency)
     if graph.spec is not None:
         rebuilt = circulant_to_graph(graph.spec)
@@ -189,5 +234,5 @@ def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem, Optional[dict]]:
                 "stored eigensystem does not diagonalize the matrix (residual %.3e)" % residual
             )
         if graph.spec is None:
-            return graph, stored_es, desc
-    return graph, eigensystem_for(graph), desc
+            return graph, stored_es
+    return graph, eigensystem_for(graph)

@@ -151,8 +151,8 @@ def _refine_peaks(
     in one wave build and shrinks the bracket to the uphill side of t.  It
     takes the Newton step when the curvature is negative and the step lands
     inside the bracket, and bisects otherwise.  A row stops once its step is
-    at most 1e-15 max(1, |t|), or after 64 steps; from the scan's bracket of
-    two grid steps, even pure bisection stops in about 51 halvings.  Returns
+    at most 1e-15 |t|, or after 64 steps; from the scan's bracket of two grid
+    steps, even pure bisection stops in about 51 halvings.  Returns
     the last evaluated time of each row, the amplitude there, and the rows
     that ever bisected."""
     dp = -1j * lam * pvecs
@@ -180,7 +180,7 @@ def _refine_peaks(
         newton = (curvature < 0) & (lo[live] <= t_next) & (t_next <= hi[live])
         t_next[~newton] = (lo[live[~newton]] + hi[live[~newton]]) / 2
         bisected[live[~newton]] = True
-        going = np.abs(t_next - t_live) > 1e-15 * np.maximum(1.0, np.abs(t_live))
+        going = np.abs(t_next - t_live) > 1e-15 * np.abs(t_live)
         live = live[going]
         t[live] = t_next[going]
     return t_out, amp, bisected
@@ -468,7 +468,7 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     one GEMM off the diagonal, U(P)[w][w] on it; see scan_min_times), the
     scan, given the analytic times as row_times, finds a first-passage time for
     every ordered pair, the scanned times agree with transfer_table on all n^2
-    pairs to TIME_AGREEMENT_TOL max(1, P), and so do t_uv + t_vu and the
+    pairs to TIME_AGREEMENT_TOL P, and so do t_uv + t_vu and the
     return period P for every u != v (time reversal); float times err in
     proportion to P, so the bound scales with it.  Failures come back as False
     verdicts with reason codes, not exceptions.  When upst, circulant_timing
@@ -509,7 +509,7 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     # when every (lambda_k - lambda_0) t is a multiple of 2 pi.  The scan's
     # table amplitudes confirm it like every other entry.
     period = float(times[0])
-    tol = TIME_AGREEMENT_TOL * max(1.0, period)
+    tol = TIME_AGREEMENT_TOL * period
     h = grid_step(es)
     step = period / math.ceil(period / h)
     if math.ceil((period + 2 * h) / step) > MAX_GRID_POINTS:

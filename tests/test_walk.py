@@ -800,7 +800,7 @@ def test_bare_matrices_certify_under_scale_and_diagonal_shift(name, divisor, shi
     # centred eigenvalues, which the gap gate, the ratios and the scan read,
     # do not see the shift; A / divisor multiplies every time, and the period
     # P, by divisor, and float times err in proportion to P, so they agree to
-    # TIME_AGREEMENT_TOL max(1, P): an absolute bound refused A / 1e9 (P about
+    # TIME_AGREEMENT_TOL P: an absolute bound refused A / 1e9 (P about
     # 6e9) as analytic-scan-disagreement; the gap gate is relative to
     # max|lambda| with no floor, which refused A / 1e10 .. A / 1e14 as
     # degenerate-spectrum
@@ -811,8 +811,33 @@ def test_bare_matrices_certify_under_scale_and_diagonal_shift(name, divisor, shi
     moved = a / divisor + shift * np.eye(n)
     report = verify_upst(HermitianGraph(n, moved), numerical_eigensystem(moved))
     assert report.upst is True, report.reasons
-    tol = TIME_AGREEMENT_TOL * max(1.0, report.return_period)
+    tol = TIME_AGREEMENT_TOL * report.return_period
     assert np.max(np.abs(report.min_times - divisor * base.min_times)) <= tol
+
+
+@pytest.mark.parametrize("n", [9, 11, 12])
+def test_wide_spread_circulants_certify_at_a_period_far_below_one(n):
+    # A * 1e6 with c in +-3e4 has P = 2 pi 1e-6 and peaks as narrow as
+    # sqrt(2 PST_ENTRY_TOL / V) for the spread V: a refinement stop of 1e-15
+    # max(1, |t|) was coarser than that width, left the refined peaks below
+    # 1 - PST_ENTRY_TOL and missed 18, 22 and 24 pairs (scan-missing-pairs)
+    c = np.random.default_rng(1).integers(-30000, 30001, n).tolist()
+    a = 1e6 * circulant_to_graph(circulant_from_c(n, c)).adjacency
+    report = verify_upst(HermitianGraph(n, a), numerical_eigensystem(a))
+    assert report.upst is True, report.reasons
+    assert report.return_period == pytest.approx(TWO_PI * 1e-6, rel=1e-12)
+
+
+def test_time_agreement_scales_with_a_period_below_one(monkeypatch, nd6):
+    # at P = 2 pi 1e-6 a scanned time 1e-9 off its table entry is 1.6e-4 P
+    # off: an agreement bound of TIME_AGREEMENT_TOL max(1, P) = 1e-8 passed it
+    plant_scan(monkeypatch, 1e-9, [(1, 2)])
+    a = 1e6 * circulant_to_graph(nd6).adjacency
+    report = verify_upst(HermitianGraph(6, a), numerical_eigensystem(a))
+    assert report.return_period == pytest.approx(TWO_PI * 1e-6, rel=1e-12)
+    assert report.upst is False
+    assert report.reasons == ("analytic-scan-disagreement",)
+    assert report.diagnostics["agreement_max"] == pytest.approx(1e-9, rel=1e-6)
 
 
 @pytest.mark.parametrize("name", ["nondense(2,3)", "circulant_c(5)"])
