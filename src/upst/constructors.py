@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cyclotomic import CycNum, cyc_from_exponent_rows, cyc_from_exponent_vector, exact_int_dtype
+from .cyclotomic import CycNum, cyc_from_exponent_rows, exact_int_dtype
 from .graph import CirculantSpec, HermitianGraph, is_connected_circulant
 from .spectra import EigenSystem, is_type_ii
 
@@ -180,7 +180,7 @@ def nondense_circulant(p: int, q: int) -> CirculantSpec:
         raise ValueError("need distinct primes, got p=%r q=%r" % (p, q))
     n = p * q
     # 1/(1 - zeta_n^(-1)) = -sum_k (k/n) zeta_n^(-k), as _coefficient_rows' row j = 1
-    u = -cyc_from_exponent_vector(n, [Fraction(-i % n, n) for i in range(n)])
+    u = -cyc_from_exponent_rows(n, -np.arange(n)[np.newaxis] % n, [n])[0]
     if u.den != 1:
         raise ArithmeticError(
             "internal error: 1/(1 - zeta_%d^(-1)) should be integral" % n

@@ -3,16 +3,17 @@
 An element is stored in the power basis 1, zeta, ..., zeta^(phi(n)-1) as a
 vector of integer numerators over one shared positive denominator, kept in
 lowest terms (the gcd of the denominator and every numerator is 1), so equal
-values have equal representations.  Phi_n is monic with integer coefficients,
-so reduction modulo Phi_n, products, Galois maps and conductor promotion all
-run on Python ints; only the denominator bookkeeping of sums and rational
-scalings touches rationals.  Phi_n is computed by the recursive quotient of
-x^n - 1 by the Phi_d of the proper divisors d | n.  Reduction is linear, so
-reduce_exponent_rows reduces many exponent rows V at once by one product
-V @ R_n, where row m of R_n is zeta_n^m: one float64 GEMM while max|V| times
-the largest column sum of |R_n| is below 2^53, which bounds every partial sum
-so that the GEMM is exact, else on Python ints.  Everything in this module is
-exact; floating point approximates only in :meth:`CycNum.embed`.
+values have equal representations; only the denominator bookkeeping of sums
+and rational scalings touches rationals.  Phi_n is computed by the recursive
+quotient of x^n - 1 by the Phi_d of the proper divisors d | n.  Every reduction
+modulo Phi_n (products, Galois maps, conjugation, conductor promotion and
+exponent rows) is one product W = V @ R_n in reduce_exponent_rows, where row m
+of the cached R_n is zeta_n^m (so zeta(n, k) is row k) and row i of V holds
+integer coefficients of zeta_n^0 .. zeta_n^(n-1): one float64 GEMM while
+max|V| times the largest column sum of |R_n| is below 2^53, which bounds every
+partial sum so that the GEMM is exact, else on Python ints, so nothing rounds
+or wraps.  Everything in this module is exact; floating point approximates
+only in :meth:`CycNum.embed`.
 """
 
 from __future__ import annotations
@@ -80,37 +81,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@functools.lru_cache(maxsize=None)
-def _phi_terms(n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    # phi(n) and the nonzero (power, coefficient) terms of Phi_n below its
-    # leading 1: x^phi(n) = -sum of those terms modulo Phi_n.
-    phi = cyclotomic_polynomial(n)
-    deg = len(phi) - 1
-    return deg, tuple((j, c) for j, c in enumerate(phi[:deg]) if c)
-
-
-def _reduce_mod_phi(n: int, v: list[int]) -> list[int]:
-    """Reduce integer coefficients of powers of zeta_n to the power basis.
-
-    Works in place on v (any length) and returns it with length phi(n).
-    Powers from n upward first fold onto their residue, since zeta_n^n = 1.
-    """
-    deg, terms = _phi_terms(n)
-    if len(v) > n:
-        for i in range(n, len(v)):
-            v[i % n] += v[i]
-        del v[n:]
-    for i in range(len(v) - 1, deg - 1, -1):
-        c = v[i]
-        if c:
-            base = i - deg
-            for j, p in terms:
-                v[base + j] -= c * p
-    del v[deg:]
-    v.extend([0] * (deg - len(v)))
-    return v
-
-
 def exact_int_dtype(bound: int):
     """np.int64 for integers bounded in absolute value by bound < 2^63, else object."""
     return np.int64 if bound < 2**63 else object
@@ -119,8 +89,10 @@ def exact_int_dtype(bound: int):
 @functools.lru_cache(maxsize=None)
 def _reduction_matrix(n: int) -> tuple[np.ndarray, int]:
     # R_n (row m is zeta_n^m; read-only, as callers share it), largest column sum of |R_n|;
-    # row m is zeta * row m-1, a shift whose top coefficient folds by x^deg = -sum(terms)
-    deg, terms = _phi_terms(n)
+    # row m is zeta * row m-1, a shift whose top coefficient folds by x^deg = -(Phi_n - x^deg)
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    terms = [(j, c) for j, c in enumerate(phi[:deg]) if c]
     rows = [[1] + [0] * (deg - 1)]
     for _ in range(1, n):
         top, row = rows[-1][-1], [0] + rows[-1][:-1]
@@ -168,10 +140,10 @@ class CycNum:
     den: int
 
     def __init__(self, n: int, coeffs: Sequence[RationalLike]) -> None:
-        if len(coeffs) != euler_phi(n):
+        # phi(n) >= sqrt(n/2), so a larger n is refused before euler_phi's trial division
+        if n > 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(n):
             raise ValueError(
-                "coefficient vector of length %d does not match phi(%d) = %d"
-                % (len(coeffs), n, euler_phi(n))
+                "coefficient vector of length %d does not match phi(%d)" % (len(coeffs), n)
             )
         self._fill(n, *_integer_vector(coeffs))
 
@@ -269,13 +241,14 @@ class CycNum:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        n = self.n
         b = [(j, y) for j, y in enumerate(rhs.num) if y]
-        prod = [0] * (2 * len(self.num) - 1)
+        v = [0] * n
         for i, x in enumerate(self.num):
             if x:
                 for j, y in b:
-                    prod[i + j] += x * y
-        return _make(self.n, _reduce_mod_phi(self.n, prod), self.den * rhs.den)
+                    v[(i + j) % n] += x * y
+        return cyc_from_exponent_rows(n, _row(v), [self.den * rhs.den])[0]
 
     __rmul__ = __mul__
 
@@ -294,15 +267,15 @@ class CycNum:
         """Apply the automorphism zeta_n -> zeta_n^l; l must be a unit mod n."""
         if math.gcd(l, self.n) != 1:
             raise ValueError("gcd(%d, %d) != 1: not a Galois automorphism" % (l, self.n))
-        v = [0] * self.n
-        for k, c in enumerate(self.num):
-            if c:
-                v[(k * l) % self.n] += c
-        return _make(self.n, _reduce_mod_phi(self.n, v), self.den)
+        return self._power_map(self.n, l)
 
     def conjugate(self) -> "CycNum":
-        """Complex conjugation, the automorphism zeta_n -> zeta_n^(n-1)."""
-        return self.galois(self.n - 1) if self.n > 1 else self
+        """Complex conjugation, the automorphism zeta_n -> zeta_n^-1."""
+        return self.galois(-1)
+
+    def _power_map(self, m: int, s: int) -> "CycNum":
+        # self with zeta_n^k read as zeta_m^(k*s), in Q(zeta_m)
+        return _make(m, power_map_rows(m, _row(self.num), s)[0].tolist(), self.den)
 
     def embed(self) -> complex:
         """Numerical value under zeta_n = exp(2*pi*i/n).
@@ -320,13 +293,7 @@ class CycNum:
         """Re-express the element in Q(zeta_m) for a conductor multiple m."""
         if m % self.n != 0:
             raise ValueError("cannot promote conductor %d to %d" % (self.n, m))
-        if m == self.n:
-            return self
-        step = m // self.n
-        v = [0] * m
-        for k, c in enumerate(self.num):
-            v[k * step] = c
-        return _make(m, _reduce_mod_phi(m, v), self.den)
+        return self if m == self.n else self._power_map(m, m // self.n)
 
     def __str__(self) -> str:
         terms = []
@@ -345,12 +312,9 @@ def _make(n: int, num: list[int], den: int) -> CycNum:
     return CycNum.__new__(CycNum)._fill(n, num, den)
 
 
-def cyc_from_exponent_vector(n: int, v: Sequence[RationalLike]) -> CycNum:
-    """Build sum_k v[k] * zeta_n^k from a length-n exponent vector."""
-    if len(v) != n:
-        raise ValueError("exponent vector has length %d, expected n = %d" % (len(v), n))
-    num, den = _integer_vector(v)
-    return _make(n, _reduce_mod_phi(n, num), den)
+def _row(v: Sequence[int]) -> np.ndarray:
+    # one row of Python ints as a 1 x len(v) array of exact_int_dtype
+    return np.array([v], dtype=exact_int_dtype(max(map(abs, v))))
 
 
 def reduce_exponent_rows(n: int, v: np.ndarray) -> np.ndarray:
@@ -366,10 +330,13 @@ def reduce_exponent_rows(n: int, v: np.ndarray) -> np.ndarray:
     return v.astype(object) @ r.astype(object)
 
 
-def conjugate_rows(n: int, rows: np.ndarray) -> np.ndarray:
-    """Complex conjugates of power-basis rows: coordinate m goes to zeta_n^-m."""
+def power_map_rows(n: int, rows: np.ndarray, s: int) -> np.ndarray:
+    """Power-basis rows with coordinate m moved to exponent m*s mod n, reduced in
+    Q(zeta_n).  s = -1 conjugates, a unit s mod n is the Galois map zeta -> zeta^s,
+    and s = n / k promotes rows of conductor k to n; each sends the coordinates to
+    distinct exponents."""
     v = np.zeros((rows.shape[0], n), dtype=rows.dtype)
-    v[:, -np.arange(rows.shape[1]) % n] = rows
+    v[:, np.arange(rows.shape[1]) * s % n] = rows
     return reduce_exponent_rows(n, v)
 
 
@@ -380,4 +347,4 @@ def cyc_from_exponent_rows(n: int, v: np.ndarray, dens: Sequence[int]) -> list[C
 
 def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity zeta_n^k; negative k is normalized mod n."""
-    return _make(n, _reduce_mod_phi(n, [0] * (k % n) + [1]), 1)
+    return _make(n, _reduction_matrix(n)[0][k % n].tolist(), 1)

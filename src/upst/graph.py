@@ -15,7 +15,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .cyclotomic import CycNum, conjugate_rows, exact_int_dtype
+from .cyclotomic import CycNum, exact_int_dtype, power_map_rows
 
 HERMITICITY_TOL = 1e-12  # relative to max|A|, no floor
 
@@ -38,7 +38,7 @@ class CirculantSpec:
         # conj(a_j), j = 0..n//2, in one reduction; conjugation keeps lowest terms
         half = self.a[: self.n // 2 + 1]
         dtype = exact_int_dtype(max(max(map(abs, x.num)) for x in half))
-        conj = conjugate_rows(self.conductor, np.array([x.num for x in half], dtype=dtype))
+        conj = power_map_rows(self.conductor, np.array([x.num for x in half], dtype=dtype), -1)
         for j, (x, row) in enumerate(zip(half, conj.tolist())):
             if self.a[-j].num != tuple(row) or self.a[-j].den != x.den:
                 if j == 0:

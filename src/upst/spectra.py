@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .cyclotomic import conjugate_rows, exact_int_dtype, reduce_exponent_rows
+from .cyclotomic import exact_int_dtype, power_map_rows, reduce_exponent_rows
 from .graph import CirculantSpec, HermitianGraph
 from .ratios import integer_multiples
 
@@ -109,7 +109,7 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
         return EigenSystem(n, fourier_matrix(n), np.array([c / den for c in col]),
                            exact_lambdas, offset)
     values = w.astype(float) @ np.exp(2j * np.pi * np.arange(w.shape[1]) / lcond) / den
-    real = (conjugate_rows(lcond, w) == w).all(axis=1)
+    real = (power_map_rows(lcond, w, -1) == w).all(axis=1)
     if not real.all():
         k = int(np.argmin(real))
         raise ArithmeticError("internal consistency failure: eigenvalue %d of a Hermitian "

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from upst import cli
+from upst import cli, cyclotomic
 from upst.cli import FLOAT_FMT, build_from_descriptor, main
 from upst.constructors import circulant_from_c, nondense_circulant
 from upst.cyclotomic import CycNum
@@ -471,6 +471,22 @@ def test_verify_rejects_malformed_bundles(tmp_path, capsys, desc, field, value, 
     assert code == 2
     assert err.startswith("error: ")
     assert names in err
+
+
+def test_verify_refuses_a_huge_conductor_without_factoring_it(tmp_path, capsys, monkeypatch):
+    # one coefficient cannot span Q(zeta_n) for n > 2: refused before any
+    # trial division up to sqrt(n), which would take seconds here
+    def spy(n):
+        raise AssertionError("euler_phi(%d) called" % n)
+
+    path = generate(tmp_path, capsys, ND6_DESC, "bundle.json")
+    doc = json.loads(open(path).read())
+    doc["circulant"]["a"][0] = {"n": 10**16 + 61, "coeffs": [[0, 1]]}
+    open(path, "w").write(json.dumps(doc))
+    monkeypatch.setattr(cyclotomic, "euler_phi", spy)
+    code, _, err = run(["verify", path], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "phi(%d)" % (10**16 + 61) in err
 
 
 def test_verify_without_walk_checks_has_no_report(tmp_path, capsys):

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from upst import cyclotomic
 from upst.cyclotomic import (
     CycNum,
     _reduction_matrix,
     cyc_from_exponent_rows,
-    cyc_from_exponent_vector,
     cyclotomic_polynomial,
     euler_phi,
     exact_int_dtype,
@@ -105,14 +105,30 @@ def test_coefficient_vector_length_is_enforced():
         CycNum(6, (Fraction(1),))  # needs phi(6) = 2 entries
 
 
+def test_a_conductor_too_large_for_its_coefficients_is_refused_unfactored(monkeypatch):
+    # phi(n) >= sqrt(n/2), so n > 2 len(coeffs)^2 cannot match; refusing it
+    # before euler_phi keeps a file's n from buying a trial division to sqrt(n)
+    def spy(n):
+        raise AssertionError("euler_phi(%d) called" % n)
+
+    monkeypatch.setattr(cyclotomic, "euler_phi", spy)
+    for n, coeffs in ((10**16 + 61, [0, 1]), (9, [0, 0]), (3, [1]), (10**40, [1] * 10**3)):
+        with pytest.raises(ValueError):
+            CycNum(n, coeffs)
+
+
+def test_every_conductor_keeps_its_coefficient_vectors():
+    # the bound refuses no valid input: n <= 2 phi(n)^2 for every n
+    for n in range(1, 3001):
+        assert CycNum(n, [1] + [0] * (euler_phi(n) - 1)) == CycNum.one(n), n
+
+
 def test_float_coefficients_are_rejected():
     # 0.5 happens to be exact, but 0.1 would silently store a binary fraction
     with pytest.raises(TypeError):
         CycNum(6, (0.5, 0))
     with pytest.raises(TypeError):
         CycNum.from_rational(6, 0.1)
-    with pytest.raises(TypeError):
-        cyc_from_exponent_vector(3, [0, 0.25, 0])
 
 
 def test_unreduced_fractions_give_equal_elements():
@@ -145,28 +161,30 @@ def test_high_zeta_powers_reduce():
     assert zeta(6, 3) == CycNum.from_rational(6, -1)
 
 
-def test_exponent_vector_builder_matches_powers():
-    v = [0] * 12
-    v[3] = 1
-    v[7] = -2
-    assert cyc_from_exponent_vector(12, v) == zeta(12, 3) - 2 * zeta(12, 7)
+def test_exponent_rows_builder_matches_powers():
+    v = np.zeros((1, 12), dtype=np.int64)
+    v[0, 3] = 1
+    v[0, 7] = -2
+    assert cyc_from_exponent_rows(12, v, [1]) == [zeta(12, 3) - 2 * zeta(12, 7)]
     with pytest.raises(ValueError):
-        cyc_from_exponent_vector(12, [0] * 5)
+        cyc_from_exponent_rows(12, np.zeros((1, 5), dtype=np.int64), [1])
 
 
-
-def test_exponent_rows_match_the_single_vector_builder():
+def test_exponent_rows_are_the_exponent_sums_in_lowest_terms():
+    # row i is sum_m v[i, m] zeta_n^m / dens[i]: the exact product with R_n
+    # (pinned to Phi_n by test_reduction_matrix_is_determined_by_phi_n), in
+    # lowest terms, and numerically the sum itself
     rng = np.random.default_rng(5)
     dens = [1, 2, 3, 7]
     for n in (1, 2, 6, 12, 15, 30, 64):
         v = rng.integers(-50, 51, size=(len(dens), n))
-        expected = [
-            cyc_from_exponent_vector(n, [Fraction(int(x), d) for x in row])
-            for row, d in zip(v, dens)
-        ]
+        w = v.astype(object) @ _reduction_matrix(n)[0].astype(object)
         got = cyc_from_exponent_rows(n, v, dens)
-        assert got == expected, n
+        assert got == [CycNum(n, [Fraction(c, d) for c in row]) for row, d in zip(w, dens)], n
         assert all(type(c) is int for x in got for c in x.num + (x.den,))
+        roots = np.exp(2j * np.pi * np.arange(n) / n)
+        for x, row, d in zip(got, v, dens):
+            assert abs(x.embed() - row @ roots / d) < EMBED_TOL, n
 
 
 def test_exponent_rows_past_the_int64_bound_run_on_python_ints():
@@ -177,8 +195,8 @@ def test_exponent_rows_past_the_int64_bound_run_on_python_ints():
     v[1, 1] = -(2**62)
     got = cyc_from_exponent_rows(12, v, [1, 5])
     expected = [
-        cyc_from_exponent_vector(12, [int(x) for x in v[0]]),
-        cyc_from_exponent_vector(12, [Fraction(int(x), 5) for x in v[1]]),
+        CycNum(12, [-3 * 2**62, 0, 3 * 2**61, 0]),
+        CycNum(12, [0, Fraction(-(2**62), 5), 0, 0]),
     ]
     assert got == expected
     assert got[0].num[0] == -3 * 2**62
@@ -190,20 +208,40 @@ def test_exponent_rows_past_the_int64_bound_run_on_python_ints():
     ]
     assert exact_int_dtype(2**63 - 1) is np.int64
     assert exact_int_dtype(2**63) is object
+    # zeta_3^2 = -1 - zeta_3
     big = np.array([[2**70, 0, -(2**65)]], dtype=object)
-    expected = cyc_from_exponent_vector(3, [2**70, 0, -(2**65)])
-    assert cyc_from_exponent_rows(3, big, [1]) == [expected]
+    assert cyc_from_exponent_rows(3, big, [1]) == [CycNum(3, [2**70 + 2**65, 2**65])]
 
 
-def test_reduction_matrix_rows_are_the_powers_of_zeta():
-    # R_n is built by zeta^m = zeta * zeta^(m-1), one fold by Phi_n per row;
-    # each row must be zeta_n^m reduced on its own by zeta()
+def reduces_modulo_phi(n, r):
+    """Whether r is R_n.  Two facts determine it: its first phi(n) rows are
+    the power basis, and each of the n cyclic shifts x^s Phi_n(x), as a
+    length-n exponent row (exponents mod n), reduces to 0, which fixes row
+    phi(n) + s from the rows below it."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    if r.shape != (n, deg) or r[:deg].tolist() != np.eye(deg, dtype=int).tolist():
+        return False
+    v = np.zeros((n, n), dtype=np.int64)
+    s = np.arange(n)[:, np.newaxis]
+    np.add.at(v, (s, (s + np.arange(deg + 1)) % n), phi)
+    return not (v @ r).any()
+
+
+def test_reduction_matrix_is_determined_by_phi_n():
     for n in range(1, 201):
         r, growth = _reduction_matrix(n)
-        rows = [zeta(n, m).num for m in range(n)]
-        assert r.tolist() == [list(row) for row in rows], n
-        assert growth == max(sum(map(abs, col)) for col in zip(*rows)), n
+        assert reduces_modulo_phi(n, r), n
+        assert growth == int(np.abs(r).sum(axis=0).max()), n
         assert r.dtype == np.int64 and not r.flags.writeable
+        assert [zeta(n, m).num for m in range(n)] == [tuple(row) for row in r.tolist()], n
+    # the oracle refuses R_n with any one entry changed, in the power basis or past it
+    for n in (1, 2, 12, 15, 30):
+        r = _reduction_matrix(n)[0]
+        for i, j in np.ndindex(r.shape):
+            bad = r.copy()
+            bad[i, j] += 1
+            assert not reduces_modulo_phi(n, bad), (n, i, j)
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 64, 85, 105])
@@ -229,6 +267,30 @@ def test_reduce_exponent_rows_is_the_exact_integer_product(n):
 
 
 # ------------------------------------------------------------- arithmetic
+
+def test_one_row_operations_stay_exact_past_int64(monkeypatch):
+    # numerators near 2^70: products, Galois maps, conjugation and promotion
+    # reduce on Python ints, and these identities hold whatever the reduction
+    dtypes = []
+    reduce = cyclotomic.reduce_exponent_rows
+
+    def spy(n, v):
+        w = reduce(n, v)
+        dtypes.append(w.dtype)
+        return w
+
+    monkeypatch.setattr(cyclotomic, "reduce_exponent_rows", spy)
+    x = CycNum(12, [2**70 + 3, -(2**70) + 5, 2**69 - 7, Fraction(2**70 + 1, 3)])
+    y = CycNum(12, [-(2**69) + 11, 2**70 - 13, Fraction(2**70 - 1, 5), 2**68 + 17])
+    assert x.galois(5).galois(5) == x
+    assert x.conjugate().conjugate() == x
+    assert (x * y).promote(24) == x.promote(24) * y.promote(24)
+    z = x * x.conjugate()
+    assert z.conjugate() == z
+    assert z != z.galois(5)
+    assert dtypes and all(d == object for d in dtypes)
+    for k in range(12):
+        assert zeta(12, k) * zeta(12, 12 - k) == CycNum.one(12), k
 
 def test_sum_of_conjugate_sixth_roots_is_rational():
     assert (zeta(6) + zeta(6, 5) - 1).is_zero()
