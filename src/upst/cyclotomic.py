@@ -105,6 +105,14 @@ def _reduction_matrix(n: int) -> tuple[np.ndarray, int]:
     return r, growth
 
 
+@functools.lru_cache(maxsize=None)
+def _float_reduction_matrix(n: int) -> np.ndarray:
+    # R_n in float64 for reduce_exponent_rows' GEMM, read-only like R_n
+    r = _reduction_matrix(n)[0].astype(float)
+    r.flags.writeable = False
+    return r
+
+
 def _integer_vector(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     """Integer numerators over one common positive denominator.
 
@@ -326,7 +334,7 @@ def reduce_exponent_rows(n: int, v: np.ndarray) -> np.ndarray:
     with or without FMA, returned as int64; else W is object, on Python ints."""
     r, growth = _reduction_matrix(n)
     if int(np.max(np.abs(v), initial=0)) * growth < 2**53:
-        return (v.astype(float) @ r.astype(float)).astype(np.int64)
+        return (v.astype(float) @ _float_reduction_matrix(n)).astype(np.int64)
     return v.astype(object) @ r.astype(object)
 
 

@@ -153,13 +153,13 @@ def _refine_peaks(
     inside the bracket, and bisects otherwise.  A row stops once its step is
     at most 1e-15 |t|, or after 64 steps; from the scan's bracket of two grid
     steps, even pure bisection stops in about 51 halvings.  Returns
-    the last evaluated time of each row, the amplitude there, and the rows
-    that ever bisected."""
+    the last evaluated time of each row, the amplitude there, the rows
+    that ever bisected, and each row's count of evaluations."""
     dp = -1j * lam * pvecs
     ddp = -(lam**2) * pvecs
     t, lo, hi = t.copy(), lo.copy(), hi.copy()
     t_out, amp = np.empty(t.size), np.empty(t.size, dtype=complex)
-    bisected = np.zeros(t.size, dtype=bool)
+    bisected, evals = np.zeros(t.size, dtype=bool), np.zeros(t.size, dtype=np.intp)
     live = np.arange(t.size)
     for _ in range(64):
         if not live.size:
@@ -170,6 +170,7 @@ def _refine_peaks(
         a1 = _row_dots(dp[live], waves)
         a2 = _row_dots(ddp[live], waves)
         t_out[live], amp[live] = t_live, a
+        evals[live] += 1
         slope = (a.conjugate() * a1).real
         curvature = (a1.conjugate() * a1 + a.conjugate() * a2).real
         uphill = slope > 0
@@ -183,7 +184,17 @@ def _refine_peaks(
         going = np.abs(t_next - t_live) > 1e-15 * np.abs(t_live)
         live = live[going]
         t[live] = t_next[going]
-    return t_out, amp, bisected
+    return t_out, amp, bisected, evals
+
+
+def _aligned_start(
+    terms: np.ndarray, d: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Each row's t moved to where its terms p_k e^{-i d_k t} align, clipped to
+    [lo, hi] (see scan_min_times)."""
+    psi = np.angle(terms * terms.sum(axis=1, keepdims=True).conj())
+    dc = d - d.mean()
+    return np.clip(t + psi @ dc / (dc @ dc), lo, hi)
 
 
 def _block_peaks(
@@ -228,9 +239,10 @@ def _scan_pairs(
 
     Each block's waves (_grid_waves) reach one grid point past each edge, so
     _block_peaks decides the candidates of the pairs still unresolved inside
-    the block.  Each is refined from its grid point, within one step either
-    side (_refine_peaks), in batches of REFINE_BLOCK // n rows; a pair takes
-    its earliest candidate whose refined |U| >= 1 - PST_ENTRY_TOL and leaves.
+    the block.  Each is refined from its aligned start (_aligned_start), within
+    one step either side of its grid point (_refine_peaks), in batches of
+    REFINE_BLOCK // n rows; a pair takes its earliest candidate whose refined
+    |U| >= 1 - PST_ENTRY_TOL and leaves.
     """
     n = d.size
     u, v = np.divmod(pairs, n)
@@ -242,8 +254,8 @@ def _scan_pairs(
     start = 0
     while start < nsteps and live.size:
         stop = min(nsteps, start + max(1, GRID_BLOCK // max(live.size, n)))
-        hits, clusters, row, w = _block_peaks(
-            pvecs[live], _grid_waves(base, d, step, start - 1, stop + 1))
+        waves = _grid_waves(base, d, step, start - 1, stop + 1)
+        hits, clusters, row, w = _block_peaks(pvecs[live], waves)
         cand_row, peak = live[row], start + w
         diagnostics["pair_time_products"] += live.size * (stop - start)
         diagnostics["f64_hits"] += hits
@@ -252,11 +264,12 @@ def _scan_pairs(
         t_star, amp = np.empty(cand_row.size), np.empty(cand_row.size, dtype=complex)
         for first in range(0, cand_row.size, rows):
             part = slice(first, first + rows)
-            g = peak[part]
-            t_star[part], amp[part], bisected = _refine_peaks(
-                pvecs[cand_row[part]], d, (g + 1) * step, g * step, (g + 2) * step
-            )
+            g, pv = peak[part], pvecs[cand_row[part]]
+            lo, hi = g * step, (g + 2) * step
+            t0 = _aligned_start(pv * waves[w[part] + 1], d, (g + 1) * step, lo, hi)
+            t_star[part], amp[part], bisected, evals = _refine_peaks(pv, d, t0, lo, hi)
             diagnostics["bisect_rows"] += int(np.count_nonzero(bisected))
+            diagnostics["refine_evals"] += int(evals.sum())
         ok = np.flatnonzero(np.abs(amp) >= 1 - PST_ENTRY_TOL)
         done, earliest = np.unique(cand_row[ok], return_index=True)
         times[done] = t_star[ok[earliest]]
@@ -369,15 +382,19 @@ def scan_min_times(
     GEMM errs by about n 2^-52, far below the 1.2e-6 by which grid_step puts
     the nearest grid point above the threshold.
 
-    Every hit >= both grid neighbours is a candidate, refined from its grid
-    point g within [g - step, g + step]; with step <= grid_step(es) no peak
+    Every hit >= both grid neighbours is a candidate, refined in [g - step,
+    g + step] around its grid point g; with step <= grid_step(es) no peak
     is missed.  At a peak t* every term of U is aligned and sum_k |p_k| = 1,
     so |U(t* + s)|^2 = sum_{k,l} |p_k| |p_l| cos((lambda_k - lambda_l) s),
     which does not increase with |s| while |s| <= pi/R.  The grid point g*
     nearest t* is a hit, and its neighbours and bracket ends lie within
     3 step/2 <= pi/R of t*: g* is a candidate, and the curve is unimodal on
-    its bracket, where _refine_peaks converges to t*.  (A float64 tie of g*
-    with a neighbour puts both within about step/2 of t*; either brackets it.)
+    its bracket, where _refine_peaks converges to t* from any start.  (A
+    float64 tie of g* with a neighbour puts both within about step/2 of t*;
+    either brackets it.)  The start is t^ = g + psi.(d - mean d) / |d - mean
+    d|^2, clipped to the bracket, psi_k the angle of p_k e^{-i d_k g} against
+    the sum: at g = t* + s a peak's terms have psi_k = alpha - d_k s exactly,
+    and |psi_k| <= R |s| <= 2 pi/3 wraps no angle, so t^ is t* to rounding.
     At a block's edge the neighbour is read too: t = 0, where |U[u][u]| = 1
     keeps the identity's shoulder from being a candidate, and past the last
     point, which can drop a hit there only beyond P, every first passage.
@@ -387,7 +404,8 @@ def scan_min_times(
     (pairs that took their class's time), member_rescans (members scanned by
     themselves), pair_time_products (curve x time points), f64_hits (grid
     hits), clusters (runs of hits that open on the grid: left neighbour no
-    hit), newton_rows (candidates refined) and bisect_rows, classes + members
+    hit), newton_rows (candidates refined), bisect_rows and refine_evals
+    (refinement evaluations, summed over candidates), classes + members
     being n^2 on a complete scan; and margin_min, the least 1 - |U(t_uv)|
     found (1 for none), admission_max, the largest admitted B_m (0 for none),
     and confirm_margin, the largest 1 - |U(T_m)| of all n^2 table amplitudes;
@@ -400,7 +418,7 @@ def scan_min_times(
     diagnostics = {"grid_step": float(step), "horizon": float(horizon), "grid_points": nsteps}
     diagnostics.update(dict.fromkeys((
         "classes", "members", "member_rescans", "pair_time_products", "f64_hits",
-        "clusters", "newton_rows", "bisect_rows"), 0))
+        "clusters", "newton_rows", "bisect_rows", "refine_evals"), 0))
     x, d = es.X, es.lambdas - es.lambdas[0]
     row_times = np.asarray(row_times, dtype=float)
     first, run, bound, omega = _row_classes(x, d, row_times)

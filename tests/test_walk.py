@@ -50,6 +50,7 @@ from upst.walk import (
     transfer_table,
     unitary_at,
     verify_upst,
+    _aligned_start,
     _block_peaks,
     _grid_waves,
     _refine_peaks,
@@ -616,6 +617,18 @@ def test_scan_diagnostics_count_the_work():
     assert all(type(v) is int for v in counters.values())
 
 
+@pytest.mark.parametrize("es", [
+    noncirculant_graph(NoncirculantParams(4, 4, 2))[1],
+    circulant_eigensystem(nondense_circulant(2, 3)),
+], ids=["flat(4,4,2)", "nondense(2,3)"])
+def test_refinement_from_the_aligned_start_takes_one_evaluation_per_peak(es):
+    # every candidate here is a certified peak, one per class, and the
+    # aligned start is already within the refinement's stop of it
+    d = scan(es).diagnostics
+    assert d["newton_rows"] == d["classes"]
+    assert d["refine_evals"] == d["newton_rows"]
+
+
 def class_count(es):
     """Curves the scan of es scans; no member may be rescanned."""
     d = scan(es).diagnostics
@@ -957,7 +970,7 @@ def test_refinement_bisects_where_newton_cannot_step():
     t0 = peak + np.array([-1.8, -1.2, 0.3])
     lo = peak + np.array([-3.8, -2.5, -0.2])
     hi = peak + np.array([0.2, 0.1, 0.8])
-    t, amp, bisected = _refine_peaks(pv, lam, t0, lo, hi)
+    t, amp, bisected, _ = _refine_peaks(pv, lam, t0, lo, hi)
     assert bisected.tolist() == [True, True, False]
     assert np.max(np.abs(t - peak)) <= 1e-12
     assert np.max(np.abs(np.abs(amp) - 1)) <= 1e-15
@@ -1003,10 +1016,51 @@ def test_refinement_finds_certified_peaks_from_anywhere_in_the_bracket(case, see
     hi = times + h * rng.uniform(0, 1, size=n)
     t0 = lo + (hi - lo) * rng.uniform(0, 1, size=n)
     pv = pair_vectors(es.X)[u * n + np.arange(n)]
-    t, amp, _ = _refine_peaks(pv, es.lambdas, t0, lo, hi)
+    t, amp, _, _ = _refine_peaks(pv, es.lambdas, t0, lo, hi)
     assert np.max(np.abs(t - times)) <= 1e-12
     for v in range(n):
         assert abs(amp[v] - unitary_at(es, t[v])[v, u]) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.just("fourier"), st.sampled_from([2, 3, 5, 8])),
+        st.tuples(st.just("flat"), st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 2, 3), (4, 4, 2)])),
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_aligned_start_lands_on_certified_peaks_from_one_step_away(case, seed):
+    # a candidate lies within one grid step h <= 2 pi/(3R) of its peak, where
+    # no angle of a term against the sum wraps: the one regression the scan
+    # starts refinement from already gives the peak time
+    es, u, times = certified_eigensystem(*case, seed)
+    n = es.n
+    h = grid_step(es)
+    d = es.lambdas - es.lambdas[0]
+    g = times + h * np.random.default_rng(seed).uniform(-1, 1, size=n)
+    pv = pair_vectors(es.X)[u * n + np.arange(n)]
+    start = _aligned_start(pv * _waves(g, d), d, g, g - h, g + h)
+    assert np.max(np.abs(start - times)) <= 1e-12
+
+
+def test_aligned_start_keeps_a_near_miss_in_its_bracket_and_below_the_test():
+    # the 2.02 near miss has a hit, no peak of 1, around 2 pi on the diagonal
+    # pairs: there the start is just another point of the bracket, and
+    # refinement from it finds what it finds from the grid point
+    es = false_cluster_eigensystem()
+    d = es.lambdas - es.lambdas[0]
+    step = scan_grid(es)[1]
+    g = (np.arange(-2, 3) + round(TWO_PI / step)) * step
+    pv = np.repeat(pair_vectors(es.X)[::4], g.size, axis=0)
+    t = np.tile(g, 3)
+    lo, hi = t - step, t + step
+    start = _aligned_start(pv * _waves(t, d), d, t, lo, hi)
+    assert np.all((lo <= start) & (start <= hi))
+    _, amp, _, _ = _refine_peaks(pv, d, start, lo, hi)
+    _, amp_grid, _, _ = _refine_peaks(pv, d, t, lo, hi)
+    assert np.max(np.abs(amp)) < 1 - PST_ENTRY_TOL
+    assert np.max(np.abs(np.abs(amp) - np.abs(amp_grid))) <= 1e-12
 
 
 # ------------------------------------------------------------ certification
