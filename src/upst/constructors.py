@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cyclotomic import CycNum, cyc_from_exponent_rows, exact_int_dtype
+from .cyclotomic import exact_int_dtype, reduce_exponent_rows
 from .graph import CirculantSpec, HermitianGraph, is_connected_circulant
 from .spectra import EigenSystem, is_type_ii
 
@@ -109,19 +109,19 @@ def gk_example(k: int) -> tuple[HermitianGraph, EigenSystem]:
     return _flat_assembly(params, cols[::-1])
 
 
-def _coefficient_rows(n: int, c: Sequence[int]) -> list[CycNum]:
-    """a_j = 1/(zeta_n^(-j) - 1) + sum_k c_k zeta_n^(-jk) for j = 1..n-1, in one
-    reduction.  x = zeta_n^(-j) has order m = n / gcd(n, j) > 1, so its m powers
-    sum to 0 and (x - 1) * sum_{k<m} k*x^k = (m - 1)*x^m - sum_{0<k<m} x^k = m:
-    row j is sum_k (k*[k < m] + m*c_k) x^k over m, entries below n*(n + sum|c_k|).
-    """
+def _coefficient_rows(n: int, c: Sequence[int]) -> np.ndarray:
+    """Numerators over n of a_0 = 0 and a_j = 1/(zeta_n^(-j) - 1) + sum_k c_k zeta_n^(-jk),
+    j = 1..n-1, in one reduction.  x = zeta_n^(-j) has order m = n / gcd(n, j) > 1, so its
+    m powers sum to 0 and (x - 1) * sum_{k<m} k*x^k = (m - 1)*x^m - sum_{0<k<m} x^k = m:
+    row j is sum_k (k*[k < m] + m*c_k) x^k over m, times g = n/m over n, entries below
+    n*(n + sum|c_k|)."""
     j = np.arange(1, n)[:, np.newaxis]
     k = np.arange(n)
-    m = n // np.gcd(j, n)
+    m = n // (g := np.gcd(j, n))
     dtype = exact_int_dtype(n * (n + sum(map(abs, c))))
-    v = np.zeros((n - 1, n), dtype=dtype)
-    np.add.at(v, (j - 1, -j * k % n), np.where(k < m, k, 0) + m * np.array(c, dtype=dtype))
-    return cyc_from_exponent_rows(n, v, m.ravel().tolist())
+    v = np.zeros((n, n), dtype=dtype)
+    np.add.at(v, (j, -j * k % n), (np.where(k < m, k, 0) + m * np.array(c, dtype=dtype)) * g)
+    return reduce_exponent_rows(n, v)
 
 
 def _integer_entries(c: Sequence[int]) -> list[int]:
@@ -148,7 +148,7 @@ def circulant_from_c(n: int, c: Sequence[int]) -> CirculantSpec:
     if len(c) != n:
         raise ValueError("expected %d integers, got %d" % (n, len(c)))
     c = _integer_entries(c)
-    return CirculantSpec(n, (CycNum.zero(n), *_coefficient_rows(n, c)))
+    return CirculantSpec.from_rows(n, n, _coefficient_rows(n, c), n)
 
 
 def integer_spectrum_shift(n: int, c: Sequence[int]) -> Fraction:
@@ -179,17 +179,15 @@ def nondense_circulant(p: int, q: int) -> CirculantSpec:
     if p == q or not (_is_prime(p) and _is_prime(q)):
         raise ValueError("need distinct primes, got p=%r q=%r" % (p, q))
     n = p * q
-    # 1/(1 - zeta_n^(-1)) = -sum_k (k/n) zeta_n^(-k), as _coefficient_rows' row j = 1
-    u = -cyc_from_exponent_rows(n, -np.arange(n)[np.newaxis] % n, [n])[0]
-    if u.den != 1:
-        raise ArithmeticError(
-            "internal error: 1/(1 - zeta_%d^(-1)) should be integral" % n
-        )
-    c = [0] * n
-    for m, coef in enumerate(u.num):
-        c[(n - m) % n] += coef
-    spec = circulant_from_c(n, c)
-    if not (spec.a[1].is_zero() and spec.a[n - 1].is_zero()):
+    # u = 1/(1 - zeta_n^(-1)) = -sum_k (k/n) zeta_n^(-k), as _coefficient_rows' row j = 1;
+    # nu = -n*u must be divisible by n, and c_(-m mod n) = u_m
+    nu = reduce_exponent_rows(n, -np.arange(n)[np.newaxis] % n)[0]
+    if (nu % n).any():
+        raise ArithmeticError("internal error: 1/(1 - zeta_%d^(-1)) should be integral" % n)
+    c = np.zeros(n, dtype=np.int64)
+    c[-np.arange(len(nu)) % n] = -nu // n
+    spec = circulant_from_c(n, c.tolist())
+    if spec.w[[1, n - 1]].any():
         raise ArithmeticError("internal error: a_1 did not cancel")
     if not is_connected_circulant(spec):
         raise ArithmeticError("internal error: non-dense circulant came out disconnected")

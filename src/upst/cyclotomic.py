@@ -13,15 +13,17 @@ integer coefficients of zeta_n^0 .. zeta_n^(n-1): one float64 GEMM while
 max|V| times the largest column sum of |R_n| is below 2^53, which bounds every
 partial sum so that the GEMM is exact, else on Python ints, so nothing rounds
 or wraps.  Everything in this module is exact; floating point approximates
-only in :meth:`CycNum.embed`.
+only in :func:`embed_row`.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 import numbers
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -89,18 +91,24 @@ def exact_int_dtype(bound: int):
 @functools.lru_cache(maxsize=None)
 def _reduction_matrix(n: int) -> tuple[np.ndarray, int]:
     # R_n (row m is zeta_n^m; read-only, as callers share it), largest column sum of |R_n|;
-    # row m is zeta * row m-1, a shift whose top coefficient folds by x^deg = -(Phi_n - x^deg)
+    # rows m < phi(n) are the power basis, and row m >= phi(n) is zeta * row m-1, a shift
+    # whose top coefficient folds by x^deg = -(Phi_n - x^deg)
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     terms = [(j, c) for j, c in enumerate(phi[:deg]) if c]
-    rows = [[1] + [0] * (deg - 1)]
-    for _ in range(1, n):
-        top, row = rows[-1][-1], [0] + rows[-1][:-1]
+    rows, row = [], [0] * (deg - 1) + [1]
+    for _ in range(deg, n):
+        top, row = row[-1], [0] + row[:-1]
         for j, c in terms:
             row[j] -= top * c
         rows.append(row)
-    growth = max(sum(map(abs, col)) for col in zip(*rows))
-    r = np.array(rows, dtype=exact_int_dtype(growth))
+    # n entries below 2^63 / n sum in int64 without wrapping
+    size = max(map(abs, itertools.chain(*rows)), default=1)
+    r = np.zeros((n, deg), dtype=np.int64 if size * n < 2**63 else object)
+    r[np.arange(deg), np.arange(deg)] = 1
+    r[deg:] = np.array(rows, dtype=r.dtype).reshape(n - deg, deg)
+    growth = int(np.abs(r).sum(axis=0).max())
+    r = r.astype(exact_int_dtype(growth))
     r.flags.writeable = False
     return r, growth
 
@@ -113,7 +121,7 @@ def _float_reduction_matrix(n: int) -> np.ndarray:
     return r
 
 
-def _integer_vector(values: Iterable[RationalLike]) -> tuple[list[int], int]:
+def integer_vector(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     """Integer numerators over one common positive denominator.
 
     Accepts ints and other exact rationals (Fraction, numpy integers); a float
@@ -121,8 +129,6 @@ def _integer_vector(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     rational.
     """
     values = list(values)
-    if all(type(x) is int for x in values):
-        return values, 1
     for x in values:
         if isinstance(x, float) or not isinstance(x, numbers.Rational):
             raise TypeError(
@@ -132,6 +138,7 @@ def _integer_vector(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     return [int(x.numerator) * (den // int(x.denominator)) for x in values], den
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class CycNum:
     """An immutable element of Q(zeta_n): (sum_k num[k] * zeta_n^k) / den.
 
@@ -141,19 +148,13 @@ class CycNum:
     TypeError); `coeffs` gives them back as reduced Fractions.
     """
 
-    __slots__ = ("n", "num", "den")
-
     n: int
     num: tuple[int, ...]
     den: int
 
     def __init__(self, n: int, coeffs: Sequence[RationalLike]) -> None:
-        # phi(n) >= sqrt(n/2), so a larger n is refused before euler_phi's trial division
-        if n > 2 * len(coeffs) ** 2 or len(coeffs) != euler_phi(n):
-            raise ValueError(
-                "coefficient vector of length %d does not match phi(%d)" % (len(coeffs), n)
-            )
-        self._fill(n, *_integer_vector(coeffs))
+        check_degree(n, len(coeffs))
+        self._fill(n, *integer_vector(coeffs))
 
     def _fill(self, n: int, num: list[int], den: int) -> "CycNum":
         g = math.gcd(den, *num)
@@ -164,23 +165,6 @@ class CycNum:
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", den)
         return self
-
-    def __setattr__(self, name, value) -> None:
-        raise AttributeError("CycNum is immutable")
-
-    def __delattr__(self, name) -> None:
-        raise AttributeError("CycNum is immutable")
-
-    def __reduce__(self):
-        return (CycNum, (self.n, self.coeffs))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycNum):
-            return NotImplemented
-        return self.n == other.n and self.den == other.den and self.num == other.num
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.num, self.den))
 
     def __repr__(self) -> str:
         return "CycNum(%d, %r)" % (self.n, self.coeffs)
@@ -200,7 +184,7 @@ class CycNum:
 
     @staticmethod
     def from_rational(n: int, value: RationalLike) -> "CycNum":
-        (p,), q = _integer_vector((value,))
+        (p,), q = integer_vector((value,))
         return _make(n, [p] + [0] * (euler_phi(n) - 1), q)
 
     def _coerce(self, other) -> "CycNum | None":
@@ -214,19 +198,13 @@ class CycNum:
             return CycNum.from_rational(self.n, other)
         return None
 
-    def _combine(self, rhs: "CycNum", sign: int) -> "CycNum":
-        # self + sign * rhs over the lcm of the two denominators
-        if self.den == rhs.den:
-            return _make(self.n, [a + sign * b for a, b in zip(self.num, rhs.num)], self.den)
-        den = math.lcm(self.den, rhs.den)
-        sa, sb = den // self.den, sign * (den // rhs.den)
-        return _make(self.n, [a * sa + b * sb for a, b in zip(self.num, rhs.num)], den)
-
     def __add__(self, other) -> "CycNum":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self._combine(rhs, 1)
+        den = math.lcm(self.den, rhs.den)  # over the lcm of the two denominators
+        sa, sb = den // self.den, den // rhs.den
+        return _make(self.n, [a * sa + b * sb for a, b in zip(self.num, rhs.num)], den)
 
     __radd__ = __add__
 
@@ -234,10 +212,7 @@ class CycNum:
         return _make(self.n, [-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "CycNum":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self._combine(rhs, -1)
+        return self + -other if isinstance(other, (int, Fraction, CycNum)) else NotImplemented
 
     def __rsub__(self, other) -> "CycNum":
         return (-self) + other
@@ -256,7 +231,7 @@ class CycNum:
             if x:
                 for j, y in b:
                     v[(i + j) % n] += x * y
-        return cyc_from_exponent_rows(n, _row(v), [self.den * rhs.den])[0]
+        return cyc_from_rows(n, reduce_exponent_rows(n, _row(v)), [self.den * rhs.den])[0]
 
     __rmul__ = __mul__
 
@@ -286,16 +261,8 @@ class CycNum:
         return _make(m, power_map_rows(m, _row(self.num), s)[0].tolist(), self.den)
 
     def embed(self) -> complex:
-        """Numerical value under zeta_n = exp(2*pi*i/n).
-
-        Each coefficient enters as the correctly rounded int / int quotient,
-        the same double as float() of the reduced Fraction.
-        """
-        root = cmath.exp(2j * cmath.pi / self.n)
-        total = 0j
-        for c in reversed(self.num):
-            total = total * root + c / self.den
-        return total
+        """Numerical value under zeta_n = exp(2*pi*i/n) (see embed_row)."""
+        return embed_row(self.n, self.num, self.den)
 
     def promote(self, m: int) -> "CycNum":
         """Re-express the element in Q(zeta_m) for a conductor multiple m."""
@@ -303,16 +270,22 @@ class CycNum:
             raise ValueError("cannot promote conductor %d to %d" % (self.n, m))
         return self if m == self.n else self._power_map(m, m // self.n)
 
-    def __str__(self) -> str:
-        terms = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if k == 0:
-                terms.append(str(c))
-            else:
-                terms.append("%s*z%d^%d" % (c, self.n, k))
-        return " + ".join(terms) if terms else "0"
+
+def check_degree(n: int, k: int) -> None:
+    """ValueError unless k = phi(n), the length of a coefficient vector of Q(zeta_n);
+    phi(n) >= sqrt(n/2), so a larger n is refused before euler_phi's trial division."""
+    if n > 2 * k**2 or k != euler_phi(n):
+        raise ValueError("coefficient vector of length %d does not match phi(%d)" % (k, n))
+
+
+def embed_row(n: int, num: Sequence[int], den: int) -> complex:
+    """sum_k num[k] zeta_n^k / den at zeta_n = exp(2*pi*i/n) by Horner's rule, each
+    num[k] / den the correctly rounded double of the reduced Fraction."""
+    root = cmath.exp(2j * cmath.pi / n)
+    total = 0j
+    for c in reversed(num):
+        total = total * root + c / den
+    return total
 
 
 def _make(n: int, num: list[int], den: int) -> CycNum:
@@ -348,9 +321,9 @@ def power_map_rows(n: int, rows: np.ndarray, s: int) -> np.ndarray:
     return reduce_exponent_rows(n, v)
 
 
-def cyc_from_exponent_rows(n: int, v: np.ndarray, dens: Sequence[int]) -> list[CycNum]:
-    """Row i of v as sum_m v[i, m] * zeta_n^m / dens[i] (see reduce_exponent_rows)."""
-    return [_make(n, row, den) for row, den in zip(reduce_exponent_rows(n, v).tolist(), dens)]
+def cyc_from_rows(n: int, w: np.ndarray, dens: Sequence[int]) -> list[CycNum]:
+    """Row i of the power-basis matrix w (phi(n) columns) as w[i] / dens[i]."""
+    return [_make(n, row, den) for row, den in zip(w.tolist(), dens)]
 
 
 def zeta(n: int, k: int = 1) -> CycNum:

@@ -1,54 +1,82 @@
 """Hermitian adjacency matrices and exact circulant coefficient data.
 
 A circulant Circ(a_0, ..., a_{n-1}) has entries C[j][k] = a[(k-j) mod n].
-Coefficients are cyclotomic numbers so Hermiticity (a_0 real, a_{n-j} the
-conjugate of a_j) and zero-tests are exact; the float adjacency matrix is a
-projection of that data, never the source of truth.
+Its coefficients are one integer matrix of Q(zeta_L) coordinates over one
+denominator, so Hermiticity (a_0 real, a_{n-j} the conjugate of a_j) and
+zero-tests are exact; the float adjacency matrix is a projection of that
+data, never the source of truth.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .cyclotomic import CycNum, exact_int_dtype, power_map_rows
+from .cyclotomic import (CycNum, cyc_from_rows, embed_row, exact_int_dtype, integer_vector,
+                         power_map_rows)
 
 HERMITICITY_TOL = 1e-12  # relative to max|A|, no floor
 
 
-@dataclass(frozen=True)
 class CirculantSpec:
-    """Exact first-row coefficients of a Hermitian circulant of order n."""
+    """Exact first-row coefficients of a Hermitian circulant of order n.
 
-    n: int
-    a: tuple[CycNum, ...]
+    a_j = sum_m w[j, m] zeta_L^m / den for the conductor L: w is a read-only
+    n x phi(L) integer matrix (int64 under exact_int_dtype's bound, object
+    above) and den > 0 the least common denominator, so equal specs have equal
+    data.  CirculantSpec(n, a) takes CycNum coefficients of one conductor,
+    from_rows the matrix itself; `a` gives the CycNums back, built on first read.
+    """
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("circulant order must be positive, got %r" % (self.n,))
-        if len(self.a) != self.n:
-            raise ValueError("expected %d coefficients, got %d" % (self.n, len(self.a)))
-        conductors = {x.n for x in self.a}
-        if len(conductors) != 1:
-            raise ValueError("coefficients mix conductors %s" % sorted(conductors))
-        # conj(a_j), j = 0..n//2, in one reduction; conjugation keeps lowest terms
-        half = self.a[: self.n // 2 + 1]
-        dtype = exact_int_dtype(max(max(map(abs, x.num)) for x in half))
-        conj = power_map_rows(self.conductor, np.array([x.num for x in half], dtype=dtype), -1)
-        for j, (x, row) in enumerate(zip(half, conj.tolist())):
-            if self.a[-j].num != tuple(row) or self.a[-j].den != x.den:
-                if j == 0:
-                    raise ValueError("a_0 = %s is not real" % (self.a[0],))
-                raise ValueError("a_%d != conjugate(a_%d): coefficients are not Hermitian"
-                                 % (self.n - j, j))
+    def __init__(self, n: int, a: Sequence[CycNum]) -> None:
+        conductors = sorted({x.n for x in a})
+        if len(conductors) > 1:
+            raise ValueError("coefficients mix conductors %s" % conductors)
+        den = math.lcm(*(x.den for x in a))
+        w = [[c * (den // x.den) for c in x.num] for x in a]
+        self._fill(n, conductors[0] if a else 1, w, den)
 
-    @property
-    def conductor(self) -> int:
-        return self.a[0].n
+    @classmethod
+    def from_rows(cls, n: int, conductor: int, w, den: int) -> CirculantSpec:
+        """a_j = sum_m w[j][m] zeta_L^m / den: n integer rows of phi(L), den > 0."""
+        (spec := cls.__new__(cls))._fill(n, conductor, w, den)
+        return spec
+
+    def _fill(self, n: int, conductor: int, w, den: int) -> None:
+        if n < 1:
+            raise ValueError("circulant order must be positive, got %r" % (n,))
+        if len(w) != n:
+            raise ValueError("expected %d coefficients, got %d" % (n, len(w)))
+        w = w if isinstance(w, np.ndarray) else np.array(w, dtype=object)
+        g = math.gcd(den, int(np.gcd.reduce(w, axis=None)))  # lowest terms
+        w = (w // g).astype(exact_int_dtype(int(np.abs(w).max()) // g))
+        w.flags.writeable = False
+        vars(self).update(n=n, conductor=conductor, w=w, den=den // g)
+        h = np.arange(n // 2 + 1)  # conj(a_j) against a_(n-j), j = 0..n//2, in one reduction
+        bad = (power_map_rows(conductor, w[h], -1) != w[-h % n]).any(axis=1)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError("a_%d != conjugate(a_%d): coefficients are not Hermitian" % (n - j, j)
+                             if j else "a_0 = %s is not real" % (self.a[0],))
+
+    @functools.cached_property
+    def a(self) -> tuple[CycNum, ...]:
+        return tuple(cyc_from_rows(self.conductor, self.w, [self.den] * self.n))
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError("CirculantSpec is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, CirculantSpec) and np.array_equal(self.w, other.w)
+                and (self.n, self.conductor, self.den) == (other.n, other.conductor, other.den))
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.conductor, self.den, tuple(self.w.ravel().tolist())))
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,20 +109,16 @@ def validate_hermitian(matrix: np.ndarray) -> HermitianGraph:
 def circulant_to_graph(spec: CirculantSpec) -> HermitianGraph:
     """Embed the exact coefficients into the dense adjacency matrix."""
     n = spec.n
-    emb = np.array([x.embed() for x in spec.a], dtype=complex)
+    emb = np.array([embed_row(spec.conductor, row, spec.den) for row in spec.w.tolist()])
     k = np.arange(n)
     a = emb[(k - k[:, np.newaxis]) % n]  # a[j, k] = emb[(k - j) % n]
-    a = (a + a.conj().T) / 2  # kill rounding asymmetry from embed()
+    a = (a + a.conj().T) / 2  # kill rounding asymmetry from embed_row()
     return HermitianGraph(n=n, adjacency=a, spec=spec)
 
 
 def is_connected_circulant(spec: CirculantSpec) -> bool:
-    """Connectivity test: gcd of the support indices together with n equals 1."""
-    g = spec.n
-    for j in range(1, spec.n):
-        if not spec.a[j].is_zero():
-            g = math.gcd(g, j)
-    return g == 1
+    """Connectivity test: gcd of the support indices (0 adds nothing) and n equals 1."""
+    return math.gcd(spec.n, *np.flatnonzero(spec.w.any(axis=1)).tolist()) == 1
 
 
 def with_diagonal_shift(spec: CirculantSpec, alpha: Union[int, Fraction]) -> CirculantSpec:
@@ -102,5 +126,8 @@ def with_diagonal_shift(spec: CirculantSpec, alpha: Union[int, Fraction]) -> Cir
 
     alpha must be exact (int or Fraction); a float raises TypeError.
     """
-    a0 = spec.a[0] + CycNum.from_rational(spec.conductor, alpha)
-    return CirculantSpec(spec.n, (a0,) + spec.a[1:])
+    (p,), q = integer_vector((alpha,))
+    den = math.lcm(spec.den, q)
+    w = spec.w.astype(object) * (den // spec.den)
+    w[0, 0] += p * (den // q)
+    return CirculantSpec.from_rows(spec.n, spec.conductor, w, den)

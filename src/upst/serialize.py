@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cyclotomic import CycNum
+from .cyclotomic import check_degree
 from .graph import CirculantSpec, HermitianGraph, circulant_to_graph, validate_hermitian
 from .spectra import EigenSystem, eigensystem_for
 from .walk import TransferReport
@@ -72,28 +72,30 @@ def matrix_from_json(data) -> np.ndarray:
     return np.array(data, dtype=float).view(complex)[..., 0]
 
 
-def _cyc_to_json(x: CycNum) -> dict:
-    # coefficient num[k] / den as the reduced pair [num[k] // g, den // g]
-    return {"n": x.n, "coeffs": [[c // (g := math.gcd(c, x.den)), x.den // g] for c in x.num]}
-
-
-def _cyc_from_json(data: dict) -> CycNum:
-    # the pairs as integers over their lcm denominator: no Fraction per pair
-    n = _json_int(data["n"], "conductor")
-    pairs = [_rational_pair(pair) for pair in data["coeffs"]]
-    den = math.lcm(*(abs(q) for _, q in pairs))
-    return CycNum(n, [p * (den // q) for p, q in pairs]) * Fraction(1, den)
-
-
 def spec_to_json(spec: CirculantSpec) -> dict:
-    return {"n": spec.n, "a": [_cyc_to_json(x) for x in spec.a]}
+    # a_j as {"n": conductor, "coeffs": w[j, m] / den as reduced pairs [w // g, den // g]}
+    den = spec.den
+    return {"n": spec.n, "a": [
+        {"n": spec.conductor, "coeffs": [[c // (g := math.gcd(c, den)), den // g] for c in row]}
+        for row in spec.w.tolist()]}
 
 
 def spec_from_json(data: dict) -> CirculantSpec:
-    """errors: ValueError on a malformed number or a spec CirculantSpec refuses;
+    """The pairs as integers over their lcm denominator, one matrix.  errors: ValueError
+    on a malformed number, a coefficient of length != phi(conductor) (refused before
+    euler_phi for a huge conductor), mixed conductors or a spec CirculantSpec refuses;
     KeyError or TypeError on a missing or mistyped field (see graph_from_json)."""
-    return CirculantSpec(_json_int(data["n"], "circulant order"),
-                         tuple(map(_cyc_from_json, data["a"])))
+    n = _json_int(data["n"], "circulant order")
+    conductors, rows = set(), []
+    for x in data["a"]:
+        conductors.add(_json_int(x["n"], "conductor"))
+        rows.append([_rational_pair(pair) for pair in x["coeffs"]])
+        check_degree(x["n"], len(rows[-1]))
+    if len(conductors) > 1:
+        raise ValueError("coefficients mix conductors %s" % sorted(conductors))
+    den = math.lcm(*(abs(q) for row in rows for _, q in row))
+    w = [[p * (den // q) for p, q in row] for row in rows]
+    return CirculantSpec.from_rows(n, conductors.pop() if conductors else 1, w, den)
 
 
 def eigensystem_to_json(es: EigenSystem) -> dict:

@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .cyclotomic import exact_int_dtype, power_map_rows, reduce_exponent_rows
+from .cyclotomic import embed_row, exact_int_dtype, power_map_rows, reduce_exponent_rows
 from .graph import CirculantSpec, HermitianGraph
 from .ratios import integer_multiples
 
@@ -75,24 +75,20 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
     """Diagonalize a circulant exactly: lambda_k = sum_j a_j zeta_n^(jk).
 
     The sums are computed in Q(zeta_L) for L = lcm(conductor, n).  Row j of A
-    holds a_j's numerators over their common denominator at its zeta_L
+    holds row j of the spec's w (a_j's numerators over den) at its zeta_L
     exponents; V[k, m] = sum_j A[j, (m - (L/n)*j*k) mod L] is gathered from
     windows of [A A] in blocks of <= 2^16 entries (bounded memory);
     reduce_exponent_rows reduces it to W, row k lambda_k - offset over den.
     A rational W (W[:, 1:] = 0) gives exact_lambdas; any other W must equal
     its conjugate (else the spec data is corrupt) and is kept as exact_rows.
     """
-    n = spec.n
-    a0 = spec.a[0]
-    offset = 0 if a0.is_zero() or not a0.is_rational() else a0.as_fraction()
+    n, den, a0 = spec.n, spec.den, spec.w[0]
+    offset = Fraction(int(a0[0]), den) if a0[0] and not a0[1:].any() else 0
     lcond = math.lcm(spec.conductor, n)
-    den = math.lcm(*(x.den for x in spec.a))
-    scale = [den // x.den for x in spec.a]
     # |V| <= sum_j max|A[j]| bounds every partial sum of the gather
-    dtype = exact_int_dtype(sum(max(map(abs, x.num)) * m for x, m in zip(spec.a, scale)))
+    dtype = exact_int_dtype(sum(np.abs(spec.w).max(axis=1).tolist()))
     a = np.zeros((n, lcond), dtype=dtype)
-    a[:, :: lcond // spec.conductor][:, : len(a0.num)] = (
-        np.array([x.num for x in spec.a], dtype=dtype) * np.array(scale, dtype=dtype)[:, np.newaxis])
+    a[:, :: lcond // spec.conductor][:, : len(a0)] = spec.w
     if offset:  # a rational a_0 is the offset: V holds lambda_k - a_0
         a[0] = 0
     a = np.hstack([a, a])
@@ -102,7 +98,7 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
     b = max(1, 2**16 // (n * lcond))
     v = sum(windows[j[i : i + b], start[i : i + b]].sum(axis=0) for i in range(0, n, b))
     w = reduce_exponent_rows(lcond, v)
-    if not w[:, 1:].any():  # int / int rounds correctly: the double CycNum.embed gives
+    if not w[:, 1:].any():  # int / int rounds correctly: the double embed_row gives
         col = w[:, 0].tolist()
         p, q = offset.numerator, offset.denominator  # 0/1 for offset 0
         exact_lambdas = tuple(Fraction(c * q + p * den, den * q) for c in col)
@@ -207,13 +203,15 @@ def recognize_eigenvalue_form(lambdas: Sequence, n: int) -> Optional[EigenvalueF
     """Decide whether lambda_k = alpha + beta*(q*k + c_k*n) for some beta > 0,
     unit q mod n, and integers c_k, reading k as the given index order.
 
-    beta and D_k = (lambda_k - lambda_0)/beta come from eigenvalue_steps, and
-    D_k must be congruent to q*k mod n.  alpha is normalized into [0, beta*n)
-    by absorbing whole periods into c_0; q is the smallest positive
-    representative.  None when no such witness exists.
+    lambdas are floats, exact rationals or CoordinateRows, as eigenvalue_steps
+    takes them; beta and D_k = (lambda_k - lambda_0)/beta come from it, and D_k
+    must be congruent to q*k mod n.  alpha (a float for rows) is normalized into
+    [0, beta*n) by absorbing whole periods into c_0; q is the smallest positive
+    representative.  None when no such witness exists, as for non-collinear rows.
     """
-    if len(lambdas) != n:
-        raise ValueError("expected %d eigenvalues, got %d" % (n, len(lambdas)))
+    rows = lambdas.w if isinstance(lambdas, CoordinateRows) else lambdas
+    if len(rows) != n:
+        raise ValueError("expected %d eigenvalues, got %d" % (n, len(rows)))
     structure = eigenvalue_steps(lambdas) if n > 1 else (1, ())
     if structure is None:
         return None
@@ -221,6 +219,8 @@ def recognize_eigenvalue_form(lambdas: Sequence, n: int) -> Optional[EigenvalueF
     q = m[0] % n if m else 1
     if math.gcd(q, n) != 1 or any((d - q * k) % n for k, d in enumerate(m, 1)):
         return None
-    c0, alpha = divmod(lambdas[0], beta * n)
+    lam0 = (lambdas[0] if rows is lambdas
+            else embed_row(lambdas.conductor, rows[0], lambdas.den).real)
+    c0, alpha = divmod(lam0, beta * n)
     c = [int(c0)] + [int(c0) + (d - q * k) // n for k, d in enumerate(m, 1)]
     return EigenvalueForm(alpha=alpha, beta=beta, q=q, c=tuple(c))

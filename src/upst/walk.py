@@ -471,7 +471,7 @@ def monomial_check(u_matrix: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarra
 
 def denseness_check(spec: CirculantSpec) -> tuple[bool, tuple[int, ...]]:
     """Exact test that all off-diagonal circulant coefficients are nonzero."""
-    zeros = tuple(j for j in range(1, spec.n) if spec.a[j].is_zero())
+    zeros = tuple((np.flatnonzero(~spec.w[1:].any(axis=1)) + 1).tolist())
     return len(zeros) == 0, zeros
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from upst import constructors
-from upst.cyclotomic import CycNum, zeta
+from upst.cyclotomic import CycNum, cyc_from_rows, zeta
 from upst.graph import circulant_to_graph, is_connected_circulant, with_diagonal_shift
 from upst.spectra import circulant_eigensystem, eigenvalue_steps, is_type_ii
 from upst.constructors import (
@@ -282,9 +282,10 @@ def test_nondense_embeds_hermitian(nd6):
 def test_closed_form_inverse_times_its_argument_is_one():
     for n in range(2, 65):
         one = CycNum.one(n)
-        rows = _coefficient_rows(n, [0] * n)  # row j - 1 is 1/(zeta_n^(-j) - 1)
+        # row j over n is 1/(zeta_n^(-j) - 1)
+        rows = cyc_from_rows(n, _coefficient_rows(n, [0] * n), [n] * n)
         for e in range(1, n):
-            assert rows[-e % n - 1] * (zeta(n, e) - 1) == one, (n, e)
+            assert rows[-e % n] * (zeta(n, e) - 1) == one, (n, e)
 
 
 def is_plain_coefficient(x, n, c, j):
@@ -330,13 +331,13 @@ def test_nondense_c_is_the_field_norm_unit(p, q):
 
 def test_entries_past_the_int64_bound_run_on_python_ints(monkeypatch):
     seen = []
-    rows = constructors.cyc_from_exponent_rows
+    reduce = constructors.reduce_exponent_rows
 
-    def spy(n, v, dens):
+    def spy(n, v):
         seen.append(v.dtype)
-        return rows(n, v, dens)
+        return reduce(n, v)
 
-    monkeypatch.setattr(constructors, "cyc_from_exponent_rows", spy)
+    monkeypatch.setattr(constructors, "reduce_exponent_rows", spy)
     # the second vector fits int64 until row 1 scales it by m = 8 to 2^63
     for c in ([2**61 - 1, -(2**61), 2**61 - 3, 5, -(2**61) + 7, 0, 2**60, -1], [2**60] + [0] * 7):
         spec = circulant_from_c(8, c)

@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spec_reference import cyc_from_exponent_rows
 from upst import cyclotomic
 from upst.cyclotomic import (
     CycNum,
     _reduction_matrix,
-    cyc_from_exponent_rows,
     cyclotomic_polynomial,
     euler_phi,
     exact_int_dtype,
@@ -226,6 +226,29 @@ def reduces_modulo_phi(n, r):
     s = np.arange(n)[:, np.newaxis]
     np.add.at(v, (s, (s + np.arange(deg + 1)) % n), phi)
     return not (v @ r).any()
+
+
+def reference_reduction_matrix(n):
+    """R_n and growth as one list row per power, the build _reduction_matrix replaced."""
+    phi = cyclotomic_polynomial(n)
+    deg = len(phi) - 1
+    terms = [(j, c) for j, c in enumerate(phi[:deg]) if c]
+    rows = [[1] + [0] * (deg - 1)]
+    for _ in range(1, n):
+        top, row = rows[-1][-1], [0] + rows[-1][:-1]
+        for j, c in terms:
+            row[j] -= top * c
+        rows.append(row)
+    growth = max(sum(map(abs, col)) for col in zip(*rows))
+    return np.array(rows, dtype=exact_int_dtype(growth)), growth
+
+
+def test_reduction_matrix_equals_the_row_by_row_build():
+    for n in range(1, 101):
+        r, growth = _reduction_matrix(n)
+        expected, expected_growth = reference_reduction_matrix(n)
+        assert (r.dtype, r.tolist(), growth) == (expected.dtype, expected.tolist(), expected_growth)
+        assert not r.flags.writeable and type(growth) is int
 
 
 def test_reduction_matrix_is_determined_by_phi_n():

@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 from test_cyclotomic import small_cyc
 from upst.constructors import nondense_circulant
 from upst.cyclotomic import CycNum, zeta
-from upst.graph import circulant_to_graph, with_diagonal_shift
+from upst.graph import CirculantSpec, circulant_to_graph, with_diagonal_shift
 from upst.serialize import (
     GRAPH_FORMAT,
-    _cyc_from_json,
-    _cyc_to_json,
     eigensystem_from_json,
     eigensystem_to_json,
     graph_from_json,
@@ -149,12 +147,17 @@ def one_vertex_bundle(coeffs=None, exact_lambdas=None):
     return bundle
 
 
+def spec_of(x):
+    """The order-3 spec (0, x, conjugate(x)): x as a circulant's coefficient a_1."""
+    return CirculantSpec(3, (CycNum.zero(x.n), x, x.conjugate()))
+
+
 def test_cyclotomic_json_round_trip_is_exact():
     x = Fraction(2, 3) - zeta(12, 5) * Fraction(7, 2)
-    data = _cyc_to_json(x)
-    assert data["n"] == 12
-    assert all(isinstance(pair, list) and len(pair) == 2 for pair in data["coeffs"])
-    assert _cyc_from_json(data) == x
+    data = spec_to_json(spec_of(x))
+    assert data["a"][1]["n"] == 12
+    assert all(isinstance(pair, list) and len(pair) == 2 for pair in data["a"][1]["coeffs"])
+    assert spec_from_json(data).a[1] == x
 
 
 def test_cyclotomic_json_rejects_malformed_input():
@@ -172,8 +175,10 @@ def test_cyclotomic_json_rejects_malformed_input():
 ])
 def test_json_coefficients_read_as_integers_equal_the_fraction_route(pairs):
     n = {1: 1, 2: 3, 4: 5}[len(pairs)]
-    x = _cyc_from_json({"n": n, "coeffs": pairs})
     y = CycNum(n, [Fraction(*pair) for pair in pairs])
+    data = spec_to_json(spec_of(y))
+    data["a"][1]["coeffs"] = pairs
+    x = spec_from_json(data).a[1]
     assert (x.num, x.den) == (y.num, y.den)
     assert x == y and hash(x) == hash(y)
 
@@ -194,9 +199,9 @@ def test_rational_json_accepts_integers_only(pair):
 @given(small_cyc())
 def test_json_round_trip_property(x):
     # the pairs are the reduced Fractions of the coefficients, read back exactly
-    data = _cyc_to_json(x)
-    assert data["coeffs"] == [[c.numerator, c.denominator] for c in x.coeffs]
-    assert _cyc_from_json(data) == x
+    data = spec_to_json(spec_of(x))
+    assert data["a"][1]["coeffs"] == [[c.numerator, c.denominator] for c in x.coeffs]
+    assert spec_from_json(data).a[1] == x
 
 
 def test_spec_json_round_trip(nd6):

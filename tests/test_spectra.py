@@ -173,7 +173,8 @@ def test_oracle_cases_include_irrational_and_promoted_spectra():
 
 def test_non_real_eigenvalue_of_a_corrupt_spec_raises():
     spec = CirculantSpec(3, (CycNum.zero(3), zeta(3), zeta(3, 2)))
-    object.__setattr__(spec, "a", (CycNum.zero(3), zeta(3), zeta(3)))  # lambda_0 = 2 zeta_3
+    # a = (0, zeta_3, zeta_3): lambda_0 = 2 zeta_3
+    vars(spec)["w"] = np.array([[0, 0], [0, 1], [0, 1]])
     with pytest.raises(ArithmeticError, match="non-real"):
         circulant_eigensystem(spec)
 
@@ -492,3 +493,29 @@ def test_recognizer_witness_is_exact_on_exact_eigenvalues():
                    for k, lam in enumerate(es.exact_lambdas))
         float_form = recognize_eigenvalue_form(es.lambdas, n)
         assert (float_form.q, float_form.c) == (form.q, form.c), n
+
+
+def test_recognizer_on_exact_rows_refuses_the_false_float_witness():
+    # Circ(0, i, -i, i, -i): the eigenvalues are irrational, with ratio 2 + sqrt(5)
+    # between two steps.  The floats gave a witness with beta = 7.8e-7 and
+    # max|c| = 788120; the rows are not collinear, so there is none
+    i = zeta(4)
+    es = circulant_eigensystem(CirculantSpec(5, (CycNum.zero(4), i, -i, i, -i)))
+    assert es.exact_rows is not None
+    assert recognize_eigenvalue_form(es.exact_rows, 5) is None
+    float_form = recognize_eigenvalue_form(es.lambdas, 5)
+    assert float_form is not None and max(map(abs, float_form.c)) == 788120
+
+
+def test_recognizer_on_collinear_rows_gives_an_integer_witness():
+    # Circ(x, x) for x = zeta_5 + zeta_5^4 = 2 cos(2 pi/5): lambda = (2x, 0),
+    # one irrational step, so beta = 2x and alpha = lambda_0 as floats
+    x = zeta(5) + zeta(5, 4)
+    es = circulant_eigensystem(CirculantSpec(2, (x, x)))
+    form = recognize_eigenvalue_form(es.exact_rows, 2)
+    assert (form.q, form.c) == (1, (0, -1))
+    assert type(form.q) is int and all(type(v) is int for v in form.c)
+    rebuilt = [form.alpha + form.beta * (form.q * k + form.c[k] * 2) for k in range(2)]
+    assert np.max(np.abs(np.array(rebuilt) - es.lambdas)) < 1e-15
+    with pytest.raises(ValueError, match="expected 3 eigenvalues, got 2"):
+        recognize_eigenvalue_form(es.exact_rows, 3)
