@@ -1,10 +1,12 @@
 """Recovering integer structure from vectors of floating-point reals.
 
 Each ratio is read as the closest rational with denominator at most
-MAX_DENOMINATOR by Fraction.limit_denominator's algorithm, on plain ints, with
-the same results: walk the continued-fraction convergents of the float's exact
-value, then take the last convergent or the last semiconvergent, whichever is
-closer (ties to the convergent).
+MAX_DENOMINATOR, as Fraction.limit_denominator reads it: as a multiple of
+1/den, den the ratios' common denominator so far, when it lies near enough one
+(see integer_multiples), else on plain ints by limit_denominator's algorithm:
+walk the continued-fraction convergents of the float's exact value, then take
+the last convergent or the last semiconvergent, whichever is closer (ties to
+the convergent).
 """
 
 from __future__ import annotations
@@ -41,17 +43,31 @@ def integer_multiples(values: Sequence[float]) -> Optional[tuple[float, tuple[in
 
     Returns (beta, m) with values[i] ~ beta * m[i], gcd(|m|) = 1, or None if
     some ratio values[i]/values[0] is not rational with denominator at most
-    MAX_DENOMINATOR to relative tolerance RATIO_REL_TOL.
+    M = MAX_DENOMINATOR to relative tolerance RATIO_REL_TOL.
+
+    A commensurable vector runs few continued fractions: with den the lcm of
+    the q found so far (while den <= M), a ratio r with |r*den - P| < 1/(2M),
+    P an integer, is P/den, the closest fraction of denominator <= M and so
+    _nearest_rational's: any other a/b with b <= M lies >= 1/(b den) >= 1/(M den)
+    from P/den, more than twice r's distance.  On floats the test is
+    |x - P| + |x| 2^-52 < 1/(2M), x = r*den finite: x errs by at most
+    |x| 2^-53, |x - P| is exact, and the other |x| 2^-53 covers the sum's
+    rounding (|x| >= 1/2 for P != 0; P = 0 passes only when |x| < 1/(2M)).
     """
     if len(values) == 0:
         raise ValueError("need at least one value")
     base = float(values[0])
     if base == 0.0 or any(v == 0.0 for v in values):
         raise ValueError("values must be nonzero")
-    fracs = []
+    fracs, den, margin = [], 1, 0.5 / MAX_DENOMINATOR
     for v in values:
         r = float(v) / base
-        p, q = _nearest_rational(r)
+        if math.isfinite(x := r * den) and abs(x - (p := round(x))) + abs(x) * 2**-52 < margin:
+            p, q = p // (g := math.gcd(p, den)), den // g
+        else:
+            p, q = _nearest_rational(r)
+            if (lcm := math.lcm(den, q)) <= MAX_DENOMINATOR:
+                den = lcm
         if abs(p / q - r) > RATIO_REL_TOL * max(1.0, abs(r)):
             return None
         fracs.append((p, q))

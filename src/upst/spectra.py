@@ -181,7 +181,7 @@ def eigenvalue_steps(lambdas: Sequence) -> Optional[tuple[float | Fraction, tupl
         lcond, cols = 1, [[x.numerator * (den // x.denominator) for x in lambdas]]
     else:
         lcond, cols = None, [np.asarray(lambdas, dtype=float).tolist()]
-    if len(cols[0]) < 2 or len(set(zip(*cols))) < len(cols[0]):
+    if len(cols[0]) < 2 or len(set(cols[0] if len(cols) == 1 else zip(*cols))) < len(cols[0]):
         raise ValueError("eigenvalues must be distinct")
     steps = [[x - c[0] for x in c[1:]] for c in cols]  # column m of the w_k - w_0
     if lcond is None:

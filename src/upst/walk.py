@@ -510,12 +510,13 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
                               diagnostics=diagnostics)
 
     exact = es.exact_rows or es.exact_lambdas
+    if exact is None and len(es.lambdas) > 1:
+        gap = float(np.min(np.diff(np.sort(es.lambdas))))
+        if gap <= DEGENERACY_TOL * np.max(np.abs(es.lambdas)):
+            return failed("degenerate-spectrum")
     try:
         structure = eigenvalue_steps(exact or es.lambdas)
     except ValueError:
-        return failed("degenerate-spectrum")
-    gap = float(np.min(np.diff(np.sort(es.lambdas))))
-    if exact is None and gap <= DEGENERACY_TOL * np.max(np.abs(es.lambdas)):
         return failed("degenerate-spectrum")
     if not is_type_ii(es.X):
         return failed("diagonalizer-not-flat")

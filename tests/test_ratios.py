@@ -6,10 +6,13 @@ import functools
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from upst import ratios
+from upst.constructors import circulant_from_c, nondense_circulant
+from upst.spectra import circulant_eigensystem, recognize_eigenvalue_form
 from upst.ratios import MAX_DENOMINATOR, RATIO_REL_TOL, integer_multiples
 
 
@@ -60,6 +63,12 @@ huge_or_tiny = st.builds(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(nonzero, min_size=1, max_size=8))
+# 11962973474/5 is not the closest fraction to the float 2392594694.8, yet
+# r*5 rounds to an integer: only the |x| 2^-52 term turns the common
+# denominator's test down
+@example([5.0, 1.0, 11962973474.0])
+# r*den overflows to inf although r is finite and has a closest fraction
+@example([1.0, 1.00001, 1.797693134862316e303])
 def test_random_floats_match_the_reference(values):
     assert_same_as_reference(values)
 
@@ -94,6 +103,69 @@ def test_denominators_near_and_past_the_limit_match_the_reference(base, fraction
 )
 def test_integer_floats_past_2_53_match_the_reference(base, ints, signs):
     assert_same_as_reference([base] + [s * float(k) for s, k in zip(signs, ints)])
+
+
+signed_magnitude = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from([1.0, -1.0]),
+    st.floats(min_value=1, max_value=10),
+    st.integers(min_value=-300, max_value=290),
+)
+
+
+@st.composite
+def commensurable_values(draw):
+    """base * k / q for a few denominators q <= MAX_DENOMINATOR, several
+    numerators each, shuffled behind the base."""
+    base = draw(signed_magnitude)
+    groups = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=MAX_DENOMINATOR),
+            st.lists(st.integers(min_value=-(10**12), max_value=10**12).filter(bool),
+                     min_size=1, max_size=4),
+        ),
+        min_size=1, max_size=4,
+    ))
+    return [base] + draw(st.permutations([base * k / q for q, ks in groups for k in ks]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(commensurable_values())
+def test_commensurable_values_match_the_reference(values):
+    assert_same_as_reference(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    exponent=st.integers(min_value=-900, max_value=900),
+    sign=st.sampled_from([1.0, -1.0]),
+    q=st.integers(min_value=1, max_value=MAX_DENOMINATOR),
+    whole=st.integers(min_value=-(10**13), max_value=10**13),
+    side=st.sampled_from([-1, 1]),
+    ulps=st.integers(min_value=-4, max_value=4),
+)
+def test_ratios_within_ulps_of_the_margin_match_the_reference(exponent, sign, q, whole, side,
+                                                              ulps):
+    # 1/q sets the common denominator q; the last ratio r puts r*q within a
+    # few ulps of whole +- 1/(2 MAX_DENOMINATOR).  A power-of-two base keeps
+    # every ratio exactly as drawn.
+    r = (whole + side * 0.5 / MAX_DENOMINATOR) / q
+    for _ in range(abs(ulps)):
+        r = math.nextafter(r, math.copysign(math.inf, ulps))
+    base = sign * 2.0**exponent
+    assert_same_as_reference([base, base / q, base * r])
+
+
+def test_the_common_denominator_stops_at_the_limit():
+    # 1/p for 60 primes p near 10^6 has an lcm past the largest double; the
+    # reference returns None at sqrt(2) without ever converting it
+    sieve = bytearray([1]) * (MAX_DENOMINATOR + 1)
+    for i in range(2, 1001):
+        sieve[i * i::i] = bytes(len(sieve[i * i::i]))
+    primes = [p for p in range(MAX_DENOMINATOR, 2, -1) if sieve[p]][:60]
+    values = [1.0] + [1 / p for p in primes] + [math.sqrt(2)]
+    assert_same_as_reference(values)
+    assert integer_multiples(values) is None
 
 
 @settings(max_examples=500, deadline=None)
@@ -139,3 +211,30 @@ def test_ratios_import_no_fraction_machinery():
                 for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert not imported & {"fractions", "functools"}
+
+
+def counted_nearest_rational(monkeypatch):
+    """A list that gets one entry per continued fraction integer_multiples runs."""
+    calls = []
+
+    def counting(r):
+        calls.append(r)
+        return nearest_rational(r)
+
+    nearest_rational = ratios._nearest_rational
+    monkeypatch.setattr(ratios, "_nearest_rational", counting)
+    return calls
+
+
+def test_commensurable_spectra_run_few_continued_fractions(monkeypatch):
+    calls = counted_nearest_rational(monkeypatch)
+    for seed in (1, 2, 3):
+        c = np.random.default_rng(seed).integers(-9, 10, size=64).tolist()
+        es = circulant_eigensystem(circulant_from_c(64, c))
+        calls.clear()
+        assert recognize_eigenvalue_form(es.lambdas, 64) is not None
+        assert len(calls) <= 3
+    es = circulant_eigensystem(nondense_circulant(5, 17))
+    calls.clear()
+    assert recognize_eigenvalue_form(es.lambdas, 85) is not None
+    assert len(calls) <= 2

@@ -1418,6 +1418,14 @@ def test_certification_rejects_repeated_eigenvalues():
     assert report.reasons == ("degenerate-spectrum",)
 
 
+def test_float_gap_gate_runs_before_the_ratios_it_guards():
+    # 1/1e-310 overflows: integer_multiples would raise on the gap ratios
+    es = EigenSystem(3, fourier_matrix(3), np.array([0.0, 1e-310, 1.0]))
+    report = verify_upst(HermitianGraph(3, (es.X * es.lambdas) @ es.X.conj().T), es)
+    assert report.upst is False
+    assert report.reasons == ("degenerate-spectrum",)
+
+
 # ---------------------------------------------------------------- spacing
 
 def test_spacing_signature_of_circulants(circ3, nd6):
