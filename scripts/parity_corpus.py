@@ -26,7 +26,9 @@ and the edge inputs (an irrational spectrum, the 2.02 near miss, F_4 with
 lambda = (0, 1, 3, 2), a repeated spectrum, nondense(2,3) with one eigenvalue
 moved by 1e-9 sqrt(2), and the oriented 5-cycle).  Each runs on the route it
 comes with (route "given") and, unless that is already the numerical
-eigensolve, again on it (route "eigh").  The exact layer also runs alone on
+eigensolve, again on it (route "eigh").  Last come flat(3,2,2) and
+nondense(2,3) as float eigensystems (no exact data) with every eigenvalue
+scaled by 1e-300 and by 1e300, on both routes.  The exact layer also runs alone on
 the census orders 4..64 with two seeded c-vectors each, all nine two-prime
 pairs up to (5,17), the order-3 Circ(0, -i, i) (eigenvalues 0 and +-sqrt(3)),
 an order-4 spec of conductor 3 promoted to 12 and the same spec stored at
@@ -220,20 +222,37 @@ def exact_record(name, spec):
     return line
 
 
+def scaled_corpus():
+    """(name, graph, eigensystem, True) for the float eigensystems of flat(3,2,2)
+    and nondense(2,3) with their eigenvalues scaled far from 1."""
+    bases = (("flat(3,2,2)", noncirculant_graph(NoncirculantParams(3, 2, 2))[1]),
+             ("nondense(2,3)", circulant_eigensystem(nondense_circulant(2, 3))))
+    for name, es in bases:
+        for scale in (1e-300, 1e300):
+            scaled = EigenSystem(es.n, es.X, es.lambdas * scale)
+            yield "%s*%g" % (name, scale), from_eigensystem(scaled), scaled, True
+
+
+def print_runs(name, graph, es, with_eigh):
+    routes = [("given", es)]
+    if with_eigh:
+        routes.append(("eigh", numerical_eigensystem(graph.adjacency)))
+    for route, system in routes:
+        print(json.dumps(record(name, route, verify_upst(graph, system))))
+
+
 def main() -> int:
     seen = set()
     for name, graph, es, with_eigh in corpus():
-        routes = [("given", es)]
-        if with_eigh:
-            routes.append(("eigh", numerical_eigensystem(graph.adjacency)))
-        for route, system in routes:
-            print(json.dumps(record(name, route, verify_upst(graph, system))))
+        print_runs(name, graph, es, with_eigh)
         if graph.spec is not None:
             seen.add(name)
             print(json.dumps(exact_record(name, graph.spec)))
     for name, spec in exact_corpus():
         if name not in seen:
             print(json.dumps(exact_record(name, spec)))
+    for run in scaled_corpus():
+        print_runs(*run)
     return 0
 
 

@@ -31,8 +31,8 @@ __all__ = [
 ]
 
 
-def theta(d: int, beta: int, x: int) -> int:
-    """Block index map: beta*floor(x/d)*d + (x mod d).
+def theta(d: int, beta: int, x: int | np.ndarray) -> int | np.ndarray:
+    """Block index map: beta*floor(x/d)*d + (x mod d), for an int or an integer array x.
 
     Stretches the block part of x by beta while keeping the offset, so
     consecutive x in one block stay consecutive but blocks start beta*d apart.
@@ -69,9 +69,8 @@ def _flat_assembly(
 ) -> tuple[HermitianGraph, EigenSystem]:
     n = params.n
     bn = params.beta * n
-    rows = np.array([theta(params.a, params.beta, j) for j in range(n)])
-    cols = np.array([theta(params.b, params.beta, k) for k in range(n)])
-    x = np.exp(2j * np.pi * np.outer(rows, cols) / bn) / math.sqrt(n)
+    rows, cols = (theta(d, params.beta, np.arange(n)) for d in (params.a, params.b))
+    x = np.exp(2j * np.pi * (rows[:, np.newaxis] * cols) / bn) / math.sqrt(n)
     if not is_type_ii(x):
         raise ArithmeticError("construction produced a diagonalizer that is not a flat unitary")
     lambdas = np.array(eigens, dtype=float)
@@ -89,8 +88,7 @@ def noncirculant_graph(params: NoncirculantParams) -> tuple[HermitianGraph, Eige
     is type II; for beta >= 2 the transfer-time spacings rule out any circulant
     relabeling.
     """
-    cols = [theta(params.b, params.beta, k) for k in range(params.n)]
-    return _flat_assembly(params, cols)
+    return _flat_assembly(params, theta(params.b, params.beta, np.arange(params.n)).tolist())
 
 
 def gk_example(k: int) -> tuple[HermitianGraph, EigenSystem]:
@@ -105,8 +103,7 @@ def gk_example(k: int) -> tuple[HermitianGraph, EigenSystem]:
     if k < 2 or k % 2 != 0:
         raise ValueError("k must be an even integer >= 2, got %r" % (k,))
     params = NoncirculantParams(2, 2, k // 2)
-    cols = [theta(params.b, params.beta, j) for j in range(params.n)]
-    return _flat_assembly(params, cols[::-1])
+    return _flat_assembly(params, theta(params.b, params.beta, np.arange(params.n))[::-1].tolist())
 
 
 def _coefficient_rows(n: int, c: Sequence[int]) -> np.ndarray:
@@ -157,14 +154,7 @@ def integer_spectrum_shift(n: int, c: Sequence[int]) -> Fraction:
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
+    return n >= 2 and all(n % p for p in range(2, math.isqrt(n) + 1))
 
 
 def nondense_circulant(p: int, q: int) -> CirculantSpec:

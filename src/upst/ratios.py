@@ -42,8 +42,8 @@ def integer_multiples(values: Sequence[float]) -> Optional[tuple[float, tuple[in
     """Express nonzero reals as beta * m with beta > 0 and coprime integers m.
 
     Returns (beta, m) with values[i] ~ beta * m[i], gcd(|m|) = 1, or None if
-    some ratio values[i]/values[0] is not rational with denominator at most
-    M = MAX_DENOMINATOR to relative tolerance RATIO_REL_TOL.
+    some ratio values[i]/values[0] is not finite, or not rational with
+    denominator at most M = MAX_DENOMINATOR to relative tolerance RATIO_REL_TOL.
 
     A commensurable vector runs few continued fractions: with den the lcm of
     the q found so far (while den <= M), a ratio r with |r*den - P| < 1/(2M),
@@ -61,7 +61,8 @@ def integer_multiples(values: Sequence[float]) -> Optional[tuple[float, tuple[in
         raise ValueError("values must be nonzero")
     fracs, den, margin = [], 1, 0.5 / MAX_DENOMINATOR
     for v in values:
-        r = float(v) / base
+        if not math.isfinite(r := float(v) / base):
+            return None
         if math.isfinite(x := r * den) and abs(x - (p := round(x))) + abs(x) * 2**-52 < margin:
             p, q = p // (g := math.gcd(p, den)), den // g
         else:

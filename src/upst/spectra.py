@@ -49,6 +49,11 @@ class EigenSystem:
     def eigenvalues(self) -> np.ndarray:  # absolute, as floats
         return float(self.offset) + self.lambdas
 
+    @functools.cached_property
+    def canonical(self) -> np.ndarray:
+        """canonicalize(X), built on first read and shared by every later one."""
+        return canonicalize(self.X)
+
 
 @dataclass(frozen=True)
 class EigenvalueForm:
@@ -138,9 +143,11 @@ def is_type_ii(matrix: np.ndarray) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     n = m.shape[0]
-    if np.max(np.abs(np.abs(m) - 1 / math.sqrt(n))) > UNITARITY_TOL:
+    if abs(abs(m) - 1 / math.sqrt(n)).max() > UNITARITY_TOL:
         return False
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(n))) <= UNITARITY_TOL)
+    gram = m.conj().T @ m
+    gram.flat[::n + 1] -= 1
+    return bool(abs(gram).max() <= UNITARITY_TOL)
 
 
 def canonicalize(z: np.ndarray) -> np.ndarray:
@@ -151,8 +158,8 @@ def canonicalize(z: np.ndarray) -> np.ndarray:
     and S maps the adjacency Z diagonalizes to the switching-equivalent
     S A S^(-1).  No phase changes any |U(t)| entry."""
     z = np.asarray(z, dtype=complex)
-    x = z * np.exp(-1j * np.angle(z[0]))
-    x *= np.exp(-1j * np.angle(x[:, :1]))
+    x = z * np.exp(-1j * np.arctan2(z[0].imag, z[0].real))
+    x *= np.exp(-1j * np.arctan2(x[:, :1].imag, x[:, :1].real))
     return x
 
 
@@ -160,11 +167,8 @@ def zero_sum_check(x: np.ndarray) -> bool:
     """All row and column sums beyond the first vanish to ZERO_SUM_TOL
     (canonical flat unitary)."""
     x = np.asarray(x, dtype=complex)
-    row_sums = x.sum(axis=1)[1:]
-    col_sums = x.sum(axis=0)[1:]
-    if row_sums.size == 0:
-        return True
-    return bool(max(np.max(np.abs(row_sums)), np.max(np.abs(col_sums))) <= ZERO_SUM_TOL)
+    sums = np.concatenate((x.sum(axis=1)[1:], x.sum(axis=0)[1:]))
+    return bool((abs(sums) <= ZERO_SUM_TOL).all())
 
 
 def eigenvalue_steps(lambdas: Sequence) -> Optional[tuple[float | Fraction, tuple[int, ...]]]:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import CirculantSpec, HermitianGraph
-from .spectra import UNITARITY_TOL, EigenSystem, canonicalize, eigenvalue_steps, is_type_ii
+from .spectra import UNITARITY_TOL, EigenSystem, eigenvalue_steps, is_type_ii
 
 PST_ENTRY_TOL = 1e-9
 TIME_AGREEMENT_TOL = 1e-8
@@ -83,7 +83,7 @@ def analytic_pst_times(
 ) -> tuple[Optional[np.ndarray], Optional[float]]:
     """(times, row_residual): the transfer times t_w = s_w P from vertex 0
     (see transfer_table), t_0 = P, and the largest over rows w >= 1 of max_k
-    |s_w D_k - rho_wk| in angle (mod 2 pi), rho the phases of canonicalize(X).
+    |s_w D_k - rho_wk| in angle (mod 2 pi), rho the phases of es.canonical.
     At q = min|D_k| = |D_k*|, s_w = (start_w + j_w)/q, start_w = sign(D_k*)
     rho_wk* mod 1, and j_w = sum_k c_k r_wk mod q, c = _bezout_mod(D, q), is
     the one j with j D_k = r_wk = q rho_wk - start_w D_k (mod q) on every k;
@@ -94,19 +94,20 @@ def analytic_pst_times(
     if structure is None:
         return None, None
     beta, multiples = structure
-    q = min(map(abs, multiples))
-    if q * max(map(abs, multiples)) >= 2**53 or q * TIME_AGREEMENT_TOL >= math.pi:
+    q = min(sizes := [abs(m) for m in multiples])
+    if q * max(sizes) >= 2**53 or q * TIME_AGREEMENT_TOL >= math.pi:
         return None, None
     big_d = np.array(multiples, dtype=float)
-    rho = np.angle(canonicalize(es.X)[1:, 1:]) / TWO_PI
-    k = int(np.argmin(np.abs(big_d)))
-    start = np.sign(big_d[k]) * rho[:, k] % 1
-    r = (np.rint(q * rho - start[:, np.newaxis] * big_d) % q).astype(np.int64)
-    s = (start + (r * _bezout_mod(multiples, q) % q).sum(axis=1) % q) / q
+    rho = np.arctan2(es.canonical[1:, 1:].imag, es.canonical[1:, 1:].real) / TWO_PI
+    k = sizes.index(q)
+    s = start = (1.0 if multiples[k] > 0 else -1.0) * rho[:, k] % 1
+    if q > 1:  # at q = 1, j_w = 0
+        r = (np.rint(q * rho - start[:, np.newaxis] * big_d) % q).astype(np.int64)
+        s = (start + (r * _bezout_mod(multiples, q) % q).sum(axis=1) % q) / q
     miss = s[:, np.newaxis] * big_d - rho
-    miss = TWO_PI * np.abs(miss - np.rint(miss)).max(axis=1)
+    miss = TWO_PI * abs(miss - np.rint(miss)).max(axis=1)
     times = TWO_PI / float(beta) * np.concatenate(([1.0], s))
-    return (times if np.all(miss <= TIME_AGREEMENT_TOL) else None), float(miss.max())
+    return (times if (miss <= TIME_AGREEMENT_TOL).all() else None), float(miss.max())
 
 
 def transfer_table(analytic_times: np.ndarray) -> np.ndarray:
@@ -117,84 +118,74 @@ def transfer_table(analytic_times: np.ndarray) -> np.ndarray:
     1 iff rho_v - rho_u = s D mod 1, which fixes s mod 1; row 0 is zero, so
     rho_w = (t_w/P) D mod 1."""
     period = analytic_times[0]
-    table = (analytic_times[np.newaxis, :] - analytic_times[:, np.newaxis]) % period
-    np.fill_diagonal(table, period)
+    table = (analytic_times - analytic_times[:, np.newaxis]) % period
+    table.flat[::table.shape[0] + 1] = period
     return table
 
 
-def _row_dots(rows: np.ndarray, waves: np.ndarray) -> np.ndarray:
-    """np.dot of each row of rows with the same row of waves, summed in the
-    order np.dot uses for one pair of vectors."""
-    return (rows[:, np.newaxis, :] @ waves[:, :, np.newaxis])[:, 0, 0]
-
-
 def _waves(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """exp(-i * outer(a, b)) as cos + i sin of the negated angles, written
-    into the two halves of one complex array.  The complex np.exp of the
-    purely imaginary argument computes the same cos and sin, plus work on
-    the zero real part and two more temporaries."""
-    angle = np.multiply.outer(a, b)
-    np.negative(angle, out=angle)
-    out = np.empty(angle.shape, dtype=complex)
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
-    return out
+    """exp(-i * outer(a, b)): the angles written as the imaginary part of a
+    zero complex array, and np.exp taken in place, with no other temporary."""
+    out = np.zeros((a.size, b.size), dtype=complex)
+    np.multiply(a[:, np.newaxis], -b, out=out.imag)
+    return np.exp(out, out=out)
+
+
+def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
+    """(v 2^-e, e), max|v| 2^-e in [1/2, 1) (e = 0 for v = 0): the scaling is
+    exact, and a sum of squares of v 2^-e neither underflows nor overflows."""
+    e = math.frexp(float(abs(v).max()))[1]
+    return np.ldexp(v, -e), e
 
 
 def _refine_peaks(
-    pvecs: np.ndarray, lam: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    pvecs: np.ndarray, lam: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, steps=64
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Peak of |amp|^2 in [lo[r], hi[r]] for every row, starting from t[r]:
-    safeguarded Newton on d|amp|^2/dt, every row in lockstep.  The squared
-    magnitude is flat at a peak, so only the analytic derivative resolves the
-    argmax to full precision.  Each step evaluates amp, amp' and amp'' at t
-    in one wave build and shrinks the bracket to the uphill side of t.  It
-    takes the Newton step when the curvature is negative and the step lands
-    inside the bracket, and bisects otherwise.  A row stops once its step is
-    at most 1e-15 |t|, or after 64 steps; from the scan's bracket of two grid
-    steps, even pure bisection stops in about 51 halvings.  Returns
-    the last evaluated time of each row, the amplitude there, the rows
-    that ever bisected, and each row's count of evaluations."""
-    dp = -1j * lam * pvecs
-    ddp = -(lam**2) * pvecs
-    t, lo, hi = t.copy(), lo.copy(), hi.copy()
-    t_out, amp = np.empty(t.size), np.empty(t.size, dtype=complex)
-    bisected, evals = np.zeros(t.size, dtype=bool), np.zeros(t.size, dtype=np.intp)
-    live = np.arange(t.size)
-    for _ in range(64):
-        if not live.size:
-            break
-        t_live = t[live]
-        waves = _waves(t_live, lam)
-        a = _row_dots(pvecs[live], waves)
-        a1 = _row_dots(dp[live], waves)
-        a2 = _row_dots(ddp[live], waves)
-        t_out[live], amp[live] = t_live, a
-        evals[live] += 1
-        slope = (a.conjugate() * a1).real
-        curvature = (a1.conjugate() * a1 + a.conjugate() * a2).real
-        uphill = slope > 0
-        lo[live[uphill]] = t_live[uphill]
-        hi[live[~uphill]] = t_live[~uphill]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_next = t_live - slope / curvature
-        newton = (curvature < 0) & (lo[live] <= t_next) & (t_next <= hi[live])
-        t_next[~newton] = (lo[live[~newton]] + hi[live[~newton]]) / 2
-        bisected[live[~newton]] = True
-        going = np.abs(t_next - t_live) > 1e-15 * np.abs(t_live)
-        live = live[going]
-        t[live] = t_next[going]
-    return t_out, amp, bisected, evals
+    safeguarded Newton on d|amp|^2/dt, whose analytic derivative resolves the
+    flat top to full precision.  An evaluation takes amp, amp' and amp'' of
+    every row as one stacked product, the dots of p, -i mu p and -mu^2 p with
+    its waves, (mu, e) = _scaled(lam), and scales the step back by 2^-e: the
+    unscaled dots' step to the bit wherever lam^2 neither under- nor overflows.
+    The bracket shrinks to the uphill side; a row takes the Newton step when
+    the curvature is negative and the step stays in the bracket, else bisects.
+    Rows whose step exceeds 1e-15 |t| go on, for at most steps evaluations
+    (bisection alone stops in about 51 from the scan's bracket).  Returns each
+    row's last evaluated time, its amplitude there, whether it ever bisected
+    and its count of evaluations."""
+    mu, e = _scaled(lam)
+    rows = np.empty((t.size, 3, 1, lam.size), dtype=complex)
+    rows[:, 0, 0], rows[:, 1, 0], rows[:, 2, 0] = pvecs, -1j * mu * pvecs, -(mu**2) * pvecs
+    a, a1, a2 = (rows @ _waves(t, lam)[:, np.newaxis, :, np.newaxis])[:, :, 0, 0].T
+    slope = (a.conjugate() * a1).real
+    curvature = (a1.conjugate() * a1 + a.conjugate() * a2).real
+    uphill = slope > 0
+    lo, hi = np.where(uphill, t, lo), np.where(uphill, hi, t)
+    newton = curvature < 0
+    t_next = t - np.ldexp(slope / np.where(newton, curvature, -1.0), -e)
+    newton &= (lo <= t_next) & (t_next <= hi)
+    bisected, evals = ~newton, np.ones(t.size, dtype=np.intp)
+    if bisected.any():
+        t_next[bisected] = (lo[bisected] + hi[bisected]) / 2
+    going = (abs(t_next - t) > 1e-15 * abs(t)).nonzero()[0]
+    if steps > 1 and going.size:
+        t, a = t.copy(), a.copy()
+        t[going], a[going], more, count = _refine_peaks(
+            pvecs[going], lam, t_next[going], lo[going], hi[going], steps - 1)
+        bisected[going] |= more
+        evals[going] += count
+    return t, a, bisected, evals
 
 
 def _aligned_start(
     terms: np.ndarray, d: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
     """Each row's t moved to where its terms p_k e^{-i d_k t} align, clipped to
-    [lo, hi] (see scan_min_times)."""
-    psi = np.angle(terms * terms.sum(axis=1, keepdims=True).conj())
-    dc = d - d.mean()
-    return np.clip(t + psi @ dc / (dc @ dc), lo, hi)
+    [lo, hi] (see scan_min_times); d - mean d is scaled as in _refine_peaks."""
+    z = terms * terms.sum(axis=1, keepdims=True).conj()
+    dc, e = _scaled(d - np.add.reduce(d) / d.size)
+    shift = np.ldexp(np.arctan2(z.imag, z.real) @ dc / (dc @ dc), -e)
+    return np.minimum(np.maximum(t + shift, lo), hi)
 
 
 def _block_peaks(
@@ -210,10 +201,11 @@ def _block_peaks(
     amp = pvecs @ waves.T
     mag2 = np.square(amp.real, out=amp.real)
     mag2 += np.square(amp.imag, out=amp.imag)
-    row, w = np.divmod(np.flatnonzero(mag2[:, 1:-1] >= DETECTION_THRESHOLD), waves.shape[0] - 2)
+    hit = (mag2[:, 1:-1] >= DETECTION_THRESHOLD).ravel()
+    row, w = np.divmod(hit.nonzero()[0], waves.shape[0] - 2)
     here, left, right = mag2[row, w + 1], mag2[row, w], mag2[row, w + 2]
     peak = (here >= left) & (here >= right)
-    return row.size, int(np.count_nonzero(left < DETECTION_THRESHOLD)), row[peak], w[peak]
+    return row.size, int((left < DETECTION_THRESHOLD).sum()), row[peak], w[peak]
 
 
 def _grid_waves(
@@ -242,7 +234,7 @@ def _scan_pairs(
     the block.  Each is refined from its aligned start (_aligned_start), within
     one step either side of its grid point (_refine_peaks), in batches of
     REFINE_BLOCK // n rows; a pair takes its earliest candidate whose refined
-    |U| >= 1 - PST_ENTRY_TOL and leaves.
+    |U| >= 1 - PST_ENTRY_TOL, the first passing one of its (row, time) order, and leaves.
     """
     n = d.size
     u, v = np.divmod(pairs, n)
@@ -268,12 +260,13 @@ def _scan_pairs(
             lo, hi = g * step, (g + 2) * step
             t0 = _aligned_start(pv * waves[w[part] + 1], d, (g + 1) * step, lo, hi)
             t_star[part], amp[part], bisected, evals = _refine_peaks(pv, d, t0, lo, hi)
-            diagnostics["bisect_rows"] += int(np.count_nonzero(bisected))
+            diagnostics["bisect_rows"] += int(bisected.sum())
             diagnostics["refine_evals"] += int(evals.sum())
-        ok = np.flatnonzero(np.abs(amp) >= 1 - PST_ENTRY_TOL)
-        done, earliest = np.unique(cand_row[ok], return_index=True)
-        times[done] = t_star[ok[earliest]]
-        amps[done] = amp[ok[earliest]]
+        ok = abs(amp) >= 1 - PST_ENTRY_TOL
+        done, t_star, amp = cand_row[ok], t_star[ok], amp[ok]
+        earliest = np.ones(done.size, dtype=bool)
+        earliest[1:] = done[1:] != done[:-1]
+        times[done[earliest]], amps[done[earliest]] = t_star[earliest], amp[earliest]
         live = live[np.isnan(times[live])]
         start = stop
     return times, amps
@@ -294,47 +287,53 @@ def grid_step(es: EigenSystem) -> float:
     STEP_MARGIN: the nearest grid point clears the threshold by about 1.2e-6
     in |U|^2, above float64 rounding (about 2^-52 max|lambda| t) for
     max|lambda| t up to 10^9.  Also h <= 2 pi/(3 R), R = lambda_max -
-    lambda_min (see scan_min_times)."""
+    lambda_min (see scan_min_times).  Summed on _scaled(mu), h is finite at any
+    scale, and bit for bit the plain sum's wherever that neither under- nor overflows."""
     lam = es.lambdas
-    v = (1 / math.sqrt(es.n) + UNITARITY_TOL) ** 2 * float(np.sum(np.square(lam - np.mean(lam))))
+    mu, e = _scaled(lam - np.add.reduce(lam) / lam.size)
+    v = (1 / math.sqrt(es.n) + UNITARITY_TOL) ** 2 * float(np.square(mu).sum())
     root = math.sqrt(1 - math.sqrt(DETECTION_THRESHOLD)) - math.sqrt(PST_ENTRY_TOL)
-    return min(math.sqrt(8 / v) * root * (1 - STEP_MARGIN), TWO_PI / (3 * float(np.ptp(lam))))
+    return min(math.ldexp(math.sqrt(8 / v) * root * (1 - STEP_MARGIN), -e),
+               TWO_PI / (3 * float(lam.max() - lam.min())))
 
 
 def _row_classes(
-    x: np.ndarray, d: np.ndarray, row_times: np.ndarray
+    canonical: np.ndarray, d: np.ndarray, row_times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(first, run, bound, omega): the flat pair opening each class, each flat
     pair's class and B_m (see scan_min_times), and omega[w, k] = e^{-i d_k
-    row_times[w]}, the angle's rounding put back from an extended product."""
-    n = x.shape[0]
-    z = math.sqrt(n) * canonicalize(x)
+    row_times[w]}, the angle's rounding put back from an extended product;
+    canonical is the canonical form of X (EigenSystem.canonical)."""
+    n = canonical.shape[0]
+    z = math.sqrt(n) * canonical
     omega = _waves(row_times, d)
-    omega *= 1 - 1j * (np.multiply.outer(row_times.astype(np.longdouble), d)
-                       - np.multiply.outer(row_times, d)).astype(float)
+    omega *= 1 - 1j * (row_times.astype(np.longdouble)[:, np.newaxis] * d
+                       - row_times[:, np.newaxis] * d).astype(float)
     dev = z * omega
-    phase = np.angle(dev)
-    t = row_times + phase @ d / (d @ d)
-    shift, size = t - row_times, np.abs(d)  # the shift is exact
+    phase = np.arctan2(dev.imag, dev.real)
+    scaled, e = _scaled(d)  # the least-squares step, scaled as in grid_step
+    t = row_times + np.ldexp(phase @ scaled / (scaled @ scaled), -e)
+    shift, size = t - row_times, abs(d)  # the shift is exact
     # |rho e^{i phi} - 1| <= |rho - 1| + |phi| for the angle phi left by t;
     # row 0's z is real, so its phi is the wrap of d_k t_0
-    phase = np.abs(phase - np.multiply.outer(shift, d))
-    dev = np.abs(np.abs(dev) - 1) + phase
-    err = 2.0**-53 * size.max() * np.abs(shift)
+    phase = abs(phase - shift[:, np.newaxis] * d)
+    dev = abs(abs(dev) - 1) + phase
+    err = 2.0**-53 * size.max() * abs(shift)
     e_mean, e_max = dev.sum(axis=1) / n + err, dev.max(axis=1) + err
     spread, wrap = size.sum() / n, phase[0].sum() / n + err[0] + 2.0**-50
     table = transfer_table(t).reshape(-1)
-    order = np.argsort(table)
-    opens = np.concatenate(([True], np.diff(table[order]) * spread > ADMISSION_TOL))
+    order = table.argsort()
+    keys, opens = table[order], np.ones(n * n, dtype=bool)
+    opens[1:] = (keys[1:] - keys[:-1]) * spread > ADMISSION_TOL
     run = np.empty(n * n, dtype=np.intp)
-    run[order] = np.cumsum(opens) - 1
+    run[order] = opens.cumsum() - 1
     first = order[opens]
     rep = first[run]
-    laps = np.rint((table - (t[np.newaxis, :] - t[:, np.newaxis]).reshape(-1)) / t[0])
-    eta = (e_mean[:, np.newaxis] + e_mean + np.multiply.outer(e_max, e_max)).reshape(-1)
+    laps = np.rint((table - (t - t[:, np.newaxis]).reshape(-1)) / t[0])
+    eta = (e_mean[:, np.newaxis] + e_mean + e_max[:, np.newaxis] * e_max).reshape(-1)
     eps = 2.0**-51 + 2 * float(np.finfo(np.longdouble).eps)
-    bound = (spread * np.abs(table - table[rep]) + np.abs(laps - laps[rep]) * wrap
-             + eta + eta[rep] + eps * spread * np.abs(t).max() + 2.0**-47)
+    bound = (spread * abs(table - table[rep]) + abs(laps - laps[rep]) * wrap
+             + eta + eta[rep] + eps * spread * abs(t).max() + 2.0**-47)
     return first, run, bound, omega
 
 
@@ -376,11 +375,11 @@ def scan_min_times(
     points, each read with one grid point beyond either edge, so a block's
     curves x time amplitudes and n x time waves (plus at most two points and
     two chunks) stay within GRID_BLOCK elements.  Each block's |U|^2 is one
-    float64 GEMM, and its hits are the points with |U|^2 >=
-    DETECTION_THRESHOLD.  Each wave is a product of two unit complex numbers
-    a few ulps off, and sum_k |X[v,k] X[u,k]| <= 1 (Cauchy-Schwarz), so the
-    GEMM errs by about n 2^-52, far below the 1.2e-6 by which grid_step puts
-    the nearest grid point above the threshold.
+    float64 GEMM, its hits the points with |U|^2 >= DETECTION_THRESHOLD.
+    Each wave is a product of two unit complex numbers a few ulps off, and
+    sum_k |X[v,k] X[u,k]| <= 1 (Cauchy-Schwarz), so the GEMM errs by about
+    n 2^-52, far below the 1.2e-6 by which grid_step puts the nearest grid
+    point above the threshold.
 
     Every hit >= both grid neighbours is a candidate, refined in [g - step,
     g + step] around its grid point g; with step <= grid_step(es) no peak
@@ -392,12 +391,14 @@ def scan_min_times(
     its bracket, where _refine_peaks converges to t* from any start.  (A
     float64 tie of g* with a neighbour puts both within about step/2 of t*;
     either brackets it.)  The start is t^ = g + psi.(d - mean d) / |d - mean
-    d|^2, clipped to the bracket, psi_k the angle of p_k e^{-i d_k g} against
-    the sum: at g = t* + s a peak's terms have psi_k = alpha - d_k s exactly,
-    and |psi_k| <= R |s| <= 2 pi/3 wraps no angle, so t^ is t* to rounding.
-    At a block's edge the neighbour is read too: t = 0, where |U[u][u]| = 1
-    keeps the identity's shoulder from being a candidate, and past the last
-    point, which can drop a hit there only beyond P, every first passage.
+    d|^2 (summed on _scaled), clipped to the bracket, psi_k the angle of p_k
+    e^{-i d_k g} against the sum: at g = t* + s a peak's terms have psi_k =
+    alpha - d_k s exactly, and |psi_k| <= R |s| <= 2 pi/3 wraps no angle, so
+    t^ is t* to rounding: one evaluation of all candidates meets the stop on
+    such a peak, and only the rest enter the safeguarded steps.  At a block's
+    edge the neighbour is read too: t = 0, where |U[u][u]| = 1 keeps the
+    identity's shoulder from being a candidate, and past the last point,
+    which can drop a hit there only beyond P, every first passage.
 
     diagnostics holds grid_step, horizon, grid_points, the integer counts
     classes (curves scanned, members scanned by themselves included), members
@@ -415,42 +416,45 @@ def scan_min_times(
     """
     n = es.n
     nsteps = max(0, int(math.ceil(horizon / step)))
-    diagnostics = {"grid_step": float(step), "horizon": float(horizon), "grid_points": nsteps}
-    diagnostics.update(dict.fromkeys((
-        "classes", "members", "member_rescans", "pair_time_products", "f64_hits",
-        "clusters", "newton_rows", "bisect_rows", "refine_evals"), 0))
+    diagnostics = dict(grid_step=float(step), horizon=float(horizon), grid_points=nsteps,
+                       classes=0, members=0, member_rescans=0, pair_time_products=0, f64_hits=0,
+                       clusters=0, newton_rows=0, bisect_rows=0, refine_evals=0)
     x, d = es.X, es.lambdas - es.lambdas[0]
     row_times = np.asarray(row_times, dtype=float)
-    first, run, bound, omega = _row_classes(x, d, row_times)
+    first, run, bound, omega = _row_classes(es.canonical, d, row_times)
     y = x * omega
     amp = (y.conj() @ y.T).reshape(-1)  # amp[u*n + v] at t_v - t_u
-    amp[::n + 1] = np.square(np.abs(x)) @ omega[0]
-    at = (row_times[np.newaxis, :] - row_times[:, np.newaxis]).reshape(-1)
+    amp[::n + 1] = np.square(abs(x)) @ omega[0]
+    at = (row_times - row_times[:, np.newaxis]).reshape(-1)
     at[::n + 1] = row_times[0]
 
     flat_times, flat_phases = np.full(n * n, np.nan), np.zeros(n * n, dtype=complex)
-    member = first[run] != np.arange(n * n)
+    rep = first[run]
+    member = rep != np.arange(n * n)
     admitted = member & (bound <= ADMISSION_TOL)
-    strict = np.abs(amp) >= 1 - PST_ENTRY_TOL
-    alone = np.flatnonzero(member & ~(admitted & strict))
+    strict = abs(amp) >= 1 - PST_ENTRY_TOL
+    alone = (member & ~(admitted & strict)).nonzero()[0]
     scanned = np.concatenate((first, alone))
     flat_times[scanned], flat_phases[scanned] = _scan_pairs(
         x, scanned, d, nsteps, step, diagnostics)
-    ok = admitted & strict & ~np.isnan(flat_times[first[run]])
-    t_ok = flat_times[ok] = flat_times[first[run[ok]]]
+    ok = admitted & strict & ~np.isnan(flat_times[rep])
+    t_ok = flat_times[ok] = flat_times[rep[ok]]
     lap = np.rint((t_ok - at[ok]) / row_times[0])
-    turn = lap * np.angle(omega[0]).sum() - d.sum() * (t_ok - at[ok] - lap * row_times[0])
-    flat_phases[ok] = amp[ok] * np.exp(1j / n * turn)
-    min_times, phases = flat_times.reshape(n, n), flat_phases.reshape(n, n)
-    seen = ~np.isnan(min_times)
-    phases[seen] *= np.exp(-1j * es.eigenvalues[0] * min_times[seen])
-    diagnostics.update(classes=scanned.size, member_rescans=alone.size,
-                       members=int(np.count_nonzero(ok)))
-    diagnostics["margin_min"] = max(0.0, float(np.min(1 - np.abs(phases[seen]), initial=1)))
-    diagnostics["admission_max"] = float(np.max(bound[admitted], initial=0.0))
-    diagnostics["confirm_margin"] = max(0.0, float(1 - np.min(np.abs(amp))))
-    return TransferReport(n, min_times, phases, diagnostics=diagnostics,
-                          reasons=("scan-missing-pairs",) if not seen.all() else ())
+    turn = (lap * np.arctan2(omega[0].imag, omega[0].real).sum()
+            - d.sum() * (t_ok - at[ok] - lap * row_times[0]))
+    seen = ~np.isnan(flat_times)
+    spin = -(float(es.offset) + es.lambdas[0]) * flat_times
+    spin[ok] += turn / n
+    flat_phases[ok] = amp[ok]
+    flat_phases[seen] *= np.exp(1j * spin[seen])
+    diagnostics.update(
+        classes=scanned.size, member_rescans=alone.size, members=int(ok.sum()),
+        margin_min=max(0.0, float(np.minimum.reduce(1 - abs(flat_phases[seen]), initial=1.0))),
+        admission_max=float(np.maximum.reduce(bound[admitted], initial=0.0)),
+        confirm_margin=max(0.0, float(1 - abs(amp).min())))
+    return TransferReport(n, flat_times.reshape(n, n), flat_phases.reshape(n, n),
+                          reasons=() if seen.all() else ("scan-missing-pairs",),
+                          diagnostics=diagnostics)
 
 
 def monomial_check(u_matrix: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -511,8 +515,8 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
 
     exact = es.exact_rows or es.exact_lambdas
     if exact is None and len(es.lambdas) > 1:
-        gap = float(np.min(np.diff(np.sort(es.lambdas))))
-        if gap <= DEGENERACY_TOL * np.max(np.abs(es.lambdas)):
+        ordered = np.sort(es.lambdas)
+        if (ordered[1:] - ordered[:-1]).min() <= DEGENERACY_TOL * abs(ordered).max():
             return failed("degenerate-spectrum")
     try:
         structure = eigenvalue_steps(exact or es.lambdas)
@@ -539,7 +543,7 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     reasons = ([] if confirmed else ["analytic-time-not-confirmed"]) + list(scanned.reasons)
     min_times = scanned.min_times
     complete = not scanned.reasons
-    agreement = float(np.max(np.abs(min_times - transfer_table(times))))
+    agreement = float(abs(min_times - transfer_table(times)).max())
     scanned.diagnostics["agreement_max"] = None if math.isnan(agreement) else agreement
     scanned.diagnostics.update(solve)
     agree = complete and agreement <= tol
@@ -548,17 +552,18 @@ def verify_upst(graph: HermitianGraph, es: EigenSystem) -> TransferReport:
     upst = bool(confirmed and complete and agree)
     # time reversal: U(P - t) = e^{-i lambda_0 P} U(t)^dagger, so with a flat X
     # t_vu = P - t_uv for u != v, a check on all n^2 scanned times
-    reversal = np.abs(min_times + min_times.T - period)[~np.eye(n, dtype=bool)]
-    if upst and float(np.max(reversal)) > tol:
+    reversal = abs(min_times + min_times.T - period)
+    reversal.flat[::n + 1] = 0
+    if upst and reversal.max() > tol:
         upst = False
         reasons.append("time-reversal-violation")
 
     circulant_timing = spacing_order = None
     if upst:
         residues = times % period
-        order = np.argsort(residues, kind="stable")
+        order = residues.argsort(kind="stable")
         spacing_order = tuple(order.tolist())
-        spread = np.max(np.abs(residues[order] - np.arange(n) * period / n))
+        spread = abs(residues[order] - np.arange(n) * period / n).max()
         circulant_timing = bool(spread <= tol)
 
     return TransferReport(

@@ -17,7 +17,8 @@ from upst.ratios import MAX_DENOMINATOR, RATIO_REL_TOL, integer_multiples
 
 
 def reference_integer_multiples(values):
-    """integer_multiples as written with Fraction.limit_denominator."""
+    """integer_multiples as written with Fraction.limit_denominator; a ratio
+    that is not finite has no closest fraction and gives None."""
     if len(values) == 0:
         raise ValueError("need at least one value")
     base = float(values[0])
@@ -26,6 +27,8 @@ def reference_integer_multiples(values):
     fracs = []
     for v in values:
         r = float(v) / base
+        if not math.isfinite(r):
+            return None
         f = Fraction(r).limit_denominator(MAX_DENOMINATOR)
         if abs(float(f) - r) > RATIO_REL_TOL * max(1.0, abs(r)):
             return None

@@ -91,11 +91,13 @@ def test_parity_corpus_matches_the_committed_verdicts(parity_output):
 
 def test_parity_corpus_prints_one_line_per_run(parity_output):
     lines = [json.loads(line) for line in parity_output]
-    assert len(lines) == 220
-    assert len({(line["input"], line["route"]) for line in lines}) == 220
+    assert len(lines) == 228
+    assert len({(line["input"], line["route"]) for line in lines}) == 228
     runs = [line for line in lines if line["route"] != "exact"]
-    assert len(runs) == 157
-    assert sum(run["upst"] is True for run in runs) == 145
+    assert len(runs) == 165
+    assert sum(run["upst"] is True for run in runs) == 153
+    # the scaled float inputs come last and all certify
+    assert [run["upst"] for run in runs[-8:]] == [True] * 8
     exact = [line for line in lines if line["route"] == "exact"]
     assert len(exact) == 63
     # irrational: Circ(0, -i, i) and the conductor-3 spec at L = 12, twice

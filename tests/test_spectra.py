@@ -436,6 +436,12 @@ def test_recognizer_rejects_incommensurable_spectrum():
     assert recognize_eigenvalue_form([0.0, 1.0, math.sqrt(2)], 3) is None
 
 
+def test_recognizer_refuses_a_spread_that_overflows():
+    # lambda_2 - lambda_0 = 2e308 overflows to inf: no ratio, so no witness
+    # (integer_multiples raised OverflowError on it)
+    assert recognize_eigenvalue_form([-1e308, 0.0, 1e308], 3) is None
+
+
 def test_recognizer_finds_nontrivial_multiplier():
     # lambda_k = 2k + 5*c_k with c = (0,0,0,1,1): unit q = 2 mod 5
     form = recognize_eigenvalue_form([0, 2, 4, 11, 13], 5)

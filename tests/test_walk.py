@@ -389,6 +389,20 @@ def test_scan_flags_pairs_beyond_horizon(circ3):
     assert np.all(np.isnan(empty.min_times))
 
 
+@pytest.mark.parametrize("periods", [2, 3])
+def test_scan_takes_each_pairs_earliest_passing_candidate(periods, circ3, nd6):
+    # past the first period every pair passes again, once a period, inside
+    # the same block: candidates come in (row, time) order, and each pair
+    # takes the first that passes, its first passage
+    for es in (es3(circ3), circulant_eigensystem(nd6), relabelled_flat(3, 2, 2, seed=2)):
+        step = scan_grid(es)[1]
+        long = scan_min_times(es, horizon=periods * return_period(es), step=step,
+                              row_times=row_times(es))
+        assert long.reasons == ()
+        assert long.diagnostics["newton_rows"] > long.diagnostics["classes"]
+        assert np.max(np.abs(long.min_times - scan(es).min_times)) <= 1e-12
+
+
 def test_scan_refines_false_clusters_in_later_rounds():
     # Each diagonal pair meets false candidates before its first true return
     # at the period 100 pi; off-diagonal pairs meet only false ones.  Every
@@ -657,7 +671,7 @@ def test_pair_classes_are_counted_per_distinct_curve():
 def members_and_bounds(x, lambdas, times):
     """_row_classes of x: whether each flat pair is a member (not its class's
     first pair), its class's first pair, and its bound B_m."""
-    first, run, bound, _ = _row_classes(x, lambdas - lambdas[0], times)
+    first, run, bound, _ = _row_classes(spectra.canonicalize(x), lambdas - lambdas[0], times)
     member = np.ones(run.size, dtype=bool)
     member[first] = False
     return member, first[run], bound
@@ -828,6 +842,60 @@ def test_bare_matrices_certify_under_scale_and_diagonal_shift(name, divisor, shi
     assert np.max(np.abs(report.min_times - divisor * base.min_times)) <= tol
 
 
+def scaled_runs(name, scale):
+    """verify_upst's reports on name, "flat(3,2,2)" or "nondense(2,3)", as a
+    float eigensystem (no exact data) with every eigenvalue times scale, by
+    route ("given" and "eigh"), each asserted certified."""
+    if name == "nondense(2,3)":
+        base = circulant_eigensystem(nondense_circulant(2, 3))
+    else:
+        base = noncirculant_graph(NoncirculantParams(3, 2, 2))[1]
+    es = EigenSystem(base.n, base.X, base.lambdas * scale)
+    a = (es.X * es.lambdas) @ es.X.conj().T
+    graph = HermitianGraph(es.n, (a + a.conj().T) / 2)
+    reports = {"given": verify_upst(graph, es),
+               "eigh": verify_upst(graph, numerical_eigensystem(graph.adjacency))}
+    for route, report in reports.items():
+        assert report.upst is True, (route, report.reasons)
+    return reports
+
+
+SCALE_COUNTS = ("classes", "members", "newton_rows", "bisect_rows", "refine_evals")
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e154, 1e300])
+@pytest.mark.parametrize("name", ["flat(3,2,2)", "nondense(2,3)"])
+def test_eigenvalue_scale_leaves_verdicts_and_counts(name, scale):
+    # grid_step's sum of squares, the class times' d.d, the aligned start's
+    # and the refinement's lambda^2 run on d scaled by a power of two: unscaled,
+    # 1e-160 went subnormal and lost pairs (scan-missing-pairs), every scale
+    # <= 1e-170 or >= 1e154 divided by zero in grid_step, and at 1e300 every
+    # candidate bisected.  The given lambda * 1e-160 of nondense(2,3) round to
+    # a spectrum with one peak midway between two grid points equal in
+    # float64: both are candidates (see scan_min_times), one more than unscaled
+    base, scaled = scaled_runs(name, 1.0), scaled_runs(name, scale)
+    for route in ("given", "eigh"):
+        d, d0 = scaled[route].diagnostics, base[route].diagnostics
+        ties = int((name, route, scale) == ("nondense(2,3)", "given", 1e-160))
+        assert [d[k] for k in SCALE_COUNTS] == [d0[k] + ties * (k in ("newton_rows", "refine_evals"))
+                                                for k in SCALE_COUNTS]
+        assert np.max(np.abs(scale * scaled[route].min_times - base[route].min_times)) \
+            <= TIME_AGREEMENT_TOL * base[route].return_period
+
+
+@pytest.mark.parametrize("exponent", [-997, -531, 512, 997])
+@pytest.mark.parametrize("name", ["flat(3,2,2)", "nondense(2,3)"])
+def test_power_of_two_scales_leave_the_given_route_bit_for_bit(name, exponent):
+    # a power-of-two scale is exact, and so is every scaling the scan applies:
+    # times scale by its inverse and every count and phase stays, to the bit
+    base = scaled_runs(name, 1.0)["given"]
+    report = scaled_runs(name, 2.0**exponent)["given"]
+    assert np.array_equal(np.ldexp(report.min_times, exponent), base.min_times)
+    assert np.array_equal(report.phases, base.phases)
+    counters = {k: v for k, v in base.diagnostics.items() if type(v) is int}
+    assert {k: report.diagnostics[k] for k in counters} == counters
+
+
 @pytest.mark.parametrize("n", [9, 11, 12])
 def test_wide_spread_circulants_certify_at_a_period_far_below_one(n):
     # A * 1e6 with c in +-3e4 has P = 2 pi 1e-6 and peaks as narrow as
@@ -976,6 +1044,45 @@ def test_refinement_bisects_where_newton_cannot_step():
     assert np.max(np.abs(np.abs(amp) - 1)) <= 1e-15
 
 
+def reference_refine_peaks(pvecs, lam, t, lo, hi):
+    """_refine_peaks with amp, amp' and amp'' as three row dots per step and
+    every row in lockstep, unscaled: the kernel the one stacked product
+    replaced, for inputs whose lam^2 neither underflows nor overflows."""
+    def row_dots(rows, waves):
+        return (rows[:, np.newaxis, :] @ waves[:, :, np.newaxis])[:, 0, 0]
+
+    dp = -1j * lam * pvecs
+    ddp = -(lam**2) * pvecs
+    t, lo, hi = t.copy(), lo.copy(), hi.copy()
+    t_out, amp = np.empty(t.size), np.empty(t.size, dtype=complex)
+    bisected, evals = np.zeros(t.size, dtype=bool), np.zeros(t.size, dtype=np.intp)
+    live = np.arange(t.size)
+    for _ in range(64):
+        if not live.size:
+            break
+        t_live = t[live]
+        waves = _waves(t_live, lam)
+        a = row_dots(pvecs[live], waves)
+        a1 = row_dots(dp[live], waves)
+        a2 = row_dots(ddp[live], waves)
+        t_out[live], amp[live] = t_live, a
+        evals[live] += 1
+        slope = (a.conjugate() * a1).real
+        curvature = (a1.conjugate() * a1 + a.conjugate() * a2).real
+        uphill = slope > 0
+        lo[live[uphill]] = t_live[uphill]
+        hi[live[~uphill]] = t_live[~uphill]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_next = t_live - slope / curvature
+        newton = (curvature < 0) & (lo[live] <= t_next) & (t_next <= hi[live])
+        t_next[~newton] = (lo[live[~newton]] + hi[live[~newton]]) / 2
+        bisected[live[~newton]] = True
+        going = np.abs(t_next - t_live) > 1e-15 * np.abs(t_live)
+        live = live[going]
+        t[live] = t_next[going]
+    return t_out, amp, bisected, evals
+
+
 def certified_eigensystem(kind, size, seed):
     """A Fourier (integer spectrum, scaled) or flat-family eigensystem with its
     vertices permuted and random eigenvector phases, and the transfer times
@@ -1042,6 +1149,45 @@ def test_aligned_start_lands_on_certified_peaks_from_one_step_away(case, seed):
     pv = pair_vectors(es.X)[u * n + np.arange(n)]
     start = _aligned_start(pv * _waves(g, d), d, g, g - h, g + h)
     assert np.max(np.abs(start - times)) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    case=st.one_of(
+        st.tuples(st.just("fourier"), st.sampled_from([2, 3, 5, 8])),
+        st.tuples(st.just("flat"), st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 2, 3), (4, 4, 2)])),
+        st.tuples(st.just("near-miss"), st.just(None)),
+    ),
+    reach=st.sampled_from([1.0, 3.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_refinement_matches_the_three_dot_reference(case, reach, seed):
+    # relabelled and rephased certified peaks, and the 2.02 near miss's
+    # diagonal pairs around 2 pi, from anywhere in brackets of reach grid
+    # steps either side: wide brackets hold several peaks and positive
+    # curvature, so rows bisect.  Both kernels take the same steps: each dot
+    # of the stacked product is summed as np.dot sums one pair of vectors
+    kind, size = case
+    rng = np.random.default_rng(seed)
+    if kind == "near-miss":
+        es = false_cluster_eigensystem()
+        rows = 3
+        times, pv = np.full(rows, TWO_PI), pair_vectors(es.X)[::4]
+    else:
+        es, u, times = certified_eigensystem(kind, size, seed)
+        rows = es.n
+        pv = pair_vectors(es.X)[u * rows + np.arange(rows)]
+    h = grid_step(es)
+    d = es.lambdas - es.lambdas[0]
+    lo = times - reach * h * rng.uniform(0, 1, size=rows)
+    hi = times + reach * h * rng.uniform(0, 1, size=rows)
+    t0 = lo + (hi - lo) * rng.uniform(0, 1, size=rows)
+    t, amp, bisected, evals = _refine_peaks(pv, d, t0, lo, hi)
+    t_ref, amp_ref, bisected_ref, evals_ref = reference_refine_peaks(pv, d, t0, lo, hi)
+    assert evals.tolist() == evals_ref.tolist()
+    assert bisected.tolist() == bisected_ref.tolist()
+    assert np.all(np.abs(t - t_ref) <= 4 * np.spacing(np.abs(t_ref)))
+    assert np.max(np.abs(amp - amp_ref)) <= 2.0**-48
 
 
 def test_aligned_start_keeps_a_near_miss_in_its_bracket_and_below_the_test():
@@ -1317,6 +1463,20 @@ def counted_integer_multiples(monkeypatch):
     return calls
 
 
+def test_verify_builds_the_canonical_form_once(monkeypatch):
+    # the row solve and the pair classes read the same canonical form of X
+    calls = []
+    for module in (spectra, walk):
+        def counted(z, real=spectra.canonicalize):
+            calls.append(z)
+            return real(z)
+        monkeypatch.setattr(module, "canonicalize", counted, raising=False)
+    es = relabelled_flat(4, 4, 2, seed=1)
+    a = (es.X * es.eigenvalues) @ es.X.conj().T
+    assert verify_upst(HermitianGraph(es.n, (a + a.conj().T) / 2), es).upst is True
+    assert len(calls) == 1
+
+
 def test_every_corpus_circulant_takes_its_steps_from_exact_data(monkeypatch):
     # rational spectra as one-column rows, irrational ones as rows of
     # Q(zeta_L): no circulant of the parity corpus reads ratios off floats
@@ -1416,6 +1576,17 @@ def test_certification_rejects_repeated_eigenvalues():
     )
     assert report.upst is False
     assert report.reasons == ("degenerate-spectrum",)
+
+
+def test_an_overflowing_spread_returns_a_verdict():
+    # the gap gate passes (gap 1e308), then lambda_2 - lambda_0 overflows to
+    # inf: integer_multiples finds no ratio, so there are no times (it raised
+    # OverflowError on the infinite ratio)
+    es = EigenSystem(3, fourier_matrix(3), np.array([-1e308, 0.0, 1e308]))
+    report = verify_upst(HermitianGraph(3, (es.X * es.lambdas) @ es.X.conj().T), es)
+    assert report.upst is False
+    assert report.reasons == ("no-consistent-times",)
+    assert report.diagnostics == {"row_residual_max": None}
 
 
 def test_float_gap_gate_runs_before_the_ratios_it_guards():
