@@ -112,7 +112,8 @@ def eigensystem_from_json(data: dict) -> EigenSystem:
     present) have length n, every entry is finite, every X and lambdas entry
     is a JSON number and every exact_lambdas entry a rational pair; KeyError or
     TypeError on a missing or mistyped field.  The lambdas are centred by their
-    mean, the offset."""
+    mean, the offset; with exact_lambdas, both come from those, as floats of
+    1e16 + k lose k."""
     x = matrix_from_json(data["X"])
     n = x.shape[0]
     lambdas = np.array(_json_numbers(data["lambdas"], "lambdas"), dtype=float)
@@ -125,8 +126,9 @@ def eigensystem_from_json(data: dict) -> EigenSystem:
             raise ValueError("eigensystem has %d %s for n = %d" % (len(values), name, n))
     if not (np.all(np.isfinite(x.view(float))) and np.all(np.isfinite(lambdas))):
         raise ValueError("eigensystem contains non-finite entries")
-    offset = float(np.mean(lambdas))
-    return EigenSystem(n, x, lambdas - offset, exact_lambdas, offset)
+    offset = float(np.mean(lambdas)) if exact is None else sum(exact_lambdas) / n
+    centred = lambdas - offset if exact is None else [float(v - offset) for v in exact_lambdas]
+    return EigenSystem(n, x, np.asarray(centred), exact_lambdas, offset)
 
 
 def graph_to_json(
@@ -204,7 +206,8 @@ def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem]:
     Accepts a graph bundle or a bare matrix (nested [re, im] rows).  A bundle
     with circulant data must match the exact embedding to MATRIX_MATCH_TOL max|A|
     and is diagonalized exactly.  A stored eigensystem must diagonalize the
-    matrix, to EIGEN_RESIDUAL_TOL; without circulant data it is the one
+    matrix to EIGEN_RESIDUAL_TOL with its stored float lambdas and with its
+    eigenvalues (exact where given); without circulant data it is the one
     certified.  Anything else gets a dense numerical solve.
 
     errors: OSError if the file cannot be read, ValueError on malformed
@@ -228,13 +231,14 @@ def load_graph(path: str) -> tuple[HermitianGraph, EigenSystem]:
                 "matrix does not match its circulant data (max deviation %.3e)" % deviation
             )
     if stored_es is not None:
-        lam = stored_es.eigenvalues
-        residual = float(np.max(np.abs(graph.adjacency @ stored_es.X - stored_es.X * lam)))
-        scale = max(float(np.max(np.abs(graph.adjacency))), float(np.max(np.abs(lam))))
-        if not residual <= EIGEN_RESIDUAL_TOL * scale:
-            raise ValueError(
-                "stored eigensystem does not diagonalize the matrix (residual %.3e)" % residual
-            )
+        x, ax = stored_es.X, graph.adjacency @ stored_es.X
+        for lam in (np.array(data["eigensystem"]["lambdas"], dtype=float), stored_es.eigenvalues):
+            residual = float(np.max(np.abs(ax - x * lam)))
+            scale = max(float(np.max(np.abs(graph.adjacency))), float(np.max(np.abs(lam))))
+            if not residual <= EIGEN_RESIDUAL_TOL * scale:
+                raise ValueError(
+                    "stored eigensystem does not diagonalize the matrix (residual %.3e)" % residual
+                )
         if graph.spec is None:
             return graph, stored_es
     return graph, eigensystem_for(graph)

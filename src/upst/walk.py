@@ -20,14 +20,14 @@ from .spectra import UNITARITY_TOL, EigenSystem, eigenvalue_steps, is_type_ii
 
 PST_ENTRY_TOL = 1e-9
 TIME_AGREEMENT_TOL = 1e-8
-DETECTION_THRESHOLD = 0.96  # on |U|^2; refinement applies the strict test
+DETECTION_THRESHOLD = 0.96  # on |U|^2; a candidate's evaluation applies the strict test
 DEGENERACY_TOL = 1e-10  # least eigenvalue gap over max|lambda|, see verify_upst
 STEP_MARGIN = 2.0**-16  # relative shrink of the derived grid step, see grid_step
 MAX_GRID_POINTS = 2**22  # largest grid verify_upst scans
 GRID_BLOCK = 2**16  # pair x time elements per grid block
 ADMISSION_TOL = 1e-10  # largest B_m for a pair to take its class's time, see scan_min_times
 WAVE_CHUNK = 64  # grid points per head of the chunked grid waves
-REFINE_BLOCK = 2**16  # pair x eigenvalue elements per refinement batch
+REFINE_BLOCK = 2**16  # pair x eigenvalue elements per batch of candidate evaluations
 
 TWO_PI = 2 * math.pi
 
@@ -138,50 +138,11 @@ def _scaled(v: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(v, -e), e
 
 
-def _refine_peaks(
-    pvecs: np.ndarray, lam: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, steps=64
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Peak of |amp|^2 in [lo[r], hi[r]] for every row, starting from t[r]:
-    safeguarded Newton on d|amp|^2/dt, whose analytic derivative resolves the
-    flat top to full precision.  An evaluation takes amp, amp' and amp'' of
-    every row as one stacked product, the dots of p, -i mu p and -mu^2 p with
-    its waves, (mu, e) = _scaled(lam), and scales the step back by 2^-e: the
-    unscaled dots' step to the bit wherever lam^2 neither under- nor overflows.
-    The bracket shrinks to the uphill side; a row takes the Newton step when
-    the curvature is negative and the step stays in the bracket, else bisects.
-    Rows whose step exceeds 1e-15 |t| go on, for at most steps evaluations
-    (bisection alone stops in about 51 from the scan's bracket).  Returns each
-    row's last evaluated time, its amplitude there, whether it ever bisected
-    and its count of evaluations."""
-    mu, e = _scaled(lam)
-    rows = np.empty((t.size, 3, 1, lam.size), dtype=complex)
-    rows[:, 0, 0], rows[:, 1, 0], rows[:, 2, 0] = pvecs, -1j * mu * pvecs, -(mu**2) * pvecs
-    a, a1, a2 = (rows @ _waves(t, lam)[:, np.newaxis, :, np.newaxis])[:, :, 0, 0].T
-    slope = (a.conjugate() * a1).real
-    curvature = (a1.conjugate() * a1 + a.conjugate() * a2).real
-    uphill = slope > 0
-    lo, hi = np.where(uphill, t, lo), np.where(uphill, hi, t)
-    newton = curvature < 0
-    t_next = t - np.ldexp(slope / np.where(newton, curvature, -1.0), -e)
-    newton &= (lo <= t_next) & (t_next <= hi)
-    bisected, evals = ~newton, np.ones(t.size, dtype=np.intp)
-    if bisected.any():
-        t_next[bisected] = (lo[bisected] + hi[bisected]) / 2
-    going = (abs(t_next - t) > 1e-15 * abs(t)).nonzero()[0]
-    if steps > 1 and going.size:
-        t, a = t.copy(), a.copy()
-        t[going], a[going], more, count = _refine_peaks(
-            pvecs[going], lam, t_next[going], lo[going], hi[going], steps - 1)
-        bisected[going] |= more
-        evals[going] += count
-    return t, a, bisected, evals
-
-
 def _aligned_start(
     terms: np.ndarray, d: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
     """Each row's t moved to where its terms p_k e^{-i d_k t} align, clipped to
-    [lo, hi] (see scan_min_times); d - mean d is scaled as in _refine_peaks."""
+    [lo, hi] (see scan_min_times); d - mean d is scaled as in grid_step."""
     z = terms * terms.sum(axis=1, keepdims=True).conj()
     dc, e = _scaled(d - np.add.reduce(d) / d.size)
     shift = np.ldexp(np.arctan2(z.imag, z.real) @ dc / (dc @ dc), -e)
@@ -231,10 +192,9 @@ def _scan_pairs(
 
     Each block's waves (_grid_waves) reach one grid point past each edge, so
     _block_peaks decides the candidates of the pairs still unresolved inside
-    the block.  Each is refined from its aligned start (_aligned_start), within
-    one step either side of its grid point (_refine_peaks), in batches of
-    REFINE_BLOCK // n rows; a pair takes its earliest candidate whose refined
-    |U| >= 1 - PST_ENTRY_TOL, the first passing one of its (row, time) order, and leaves.
+    the block.  Each is evaluated once, at its aligned start (_aligned_start),
+    in batches of REFINE_BLOCK // n rows; a pair takes the first candidate of
+    its (row, time) order with |U| >= 1 - PST_ENTRY_TOL there and leaves.
     """
     n = d.size
     u, v = np.divmod(pairs, n)
@@ -257,11 +217,9 @@ def _scan_pairs(
         for first in range(0, cand_row.size, rows):
             part = slice(first, first + rows)
             g, pv = peak[part], pvecs[cand_row[part]]
-            lo, hi = g * step, (g + 2) * step
-            t0 = _aligned_start(pv * waves[w[part] + 1], d, (g + 1) * step, lo, hi)
-            t_star[part], amp[part], bisected, evals = _refine_peaks(pv, d, t0, lo, hi)
-            diagnostics["bisect_rows"] += int(bisected.sum())
-            diagnostics["refine_evals"] += int(evals.sum())
+            t = t_star[part] = _aligned_start(
+                pv * waves[w[part] + 1], d, (g + 1) * step, g * step, (g + 2) * step)
+            amp[part] = (pv[:, np.newaxis] @ _waves(t, d)[:, :, np.newaxis])[:, 0, 0]
         ok = abs(amp) >= 1 - PST_ENTRY_TOL
         done, t_star, amp = cand_row[ok], t_star[ok], amp[ok]
         earliest = np.ones(done.size, dtype=bool)
@@ -381,44 +339,56 @@ def scan_min_times(
     n 2^-52, far below the 1.2e-6 by which grid_step puts the nearest grid
     point above the threshold.
 
-    Every hit >= both grid neighbours is a candidate, refined in [g - step,
-    g + step] around its grid point g; with step <= grid_step(es) no peak
-    is missed.  At a peak t* every term of U is aligned and sum_k |p_k| = 1,
-    so |U(t* + s)|^2 = sum_{k,l} |p_k| |p_l| cos((lambda_k - lambda_l) s),
-    which does not increase with |s| while |s| <= pi/R.  The grid point g*
-    nearest t* is a hit, and its neighbours and bracket ends lie within
-    3 step/2 <= pi/R of t*: g* is a candidate, and the curve is unimodal on
-    its bracket, where _refine_peaks converges to t* from any start.  (A
-    float64 tie of g* with a neighbour puts both within about step/2 of t*;
-    either brackets it.)  The start is t^ = g + psi.(d - mean d) / |d - mean
-    d|^2 (summed on _scaled), clipped to the bracket, psi_k the angle of p_k
-    e^{-i d_k g} against the sum: at g = t* + s a peak's terms have psi_k =
-    alpha - d_k s exactly, and |psi_k| <= R |s| <= 2 pi/3 wraps no angle, so
-    t^ is t* to rounding: one evaluation of all candidates meets the stop on
-    such a peak, and only the rest enter the safeguarded steps.  At a block's
-    edge the neighbour is read too: t = 0, where |U[u][u]| = 1 keeps the
-    identity's shoulder from being a candidate, and past the last point,
-    which can drop a hit there only beyond P, every first passage.
+    Every hit >= both grid neighbours is a candidate; with step <=
+    grid_step(es) no peak is missed.  At a peak t* every term of U is aligned
+    and sum_k |p_k| = 1, so |U(t* + s)|^2 = sum_{k,l} |p_k| |p_l|
+    cos((lambda_k - lambda_l) s), which does not increase with |s| while |s|
+    <= pi/R.  The grid point g* nearest t* is a hit, and its neighbours lie
+    within 3 step/2 <= pi/R of t*: g* is a candidate.  (A float64 tie of g*
+    with a neighbour puts both within about step/2 of t*.)  A candidate at g
+    is evaluated once, at t^ = g + psi.e/|e|^2, e = d - mean d (summed on
+    _scaled), clipped to [g - step, g + step], psi_k the angle of p_k e^{-i
+    d_k g} against the sum, and passes on |U(t^)| alone, so a poor t^ can
+    only lose a pair.  At a block's edge the neighbour is read too: t = 0,
+    where |U[u][u]| = 1 keeps the identity's shoulder from being a candidate,
+    and past the last point, which can drop a hit there only beyond P, every
+    first passage.
+
+    One evaluation finds the peak.  Let t* be a local maximum of |U|, |U(t*)|
+    >= 1 - delta, within step of g, eps_k the angle of term k against the sum
+    there, |x| the 2-norm and |x|_1 the 1-norm over k.  Then psi_k = eps_k -
+    e_k (g - t*) + c, c common to all k, with no wrap (the unwrapped angles
+    span at most R step + 2 max|eps_k| < pi), so t^ - t* = D/|e|^2, D = sum_k
+    e_k eps_k.  With |p_k| = 1/n, d|U|^2/dt = 0 at t* reads sum_k e_k sin
+    eps_k = 0, so D = sum_k e_k (eps_k - sin eps_k) and A = |D|/|e| <=
+    |eps^3|/6.  Turned by e^{i mean(d) (t^ - t*)} onto U(t*)'s direction,
+    |U(t^)| >= (1/n) sum_k cos(eps_k - e_k (t^ - t*)), whose first-order term
+    vanishes with the same sum: |U(t*)| - |U(t^)| <= (A^2/2 + |eps|_1
+    A^3/6)/n.  X passed is_type_ii, so n |p_k| = 1 + eta_k, |eta_k| <= eta = 2
+    sqrt(n) UNITARITY_TOL + n UNITARITY_TOL^2; with weights |p_k| the same
+    steps give A <= |eps^3|/6 + eta |eps| and the bound times 1 + eta.  As
+    sum_k |p_k| <= 1, sum_k (1 - cos eps_k) <= C = n delta/(1 - eta), and
+    eps^2 <= 2 (1 - cos eps)(2 - cos eps) gives |eps|^2 <= 2 C (1 + C): at n =
+    1024 and delta = PST_ENTRY_TOL, t^ loses under 1.3e-22 of |U|, far below
+    the rounding of an evaluation (about n 2^-52).
 
     diagnostics holds grid_step, horizon, grid_points, the integer counts
     classes (curves scanned, members scanned by themselves included), members
     (pairs that took their class's time), member_rescans (members scanned by
     themselves), pair_time_products (curve x time points), f64_hits (grid
     hits), clusters (runs of hits that open on the grid: left neighbour no
-    hit), newton_rows (candidates refined), bisect_rows and refine_evals
-    (refinement evaluations, summed over candidates), classes + members
-    being n^2 on a complete scan; and margin_min, the least 1 - |U(t_uv)|
-    found (1 for none), admission_max, the largest admitted B_m (0 for none),
-    and confirm_margin, the largest 1 - |U(T_m)| of all n^2 table amplitudes;
-    margins are clamped at 0.  Pairs with no confirmed peak keep NaN and are
-    flagged in reasons.  The spectrum is one verify_upst has gated: n >= 2
-    distinct eigenvalues.
+    hit), newton_rows (candidates evaluated), classes + members being n^2 on a
+    complete scan; and margin_min, the least 1 - |U(t_uv)| found (1 for none),
+    admission_max, the largest admitted B_m (0 for none), and confirm_margin,
+    the largest 1 - |U(T_m)| of all n^2 table amplitudes; margins are clamped
+    at 0.  Pairs with no confirmed peak keep NaN and are flagged in reasons.
+    The spectrum is one verify_upst has gated: n >= 2 distinct eigenvalues.
     """
     n = es.n
     nsteps = max(0, int(math.ceil(horizon / step)))
     diagnostics = dict(grid_step=float(step), horizon=float(horizon), grid_points=nsteps,
                        classes=0, members=0, member_rescans=0, pair_time_products=0, f64_hits=0,
-                       clusters=0, newton_rows=0, bisect_rows=0, refine_evals=0)
+                       clusters=0, newton_rows=0)
     x, d = es.X, es.lambdas - es.lambdas[0]
     row_times = np.asarray(row_times, dtype=float)
     first, run, bound, omega = _row_classes(es.canonical, d, row_times)

@@ -203,7 +203,6 @@ def test_verify_table_prints_scan_diagnostics(tmp_path, capsys):
     for key in ("margin_min", "agreement_max"):
         assert fields[key] == "%.15g" % expected[key]
     assert fields["newton_rows"] == str(expected["newton_rows"])
-    assert fields["bisect_rows"] == "0"
     # no scan ran on a graph whose diagonalizer is not flat
     p3 = [[[0, 0], [1, 0], [0, 0]], [[1, 0], [0, 0], [1, 0]], [[0, 0], [1, 0], [0, 0]]]
     bare = tmp_path / "p3.json"
@@ -356,6 +355,18 @@ def test_verify_detects_stale_eigensystem(tmp_path, capsys):
     assert "diagonalize" in err
 
 
+def test_verify_detects_stale_exact_eigenvalues(tmp_path, capsys):
+    # the loaded eigenvalues come from exact_lambdas, so the residual gate
+    # checks those against the matrix too, not only the stored floats
+    path = generate(tmp_path, capsys, NC_DESC, "nc.json")
+    doc = json.loads(open(path).read())
+    doc["eigensystem"]["exact_lambdas"][0] = [1, 2]
+    open(path, "w").write(json.dumps(doc))
+    code, _, err = run(["verify", path], capsys)
+    assert code == 2
+    assert "diagonalize" in err
+
+
 def test_verify_detects_a_circulant_bundles_stale_eigensystem(tmp_path, capsys):
     # the exact route certifies a circulant bundle, but its stored
     # eigensystem is checked all the same
@@ -384,6 +395,24 @@ def test_verify_refuses_a_tiny_bundle_whose_eigensystem_is_another_matrixs(tmp_p
     assert code == 2
     assert "does not diagonalize the matrix (residual 1.837e-09)" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("shift", ["10000000000000000", "100000000000000000000"])
+def test_shifted_flat_bundle_certifies_through_verify_and_times(tmp_path, capsys, shift):
+    # the stored eigensystem is certified: centred on the float mean of its
+    # absolute float lambdas, 1e16 + k lost k (analytic-time-not-confirmed,
+    # scan-missing-pairs) and 1e20 + k collapsed to one value (grid_step
+    # divided by zero); centred on the exact mean, it keeps every gap
+    path = generate(tmp_path, capsys, '{"family": "noncirculant", "a": 2, "b": 2, "beta": 2}',
+                    "nc.json", shift=shift)
+    code, out, err = run(["verify", path], capsys)
+    assert code == 0, (out, err)
+    code, out, err = run(["times", path], capsys)
+    assert code == 0, err
+    assert len(out.splitlines()) == 17
+    _, es = load_graph(path)
+    assert es.offset == Fraction(int(shift)) + Fraction(5, 2)
+    assert es.lambdas.tolist() == [-2.5, -1.5, 1.5, 2.5]
 
 
 @pytest.mark.parametrize("desc", [

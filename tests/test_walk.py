@@ -53,7 +53,6 @@ from upst.walk import (
     _aligned_start,
     _block_peaks,
     _grid_waves,
-    _refine_peaks,
     _row_classes,
     _waves,
 )
@@ -123,6 +122,11 @@ def pair_vectors(x):
     """Row u*n + v holds X[v,k] conj(X[u,k]), as in scan_min_times."""
     n = x.shape[0]
     return (x[np.newaxis, :, :] * x.conj()[:, np.newaxis, :]).reshape(n * n, n)
+
+
+def evaluate(pv, d, t):
+    """The scan's one evaluation of each candidate row: sum_k p_k e^{-i d_k t}."""
+    return (pv[:, np.newaxis] @ _waves(t, d)[:, :, np.newaxis])[:, 0, 0]
 
 
 def irrational_eigensystem():
@@ -406,7 +410,7 @@ def test_scan_takes_each_pairs_earliest_passing_candidate(periods, circ3, nd6):
 def test_scan_refines_false_clusters_in_later_rounds():
     # Each diagonal pair meets false candidates before its first true return
     # at the period 100 pi; off-diagonal pairs meet only false ones.  Every
-    # candidate is refined, and a pair takes its earliest that passes
+    # candidate is evaluated, and a pair takes its earliest that passes
     es = false_cluster_eigensystem()
     assert abs(return_period(es) - 100 * math.pi) < 1e-9
     report = scan(es)
@@ -546,7 +550,7 @@ def test_grid_waves_are_chunk_products_whatever_the_block():
 
 
 def test_scan_working_set_is_bounded():
-    # the grid is scanned in blocks and candidates refined in row batches, so
+    # the grid is scanned in blocks and candidates evaluated in row batches, so
     # the peak allocation stays far below the n^2 x grid-points array.  At a
     # hundred times the derived density the horizon is about 21 000 grid
     # points; past the last off-diagonal transfer only the diagonal class
@@ -622,7 +626,6 @@ def test_scan_diagnostics_count_the_work():
     assert 0 <= d["confirm_margin"] <= PST_ENTRY_TOL
     # every run of hits that opens on the grid holds at least one candidate
     assert d["newton_rows"] >= d["clusters"] >= d["classes"]
-    assert d["bisect_rows"] == 0
     # every pair was confirmed at |U| >= 1 - PST_ENTRY_TOL; rounding above
     # |U| = 1 is clamped
     assert 0 <= d["margin_min"] <= PST_ENTRY_TOL
@@ -636,11 +639,10 @@ def test_scan_diagnostics_count_the_work():
     circulant_eigensystem(nondense_circulant(2, 3)),
 ], ids=["flat(4,4,2)", "nondense(2,3)"])
 def test_refinement_from_the_aligned_start_takes_one_evaluation_per_peak(es):
-    # every candidate here is a certified peak, one per class, and the
-    # aligned start is already within the refinement's stop of it
+    # every candidate here is a certified peak, one per class, evaluated
+    # once at its aligned start
     d = scan(es).diagnostics
     assert d["newton_rows"] == d["classes"]
-    assert d["refine_evals"] == d["newton_rows"]
 
 
 def class_count(es):
@@ -860,24 +862,24 @@ def scaled_runs(name, scale):
     return reports
 
 
-SCALE_COUNTS = ("classes", "members", "newton_rows", "bisect_rows", "refine_evals")
+SCALE_COUNTS = ("classes", "members", "newton_rows")
 
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1e154, 1e300])
 @pytest.mark.parametrize("name", ["flat(3,2,2)", "nondense(2,3)"])
 def test_eigenvalue_scale_leaves_verdicts_and_counts(name, scale):
-    # grid_step's sum of squares, the class times' d.d, the aligned start's
-    # and the refinement's lambda^2 run on d scaled by a power of two: unscaled,
-    # 1e-160 went subnormal and lost pairs (scan-missing-pairs), every scale
-    # <= 1e-170 or >= 1e154 divided by zero in grid_step, and at 1e300 every
-    # candidate bisected.  The given lambda * 1e-160 of nondense(2,3) round to
-    # a spectrum with one peak midway between two grid points equal in
-    # float64: both are candidates (see scan_min_times), one more than unscaled
+    # grid_step's sum of squares, the class times' d.d and the aligned
+    # start's run on d scaled by a power of two: unscaled, 1e-160 went
+    # subnormal and lost pairs (scan-missing-pairs), and every scale <= 1e-170
+    # or >= 1e154 divided by zero in grid_step.  The given lambda * 1e-160 of
+    # nondense(2,3) round to a spectrum with one peak midway between two grid
+    # points equal in float64: both are candidates (see scan_min_times), one
+    # more than unscaled
     base, scaled = scaled_runs(name, 1.0), scaled_runs(name, scale)
     for route in ("given", "eigh"):
         d, d0 = scaled[route].diagnostics, base[route].diagnostics
         ties = int((name, route, scale) == ("nondense(2,3)", "given", 1e-160))
-        assert [d[k] for k in SCALE_COUNTS] == [d0[k] + ties * (k in ("newton_rows", "refine_evals"))
+        assert [d[k] for k in SCALE_COUNTS] == [d0[k] + ties * (k == "newton_rows")
                                                 for k in SCALE_COUNTS]
         assert np.max(np.abs(scale * scaled[route].min_times - base[route].min_times)) \
             <= TIME_AGREEMENT_TOL * base[route].return_period
@@ -899,7 +901,7 @@ def test_power_of_two_scales_leave_the_given_route_bit_for_bit(name, exponent):
 @pytest.mark.parametrize("n", [9, 11, 12])
 def test_wide_spread_circulants_certify_at_a_period_far_below_one(n):
     # A * 1e6 with c in +-3e4 has P = 2 pi 1e-6 and peaks as narrow as
-    # sqrt(2 PST_ENTRY_TOL / V) for the spread V: a refinement stop of 1e-15
+    # sqrt(2 PST_ENTRY_TOL / V) for the spread V: a Newton stop of 1e-15
     # max(1, |t|) was coarser than that width, left the refined peaks below
     # 1 - PST_ENTRY_TOL and missed 18, 22 and 24 pairs (scan-missing-pairs)
     c = np.random.default_rng(1).integers(-30000, 30001, n).tolist()
@@ -1028,61 +1030,6 @@ def test_scan_certifies_every_pair_at_n_512():
     assert d["agreement_max"] <= TIME_AGREEMENT_TOL
 
 
-def test_refinement_bisects_where_newton_cannot_step():
-    # levels 0 and 1 with equal weights: |amp|^2 = (1 + cos t)/2 peaks at
-    # 2 pi.  Row 0 starts where the curvature is positive, row 1's first
-    # Newton step lands past its bracket, row 2 converges from its start
-    lam = np.array([0.0, 1.0])
-    pv = np.full((3, 2), 0.5 + 0j)
-    peak = TWO_PI
-    t0 = peak + np.array([-1.8, -1.2, 0.3])
-    lo = peak + np.array([-3.8, -2.5, -0.2])
-    hi = peak + np.array([0.2, 0.1, 0.8])
-    t, amp, bisected, _ = _refine_peaks(pv, lam, t0, lo, hi)
-    assert bisected.tolist() == [True, True, False]
-    assert np.max(np.abs(t - peak)) <= 1e-12
-    assert np.max(np.abs(np.abs(amp) - 1)) <= 1e-15
-
-
-def reference_refine_peaks(pvecs, lam, t, lo, hi):
-    """_refine_peaks with amp, amp' and amp'' as three row dots per step and
-    every row in lockstep, unscaled: the kernel the one stacked product
-    replaced, for inputs whose lam^2 neither underflows nor overflows."""
-    def row_dots(rows, waves):
-        return (rows[:, np.newaxis, :] @ waves[:, :, np.newaxis])[:, 0, 0]
-
-    dp = -1j * lam * pvecs
-    ddp = -(lam**2) * pvecs
-    t, lo, hi = t.copy(), lo.copy(), hi.copy()
-    t_out, amp = np.empty(t.size), np.empty(t.size, dtype=complex)
-    bisected, evals = np.zeros(t.size, dtype=bool), np.zeros(t.size, dtype=np.intp)
-    live = np.arange(t.size)
-    for _ in range(64):
-        if not live.size:
-            break
-        t_live = t[live]
-        waves = _waves(t_live, lam)
-        a = row_dots(pvecs[live], waves)
-        a1 = row_dots(dp[live], waves)
-        a2 = row_dots(ddp[live], waves)
-        t_out[live], amp[live] = t_live, a
-        evals[live] += 1
-        slope = (a.conjugate() * a1).real
-        curvature = (a1.conjugate() * a1 + a.conjugate() * a2).real
-        uphill = slope > 0
-        lo[live[uphill]] = t_live[uphill]
-        hi[live[~uphill]] = t_live[~uphill]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_next = t_live - slope / curvature
-        newton = (curvature < 0) & (lo[live] <= t_next) & (t_next <= hi[live])
-        t_next[~newton] = (lo[live[~newton]] + hi[live[~newton]]) / 2
-        bisected[live[~newton]] = True
-        going = np.abs(t_next - t_live) > 1e-15 * np.abs(t_live)
-        live = live[going]
-        t[live] = t_next[going]
-    return t_out, amp, bisected, evals
-
-
 def certified_eigensystem(kind, size, seed):
     """A Fourier (integer spectrum, scaled) or flat-family eigensystem with its
     vertices permuted and random eigenvector phases, and the transfer times
@@ -1111,36 +1058,11 @@ def certified_eigensystem(kind, size, seed):
     ),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_refinement_finds_certified_peaks_from_anywhere_in_the_bracket(case, seed):
-    # the scan brackets a peak within one grid step h either side of a grid
-    # point; from any start in any bracket of width <= 2 h around the true
-    # time, refinement returns that time and the walk's amplitude there
-    es, u, times = certified_eigensystem(*case, seed)
-    n = es.n
-    h = grid_step(es)
-    rng = np.random.default_rng(seed)
-    lo = times - h * rng.uniform(0, 1, size=n)
-    hi = times + h * rng.uniform(0, 1, size=n)
-    t0 = lo + (hi - lo) * rng.uniform(0, 1, size=n)
-    pv = pair_vectors(es.X)[u * n + np.arange(n)]
-    t, amp, _, _ = _refine_peaks(pv, es.lambdas, t0, lo, hi)
-    assert np.max(np.abs(t - times)) <= 1e-12
-    for v in range(n):
-        assert abs(amp[v] - unitary_at(es, t[v])[v, u]) <= 1e-12
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    case=st.one_of(
-        st.tuples(st.just("fourier"), st.sampled_from([2, 3, 5, 8])),
-        st.tuples(st.just("flat"), st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 2, 3), (4, 4, 2)])),
-    ),
-    seed=st.integers(0, 2**32 - 1),
-)
 def test_aligned_start_lands_on_certified_peaks_from_one_step_away(case, seed):
     # a candidate lies within one grid step h <= 2 pi/(3R) of its peak, where
-    # no angle of a term against the sum wraps: the one regression the scan
-    # starts refinement from already gives the peak time
+    # no angle of a term against the sum wraps: the one regression gives the
+    # peak time, and the one evaluation there is the walk's amplitude, up to
+    # e^{-i lambda_0 t}, and passes the strict test
     es, u, times = certified_eigensystem(*case, seed)
     n = es.n
     h = grid_step(es)
@@ -1149,51 +1071,17 @@ def test_aligned_start_lands_on_certified_peaks_from_one_step_away(case, seed):
     pv = pair_vectors(es.X)[u * n + np.arange(n)]
     start = _aligned_start(pv * _waves(g, d), d, g, g - h, g + h)
     assert np.max(np.abs(start - times)) <= 1e-12
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    case=st.one_of(
-        st.tuples(st.just("fourier"), st.sampled_from([2, 3, 5, 8])),
-        st.tuples(st.just("flat"), st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 2, 3), (4, 4, 2)])),
-        st.tuples(st.just("near-miss"), st.just(None)),
-    ),
-    reach=st.sampled_from([1.0, 3.0, 10.0]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_refinement_matches_the_three_dot_reference(case, reach, seed):
-    # relabelled and rephased certified peaks, and the 2.02 near miss's
-    # diagonal pairs around 2 pi, from anywhere in brackets of reach grid
-    # steps either side: wide brackets hold several peaks and positive
-    # curvature, so rows bisect.  Both kernels take the same steps: each dot
-    # of the stacked product is summed as np.dot sums one pair of vectors
-    kind, size = case
-    rng = np.random.default_rng(seed)
-    if kind == "near-miss":
-        es = false_cluster_eigensystem()
-        rows = 3
-        times, pv = np.full(rows, TWO_PI), pair_vectors(es.X)[::4]
-    else:
-        es, u, times = certified_eigensystem(kind, size, seed)
-        rows = es.n
-        pv = pair_vectors(es.X)[u * rows + np.arange(rows)]
-    h = grid_step(es)
-    d = es.lambdas - es.lambdas[0]
-    lo = times - reach * h * rng.uniform(0, 1, size=rows)
-    hi = times + reach * h * rng.uniform(0, 1, size=rows)
-    t0 = lo + (hi - lo) * rng.uniform(0, 1, size=rows)
-    t, amp, bisected, evals = _refine_peaks(pv, d, t0, lo, hi)
-    t_ref, amp_ref, bisected_ref, evals_ref = reference_refine_peaks(pv, d, t0, lo, hi)
-    assert evals.tolist() == evals_ref.tolist()
-    assert bisected.tolist() == bisected_ref.tolist()
-    assert np.all(np.abs(t - t_ref) <= 4 * np.spacing(np.abs(t_ref)))
-    assert np.max(np.abs(amp - amp_ref)) <= 2.0**-48
+    amp = evaluate(pv, d, start) * np.exp(-1j * es.lambdas[0] * start)
+    for v in range(n):
+        assert abs(amp[v] - unitary_at(es, start[v])[v, u]) <= 1e-12
+    assert np.min(np.abs(amp)) >= 1 - PST_ENTRY_TOL
 
 
 def test_aligned_start_keeps_a_near_miss_in_its_bracket_and_below_the_test():
     # the 2.02 near miss has a hit, no peak of 1, around 2 pi on the diagonal
-    # pairs: there the start is just another point of the bracket, and
-    # refinement from it finds what it finds from the grid point
+    # pairs, and grid points up to two steps either side of it: the aligned
+    # start stays in each bracket, climbs from its grid point, and its one
+    # evaluation stays below the strict test
     es = false_cluster_eigensystem()
     d = es.lambdas - es.lambdas[0]
     step = scan_grid(es)[1]
@@ -1203,10 +1091,51 @@ def test_aligned_start_keeps_a_near_miss_in_its_bracket_and_below_the_test():
     lo, hi = t - step, t + step
     start = _aligned_start(pv * _waves(t, d), d, t, lo, hi)
     assert np.all((lo <= start) & (start <= hi))
-    _, amp, _, _ = _refine_peaks(pv, d, start, lo, hi)
-    _, amp_grid, _, _ = _refine_peaks(pv, d, t, lo, hi)
-    assert np.max(np.abs(amp)) < 1 - PST_ENTRY_TOL
-    assert np.max(np.abs(np.abs(amp) - np.abs(amp_grid))) <= 1e-12
+    amp = np.abs(evaluate(pv, d, start))
+    assert np.all(amp >= np.abs(evaluate(pv, d, t)))
+    assert np.max(amp) < 1 - PST_ENTRY_TOL
+
+
+def bracket_maximum(es, u, v, lo, hi):
+    """(t, |U(t)[v][u]|) at the largest of 65 unitary_at samples across [lo,
+    hi], then three times more across the two spacings around the best one."""
+    for _ in range(4):
+        ts = np.linspace(lo, hi, 65)
+        mags = [abs(unitary_at(es, t)[v, u]) for t in ts]
+        j = int(np.argmax(mags))
+        lo, hi = max(lo, ts[j] - (ts[1] - ts[0])), min(hi, ts[j] + (ts[1] - ts[0]))
+    return ts[j], mags[j]
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from(["near-miss", "moved"]), seed=st.integers(0, 2**32 - 1))
+def test_one_evaluation_reads_the_bracket_maximum_of_a_local_peak_that_is_no_pst(case, seed):
+    # the 2.02 near miss's diagonal pairs around 2 pi, and nondense(2,3) with
+    # lambda_1 moved by 1e-9 sqrt(2) at its transfer times 1e5 .. 1.5e5
+    # periods on, where the moved term has turned by about 1e-3: from a grid
+    # point anywhere within one step h of such a maximum, the one evaluation
+    # at the aligned start reads the largest |U| of [g - h, g + h], and stays
+    # below the strict test
+    rng = np.random.default_rng(seed)
+    if case == "near-miss":
+        es = false_cluster_eigensystem()
+        pairs, centres = [(w, w) for w in range(3)], np.full(3, TWO_PI)
+    else:
+        base = circulant_eigensystem(nondense_circulant(2, 3))
+        es = EigenSystem(6, base.X, base.lambdas + np.r_[0.0, 1e-9 * math.sqrt(2), np.zeros(4)])
+        times = analytic(base)[0]
+        pairs = [(0, v) for v in range(6)]
+        centres = times + rng.integers(10**5, 15 * 10**4) * times[0]
+    h = grid_step(es)
+    d = es.lambdas - es.lambdas[0]
+    for (u, v), centre in zip(pairs, centres):
+        pv = pair_vectors(es.X)[[u * es.n + v]]
+        peak = bracket_maximum(es, u, v, centre - h, centre + h)[0]
+        g = np.array([peak + h * rng.uniform(-1, 1)])
+        start = _aligned_start(pv * _waves(g, d), d, g, g - h, g + h)
+        amp = abs(evaluate(pv, d, start)[0])
+        assert abs(amp - bracket_maximum(es, u, v, g[0] - h, g[0] + h)[1]) <= 1e-12
+        assert amp < 1 - PST_ENTRY_TOL
 
 
 # ------------------------------------------------------------ certification
