@@ -11,13 +11,13 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .cyclotomic import embed_row, exact_int_dtype, power_map_rows, reduce_exponent_rows
 from .graph import CirculantSpec, HermitianGraph
 from .ratios import integer_multiples
 
 UNITARITY_TOL = 1e-10
+BLOCK_ELEMENTS = 2**16  # array elements per block: gathers here, grid blocks and batches in walk
 ZERO_SUM_TOL = 1e-9
 
 
@@ -82,7 +82,7 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
     The sums are computed in Q(zeta_L) for L = lcm(conductor, n).  Row j of A
     holds row j of the spec's w (a_j's numerators over den) at its zeta_L
     exponents; V[k, m] = sum_j A[j, (m - (L/n)*j*k) mod L] is gathered from
-    windows of [A A] in blocks of <= 2^16 entries (bounded memory);
+    windows of [A A] in blocks of <= BLOCK_ELEMENTS entries (bounded memory);
     reduce_exponent_rows reduces it to W, row k lambda_k - offset over den.
     A rational W (W[:, 1:] = 0) gives exact_lambdas; any other W must equal
     its conjugate (else the spec data is corrupt) and is kept as exact_rows.
@@ -96,11 +96,12 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
     a[:, :: lcond // spec.conductor][:, : len(a0)] = spec.w
     if offset:  # a rational a_0 is the offset: V holds lambda_k - a_0
         a[0] = 0
-    a = np.hstack([a, a])
-    windows = as_strided(a, (n, lcond + 1, lcond), a.strides + a.strides[1:], writeable=False)
+    a = np.concatenate((a, a), axis=1)
+    a.flags.writeable = False  # and so the windows viewing it
+    windows = np.ndarray((n, lcond + 1, lcond), a.dtype, a, 0, a.strides + a.strides[1:])
     j = np.arange(n)[:, np.newaxis]
     start = lcond - (lcond // n) * (j * j.T % n)
-    b = max(1, 2**16 // (n * lcond))
+    b = max(1, BLOCK_ELEMENTS // (n * lcond))
     v = sum(windows[j[i : i + b], start[i : i + b]].sum(axis=0) for i in range(0, n, b))
     w = reduce_exponent_rows(lcond, v)
     if not w[:, 1:].any():  # int / int rounds correctly: the double embed_row gives

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import CirculantSpec, HermitianGraph
-from .spectra import UNITARITY_TOL, EigenSystem, eigenvalue_steps, is_type_ii
+from .spectra import BLOCK_ELEMENTS, UNITARITY_TOL, EigenSystem, eigenvalue_steps, is_type_ii
 
 PST_ENTRY_TOL = 1e-9
 TIME_AGREEMENT_TOL = 1e-8
@@ -24,10 +24,7 @@ DETECTION_THRESHOLD = 0.96  # on |U|^2; a candidate's evaluation applies the str
 DEGENERACY_TOL = 1e-10  # least eigenvalue gap over max|lambda|, see verify_upst
 STEP_MARGIN = 2.0**-16  # relative shrink of the derived grid step, see grid_step
 MAX_GRID_POINTS = 2**22  # largest grid verify_upst scans
-GRID_BLOCK = 2**16  # pair x time elements per grid block
 ADMISSION_TOL = 1e-10  # largest B_m for a pair to take its class's time, see scan_min_times
-WAVE_CHUNK = 64  # grid points per head of the chunked grid waves
-REFINE_BLOCK = 2**16  # pair x eigenvalue elements per batch of candidate evaluations
 
 TWO_PI = 2 * math.pi
 
@@ -173,13 +170,14 @@ def _grid_waves(
     base: np.ndarray, lam: np.ndarray, step: float, start: int, stop: int
 ) -> np.ndarray:
     """Waves of the grid indices start .. stop - 1, index j at time (j + 1) step
-    (-1 at t = 0): head[j // WAVE_CHUNK] * base[j % WAVE_CHUNK], with head c
-    the wave at time c WAVE_CHUNK step and base the first WAVE_CHUNK grid
-    waves.  A wave so depends only on its index, never on the block asking."""
-    head = start // WAVE_CHUNK
-    heads = _waves(np.arange(head, (stop - 1) // WAVE_CHUNK + 1) * WAVE_CHUNK * step, lam)
+    (-1 at t = 0): head[j // C] * base[j % C], C = len(base), with head c the
+    wave at time c C step and base the first C grid waves.  A wave so depends
+    only on its index and C, never on the block asking."""
+    chunk = base.shape[0]
+    head = start // chunk
+    heads = _waves(np.arange(head, (stop - 1) // chunk + 1) * chunk * step, lam)
     waves = (heads[:, np.newaxis, :] * base).reshape(-1, lam.size)
-    return waves[start - head * WAVE_CHUNK:stop - head * WAVE_CHUNK]
+    return waves[start - head * chunk:stop - head * chunk]
 
 
 def _scan_pairs(
@@ -193,19 +191,20 @@ def _scan_pairs(
     Each block's waves (_grid_waves) reach one grid point past each edge, so
     _block_peaks decides the candidates of the pairs still unresolved inside
     the block.  Each is evaluated once, at its aligned start (_aligned_start),
-    in batches of REFINE_BLOCK // n rows; a pair takes the first candidate of
-    its (row, time) order with |U| >= 1 - PST_ENTRY_TOL there and leaves.
-    """
+    in batches of BLOCK_ELEMENTS // n rows; a pair takes the first candidate of
+    its (row, time) order with |U| >= 1 - PST_ENTRY_TOL there and leaves.  The
+    wave chunk C = ceil(sqrt(nsteps + 2)) minimises the C + (nsteps + 2)/C
+    exponentials per eigenvalue, capped so the C x n base fits that bound."""
     n = d.size
     u, v = np.divmod(pairs, n)
     pvecs = x[v] * x.conj()[u]
     times, amps = np.full(pairs.size, np.nan), np.zeros(pairs.size, dtype=complex)
     live = np.arange(pairs.size)  # rows of pvecs still unresolved
-    base = _waves((np.arange(WAVE_CHUNK) + 1) * step, d)
-    rows = max(1, REFINE_BLOCK // n)
+    rows = max(1, BLOCK_ELEMENTS // n)
+    base = _waves((np.arange(min(math.isqrt(nsteps + 1) + 1, rows)) + 1) * step, d)
     start = 0
     while start < nsteps and live.size:
-        stop = min(nsteps, start + max(1, GRID_BLOCK // max(live.size, n)))
+        stop = min(nsteps, start + max(1, BLOCK_ELEMENTS // max(live.size, n)))
         waves = _grid_waves(base, d, step, start - 1, stop + 1)
         hits, clusters, row, w = _block_peaks(pvecs[live], waves)
         cand_row, peak = live[row], start + w
@@ -329,15 +328,15 @@ def scan_min_times(
     A member's phase is its amplitude turned to its time t to first order: by
     e^{-i mean(d) s}, s = t - T_m, and by e^{-i j_m mean_k (d_k P mod 2 pi)}.
 
-    The grid is walked in blocks of GRID_BLOCK // max(live curves, n) time
-    points, each read with one grid point beyond either edge, so a block's
-    curves x time amplitudes and n x time waves (plus at most two points and
-    two chunks) stay within GRID_BLOCK elements.  Each block's |U|^2 is one
-    float64 GEMM, its hits the points with |U|^2 >= DETECTION_THRESHOLD.
-    Each wave is a product of two unit complex numbers a few ulps off, and
-    sum_k |X[v,k] X[u,k]| <= 1 (Cauchy-Schwarz), so the GEMM errs by about
-    n 2^-52, far below the 1.2e-6 by which grid_step puts the nearest grid
-    point above the threshold.
+    The grid is walked in blocks of BLOCK_ELEMENTS // max(live curves, n)
+    time points, each read with one grid point beyond either edge, so a
+    block's curves x time amplitudes and n x time waves (plus at most two
+    points and two chunks) stay within BLOCK_ELEMENTS elements.  Each block's
+    |U|^2 is one float64 GEMM, its hits the points with |U|^2 >=
+    DETECTION_THRESHOLD.  Each wave is a product of two unit complex numbers
+    a few ulps off, whatever the chunk, and sum_k |X[v,k] X[u,k]| <= 1, so the
+    GEMM errs by about n 2^-52, far below the 1.2e-6 by which grid_step puts
+    the nearest grid point above the threshold: the chunk moves only last bits.
 
     Every hit >= both grid neighbours is a candidate; with step <=
     grid_step(es) no peak is missed.  At a peak t* every term of U is aligned

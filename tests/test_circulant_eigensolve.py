@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
 
-from upst import cyclotomic
+from upst import cyclotomic, spectra
 from upst.constructors import circulant_from_c, nondense_circulant
 from spec_reference import cyc_from_exponent_rows
 from upst.cyclotomic import CycNum, exact_int_dtype, zeta
@@ -103,6 +103,23 @@ def test_large_offset_and_past_int64_spectra_match_the_reference():
     assert assert_same_as_reference(spec).offset == 2**33 + Fraction(1, 3)
     c = [2**61 - 1, -(2**61), 2**61 - 3, 5, -(2**61) + 7, 0, 2**60, -1]
     assert assert_same_as_reference(circulant_from_c(8, c)).exact_lambdas is not None
+
+
+@pytest.mark.parametrize("spec", [
+    nondense_circulant(5, 17),
+    circulant_from_c(64, [int(v) for v in np.random.default_rng(65).integers(-9, 10, size=64)]),
+], ids=["nondense(5,17)", "circulant_c(64)"])
+def test_eigensystem_is_independent_of_the_block_bound(monkeypatch, spec):
+    # the default gathers several j per block; at bound 1 each block holds
+    # one j, and the integer sums, exact either way, give the same eigensystem
+    assert spectra.BLOCK_ELEMENTS // (spec.n * math.lcm(spec.conductor, spec.n)) > 1
+    default = circulant_eigensystem(spec)
+    monkeypatch.setattr(spectra, "BLOCK_ELEMENTS", 1)
+    small = circulant_eigensystem(spec)
+    assert small.exact_lambdas == default.exact_lambdas
+    assert small.exact_rows == default.exact_rows
+    assert small.offset == default.offset
+    assert np.array_equal(small.lambdas, default.lambdas)
 
 
 def test_non_real_eigenvalue_raises_the_reference_error():

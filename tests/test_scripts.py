@@ -8,6 +8,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -56,6 +57,20 @@ def test_spacing_sweep_runs():
     for row in rows:
         beta = int(row[0].strip("()").split(",")[2])
         assert row[3] == ("yes" if beta == 1 else "no"), row
+
+
+def test_scan_ladder_runs_the_small_rungs():
+    # --max-n 64 keeps flat(8,8,2) and the n = 3 wide-spread circulant
+    start = time.perf_counter()
+    proc = run_script("scan_ladder.py", "--max-n", "64", "--repeat", "1")
+    assert time.perf_counter() - start < 3
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert [row[:2] for row in rows] == [["flat(8,8,2)", "64"], ["circulant_c(3,[0,0,2000])", "3"]]
+    for name, n, grid, chunk, products, newton, faults, best, median in rows:
+        assert int(grid) > 0 and int(products) > 0 and int(newton) > 0 and int(faults) >= 0
+        assert 1 <= int(chunk) <= math.isqrt(int(grid) + 1) + 1
+        assert 0 < float(best) <= float(median)
 
 
 @pytest.fixture(scope="module")

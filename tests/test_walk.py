@@ -41,7 +41,6 @@ from upst.walk import (
     PST_ENTRY_TOL,
     STEP_MARGIN,
     TIME_AGREEMENT_TOL,
-    WAVE_CHUNK,
     analytic_pst_times,
     denseness_check,
     grid_step,
@@ -524,18 +523,21 @@ def test_scan_waves_match_complex_exp():
     assert np.max(np.abs(waves - np.exp(-1j * np.multiply.outer(t, lam)))) <= 1e-15
 
 
-def test_grid_waves_are_chunk_products_whatever_the_block():
+@pytest.mark.parametrize("chunk", [1, 7, 64, math.isqrt(1000 + 1) + 1])
+def test_grid_waves_are_chunk_products_whatever_the_block(chunk):
     # head times base is exp(-i lam t) up to a few ulps and the rounding of
     # the angle lam t itself, and a block's waves are the same rows as those
-    # of any other block covering the same grid indices
+    # of any other block covering the same grid indices; the last chunk is
+    # the one _scan_pairs derives for a 1000-point grid
     rng = np.random.default_rng(12)
     lam = np.concatenate([[0.0, -3.5], rng.uniform(-40, 40, size=30)])
     step = 0.0137
-    base = _waves((np.arange(WAVE_CHUNK) + 1) * step, lam)
+    base = _waves((np.arange(chunk) + 1) * step, lam)
     full = _grid_waves(base, lam, step, 0, 1000)
     angle = np.multiply.outer((np.arange(1000) + 1) * step, lam)
     assert np.all(np.abs(full - np.exp(-1j * angle)) <= 1e-15 * (1 + np.abs(angle)))
-    for start, stop in ((0, 1), (5, 64), (63, 65), (64, 128), (100, 101), (130, 999)):
+    for start, stop in ((0, 1), (5, 64), (63, 65), (64, 128), (100, 101), (130, 999),
+                        (chunk - 1, chunk + 1), (chunk, 2 * chunk)):
         assert np.array_equal(_grid_waves(base, lam, step, start, stop), full[start:stop])
     # index -1, the halo of a block at the grid's start, is the t = 0 wave:
     # head -1 times the last base wave, all ones to rounding, and the same
@@ -543,10 +545,10 @@ def test_grid_waves_are_chunk_products_whatever_the_block():
     zero = _grid_waves(base, lam, step, -1, 0)
     assert zero.shape == (1, lam.size)
     assert np.max(np.abs(zero - 1)) <= 1e-15
-    for stop in (1, 63, 64, 65, 1000):
-        block = _grid_waves(base, lam, step, -1, stop)
+    for stop in (1, chunk - 1, chunk, chunk + 1, 63, 64, 65, 1000):
+        block = _grid_waves(base, lam, step, -1, max(stop, 0))
         assert np.array_equal(block[0], zero[0])
-        assert np.array_equal(block[1:], full[:stop])
+        assert np.array_equal(block[1:], full[:max(stop, 0)])
 
 
 def test_scan_working_set_is_bounded():
@@ -554,7 +556,7 @@ def test_scan_working_set_is_bounded():
     # the peak allocation stays far below the n^2 x grid-points array.  At a
     # hundred times the derived density the horizon is about 21 000 grid
     # points; past the last off-diagonal transfer only the diagonal class
-    # stays live, and the blocks grow to their largest, GRID_BLOCK // n time
+    # stays live, and the blocks grow to their largest, BLOCK_ELEMENTS // n time
     # points.  At n = 128 an n^3 array of pair rows alone would take 32 MB.
     # The wide spread circulant's derived grid has about 44 000 points
     _, es = noncirculant_graph(NoncirculantParams(6, 4, 2))
@@ -579,29 +581,62 @@ def test_scan_working_set_is_bounded():
 def test_scan_is_independent_of_the_grid_block(monkeypatch, nd6):
     # with a few time points per block, most clusters straddle blocks, and
     # with one every point sits at both edges of its block; each block reads
-    # one grid point beyond each edge, so the pass must not notice
+    # one grid point beyond each edge, so the pass must not notice.  At bound
+    # 1 the candidates are evaluated one row per batch, at 3 n^2 in batches
+    # of 3 n rows.  The bound also caps the wave chunk, which moves only the
+    # waves' last bits: with the default's chunk the reports are equal bit
+    # for bit, and with the bound's own their times are at most an ulp apart
     cases = (relabelled_flat(4, 4, 2, seed=3), circulant_eigensystem(nd6),
              false_cluster_eigensystem())
     real = walk._grid_waves
-    blocks = []
+    blocks, bases = [], []
 
-    def counted(*args):
+    def pinned(base, *args):  # every scan of a case takes its default scan's base
         blocks[-1] += 1
-        return real(*args)
+        bases.append(base)
+        return real(bases[0], *args)
 
     for es in cases:
-        monkeypatch.setattr(walk, "_grid_waves", counted)
+        bases.clear()
         blocks.append(0)
+        monkeypatch.setattr(walk, "_grid_waves", pinned)
         default = scan(es)
-        for grid_block in (3 * es.n**2, 1):
-            monkeypatch.setattr(walk, "GRID_BLOCK", grid_block)
+        for bound in (3 * es.n**2, 1):
+            monkeypatch.setattr(walk, "BLOCK_ELEMENTS", bound)
             blocks.append(0)
             small = scan(es)
             assert blocks[-1] > blocks[-2]
             assert np.array_equal(small.min_times, default.min_times, equal_nan=True)
             assert np.array_equal(small.phases, default.phases)
             assert small.reasons == default.reasons
+            monkeypatch.setattr(walk, "_grid_waves", real)
+            own = scan(es)
+            monkeypatch.setattr(walk, "_grid_waves", pinned)
+            assert own.reasons == default.reasons
+            ulp = np.spacing(np.nanmax(default.min_times))
+            assert np.nanmax(abs(own.min_times - default.min_times)) <= ulp
+            assert np.max(abs(own.phases - default.phases)) <= 1e-13
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("params, most", [((2, 2, 2), 100), ((4, 4, 2), 1150)],
+                         ids=["flat(2,2,2)", "flat(4,4,2)"])
+def test_grid_waves_take_few_exponentials(monkeypatch, params, most):
+    # every _waves element is one complex exponential; the chunk of about
+    # sqrt(grid points) waves builds base and heads from about 2 sqrt(grid
+    # points) per eigenvalue (with a fixed chunk of 64 these took 304 and
+    # 1792, a 64 n base whatever the grid's length)
+    graph, es = noncirculant_graph(NoncirculantParams(*params))
+    elements = []
+    real = walk._waves
+
+    def counted(a, b):
+        elements.append(a.size * b.size)
+        return real(a, b)
+
+    monkeypatch.setattr(walk, "_waves", counted)
+    assert verify_upst(graph, es).upst is True
+    assert sum(elements) <= most
 
 
 def test_scan_diagnostics_count_the_work():
@@ -871,16 +906,11 @@ def test_eigenvalue_scale_leaves_verdicts_and_counts(name, scale):
     # grid_step's sum of squares, the class times' d.d and the aligned
     # start's run on d scaled by a power of two: unscaled, 1e-160 went
     # subnormal and lost pairs (scan-missing-pairs), and every scale <= 1e-170
-    # or >= 1e154 divided by zero in grid_step.  The given lambda * 1e-160 of
-    # nondense(2,3) round to a spectrum with one peak midway between two grid
-    # points equal in float64: both are candidates (see scan_min_times), one
-    # more than unscaled
+    # or >= 1e154 divided by zero in grid_step
     base, scaled = scaled_runs(name, 1.0), scaled_runs(name, scale)
     for route in ("given", "eigh"):
         d, d0 = scaled[route].diagnostics, base[route].diagnostics
-        ties = int((name, route, scale) == ("nondense(2,3)", "given", 1e-160))
-        assert [d[k] for k in SCALE_COUNTS] == [d0[k] + ties * (k == "newton_rows")
-                                                for k in SCALE_COUNTS]
+        assert [d[k] for k in SCALE_COUNTS] == [d0[k] for k in SCALE_COUNTS]
         assert np.max(np.abs(scale * scaled[route].min_times - base[route].min_times)) \
             <= TIME_AGREEMENT_TOL * base[route].return_period
 
