@@ -14,7 +14,6 @@ import sys
 import time
 from fractions import Fraction
 
-from upst.cyclotomic import CycNum, zeta
 from upst.graph import CirculantSpec, HermitianGraph, circulant_to_graph, with_diagonal_shift
 from upst.spectra import circulant_eigensystem, numerical_eigensystem
 from upst.constructors import (
@@ -28,7 +27,7 @@ from upst.walk import verify_upst
 
 
 def fixture_list():
-    circ_i = CirculantSpec(3, (CycNum.zero(4), -zeta(4), zeta(4)))
+    circ_i = CirculantSpec.from_rows(3, 4, [[0, 0], [0, -1], [0, 1]], 1)  # Circ(0, -i, i)
     yield "Circ(0,-i,i)", circulant_to_graph(circ_i), circulant_eigensystem(circ_i)
     for k in (2, 4, 6, 8):
         graph, es = gk_example(k)

@@ -59,7 +59,7 @@ from upst.constructors import (  # noqa: E402
     nondense_circulant,
     noncirculant_graph,
 )
-from upst.cyclotomic import CycNum, zeta  # noqa: E402
+from upst.cyclotomic import power_map_rows  # noqa: E402
 from upst.graph import (  # noqa: E402
     CirculantSpec,
     HermitianGraph,
@@ -132,7 +132,7 @@ def corpus():
         ("F_4(0,1,3,2)", EigenSystem(4, fourier_matrix(4), np.array([0.0, 1.0, 3.0, 2.0]))),
     ):
         yield name, from_eigensystem(es), es, True
-    scalar = CirculantSpec(3, (CycNum.from_rational(1, Fraction(3, 2)),) + (CycNum.zero(1),) * 2)
+    scalar = CirculantSpec.from_rows(3, 1, [[3], [0], [0]], 2)  # Circ(3/2, 0, 0)
     yield "repeated", *circulant(scalar), True
     es = circulant_eigensystem(nondense_circulant(2, 3))
     moved = EigenSystem(6, es.X, es.lambdas + np.r_[0.0, 1e-9 * math.sqrt(2), np.zeros(4)])
@@ -154,13 +154,13 @@ def exact_corpus():
             yield "census(%d,seed%d)" % (n, seed), circulant_from_c(n, c)
     for pq in NONDENSE_PAIRS:
         yield "nondense(%d,%d)" % pq, nondense_circulant(*pq)
-    i = zeta(4)
-    yield "Circ(0,-i,i)", CirculantSpec(3, (CycNum.zero(4), -i, i))
-    x = CycNum(3, (Fraction(1, 3), Fraction(-2, 5)))
-    a0 = CycNum.from_rational(3, Fraction(7, 2))
-    spec = CirculantSpec(4, (a0, x, x + x.conjugate(), x.conjugate()))
+    yield "Circ(0,-i,i)", CirculantSpec.from_rows(3, 4, [[0, 0], [0, -1], [0, 1]], 1)
+    # (7/2, x, x + conj(x), conj(x)) over 30 for x = 1/3 - (2/5) zeta_3, and the same
+    # rows promoted to conductor 12
+    spec = CirculantSpec.from_rows(4, 3, [[105, 0], [10, -12], [32, 0], [22, 12]], 30)
     yield "promoted(3->12)", spec
-    yield "promoted(3->12)/stored-at-12", CirculantSpec(4, tuple(y.promote(12) for y in spec.a))
+    yield "promoted(3->12)/stored-at-12", CirculantSpec.from_rows(
+        4, 12, power_map_rows(12, spec.w, 4), spec.den)
     c = [2**61 - 1, -(2**61), 2**61 - 3, 5, -(2**61) + 7, 0, 2**60, -1]
     yield "circulant_c(8,past-int64)", circulant_from_c(8, c)
 

@@ -1,19 +1,18 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_n).
 
-An element is stored in the power basis 1, zeta, ..., zeta^(phi(n)-1) as a
-vector of integer numerators over one shared positive denominator, kept in
-lowest terms (the gcd of the denominator and every numerator is 1), so equal
-values have equal representations; only the denominator bookkeeping of sums
-and rational scalings touches rationals.  Phi_n is computed by the recursive
-quotient of x^n - 1 by the Phi_d of the proper divisors d | n.  Every reduction
-modulo Phi_n (products, Galois maps, conjugation, conductor promotion and
-exponent rows) is one product W = V @ R_n in reduce_exponent_rows, where row m
-of the cached R_n is zeta_n^m (so zeta(n, k) is row k) and row i of V holds
-integer coefficients of zeta_n^0 .. zeta_n^(n-1): one float64 GEMM while
-max|V| times the largest column sum of |R_n| is below 2^53, which bounds every
-partial sum so that the GEMM is exact, else on Python ints, so nothing rounds
-or wraps.  Everything in this module is exact; floating point approximates
-only in :func:`embed_row`.
+An element is a row of integer numerators in the power basis 1, zeta, ...,
+zeta^(phi(n)-1) over one positive denominator.  The package computes on
+matrices of such rows; CycNum holds one row as a value in lowest terms (the
+gcd of the denominator and every numerator is 1), so equal values have equal
+representations.  Phi_n is computed by the recursive quotient of x^n - 1 by
+the Phi_d of the proper divisors d | n.  Every reduction modulo Phi_n (exponent
+rows, and through power_map_rows Galois maps, conjugation and conductor
+promotion) is one product W = V @ R_n in reduce_exponent_rows, where row m of
+the cached R_n is zeta_n^m and row i of V holds integer coefficients of
+zeta_n^0 .. zeta_n^(n-1): one float64 GEMM while max|V| times the largest
+column sum of |R_n| is below 2^53, which bounds every partial sum so that the
+GEMM is exact, else on Python ints, so nothing rounds or wraps.  Everything in
+this module is exact; floating point approximates only in :func:`embed_row`.
 """
 
 from __future__ import annotations
@@ -138,137 +137,32 @@ def integer_vector(values: Iterable[RationalLike]) -> tuple[list[int], int]:
     return [int(x.numerator) * (den // int(x.denominator)) for x in values], den
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class CycNum:
     """An immutable element of Q(zeta_n): (sum_k num[k] * zeta_n^k) / den.
 
-    `num` has phi(n) integer entries and `den` is positive, with
-    gcd(den, *num) == 1, so equality and hashing compare values.  Build one
-    from int or Fraction coefficients with CycNum(n, coeffs) (a float raises
-    TypeError); `coeffs` gives them back as reduced Fractions.
+    `num` has phi(n) integer entries and `den` is positive; construction
+    brings them to lowest terms (gcd(den, *num) == 1), so equality and
+    hashing compare values.  The package computes on integer rows
+    (reduce_exponent_rows, power_map_rows); cyc_from_rows reads them back as
+    values.
     """
 
     n: int
     num: tuple[int, ...]
     den: int
 
-    def __init__(self, n: int, coeffs: Sequence[RationalLike]) -> None:
-        check_degree(n, len(coeffs))
-        self._fill(n, *integer_vector(coeffs))
-
-    def _fill(self, n: int, num: list[int], den: int) -> "CycNum":
-        g = math.gcd(den, *num)
-        if g != 1:
-            num = [c // g for c in num]
-            den //= g
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "num", tuple(num))
-        object.__setattr__(self, "den", den)
-        return self
-
-    def __repr__(self) -> str:
-        return "CycNum(%d, %r)" % (self.n, self.coeffs)
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """Reduced rational coefficients of 1, zeta_n, ..., zeta_n^(phi(n)-1)."""
-        return tuple(Fraction(c, self.den) for c in self.num)
-
-    @staticmethod
-    def zero(n: int) -> "CycNum":
-        return _make(n, [0] * euler_phi(n), 1)
-
-    @staticmethod
-    def one(n: int) -> "CycNum":
-        return CycNum.from_rational(n, 1)
-
-    @staticmethod
-    def from_rational(n: int, value: RationalLike) -> "CycNum":
-        (p,), q = integer_vector((value,))
-        return _make(n, [p] + [0] * (euler_phi(n) - 1), q)
-
-    def _coerce(self, other) -> "CycNum | None":
-        if isinstance(other, CycNum):
-            if other.n != self.n:
-                raise ValueError(
-                    "conductor mismatch: %d vs %d (promote explicitly)" % (self.n, other.n)
-                )
-            return other
-        if isinstance(other, (int, Fraction)):
-            return CycNum.from_rational(self.n, other)
-        return None
-
-    def __add__(self, other) -> "CycNum":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        den = math.lcm(self.den, rhs.den)  # over the lcm of the two denominators
-        sa, sb = den // self.den, den // rhs.den
-        return _make(self.n, [a * sa + b * sb for a, b in zip(self.num, rhs.num)], den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "CycNum":
-        return _make(self.n, [-c for c in self.num], self.den)
-
-    def __sub__(self, other) -> "CycNum":
-        return self + -other if isinstance(other, (int, Fraction, CycNum)) else NotImplemented
-
-    def __rsub__(self, other) -> "CycNum":
-        return (-self) + other
-
-    def __mul__(self, other) -> "CycNum":
-        if isinstance(other, (int, Fraction)):
-            p = other.numerator
-            return _make(self.n, [c * p for c in self.num], self.den * other.denominator)
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        n = self.n
-        b = [(j, y) for j, y in enumerate(rhs.num) if y]
-        v = [0] * n
-        for i, x in enumerate(self.num):
-            if x:
-                for j, y in b:
-                    v[(i + j) % n] += x * y
-        return cyc_from_rows(n, reduce_exponent_rows(n, _row(v)), [self.den * rhs.den])[0]
-
-    __rmul__ = __mul__
+    def __post_init__(self) -> None:
+        g = math.gcd(self.den, *self.num)
+        object.__setattr__(self, "num", tuple(c // g for c in self.num))
+        object.__setattr__(self, "den", self.den // g)
 
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("element is not rational: %s" % (self,))
-        return Fraction(self.num[0], self.den)
-
-    def galois(self, l: int) -> "CycNum":
-        """Apply the automorphism zeta_n -> zeta_n^l; l must be a unit mod n."""
-        if math.gcd(l, self.n) != 1:
-            raise ValueError("gcd(%d, %d) != 1: not a Galois automorphism" % (l, self.n))
-        return self._power_map(self.n, l)
-
-    def conjugate(self) -> "CycNum":
-        """Complex conjugation, the automorphism zeta_n -> zeta_n^-1."""
-        return self.galois(-1)
-
-    def _power_map(self, m: int, s: int) -> "CycNum":
-        # self with zeta_n^k read as zeta_m^(k*s), in Q(zeta_m)
-        return _make(m, power_map_rows(m, _row(self.num), s)[0].tolist(), self.den)
-
     def embed(self) -> complex:
         """Numerical value under zeta_n = exp(2*pi*i/n) (see embed_row)."""
         return embed_row(self.n, self.num, self.den)
-
-    def promote(self, m: int) -> "CycNum":
-        """Re-express the element in Q(zeta_m) for a conductor multiple m."""
-        if m % self.n != 0:
-            raise ValueError("cannot promote conductor %d to %d" % (self.n, m))
-        return self if m == self.n else self._power_map(m, m // self.n)
 
 
 def check_degree(n: int, k: int) -> None:
@@ -286,16 +180,6 @@ def embed_row(n: int, num: Sequence[int], den: int) -> complex:
     for c in reversed(num):
         total = total * root + c / den
     return total
-
-
-def _make(n: int, num: list[int], den: int) -> CycNum:
-    # Internal constructor: num already has phi(n) entries and den > 0.
-    return CycNum.__new__(CycNum)._fill(n, num, den)
-
-
-def _row(v: Sequence[int]) -> np.ndarray:
-    # one row of Python ints as a 1 x len(v) array of exact_int_dtype
-    return np.array([v], dtype=exact_int_dtype(max(map(abs, v))))
 
 
 def reduce_exponent_rows(n: int, v: np.ndarray) -> np.ndarray:
@@ -323,9 +207,4 @@ def power_map_rows(n: int, rows: np.ndarray, s: int) -> np.ndarray:
 
 def cyc_from_rows(n: int, w: np.ndarray, dens: Sequence[int]) -> list[CycNum]:
     """Row i of the power-basis matrix w (phi(n) columns) as w[i] / dens[i]."""
-    return [_make(n, row, den) for row, den in zip(w.tolist(), dens)]
-
-
-def zeta(n: int, k: int = 1) -> CycNum:
-    """The root of unity zeta_n^k; negative k is normalized mod n."""
-    return _make(n, _reduction_matrix(n)[0][k % n].tolist(), 1)
+    return [CycNum(n, row, den) for row, den in zip(w.tolist(), dens)]

@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -29,17 +29,9 @@ class CirculantSpec:
     a_j = sum_m w[j, m] zeta_L^m / den for the conductor L: w is a read-only
     n x phi(L) integer matrix (int64 under exact_int_dtype's bound, object
     above) and den > 0 the least common denominator, so equal specs have equal
-    data.  CirculantSpec(n, a) takes CycNum coefficients of one conductor,
-    from_rows the matrix itself; `a` gives the CycNums back, built on first read.
+    data.  from_rows is the constructor; `a` reads the rows back as CycNum
+    values, built on first read.
     """
-
-    def __init__(self, n: int, a: Sequence[CycNum]) -> None:
-        conductors = sorted({x.n for x in a})
-        if len(conductors) > 1:
-            raise ValueError("coefficients mix conductors %s" % conductors)
-        den = math.lcm(*(x.den for x in a))
-        w = [[c * (den // x.den) for c in x.num] for x in a]
-        self._fill(n, conductors[0] if a else 1, w, den)
 
     @classmethod
     def from_rows(cls, n: int, conductor: int, w, den: int) -> CirculantSpec:
@@ -62,7 +54,8 @@ class CirculantSpec:
         if bad.any():
             j = int(np.argmax(bad))
             raise ValueError("a_%d != conjugate(a_%d): coefficients are not Hermitian" % (n - j, j)
-                             if j else "a_0 = %s is not real" % (self.a[0],))
+                             if j else "a_0 = %s / %d in powers of zeta_%d is not real"
+                             % (w[0].tolist(), self.den, conductor))
 
     @functools.cached_property
     def a(self) -> tuple[CycNum, ...]:

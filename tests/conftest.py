@@ -1,16 +1,12 @@
-from fractions import Fraction
-
 import pytest
 
-from upst.cyclotomic import CycNum, zeta
 from upst.graph import CirculantSpec
 
 
 @pytest.fixture
 def circ3():
     """Circ(0, -i, i): the order-3 dense circulant with entries in Q(i)."""
-    i = zeta(4)
-    return CirculantSpec(3, (CycNum.zero(4), -i, i))
+    return CirculantSpec.from_rows(3, 4, [[0, 0], [0, -1], [0, 1]], 1)
 
 
 @pytest.fixture

@@ -4,9 +4,10 @@ an oracle for it.
 
 A reference spec is (n, a), a the n coefficients as CycNums of one
 conductor.  Each function is the body it replaced: the constructors built one
-CycNum per row, the shift added a CycNum, the JSON codec wrote and read one
-coefficient at a time, the embedding called embed() per coefficient, and the
-eigensolve read the numerators of every CycNum.
+CycNum per row, the spec took the tuple over the lcm of its denominators, the
+shift added a CycNum, the JSON codec wrote and read one coefficient at a time,
+the embedding called embed() per coefficient, and the eigensolve read the
+numerators of every CycNum.  The field arithmetic is field_reference's.
 """
 
 import math
@@ -15,14 +16,15 @@ from fractions import Fraction
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from upst.cyclotomic import (CycNum, cyc_from_rows, exact_int_dtype, power_map_rows,
-                             reduce_exponent_rows)
+from field_reference import Cyc, rational
+from upst.cyclotomic import CycNum, exact_int_dtype, power_map_rows, reduce_exponent_rows
+from upst.graph import CirculantSpec
 from upst.spectra import CoordinateRows
 
 
 def cyc_from_exponent_rows(n, v, dens):
     """Row i of v as sum_m v[i, m] zeta_n^m / dens[i]."""
-    return cyc_from_rows(n, reduce_exponent_rows(n, v), dens)
+    return [Cyc(n, row, den) for row, den in zip(reduce_exponent_rows(n, v).tolist(), dens)]
 
 
 def coefficients_from_c(n, c):
@@ -34,7 +36,7 @@ def coefficients_from_c(n, c):
     dtype = exact_int_dtype(n * (n + sum(map(abs, c))))
     v = np.zeros((n - 1, n), dtype=dtype)
     np.add.at(v, (j - 1, -j * k % n), np.where(k < m, k, 0) + m * np.array(c, dtype=dtype))
-    return (CycNum.zero(n), *cyc_from_exponent_rows(n, v, m.ravel().tolist()))
+    return (rational(n, 0), *cyc_from_exponent_rows(n, v, m.ravel().tolist()))
 
 
 def nondense_c(p, q):
@@ -50,7 +52,15 @@ def nondense_c(p, q):
 
 def shifted(a, alpha):
     """with_diagonal_shift's coefficients: a_0 plus one CycNum."""
-    return (a[0] + CycNum.from_rational(a[0].n, alpha),) + tuple(a[1:])
+    return (Cyc.of(a[0]) + alpha,) + tuple(a[1:])
+
+
+def circulant_spec(n, a):
+    """The CirculantSpec of the coefficients a, CycNums of one conductor,
+    over the lcm of their denominators."""
+    den = math.lcm(*(x.den for x in a))
+    w = [[c * (den // x.den) for c in x.num] for x in a]
+    return CirculantSpec.from_rows(n, a[0].n, w, den)
 
 
 def check_hermitian(n, a):
@@ -72,7 +82,7 @@ def cyc_from_json(data):
     # the pairs as integers over their lcm denominator: no Fraction per pair
     pairs = data["coeffs"]
     den = math.lcm(*(abs(q) for _, q in pairs))
-    return CycNum(data["n"], [p * (den // q) for p, q in pairs]) * Fraction(1, den)
+    return CycNum(data["n"], [p * (den // q) for p, q in pairs], den)
 
 
 def spec_to_json(n, a):
@@ -94,7 +104,7 @@ def adjacency(n, a):
 def eigensystem(n, a):
     """circulant_eigensystem's (lambdas, exact_lambdas, offset, exact_rows),
     gathered from the numerators of each CycNum."""
-    a0, conductor = a[0], a[0].n
+    a0, conductor = Cyc.of(a[0]), a[0].n
     offset = 0 if a0.is_zero() or not a0.is_rational() else a0.as_fraction()
     lcond = math.lcm(conductor, n)
     den = math.lcm(*(x.den for x in a))

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from upst.cyclotomic import CycNum, zeta
+from upst.cyclotomic import CycNum
 from upst.graph import (
     CirculantSpec,
     circulant_to_graph,
@@ -59,7 +59,7 @@ def certified():
     whole build-and-certify loop.
     """
     builders = []
-    circ_i = CirculantSpec(3, (CycNum.zero(4), -zeta(4), zeta(4)))
+    circ_i = CirculantSpec.from_rows(3, 4, [[0, 0], [0, -1], [0, 1]], 1)  # Circ(0, -i, i)
     builders.append(
         ("circ_i", "circulant", lambda: (circulant_to_graph(circ_i), circulant_eigensystem(circ_i)), circ_i, None)
     )
@@ -113,15 +113,14 @@ def test_criterion_1_printed_order4_example():
 
 def test_criterion_2_exact_sparse_circulant():
     spec = with_diagonal_shift(nondense_circulant(2, 3), Fraction(5, 2))
-    third = Fraction(1, 3)
-    expected_a2 = CycNum(6, (4 * third, -2 * third))
-    assert spec.a[0].as_fraction() == Fraction(5, 2)
+    expected_a2 = CycNum(6, (4, -2), 3)  # (4 - 2 zeta_6) / 3
+    assert spec.a[0] == CycNum(6, (5, 0), 2)
     assert spec.a[1].is_zero()
     assert spec.a[5].is_zero()
     assert spec.a[2] == expected_a2
     assert abs(spec.a[2].embed() - (1 - 1j / math.sqrt(3))) < 1e-15
-    assert spec.a[3].as_fraction() == Fraction(3, 2)
-    assert spec.a[4] == expected_a2.conjugate()
+    assert spec.a[3] == CycNum(6, (3, 0), 2)
+    assert spec.a[4] == CycNum(6, (2, 2), 3)  # conj(a_2), as zeta_6^5 = 1 - zeta_6
     es = circulant_eigensystem(spec)
     assert es.exact_lambdas == (6, 1, 2, 3, 4, -1)
     _ok(2, "exact pipeline reproduces the sparse n=6 circulant and spectrum (6,1,2,3,4,-1)")

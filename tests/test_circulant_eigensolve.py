@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
 
-from upst import cyclotomic, spectra
-from upst.constructors import circulant_from_c, nondense_circulant
+from field_reference import Cyc
 from spec_reference import cyc_from_exponent_rows
-from upst.cyclotomic import CycNum, exact_int_dtype, zeta
+from upst import spectra
+from upst.constructors import circulant_from_c, nondense_circulant
+from upst.cyclotomic import CycNum, exact_int_dtype, power_map_rows
 from upst.graph import CirculantSpec, with_diagonal_shift
 from upst.spectra import circulant_eigensystem
 
@@ -25,7 +26,7 @@ def reference_circulant_eigensystem(spec):
     computed them with one CycNum, realness test and embed per eigenvalue;
     exact holds those CycNums."""
     n = spec.n
-    a0 = spec.a[0]
+    a0 = Cyc.of(spec.a[0])
     offset = 0 if a0.is_zero() or not a0.is_rational() else a0.as_fraction()
     lcond = math.lcm(spec.conductor, n)
     den = math.lcm(*(x.den for x in spec.a))
@@ -65,17 +66,16 @@ def assert_same_as_reference(spec):
         return es
     # the rows embed by one product with the powers of zeta_L, not Horner's rule
     lcond, rows, den = es.exact_rows
-    assert [CycNum(lcond, [Fraction(c, den) for c in row]) for row in rows] == exact
+    assert [CycNum(lcond, row, den) for row in rows] == exact
     size = np.abs(np.array(rows, dtype=float)).sum(axis=1) / den
     assert np.all(np.abs(es.lambdas - lambdas) <= 1e-14 * size)
     return es
 
 
 def conductor3_spec():
-    """Order 4 over Q(zeta_3), promoted to L = 12; lambda_1 and lambda_3 irrational."""
-    x = CycNum(3, (Fraction(1, 3), Fraction(-2, 5)))
-    return CirculantSpec(4, (CycNum.from_rational(3, Fraction(7, 2)), x, x + x.conjugate(),
-                             x.conjugate()))
+    """Order 4 over Q(zeta_3), promoted to L = 12; lambda_1 and lambda_3 irrational:
+    (7/2, x, x + conj(x), conj(x)) over 30 for x = 1/3 - (2/5) zeta_3."""
+    return CirculantSpec.from_rows(4, 3, [[105, 0], [10, -12], [32, 0], [22, 12]], 30)
 
 
 def test_seeded_integer_vector_circulants_match_the_reference():
@@ -94,7 +94,7 @@ def test_irrational_and_promoted_spectra_match_the_reference(circ3):
     assert assert_same_as_reference(circ3).exact_lambdas is None
     spec = conductor3_spec()
     assert assert_same_as_reference(spec).exact_lambdas is None
-    promoted = CirculantSpec(4, tuple(x.promote(12) for x in spec.a))
+    promoted = CirculantSpec.from_rows(4, 12, power_map_rows(12, spec.w, 4), spec.den)
     assert assert_same_as_reference(promoted).offset == Fraction(7, 2)
 
 
@@ -124,10 +124,8 @@ def test_eigensystem_is_independent_of_the_block_bound(monkeypatch, spec):
 
 def test_non_real_eigenvalue_raises_the_reference_error():
     # a_3 should be conjugate(a_1) = -i: lambda_0 = 0 is real, lambda_1 = -3 + i is not
-    i = zeta(4)
-    spec = object.__new__(CirculantSpec)  # skips the Hermitian check of the constructors
-    a = (CycNum.zero(4), i, CycNum.one(4), -CycNum.one(4) - i)
-    vars(spec).update(n=4, conductor=4, den=1, w=np.array([x.num for x in a]))
+    spec = object.__new__(CirculantSpec)  # skips the Hermitian check of from_rows
+    vars(spec).update(n=4, conductor=4, den=1, w=np.array([[0, 0], [0, 1], [1, 0], [-1, -1]]))
     with pytest.raises(ArithmeticError) as expected:
         reference_circulant_eigensystem(spec)
     assert "eigenvalue 1 " in str(expected.value)
@@ -141,14 +139,14 @@ def test_rational_spectrum_builds_no_cyclotomic_number(monkeypatch):
     spec = circulant_from_c(64, c)
     spec.a  # the coefficients as CycNums, built on this first read, for the reference
     made = []
-    make = cyclotomic._make
+    init = CycNum.__init__
 
-    def counting(*args):
+    def counting(self, *args):
         made.append(args[0])
-        return make(*args)
+        init(self, *args)
 
-    monkeypatch.setattr(cyclotomic, "_make", counting)
+    monkeypatch.setattr(CycNum, "__init__", counting)
     circulant_eigensystem(spec)
     assert made == []
-    reference_circulant_eigensystem(spec)  # one CycNum per eigenvalue
-    assert len(made) == 64
+    reference_circulant_eigensystem(spec)  # a_0 in the oracle, then one CycNum per eigenvalue
+    assert len(made) == 1 + 64

@@ -18,7 +18,6 @@ import pytest
 from upst import cli, cyclotomic
 from upst.cli import FLOAT_FMT, build_from_descriptor, main
 from upst.constructors import circulant_from_c, nondense_circulant
-from upst.cyclotomic import CycNum
 from upst.graph import CirculantSpec, HermitianGraph, circulant_to_graph
 from upst.serialize import graph_to_json, load_graph, matrix_to_json, report_to_json
 from upst.spectra import EigenSystem, circulant_eigensystem, eigenvalue_steps
@@ -335,8 +334,7 @@ def test_circulant_bundles_match_their_data_relative_to_the_largest_entry(tmp_pa
     wide.write_text(json.dumps(graph_to_json(
         HermitianGraph(12, (assembled + assembled.conj().T) / 2, spec))))
     assert load_graph(str(wide))[1].exact_lambdas is not None
-    tiny = CycNum.from_rational(1, Fraction(1, 10**13))
-    small = CirculantSpec(3, (CycNum.zero(1), tiny, tiny))
+    small = CirculantSpec.from_rows(3, 1, [[0], [1], [1]], 10**13)  # Circ(0, 1e-13, 1e-13)
     tampered = tmp_path / "tampered.json"
     tampered.write_text(json.dumps(graph_to_json(
         HermitianGraph(3, 2 * circulant_to_graph(small).adjacency, small))))

@@ -1,7 +1,9 @@
-"""Exact cyclotomic arithmetic: reduction, inversion, automorphisms, embedding.
+"""Exact cyclotomic arithmetic: Phi_n, reduction of exponent rows, power maps,
+the CycNum value and its embedding.
 
 The independent oracle throughout is double-precision evaluation at
 e^(2*pi*i/n): every exact identity must also hold numerically after embed().
+Field arithmetic on values is field_reference's.
 """
 
 import cmath
@@ -14,16 +16,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from field_reference import cyc, rational, zeta
 from spec_reference import cyc_from_exponent_rows
 from upst import cyclotomic
 from upst.cyclotomic import (
     CycNum,
     _reduction_matrix,
+    check_degree,
     cyclotomic_polynomial,
     euler_phi,
     exact_int_dtype,
+    integer_vector,
+    power_map_rows,
     reduce_exponent_rows,
-    zeta,
 )
 
 EMBED_TOL = 1e-10
@@ -32,7 +37,7 @@ EMBED_TOL = 1e-10
 def naive_embed(x: CycNum) -> complex:
     # independent of CycNum.embed's Horner loop
     root = cmath.exp(2j * cmath.pi / x.n)
-    return sum(float(c) * root**k for k, c in enumerate(x.coeffs))
+    return sum(float(Fraction(c, x.den)) * root**k for k, c in enumerate(x.num))
 
 
 # ---------------------------------------------------------------- euler phi
@@ -95,14 +100,9 @@ def test_primitive_root_is_a_root_of_phi_n():
 
 # ------------------------------------------------------------ construction
 
-def test_zeta_normalizes_exponent():
-    assert zeta(6, 7) == zeta(6, 1)
-    assert zeta(6, -1) == zeta(6, 5)
-
-
 def test_coefficient_vector_length_is_enforced():
     with pytest.raises(ValueError):
-        CycNum(6, (Fraction(1),))  # needs phi(6) = 2 entries
+        check_degree(6, 1)  # needs phi(6) = 2 entries
 
 
 def test_a_conductor_too_large_for_its_coefficients_is_refused_unfactored(monkeypatch):
@@ -112,40 +112,36 @@ def test_a_conductor_too_large_for_its_coefficients_is_refused_unfactored(monkey
         raise AssertionError("euler_phi(%d) called" % n)
 
     monkeypatch.setattr(cyclotomic, "euler_phi", spy)
-    for n, coeffs in ((10**16 + 61, [0, 1]), (9, [0, 0]), (3, [1]), (10**40, [1] * 10**3)):
+    for n, k in ((10**16 + 61, 2), (9, 2), (3, 1), (10**40, 10**3)):
         with pytest.raises(ValueError):
-            CycNum(n, coeffs)
+            check_degree(n, k)
 
 
 def test_every_conductor_keeps_its_coefficient_vectors():
     # the bound refuses no valid input: n <= 2 phi(n)^2 for every n
     for n in range(1, 3001):
-        assert CycNum(n, [1] + [0] * (euler_phi(n) - 1)) == CycNum.one(n), n
+        check_degree(n, euler_phi(n))
 
 
 def test_float_coefficients_are_rejected():
     # 0.5 happens to be exact, but 0.1 would silently store a binary fraction
     with pytest.raises(TypeError):
-        CycNum(6, (0.5, 0))
+        integer_vector((0.5, 0))
     with pytest.raises(TypeError):
-        CycNum.from_rational(6, 0.1)
+        integer_vector((0.1,))
 
 
 def test_unreduced_fractions_give_equal_elements():
-    a = CycNum(6, (Fraction(2, 4), Fraction(-6, 9)))
-    b = CycNum(6, (Fraction(1, 2), Fraction(-2, 3)))
+    a = CycNum(6, (6, -8), 12)
+    b = CycNum(6, [3, -4], 6)
     assert a == b and hash(a) == hash(b)
     assert a.num == (3, -4) and a.den == 6
-    assert a.coeffs == (Fraction(1, 2), Fraction(-2, 3))
-    # the same value reached through different arithmetic
-    c = CycNum(6, (Fraction(3, 12), Fraction(1, 3))) * 2 + zeta(6) * Fraction(-4, 3)
-    assert c == a and hash(c) == hash(a)
-    assert CycNum(4, (Fraction(0, 7), Fraction(0, 3))) == CycNum.zero(4)
-    assert CycNum(4, (Fraction(0, 7), 0)).den == 1
+    assert CycNum(4, (0, 0), 7) == CycNum(4, (0, 0), 1)
+    assert CycNum(4, (0, 0), 7).den == 1 and CycNum(4, (0, 0), 7).is_zero()
 
 
 def test_elements_are_immutable_and_picklable():
-    x = zeta(12, 5) * Fraction(3, 4) - 1
+    x = CycNum(12, (-4, 0, 3, 0), 4)
     with pytest.raises(AttributeError):
         x.n = 6
     with pytest.raises(AttributeError):
@@ -155,10 +151,9 @@ def test_elements_are_immutable_and_picklable():
 
 
 def test_high_zeta_powers_reduce():
-    # zeta_6^2 lies outside the power basis {1, zeta}; reduction must kick in
-    z = zeta(6)
-    assert z * z == z - 1  # Phi_6 = x^2 - x + 1
-    assert zeta(6, 3) == CycNum.from_rational(6, -1)
+    # zeta_6^2 lies outside the power basis {1, zeta}; reduction must kick in:
+    # Phi_6 = x^2 - x + 1, so zeta^2 = zeta - 1 and zeta^3 = -1
+    assert reduce_exponent_rows(6, np.eye(6, dtype=np.int64)[2:4]).tolist() == [[-1, 1], [-1, 0]]
 
 
 def test_exponent_rows_builder_matches_powers():
@@ -180,7 +175,8 @@ def test_exponent_rows_are_the_exponent_sums_in_lowest_terms():
         v = rng.integers(-50, 51, size=(len(dens), n))
         w = v.astype(object) @ _reduction_matrix(n)[0].astype(object)
         got = cyc_from_exponent_rows(n, v, dens)
-        assert got == [CycNum(n, [Fraction(c, d) for c in row]) for row, d in zip(w, dens)], n
+        assert got == [cyc(n, [Fraction(c, d) for c in row]) for row, d in zip(w, dens)], n
+        assert all(math.gcd(x.den, *x.num) == 1 for x in got)
         assert all(type(c) is int for x in got for c in x.num + (x.den,))
         roots = np.exp(2j * np.pi * np.arange(n) / n)
         for x, row, d in zip(got, v, dens):
@@ -195,22 +191,22 @@ def test_exponent_rows_past_the_int64_bound_run_on_python_ints():
     v[1, 1] = -(2**62)
     got = cyc_from_exponent_rows(12, v, [1, 5])
     expected = [
-        CycNum(12, [-3 * 2**62, 0, 3 * 2**61, 0]),
-        CycNum(12, [0, Fraction(-(2**62), 5), 0, 0]),
+        CycNum(12, (-3 * 2**62, 0, 3 * 2**61, 0), 1),
+        CycNum(12, (0, -(2**62), 0, 0), 5),
     ]
     assert got == expected
     assert got[0].num[0] == -3 * 2**62
     # R_2 = [[1], [-1]] grows sums by 2: 2^62 - (-2^62) = 2^63 is one past int64
     edge = np.array([[2**62, -(2**62)], [2**62 - 1, -(2**62)]], dtype=np.int64)
     assert cyc_from_exponent_rows(2, edge, [1, 1]) == [
-        CycNum.from_rational(2, 2**63),
-        CycNum.from_rational(2, 2**63 - 1),
+        CycNum(2, (2**63,), 1),
+        CycNum(2, (2**63 - 1,), 1),
     ]
     assert exact_int_dtype(2**63 - 1) is np.int64
     assert exact_int_dtype(2**63) is object
     # zeta_3^2 = -1 - zeta_3
     big = np.array([[2**70, 0, -(2**65)]], dtype=object)
-    assert cyc_from_exponent_rows(3, big, [1]) == [CycNum(3, [2**70 + 2**65, 2**65])]
+    assert cyc_from_exponent_rows(3, big, [1]) == [CycNum(3, (2**70 + 2**65, 2**65), 1)]
 
 
 def reduces_modulo_phi(n, r):
@@ -257,7 +253,6 @@ def test_reduction_matrix_is_determined_by_phi_n():
         assert reduces_modulo_phi(n, r), n
         assert growth == int(np.abs(r).sum(axis=0).max()), n
         assert r.dtype == np.int64 and not r.flags.writeable
-        assert [zeta(n, m).num for m in range(n)] == [tuple(row) for row in r.tolist()], n
     # the oracle refuses R_n with any one entry changed, in the power basis or past it
     for n in (1, 2, 12, 15, 30):
         r = _reduction_matrix(n)[0]
@@ -292,8 +287,9 @@ def test_reduce_exponent_rows_is_the_exact_integer_product(n):
 # ------------------------------------------------------------- arithmetic
 
 def test_one_row_operations_stay_exact_past_int64(monkeypatch):
-    # numerators near 2^70: products, Galois maps, conjugation and promotion
+    # numerators near 2^70: Galois maps, conjugation and promotion of rows
     # reduce on Python ints, and these identities hold whatever the reduction
+    # (the products are field_reference's, on the same reduction)
     dtypes = []
     reduce = cyclotomic.reduce_exponent_rows
 
@@ -303,8 +299,8 @@ def test_one_row_operations_stay_exact_past_int64(monkeypatch):
         return w
 
     monkeypatch.setattr(cyclotomic, "reduce_exponent_rows", spy)
-    x = CycNum(12, [2**70 + 3, -(2**70) + 5, 2**69 - 7, Fraction(2**70 + 1, 3)])
-    y = CycNum(12, [-(2**69) + 11, 2**70 - 13, Fraction(2**70 - 1, 5), 2**68 + 17])
+    x = cyc(12, [2**70 + 3, -(2**70) + 5, 2**69 - 7, Fraction(2**70 + 1, 3)])
+    y = cyc(12, [-(2**69) + 11, 2**70 - 13, Fraction(2**70 - 1, 5), 2**68 + 17])
     assert x.galois(5).galois(5) == x
     assert x.conjugate().conjugate() == x
     assert (x * y).promote(24) == x.promote(24) * y.promote(24)
@@ -313,128 +309,43 @@ def test_one_row_operations_stay_exact_past_int64(monkeypatch):
     assert z != z.galois(5)
     assert dtypes and all(d == object for d in dtypes)
     for k in range(12):
-        assert zeta(12, k) * zeta(12, 12 - k) == CycNum.one(12), k
-
-def test_sum_of_conjugate_sixth_roots_is_rational():
-    assert (zeta(6) + zeta(6, 5) - 1).is_zero()
-
-
-def test_rationality_detection():
-    assert zeta(6, 3).is_rational()  # equals -1
-    assert not zeta(6).is_rational()
-    assert zeta(6, 3).as_fraction() == Fraction(-1)
-    with pytest.raises(ValueError):
-        zeta(6).as_fraction()
-
-
-def test_one_minus_inverse_root_times_one_minus_root_is_one():
-    # 1/(1 - zeta_6^(-1)) = 1 - zeta_6
-    assert (1 - zeta(6, -1)) * (1 - zeta(6)) == CycNum.one(6)
-
-
-def norm(x):
-    """The field norm N(x), a rational: the product of the images of x under
-    every automorphism zeta_n -> zeta_n^l, l a unit mod n."""
-    total = CycNum.one(x.n)
-    for l in range(1, max(x.n, 2)):
-        if math.gcd(l, x.n) == 1:
-            total = total * x.galois(l)
-    return total.as_fraction()
+        assert zeta(12, k) * zeta(12, 12 - k) == rational(12, 1), k
 
 
 def test_one_minus_root_is_a_unit_exactly_at_two_prime_conductors():
-    # N(1 - zeta_n) = Phi_n(1): 1 when n has two distinct prime factors, so
-    # 1 - zeta_n is a unit of Z[zeta_n], and p at n = p^k, so it is not;
-    # this is the arithmetic behind the prime-power orders of the circulant theorem
+    # N(1 - zeta_n), the product of 1 - zeta over the primitive n-th roots, is
+    # Phi_n(1): 1 when n has two distinct prime factors, so 1 - zeta_n is a unit
+    # of Z[zeta_n], and p at n = p^k, so it is not; this is the arithmetic
+    # behind the prime-power orders of the circulant theorem
+    def norm(n):
+        value = sum(cyclotomic_polynomial(n))
+        roots = [cmath.exp(2j * cmath.pi * l / n) for l in range(n) if math.gcd(l, n) == 1]
+        assert abs(math.prod(1 - z for z in roots) - value) < 1e-9 * value, n
+        return value
+
     for n in (6, 10, 12, 15, 30, 35):
-        assert norm(1 - zeta(n)) == 1, n
+        assert norm(n) == 1, n
     for p, k in ((2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (2, 5)):
-        assert norm(1 - zeta(p**k)) == p, (p, k)
-
-
-def test_norm_of_a_rational_at_conductors_one_and_two():
-    # Q(zeta_1) = Q(zeta_2) = Q: the only automorphism is the identity, so
-    # the norm is the element itself
-    for n in (1, 2):
-        for value in (1, -2, Fraction(3, 7), Fraction(-5, 4)):
-            assert norm(CycNum.from_rational(n, value)) == value
-    assert norm(zeta(2)) == -1
-
-
-def test_norm_is_rational_at_conductors_two_mod_four():
-    # n = 2m with m odd: Q(zeta_n) = Q(zeta_m), and zeta_n = -zeta_m^((m+1)/2)
-    for n in (6, 10, 30):
-        for x in (1 - zeta(n), 2 + zeta(n, 3), zeta(n, 5) - Fraction(1, 3) * zeta(n)):
-            assert norm(x) != 0, (n, x)
-
-
-def test_norm_is_rational_at_every_conductor_from_16_to_40():
-    for n in range(16, 41):
-        for x in (1 - zeta(n), 2 + zeta(n, 3)):
-            assert norm(x) != 0, (n, x)
-
-
-# ------------------------------------------------------------------ galois
-
-def test_galois_at_n_minus_1_is_conjugation():
-    z = zeta(6)
-    assert z.galois(5) == zeta(6, 5)
-    assert z.galois(5) == z.conjugate()
-    assert abs(z.galois(5).embed() - z.embed().conjugate()) < 1e-15
-
-
-def test_galois_fixes_rationals():
-    q = CycNum.from_rational(12, Fraction(7, 3))
-    for l in (1, 5, 7, 11):
-        assert q.galois(l) == q
-
-
-def test_galois_rejects_non_units():
-    with pytest.raises(ValueError):
-        zeta(12).galois(4)
-
-
-def test_galois_composition():
-    x = 2 * zeta(12) - zeta(12, 7) + Fraction(1, 2)
-    assert x.galois(5).galois(7) == x.galois(35 % 12)
-
-
-def test_conjugate_of_real_element_is_identity():
-    x = zeta(12, 3) + zeta(12, 9)  # i + (-i) = 0, trivially real
-    assert x.conjugate() == x
-    y = CycNum.from_rational(1, Fraction(3, 4))
-    assert y.conjugate() == y
-
-
-def test_conjugation_fixes_only_real_elements():
-    assert (zeta(12) + zeta(12, 11)).conjugate() == zeta(12) + zeta(12, 11)  # z + conj(z)
-    assert zeta(12).conjugate() != zeta(12)
+        assert norm(p**k) == p, (p, k)
 
 
 # --------------------------------------------------------------- embedding
 
 def test_embed_fourth_root():
-    assert abs(zeta(4).embed() - 1j) < 1e-15
+    assert abs(CycNum(4, (0, 1), 1).embed() - 1j) < 1e-15
 
 
 def test_embed_one_minus_sixth_root():
     expected = 0.5 - 1j * math.sqrt(3) / 2
-    assert abs((1 - zeta(6)).embed() - expected) < 1e-12
-
-
-def test_embed_of_sixth_root_inverse_identity():
-    # (1 - zeta_6^(-1)) (1 - zeta_6) = 1 holds for the embedded values too
-    lhs = (1 - zeta(6, -1)).embed()
-    rhs = (1 - zeta(6)).embed()
-    assert abs(lhs * rhs - 1) < 1e-12
+    assert abs(CycNum(6, (1, -1), 1).embed() - expected) < 1e-12
 
 
 def test_embed_matches_naive_polynomial_evaluation():
     samples = [
-        1 - zeta(6),
-        Fraction(1, 3) * (1 - zeta(10, 3)),
-        zeta(12, 7) * 3 - Fraction(1, 2),
-        (2 + zeta(15, 4)) * (1 - zeta(15, 11)),
+        CycNum(6, (1, -1), 1),
+        CycNum(10, (1, 0, 0, -1), 3),
+        CycNum(12, (-1, -3, 0, 3), 2),
+        CycNum(15, (2, 0, 0, -1, 1, -2, 1, 0), 1),
     ]
     for x in samples:
         assert abs(x.embed() - naive_embed(x)) < EMBED_TOL
@@ -443,21 +354,9 @@ def test_embed_matches_naive_polynomial_evaluation():
 # ----------------------------------------------------- conductor promotion
 
 def test_promote_preserves_value():
-    z6 = zeta(6)
-    z12 = z6.promote(12)
-    assert z12.n == 12
-    assert z12 == zeta(12, 2)
-    assert abs(z12.embed() - z6.embed()) < 1e-15
-
-
-def test_promote_requires_divisibility():
-    with pytest.raises(ValueError):
-        zeta(6).promote(8)
-
-
-def test_mixed_conductor_arithmetic_rejected():
-    with pytest.raises(ValueError):
-        zeta(6) + zeta(4)
+    z12 = power_map_rows(12, np.array([[0, 1]]), 2)  # zeta_6 in Q(zeta_12)
+    assert z12.tolist() == [[0, 0, 1, 0]]  # zeta_12^2
+    assert abs(CycNum(12, z12[0].tolist(), 1).embed() - CycNum(6, (0, 1), 1).embed()) < 1e-15
 
 
 # ------------------------------------------------------- hypothesis: field
@@ -471,7 +370,7 @@ def small_cyc(ns=(1, 2, 3, 4, 6, 8, 10, 12, 15)):
             Fraction(numerators[i % len(numerators)], denominators[i % len(denominators)])
             for i in range(deg)
         )
-        return CycNum(n, coeffs)
+        return cyc(n, coeffs)
 
     return st.builds(
         build,
@@ -479,19 +378,6 @@ def small_cyc(ns=(1, 2, 3, 4, 6, 8, 10, 12, 15)):
         st.lists(st.integers(-5, 5), min_size=1, max_size=4),
         st.lists(st.integers(1, 6), min_size=1, max_size=3),
     )
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_cyc(), small_cyc(), small_cyc())
-def test_ring_axioms_hold_exactly(x, y, z):
-    y = y if y.n == x.n else CycNum(x.n, tuple(Fraction(i + 1, 2) for i in range(euler_phi(x.n))))
-    z = z if z.n == x.n else x - 1
-    assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * y == y * x
-    assert x * (y + z) == x * y + x * z
-    assert x + CycNum.zero(x.n) == x
-    assert x * CycNum.one(x.n) == x
 
 
 @settings(max_examples=60, deadline=None)

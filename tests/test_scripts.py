@@ -73,6 +73,18 @@ def test_scan_ladder_runs_the_small_rungs():
         assert 0 < float(best) <= float(median)
 
 
+def test_generate_digest_prints_one_digest_per_bundle():
+    start = time.perf_counter()
+    proc = run_script("generate_digest.py")
+    assert time.perf_counter() - start < 3
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()]
+    assert len(rows) == 18 and all(len(row) == 2 for row in rows)
+    assert [name for name, _ in rows[:3]] == ["circ3", "circ3+1000000000", "circ3+7/3"]
+    assert len({name for name, _ in rows}) == len({digest for _, digest in rows}) == 18
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for _, digest in rows)
+
+
 @pytest.fixture(scope="module")
 def parity_output():
     """The lines parity_corpus.py prints, from one run shared by this module."""

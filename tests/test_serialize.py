@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spec_reference as ref
+from field_reference import cyc, rational, zeta
 from test_cyclotomic import small_cyc
 from upst.constructors import nondense_circulant
-from upst.cyclotomic import CycNum, zeta
-from upst.graph import CirculantSpec, circulant_to_graph, with_diagonal_shift
+from upst.graph import circulant_to_graph, with_diagonal_shift
 from upst.serialize import (
     GRAPH_FORMAT,
     eigensystem_from_json,
@@ -149,7 +150,7 @@ def one_vertex_bundle(coeffs=None, exact_lambdas=None):
 
 def spec_of(x):
     """The order-3 spec (0, x, conjugate(x)): x as a circulant's coefficient a_1."""
-    return CirculantSpec(3, (CycNum.zero(x.n), x, x.conjugate()))
+    return ref.circulant_spec(3, (rational(x.n, 0), x, x.conjugate()))
 
 
 def test_cyclotomic_json_round_trip_is_exact():
@@ -175,7 +176,7 @@ def test_cyclotomic_json_rejects_malformed_input():
 ])
 def test_json_coefficients_read_as_integers_equal_the_fraction_route(pairs):
     n = {1: 1, 2: 3, 4: 5}[len(pairs)]
-    y = CycNum(n, [Fraction(*pair) for pair in pairs])
+    y = cyc(n, [Fraction(*pair) for pair in pairs])
     data = spec_to_json(spec_of(y))
     data["a"][1]["coeffs"] = pairs
     x = spec_from_json(data).a[1]
@@ -200,7 +201,8 @@ def test_rational_json_accepts_integers_only(pair):
 def test_json_round_trip_property(x):
     # the pairs are the reduced Fractions of the coefficients, read back exactly
     data = spec_to_json(spec_of(x))
-    assert data["a"][1]["coeffs"] == [[c.numerator, c.denominator] for c in x.coeffs]
+    coeffs = [Fraction(c, x.den) for c in x.num]
+    assert data["a"][1]["coeffs"] == [[c.numerator, c.denominator] for c in coeffs]
     assert spec_from_json(data).a[1] == x
 
 

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spec_reference as ref
+from field_reference import cyc, rational
 from upst import cyclotomic
-from upst.constructors import circulant_from_c, nondense_circulant
-from upst.cyclotomic import CycNum
+from upst.constructors import circulant_from_c, integer_spectrum_shift, nondense_circulant
+from upst.cyclotomic import CycNum, power_map_rows
 from upst.graph import CirculantSpec, circulant_to_graph, is_connected_circulant, with_diagonal_shift
 from upst.serialize import graph_from_json, graph_to_json, load_graph, spec_from_json, spec_to_json
 from upst.spectra import circulant_eigensystem
@@ -37,7 +38,7 @@ def assert_same_as_reference(spec, n, a):
     data = spec_to_json(spec)
     assert json.dumps(data) == json.dumps(ref.spec_to_json(n, a))
     assert spec.a == a
-    assert spec == CirculantSpec(n, a) == spec_from_json(json.loads(json.dumps(data)))
+    assert spec == ref.circulant_spec(n, a) == spec_from_json(json.loads(json.dumps(data)))
     assert ref.spec_from_json(data) == (n, a)
     assert hex_bits(circulant_to_graph(spec).adjacency) == hex_bits(ref.adjacency(n, a))
     es = circulant_eigensystem(spec)
@@ -77,10 +78,12 @@ def test_numerators_past_int64_match_the_reference():
 
 def test_irrational_and_promoted_specs_match_the_reference(circ3):
     assert_shifts_same_as_reference(circ3, 3, circ3.a)
-    x = CycNum(3, (Fraction(1, 3), Fraction(-2, 5)))
-    a = (CycNum.from_rational(3, Fraction(7, 2)), x, x + x.conjugate(), x.conjugate())
-    for b in (a, tuple(y.promote(12) for y in a)):
-        assert_shifts_same_as_reference(CirculantSpec(4, b), 4, b)
+    x = cyc(3, (Fraction(1, 3), Fraction(-2, 5)))
+    a = (rational(3, Fraction(7, 2)), x, x + x.conjugate(), x.conjugate())
+    spec = CirculantSpec.from_rows(4, 3, [[105, 0], [10, -12], [32, 0], [22, 12]], 30)
+    assert_shifts_same_as_reference(spec, 4, a)
+    promoted = CirculantSpec.from_rows(4, 12, power_map_rows(12, spec.w, 4), spec.den)
+    assert_shifts_same_as_reference(promoted, 4, tuple(y.promote(12) for y in a))
 
 
 def test_the_matrix_is_read_only_in_lowest_terms():
@@ -96,19 +99,14 @@ def test_the_matrix_is_read_only_in_lowest_terms():
 
 @pytest.fixture
 def built(monkeypatch):
-    """Every CycNum made from here on, through CycNum() or cyclotomic._make."""
+    """Every CycNum made from here on."""
     made = []
-    make, init = cyclotomic._make, CycNum.__init__
-
-    def counting_make(*args):
-        made.append(args)
-        return make(*args)
+    init = CycNum.__init__
 
     def counting_init(self, *args):
         made.append(args)
         init(self, *args)
 
-    monkeypatch.setattr(cyclotomic, "_make", counting_make)
     monkeypatch.setattr(CycNum, "__init__", counting_init)
     return made
 
@@ -136,5 +134,53 @@ def test_the_exact_route_builds_no_cyclotomic_number(tmp_path, circ3, built):
 
 def test_the_counters_see_a_cyclotomic_number(circ3, built):
     circ3.a
-    CycNum(4, (1, 0))
+    CycNum(4, (1, 0), 1)
     assert len(built) == 4
+
+
+def test_a_refused_spec_names_its_row_and_builds_no_cyclotomic_number(built):
+    # a_0 = i is not real: the message reads a_0 off its row, building no
+    # CycNum for the other coefficients or for itself
+    with pytest.raises(ValueError) as raised:
+        CirculantSpec.from_rows(3, 4, [[0, 2], [0, -1], [0, 1]], 3)
+    assert str(raised.value) == "a_0 = [0, 2] / 3 in powers of zeta_4 is not real"
+    with pytest.raises(ValueError, match=r"^a_2 != conjugate\(a_1\)"):
+        CirculantSpec.from_rows(3, 4, [[0, 0], [0, 1], [0, 1]], 1)
+    assert built == []
+
+
+# ------------------------------------------------------- what callers read
+
+@pytest.mark.parametrize("name", ["nondense(2,3)", "nondense(5,17)", "circulant_c(16)"])
+def test_the_zero_tests_and_fractions_the_exact_census_reads(name):
+    # a_j.is_zero() against the row, and exact eigenvalues l + c_l*n - shift as Fractions
+    if name == "circulant_c(16)":
+        n, c = 16, [int(v) for v in np.random.default_rng(16).integers(-9, 10, size=16)]
+        spec = circulant_from_c(n, c)
+    else:
+        p, q = (2, 3) if name == "nondense(2,3)" else (5, 17)
+        n, c = p * q, ref.nondense_c(p, q)
+        spec = nondense_circulant(p, q)
+        assert spec.a[1].is_zero()
+    assert [x.is_zero() for x in spec.a] == [not row.any() for row in spec.w]
+    exact = circulant_eigensystem(spec).exact_lambdas
+    assert type(exact) is tuple and all(type(lam) is Fraction for lam in exact)
+    shift = integer_spectrum_shift(n, c)
+    assert exact == tuple(l + ck * n - shift for l, ck in enumerate(c))
+
+
+DELETED = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+           "galois", "conjugate", "promote", "zero", "one", "from_rational", "as_fraction",
+           "is_rational", "coeffs", "_coerce", "_power_map", "_row")
+
+
+def test_the_field_surface_is_a_value_and_rows():
+    assert [name for name in DELETED if hasattr(CycNum, name)] == []
+    assert not hasattr(cyclotomic, "zeta") and not hasattr(cyclotomic, "_row")
+    assert "__init__" not in vars(CirculantSpec)
+    with pytest.raises(TypeError):
+        CirculantSpec(3, (CycNum(4, (0, 0), 1), CycNum(4, (0, -1), 1), CycNum(4, (0, 1), 1)))
+    spec = with_diagonal_shift(nondense_circulant(3, 5), Fraction(7, 3))
+    again = ref.circulant_spec(spec.n, spec.a)  # rows over the lcm of the a_j's denominators
+    assert again == spec and hash(again) == hash(spec)
+    assert again.w.tolist() == spec.w.tolist() and again.den == spec.den == 15

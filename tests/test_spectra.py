@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spec_reference as ref
+from field_reference import Cyc, cyc, rational, zeta
 from upst import spectra
 from upst.constructors import circulant_from_c
-from upst.cyclotomic import CycNum, euler_phi, zeta
+from upst.cyclotomic import CycNum, euler_phi
 from upst.graph import CirculantSpec, circulant_to_graph, with_diagonal_shift
 from upst.ratios import RATIO_REL_TOL, integer_multiples
 from upst.spectra import (
@@ -67,7 +69,7 @@ def test_fourier_matrix_is_one_shared_read_only_array_per_order(n):
     j = np.arange(n)
     expected = np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
     assert f.dtype == expected.dtype and f.tobytes() == expected.tobytes()
-    x = circulant_eigensystem(CirculantSpec(n, (CycNum.zero(1),) * n)).X
+    x = circulant_eigensystem(CirculantSpec.from_rows(n, 1, [[0]] * n, 1)).X
     assert x is f
     with pytest.raises(ValueError):
         x[0, 0] = 0
@@ -89,22 +91,21 @@ def test_nondense6_exact_spectrum_after_shift(nd6):
 
 
 def test_scalar_circulant_spectrum():
-    half7 = CycNum.from_rational(1, Fraction(7, 2))
-    spec = CirculantSpec(4, (half7,) + tuple(CycNum.zero(1) for _ in range(3)))
+    spec = CirculantSpec.from_rows(4, 1, [[7], [0], [0], [0]], 2)  # Circ(7/2, 0, 0, 0)
     es = circulant_eigensystem(spec)
     assert es.exact_lambdas == (Fraction(7, 2),) * 4
     assert np.max(np.abs(es.eigenvalues - 3.5)) < 1e-15
 
 
 def fourier_oracle(spec):
-    """lambda_k = sum_j a_j zeta_L^((L/n)*j*k) by CycNum multiply and add."""
+    """lambda_k = sum_j a_j zeta_L^((L/n)*j*k) by field_reference's multiply and add."""
     n = spec.n
     lcond = math.lcm(spec.conductor, n)
     lams = []
     for k in range(n):
-        lam = CycNum.zero(lcond)
+        lam = rational(lcond, 0)
         for j, x in enumerate(spec.a):
-            lam = lam + x.promote(lcond) * zeta(lcond, (lcond // n) * j * k)
+            lam = lam + Cyc.of(x).promote(lcond) * zeta(lcond, (lcond // n) * j * k)
         lams.append(lam)
     return lams
 
@@ -114,20 +115,21 @@ def assert_matches_oracle(spec):
     lams = fourier_oracle(spec)
     assert all(lam.conjugate() == lam for lam in lams)
     # the floats are the oracle's lambda_k - offset, the offset a_0 where it is rational
-    offset = spec.a[0].as_fraction() if spec.a[0].is_rational() else 0
+    a0 = Cyc.of(spec.a[0])
+    offset = a0.as_fraction() if a0.is_rational() else 0
     assert es.offset == offset
     centred = [lam - offset for lam in lams]
-    rational = all(lam.is_rational() for lam in lams)
-    assert es.exact_lambdas == (tuple(lam.as_fraction() for lam in lams) if rational else None)
+    all_rational = all(lam.is_rational() for lam in lams)
+    assert es.exact_lambdas == (tuple(lam.as_fraction() for lam in lams) if all_rational else None)
     floats = np.array([lam.embed().real for lam in centred])
-    if rational:
+    if all_rational:
         assert es.exact_rows is None
         assert es.lambdas.tobytes() == floats.tobytes()
         return es
     # irrational: the rows are the centred lambda_k exactly; their floats come
     # from one product with the powers of zeta_L, within rounding of Horner's
     lcond, rows, den = es.exact_rows
-    assert [CycNum(lcond, [Fraction(c, den) for c in row]) for row in rows] == centred
+    assert [CycNum(lcond, row, den) for row in rows] == centred
     size = np.abs(np.array(rows, dtype=float)).sum(axis=1) / den
     assert np.all(np.abs(es.lambdas - floats) <= 1e-14 * size)
     return es
@@ -142,16 +144,16 @@ def hermitian_specs(draw):
     fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
 
     def coefficient():
-        return CycNum(cond, draw(st.lists(fractions, min_size=phi, max_size=phi)))
+        return cyc(cond, draw(st.lists(fractions, min_size=phi, max_size=phi)))
 
     a0 = draw(st.builds(Fraction, st.integers(-9, 9), st.integers(2, 6)))  # den != 1
-    a = [CycNum.from_rational(cond, a0)] + [None] * (n - 1)
+    a = [rational(cond, a0)] + [None] * (n - 1)
     for j in range(1, n // 2 + 1):
         x = coefficient()
         if 2 * j == n:
             x = x + x.conjugate()
         a[j], a[n - j] = x, x.conjugate()
-    return CirculantSpec(n, tuple(a))
+    return ref.circulant_spec(n, tuple(a))
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,17 +164,17 @@ def test_exact_spectrum_matches_the_cyclotomic_oracle(spec):
 
 def test_oracle_cases_include_irrational_and_promoted_spectra():
     # n = 5, conductor 5: lambda_k = 2 cos(2 pi k / 5) + 1/2 is irrational
-    a0, a1, zero = CycNum.from_rational(5, Fraction(1, 2)), zeta(5), CycNum.zero(5)
-    spec = CirculantSpec(5, (a0, a1, zero, zero, a1.conjugate()))
+    a0, a1, zero = rational(5, Fraction(1, 2)), zeta(5), rational(5, 0)
+    spec = ref.circulant_spec(5, (a0, a1, zero, zero, a1.conjugate()))
     assert assert_matches_oracle(spec).exact_lambdas is None
     # conductor 3 promoted to L = 12 for n = 4; a_2 real
-    a0, x = CycNum.from_rational(3, Fraction(7, 2)), CycNum(3, (Fraction(1, 3), Fraction(-2, 5)))
-    spec = CirculantSpec(4, (a0, x, x + x.conjugate(), x.conjugate()))
+    a0, x = rational(3, Fraction(7, 2)), cyc(3, (Fraction(1, 3), Fraction(-2, 5)))
+    spec = ref.circulant_spec(4, (a0, x, x + x.conjugate(), x.conjugate()))
     assert_matches_oracle(spec)
 
 
 def test_non_real_eigenvalue_of_a_corrupt_spec_raises():
-    spec = CirculantSpec(3, (CycNum.zero(3), zeta(3), zeta(3, 2)))
+    spec = CirculantSpec.from_rows(3, 3, [[0, 0], [0, 1], [-1, -1]], 1)  # zeta_3^2 = -1 - zeta_3
     # a = (0, zeta_3, zeta_3): lambda_0 = 2 zeta_3
     vars(spec)["w"] = np.array([[0, 0], [0, 1], [0, 1]])
     with pytest.raises(ArithmeticError, match="non-real"):
@@ -191,12 +193,12 @@ def test_eigensolve_past_the_int64_bound_runs_on_python_ints(monkeypatch):
         return w
 
     monkeypatch.setattr(spectra, "reduce_exponent_rows", spy)
-    big = CycNum(6, (Fraction(2**62 + 1, 5), Fraction(-(2**61), 7)))
-    a0 = CycNum.from_rational(6, Fraction(2**63 + 5, 3))
-    spec = CirculantSpec(4, (a0, big, big + big.conjugate(), big.conjugate()))
+    big = cyc(6, (Fraction(2**62 + 1, 5), Fraction(-(2**61), 7)))
+    a0 = rational(6, Fraction(2**63 + 5, 3))
+    spec = ref.circulant_spec(4, (a0, big, big + big.conjugate(), big.conjugate()))
     assert_matches_oracle(spec)
-    half = CycNum.from_rational(1, 2**62)
-    assert assert_matches_oracle(CirculantSpec(2, (half, half))).exact_lambdas == (2**63, 0)
+    half = CirculantSpec.from_rows(2, 1, [[2**62], [2**62]], 1)
+    assert assert_matches_oracle(half).exact_lambdas == (2**63, 0)
     assert seen == [(np.dtype(object), np.dtype(object))] * 2
 
 
@@ -505,8 +507,8 @@ def test_recognizer_on_exact_rows_refuses_the_false_float_witness():
     # Circ(0, i, -i, i, -i): the eigenvalues are irrational, with ratio 2 + sqrt(5)
     # between two steps.  The floats gave a witness with beta = 7.8e-7 and
     # max|c| = 788120; the rows are not collinear, so there is none
-    i = zeta(4)
-    es = circulant_eigensystem(CirculantSpec(5, (CycNum.zero(4), i, -i, i, -i)))
+    spec = CirculantSpec.from_rows(5, 4, [[0, 0], [0, 1], [0, -1], [0, 1], [0, -1]], 1)
+    es = circulant_eigensystem(spec)
     assert es.exact_rows is not None
     assert recognize_eigenvalue_form(es.exact_rows, 5) is None
     float_form = recognize_eigenvalue_form(es.lambdas, 5)
@@ -516,8 +518,8 @@ def test_recognizer_on_exact_rows_refuses_the_false_float_witness():
 def test_recognizer_on_collinear_rows_gives_an_integer_witness():
     # Circ(x, x) for x = zeta_5 + zeta_5^4 = 2 cos(2 pi/5): lambda = (2x, 0),
     # one irrational step, so beta = 2x and alpha = lambda_0 as floats
-    x = zeta(5) + zeta(5, 4)
-    es = circulant_eigensystem(CirculantSpec(2, (x, x)))
+    x = [-1, 0, -1, -1]  # zeta_5^4 = -1 - zeta_5 - zeta_5^2 - zeta_5^3
+    es = circulant_eigensystem(CirculantSpec.from_rows(2, 5, [x, x], 1))
     form = recognize_eigenvalue_form(es.exact_rows, 2)
     assert (form.q, form.c) == (1, (0, -1))
     assert type(form.q) is int and all(type(v) is int for v in form.c)

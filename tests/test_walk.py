@@ -16,7 +16,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from upst.cyclotomic import CycNum, euler_phi, zeta
+import spec_reference as ref
+from field_reference import cyc, rational, zeta
+from upst.cyclotomic import euler_phi
 from upst.graph import CirculantSpec, HermitianGraph, circulant_to_graph, with_diagonal_shift
 from upst.spectra import (
     UNITARITY_TOL,
@@ -71,8 +73,7 @@ def es3(circ3):
 
 
 def scalar_spec(n=3, value=Fraction(3, 2)):
-    a0 = CycNum.from_rational(1, value)
-    return CirculantSpec(n, (a0,) + tuple(CycNum.zero(1) for _ in range(n - 1)))
+    return CirculantSpec.from_rows(n, 1, [[value.numerator]] + [[0]] * (n - 1), value.denominator)
 
 
 def return_period(es):
@@ -1208,8 +1209,7 @@ def test_transfer_precedes_return_everywhere(circ3, nd6):
     # for every vertex u, each transfer t_{u,v} lands before the return t_{u,u},
     # and the reported period is the one the spectrum alone determines; the
     # order-2 rational circulant Circ(1/2, -1/2) is the smallest case
-    half = CycNum.from_rational(1, Fraction(1, 2))
-    specs = (CirculantSpec(2, (half, -half)), circ3, nd6)
+    specs = (CirculantSpec.from_rows(2, 1, [[1], [-1]], 2), circ3, nd6)
     inputs = [(circulant_to_graph(s), circulant_eigensystem(s)) for s in specs]
     inputs += [noncirculant_graph(NoncirculantParams(3, 2, 2)), gk_example(4)]
     for graph, es in inputs:
@@ -1471,9 +1471,9 @@ def spec_with_spectrum(lambdas, lcond):
     """The order-n circulant with a_j = (1/n) sum_k lambda_k zeta_n^(-jk), the
     lambda_k elements of Q(zeta_L) for n | L."""
     n = len(lambdas)
-    return CirculantSpec(n, tuple(
+    return ref.circulant_spec(n, tuple(
         Fraction(1, n) * sum((lam * zeta(lcond, -(lcond // n) * j * k)
-                              for k, lam in enumerate(lambdas)), CycNum.zero(lcond))
+                              for k, lam in enumerate(lambdas)), rational(lcond, 0))
         for j in range(n)))
 
 
@@ -1481,8 +1481,8 @@ def test_incommensurable_rows_give_no_steps_without_floats(monkeypatch):
     # lambda = (0, 1, sqrt(2), 3), sqrt(2) = zeta_8 - zeta_8^3: the rows
     # (4, 0, 0, 0) and (0, 4, 0, -4) over 4 of lambda_1 and lambda_2 are not
     # collinear
-    one = CycNum.one(8)
-    spec = spec_with_spectrum([CycNum.zero(8), one, zeta(8) - zeta(8, 3), 3 * one], 8)
+    one = rational(8, 1)
+    spec = spec_with_spectrum([rational(8, 0), one, zeta(8) - zeta(8, 3), 3 * one], 8)
     es = circulant_eigensystem(spec)
     assert np.allclose(es.eigenvalues, [0, 1, math.sqrt(2), 3], rtol=0, atol=1e-15)
     assert es.exact_rows == (8, ((0, 0, 0, 0), (4, 0, 0, 0), (0, 4, 0, -4), (12, 0, 0, 0)), 4)
@@ -1509,7 +1509,7 @@ def test_rows_on_a_line_give_its_steps_and_off_it_none(lcond, data):
     # (g b / den, D / g), g = gcd(D), signed so beta > 0; moving one row off
     # the line gives None
     coords = st.lists(st.integers(-9, 9), min_size=euler_phi(lcond), max_size=euler_phi(lcond))
-    x = CycNum(lcond, data.draw(coords))
+    x = cyc(lcond, data.draw(coords))
     real = x + x.conjugate()
     assume(not real.is_rational())
     b, w0 = real.num, data.draw(coords)
