@@ -10,6 +10,7 @@ Cyc equals the CycNum of the same value, so a spec's `a` compares with it
 directly; Cyc.of lifts such a CycNum into the oracle.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -48,6 +49,8 @@ class Cyc(CycNum):
         den = self.den * rhs.den
         return Cyc(self.n, [a * rhs.den + b * self.den for a, b in zip(self.num, rhs.num)], den)
 
+    __radd__ = __add__
+
     def __neg__(self):
         return Cyc(self.n, [-c for c in self.num], self.den)
 
@@ -73,6 +76,8 @@ class Cyc(CycNum):
 
     def galois(self, s):
         """The automorphism zeta_n -> zeta_n^s, s a unit mod n."""
+        if math.gcd(s, self.n) != 1:
+            raise ValueError("gcd(%d, %d) != 1: not a Galois automorphism" % (s, self.n))
         return self._power_map(self.n, s)
 
     def conjugate(self):
@@ -80,6 +85,8 @@ class Cyc(CycNum):
 
     def promote(self, m):
         """The same value in Q(zeta_m), n | m."""
+        if m % self.n:
+            raise ValueError("cannot promote conductor %d to %d" % (self.n, m))
         return self._power_map(m, m // self.n)
 
     def _power_map(self, m, s):
@@ -89,7 +96,8 @@ class Cyc(CycNum):
         return not any(self.num[1:])
 
     def as_fraction(self):
-        assert self.is_rational(), self
+        if not self.is_rational():
+            raise ValueError("element is not rational: %s" % (self,))
         return Fraction(self.num[0], self.den)
 
 

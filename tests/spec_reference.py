@@ -58,6 +58,9 @@ def shifted(a, alpha):
 def circulant_spec(n, a):
     """The CirculantSpec of the coefficients a, CycNums of one conductor,
     over the lcm of their denominators."""
+    conductors = sorted({x.n for x in a})
+    if len(conductors) > 1:
+        raise ValueError("coefficients mix conductors %s" % conductors)
     den = math.lcm(*(x.den for x in a))
     w = [[c * (den // x.den) for c in x.num] for x in a]
     return CirculantSpec.from_rows(n, a[0].n, w, den)

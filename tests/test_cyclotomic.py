@@ -3,7 +3,8 @@ the CycNum value and its embedding.
 
 The independent oracle throughout is double-precision evaluation at
 e^(2*pi*i/n): every exact identity must also hold numerically after embed().
-Field arithmetic on values is field_reference's.
+Field arithmetic on values is field_reference's, and the tests of zeta, +, -,
+*, Galois maps, conjugation, promotion and the norm check that oracle.
 """
 
 import cmath
@@ -99,6 +100,11 @@ def test_primitive_root_is_a_root_of_phi_n():
 
 
 # ------------------------------------------------------------ construction
+
+def test_zeta_normalizes_exponent():
+    assert zeta(6, 7) == zeta(6, 1)
+    assert zeta(6, -1) == zeta(6, 5)
+
 
 def test_coefficient_vector_length_is_enforced():
     with pytest.raises(ValueError):
@@ -329,6 +335,93 @@ def test_one_minus_root_is_a_unit_exactly_at_two_prime_conductors():
         assert norm(p**k) == p, (p, k)
 
 
+def test_sum_of_conjugate_sixth_roots_is_rational():
+    assert (zeta(6) + zeta(6, 5) - 1).is_zero()
+
+
+def test_rationality_detection():
+    assert zeta(6, 3).is_rational()  # equals -1
+    assert not zeta(6).is_rational()
+    assert zeta(6, 3).as_fraction() == Fraction(-1)
+    with pytest.raises(ValueError):
+        zeta(6).as_fraction()
+
+
+def test_one_minus_inverse_root_times_one_minus_root_is_one():
+    # 1/(1 - zeta_6^(-1)) = 1 - zeta_6
+    assert (1 - zeta(6, -1)) * (1 - zeta(6)) == rational(6, 1)
+
+
+def field_norm(x):
+    """The field norm N(x), a rational: the product of the images of x under
+    every automorphism zeta_n -> zeta_n^l, l a unit mod n."""
+    total = rational(x.n, 1)
+    for l in range(1, max(x.n, 2)):
+        if math.gcd(l, x.n) == 1:
+            total = total * x.galois(l)
+    return total.as_fraction()
+
+
+def test_norm_of_a_rational_at_conductors_one_and_two():
+    # Q(zeta_1) = Q(zeta_2) = Q: the only automorphism is the identity, so
+    # the norm is the element itself
+    for n in (1, 2):
+        for value in (1, -2, Fraction(3, 7), Fraction(-5, 4)):
+            assert field_norm(rational(n, value)) == value
+    assert field_norm(zeta(2)) == -1
+
+
+def test_norm_is_rational_at_conductors_two_mod_four():
+    # n = 2m with m odd: Q(zeta_n) = Q(zeta_m), and zeta_n = -zeta_m^((m+1)/2)
+    for n in (6, 10, 30):
+        for x in (1 - zeta(n), 2 + zeta(n, 3), zeta(n, 5) - Fraction(1, 3) * zeta(n)):
+            assert field_norm(x) != 0, (n, x)
+
+
+def test_norm_is_rational_at_every_conductor_from_16_to_40():
+    # and N(1 - zeta_n) = Phi_n(1), the fact restated above on cyclotomic_polynomial
+    for n in range(16, 41):
+        assert field_norm(1 - zeta(n)) == sum(cyclotomic_polynomial(n)), n
+        assert field_norm(2 + zeta(n, 3)) != 0, n
+
+
+# ------------------------------------------------------------------ galois
+
+def test_galois_at_n_minus_1_is_conjugation():
+    z = zeta(6)
+    assert z.galois(5) == zeta(6, 5)
+    assert z.galois(5) == z.conjugate()
+    assert abs(z.galois(5).embed() - z.embed().conjugate()) < 1e-15
+
+
+def test_galois_fixes_rationals():
+    q = rational(12, Fraction(7, 3))
+    for l in (1, 5, 7, 11):
+        assert q.galois(l) == q
+
+
+def test_galois_rejects_non_units():
+    with pytest.raises(ValueError):
+        zeta(12).galois(4)
+
+
+def test_galois_composition():
+    x = 2 * zeta(12) - zeta(12, 7) + Fraction(1, 2)
+    assert x.galois(5).galois(7) == x.galois(35 % 12)
+
+
+def test_conjugate_of_real_element_is_identity():
+    x = zeta(12, 3) + zeta(12, 9)  # i + (-i) = 0, trivially real
+    assert x.conjugate() == x
+    y = rational(1, Fraction(3, 4))
+    assert y.conjugate() == y
+
+
+def test_conjugation_fixes_only_real_elements():
+    assert (zeta(12) + zeta(12, 11)).conjugate() == zeta(12) + zeta(12, 11)  # z + conj(z)
+    assert zeta(12).conjugate() != zeta(12)
+
+
 # --------------------------------------------------------------- embedding
 
 def test_embed_fourth_root():
@@ -338,6 +431,13 @@ def test_embed_fourth_root():
 def test_embed_one_minus_sixth_root():
     expected = 0.5 - 1j * math.sqrt(3) / 2
     assert abs(CycNum(6, (1, -1), 1).embed() - expected) < 1e-12
+
+
+def test_embed_of_sixth_root_inverse_identity():
+    # (1 - zeta_6^(-1)) (1 - zeta_6) = 1 holds for the embedded values too
+    lhs = (1 - zeta(6, -1)).embed()
+    rhs = (1 - zeta(6)).embed()
+    assert abs(lhs * rhs - 1) < 1e-12
 
 
 def test_embed_matches_naive_polynomial_evaluation():
@@ -359,6 +459,16 @@ def test_promote_preserves_value():
     assert abs(CycNum(12, z12[0].tolist(), 1).embed() - CycNum(6, (0, 1), 1).embed()) < 1e-15
 
 
+def test_promote_requires_divisibility():
+    with pytest.raises(ValueError):
+        zeta(6).promote(8)
+
+
+def test_mixed_conductor_arithmetic_rejected():
+    with pytest.raises(ValueError):
+        zeta(6) + zeta(4)
+
+
 # ------------------------------------------------------- hypothesis: field
 
 def small_cyc(ns=(1, 2, 3, 4, 6, 8, 10, 12, 15)):
@@ -378,6 +488,19 @@ def small_cyc(ns=(1, 2, 3, 4, 6, 8, 10, 12, 15)):
         st.lists(st.integers(-5, 5), min_size=1, max_size=4),
         st.lists(st.integers(1, 6), min_size=1, max_size=3),
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_cyc(), small_cyc(), small_cyc())
+def test_ring_axioms_hold_exactly(x, y, z):
+    y = y if y.n == x.n else cyc(x.n, [Fraction(i + 1, 2) for i in range(euler_phi(x.n))])
+    z = z if z.n == x.n else x - 1
+    assert (x + y) + z == x + (y + z)
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x + rational(x.n, 0) == x
+    assert x * rational(x.n, 1) == x
 
 
 @settings(max_examples=60, deadline=None)

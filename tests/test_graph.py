@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import spec_reference as ref
-from field_reference import cyc
+from field_reference import cyc, rational, zeta
 from upst.constructors import circulant_from_c
 from upst.cyclotomic import CycNum, euler_phi, power_map_rows
 from upst.graph import (
@@ -96,6 +96,11 @@ def test_spec_check_agrees_with_conjugating_each_coefficient():
         else:
             with pytest.raises(ValueError, match="^" + re.escape(expected)):
                 ref.circulant_spec(n, tuple(a))
+
+
+def test_spec_requires_single_conductor():
+    with pytest.raises(ValueError, match="mix conductors"):
+        ref.circulant_spec(3, (rational(4, 0), zeta(6), zeta(6, 5)))
 
 
 def test_spec_length_must_match_order():
