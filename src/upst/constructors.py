@@ -117,7 +117,9 @@ def _coefficient_rows(n: int, c: Sequence[int]) -> np.ndarray:
     m = n // (g := np.gcd(j, n))
     dtype = exact_int_dtype(n * (n + sum(map(abs, c))))
     v = np.zeros((n, n), dtype=dtype)
-    np.add.at(v, (j, -j * k % n), (np.where(k < m, k, 0) + m * np.array(c, dtype=dtype)) * g)
+    terms = (np.where(k < m, k, 0) + m * np.array(c, dtype=dtype)) * g
+    # v[j, -j*k mod n] += terms[j - 1, k], on the flat v: numpy's fast 1-D add.at
+    np.add.at(v.reshape(-1), (n * j + -j * k % n).ravel(), terms.ravel())
     return reduce_exponent_rows(n, v)
 
 

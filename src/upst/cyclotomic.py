@@ -4,12 +4,13 @@ An element is a row of integer numerators in the power basis 1, zeta, ...,
 zeta^(phi(n)-1) over one positive denominator.  The package computes on
 matrices of such rows; CycNum holds one row as a value in lowest terms (the
 gcd of the denominator and every numerator is 1), so equal values have equal
-representations.  Phi_n is computed by the recursive quotient of x^n - 1 by
-the Phi_d of the proper divisors d | n.  Every reduction modulo Phi_n (exponent
-rows, and through power_map_rows Galois maps, conjugation and conductor
-promotion) is one product W = V @ R_n in reduce_exponent_rows, where row m of
-the cached R_n is zeta_n^m and row i of V holds integer coefficients of
-zeta_n^0 .. zeta_n^(n-1): one float64 GEMM while max|V| times the largest
+representations.  Phi_n and the reduction matrix R_n are built for the
+radical r of n (the product of its primes) and stretched: Phi_n(x) =
+Phi_r(x^(n/r)), and R_n = R_r (x) I_(n/r).  Every reduction modulo Phi_n
+(exponent rows, and through power_map_rows Galois maps, conjugation and
+conductor promotion) is one product W = V @ R_n in reduce_exponent_rows, where
+row m of the cached R_n is zeta_n^m and row i of V holds integer coefficients
+of zeta_n^0 .. zeta_n^(n-1): one float64 GEMM while max|V| times the largest
 column sum of |R_n| is below 2^53, which bounds every partial sum so that the
 GEMM is exact, else on Python ints, so nothing rounds or wraps.  Everything in
 this module is exact; floating point approximates only in :func:`embed_row`.
@@ -31,22 +32,26 @@ import numpy as np
 RationalLike = Union[int, Fraction]
 
 
+def _prime_divisors(n: int) -> list[int]:
+    # the distinct primes dividing n, ascending, by trial division
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] * (n > 1)
+
+
 @functools.lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
     """Euler's totient, the degree of Q(zeta_n) over Q."""
     if n < 1:
         raise ValueError("conductor must be a positive integer, got %r" % (n,))
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
+    for p in _prime_divisors(n):
+        result -= result // p
     return result
 
 
@@ -67,19 +72,26 @@ def _poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
     return out
 
 
+def _stretch(poly: Sequence[int], s: int) -> list[int]:
+    out = [0] * ((len(poly) - 1) * s + 1)  # the coefficients of poly(x^s)
+    out[::s] = poly
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_n, constant term first, monic.
 
-    Phi_n = (x^n - 1) / prod_{d | n, d < n} Phi_d.
+    Phi_1 = x - 1 and Phi_mp(x) = Phi_m(x^p) / Phi_m(x) for each prime p of
+    n not dividing m give Phi_r for the radical r of n (the product of its
+    primes), and Phi_n(x) = Phi_r(x^(n/r)).
     """
     if n < 1:
         raise ValueError("conductor must be a positive integer, got %r" % (n,))
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            num = _poly_div_exact(num, cyclotomic_polynomial(d))
-    return tuple(num)
+    poly, rad = [-1, 1], 1
+    for p in _prime_divisors(n):
+        poly, rad = _poly_div_exact(_stretch(poly, p), poly), rad * p
+    return tuple(_stretch(poly, n // rad))
 
 
 def exact_int_dtype(bound: int):
@@ -89,9 +101,16 @@ def exact_int_dtype(bound: int):
 
 @functools.lru_cache(maxsize=None)
 def _reduction_matrix(n: int) -> tuple[np.ndarray, int]:
-    # R_n (row m is zeta_n^m; read-only, as callers share it), largest column sum of |R_n|;
-    # rows m < phi(n) are the power basis, and row m >= phi(n) is zeta * row m-1, a shift
-    # whose top coefficient folds by x^deg = -(Phi_n - x^deg)
+    # R_n (row m is zeta_n^m; read-only, as callers share it), largest column sum of |R_n|.
+    # For n's radical r < n and s = n/r, Phi_n(x) = Phi_r(x^s): row q*s + i is x^i (x^s)^q,
+    # so R_n = R_r (x) I_s with R_r's growth.  For squarefree n, rows m < phi(n) are the
+    # power basis; row m is zeta * row m-1, its top coefficient folded by x^deg = -(Phi_n - x^deg)
+    rad = math.prod(_prime_divisors(n))
+    if rad < n:
+        r, growth = _reduction_matrix(rad)
+        r = np.kron(r, np.eye(n // rad, dtype=r.dtype))
+        r.flags.writeable = False
+        return r, growth
     phi = cyclotomic_polynomial(n)
     deg = len(phi) - 1
     terms = [(j, c) for j, c in enumerate(phi[:deg]) if c]

@@ -76,33 +76,56 @@ def fourier_matrix(n: int) -> np.ndarray:
     return f
 
 
+def _gather(a: np.ndarray, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    # out[i] = sum_t x^(-starts[t, i]) * a[rows[t, i]] mod x^L - 1 for a r x L and t x m
+    # rows, 0 <= starts < L: each term is the window of [a a] at its start, gathered in
+    # blocks of <= BLOCK_ELEMENTS entries (bounded memory; one window when L is more)
+    lcond, (t, m) = a.shape[1], rows.shape
+    a = np.concatenate((a, a), axis=1)
+    a.flags.writeable = False  # and so the windows viewing it
+    windows = np.ndarray((len(a), lcond, lcond), a.dtype, a, 0, a.strides + a.strides[1:])
+    tb = min(t, max(1, BLOCK_ELEMENTS // lcond))
+    b = max(1, BLOCK_ELEMENTS // (tb * lcond))
+    if tb == t and b >= m:  # one block
+        return windows[rows, starts].sum(axis=0)
+    return np.concatenate([sum(windows[rows[u : u + tb, i : i + b], starts[u : u + tb, i : i + b]]
+                               .sum(axis=0) for u in range(0, t, tb)) for i in range(0, m, b)])
+
+
 def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
     """Diagonalize a circulant exactly: lambda_k = sum_j a_j zeta_n^(jk).
 
-    The sums are computed in Q(zeta_L) for L = lcm(conductor, n).  Row j of A
-    holds row j of the spec's w (a_j's numerators over den) at its zeta_L
-    exponents; V[k, m] = sum_j A[j, (m - (L/n)*j*k) mod L] is gathered from
-    windows of [A A] in blocks of <= BLOCK_ELEMENTS entries (bounded memory);
-    reduce_exponent_rows reduces it to W, row k lambda_k - offset over den.
-    A rational W (W[:, 1:] = 0) gives exact_lambdas; any other W must equal
-    its conjugate (else the spec data is corrupt) and is kept as exact_rows.
+    The sums are computed in Q(zeta_L) for L = lcm(conductor, n), s = L/n.
+    Row j of A holds row j of the spec's w (a_j's numerators over den) at its
+    zeta_L exponents.  V[k] = sum_j x^(s*j*k) A[j] mod x^L - 1 takes two
+    gathers, n*L*(n1 + n2) integer adds, not n^2*L: for n = n1*n2 (n1 the
+    largest divisor of n up to sqrt(n), or 1 and one gather while n^2*L <=
+    BLOCK_ELEMENTS), j = j1 + n1*j2 and k = k2 + n2*k1, jk = k2*j + n2*j1*k1
+    (mod n), so C[k2, j1] = sum_j2 x^(s*k2*j) A[j] and V[k] = sum_j1
+    x^(s*n2*j1*k1) C[k2, j1].  reduce_exponent_rows reduces V to W, row k
+    lambda_k - offset over den.  A rational W (W[:, 1:] = 0) gives
+    exact_lambdas; any other W must equal its conjugate (else the spec data
+    is corrupt) and is kept as exact_rows.
     """
     n, den, a0 = spec.n, spec.den, spec.w[0]
     offset = Fraction(int(a0[0]), den) if a0[0] and not a0[1:].any() else 0
     lcond = math.lcm(spec.conductor, n)
-    # |V| <= sum_j max|A[j]| bounds every partial sum of the gather
+    # |V| <= sum_j max|A[j]| bounds every partial sum of either gather
     dtype = exact_int_dtype(sum(np.abs(spec.w).max(axis=1).tolist()))
     a = np.zeros((n, lcond), dtype=dtype)
     a[:, :: lcond // spec.conductor][:, : len(a0)] = spec.w
     if offset:  # a rational a_0 is the offset: V holds lambda_k - a_0
         a[0] = 0
-    a = np.concatenate((a, a), axis=1)
-    a.flags.writeable = False  # and so the windows viewing it
-    windows = np.ndarray((n, lcond + 1, lcond), a.dtype, a, 0, a.strides + a.strides[1:])
-    j = np.arange(n)[:, np.newaxis]
-    start = lcond - (lcond // n) * (j * j.T % n)
-    b = max(1, BLOCK_ELEMENTS // (n * lcond))
-    v = sum(windows[j[i : i + b], start[i : i + b]].sum(axis=0) for i in range(0, n, b))
+    n1 = 1 if n * n * lcond <= BLOCK_ELEMENTS else max(
+        d for d in range(1, math.isqrt(n) + 1) if n % d == 0)
+    n2, s = n // n1, lcond // n
+    k2, j1 = np.divmod(np.arange(n), n1)  # row k2*n1 + j1 of C ...
+    j = np.arange(0, n, n1)[:, np.newaxis] + j1  # ... sums these j = j1 + n1*j2
+    v = _gather(a, j, -s * k2 * j % lcond)
+    if n1 > 1:
+        k1, k2 = np.divmod(np.arange(n), n2)  # row k = k2 + n2*k1 of V sums over j1
+        j1 = np.arange(n1)[:, np.newaxis]
+        v = _gather(v, k2 * n1 + j1, -s * n2 * k1 * j1 % lcond)
     w = reduce_exponent_rows(lcond, v)
     if not w[:, 1:].any():  # int / int rounds correctly: the double embed_row gives
         col = w[:, 0].tolist()

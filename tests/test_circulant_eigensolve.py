@@ -110,8 +110,8 @@ def test_large_offset_and_past_int64_spectra_match_the_reference():
     circulant_from_c(64, [int(v) for v in np.random.default_rng(65).integers(-9, 10, size=64)]),
 ], ids=["nondense(5,17)", "circulant_c(64)"])
 def test_eigensystem_is_independent_of_the_block_bound(monkeypatch, spec):
-    # the default gathers several j per block; at bound 1 each block holds
-    # one j, and the integer sums, exact either way, give the same eigensystem
+    # the default gathers many windows per block; at bound 1 each block holds
+    # one window, and the integer sums, exact either way, give the same eigensystem
     assert spectra.BLOCK_ELEMENTS // (spec.n * math.lcm(spec.conductor, spec.n)) > 1
     default = circulant_eigensystem(spec)
     monkeypatch.setattr(spectra, "BLOCK_ELEMENTS", 1)

@@ -67,7 +67,7 @@ def test_generate_emits_complete_bundle(capsys):
 
 def test_generate_shifted_nondense_matches_exact_entries(tmp_path, capsys):
     path = generate(tmp_path, capsys, ND6_DESC, "nd6.json", shift="5/2")
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     row = [complex(re, im) for re, im in doc["matrix"][0]]
     expected = [2.5, 0.0, 1 - 1j / SQ3, 1.5, 1 + 1j / SQ3, 0.0]
     assert max(abs(r - e) for r, e in zip(row, expected)) < 1e-12
@@ -311,11 +311,11 @@ def test_verify_circulant_only_checks_need_exact_data(tmp_path, capsys):
 
 def test_verify_detects_matrix_tampering(tmp_path, capsys):
     path = generate(tmp_path, capsys, CIRC3_DESC, "c3.json")
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     # Hermitian-preserving edit, so only the circulant cross-check can catch it
     doc["matrix"][0][1][0] += 1e-6
     doc["matrix"][1][0][0] += 1e-6
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     code, _, err = run(["verify", path], capsys)
     assert code == 2
     assert "does not match" in err
@@ -345,9 +345,9 @@ def test_circulant_bundles_match_their_data_relative_to_the_largest_entry(tmp_pa
 def test_verify_detects_stale_eigensystem(tmp_path, capsys):
     # no circulant data here, so the stored eigensystem is the authority
     path = generate(tmp_path, capsys, NC_DESC, "nc.json")
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["eigensystem"]["lambdas"][0] += 0.5
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     code, _, err = run(["verify", path], capsys)
     assert code == 2
     assert "diagonalize" in err
@@ -357,9 +357,9 @@ def test_verify_detects_stale_exact_eigenvalues(tmp_path, capsys):
     # the loaded eigenvalues come from exact_lambdas, so the residual gate
     # checks those against the matrix too, not only the stored floats
     path = generate(tmp_path, capsys, NC_DESC, "nc.json")
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["eigensystem"]["exact_lambdas"][0] = [1, 2]
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     code, _, err = run(["verify", path], capsys)
     assert code == 2
     assert "diagonalize" in err
@@ -370,10 +370,10 @@ def test_verify_detects_a_circulant_bundles_stale_eigensystem(tmp_path, capsys):
     # eigensystem is checked all the same
     desc = '{"family": "circulant_c", "n": 12, "c": [0, 3, -1, 0, 2, 5, 0, 1, 0, 0, 4, 7]}'
     path = generate(tmp_path, capsys, desc, "c12.json")
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["eigensystem"]["X"] = [[[float(j == k), 0.0] for k in range(12)] for j in range(12)]
     doc["eigensystem"]["lambdas"] = [v + 1000 for v in doc["eigensystem"]["lambdas"]]
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     code, _, err = run(["verify", path, "--checks", "upst,typeii"], capsys)
     assert code == 2
     assert "diagonalize" in err
@@ -484,7 +484,7 @@ def test_verify_rejects_foreign_format_tag(tmp_path, capsys):
 )
 def test_verify_rejects_malformed_bundles(tmp_path, capsys, desc, field, value, names):
     path = generate(tmp_path, capsys, desc, "bundle.json")
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     *parents, last = field
     node = doc
     for key in parents:
@@ -493,7 +493,7 @@ def test_verify_rejects_malformed_bundles(tmp_path, capsys, desc, field, value, 
         del node[last]
     else:
         node[last] = value
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     code, _, err = run(["verify", path], capsys)
     assert code == 2
     assert err.startswith("error: ")
@@ -507,9 +507,9 @@ def test_verify_refuses_a_huge_conductor_without_factoring_it(tmp_path, capsys, 
         raise AssertionError("euler_phi(%d) called" % n)
 
     path = generate(tmp_path, capsys, ND6_DESC, "bundle.json")
-    doc = json.loads(open(path).read())
+    doc = json.loads(Path(path).read_text())
     doc["circulant"]["a"][0] = {"n": 10**16 + 61, "coeffs": [[0, 1]]}
-    open(path, "w").write(json.dumps(doc))
+    Path(path).write_text(json.dumps(doc))
     monkeypatch.setattr(cyclotomic, "euler_phi", spy)
     code, _, err = run(["verify", path], capsys)
     assert code == 2
@@ -565,7 +565,7 @@ def test_times_writes_csv_file(tmp_path, capsys):
     out_path = tmp_path / "times.csv"
     code, _, _ = run(["times", path, "--out", str(out_path)], capsys)
     assert code == 0
-    rows = list(csv.reader(open(out_path)))
+    rows = list(csv.reader(out_path.read_text().splitlines()))
     assert len(rows) == 37  # header + 36 ordered pairs
 
 

@@ -209,7 +209,8 @@ def test_semiconvergent_wins_over_the_last_convergent():
 
 
 def test_ratios_import_no_fraction_machinery():
-    tree = ast.parse(open(ratios.__file__).read())
+    with open(ratios.__file__) as f:
+        tree = ast.parse(f.read())
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                 for alias in node.names}
     imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}

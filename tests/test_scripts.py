@@ -73,6 +73,17 @@ def test_scan_ladder_runs_the_small_rungs():
         assert 0 < float(best) <= float(median)
 
 
+def test_exact_ladder_runs_the_small_rungs():
+    start = time.perf_counter()
+    proc = run_script("exact_ladder.py", "--max-n", "32", "--repeat", "1")
+    assert time.perf_counter() - start < 3
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert [(row[0], row[5]) for row in rows] == [("16", "3x5"), ("32", "3x11")]
+    for row in rows:
+        assert all(float(x) > 0 for x in row[1:5] + row[6:]), row
+
+
 def test_generate_digest_prints_one_digest_per_bundle():
     start = time.perf_counter()
     proc = run_script("generate_digest.py")
