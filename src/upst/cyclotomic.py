@@ -49,10 +49,8 @@ def euler_phi(n: int) -> int:
     """Euler's totient, the degree of Q(zeta_n) over Q."""
     if n < 1:
         raise ValueError("conductor must be a positive integer, got %r" % (n,))
-    result = n
-    for p in _prime_divisors(n):
-        result -= result // p
-    return result
+    primes = _prime_divisors(n)
+    return n // math.prod(primes) * math.prod(p - 1 for p in primes)
 
 
 def _poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
@@ -88,10 +86,13 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("conductor must be a positive integer, got %r" % (n,))
-    poly, rad = [-1, 1], 1
-    for p in _prime_divisors(n):
-        poly, rad = _poly_div_exact(_stretch(poly, p), poly), rad * p
-    return tuple(_stretch(poly, n // rad))
+    primes = _prime_divisors(n)
+    if (rad := math.prod(primes)) < n:
+        return tuple(_stretch(cyclotomic_polynomial(rad), n // rad))
+    poly = [-1, 1]
+    for p in primes:
+        poly = _poly_div_exact(_stretch(poly, p), poly)
+    return tuple(poly)
 
 
 def exact_int_dtype(bound: int):

@@ -4,6 +4,7 @@ same float eigenvalues (bit for bit on rational spectra), the same error on a
 corrupt spec."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,11 +15,12 @@ from field_reference import Cyc
 from spec_reference import cyc_from_exponent_rows
 from upst import spectra
 from upst.constructors import circulant_from_c, nondense_circulant
-from upst.cyclotomic import CycNum, exact_int_dtype, power_map_rows
+from upst.cyclotomic import CycNum, euler_phi, exact_int_dtype, power_map_rows
 from upst.graph import CirculantSpec, with_diagonal_shift
 from upst.spectra import circulant_eigensystem
 
-NONDENSE_PAIRS = ((2, 3), (2, 5), (3, 5), (2, 7), (3, 7), (2, 11), (2, 13), (2, 17), (5, 17))
+NONDENSE_PAIRS = ((2, 3), (2, 5), (3, 5), (2, 7), (3, 7), (2, 11), (2, 13), (2, 17), (5, 17),
+                  (7, 13))
 
 
 def reference_circulant_eigensystem(spec):
@@ -72,6 +74,24 @@ def assert_same_as_reference(spec):
     return es
 
 
+def seeded_c(n, seed, bound=9):
+    return [int(v) for v in np.random.default_rng(seed).integers(-bound, bound + 1, size=n)]
+
+
+def hermitian_spec(n, conductor, seed):
+    """A random Hermitian circulant of order n over Q(zeta_conductor): rational
+    a_0 and a_(n/2), a_(n-j) the conjugate of a_j."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros((n, euler_phi(conductor)), dtype=np.int64)
+    half = (n - 1) // 2
+    w[1 : half + 1] = rng.integers(-9, 10, size=(half, w.shape[1]))
+    w[n - half :] = power_map_rows(conductor, w[1 : half + 1], -1)[::-1]
+    w[0, 0] = 7
+    if n % 2 == 0:
+        w[n // 2, 0] = -3
+    return CirculantSpec.from_rows(n, conductor, w, 5)
+
+
 def conductor3_spec():
     """Order 4 over Q(zeta_3), promoted to L = 12; lambda_1 and lambda_3 irrational:
     (7/2, x, x + conj(x), conj(x)) over 30 for x = 1/3 - (2/5) zeta_3."""
@@ -83,6 +103,67 @@ def test_seeded_integer_vector_circulants_match_the_reference():
     for n in [2, 64] + [int(v) for v in rng.integers(3, 64, size=38)]:
         c = [int(v) for v in rng.integers(-9, 10, size=n)]
         assert assert_same_as_reference(circulant_from_c(n, c)).exact_lambdas is not None
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 48, 64, 85, 96, 128])
+def test_integer_vector_circulants_of_every_gather_shape_match_the_reference(n):
+    # one pass and two, n1 = 1 .. 11, the exact rows of a 7/3 shift where 3 | n
+    spec = circulant_from_c(n, seeded_c(n, n))
+    if n % 3 == 0:
+        spec = with_diagonal_shift(spec, Fraction(7, 3))
+    assert assert_same_as_reference(spec).exact_lambdas is not None
+
+
+def test_two_pass_irrational_and_python_int_spectra_match_the_reference():
+    # L = 96 > n and L = n = 45, both irrational; then a gather on Python ints.
+    # The floats are one product of the exact rows, so equal rows give equal floats
+    assert assert_same_as_reference(hermitian_spec(32, 12, 1)).exact_rows.conductor == 96
+    assert assert_same_as_reference(hermitian_spec(45, 9, 2)).exact_lambdas is None
+    spec = circulant_from_c(48, seeded_c(48, 3, 2**62))
+    assert spec.w.dtype == object
+    assert_same_as_reference(spec)
+
+
+def test_the_gather_takes_two_passes_only_where_they_save_work(monkeypatch):
+    passes = []
+    gather = spectra._gather
+
+    def counting(a, rows, starts):
+        passes[-1] += 1
+        return gather(a, rows, starts)
+
+    monkeypatch.setattr(spectra, "_gather", counting)
+    specs = {"c(16)": circulant_from_c(16, seeded_c(16, 16)),
+             "c(36)": circulant_from_c(36, seeded_c(36, 36)),
+             "c(37)": circulant_from_c(37, seeded_c(37, 37)),
+             "c(40)": circulant_from_c(40, seeded_c(40, 40)),
+             "c(85)": circulant_from_c(85, seeded_c(85, 85)),
+             "nondense(7,13)": nondense_circulant(7, 13),
+             "hermitian(32,12)": hermitian_spec(32, 12, 1)}
+    for spec in specs.values():
+        passes.append(0)
+        circulant_eigensystem(spec)
+    assert dict(zip(specs, passes)) == {"c(16)": 1, "c(36)": 1, "c(37)": 1, "c(40)": 2,
+                                        "c(85)": 2, "nondense(7,13)": 2, "hermitian(32,12)": 2}
+
+
+def test_gather_memory_stays_within_its_blocks():
+    # At n = L = 256, n*L is BLOCK_ELEMENTS, and an unblocked one-pass gather
+    # would hold n^2 * L int64s (128 MiB).  The call holds a few n x L arrays
+    # at once ([A A], C or V, the float copy that reduce_exponent_rows
+    # multiplies) and one block of at most BLOCK_ELEMENTS entries: under 8
+    # such arrays of 8-byte entries.
+    spec = circulant_from_c(256, seeded_c(256, 256))
+    assert spec.n * math.lcm(spec.n, spec.conductor) == spectra.BLOCK_ELEMENTS
+    expected = circulant_eigensystem(spec)  # warm: R_n and F_n are cached
+    tracemalloc.start()
+    try:
+        es = circulant_eigensystem(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert es.exact_lambdas == expected.exact_lambdas
+    assert peak < 8 * spectra.BLOCK_ELEMENTS * 8, peak
 
 
 def test_two_prime_circulants_match_the_reference():

@@ -8,7 +8,7 @@ import pytest
 
 from field_reference import Cyc, rational, zeta
 from upst import constructors
-from upst.cyclotomic import CycNum, cyc_from_rows
+from upst.cyclotomic import CycNum, cyc_from_rows, exact_int_dtype, reduce_exponent_rows
 from upst.graph import circulant_to_graph, is_connected_circulant, with_diagonal_shift
 from upst.spectra import circulant_eigensystem, eigenvalue_steps, is_type_ii
 from upst.constructors import (
@@ -285,6 +285,26 @@ def test_closed_form_inverse_times_its_argument_is_one():
         rows = cyc_from_rows(n, _coefficient_rows(n, [0] * n), [n] * n)
         for e in range(1, n):
             assert rows[-e % n] * (zeta(n, e) - 1) == one, (n, e)
+
+
+def scatter_coefficient_rows(n, c):
+    """_coefficient_rows as it was built, by a 2-D np.add.at."""
+    j = np.arange(1, n)[:, np.newaxis]
+    k = np.arange(n)
+    m = n // (g := np.gcd(j, n))
+    dtype = exact_int_dtype(n * (n + sum(map(abs, c))))
+    v = np.zeros((n, n), dtype=dtype)
+    np.add.at(v, (j, -j * k % n), (np.where(k < m, k, 0) + m * np.array(c, dtype=dtype)) * g)
+    return reduce_exponent_rows(n, v)
+
+
+def test_coefficient_rows_match_the_2d_scatter():
+    rng = np.random.default_rng(45)
+    for n in [*range(2, 41), 64, 85, 128]:
+        for bound in (9, 2**40, 2**62):
+            c = [int(v) for v in rng.integers(-bound, bound + 1, size=n)]
+            w, expected = _coefficient_rows(n, c), scatter_coefficient_rows(n, c)
+            assert w.dtype == expected.dtype and w.tolist() == expected.tolist(), (n, bound)
 
 
 def is_plain_coefficient(x, n, c, j):

@@ -76,19 +76,16 @@ def test_cyclotomic_polynomial_degree_is_phi():
 
 
 def test_cyclotomic_polynomials_multiply_to_x_pow_n_minus_1():
-    # prod_{d | n} Phi_d = x^n - 1, checked as exact integer polynomials
-    for n in (6, 12, 15):
-        prod = [1]
+    # prod_{d | n} Phi_d = x^n - 1, checked as exact integer polynomials; for
+    # every n up to 400 this fixes each Phi_n as the quotient of x^n - 1 by
+    # the Phi_d of the proper divisors d
+    for n in range(1, 401):
+        prod = np.array([1], dtype=object)
         for d in range(1, n + 1):
             if n % d == 0:
-                phi_d = cyclotomic_polynomial(d)
-                new = [0] * (len(prod) + len(phi_d) - 1)
-                for i, p in enumerate(prod):
-                    for j, q in enumerate(phi_d):
-                        new[i + j] += p * q
-                prod = new
+                prod = np.convolve(prod, np.array(cyclotomic_polynomial(d), dtype=object))
         expected = [-1] + [0] * (n - 1) + [1]
-        assert prod == expected
+        assert prod.tolist() == expected, n
 
 
 def test_primitive_root_is_a_root_of_phi_n():
@@ -246,7 +243,7 @@ def reference_reduction_matrix(n):
 
 
 def test_reduction_matrix_equals_the_row_by_row_build():
-    for n in range(1, 101):
+    for n in range(1, 301):
         r, growth = _reduction_matrix(n)
         expected, expected_growth = reference_reduction_matrix(n)
         assert (r.dtype, r.tolist(), growth) == (expected.dtype, expected.tolist(), expected_growth)
