@@ -24,7 +24,7 @@ from .constructors import (
 )
 from .graph import HermitianGraph, circulant_to_graph, is_connected_circulant, with_diagonal_shift
 from .serialize import graph_to_json, load_graph, report_to_json
-from .spectra import EigenSystem, circulant_eigensystem, is_type_ii
+from .spectra import EigenSystem, is_type_ii
 from .walk import TransferReport, denseness_check, transfer_table, verify_upst
 
 CHECK_NAMES = ("upst", "spacing", "dense", "typeii", "connectivity")
@@ -82,12 +82,13 @@ def _require_int(desc: dict, key: str) -> int:
 
 def build_from_descriptor(
     desc: dict, shift: Optional[Fraction] = None
-) -> tuple[HermitianGraph, EigenSystem, dict]:
+) -> tuple[HermitianGraph, Optional[EigenSystem], dict]:
     """Instantiate a graph family from its JSON descriptor.
 
-    Returns (graph, eigensystem, descriptor-with-shift-recorded).  Circulant
-    shifts stay exact in the spec; the non-circulant family shifts the float
-    matrix, the offset and the exact eigenvalue list.
+    Returns (graph, eigensystem, descriptor-with-shift-recorded), no eigensystem
+    for a circulant, which load_graph solves exactly.  Circulant shifts stay exact
+    in the spec; the non-circulant family shifts the float matrix, the offset and
+    the exact eigenvalue list.
     """
     family = desc.get("family")
     if family not in FAMILIES:
@@ -118,8 +119,7 @@ def build_from_descriptor(
     if spec is not None:
         if shift is not None:
             spec = with_diagonal_shift(spec, shift)
-        graph = circulant_to_graph(spec)
-        es = circulant_eigensystem(spec)
+        graph, es = circulant_to_graph(spec), None
     out_desc = dict(desc)
     if shift is not None:
         out_desc["shift"] = str(shift)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .cyclotomic import exact_int_dtype, reduce_exponent_rows
 from .graph import CirculantSpec, HermitianGraph, is_connected_circulant
-from .spectra import EigenSystem, is_type_ii
+from .spectra import EigenSystem, exponent_matrix, is_type_ii
 
 __all__ = [
     "NoncirculantParams",
@@ -70,7 +70,7 @@ def _flat_assembly(
     n = params.n
     bn = params.beta * n
     rows, cols = (theta(d, params.beta, np.arange(n)) for d in (params.a, params.b))
-    x = np.exp(2j * np.pi * (rows[:, np.newaxis] * cols) / bn) / math.sqrt(n)
+    x = exponent_matrix(bn, rows, cols)
     if not is_type_ii(x):
         raise ArithmeticError("construction produced a diagonalizer that is not a flat unitary")
     lambdas = np.array(eigens, dtype=float)
@@ -78,7 +78,8 @@ def _flat_assembly(
     adj = (adj + adj.conj().T) / 2
     graph = HermitianGraph(n=n, adjacency=adj)
     offset = Fraction(sum(eigens), n)
-    return graph, EigenSystem(n, x, lambdas - float(offset), tuple(eigens), offset)
+    return graph, EigenSystem(n, x, lambdas - float(offset), tuple(eigens), offset,
+                              exponents=(bn, rows, cols))
 
 
 def noncirculant_graph(params: NoncirculantParams) -> tuple[HermitianGraph, EigenSystem]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cyclotomic import check_degree
 from .graph import CirculantSpec, HermitianGraph, circulant_to_graph, validate_hermitian
-from .spectra import EigenSystem, eigensystem_for
+from .spectra import EigenSystem, eigensystem_for, exponent_matrix
 from .walk import TransferReport
 
 GRAPH_FORMAT = "upst-graph"
@@ -36,11 +36,16 @@ def _json_int(value, name: str) -> int:
     return value
 
 
-def _rational_pair(pair) -> tuple[int, int]:
-    """A [numerator, denominator] pair of JSON integers, the second nonzero."""
-    if type(pair) is not list or len(pair) != 2 or not _json_int(pair[1], "rational denominator"):
-        raise ValueError("rational %r is not [numerator, nonzero denominator]" % (pair,))
-    return _json_int(pair[0], "rational numerator"), pair[1]
+def _rational_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators and denominators, object arrays of ints, of a list of
+    [numerator, denominator] pairs of JSON integers, each denominator nonzero."""
+    if type(pairs) is not list or set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
+        raise ValueError("rational %.80r is not [numerator, nonzero denominator]" % (pairs,))
+    if set(map(type, flat := list(chain.from_iterable(pairs)))) - {int}:  # see _json_int
+        raise ValueError("rational entries must be JSON integers in %.80r" % (pairs,))
+    if not all(flat[1::2]):
+        raise ValueError("rational with denominator 0 in %.80r" % (pairs,))
+    return np.array(flat[::2], dtype=object), np.array(flat[1::2], dtype=object)
 
 
 def _json_numbers(values, name: str):
@@ -86,21 +91,24 @@ def spec_from_json(data: dict) -> CirculantSpec:
     euler_phi for a huge conductor), mixed conductors or a spec CirculantSpec refuses;
     KeyError or TypeError on a missing or mistyped field (see graph_from_json)."""
     n = _json_int(data["n"], "circulant order")
-    conductors, rows = set(), []
-    for x in data["a"]:
+    conductors, rows = set(), [x["coeffs"] for x in data["a"]]
+    for x, row in zip(data["a"], rows):
         conductors.add(_json_int(x["n"], "conductor"))
-        rows.append([_rational_pair(pair) for pair in x["coeffs"]])
-        check_degree(x["n"], len(rows[-1]))
+        check_degree(x["n"], len(row))
     if len(conductors) > 1:
         raise ValueError("coefficients mix conductors %s" % sorted(conductors))
-    den = math.lcm(*(abs(q) for row in rows for _, q in row))
-    w = [[p * (den // q) for p, q in row] for row in rows]
+    num, q = _rational_pairs(list(chain.from_iterable(rows)))
+    den = math.lcm(*set(map(abs, q.tolist())))
+    w = (num * (den // q)).reshape(len(rows), -1)
     return CirculantSpec.from_rows(n, conductors.pop() if conductors else 1, w, den)
 
 
 def eigensystem_to_json(es: EigenSystem) -> dict:
+    # X as its exponents (N, r, c) where they describe it, else as a matrix
+    head = {"X": matrix_to_json(es.X)} if es.exponent_keys is None else {"exponents": dict(
+        N=int(es.exponents[0]), r=es.exponents[1].tolist(), c=es.exponents[2].tolist())}
     return {
-        "X": matrix_to_json(es.X),
+        **head,
         "lambdas": es.eigenvalues.tolist(),
         "exact_lambdas": None if es.exact_lambdas is None
         else [[v.numerator, v.denominator] for v in es.exact_lambdas],
@@ -108,17 +116,26 @@ def eigensystem_to_json(es: EigenSystem) -> dict:
 
 
 def eigensystem_from_json(data: dict) -> EigenSystem:
-    """errors: ValueError unless X is n x n, lambdas (and exact_lambdas, if
-    present) have length n, every entry is finite, every X and lambdas entry
-    is a JSON number and every exact_lambdas entry a rational pair; KeyError or
-    TypeError on a missing or mistyped field.  The lambdas are centred by their
-    mean, the offset; with exact_lambdas, both come from those, as floats of
-    1e16 + k lose k."""
-    x = matrix_from_json(data["X"])
+    """X is "X", or exponent_matrix of "exponents" {"N": N, "r": r, "c": c}, r and c
+    mod N.  errors: ValueError unless X is n x n, lambdas (and exact_lambdas, if
+    present) have length n, every entry is finite, every X and lambdas entry is a
+    JSON number, every exact_lambdas entry a rational pair and N, r and c JSON
+    integers, 0 < N <= 2^31 (r_w c_k fits an int64); KeyError or TypeError on a
+    missing or mistyped field.  The lambdas are centred by their mean, the offset;
+    with exact_lambdas, both come from those, as floats of 1e16 + k lose k."""
+    if "exponents" not in data:
+        exponents, x = None, matrix_from_json(data["X"])
+    else:
+        big_n = _json_int(data["exponents"]["N"], "exponent modulus N")
+        if not 0 < big_n <= 2**31:
+            raise ValueError("exponent modulus N = %d is not in 1 .. 2^31" % big_n)
+        exponents = big_n, *(np.array([_json_int(v, "exponent") % big_n for v in
+                                       data["exponents"][k]], dtype=np.int64) for k in "rc")
+        x = exponent_matrix(*exponents)
     n = x.shape[0]
     lambdas = np.array(_json_numbers(data["lambdas"], "lambdas"), dtype=float)
     exact = data.get("exact_lambdas")
-    exact_lambdas = None if exact is None else tuple(Fraction(*_rational_pair(v)) for v in exact)
+    exact_lambdas = None if exact is None else tuple(map(Fraction, *_rational_pairs(exact)))
     if x.shape != (n, n):
         raise ValueError("eigensystem X has shape %s, not n x n" % (x.shape,))
     for name, values in (("lambdas", lambdas), ("exact_lambdas", exact_lambdas)):
@@ -128,7 +145,7 @@ def eigensystem_from_json(data: dict) -> EigenSystem:
         raise ValueError("eigensystem contains non-finite entries")
     offset = float(np.mean(lambdas)) if exact is None else sum(exact_lambdas) / n
     centred = lambdas - offset if exact is None else [float(v - offset) for v in exact_lambdas]
-    return EigenSystem(n, x, np.asarray(centred), exact_lambdas, offset)
+    return EigenSystem(n, x, np.asarray(centred), exact_lambdas, offset, exponents=exponents)
 
 
 def graph_to_json(

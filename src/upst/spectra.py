@@ -36,7 +36,8 @@ class EigenSystem:
     irrational a_0), and centre lambdas.  For circulants X is the shared
     read-only Fourier matrix, in Fourier order; eigenvalues are never sorted.
     exact_lambdas (absolute) is present when every eigenvalue is rational,
-    else exact_rows (lambda_k - offset in Q(zeta_L)) on the exact route."""
+    else exact_rows (lambda_k - offset in Q(zeta_L)) on the exact route.
+    exponents (N, r, c) give X = exponent_matrix(N, r, c), unless stale (see exponent_keys)."""
 
     n: int
     X: np.ndarray
@@ -44,6 +45,7 @@ class EigenSystem:
     exact_lambdas: Optional[tuple[int | Fraction, ...]] = None
     offset: float | Fraction = 0
     exact_rows: Optional[CoordinateRows] = None
+    exponents: Optional[tuple[int, np.ndarray, np.ndarray]] = None
 
     @property
     def eigenvalues(self) -> np.ndarray:  # absolute, as floats
@@ -53,6 +55,18 @@ class EigenSystem:
     def canonical(self) -> np.ndarray:
         """canonicalize(X), built on first read and shared by every later one."""
         return canonicalize(self.X)
+
+    @functools.cached_property
+    def exponent_keys(self) -> Optional[np.ndarray]:
+        """(r_v - r_u) mod N at flat pair u*n + v if exponents (N, r, c) give X up to
+        eigenvector phases: n |X o conj(X[0]) - zeta_N^((r - r_0) (x) c)/n| <= UNITARITY_TOL,
+        rounding being N 2^-50 and a wrong exponent 2 sin(pi/N) (N < 6e10); else None."""
+        if self.exponents is not None:
+            big_n, r, c = self.exponents
+            z = self.X * self.X[0].conj() - exponent_matrix(big_n, r - r[0], c) / math.sqrt(self.n)
+            if self.n * abs(z).max() <= UNITARITY_TOL:
+                return ((r - r[:, np.newaxis]) % big_n).reshape(-1)
+        return None
 
 
 @dataclass(frozen=True)
@@ -65,13 +79,25 @@ class EigenvalueForm:
     c: tuple[int, ...]
 
 
+def exponent_matrix(big_n: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """zeta_N^(r_w c_k) / sqrt(n), n = len(r): the X of an EigenSystem's exponents."""
+    return np.exp(2j * np.pi * np.outer(r, c) / big_n) / math.sqrt(len(r))
+
+
+@functools.lru_cache(maxsize=None)
+def _fourier_exponents(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(n, j, j), j = 0 .. n-1 read-only: fourier_matrix(n)'s exponents, one per order."""
+    j = np.arange(n)
+    j.flags.writeable = False
+    return n, j, j
+
+
 @functools.lru_cache(maxsize=None)
 def fourier_matrix(n: int) -> np.ndarray:
     """The unitary F, entries zeta_n^(jk) / sqrt(n): one read-only array per order, shared."""
     if n < 1:
         raise ValueError("order must be positive, got %r" % (n,))
-    j = np.arange(n)
-    f = np.exp(2j * np.pi * np.outer(j, j) / n) / math.sqrt(n)
+    f = exponent_matrix(*_fourier_exponents(n))
     f.flags.writeable = False
     return f
 
@@ -137,7 +163,7 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
         p, q = offset.numerator, offset.denominator  # 0/1 for offset 0
         exact_lambdas = tuple(Fraction(c * q + p * den, den * q) for c in col)
         return EigenSystem(n, fourier_matrix(n), np.array([c / den for c in col]),
-                           exact_lambdas, offset)
+                           exact_lambdas, offset, exponents=_fourier_exponents(n))
     values = w.astype(float) @ np.exp(2j * np.pi * np.arange(w.shape[1]) / lcond) / den
     real = (power_map_rows(lcond, w, -1) == w).all(axis=1)
     if not real.all():
@@ -145,7 +171,8 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
         raise ArithmeticError("internal consistency failure: eigenvalue %d of a Hermitian "
                               "circulant came out non-real (imag %.3e)" % (k, values[k].imag))
     rows = CoordinateRows(lcond, tuple(map(tuple, w.tolist())), den)
-    return EigenSystem(n, fourier_matrix(n), values.real, None, offset, rows)
+    return EigenSystem(n, fourier_matrix(n), values.real, None, offset, rows,
+                       _fourier_exponents(n))
 
 
 def eigensystem_for(graph: HermitianGraph) -> EigenSystem:

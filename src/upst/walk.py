@@ -254,13 +254,23 @@ def grid_step(es: EigenSystem) -> float:
                TWO_PI / (3 * float(lam.max() - lam.min())))
 
 
+def _group(keys: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """(first, run), the flat pair opening each class and each flat pair's class:
+    the keys sorted once, a class opens where a key passes the one before by > gap."""
+    order = keys.argsort()
+    opens = np.concatenate(([True], np.diff(keys[order]) > gap))
+    run = np.empty(keys.size, dtype=np.intp)
+    run[order] = opens.cumsum() - 1
+    return order[opens], run
+
+
 def _row_classes(
     canonical: np.ndarray, d: np.ndarray, row_times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(first, run, bound, omega): the flat pair opening each class, each flat
-    pair's class and B_m (see scan_min_times), and omega[w, k] = e^{-i d_k
-    row_times[w]}, the angle's rounding put back from an extended product;
-    canonical is the canonical form of X (EigenSystem.canonical)."""
+    """(first, run, bound, omega): _group's classes of the time keys, B_m (see
+    scan_min_times; inf where the refitted period t_0 is not positive and
+    finite), and omega[w, k] = e^{-i d_k row_times[w]}, the angle's rounding put
+    back from an extended product; canonical is X's (EigenSystem.canonical)."""
     n = canonical.shape[0]
     z = math.sqrt(n) * canonical
     omega = _waves(row_times, d)
@@ -270,6 +280,8 @@ def _row_classes(
     phase = np.arctan2(dev.imag, dev.real)
     scaled, e = _scaled(d)  # the least-squares step, scaled as in grid_step
     t = row_times + np.ldexp(phase @ scaled / (scaled @ scaled), -e)
+    if not 0 < t[0] < math.inf:  # no period to key by: every pair is a class
+        return np.arange(n * n), np.arange(n * n), np.full(n * n, np.inf), omega
     shift, size = t - row_times, abs(d)  # the shift is exact
     # |rho e^{i phi} - 1| <= |rho - 1| + |phi| for the angle phi left by t;
     # row 0's z is real, so its phi is the wrap of d_k t_0
@@ -279,12 +291,7 @@ def _row_classes(
     e_mean, e_max = dev.sum(axis=1) / n + err, dev.max(axis=1) + err
     spread, wrap = size.sum() / n, phase[0].sum() / n + err[0] + 2.0**-50
     table = transfer_table(t).reshape(-1)
-    order = table.argsort()
-    keys, opens = table[order], np.ones(n * n, dtype=bool)
-    opens[1:] = (keys[1:] - keys[:-1]) * spread > ADMISSION_TOL
-    run = np.empty(n * n, dtype=np.intp)
-    run[order] = opens.cumsum() - 1
-    first = order[opens]
+    first, run = _group(table, ADMISSION_TOL / spread)
     rep = first[run]
     laps = np.rint((table - (t - t[:, np.newaxis]).reshape(-1)) / t[0])
     eta = (e_mean[:, np.newaxis] + e_mean + e_max[:, np.newaxis] * e_max).reshape(-1)
@@ -301,17 +308,20 @@ def scan_min_times(
     ... up to horizon, in one pass in time order.  The caller sizes the grid
     (verify_upst from the return period and grid_step), so return_period
     stays unset.  row_times are verify_upst's analytic times (P = row_times[0],
-    t_w for 0 -> w); they only sort pairs into classes, so a wrong vector
-    costs rescans, never a wrong time.
+    t_w for 0 -> w); without exponent keys they also sort pairs into classes,
+    so a wrong vector costs rescans, never a wrong time.
 
     Classes.  With d = lambda - lambda_0, pair m = (u, v) has U_m(t) = e^{-i
-    lambda_0 t} sum_k p_m,k e^{-i d_k t}, p_m,k = X[v,k] conj(X[u,k]).  It is
-    keyed by T_m = (t_v - t_u) mod P = t_v - t_u + j_m P (transfer_table, so
-    every diagonal pair at P); the n^2 keys are sorted once, a class opens
-    where a key passes the one before by more than ADMISSION_TOL / mean|d|,
-    and the grid scans each class's first pair r.  Let a_wk >= |Z[w,k] - 1|,
-    Z = sqrt(n) X o e^{-i d t_w} scaled by unit row and column phases to a
-    real first row and column, and e_w, f_w the mean and max of a_w over k.
+    lambda_0 t} sum_k p_m,k e^{-i d_k t}, p_m,k = X[v,k] conj(X[u,k]).  With
+    es.exponent_keys, X = zeta_N^{r (x) c} D/sqrt(n), D unit diagonal, so
+    p_m,k = zeta_N^{(r_v - r_u) c_k}/n: each key (r_v - r_u) mod N is one
+    curve, and a member takes its first pair's time and phase, with no bound
+    or test.  Else m is keyed by T_m = (t_v - t_u) mod P = t_v - t_u + j_m P
+    (transfer_table, so every diagonal pair at P), a class opens where a key
+    passes the one before by more than ADMISSION_TOL / mean|d| (_group), and
+    the grid scans each class's first pair r.  Let a_wk >= |Z[w,k] - 1|, Z =
+    sqrt(n) X o e^{-i d t_w} scaled by unit row and column phases to a real
+    first row and column, and e_w, f_w the mean and max of a_w over k.
     Then n p_m,k is a unit times e^{i d_k (t_v - t_u)} within a_vk + a_uk +
     a_vk a_uk, so for a unit s and all t, |U_m(t) - s U_r(t)| <= B_m =
     mean|d| |T_m - T_r| + |j_m - j_r| mean_k |e^{-i d_k P} - 1| + e_u + e_v +
@@ -377,11 +387,12 @@ def scan_min_times(
     themselves), pair_time_products (curve x time points), f64_hits (grid
     hits), clusters (runs of hits that open on the grid: left neighbour no
     hit), newton_rows (candidates evaluated), classes + members being n^2 on a
-    complete scan; and margin_min, the least 1 - |U(t_uv)| found (1 for none),
-    admission_max, the largest admitted B_m (0 for none), and confirm_margin,
-    the largest 1 - |U(T_m)| of all n^2 table amplitudes; margins are clamped
-    at 0.  Pairs with no confirmed peak keep NaN and are flagged in reasons.
-    The spectrum is one verify_upst has gated: n >= 2 distinct eigenvalues.
+    complete scan; class_keys, "exponents" or "times"; and margin_min, the
+    least 1 - |U(t_uv)| found (1 for none), admission_max, the largest
+    admitted B_m (0 for none), and confirm_margin, the largest 1 - |U(T_m)| of
+    all n^2 table amplitudes; margins are clamped at 0.  Pairs with no
+    confirmed peak keep NaN and are flagged in reasons.  The spectrum is one
+    verify_upst has gated: n >= 2 distinct eigenvalues.
     """
     n = es.n
     nsteps = max(0, int(math.ceil(horizon / step)))
@@ -390,34 +401,38 @@ def scan_min_times(
                        clusters=0, newton_rows=0)
     x, d = es.X, es.lambdas - es.lambdas[0]
     row_times = np.asarray(row_times, dtype=float)
-    first, run, bound, omega = _row_classes(es.canonical, d, row_times)
+    if exact := (keys := es.exponent_keys) is not None:
+        (first, run), bound, omega = _group(keys, 0), np.zeros(n * n), _waves(row_times, d)
+    else:
+        first, run, bound, omega = _row_classes(es.canonical, d, row_times)
     y = x * omega
     amp = (y.conj() @ y.T).reshape(-1)  # amp[u*n + v] at t_v - t_u
     amp[::n + 1] = np.square(abs(x)) @ omega[0]
-    at = (row_times - row_times[:, np.newaxis]).reshape(-1)
-    at[::n + 1] = row_times[0]
 
     flat_times, flat_phases = np.full(n * n, np.nan), np.zeros(n * n, dtype=complex)
     rep = first[run]
     member = rep != np.arange(n * n)
     admitted = member & (bound <= ADMISSION_TOL)
-    strict = abs(amp) >= 1 - PST_ENTRY_TOL
+    strict = exact | (abs(amp) >= 1 - PST_ENTRY_TOL)
     alone = (member & ~(admitted & strict)).nonzero()[0]
     scanned = np.concatenate((first, alone))
     flat_times[scanned], flat_phases[scanned] = _scan_pairs(
         x, scanned, d, nsteps, step, diagnostics)
     ok = admitted & strict & ~np.isnan(flat_times[rep])
     t_ok = flat_times[ok] = flat_times[rep[ok]]
-    lap = np.rint((t_ok - at[ok]) / row_times[0])
-    turn = (lap * np.arctan2(omega[0].imag, omega[0].real).sum()
-            - d.sum() * (t_ok - at[ok] - lap * row_times[0]))
     seen = ~np.isnan(flat_times)
     spin = -(float(es.offset) + es.lambdas[0]) * flat_times
-    spin[ok] += turn / n
-    flat_phases[ok] = amp[ok]
+    if not exact:  # a member's table amplitude, turned from its table time to its time
+        at = (row_times - row_times[:, np.newaxis]).reshape(-1)
+        at[::n + 1] = row_times[0]
+        lap = np.rint((t_ok - at[ok]) / row_times[0])
+        spin[ok] += (lap * np.arctan2(omega[0].imag, omega[0].real).sum()
+                     - d.sum() * (t_ok - at[ok] - lap * row_times[0])) / n
+    flat_phases[ok] = flat_phases[rep[ok]] if exact else amp[ok]
     flat_phases[seen] *= np.exp(1j * spin[seen])
     diagnostics.update(
         classes=scanned.size, member_rescans=alone.size, members=int(ok.sum()),
+        class_keys="exponents" if exact else "times",
         margin_min=max(0.0, float(np.minimum.reduce(1 - abs(flat_phases[seen]), initial=1.0))),
         admission_max=float(np.maximum.reduce(bound[admitted], initial=0.0)),
         confirm_margin=max(0.0, float(1 - abs(amp).min())))

@@ -1,6 +1,7 @@
 """Command-line front-end: generate | verify | times, exit codes, file formats."""
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -31,6 +32,7 @@ CIRC3_DESC = '{"family": "circulant_c", "n": 3, "c": [0, 1, 2]}'
 FLAT3_DESC = '{"family": "circulant_c", "n": 3, "c": [0, 0, 0]}'
 ND6_DESC = '{"family": "nondense", "p": 2, "q": 3}'
 NC_DESC = '{"family": "noncirculant", "a": 2, "b": 2, "beta": 3}'
+X_CIRC3, X_ND6, X_NC = (("X", desc) for desc in (CIRC3_DESC, ND6_DESC, NC_DESC))
 
 
 def run(argv, capsys):
@@ -49,6 +51,18 @@ def generate(tmp_path, capsys, desc, name, shift=None):
     return path
 
 
+def x_form_bundle(tmp_path, desc, name, shift=None):
+    """desc's bundle in the format without exponents: graph_to_json with its
+    eigensystem (the exact one for a circulant) stripped of its exponents, so
+    X is stored as a matrix, and a circulant bundle carries an eigensystem."""
+    graph, es, out_desc = build_from_descriptor(
+        json.loads(desc), None if shift is None else Fraction(shift))
+    es = dataclasses.replace(es or circulant_eigensystem(graph.spec), exponents=None)
+    path = tmp_path / name
+    path.write_text(json.dumps(graph_to_json(graph, es, out_desc)))
+    return str(path)
+
+
 # ----------------------------------------------------------------- generate
 
 def test_generate_emits_complete_bundle(capsys):
@@ -58,7 +72,8 @@ def test_generate_emits_complete_bundle(capsys):
     assert doc["format"] == "upst-graph"
     assert doc["n"] == 3
     assert doc["circulant"] is not None
-    assert doc["eigensystem"] is not None
+    # the loader solves a circulant exactly: its bundle stores no eigensystem
+    assert doc["eigensystem"] is None
     assert doc["descriptor"]["family"] == "circulant_c"
     a01 = doc["matrix"][0][1]
     a10 = doc["matrix"][1][0]
@@ -71,8 +86,8 @@ def test_generate_shifted_nondense_matches_exact_entries(tmp_path, capsys):
     row = [complex(re, im) for re, im in doc["matrix"][0]]
     expected = [2.5, 0.0, 1 - 1j / SQ3, 1.5, 1 + 1j / SQ3, 0.0]
     assert max(abs(r - e) for r, e in zip(row, expected)) < 1e-12
-    exact = [Fraction(num, den) for num, den in doc["eigensystem"]["exact_lambdas"]]
-    assert exact == [6, 1, 2, 3, 4, -1]
+    assert doc["eigensystem"] is None
+    assert list(load_graph(path)[1].exact_lambdas) == [6, 1, 2, 3, 4, -1]
     assert doc["descriptor"]["shift"] == "5/2"
 
 
@@ -366,10 +381,11 @@ def test_verify_detects_stale_exact_eigenvalues(tmp_path, capsys):
 
 
 def test_verify_detects_a_circulant_bundles_stale_eigensystem(tmp_path, capsys):
-    # the exact route certifies a circulant bundle, but its stored
-    # eigensystem is checked all the same
+    # the exact route certifies a circulant bundle, but the eigensystem a
+    # bundle without exponents stores is checked all the same
     desc = '{"family": "circulant_c", "n": 12, "c": [0, 3, -1, 0, 2, 5, 0, 1, 0, 0, 4, 7]}'
-    path = generate(tmp_path, capsys, desc, "c12.json")
+    path = x_form_bundle(tmp_path, desc, "c12.json")
+    assert run(["verify", path, "--checks", "upst,typeii"], capsys)[0] == 0
     doc = json.loads(Path(path).read_text())
     doc["eigensystem"]["X"] = [[[float(j == k), 0.0] for k in range(12)] for j in range(12)]
     doc["eigensystem"]["lambdas"] = [v + 1000 for v in doc["eigensystem"]["lambdas"]]
@@ -424,6 +440,52 @@ def test_every_generated_bundle_loads_past_the_eigensystem_check(tmp_path, capsy
     assert es.n == graph.n and es.exact_lambdas is not None
 
 
+@pytest.mark.parametrize("desc, shift, checks", [
+    (CIRC3_DESC, None, "upst,spacing,dense,typeii,connectivity"),
+    (ND6_DESC, "5/2", "upst,spacing,dense,typeii,connectivity"),
+    ('{"family": "circulant_c", "n": 12, "c": [0, 3, -1, 0, 2, 5, 0, 1, 0, 0, 4, 7]}', None,
+     "upst,spacing,dense,typeii,connectivity"),
+    (NC_DESC, None, "upst,spacing,typeii"),
+    (NC_DESC, "7/3", "upst,spacing,typeii"),
+    ('{"family": "noncirculant", "a": 4, "b": 3, "beta": 2}', None, "upst,spacing,typeii"),
+])
+def test_bundles_with_and_without_exponents_give_one_result(tmp_path, capsys, desc, shift, checks):
+    # the format without exponents (X a matrix, circulants with an
+    # eigensystem) still loads, to the same verdicts, checks and classes; a
+    # flat bundle's time keys and exponent keys may pick other first pairs,
+    # so times and phases agree to rounding
+    paths = (x_form_bundle(tmp_path, desc, "old.json", shift),
+             generate(tmp_path, capsys, desc, "new.json", shift))
+    old, new = (json.loads(Path(path).read_text()) for path in paths)
+    assert "X" in old["eigensystem"]
+    assert new["eigensystem"] is None or "X" not in new["eigensystem"]
+    outputs = []
+    for path in paths:
+        code, out, err = run(["verify", path, "--checks", checks], capsys)
+        assert code in (0, 1), err
+        doc = json.loads(out)
+        code, table, err = run(["times", path], capsys)
+        assert code == 0, err
+        rows = [line.split(",") for line in table.splitlines()]
+        outputs.append((doc, rows))
+    (old_doc, old_rows), (new_doc, new_rows) = outputs
+    assert old_doc["checks"] == new_doc["checks"] and old_doc["pass"] == new_doc["pass"]
+    a, b = old_doc["report"], new_doc["report"]
+    for key in ("upst", "circulant_timing", "dense", "reasons", "spacing_order"):
+        assert a[key] == b[key], key
+    for key in ("classes", "members", "member_rescans", "grid_points"):
+        assert a["diagnostics"][key] == b["diagnostics"][key], key
+    # a circulant is solved exactly from either bundle; a stored X has no exponents
+    assert b["diagnostics"]["class_keys"] == "exponents"
+    assert a["diagnostics"]["class_keys"] == ("times" if new["circulant"] is None else "exponents")
+    assert np.max(np.abs(np.array(a["min_times"]) - np.array(b["min_times"]))) <= 1e-12
+    assert np.max(np.abs(np.array(a["phases"]) - np.array(b["phases"]))) <= 1e-12
+    assert old_rows[0] == new_rows[0] and len(old_rows) == len(new_rows)
+    for x, y in zip(old_rows[1:], new_rows[1:]):
+        assert x[:2] == y[:2]
+        assert max(abs(float(p) - float(q)) for p, q in zip(x[2:], y[2:])) <= 1e-12
+
+
 def test_verify_rejects_unknown_check(tmp_path, capsys):
     path = generate(tmp_path, capsys, CIRC3_DESC, "c3.json")
     code, _, err = run(["verify", path, "--checks", "upst,chromatic"], capsys)
@@ -450,20 +512,20 @@ def test_verify_rejects_foreign_format_tag(tmp_path, capsys):
 @pytest.mark.parametrize(
     "desc, field, value, names",
     [
-        (CIRC3_DESC, ("eigensystem", "X"), DROP, "X"),
-        (CIRC3_DESC, ("eigensystem", "exact_lambdas", 0), 5, ""),
+        (X_CIRC3, ("eigensystem", "X"), DROP, "X"),
+        (X_CIRC3, ("eigensystem", "exact_lambdas", 0), 5, ""),
         (CIRC3_DESC, ("n",), [4], ""),
         (CIRC3_DESC, ("eigensystem",), [1], ""),
         (CIRC3_DESC, ("matrix", 1), 7, ""),
-        (NC_DESC, ("eigensystem", "X", 0, 0), [float("nan"), 0.0], "eigensystem"),
+        (X_NC, ("eigensystem", "X", 0, 0), [float("nan"), 0.0], "eigensystem"),
         (NC_DESC, ("eigensystem", "lambdas", 3), DROP, "eigensystem"),
         # bundle numbers must be JSON integers: int() would read 4.4 or "4"
         # as 4 and load a graph the file does not describe
         (ND6_DESC, ("circulant", "a", 2, "coeffs", 0), [4.4, 3], "malformed"),
         (ND6_DESC, ("circulant", "a", 2, "coeffs", 0), ["4", 3], "malformed"),
         (ND6_DESC, ("circulant", "a", 2, "coeffs", 0), [True, 1], "malformed"),
-        (ND6_DESC, ("eigensystem", "exact_lambdas", 0), [1.7, 1], "malformed"),
-        (ND6_DESC, ("eigensystem", "exact_lambdas", 0), [7, 2.0], "malformed"),
+        (X_ND6, ("eigensystem", "exact_lambdas", 0), [1.7, 1], "malformed"),
+        (X_ND6, ("eigensystem", "exact_lambdas", 0), [7, 2.0], "malformed"),
         (ND6_DESC, ("circulant", "n"), 6.9, "malformed"),
         (ND6_DESC, ("circulant", "a", 2, "n"), 6.0, "malformed"),
         (ND6_DESC, ("n",), 6.0, "malformed"),
@@ -471,19 +533,44 @@ def test_verify_rejects_foreign_format_tag(tmp_path, capsys):
         # booleans: float() would read "3.5" as 3.5 and true as 1.0
         (NC_DESC, ("matrix", 0, 0), ["3.5", 0], "malformed"),
         (NC_DESC, ("matrix", 0, 2), [-0.5, False], "malformed"),
-        (NC_DESC, ("eigensystem", "X", 0, 0), ["0.5", 0], "malformed"),
+        (X_NC, ("eigensystem", "X", 0, 0), ["0.5", 0], "malformed"),
         (NC_DESC, ("eigensystem", "lambdas", 1), "1", "malformed"),
         (NC_DESC, ("eigensystem", "lambdas", 1), True, "malformed"),
+        # exponents {"N": 12, "r": [0, 1, 6, 7], "c": [0, 1, 6, 7]}: N a JSON
+        # integer in 1 .. 2^31, r and c n JSON integers each, and X = zeta_N^(r c)
+        # / sqrt(n) diagonalizing the matrix
+        (NC_DESC, ("eigensystem", "exponents"), DROP, "X"),
+        (NC_DESC, ("eigensystem", "exponents", "N"), 12.0, "malformed"),
+        (NC_DESC, ("eigensystem", "exponents", "N"), "12", "malformed"),
+        (NC_DESC, ("eigensystem", "exponents", "N"), 0, "malformed"),
+        (NC_DESC, ("eigensystem", "exponents", "N"), -12, "malformed"),
+        (NC_DESC, ("eigensystem", "exponents", "N"), 2**40, "malformed"),
+        (NC_DESC, ("eigensystem", "exponents", "r", 3), DROP, "malformed"),
+        (NC_DESC, ("eigensystem", "exponents", "c", 3), DROP, "malformed"),
+        (NC_DESC, ("eigensystem", "exponents", "c"), [0, 1, 6, 7, 2], "malformed"),
+        (NC_DESC, ("eigensystem", "exponents", "r", 1), 1.0, "malformed"),
+        (NC_DESC, ("eigensystem", "exponents", "c", 2), True, "malformed"),
+        (NC_DESC, ("eigensystem", "exponents", "r"), "0167", "malformed"),
+        (NC_DESC, ("eigensystem", "exponents", "r", 1), 2, "diagonalize"),
+        (NC_DESC, ("eigensystem", "exponents", "N"), 24, "diagonalize"),
     ],
     ids=["eigensystem-without-X", "exact-lambda-not-a-pair", "n-as-list",
          "eigensystem-as-list", "matrix-row-not-a-list", "eigensystem-nan",
          "eigensystem-short-lambdas", "coeff-float", "coeff-string", "coeff-bool",
          "exact-lambda-float", "exact-lambda-float-denominator", "circulant-n-float",
          "cyclotomic-n-float", "graph-n-float", "matrix-string", "matrix-bool",
-         "x-string", "lambda-string", "lambda-bool"],
+         "x-string", "lambda-string", "lambda-bool",
+         "exponents-and-X-missing", "exponent-n-float", "exponent-n-string", "exponent-n-zero",
+         "exponent-n-negative", "exponent-n-huge", "exponent-r-short", "exponent-c-short",
+         "exponent-c-long", "exponent-r-float", "exponent-c-bool", "exponent-r-string",
+         "exponent-r-wrong", "exponent-n-wrong"],
 )
 def test_verify_rejects_malformed_bundles(tmp_path, capsys, desc, field, value, names):
-    path = generate(tmp_path, capsys, desc, "bundle.json")
+    # X_* bundles store X as a matrix (x_form_bundle), the others as generated
+    if isinstance(desc, tuple):
+        path = x_form_bundle(tmp_path, desc[1], "bundle.json")
+    else:
+        path = generate(tmp_path, capsys, desc, "bundle.json")
     doc = json.loads(Path(path).read_text())
     *parents, last = field
     node = doc

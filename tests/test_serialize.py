@@ -1,6 +1,7 @@
 """JSON persistence: strict matrix input, bit-exact round trips, exact
 circulant data, report tables."""
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -126,7 +127,8 @@ def test_round_trip_is_bit_exact(rows, cols, data):
 
 @pytest.mark.parametrize("entry", [[math.inf, 0.0], [0.0, -math.inf], [0.0, math.nan]])
 def test_eigensystem_with_non_finite_x_is_refused(entry):
-    es = circulant_eigensystem(nondense_circulant(2, 3))
+    # without exponents, X is stored as a matrix
+    es = dataclasses.replace(circulant_eigensystem(nondense_circulant(2, 3)), exponents=None)
     doc = json.loads(json.dumps(eigensystem_to_json(es)))
     assert np.array_equal(eigensystem_from_json(doc).X, es.X)
     doc["X"][2][3] = entry
