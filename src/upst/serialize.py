@@ -117,12 +117,13 @@ def eigensystem_to_json(es: EigenSystem) -> dict:
 
 def eigensystem_from_json(data: dict) -> EigenSystem:
     """X is "X", or exponent_matrix of "exponents" {"N": N, "r": r, "c": c}, r and c
-    mod N.  errors: ValueError unless X is n x n, lambdas (and exact_lambdas, if
-    present) have length n, every entry is finite, every X and lambdas entry is a
-    JSON number, every exact_lambdas entry a rational pair and N, r and c JSON
-    integers, 0 < N <= 2^31 (r_w c_k fits an int64); KeyError or TypeError on a
-    missing or mistyped field.  The lambdas are centred by their mean, the offset;
-    with exact_lambdas, both come from those, as floats of 1e16 + k lose k."""
+    mod N.  errors: ValueError unless, for n = len(lambdas), X is n x n, r, c (checked
+    first) and exact_lambdas (if present) have length n, every entry is finite, every
+    X and lambdas entry a JSON number, every exact_lambdas entry a rational pair and
+    N, r and c JSON integers, 0 < N <= 2^31 (r_w c_k fits an int64); KeyError or
+    TypeError on a missing or mistyped field.  The lambdas are centred by their mean,
+    the offset; with exact_lambdas, both come from those: floats of 1e16 + k lose k."""
+    n = len(lambdas := np.array(_json_numbers(data["lambdas"], "lambdas"), dtype=float))
     if "exponents" not in data:
         exponents, x = None, matrix_from_json(data["X"])
     else:
@@ -131,16 +132,15 @@ def eigensystem_from_json(data: dict) -> EigenSystem:
             raise ValueError("exponent modulus N = %d is not in 1 .. 2^31" % big_n)
         exponents = big_n, *(np.array([_json_int(v, "exponent") % big_n for v in
                                        data["exponents"][k]], dtype=np.int64) for k in "rc")
+        if not len(exponents[1]) == len(exponents[2]) == n:  # before an r x c allocation
+            raise ValueError("exponents r and c are not %d long each" % n)
         x = exponent_matrix(*exponents)
-    n = x.shape[0]
-    lambdas = np.array(_json_numbers(data["lambdas"], "lambdas"), dtype=float)
     exact = data.get("exact_lambdas")
     exact_lambdas = None if exact is None else tuple(map(Fraction, *_rational_pairs(exact)))
     if x.shape != (n, n):
-        raise ValueError("eigensystem X has shape %s, not n x n" % (x.shape,))
-    for name, values in (("lambdas", lambdas), ("exact_lambdas", exact_lambdas)):
-        if values is not None and len(values) != n:
-            raise ValueError("eigensystem has %d %s for n = %d" % (len(values), name, n))
+        raise ValueError("eigensystem X has shape %s for %d lambdas" % (x.shape, n))
+    if exact_lambdas is not None and len(exact_lambdas) != n:
+        raise ValueError("eigensystem has %d exact_lambdas for n = %d" % (len(exact_lambdas), n))
     if not (np.all(np.isfinite(x.view(float))) and np.all(np.isfinite(lambdas))):
         raise ValueError("eigensystem contains non-finite entries")
     offset = float(np.mean(lambdas)) if exact is None else sum(exact_lambdas) / n
@@ -184,13 +184,13 @@ def graph_from_json(data: dict) -> tuple[HermitianGraph, Optional[EigenSystem]]:
         if spec is not None and spec.n != n:
             raise ValueError("circulant order %d does not match n = %d" % (spec.n, n))
         es_data = data.get("eigensystem")
+        if es_data is not None and len(es_data["lambdas"]) != n:  # so X is n x n
+            raise ValueError("eigensystem order does not match n = %d" % n)
         es = None if es_data is None else eigensystem_from_json(es_data)
     except KeyError as exc:
         raise ValueError("graph file is missing field %s" % (exc,)) from exc
     except (TypeError, IndexError, ValueError) as exc:
         raise ValueError("malformed graph file: %s" % (exc,)) from exc
-    if es is not None and es.n != n:
-        raise ValueError("eigensystem order %d does not match n = %d" % (es.n, n))
     return HermitianGraph(n=n, adjacency=matrix, spec=spec), es
 
 

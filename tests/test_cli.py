@@ -33,6 +33,7 @@ FLAT3_DESC = '{"family": "circulant_c", "n": 3, "c": [0, 0, 0]}'
 ND6_DESC = '{"family": "nondense", "p": 2, "q": 3}'
 NC_DESC = '{"family": "noncirculant", "a": 2, "b": 2, "beta": 3}'
 X_CIRC3, X_ND6, X_NC = (("X", desc) for desc in (CIRC3_DESC, ND6_DESC, NC_DESC))
+LONG_EXPONENTS = {"N": 12, "r": [0] * 10**5, "c": [0] * 10**5}
 
 
 def run(argv, capsys):
@@ -553,6 +554,11 @@ def test_verify_rejects_foreign_format_tag(tmp_path, capsys):
         (NC_DESC, ("eigensystem", "exponents", "r"), "0167", "malformed"),
         (NC_DESC, ("eigensystem", "exponents", "r", 1), 2, "diagonalize"),
         (NC_DESC, ("eigensystem", "exponents", "N"), 24, "diagonalize"),
+        # long r and c on a 4-vertex graph are refused before X, len(r) x len(c),
+        # is built: 10^10 entries here
+        (NC_DESC, ("eigensystem", "exponents"), LONG_EXPONENTS, "malformed"),
+        (NC_DESC, ("eigensystem",), {"exponents": LONG_EXPONENTS, "lambdas": [0.0] * 10**5},
+         "malformed"),
     ],
     ids=["eigensystem-without-X", "exact-lambda-not-a-pair", "n-as-list",
          "eigensystem-as-list", "matrix-row-not-a-list", "eigensystem-nan",
@@ -563,7 +569,7 @@ def test_verify_rejects_foreign_format_tag(tmp_path, capsys):
          "exponents-and-X-missing", "exponent-n-float", "exponent-n-string", "exponent-n-zero",
          "exponent-n-negative", "exponent-n-huge", "exponent-r-short", "exponent-c-short",
          "exponent-c-long", "exponent-r-float", "exponent-c-bool", "exponent-r-string",
-         "exponent-r-wrong", "exponent-n-wrong"],
+         "exponent-r-wrong", "exponent-n-wrong", "exponents-long", "exponents-and-lambdas-long"],
 )
 def test_verify_rejects_malformed_bundles(tmp_path, capsys, desc, field, value, names):
     # X_* bundles store X as a matrix (x_form_bundle), the others as generated

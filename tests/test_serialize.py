@@ -137,6 +137,13 @@ def test_eigensystem_with_non_finite_x_is_refused(entry):
         eigensystem_from_json(doc)
 
 
+def test_exponents_longer_than_the_lambdas_are_refused_before_x_is_built():
+    # X would be 10^5 x 10^5; n is the number of lambdas, 3 here
+    doc = {"exponents": {"N": 3, "r": [0] * 10**5, "c": [0] * 10**5}, "lambdas": [0.0, 1.0, 2.0]}
+    with pytest.raises(ValueError, match="not 3 long"):
+        eigensystem_from_json(doc)
+
+
 # ------------------------------------------------------- exact circulant data
 
 def one_vertex_bundle(coeffs=None, exact_lambdas=None):
