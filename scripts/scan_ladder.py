@@ -2,7 +2,8 @@
 
 For each rung, flat(8,8,2) … flat(32,32,1), the wide-spread circulant
 circulant_from_c(3, [0, 0, 2000]) and the wide circulants circulant_from_c(n, c)
-for n = 6, 11, 12, c drawn from default_rng(1) in +-3e4 with c_0 = 0, it prints
+for n = 6, 11, 12, c drawn from default_rng(1) in +-3e4 with c_0 = 0 (with
+--eigh, these three again as wide(n)/eigh, on numerical_eigensystem), it prints
 n, the scan's grid_points, the wave chunk (the length of the base waves the scan
 hands to _grid_waves), pair_time_products, newton_rows, classes (curves
 scanned) and member_rescans, the minor page faults of one steady-state
@@ -12,7 +13,7 @@ warm-up.  Every run starts from a fresh copy of the eigensystem, so the
 canonical form is rebuilt each time.  BLAS runs on one thread, as in
 perfbench.  Exits 1 unless every rung certifies.
 
-usage: python3 scripts/scan_ladder.py [--max-n N] [--repeat 5]
+usage: python3 scripts/scan_ladder.py [--max-n N] [--repeat 5] [--eigh]
 """
 
 import argparse
@@ -37,7 +38,7 @@ from upst.constructors import (  # noqa: E402
     noncirculant_graph,
 )
 from upst.graph import circulant_to_graph  # noqa: E402
-from upst.spectra import circulant_eigensystem  # noqa: E402
+from upst.spectra import circulant_eigensystem, numerical_eigensystem  # noqa: E402
 
 FLAT_RUNGS = ((8, 8, 2), (16, 8, 1), (16, 16, 2), (32, 16, 2), (32, 32, 1))
 WIDE = (3, [0, 0, 2000])
@@ -51,8 +52,9 @@ def wide_c(n):
     return c.tolist()
 
 
-def rungs(max_n):
-    """(name, graph, eigensystem) for every rung with n <= max_n."""
+def rungs(max_n, eigh):
+    """(name, graph, eigensystem) for every rung with n <= max_n; with eigh, the
+    wide circulants again on numerical_eigensystem."""
     for params in FLAT_RUNGS:
         if max_n is None or NoncirculantParams(*params).n <= max_n:
             yield ("flat(%d,%d,%d)" % params, *noncirculant_graph(NoncirculantParams(*params)))
@@ -60,6 +62,10 @@ def rungs(max_n):
             ("wide(%d)" % n, circulant_from_c(n, wide_c(n))) for n in WIDE_ORDERS]:
         if max_n is None or spec.n <= max_n:
             yield name, circulant_to_graph(spec), circulant_eigensystem(spec)
+    for n in WIDE_ORDERS:
+        if eigh and (max_n is None or n <= max_n):
+            graph = circulant_to_graph(circulant_from_c(n, wide_c(n)))
+            yield "wide(%d)/eigh" % n, graph, numerical_eigensystem(graph.adjacency)
 
 
 def measure(graph, es, repeat):
@@ -91,6 +97,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--max-n", type=int, default=None, help="skip rungs with larger n")
     parser.add_argument("--repeat", type=int, default=5, help="timed runs per rung (>= 1)")
+    parser.add_argument("--eigh", action="store_true",
+                        help="add the wide circulants on the numerical eigensolve")
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
@@ -101,7 +109,7 @@ def main() -> int:
     print(header)
     print("-" * len(header))
     failed = []
-    for name, graph, es in rungs(args.max_n):
+    for name, graph, es in rungs(args.max_n, args.eigh):
         report, chunk, faults, times = measure(graph, es, args.repeat)
         d = report.diagnostics or {}
         print("%-26s %5d %8s %6s %12s %8s %7s %7s %7d %10.2f %10.2f" % (

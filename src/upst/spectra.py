@@ -59,12 +59,10 @@ class EigenSystem:
     @functools.cached_property
     def exponent_keys(self) -> Optional[np.ndarray]:
         """(r_v - r_u) mod N at flat pair u*n + v if exponents (N, r, c) give X up to
-        eigenvector phases: n |X o conj(X[0]) - zeta_N^((r - r_0) (x) c)/n| <= UNITARITY_TOL,
-        rounding being N 2^-50 and a wrong exponent 2 sin(pi/N) (N < 6e10); else None."""
+        eigenvector phases, n X o conj(X[0]) fitting (r - r_0, c) (fits_exponents); else None."""
         if self.exponents is not None:
             big_n, r, c = self.exponents
-            z = self.X * self.X[0].conj() - exponent_matrix(big_n, r - r[0], c) / math.sqrt(self.n)
-            if self.n * abs(z).max() <= UNITARITY_TOL:
+            if fits_exponents(self.n * self.X * self.X[0].conj(), big_n, r - r[0], c):
                 return ((r - r[:, np.newaxis]) % big_n).reshape(-1)
         return None
 
@@ -82,6 +80,19 @@ class EigenvalueForm:
 def exponent_matrix(big_n: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """zeta_N^(r_w c_k) / sqrt(n), n = len(r): the X of an EigenSystem's exponents."""
     return np.exp(2j * np.pi * np.outer(r, c) / big_n) / math.sqrt(len(r))
+
+
+def fits_exponents(z: np.ndarray, big_n: int, r: np.ndarray, c: np.ndarray) -> bool:
+    """Whether |z - zeta_N^(r (x) c)| <= UNITARITY_TOL on every entry, for int64 r and c
+    with |r_w c_k| < 2^63.  zeta_N^e = zeta_N^(m hi) zeta_N^lo, e = m hi + lo mod N and
+    m^2 >= N, from two tables of m roots: the rounding is about 2^-50, and a wrong
+    exponent is off by >= 2 sin(pi/N), past the bound for N <= 2^31.  So a passing
+    z = zeta_N^(r (x) c) + E, |E| <= UNITARITY_TOL."""
+    m = math.isqrt(big_n - 1) + 1
+    hi, lo = np.divmod(np.outer(r, c) % big_n, m)
+    roots = np.exp(2j * np.pi / big_n * np.arange(m))
+    zeta = np.exp(2j * np.pi / big_n * m * np.arange(m))[hi] * roots[lo]
+    return bool(abs(z - zeta).max() <= UNITARITY_TOL)
 
 
 @functools.lru_cache(maxsize=None)

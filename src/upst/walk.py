@@ -16,7 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import CirculantSpec, HermitianGraph
-from .spectra import BLOCK_ELEMENTS, UNITARITY_TOL, EigenSystem, eigenvalue_steps, is_type_ii
+from .spectra import (
+    BLOCK_ELEMENTS, UNITARITY_TOL, EigenSystem, eigenvalue_steps, fits_exponents,
+    integer_multiples, is_type_ii)
 
 PST_ENTRY_TOL = 1e-9
 TIME_AGREEMENT_TOL = 1e-8
@@ -24,7 +26,6 @@ DETECTION_THRESHOLD = 0.96  # on |U|^2; a candidate's evaluation applies the str
 DEGENERACY_TOL = 1e-10  # least eigenvalue gap over max|lambda|, see verify_upst
 STEP_MARGIN = 2.0**-16  # relative shrink of the derived grid step, see grid_step
 MAX_GRID_POINTS = 2**22  # largest grid verify_upst scans
-ADMISSION_TOL = 1e-10  # largest B_m for a pair to take its class's time, see scan_min_times
 
 TWO_PI = 2 * math.pi
 
@@ -254,51 +255,31 @@ def grid_step(es: EigenSystem) -> float:
                TWO_PI / (3 * float(lam.max() - lam.min())))
 
 
-def _group(keys: np.ndarray, gap: float) -> tuple[np.ndarray, np.ndarray]:
+def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, run), the flat pair opening each class and each flat pair's class:
-    the keys sorted once, a class opens where a key passes the one before by > gap."""
-    order = keys.argsort()
-    opens = np.concatenate(([True], np.diff(keys[order]) > gap))
+    the integer keys sorted once (stable, so a class opens at its least pair)."""
+    order = keys.argsort(kind="stable")
+    opens = np.concatenate(([True], np.diff(keys[order]) != 0))
     run = np.empty(keys.size, dtype=np.intp)
     run[order] = opens.cumsum() - 1
     return order[opens], run
 
 
-def _row_classes(
+def _generator_keys(
     canonical: np.ndarray, d: np.ndarray, row_times: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(first, run, bound, omega): _group's classes of the time keys, B_m (see
-    scan_min_times; inf where the refitted period t_0 is not positive and
-    finite), and omega[w, k] = e^{-i d_k row_times[w]}, the angle's rounding put
-    back from an extended product; canonical is X's (EigenSystem.canonical)."""
-    n = canonical.shape[0]
-    z = math.sqrt(n) * canonical
-    omega = _waves(row_times, d)
-    omega *= 1 - 1j * (row_times.astype(np.longdouble)[:, np.newaxis] * d
-                       - row_times[:, np.newaxis] * d).astype(float)
-    dev = z * omega
-    phase = np.arctan2(dev.imag, dev.real)
-    scaled, e = _scaled(d)  # the least-squares step, scaled as in grid_step
-    t = row_times + np.ldexp(phase @ scaled / (scaled @ scaled), -e)
-    if not 0 < t[0] < math.inf:  # no period to key by: every pair is a class
-        return np.arange(n * n), np.arange(n * n), np.full(n * n, np.inf), omega
-    shift, size = t - row_times, abs(d)  # the shift is exact
-    # |rho e^{i phi} - 1| <= |rho - 1| + |phi| for the angle phi left by t;
-    # row 0's z is real, so its phi is the wrap of d_k t_0
-    phase = abs(phase - shift[:, np.newaxis] * d)
-    dev = abs(abs(dev) - 1) + phase
-    err = 2.0**-53 * size.max() * abs(shift)
-    e_mean, e_max = dev.sum(axis=1) / n + err, dev.max(axis=1) + err
-    spread, wrap = size.sum() / n, phase[0].sum() / n + err[0] + 2.0**-50
-    table = transfer_table(t).reshape(-1)
-    first, run = _group(table, ADMISSION_TOL / spread)
-    rep = first[run]
-    laps = np.rint((table - (t - t[:, np.newaxis]).reshape(-1)) / t[0])
-    eta = (e_mean[:, np.newaxis] + e_mean + e_max[:, np.newaxis] * e_max).reshape(-1)
-    eps = 2.0**-51 + 2 * float(np.finfo(np.longdouble).eps)
-    bound = (spread * abs(table - table[rep]) + abs(laps - laps[rep]) * wrap
-             + eta + eta[rep] + eps * spread * abs(t).max() + 2.0**-47)
-    return first, run, bound, omega
+) -> Optional[np.ndarray]:
+    """(a_v - a_u) mod N at flat pair u*n + v, a_w/N = t_w/P read off row_times by
+    integer_multiples (P = t_0, so its multiple is N) and D = rint(d P/2 pi), if
+    sqrt(n) canonical fits (a, D) mod N (fits_exponents); else None."""
+    if not (row_times > 0).all() or (lifted := integer_multiples(row_times.tolist())) is None:
+        return None
+    big_n, steps = lifted[1][0], np.rint(d * (row_times[0] / TWO_PI))
+    if big_n > 2**31 or not abs(steps).max() < 2**53:
+        return None
+    a = np.array([m % big_n for m in lifted[1]])
+    if not fits_exponents(math.sqrt(a.size) * canonical, big_n, a, steps.astype(np.int64) % big_n):
+        return None
+    return ((a - a[:, np.newaxis]) % big_n).astype(np.min_scalar_type(big_n)).reshape(-1)
 
 
 def scan_min_times(
@@ -308,35 +289,29 @@ def scan_min_times(
     ... up to horizon, in one pass in time order.  The caller sizes the grid
     (verify_upst from the return period and grid_step), so return_period
     stays unset.  row_times are verify_upst's analytic times (P = row_times[0],
-    t_w for 0 -> w); without exponent keys they also sort pairs into classes,
-    so a wrong vector costs rescans, never a wrong time.
+    t_w for 0 -> w); besides the table amplitudes they only propose which
+    pairs share a curve, and X decides, so a wrong vector costs a scan of
+    every pair, never a wrong time.
 
     Classes.  With d = lambda - lambda_0, pair m = (u, v) has U_m(t) = e^{-i
-    lambda_0 t} sum_k p_m,k e^{-i d_k t}, p_m,k = X[v,k] conj(X[u,k]).  With
-    es.exponent_keys, X = zeta_N^{r (x) c} D/sqrt(n), D unit diagonal, so
-    p_m,k = zeta_N^{(r_v - r_u) c_k}/n: each key (r_v - r_u) mod N is one
-    curve, and a member takes its first pair's time and phase, with no bound
-    or test.  Else m is keyed by T_m = (t_v - t_u) mod P = t_v - t_u + j_m P
-    (transfer_table, so every diagonal pair at P), a class opens where a key
-    passes the one before by more than ADMISSION_TOL / mean|d| (_group), and
-    the grid scans each class's first pair r.  Let a_wk >= |Z[w,k] - 1|, Z =
-    sqrt(n) X o e^{-i d t_w} scaled by unit row and column phases to a real
-    first row and column, and e_w, f_w the mean and max of a_w over k.
-    Then n p_m,k is a unit times e^{i d_k (t_v - t_u)} within a_vk + a_uk +
-    a_vk a_uk, so for a unit s and all t, |U_m(t) - s U_r(t)| <= B_m =
-    mean|d| |T_m - T_r| + |j_m - j_r| mean_k |e^{-i d_k P} - 1| + e_u + e_v +
-    f_u f_v + e_u' + e_v' + f_u' f_v' + (2^-51 + 2 eps) mean|d| max|t_w| +
-    2^-47, r = (u', v'); the last two terms bound the float rounding of the
-    keys, of the angles d_k t_w (computed to eps, the extended precision) and
-    of the unit-scale arithmetic.  Any t_w make a valid bound; _row_classes
-    moves each by one least-squares step on its angle residuals first.  A
-    member with B_m <= ADMISSION_TOL takes r's time if its own table amplitude
-    passes |U| >= 1 - PST_ENTRY_TOL; otherwise it is scanned by itself, in the
-    classes' grid pass, as both tests precede the scan.  One GEMM gives every
-    table amplitude: with Y = X o e^{-i d t_w}, (Y Y^dagger)[v, u] = sum_k p_m,k
+    lambda_0 t} sum_k p_m,k e^{-i d_k t}, p_m,k = X[v,k] conj(X[u,k]).  A
+    flat X with UPST has rows rho_w = s_w D mod 1 (transfer_table), s_w =
+    t_w/P = a_w/N rational; _generator_keys lifts a and N from row_times
+    with integer_multiples and D_k = rint(d_k P/2 pi), and keeps them only if
+    sqrt(n) es.canonical fits zeta_N^(a (x) D) within UNITARITY_TOL = delta
+    on every entry (fits_exponents, one n^2 check).  X = S^-1 es.canonical
+    C^-1, S and C unit diagonals, so p_m,k = f_m (zeta_N^((a_v - a_u) D_k)
+    + F_m,k)/n with |F_m,k| <= 2 delta + delta^2 and row factor f_m =
+    conj(S_v) S_u = unit(X[v,0] conj(X[u,0])).  So two pairs m, r of one key
+    (a_v - a_u) mod N have |U_m(t)/f_m - U_r(t)/f_r| <= 4 delta + 2 delta^2 at
+    every t: one curve within the check's bound.  The grid scans each
+    class's first pair r (_group), and a member takes r's time, with r's
+    phase turned by f_m/f_r, so switched and eigh inputs keep each pair's own
+    amplitude.  If the lift or its check fails (integer_multiples finds no
+    N, N > 2^31, a row time is not positive and finite), every pair is its
+    own class: sound, and n^2 curves to scan.  One GEMM gives every table
+    amplitude: with Y = X o e^{-i d t_w}, (Y Y^dagger)[v, u] = sum_k p_m,k
     e^{-i d_k (t_v - t_u)}, and the diagonal's at P is |X|^2 e^{-i d P}.
-    A member's phase is its amplitude turned to its time t to first order: by
-    e^{-i mean(d) s}, s = t - T_m, and by e^{-i j_m mean_k (d_k P mod 2 pi)}.
 
     The grid is walked in blocks of BLOCK_ELEMENTS // max(live curves, n)
     time points, each read with one grid point beyond either edge, so a
@@ -382,15 +357,14 @@ def scan_min_times(
     the rounding of an evaluation (about n 2^-52).
 
     diagnostics holds grid_step, horizon, grid_points, the integer counts
-    classes (curves scanned, members scanned by themselves included), members
-    (pairs that took their class's time), member_rescans (members scanned by
-    themselves), pair_time_products (curve x time points), f64_hits (grid
-    hits), clusters (runs of hits that open on the grid: left neighbour no
-    hit), newton_rows (candidates evaluated), classes + members being n^2 on a
-    complete scan; class_keys, "exponents" or "times"; and margin_min, the
-    least 1 - |U(t_uv)| found (1 for none), admission_max, the largest
-    admitted B_m (0 for none), and confirm_margin, the largest 1 - |U(T_m)| of
-    all n^2 table amplitudes; margins are clamped at 0.  Pairs with no
+    classes (curves scanned), members (pairs that took their class's time),
+    member_rescans (always 0, kept for the report format), pair_time_products
+    (curve x time points), f64_hits (grid hits), clusters (runs of hits that
+    open on the grid: left neighbour no hit), newton_rows (candidates
+    evaluated), classes + members being n^2 on a complete scan; class_keys,
+    "generators" (lifted) or "pairs" (the fallback); and margin_min, the least
+    1 - |U(t_uv)| found (1 for none), and confirm_margin, the largest 1 -
+    |U(T_m)| of all n^2 table amplitudes; margins are clamped at 0.  Pairs with no
     confirmed peak keep NaN and are flagged in reasons.  The spectrum is one
     verify_upst has gated: n >= 2 distinct eigenvalues.
     """
@@ -401,40 +375,27 @@ def scan_min_times(
                        clusters=0, newton_rows=0)
     x, d = es.X, es.lambdas - es.lambdas[0]
     row_times = np.asarray(row_times, dtype=float)
-    if exact := (keys := es.exponent_keys) is not None:
-        (first, run), bound, omega = _group(keys, 0), np.zeros(n * n), _waves(row_times, d)
-    else:
-        first, run, bound, omega = _row_classes(es.canonical, d, row_times)
+    keys = _generator_keys(es.canonical, d, row_times)
+    first, run = _group(keys) if keys is not None else (np.arange(n * n),) * 2
+    omega = _waves(row_times, d)
     y = x * omega
     amp = (y.conj() @ y.T).reshape(-1)  # amp[u*n + v] at t_v - t_u
     amp[::n + 1] = np.square(abs(x)) @ omega[0]
 
     flat_times, flat_phases = np.full(n * n, np.nan), np.zeros(n * n, dtype=complex)
-    rep = first[run]
-    member = rep != np.arange(n * n)
-    admitted = member & (bound <= ADMISSION_TOL)
-    strict = exact | (abs(amp) >= 1 - PST_ENTRY_TOL)
-    alone = (member & ~(admitted & strict)).nonzero()[0]
-    scanned = np.concatenate((first, alone))
-    flat_times[scanned], flat_phases[scanned] = _scan_pairs(
-        x, scanned, d, nsteps, step, diagnostics)
-    ok = admitted & strict & ~np.isnan(flat_times[rep])
-    t_ok = flat_times[ok] = flat_times[rep[ok]]
+    flat_times[first], flat_phases[first] = _scan_pairs(x, first, d, nsteps, step, diagnostics)
+    member = (first[run] != np.arange(n * n)).nonzero()[0]
+    rep = first[run[member]]
+    unit = np.exp(1j * np.arctan2(x[:, 0].imag, x[:, 0].real))
+    turn = (unit * unit.conj()[:, np.newaxis]).reshape(-1)  # unit_v conj(unit_u) at u*n + v
+    flat_times[member] = flat_times[rep]
+    flat_phases[member] = flat_phases[rep] * turn[member] * turn[rep].conj()
     seen = ~np.isnan(flat_times)
-    spin = -(float(es.offset) + es.lambdas[0]) * flat_times
-    if not exact:  # a member's table amplitude, turned from its table time to its time
-        at = (row_times - row_times[:, np.newaxis]).reshape(-1)
-        at[::n + 1] = row_times[0]
-        lap = np.rint((t_ok - at[ok]) / row_times[0])
-        spin[ok] += (lap * np.arctan2(omega[0].imag, omega[0].real).sum()
-                     - d.sum() * (t_ok - at[ok] - lap * row_times[0])) / n
-    flat_phases[ok] = flat_phases[rep[ok]] if exact else amp[ok]
-    flat_phases[seen] *= np.exp(1j * spin[seen])
+    flat_phases[seen] *= np.exp(-1j * (float(es.offset) + es.lambdas[0]) * flat_times[seen])
     diagnostics.update(
-        classes=scanned.size, member_rescans=alone.size, members=int(ok.sum()),
-        class_keys="exponents" if exact else "times",
+        classes=first.size, members=int(seen.sum()) - int(seen[first].sum()),
+        class_keys="pairs" if keys is None else "generators",
         margin_min=max(0.0, float(np.minimum.reduce(1 - abs(flat_phases[seen]), initial=1.0))),
-        admission_max=float(np.maximum.reduce(bound[admitted], initial=0.0)),
         confirm_margin=max(0.0, float(1 - abs(amp).min())))
     return TransferReport(n, flat_times.reshape(n, n), flat_phases.reshape(n, n),
                           reasons=() if seen.all() else ("scan-missing-pairs",),

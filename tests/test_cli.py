@@ -452,9 +452,9 @@ def test_every_generated_bundle_loads_past_the_eigensystem_check(tmp_path, capsy
 ])
 def test_bundles_with_and_without_exponents_give_one_result(tmp_path, capsys, desc, shift, checks):
     # the format without exponents (X a matrix, circulants with an
-    # eigensystem) still loads, to the same verdicts, checks and classes; a
-    # flat bundle's time keys and exponent keys may pick other first pairs,
-    # so times and phases agree to rounding
+    # eigensystem) still loads, to the same verdicts, checks and classes;
+    # the two X differ in their last bits, so times and phases agree to
+    # rounding
     paths = (x_form_bundle(tmp_path, desc, "old.json", shift),
              generate(tmp_path, capsys, desc, "new.json", shift))
     old, new = (json.loads(Path(path).read_text()) for path in paths)
@@ -476,9 +476,8 @@ def test_bundles_with_and_without_exponents_give_one_result(tmp_path, capsys, de
         assert a[key] == b[key], key
     for key in ("classes", "members", "member_rescans", "grid_points"):
         assert a["diagnostics"][key] == b["diagnostics"][key], key
-    # a circulant is solved exactly from either bundle; a stored X has no exponents
-    assert b["diagnostics"]["class_keys"] == "exponents"
-    assert a["diagnostics"]["class_keys"] == ("times" if new["circulant"] is None else "exponents")
+    # either X, stored or built from exponents, is keyed by the row solve's generators
+    assert a["diagnostics"]["class_keys"] == b["diagnostics"]["class_keys"] == "generators"
     assert np.max(np.abs(np.array(a["min_times"]) - np.array(b["min_times"]))) <= 1e-12
     assert np.max(np.abs(np.array(a["phases"]) - np.array(b["phases"]))) <= 1e-12
     assert old_rows[0] == new_rows[0] and len(old_rows) == len(new_rows)

@@ -61,7 +61,7 @@ def test_spacing_sweep_runs():
 
 def test_scan_ladder_runs_the_small_rungs():
     # flat(8,8,2) and the four circulants: about 1.6 s with one timed run each,
-    # the wide circulants scanning one curve per exponent class
+    # the wide circulants scanning one curve per generator class
     start = time.perf_counter()
     proc = run_script("scan_ladder.py", "--max-n", "64", "--repeat", "1")
     assert time.perf_counter() - start < 3
@@ -75,9 +75,20 @@ def test_scan_ladder_runs_the_small_rungs():
         assert 1 <= int(chunk) <= math.isqrt(int(grid) + 1) + 1
         assert 1 <= int(classes) <= int(n) ** 2 and int(rescans) >= 0
         if not name.startswith("flat"):
-            # exponent keys: one scanned curve per class of (r_v - r_u) mod n
+            # generator keys: one scanned curve per class of (a_v - a_u) mod n
             assert (int(classes), int(rescans)) == (int(n), 0)
         assert 0 < float(best) <= float(median)
+
+
+def test_scan_ladder_runs_the_wide_circulants_on_eigh():
+    # --eigh adds wide(n)/eigh: numerical_eigensystem's X carries no
+    # exponents, and the row solve's generators still give n classes
+    proc = run_script("scan_ladder.py", "--max-n", "6", "--repeat", "1", "--eigh")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert [row[0] for row in rows] == ["circulant_c(3,[0,0,2000])", "wide(6)", "wide(6)/eigh"]
+    for name, n, grid, chunk, products, newton, classes, rescans, faults, best, median in rows:
+        assert (int(classes), int(rescans)) == (int(n), 0), name
 
 
 def test_exact_ladder_runs_the_small_rungs():

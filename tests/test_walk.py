@@ -37,7 +37,6 @@ from upst.constructors import (
 )
 from upst import ratios, spectra, walk
 from upst.walk import (
-    ADMISSION_TOL,
     DETECTION_THRESHOLD,
     MAX_GRID_POINTS,
     PST_ENTRY_TOL,
@@ -54,7 +53,6 @@ from upst.walk import (
     _aligned_start,
     _block_peaks,
     _grid_waves,
-    _row_classes,
     _waves,
 )
 
@@ -443,8 +441,7 @@ def test_wide_spread_circulants_certify(c, route):
     report = verify_upst(graph, es)
     assert report.upst is True, report.reasons
     assert report.diagnostics["member_rescans"] == 0
-    # members' phases are their representatives' (exact route, exponent
-    # keys) or their table amplitudes turned to the scanned times (eigh)
+    # members' phases are their representatives' turned by the row factors
     for u in range(n):
         for v in range(n):
             entry = unitary_at(es, report.min_times[u, v])[v, u]
@@ -653,22 +650,20 @@ def test_scan_diagnostics_count_the_work():
     # every pair resolves by the period and leaves the grid
     assert d["pair_time_products"] < es.n**2 * points
     assert d["f64_hits"] > 0
-    # one scanned curve per class of equal row-time differences; every other
-    # pair is admitted by its bound and passes the strict test at its table
-    # time
+    # one scanned curve per class of equal generator differences; every
+    # other pair takes its class's time
     assert d["classes"] == 28
     assert d["classes"] + d["members"] == es.n**2
     assert d["member_rescans"] == 0
-    assert 0 < d["admission_max"] <= 1e-13
     assert 0 <= d["confirm_margin"] <= PST_ENTRY_TOL
     # every run of hits that opens on the grid holds at least one candidate
     assert d["newton_rows"] >= d["clusters"] >= d["classes"]
     # every pair was confirmed at |U| >= 1 - PST_ENTRY_TOL; rounding above
     # |U| = 1 is clamped
     assert 0 <= d["margin_min"] <= PST_ENTRY_TOL
-    # relabelled, X no longer matches the exponents it carries: time keys
-    assert d["class_keys"] == "times"
-    floats = ("grid_step", "horizon", "margin_min", "admission_max", "confirm_margin")
+    # relabelled and rephased, X still gives up the row solve's generators
+    assert d["class_keys"] == "generators"
+    floats = ("grid_step", "horizon", "margin_min", "confirm_margin")
     counters = {k: v for k, v in d.items() if k not in floats + ("class_keys",)}
     assert all(type(v) is int for v in counters.values())
 
@@ -730,15 +725,16 @@ def test_exponent_classes_share_one_curve(case, seed):
     es = dataclasses.replace(es, X=es.X * np.exp(1j * rng.uniform(0, TWO_PI, size=es.n)))
     keys = es.exponent_keys
     assert keys is not None
-    first, run = walk._group(keys, 0)
+    first, run = walk._group(keys)
     t = rng.uniform(0, 10 * return_period(es), size=20)
     curves = pair_vectors(es.X) @ np.exp(-1j * np.multiply.outer(es.lambdas, t))
     assert np.max(np.abs(curves - curves[first[run]])) <= 1e-13
 
 
-def test_stale_exponents_take_the_time_keys():
+def test_stale_exponents_leave_the_scan_unchanged():
     # a relabelled X keeps the exponents of the X it replaced; the check
-    # against X refuses them, and the scan keys by times, as without exponents
+    # against X refuses them, and the scan, which keys pairs by the row
+    # solve alone, gives the report it gives without exponents
     for base in (noncirculant_graph(NoncirculantParams(4, 4, 2))[1],
                  circulant_eigensystem(nondense_circulant(2, 3))):
         es = relabelled(base, seed=3)
@@ -749,106 +745,98 @@ def test_stale_exponents_take_the_time_keys():
         stale, clean = verify_upst(graph, es), verify_upst(graph, bare)
         assert stale.upst is clean.upst is True
         assert stale.diagnostics == clean.diagnostics
-        assert stale.diagnostics["class_keys"] == "times"
+        assert stale.diagnostics["class_keys"] == "generators"
         assert np.array_equal(stale.min_times, clean.min_times)
         assert np.array_equal(stale.phases, clean.phases)
 
 
-def test_wide_circulant_scans_one_curve_per_exponent_class():
-    # c in +-3e4: every time-keyed B_m passed ADMISSION_TOL, so all 36 pairs
-    # were scanned; the exponent keys give 6 classes and no rescan
-    c = np.random.default_rng(1).integers(-30000, 30001, size=6)
+def wide_circulant(n):
+    """circulant_from_c(n, c), c from default_rng(1) in +-3e4 with c_0 = 0."""
+    c = np.random.default_rng(1).integers(-30000, 30001, size=n)
     c[0] = 0
-    spec = circulant_from_c(6, c.tolist())
-    graph, es = circulant_to_graph(spec), circulant_eigensystem(spec)
+    return circulant_from_c(n, c.tolist())
+
+
+@pytest.mark.parametrize("route", ["exact", "no-exponents", "eigh"])
+def test_wide_circulant_scans_one_curve_per_generator_class(route):
+    # c in +-3e4: time keys admitted no member here, so all 36 pairs were
+    # scanned; the lifted generators give 6 classes on every route
+    spec = wide_circulant(6)
+    graph, exact = circulant_to_graph(spec), circulant_eigensystem(spec)
+    es = {"exact": exact, "no-exponents": dataclasses.replace(exact, exponents=None),
+          "eigh": numerical_eigensystem(graph.adjacency)}[route]
     report = verify_upst(graph, es)
     d = report.diagnostics
     assert report.upst is True, report.reasons
     assert (d["class_keys"], d["classes"], d["members"], d["member_rescans"]) == (
-        "exponents", 6, 30, 0)
-    assert d["admission_max"] == 0
-    timed = verify_upst(graph, dataclasses.replace(es, exponents=None))
-    assert timed.diagnostics["classes"] == 36
-    assert np.max(np.abs(report.min_times - timed.min_times)) <= 1e-12
+        "generators", 6, 30, 0)
+    assert np.max(np.abs(report.min_times - verify_upst(graph, exact).min_times)) <= 1e-12
 
 
-def members_and_bounds(x, lambdas, times):
-    """_row_classes of x: whether each flat pair is a member (not its class's
-    first pair), its class's first pair, and its bound B_m."""
-    first, run, bound, _ = _row_classes(spectra.canonicalize(x), lambdas - lambdas[0], times)
-    member = np.ones(run.size, dtype=bool)
-    member[first] = False
-    return member, first[run], bound
+def transformed(es, rng):
+    """es relabelled, switched (X -> S X for a random unit diagonal S, the
+    eigensystem of S A S^dagger) and with random eigenvector phases, with the
+    Hermitian matrix it diagonalizes."""
+    n = es.n
+    rows = np.exp(1j * rng.uniform(0, TWO_PI, size=(n, 1)))
+    x = rows * es.X[rng.permutation(n)] * np.exp(1j * rng.uniform(0, TWO_PI, size=n))
+    moved = dataclasses.replace(es, X=x)
+    a = (x * moved.eigenvalues) @ x.conj().T
+    return HermitianGraph(n, (a + a.conj().T) / 2), moved
 
 
-@pytest.mark.parametrize("noise, admitted", [(1e-13, True), (1e-9, False)])
-def test_class_admission_follows_admission_tol(noise, admitted):
-    # a phase error of +-noise on every entry of one row puts that row's pair
-    # rows about 2 noise off their classes': inside ADMISSION_TOL they take
-    # their class's time, past it they are scanned by themselves, and the
-    # times stay those of the clean input
-    es = relabelled_flat(4, 4, 2, seed=5)
-    times = row_times(es)
-    x = es.X.copy()
-    x[3] *= np.exp(1j * noise * np.random.default_rng(6).choice([-1.0, 1.0], size=es.n))
-    member, _, bound = members_and_bounds(x, es.lambdas, times)
-    touched = member & np.isin(np.divmod(np.arange(es.n**2), es.n), 3).any(axis=0)
-    assert bool(np.max(bound[touched]) <= ADMISSION_TOL) is admitted
-    report = scan(EigenSystem(n=es.n, X=x, lambdas=es.lambdas), times)
-    d = report.diagnostics
-    assert report.reasons == ()
-    assert d["member_rescans"] == np.count_nonzero(member & (bound > ADMISSION_TOL))
-    assert (d["member_rescans"] == 0) is admitted
-    assert d["admission_max"] <= ADMISSION_TOL
-    assert np.max(np.abs(report.min_times - scan(es).min_times)) <= 1e-9
-
-
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
     case=st.one_of(
-        st.tuples(st.just("flat"), st.sampled_from([(2, 2, 2), (3, 2, 2), (2, 2, 3), (4, 4, 2)])),
-        st.tuples(st.just("circulant_c"), st.integers(2, 5)),
-        st.tuples(st.just("nondense"), st.sampled_from([(2, 3), (2, 5)])),
+        st.tuples(st.just("flat"), st.sampled_from(
+            [(2, 2, 1), (3, 2, 1), (4, 4, 1), (2, 2, 2), (3, 2, 2), (2, 2, 3), (4, 3, 2),
+             (4, 4, 2)])),
+        st.tuples(st.just("circulant_c"), st.integers(2, 9)),
     ),
-    noise=st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 0.3]),
-    permuted=st.booleans(),
+    route=st.sampled_from(["given", "eigh"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(case=("circulant_c", 2), noise=0.0, permuted=True, seed=1)  # refitted period 0
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_admission_bound_holds_between_class_curves(case, noise, permuted, seed):
-    # B_m bounds |U_m(t) - s U_r(t)| for every t, so ||U_m(t)| - |U_r(t)|| <=
-    # B_m on any grid, whatever the row times: here X is off by noise in
-    # magnitude and phase, and the row times by noise, or permuted
+def test_lifted_generators_give_the_exact_classes_on_every_route(case, route, seed):
+    # relabelled, switched and rephased, given or through eigh: the generators
+    # lifted from the row solve fit X, the classes are the exact route's, and
+    # every pair's time and phase are U(t)[v][u]'s; one row 1e-9 off fails the
+    # check, every pair is scanned by itself, and the times stay to 1e-9 P
     kind, size = case
     rng = np.random.default_rng(seed)
     if kind == "flat":
-        base = noncirculant_graph(NoncirculantParams(*size))[1]
-    elif kind == "circulant_c":
-        c = [int(v) for v in rng.integers(-1000, 1001, size=size)]
-        base = circulant_eigensystem(circulant_from_c(size, c))
+        base_graph, base = noncirculant_graph(NoncirculantParams(*size))
     else:
-        base = circulant_eigensystem(nondense_circulant(*size))
-    es = relabelled(base, seed)
+        spec = circulant_from_c(size, [int(v) for v in rng.integers(-50, 51, size=size)])
+        base_graph, base = circulant_to_graph(spec), circulant_eigensystem(spec)
+    graph, es = transformed(base, rng)
+    if route == "eigh":
+        es = numerical_eigensystem(graph.adjacency)
     n = es.n
-    times = row_times(es) + noise * rng.normal(size=n)
-    if permuted:
-        times = times[rng.permutation(n)]
-    x = es.X * (1 + noise * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))))
-    _, rep, bound = members_and_bounds(x, es.lambdas, times)
-    t = np.linspace(0, return_period(es), 301)
-    mags = np.abs(pair_vectors(x) @ np.exp(-1j * np.multiply.outer(es.lambdas, t)))
-    gap = np.max(np.abs(mags - mags[rep]), axis=1)
-    # row times far off can move the refitted period to 0 or below, where the
-    # bound is inf and admits nothing; no bound is NaN
-    assert np.all(gap <= bound)
-    assert permuted or noise > 1e-6 or np.isfinite(bound).all()
+    report = verify_upst(graph, es)
+    d = report.diagnostics
+    assert report.upst is True, report.reasons
+    assert d["class_keys"] == "generators"
+    assert d["classes"] == verify_upst(base_graph, base).diagnostics["classes"]
+    assert (d["members"], d["member_rescans"]) == (n * n - d["classes"], 0)
+    for u in range(n):
+        for v in range(n):
+            entry = unitary_at(es, report.min_times[u, v])[v, u]
+            assert abs(report.phases[u, v] - entry) <= 1e-12
+    # the last row's entries turned 1e-9 against each other, which moves a
+    # peak by about 1e-9 / |D_k| of the period P
+    x = es.X.copy()
+    x[-1] *= np.exp(0.5e-9j * (-1.0) ** np.arange(n))
+    noisy = scan(dataclasses.replace(es, X=x), report.analytic_times)
+    d = noisy.diagnostics
+    assert noisy.reasons == ()
+    assert (d["class_keys"], d["classes"], d["members"]) == ("pairs", n * n, 0)
+    assert np.max(np.abs(noisy.min_times - report.min_times)) <= 1e-9 * report.return_period
 
 
-def test_moved_row_time_costs_rescans_never_times():
-    # one row time 1e-3 P off: the table amplitudes of that row's pairs miss
-    # the strict test, so those pairs are scanned by themselves, and times and
-    # phases are those of the honest scan
+def test_moved_row_time_costs_a_pair_scan_never_a_time():
+    # one row time 1e-3 P off: the generators read off the row times no
+    # longer fit X, so every pair is scanned by itself, and times and phases
+    # are those of the honest scan
     es = relabelled_flat(4, 4, 2, seed=5)
     honest = scan(es)
     times = row_times(es)
@@ -856,8 +844,7 @@ def test_moved_row_time_costs_rescans_never_times():
     report = scan(es, times)
     d = report.diagnostics
     assert report.reasons == ()
-    assert d["member_rescans"] > 0
-    assert d["classes"] + d["members"] == es.n**2
+    assert (d["class_keys"], d["classes"], d["members"]) == ("pairs", es.n**2, 0)
     assert d["confirm_margin"] > PST_ENTRY_TOL
     assert np.max(np.abs(report.min_times - honest.min_times)) <= 1e-12
     assert np.max(np.abs(report.phases - honest.phases)) <= 1e-11
@@ -877,15 +864,14 @@ def test_table_confirmation_checks_the_period_on_the_diagonal():
     assert np.max(np.abs(report.min_times - honest.min_times)) <= 1e-12
 
 
-def test_permuted_row_times_cost_rescans_never_times():
-    # every key is wrong; the bounds turn the strangers in each class away
+def test_permuted_row_times_cost_a_pair_scan_never_a_time():
+    # every generator is wrong; the check against X refuses them all
     es = relabelled_flat(4, 4, 2, seed=5)
     honest = scan(es)
     report = scan(es, row_times(es)[np.random.default_rng(8).permutation(es.n)])
     d = report.diagnostics
     assert report.reasons == ()
-    assert d["member_rescans"] > 0
-    assert d["classes"] + d["members"] == es.n**2
+    assert (d["class_keys"], d["classes"], d["members"]) == ("pairs", es.n**2, 0)
     assert np.max(np.abs(report.min_times - honest.min_times)) <= 1e-12
     assert np.max(np.abs(report.phases - honest.phases)) <= 1e-11
 
