@@ -382,18 +382,17 @@ def scan_min_times(
     amp = (y.conj() @ y.T).reshape(-1)  # amp[u*n + v] at t_v - t_u
     amp[::n + 1] = np.square(abs(x)) @ omega[0]
 
-    flat_times, flat_phases = np.full(n * n, np.nan), np.zeros(n * n, dtype=complex)
-    flat_times[first], flat_phases[first] = _scan_pairs(x, first, d, nsteps, step, diagnostics)
+    times, phases = _scan_pairs(x, first, d, nsteps, step, diagnostics)
+    found = ~np.isnan(times)
+    phases[found] *= np.exp(-1j * (float(es.offset) + es.lambdas[0]) * times[found])
+    flat_times, flat_phases = times[run], phases[run]
     member = (first[run] != np.arange(n * n)).nonzero()[0]
-    rep = first[run[member]]
     unit = np.exp(1j * np.arctan2(x[:, 0].imag, x[:, 0].real))
     turn = (unit * unit.conj()[:, np.newaxis]).reshape(-1)  # unit_v conj(unit_u) at u*n + v
-    flat_times[member] = flat_times[rep]
-    flat_phases[member] = flat_phases[rep] * turn[member] * turn[rep].conj()
-    seen = ~np.isnan(flat_times)
-    flat_phases[seen] *= np.exp(-1j * (float(es.offset) + es.lambdas[0]) * flat_times[seen])
+    flat_phases[member] *= turn[member] * turn[first[run[member]]].conj()
+    seen = found[run]
     diagnostics.update(
-        classes=first.size, members=int(seen.sum()) - int(seen[first].sum()),
+        classes=first.size, members=int(seen.sum() - found.sum()),
         class_keys="pairs" if keys is None else "generators",
         margin_min=max(0.0, float(np.minimum.reduce(1 - abs(flat_phases[seen]), initial=1.0))),
         confirm_margin=max(0.0, float(1 - abs(amp).min())))
