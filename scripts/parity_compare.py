@@ -19,7 +19,7 @@ import sys
 
 VERDICT_FIELDS = (
     "upst", "reasons", "circulant_timing", "spacing_order", "dense", "grid_points",
-    "classes", "members", "member_rescans",
+    "classes", "members",
 )
 
 

@@ -182,7 +182,6 @@ def record(name, route, report):
         "spacing_order": None if report.spacing_order is None else list(report.spacing_order),
         "classes": diagnostics.get("classes"),
         "members": diagnostics.get("members"),
-        "member_rescans": diagnostics.get("member_rescans"),
         "grid_points": diagnostics.get("grid_points"),
         "row_residual_max": None if residual is None else float.hex(residual),
         "analytic_times": None if report.analytic_times is None

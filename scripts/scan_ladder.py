@@ -6,10 +6,9 @@ for n = 6, 11, 12, c drawn from default_rng(1) in +-3e4 with c_0 = 0 (with
 --eigh, these three again as wide(n)/eigh, on numerical_eigensystem), it prints
 n, the scan's grid_points, the wave chunk (the length of the base waves the scan
 hands to _grid_waves), pair_time_products, newton_rows, classes (curves
-scanned) and member_rescans, the minor page faults of one steady-state
-verify_upst (the getrusage(RUSAGE_SELF).ru_minflt delta over the last timed
-run) and the best and median wall time of --repeat timed runs after one
-warm-up.  Every run starts from a fresh copy of the eigensystem, so the
+scanned), the minor page faults of one steady-state verify_upst (the
+getrusage(RUSAGE_SELF).ru_minflt delta over the last timed run) and the best
+and median wall time of --repeat timed runs after one warm-up.  Every run starts from a fresh copy of the eigensystem, so the
 canonical form is rebuilt each time.  BLAS runs on one thread, as in
 perfbench.  Exits 1 unless every rung certifies.
 
@@ -103,8 +102,8 @@ def main() -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
 
-    header = "%-26s %5s %8s %6s %12s %8s %7s %7s %7s %10s %10s" % (
-        "graph", "n", "grid", "chunk", "pair_time", "newton", "classes", "rescans", "minflt",
+    header = "%-26s %5s %8s %6s %12s %8s %7s %7s %10s %10s" % (
+        "graph", "n", "grid", "chunk", "pair_time", "newton", "classes", "minflt",
         "best_ms", "median_ms")
     print(header)
     print("-" * len(header))
@@ -112,11 +111,10 @@ def main() -> int:
     for name, graph, es in rungs(args.max_n, args.eigh):
         report, chunk, faults, times = measure(graph, es, args.repeat)
         d = report.diagnostics or {}
-        print("%-26s %5d %8s %6s %12s %8s %7s %7s %7d %10.2f %10.2f" % (
+        print("%-26s %5d %8s %6s %12s %8s %7s %7d %10.2f %10.2f" % (
             name, es.n, d.get("grid_points", "-"), chunk if chunk is not None else "-",
             d.get("pair_time_products", "-"), d.get("newton_rows", "-"), d.get("classes", "-"),
-            d.get("member_rescans", "-"), faults, 1e3 * min(times),
-            1e3 * statistics.median(times)))
+            faults, 1e3 * min(times), 1e3 * statistics.median(times)))
         if report.upst is not True:
             failed.append("%s: %s" % (name, ", ".join(report.reasons)))
     for line in failed:

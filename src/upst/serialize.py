@@ -20,7 +20,7 @@ import numpy as np
 
 from .cyclotomic import check_degree
 from .graph import CirculantSpec, HermitianGraph, circulant_to_graph, validate_hermitian
-from .spectra import EigenSystem, eigensystem_for, exponent_matrix
+from .spectra import EigenSystem, eigensystem_for, exponent_matrix, fits_exponents
 from .walk import TransferReport
 
 GRAPH_FORMAT = "upst-graph"
@@ -104,9 +104,11 @@ def spec_from_json(data: dict) -> CirculantSpec:
 
 
 def eigensystem_to_json(es: EigenSystem) -> dict:
-    # X as its exponents (N, r, c) where they describe it, else as a matrix
-    head = {"X": matrix_to_json(es.X)} if es.exponent_keys is None else {"exponents": dict(
-        N=int(es.exponents[0]), r=es.exponents[1].tolist(), c=es.exponents[2].tolist())}
+    # X as its exponents (N, r, c) where n X o conj(X[0]) fits (r - r_0, c), else as a matrix
+    big_n, r, c = es.exponents or (None,) * 3
+    fits = big_n is not None and fits_exponents(es.n * es.X * es.X[0].conj(), big_n, r - r[0], c)
+    head = ({"exponents": dict(N=int(big_n), r=r.tolist(), c=c.tolist())} if fits
+            else {"X": matrix_to_json(es.X)})
     return {
         **head,
         "lambdas": es.eigenvalues.tolist(),

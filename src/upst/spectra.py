@@ -37,7 +37,8 @@ class EigenSystem:
     read-only Fourier matrix, in Fourier order; eigenvalues are never sorted.
     exact_lambdas (absolute) is present when every eigenvalue is rational,
     else exact_rows (lambda_k - offset in Q(zeta_L)) on the exact route.
-    exponents (N, r, c) give X = exponent_matrix(N, r, c), unless stale (see exponent_keys)."""
+    exponents (N, r, c) give X = exponent_matrix(N, r, c) up to eigenvector phases unless
+    stale (X relabelled or switched since): the bundle writer checks (fits_exponents)."""
 
     n: int
     X: np.ndarray
@@ -55,16 +56,6 @@ class EigenSystem:
     def canonical(self) -> np.ndarray:
         """canonicalize(X), built on first read and shared by every later one."""
         return canonicalize(self.X)
-
-    @functools.cached_property
-    def exponent_keys(self) -> Optional[np.ndarray]:
-        """(r_v - r_u) mod N at flat pair u*n + v if exponents (N, r, c) give X up to
-        eigenvector phases, n X o conj(X[0]) fitting (r - r_0, c) (fits_exponents); else None."""
-        if self.exponents is not None:
-            big_n, r, c = self.exponents
-            if fits_exponents(self.n * self.X * self.X[0].conj(), big_n, r - r[0], c):
-                return ((r - r[:, np.newaxis]) % big_n).reshape(-1)
-        return None
 
 
 @dataclass(frozen=True)
@@ -96,19 +87,12 @@ def fits_exponents(z: np.ndarray, big_n: int, r: np.ndarray, c: np.ndarray) -> b
 
 
 @functools.lru_cache(maxsize=None)
-def _fourier_exponents(n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(n, j, j), j = 0 .. n-1 read-only: fourier_matrix(n)'s exponents, one per order."""
-    j = np.arange(n)
-    j.flags.writeable = False
-    return n, j, j
-
-
-@functools.lru_cache(maxsize=None)
 def fourier_matrix(n: int) -> np.ndarray:
     """The unitary F, entries zeta_n^(jk) / sqrt(n): one read-only array per order, shared."""
     if n < 1:
         raise ValueError("order must be positive, got %r" % (n,))
-    f = exponent_matrix(*_fourier_exponents(n))
+    j = np.arange(n)
+    f = exponent_matrix(n, j, j)
     f.flags.writeable = False
     return f
 
@@ -174,7 +158,7 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
         p, q = offset.numerator, offset.denominator  # 0/1 for offset 0
         exact_lambdas = tuple(Fraction(c * q + p * den, den * q) for c in col)
         return EigenSystem(n, fourier_matrix(n), np.array([c / den for c in col]),
-                           exact_lambdas, offset, exponents=_fourier_exponents(n))
+                           exact_lambdas, offset)
     values = w.astype(float) @ np.exp(2j * np.pi * np.arange(w.shape[1]) / lcond) / den
     real = (power_map_rows(lcond, w, -1) == w).all(axis=1)
     if not real.all():
@@ -182,8 +166,7 @@ def circulant_eigensystem(spec: CirculantSpec) -> EigenSystem:
         raise ArithmeticError("internal consistency failure: eigenvalue %d of a Hermitian "
                               "circulant came out non-real (imag %.3e)" % (k, values[k].imag))
     rows = CoordinateRows(lcond, tuple(map(tuple, w.tolist())), den)
-    return EigenSystem(n, fourier_matrix(n), values.real, None, offset, rows,
-                       _fourier_exponents(n))
+    return EigenSystem(n, fourier_matrix(n), values.real, None, offset, rows)
 
 
 def eigensystem_for(graph: HermitianGraph) -> EigenSystem:

@@ -255,16 +255,6 @@ def grid_step(es: EigenSystem) -> float:
                TWO_PI / (3 * float(lam.max() - lam.min())))
 
 
-def _group(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, run), the flat pair opening each class and each flat pair's class:
-    the integer keys sorted once (stable, so a class opens at its least pair)."""
-    order = keys.argsort(kind="stable")
-    opens = np.concatenate(([True], np.diff(keys[order]) != 0))
-    run = np.empty(keys.size, dtype=np.intp)
-    run[order] = opens.cumsum() - 1
-    return order[opens], run
-
-
 def _generator_keys(
     canonical: np.ndarray, d: np.ndarray, row_times: np.ndarray
 ) -> Optional[np.ndarray]:
@@ -305,7 +295,7 @@ def scan_min_times(
     conj(S_v) S_u = unit(X[v,0] conj(X[u,0])).  So two pairs m, r of one key
     (a_v - a_u) mod N have |U_m(t)/f_m - U_r(t)/f_r| <= 4 delta + 2 delta^2 at
     every t: one curve within the check's bound.  The grid scans each
-    class's first pair r (_group), and a member takes r's time, with r's
+    class's first pair r (np.unique), and a member takes r's time, with r's
     phase turned by f_m/f_r, so switched and eigh inputs keep each pair's own
     amplitude.  If the lift or its check fails (integer_multiples finds no
     N, N > 2^31, a row time is not positive and finite), every pair is its
@@ -358,10 +348,9 @@ def scan_min_times(
 
     diagnostics holds grid_step, horizon, grid_points, the integer counts
     classes (curves scanned), members (pairs that took their class's time),
-    member_rescans (always 0, kept for the report format), pair_time_products
-    (curve x time points), f64_hits (grid hits), clusters (runs of hits that
-    open on the grid: left neighbour no hit), newton_rows (candidates
-    evaluated), classes + members being n^2 on a complete scan; class_keys,
+    pair_time_products (curve x time points), f64_hits (grid hits), clusters
+    (runs of hits that open on the grid: left neighbour no hit), newton_rows
+    (candidates evaluated), classes + members being n^2 on a complete scan; class_keys,
     "generators" (lifted) or "pairs" (the fallback); and margin_min, the least
     1 - |U(t_uv)| found (1 for none), and confirm_margin, the largest 1 -
     |U(T_m)| of all n^2 table amplitudes; margins are clamped at 0.  Pairs with no
@@ -371,12 +360,13 @@ def scan_min_times(
     n = es.n
     nsteps = max(0, int(math.ceil(horizon / step)))
     diagnostics = dict(grid_step=float(step), horizon=float(horizon), grid_points=nsteps,
-                       classes=0, members=0, member_rescans=0, pair_time_products=0, f64_hits=0,
-                       clusters=0, newton_rows=0)
+                       classes=0, members=0, pair_time_products=0, f64_hits=0, clusters=0,
+                       newton_rows=0)
     x, d = es.X, es.lambdas - es.lambdas[0]
     row_times = np.asarray(row_times, dtype=float)
     keys = _generator_keys(es.canonical, d, row_times)
-    first, run = _group(keys) if keys is not None else (np.arange(n * n),) * 2
+    first, run = (np.arange(n * n),) * 2 if keys is None else np.unique(
+        keys, return_index=True, return_inverse=True)[1:]
     omega = _waves(row_times, d)
     y = x * omega
     amp = (y.conj() @ y.T).reshape(-1)  # amp[u*n + v] at t_v - t_u

@@ -474,7 +474,7 @@ def test_bundles_with_and_without_exponents_give_one_result(tmp_path, capsys, de
     a, b = old_doc["report"], new_doc["report"]
     for key in ("upst", "circulant_timing", "dense", "reasons", "spacing_order"):
         assert a[key] == b[key], key
-    for key in ("classes", "members", "member_rescans", "grid_points"):
+    for key in ("classes", "members", "grid_points"):
         assert a["diagnostics"][key] == b["diagnostics"][key], key
     # either X, stored or built from exponents, is keyed by the row solve's generators
     assert a["diagnostics"]["class_keys"] == b["diagnostics"]["class_keys"] == "generators"

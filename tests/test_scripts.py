@@ -70,13 +70,13 @@ def test_scan_ladder_runs_the_small_rungs():
     assert [row[:2] for row in rows] == [
         ["flat(8,8,2)", "64"], ["circulant_c(3,[0,0,2000])", "3"],
         ["wide(6)", "6"], ["wide(11)", "11"], ["wide(12)", "12"]]
-    for name, n, grid, chunk, products, newton, classes, rescans, faults, best, median in rows:
+    for name, n, grid, chunk, products, newton, classes, faults, best, median in rows:
         assert int(grid) > 0 and int(products) > 0 and int(newton) > 0 and int(faults) >= 0
         assert 1 <= int(chunk) <= math.isqrt(int(grid) + 1) + 1
-        assert 1 <= int(classes) <= int(n) ** 2 and int(rescans) >= 0
+        assert 1 <= int(classes) <= int(n) ** 2
         if not name.startswith("flat"):
             # generator keys: one scanned curve per class of (a_v - a_u) mod n
-            assert (int(classes), int(rescans)) == (int(n), 0)
+            assert int(classes) == int(n)
         assert 0 < float(best) <= float(median)
 
 
@@ -87,8 +87,8 @@ def test_scan_ladder_runs_the_wide_circulants_on_eigh():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert [row[0] for row in rows] == ["circulant_c(3,[0,0,2000])", "wide(6)", "wide(6)/eigh"]
-    for name, n, grid, chunk, products, newton, classes, rescans, faults, best, median in rows:
-        assert (int(classes), int(rescans)) == (int(n), 0), name
+    for name, n, grid, chunk, products, newton, classes, faults, best, median in rows:
+        assert int(classes) == int(n), name
 
 
 def test_exact_ladder_runs_the_small_rungs():
@@ -170,7 +170,7 @@ def parity_lines():
     """A verdict line and an exact line in parity_corpus.py's format."""
     run = {"input": "flat(2,2,2)", "route": "given", "upst": True, "reasons": [],
            "circulant_timing": False, "dense": None, "spacing_order": [0, 2, 1, 3],
-           "classes": 4, "members": 12, "member_rescans": 0, "grid_points": 35,
+           "classes": 4, "members": 12, "grid_points": 35,
            "row_residual_max": float.hex(1e-16),
            "analytic_times": [float.hex(6.0), float.hex(1.5)],
            "min_times": [float.hex(6.0), float.hex(1.5), "nan"],

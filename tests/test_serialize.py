@@ -14,13 +14,15 @@ from hypothesis import strategies as st
 import spec_reference as ref
 from field_reference import cyc, rational, zeta
 from test_cyclotomic import small_cyc
-from upst.constructors import nondense_circulant
-from upst.graph import circulant_to_graph, with_diagonal_shift
+from upst.constructors import NoncirculantParams, nondense_circulant, noncirculant_graph
+from upst.graph import HermitianGraph, circulant_to_graph, with_diagonal_shift
 from upst.serialize import (
     GRAPH_FORMAT,
     eigensystem_from_json,
     eigensystem_to_json,
     graph_from_json,
+    graph_to_json,
+    load_graph,
     matrix_from_json,
     matrix_to_json,
     report_to_json,
@@ -28,7 +30,7 @@ from upst.serialize import (
     spec_to_json,
 )
 from upst.spectra import circulant_eigensystem
-from upst.walk import TransferReport
+from upst.walk import TransferReport, verify_upst
 
 SUBNORMALS = (5e-324, -5e-324, 2.2250738585072009e-308, 1.5e-310)
 EDGE_VALUES = (0.0, -0.0, 1e300, -1e300, 1.7976931348623157e308) + SUBNORMALS
@@ -127,14 +129,39 @@ def test_round_trip_is_bit_exact(rows, cols, data):
 
 @pytest.mark.parametrize("entry", [[math.inf, 0.0], [0.0, -math.inf], [0.0, math.nan]])
 def test_eigensystem_with_non_finite_x_is_refused(entry):
-    # without exponents, X is stored as a matrix
-    es = dataclasses.replace(circulant_eigensystem(nondense_circulant(2, 3)), exponents=None)
+    # a circulant's eigensystem carries no exponents: X is stored as a matrix
+    es = circulant_eigensystem(nondense_circulant(2, 3))
     doc = json.loads(json.dumps(eigensystem_to_json(es)))
+    assert "exponents" not in doc
     assert np.array_equal(eigensystem_from_json(doc).X, es.X)
     doc["X"][2][3] = entry
     doc = json.loads(json.dumps(doc))
     with pytest.raises(ValueError, match="non-finite"):
         eigensystem_from_json(doc)
+
+
+@pytest.mark.parametrize("move, stored", [
+    ("none", "exponents"), ("rephase", "exponents"), ("relabel", "X"), ("switch", "X")])
+def test_exponents_are_written_only_where_x_fits_them(tmp_path, move, stored):
+    # the writer checks n X o conj(X[0]) against (r - r_0, c): eigenvector
+    # phases keep the exponents; a relabelled or switched X leaves them stale,
+    # so X is stored as a matrix, and that bundle loads and certifies
+    es = noncirculant_graph(NoncirculantParams(4, 2, 3))[1]
+    rng = np.random.default_rng(7)
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=es.n))
+    x = {"none": es.X, "rephase": es.X * phases, "relabel": es.X[[1, 0, *range(2, es.n)]],
+         "switch": phases[:, np.newaxis] * es.X}[move]
+    es = dataclasses.replace(es, X=x)
+    a = (x * es.eigenvalues) @ x.conj().T
+    path = tmp_path / "graph.json"
+    doc = graph_to_json(HermitianGraph(es.n, (a + a.conj().T) / 2), es)
+    assert set(doc["eigensystem"]) - {"lambdas", "exact_lambdas"} == {stored}
+    path.write_text(json.dumps(doc))
+    graph, loaded = load_graph(str(path))
+    if stored == "X":
+        assert np.array_equal(loaded.X, x)
+    report = verify_upst(graph, loaded)
+    assert report.upst is True, report.reasons
 
 
 def test_exponents_longer_than_the_lambdas_are_refused_before_x_is_built():

@@ -24,6 +24,7 @@ from upst.spectra import (
     UNITARITY_TOL,
     EigenSystem,
     circulant_eigensystem,
+    fits_exponents,
     fourier_matrix,
     numerical_eigensystem,
 )
@@ -440,7 +441,6 @@ def test_wide_spread_circulants_certify(c, route):
     es = circulant_eigensystem(spec) if route == "exact" else numerical_eigensystem(graph.adjacency)
     report = verify_upst(graph, es)
     assert report.upst is True, report.reasons
-    assert report.diagnostics["member_rescans"] == 0
     # members' phases are their representatives' turned by the row factors
     for u in range(n):
         for v in range(n):
@@ -654,7 +654,6 @@ def test_scan_diagnostics_count_the_work():
     # other pair takes its class's time
     assert d["classes"] == 28
     assert d["classes"] + d["members"] == es.n**2
-    assert d["member_rescans"] == 0
     assert 0 <= d["confirm_margin"] <= PST_ENTRY_TOL
     # every run of hits that opens on the grid holds at least one candidate
     assert d["newton_rows"] >= d["clusters"] >= d["classes"]
@@ -680,10 +679,8 @@ def test_refinement_from_the_aligned_start_takes_one_evaluation_per_peak(es):
 
 
 def class_count(es):
-    """Curves the scan of es scans; no member may be rescanned."""
-    d = scan(es).diagnostics
-    assert d["member_rescans"] == 0
-    return d["classes"]
+    """Curves the scan of es scans."""
+    return scan(es).diagnostics["classes"]
 
 
 def test_pair_classes_are_counted_per_distinct_curve():
@@ -719,35 +716,36 @@ def test_exponent_classes_share_one_curve(case, seed):
     rng = np.random.default_rng(seed)
     if kind == "flat":
         es = noncirculant_graph(NoncirculantParams(*size))[1]
+        big_n, r, c = es.exponents
     else:
         es = circulant_eigensystem(
             circulant_from_c(size, [int(v) for v in rng.integers(-50, 51, size=size)]))
+        big_n, r, c = size, np.arange(size), np.arange(size)
     es = dataclasses.replace(es, X=es.X * np.exp(1j * rng.uniform(0, TWO_PI, size=es.n)))
-    keys = es.exponent_keys
-    assert keys is not None
-    first, run = walk._group(keys)
+    assert fits_exponents(es.n * es.X * es.X[0].conj(), big_n, r - r[0], c)
+    keys = ((r - r[:, np.newaxis]) % big_n).reshape(-1)
+    first, run = np.unique(keys, return_index=True, return_inverse=True)[1:]
     t = rng.uniform(0, 10 * return_period(es), size=20)
     curves = pair_vectors(es.X) @ np.exp(-1j * np.multiply.outer(es.lambdas, t))
     assert np.max(np.abs(curves - curves[first[run]])) <= 1e-13
 
 
 def test_stale_exponents_leave_the_scan_unchanged():
-    # a relabelled X keeps the exponents of the X it replaced; the check
-    # against X refuses them, and the scan, which keys pairs by the row
-    # solve alone, gives the report it gives without exponents
-    for base in (noncirculant_graph(NoncirculantParams(4, 4, 2))[1],
-                 circulant_eigensystem(nondense_circulant(2, 3))):
-        es = relabelled(base, seed=3)
-        bare = dataclasses.replace(es, exponents=None)
-        assert es.exponents is not None and es.exponent_keys is None
-        a = (es.X * es.eigenvalues) @ es.X.conj().T
-        graph = HermitianGraph(es.n, (a + a.conj().T) / 2)
-        stale, clean = verify_upst(graph, es), verify_upst(graph, bare)
-        assert stale.upst is clean.upst is True
-        assert stale.diagnostics == clean.diagnostics
-        assert stale.diagnostics["class_keys"] == "generators"
-        assert np.array_equal(stale.min_times, clean.min_times)
-        assert np.array_equal(stale.phases, clean.phases)
+    # a relabelled X keeps the exponents of the X it replaced, which X no
+    # longer fits; the scan, which keys pairs by the row solve alone, gives
+    # the report it gives without exponents
+    es = relabelled(noncirculant_graph(NoncirculantParams(4, 4, 2))[1], seed=3)
+    bare = dataclasses.replace(es, exponents=None)
+    big_n, r, c = es.exponents
+    assert not fits_exponents(es.n * es.X * es.X[0].conj(), big_n, r - r[0], c)
+    a = (es.X * es.eigenvalues) @ es.X.conj().T
+    graph = HermitianGraph(es.n, (a + a.conj().T) / 2)
+    stale, clean = verify_upst(graph, es), verify_upst(graph, bare)
+    assert stale.upst is clean.upst is True
+    assert stale.diagnostics == clean.diagnostics
+    assert stale.diagnostics["class_keys"] == "generators"
+    assert np.array_equal(stale.min_times, clean.min_times)
+    assert np.array_equal(stale.phases, clean.phases)
 
 
 def wide_circulant(n):
@@ -757,19 +755,17 @@ def wide_circulant(n):
     return circulant_from_c(n, c.tolist())
 
 
-@pytest.mark.parametrize("route", ["exact", "no-exponents", "eigh"])
+@pytest.mark.parametrize("route", ["exact", "eigh"])
 def test_wide_circulant_scans_one_curve_per_generator_class(route):
     # c in +-3e4: time keys admitted no member here, so all 36 pairs were
     # scanned; the lifted generators give 6 classes on every route
     spec = wide_circulant(6)
     graph, exact = circulant_to_graph(spec), circulant_eigensystem(spec)
-    es = {"exact": exact, "no-exponents": dataclasses.replace(exact, exponents=None),
-          "eigh": numerical_eigensystem(graph.adjacency)}[route]
+    es = exact if route == "exact" else numerical_eigensystem(graph.adjacency)
     report = verify_upst(graph, es)
     d = report.diagnostics
     assert report.upst is True, report.reasons
-    assert (d["class_keys"], d["classes"], d["members"], d["member_rescans"]) == (
-        "generators", 6, 30, 0)
+    assert (d["class_keys"], d["classes"], d["members"]) == ("generators", 6, 30)
     assert np.max(np.abs(report.min_times - verify_upst(graph, exact).min_times)) <= 1e-12
 
 
@@ -817,7 +813,7 @@ def test_lifted_generators_give_the_exact_classes_on_every_route(case, route, se
     assert report.upst is True, report.reasons
     assert d["class_keys"] == "generators"
     assert d["classes"] == verify_upst(base_graph, base).diagnostics["classes"]
-    assert (d["members"], d["member_rescans"]) == (n * n - d["classes"], 0)
+    assert d["members"] == n * n - d["classes"]
     for u in range(n):
         for v in range(n):
             entry = unitary_at(es, report.min_times[u, v])[v, u]
