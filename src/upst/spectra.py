@@ -37,8 +37,7 @@ class EigenSystem:
     read-only Fourier matrix, in Fourier order; eigenvalues are never sorted.
     exact_lambdas (absolute) is present when every eigenvalue is rational,
     else exact_rows (lambda_k - offset in Q(zeta_L)) on the exact route.
-    exponents (N, r, c) give X = exponent_matrix(N, r, c) up to eigenvector phases unless
-    stale (X relabelled or switched since): the bundle writer checks (fits_exponents)."""
+    exponents (N, r, c) give X = exponent_matrix(N, r, c) up to column phases, unless stale."""
 
     n: int
     X: np.ndarray
@@ -69,8 +68,9 @@ class EigenvalueForm:
 
 
 def exponent_matrix(big_n: int, r: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """zeta_N^(r_w c_k) / sqrt(n), n = len(r): the X of an EigenSystem's exponents."""
-    return np.exp(2j * np.pi * np.outer(r, c) / big_n) / math.sqrt(len(r))
+    """zeta_N^(r_w c_k) / sqrt(n), n = len(r): the X of an EigenSystem's exponents.  r_w c_k
+    mod n N keeps angles below 2 pi n; mod N would move fourier_matrix's bits (jk < n^2)."""
+    return np.exp(2j * np.pi * (np.outer(r, c) % (len(r) * big_n)) / big_n) / math.sqrt(len(r))
 
 
 def fits_exponents(z: np.ndarray, big_n: int, r: np.ndarray, c: np.ndarray) -> bool:

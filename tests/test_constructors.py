@@ -10,7 +10,7 @@ from field_reference import Cyc, rational, zeta
 from upst import constructors
 from upst.cyclotomic import CycNum, cyc_from_rows, exact_int_dtype, reduce_exponent_rows
 from upst.graph import circulant_to_graph, is_connected_circulant, with_diagonal_shift
-from upst.spectra import circulant_eigensystem, eigenvalue_steps, is_type_ii
+from upst.spectra import circulant_eigensystem, eigenvalue_steps, fits_exponents, is_type_ii
 from upst.constructors import (
     NoncirculantParams,
     _coefficient_rows,
@@ -74,6 +74,14 @@ def test_flat_family_3_2_2():
     assert g.n == 6
     assert es.exact_lambdas == (0, 1, 4, 5, 8, 9)
     assert is_type_ii(es.X)
+
+
+def test_flat_family_constructs_at_large_beta():
+    # products r_w c_k up to 1.4e12 over N = 1.6e6: read unreduced, the angles
+    # lost about 1e-9 and the construction refused its own X
+    _, es = noncirculant_graph(NoncirculantParams(4, 4, 10**5))
+    assert is_type_ii(es.X)
+    assert fits_exponents(math.sqrt(es.n) * es.X, *es.exponents)
 
 
 @pytest.mark.parametrize("build, steps", [

@@ -769,6 +769,26 @@ def test_wide_circulant_scans_one_curve_per_generator_class(route):
     assert np.max(np.abs(report.min_times - verify_upst(graph, exact).min_times)) <= 1e-12
 
 
+@pytest.mark.parametrize("abb", [
+    (2, 2, 10), (2, 2, 10**3), (2, 2, 3 * 10**4), (4, 4, 10), (4, 4, 10**3), (4, 4, 10**4),
+    (4, 4, 3 * 10**4),
+    pytest.param((2, 2, 10**5), marks=pytest.mark.xfail(strict=True, reason=(
+        "analytic-scan-disagreement: U(pi/beta) is within PST_ENTRY_TOL of a scalar, so "
+        "the scan finds returns and transfers near t = 0 (ROADMAP item 31)"))),
+], ids=str)
+def test_flat_family_certifies_at_large_beta(abb):
+    # on the route it is built with, one scanned curve per generator class:
+    # the lift holds only while X fits zeta_N^(r c), here at N = beta n <= 4.8e5
+    report = verify_upst(*noncirculant_graph(NoncirculantParams(*abb)))
+    assert report.upst is True, report.reasons
+    assert report.diagnostics["class_keys"] == "generators"
+
+
+def test_flat_family_past_the_grid_bound_is_refused_by_name():
+    graph, es = noncirculant_graph(NoncirculantParams(4, 4, 10**5))
+    assert verify_upst(graph, es).reasons == ("scan-grid-too-large",)
+
+
 def transformed(es, rng):
     """es relabelled, switched (X -> S X for a random unit diagonal S, the
     eigensystem of S A S^dagger) and with random eigenvector phases, with the
