@@ -8,9 +8,10 @@ n, the scan's grid_points, the wave chunk (the length of the base waves the scan
 hands to _grid_waves), pair_time_products, newton_rows, classes (curves
 scanned), the minor page faults of one steady-state verify_upst (the
 getrusage(RUSAGE_SELF).ru_minflt delta over the last timed run) and the best
-and median wall time of --repeat timed runs after one warm-up.  Every run starts from a fresh copy of the eigensystem, so the
-canonical form is rebuilt each time.  BLAS runs on one thread, as in
-perfbench.  Exits 1 unless every rung certifies.
+and median wall time of --repeat timed runs after one warm-up.  Every run
+starts from a fresh copy of the eigensystem, so the canonical form is rebuilt
+each time.  BLAS runs on one thread, as in perfbench.  Exits 1 unless every
+rung certifies.
 
 usage: python3 scripts/scan_ladder.py [--max-n N] [--repeat 5] [--eigh]
 """

@@ -774,7 +774,7 @@ def test_wide_circulant_scans_one_curve_per_generator_class(route):
     (4, 4, 3 * 10**4),
     pytest.param((2, 2, 10**5), marks=pytest.mark.xfail(strict=True, reason=(
         "analytic-scan-disagreement: U(pi/beta) is within PST_ENTRY_TOL of a scalar, so "
-        "the scan finds returns and transfers near t = 0 (ROADMAP item 31)"))),
+        "the scan reports every return at pi/beta, not at the period (ROADMAP item 31)"))),
 ], ids=str)
 def test_flat_family_certifies_at_large_beta(abb):
     # on the route it is built with, one scanned curve per generator class:
