@@ -469,9 +469,13 @@ def test_scan_finds_every_analytic_time_at_wide_spread(n, seed):
     assert np.max(np.abs(report.min_times - expected)) <= TIME_AGREEMENT_TOL
 
 
-def test_grid_past_the_cap_is_refused_without_a_scan(monkeypatch):
-    spec = circulant_from_c(3, [0, 0, 10**6])
-    es = circulant_eigensystem(spec)
+@pytest.mark.parametrize("build", [
+    lambda: (circulant_to_graph(spec := circulant_from_c(3, [0, 0, 10**6])),
+             circulant_eigensystem(spec)),
+    lambda: noncirculant_graph(NoncirculantParams(4, 4, 10**5)),
+], ids=["circulant_c(3,[0,0,1e6])", "flat(4,4,1e5)"])
+def test_grid_past_the_cap_is_refused_without_a_scan(monkeypatch, build):
+    graph, es = build()
     assert analytic(es)[0][0] / grid_step(es) > MAX_GRID_POINTS
 
     def no_scan(*args):
@@ -479,7 +483,7 @@ def test_grid_past_the_cap_is_refused_without_a_scan(monkeypatch):
 
     monkeypatch.setattr(walk, "scan_min_times", no_scan)
     start = time.monotonic()
-    report = verify_upst(circulant_to_graph(spec), es)
+    report = verify_upst(graph, es)
     assert time.monotonic() - start < 5.0
     assert report.upst is False
     assert report.reasons == ("scan-grid-too-large",)
@@ -782,11 +786,6 @@ def test_flat_family_certifies_at_large_beta(abb):
     report = verify_upst(*noncirculant_graph(NoncirculantParams(*abb)))
     assert report.upst is True, report.reasons
     assert report.diagnostics["class_keys"] == "generators"
-
-
-def test_flat_family_past_the_grid_bound_is_refused_by_name():
-    graph, es = noncirculant_graph(NoncirculantParams(4, 4, 10**5))
-    assert verify_upst(graph, es).reasons == ("scan-grid-too-large",)
 
 
 def transformed(es, rng):
