@@ -32,22 +32,18 @@ FAMILIES = ("circulant_c", "nondense", "noncirculant")
 FLOAT_FMT = "%.15g"
 
 
-class InputError(ValueError):
-    """Problems with descriptors, files, or flag values: exit code 2."""
-
-
 def _parse_fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError("not a rational number: %r" % (text,)) from exc
+        raise ValueError("not a rational number: %r" % (text,)) from exc
 
 
 def _parse_checks(text: str) -> tuple[str, ...]:
     checks = tuple(name.strip() for name in text.split(","))
     for name in checks:
         if name not in CHECK_NAMES:
-            raise InputError(
+            raise ValueError(
                 "unknown check %r (choose from %s)" % (name, ", ".join(CHECK_NAMES))
             )
     return checks
@@ -61,22 +57,22 @@ def _parse_descriptor(source: str) -> dict:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise InputError("cannot read descriptor file %r: %s" % (source, exc)) from exc
+            raise ValueError("cannot read descriptor file %r: %s" % (source, exc)) from exc
     try:
         desc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError("descriptor is not valid JSON: %s" % (exc,)) from exc
+        raise ValueError("descriptor is not valid JSON: %s" % (exc,)) from exc
     if not isinstance(desc, dict):
-        raise InputError("descriptor must be a JSON object")
+        raise ValueError("descriptor must be a JSON object")
     return desc
 
 
 def _require_int(desc: dict, key: str) -> int:
     if key not in desc:
-        raise InputError("descriptor is missing %r" % (key,))
+        raise ValueError("descriptor is missing %r" % (key,))
     value = desc[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError("descriptor field %r must be an integer, got %r" % (key, value))
+        raise ValueError("descriptor field %r must be an integer, got %r" % (key, value))
     return value
 
 
@@ -92,30 +88,27 @@ def build_from_descriptor(
     """
     family = desc.get("family")
     if family not in FAMILIES:
-        raise InputError(
+        raise ValueError(
             "unknown family %r (choose from %s)" % (family, ", ".join(FAMILIES))
         )
-    try:
-        if family == "circulant_c":
-            n = _require_int(desc, "n")
-            c_raw = desc.get("c")
-            if not isinstance(c_raw, list) or len(c_raw) != n:
-                raise InputError("field 'c' must be a list of %d integers" % n)
-            spec = circulant_from_c(n, c_raw)
-        elif family == "nondense":
-            spec = nondense_circulant(_require_int(desc, "p"), _require_int(desc, "q"))
-        else:
-            spec = None
-            params = NoncirculantParams(
-                _require_int(desc, "a"), _require_int(desc, "b"), _require_int(desc, "beta")
-            )
-            graph, es = noncirculant_graph(params)
-            if shift is not None:
-                graph = HermitianGraph(params.n, graph.adjacency + float(shift) * np.eye(params.n))
-                es = dataclasses.replace(es, offset=es.offset + shift,
-                                         exact_lambdas=tuple(v + shift for v in es.exact_lambdas))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if family == "circulant_c":
+        n = _require_int(desc, "n")
+        c_raw = desc.get("c")
+        if not isinstance(c_raw, list) or len(c_raw) != n:
+            raise ValueError("field 'c' must be a list of %d integers" % n)
+        spec = circulant_from_c(n, c_raw)
+    elif family == "nondense":
+        spec = nondense_circulant(_require_int(desc, "p"), _require_int(desc, "q"))
+    else:
+        spec = None
+        params = NoncirculantParams(
+            _require_int(desc, "a"), _require_int(desc, "b"), _require_int(desc, "beta")
+        )
+        graph, es = noncirculant_graph(params)
+        if shift is not None:
+            graph = HermitianGraph(params.n, graph.adjacency + float(shift) * np.eye(params.n))
+            es = dataclasses.replace(es, offset=es.offset + shift,
+                                     exact_lambdas=tuple(v + shift for v in es.exact_lambdas))
     if spec is not None:
         if shift is not None:
             spec = with_diagonal_shift(spec, shift)
@@ -133,7 +126,7 @@ def _run_checks(
     (upst, spacing) is requested."""
     for name in checks:
         if name in ("dense", "connectivity") and graph.spec is None:
-            raise InputError(
+            raise ValueError(
                 "check %r needs exact circulant data, which this input lacks" % name
             )
     report = None

@@ -16,9 +16,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graph import CirculantSpec, HermitianGraph
+from .ratios import integer_multiples
 from .spectra import (
-    BLOCK_ELEMENTS, UNITARITY_TOL, EigenSystem, eigenvalue_steps, fits_exponents,
-    integer_multiples, is_type_ii)
+    BLOCK_ELEMENTS, UNITARITY_TOL, EigenSystem, eigenvalue_steps, fits_exponents, is_type_ii)
 
 PST_ENTRY_TOL = 1e-9
 TIME_AGREEMENT_TOL = 1e-8
@@ -186,7 +186,7 @@ def _scan_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One-pass grid scan of |U(t)[v][u]| for the given flat pairs u*n + v at
     grid index j < nsteps, time (j + 1) step: each pair's earliest confirmed
-    peak time (NaN for none) and amplitude sum_k X[v,k] conj(X[u,k]) e^{-i
+    peak time (NaN for none) and amplitude sum_k x[v,k] conj(x[u,k]) e^{-i
     d_k t} there (0 for none), d = lambda - lambda_0.  Adds to diagnostics.
 
     Each block's waves (_grid_waves) reach one grid point past each edge, so
@@ -280,28 +280,36 @@ def scan_min_times(
     (verify_upst from the return period and grid_step), so return_period
     stays unset.  row_times are verify_upst's analytic times (P = row_times[0],
     t_w for 0 -> w); besides the table amplitudes they only propose which
-    pairs share a curve, and X decides, so a wrong vector costs a scan of
-    every pair, never a wrong time.
+    pairs share a curve, and the diagonalizer decides, so a wrong vector costs
+    a scan of every pair, never a wrong time.
 
-    Classes.  With d = lambda - lambda_0, pair m = (u, v) has U_m(t) = e^{-i
-    lambda_0 t} sum_k p_m,k e^{-i d_k t}, p_m,k = X[v,k] conj(X[u,k]).  A
-    flat X with UPST has rows rho_w = s_w D mod 1 (transfer_table), s_w =
-    t_w/P = a_w/N rational; _generator_keys lifts a and N from row_times
-    with integer_multiples and D_k = rint(d_k P/2 pi), and keeps them only if
-    sqrt(n) es.canonical fits zeta_N^(a (x) D) within UNITARITY_TOL = delta
-    on every entry (fits_exponents, one n^2 check).  X = S^-1 es.canonical
-    C^-1, S and C unit diagonals, so p_m,k = f_m (zeta_N^((a_v - a_u) D_k)
-    + F_m,k)/n with |F_m,k| <= 2 delta + delta^2 and row factor f_m =
-    conj(S_v) S_u = unit(X[v,0] conj(X[u,0])).  So two pairs m, r of one key
-    (a_v - a_u) mod N have |U_m(t)/f_m - U_r(t)/f_r| <= 4 delta + 2 delta^2 at
-    every t: one curve within the check's bound.  The grid scans each
-    class's first pair r (np.unique), and a member takes r's time, with r's
-    phase turned by f_m/f_r, so switched and eigh inputs keep each pair's own
-    amplitude.  If the lift or its check fails (integer_multiples finds no
-    N, N > 2^31, a row time is not positive and finite), every pair is its
-    own class: sound, and n^2 curves to scan.  One GEMM gives every table
-    amplitude: with Y = X o e^{-i d t_w}, (Y Y^dagger)[v, u] = sum_k p_m,k
-    e^{-i d_k (t_v - t_u)}, and the diagonal's at P is |X|^2 e^{-i d P}.
+    Classes.  The scan reads Z = es.canonical = S X C, S and C unit
+    diagonals, where the lift is checked.  With d = lambda - lambda_0, pair m =
+    (u, v) has U_m(t) = e^{-i lambda_0 t} f_m sum_k p_m,k e^{-i d_k t}, p_m,k =
+    Z[v,k] conj(Z[u,k]), row factor f_m = conj(S_v) S_u = unit(X[v,0]
+    conj(X[u,0])).  A flat X with UPST has rows rho_w = s_w D mod 1
+    (transfer_table), s_w = t_w/P = a_w/N rational; _generator_keys lifts a
+    and N from row_times with integer_multiples and D_k = rint(d_k P/2 pi), and
+    keeps them only if sqrt(n) Z fits zeta_N^(a (x) D) within UNITARITY_TOL =
+    delta on every entry (fits_exponents, one n^2 check).  So p_m,k =
+    (zeta_N^((a_v - a_u) D_k) + F_m,k)/n, |F_m,k| <= 2 delta + delta^2: in Z
+    the pairs of one key (a_v - a_u) mod N have curves within 4 delta + 2
+    delta^2 at every t, one curve within the check's bound.  The grid scans
+    each class's first pair (np.unique), a member takes its time and phase as
+    they are, and each phase is turned to X's frame by its own f_m.  If the
+    lift or its check fails (integer_multiples finds no N, N > 2^31, a row
+    time is not positive and finite), every pair is its own class: sound, and
+    n^2 curves to scan.  One GEMM gives every table amplitude: with Y = Z o
+    e^{-i d t_w}, (Y Y^dagger)[v, u] = sum_k p_m,k e^{-i d_k (t_v - t_u)}, and
+    the diagonal's at P is |Z|^2 e^{-i d P}.
+
+    Every UPST graph with n <= 4 lifts (derived here, not from the paper):
+    rows w and 0 of Z are orthogonal, so n unit vectors z_k = e^{2 pi i s_w
+    D_k}, z_0 = 1, sum to 0.  At n = 2, z_1 = -1; at n = 3 they are the cube
+    roots of unity; at n = 4, z_1 = -1 or 1 + z_1 = -(z_2 + z_3) != 0 fixes
+    {z_2, z_3} = {-1, -z_1}.  So s_w D_k is in Z/6 for a D_k != 0, s_w is
+    rational, and at n <= 4 only float limits (a denominator past
+    MAX_DENOMINATOR, N > 2^31, a fit past delta) reach the fallback.
 
     The grid is walked in blocks of BLOCK_ELEMENTS // max(live curves, n)
     time points, each read with one grid point beyond either edge, so a
@@ -362,25 +370,22 @@ def scan_min_times(
     diagnostics = dict(grid_step=float(step), horizon=float(horizon), grid_points=nsteps,
                        classes=0, members=0, pair_time_products=0, f64_hits=0, clusters=0,
                        newton_rows=0)
-    x, d = es.X, es.lambdas - es.lambdas[0]
+    z, d = es.canonical, es.lambdas - es.lambdas[0]
     row_times = np.asarray(row_times, dtype=float)
-    keys = _generator_keys(es.canonical, d, row_times)
+    keys = _generator_keys(z, d, row_times)
     first, run = (np.arange(n * n),) * 2 if keys is None else np.unique(
         keys, return_index=True, return_inverse=True)[1:]
     omega = _waves(row_times, d)
-    y = x * omega
+    y = z * omega
     amp = (y.conj() @ y.T).reshape(-1)  # amp[u*n + v] at t_v - t_u
-    amp[::n + 1] = np.square(abs(x)) @ omega[0]
+    amp[::n + 1] = np.square(abs(z)) @ omega[0]
 
-    times, phases = _scan_pairs(x, first, d, nsteps, step, diagnostics)
+    times, phases = _scan_pairs(z, first, d, nsteps, step, diagnostics)
     found = ~np.isnan(times)
     phases[found] *= np.exp(-1j * (float(es.offset) + es.lambdas[0]) * times[found])
-    flat_times, flat_phases = times[run], phases[run]
-    member = (first[run] != np.arange(n * n)).nonzero()[0]
-    unit = np.exp(1j * np.arctan2(x[:, 0].imag, x[:, 0].real))
-    turn = (unit * unit.conj()[:, np.newaxis]).reshape(-1)  # unit_v conj(unit_u) at u*n + v
-    flat_phases[member] *= turn[member] * turn[first[run[member]]].conj()
-    seen = found[run]
+    unit = np.exp(1j * np.arctan2(es.X[:, 0].imag, es.X[:, 0].real))
+    flat_times, seen = times[run], found[run]
+    flat_phases = phases[run] * (unit * unit.conj()[:, np.newaxis]).reshape(-1)  # f at u*n + v
     diagnostics.update(
         classes=first.size, members=int(seen.sum() - found.sum()),
         class_keys="pairs" if keys is None else "generators",

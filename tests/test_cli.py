@@ -132,6 +132,21 @@ def test_generate_rejects_descriptor_shape_problems(capsys):
         assert code == 2, desc
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"family": "nondense", "p": 2,', "descriptor is not valid JSON: "),
+    ('[{"family": "nondense", "p": 2, "q": 3}]', "descriptor must be a JSON object"),
+    ('{"family": "nondense", "p": 2}', "descriptor is missing 'q'"),
+    ('{"family": "nondense", "p": 2, "q": "3"}', "descriptor field 'q' must be an integer, got '3'"),
+    ('{"family": "nondense", "p": 2, "q": true}', "descriptor field 'q' must be an integer, got True"),
+], ids=["not-json", "not-an-object", "missing-field", "string-field", "bool-field"])
+def test_generate_names_what_is_wrong_with_a_descriptor_file(tmp_path, capsys, text, message):
+    # a file, as only a file can hold JSON that is no object
+    (path := tmp_path / "desc.json").write_text(text)
+    code, out, err = run(["generate", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message)
+
+
 def test_generate_rejects_irrational_shift(capsys):
     code, _, err = run(["generate", ND6_DESC, "--shift", "sqrt2"], capsys)
     assert code == 2

@@ -103,6 +103,12 @@ def test_spec_requires_single_conductor():
         ref.circulant_spec(3, (rational(4, 0), zeta(6), zeta(6, 5)))
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_spec_order_must_be_positive(n):
+    with pytest.raises(ValueError, match="^circulant order must be positive, got %d$" % n):
+        CirculantSpec.from_rows(n, 1, [], 1)
+
+
 def test_spec_length_must_match_order():
     with pytest.raises(ValueError, match="expected 4 coefficients, got 3"):
         CirculantSpec.from_rows(4, 4, [[0, 0], [0, 1], [0, -1]], 1)

@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -206,6 +207,14 @@ def test_semiconvergent_wins_over_the_last_convergent():
     assert abs(Fraction(74731, 61517) - Fraction(x)) > abs(f - Fraction(x))
     assert_same_as_reference([1.0, x])
     assert_same_as_reference([2.5, 2.5 * x])
+
+
+@pytest.mark.parametrize("values, message", [
+    ([], "need at least one value"), ([2.0, 0.0], "values must be nonzero"),
+], ids=["empty", "zero"])
+def test_refuses_vectors_with_no_ratio(values, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        integer_multiples(values)
 
 
 def test_ratios_import_no_fraction_machinery():

@@ -171,6 +171,35 @@ def test_exponents_longer_than_the_lambdas_are_refused_before_x_is_built():
         eigensystem_from_json(doc)
 
 
+ZERO_2 = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+ONE_3 = {"n": 3, "a": [{"n": 1, "coeffs": [[0, 1]]}] * 3}
+
+
+@pytest.mark.parametrize("read, data, message", [
+    (spec_from_json, {"n": 2, "a": [{"n": 3, "coeffs": [[1, 1], [0, 1]]},
+                                    {"n": 4, "coeffs": [[0, 1], [0, 1]]}]},
+     r"coefficients mix conductors \[3, 4\]"),
+    (eigensystem_from_json, {"X": ZERO_2, "lambdas": [0.0, 1.0, 2.0]},
+     r"eigensystem X has shape \(2, 2\) for 3 lambdas"),
+    (eigensystem_from_json, {"X": ZERO_2, "lambdas": [0.0, 1.0], "exact_lambdas": [[0, 1]]},
+     "eigensystem has 1 exact_lambdas for n = 2"),
+    (graph_from_json, "upst-graph", "graph file must contain a JSON object"),
+    (graph_from_json, {"format": GRAPH_FORMAT, "n": 3, "matrix": ZERO_2},
+     r"malformed graph file: matrix shape \(2, 2\) does not match n = 3"),
+    (graph_from_json, {"format": GRAPH_FORMAT, "n": 2, "matrix": ZERO_2, "circulant": ONE_3},
+     "malformed graph file: circulant order 3 does not match n = 2"),
+    (load_graph, '{"format": "upst-graph", "n": ', "is not valid JSON: "),
+], ids=["spec-mixed-conductors", "x-shape", "exact-lambdas-count", "graph-not-an-object",
+        "matrix-shape", "circulant-order", "file-not-json"])
+def test_readers_refuse_inconsistent_input(tmp_path, read, data, message):
+    # load_graph reads data as a file's text
+    if read is load_graph:
+        (path := tmp_path / "graph.json").write_text(data)
+        data = str(path)
+    with pytest.raises(ValueError, match=message):
+        read(data)
+
+
 # ------------------------------------------------------- exact circulant data
 
 def one_vertex_bundle(coeffs=None, exact_lambdas=None):

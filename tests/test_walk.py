@@ -5,6 +5,7 @@ and a blind time-domain scan.  Tests pin both against closed-form values.
 """
 
 import dataclasses
+import itertools
 import math
 import time
 import tracemalloc
@@ -880,15 +881,24 @@ def test_table_confirmation_checks_the_period_on_the_diagonal():
 
 
 def test_permuted_row_times_cost_a_pair_scan_never_a_time():
-    # every generator is wrong; the check against X refuses them all
+    # every generator is wrong; the fit check refuses them all.  A zero
+    # or negative row time, and t_1, t_2 = P/999983, P/999979, which lift to
+    # N = 32 * 999983 * 999979 > 2^31, are refused before that check
     es = relabelled_flat(4, 4, 2, seed=5)
     honest = scan(es)
-    report = scan(es, row_times(es)[np.random.default_rng(8).permutation(es.n)])
-    d = report.diagnostics
-    assert report.reasons == ()
-    assert (d["class_keys"], d["classes"], d["members"]) == ("pairs", es.n**2, 0)
-    assert np.max(np.abs(report.min_times - honest.min_times)) <= 1e-12
-    assert np.max(np.abs(report.phases - honest.phases)) <= 1e-11
+    times = row_times(es)
+    cases = [times[np.random.default_rng(8).permutation(es.n)]]
+    for rows, values in (([1], [0.0]), ([1], [-times[1]]), ([1, 2], times[0] / [999983, 999979])):
+        cases.append(times.copy())
+        cases[-1][rows] = values
+    assert ratios.integer_multiples(cases[-1].tolist())[1][0] == 31_998_784_011_424
+    for moved in cases:
+        report = scan(es, moved)
+        d = report.diagnostics
+        assert report.reasons == ()
+        assert (d["class_keys"], d["classes"], d["members"]) == ("pairs", es.n**2, 0)
+        assert np.max(np.abs(report.min_times - honest.min_times)) <= 1e-12
+        assert np.max(np.abs(report.phases - honest.phases)) <= 1e-11
 
 
 def test_verify_peak_memory_stays_far_below_an_n_cubed_array():
@@ -1414,6 +1424,50 @@ def test_time_reversal_gate_catches_times_inside_the_agreement_tolerance(monkeyp
     assert report.reasons == ("time-reversal-violation",)
     assert report.circulant_timing is None
     assert report.diagnostics["agreement_max"] <= TIME_AGREEMENT_TOL * period
+
+
+def graphs_with_entries(n, values):
+    """Every Hermitian n x n matrix with zero diagonal and each entry above it
+    in values (the one below its conjugate), len(values)^(n(n-1)/2) of them."""
+    upper = np.triu_indices(n, 1)
+    for entries in itertools.product(values, repeat=len(upper[0])):
+        a = np.zeros((n, n), dtype=complex)
+        a[upper] = entries
+        yield a + a.conj().T
+
+
+def test_oriented_graphs_on_at_most_four_vertices_certify_only_as_oriented_triangles():
+    # entries in {0, i, -i} on eigh: at n = 3 exactly the 8 orientations of K_3
+    # certify, each through the lifted generators (every UPST graph with n <= 4
+    # lifts, see scan_min_times), and at n = 4 none of the 729 does
+    for n, count, certified in ((3, 27, 8), (4, 729, 0)):
+        reports = [(a, verify_upst(HermitianGraph(n, a), numerical_eigensystem(a)))
+                   for a in graphs_with_entries(n, (0, 1j, -1j))]
+        passed = [(a, r) for a, r in reports if r.upst]
+        assert (len(reports), len(passed)) == (count, certified)
+        for a, report in passed:
+            assert (a != 0).sum() == n * (n - 1)
+            assert report.diagnostics["class_keys"] == "generators"
+
+
+def test_real_symmetric_graphs_never_certify():
+    """A real symmetric A makes U(t) = exp(-i A t) symmetric, so t_uv = t_vu.
+    UPST needs a flat X, with which each pair transfers once per period P and
+    time reversal gives t_uv + t_vu = P for u != v: every t_uv = P/2, and
+    column u of U(P/2) would hold n - 1 >= 2 entries of modulus 1, which a
+    unitary cannot.  So no real symmetric graph on n >= 3 vertices has UPST:
+    here every simple graph on 3, 4 and 5 vertices and 20 seeded integer
+    symmetric matrices at each of n = 5, 6 and 8.  The UPST definition is
+    Cameron et al.'s (LAA 455, 2014), which the paper's abstract cites."""
+    rng = np.random.default_rng(11)
+    inputs = [a.real for n in (3, 4, 5) for a in graphs_with_entries(n, (0, 1))]
+    for n in (5, 6, 8):
+        for _ in range(20):
+            a = rng.integers(-5, 6, size=(n, n)).astype(float)
+            inputs.append(a + a.T)
+    assert len(inputs) == 8 + 64 + 1024 + 60
+    for a in inputs:
+        assert verify_upst(HermitianGraph(len(a), a), numerical_eigensystem(a)).upst is not True
 
 
 def test_certification_rejects_path_graph():
